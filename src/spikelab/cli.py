@@ -227,18 +227,12 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
 
 
 def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    jobs = [
-        (grid_index, n_samples, seed)
-        for grid_index, n_samples in enumerate(cfg.samples_grid)
-        for seed in cfg.seeds
-    ]
+    """Rows in grid order, then seed-list order (``pool.map`` keeps it)."""
+    jobs = [(n_samples, seed) for n_samples in cfg.samples_grid for seed in cfg.seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda j: (j[0], j[2], run_point(cfg, j[1], j[2])), jobs))
-    else:
-        rows = [(g, s, run_point(cfg, n, s)) for g, n, s in jobs]
-    rows.sort(key=lambda item: (item[0], item[1]))
-    return [row for _, _, row in rows]
+            return list(pool.map(lambda job: run_point(cfg, *job), jobs))
+    return [run_point(cfg, *job) for job in jobs]
 
 
 def sweep_csv(rows: list[dict]) -> str:

@@ -1,9 +1,9 @@
 """Experiment configuration: an INI file plus command-line overrides.
 
 The grammar is documented in docs/formats.md.  Parsing is strict:
-unknown sections, unknown keys, empty grids, and duplicate seeds are
-all rejected here rather than surfacing later as confusing runtime
-behavior.
+unknown sections, unknown keys, empty grids, duplicate seeds and seed
+lists spanning 1000 or more are all rejected here rather than surfacing
+later as confusing runtime behavior.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class HarnessSettings:
     passes: int = 10
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 63:
-            raise ValueError(f"bits must be in [1, 63], got {self.bits}")
+        if not 1 <= self.bits <= 53:
+            raise ValueError(f"bits must be in [1, 53], got {self.bits}")
         if self.radius <= 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
         if self.passes < 1:
@@ -114,6 +114,10 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {seeds}")
         if any(v < 0 for v in seeds):
             raise ValueError(f"seeds must be >= 0, got {seeds}")
+        if max(seeds) - min(seeds) >= 1000:
+            # Seed s draws its noise from 1000 + s, the instance stream of
+            # seed s + 1000; a span below 1000 keeps every stream disjoint.
+            raise ValueError(f"seeds must span less than 1000, got {seeds}")
         object.__setattr__(self, "samples_grid", grid)
         object.__setattr__(self, "seeds", seeds)
         if self.estimator.startswith("brute-force"):

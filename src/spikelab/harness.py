@@ -3,14 +3,16 @@ blackboard protocols over sharded data, with an exact simulation of the
 former by the latter.
 
 A memory-bounded algorithm owns nothing but an s-bit state; the runner
-feeds it samples in (pass, index) order and checks the state length and
-binariness after every transition, so no side channel can carry extra
-information between rounds.  A blackboard protocol writes one public bit
-per round; the writer choice may depend only on the transcript so far,
-and the bit only on the writer's own shard plus the transcript.  The
-reduction simulates a (N, T, s) streaming algorithm with (N/n, n, s*T)
-blackboard parameters by handing the full state across the board after
-every local pass.
+feeds it samples in (pass, index) order, one pass per ``update_block``
+call, and checks the state length and binariness after every block, so
+no side channel can carry extra information between blocks.  A
+blackboard protocol writes one public bit per round; the writer choice
+may depend only on the transcript so far, and the bit only on the
+writer's own shard plus the transcript.  A protocol may hand the runner
+several rounds' bits at once (``next_bits``); the runner still asks for
+the writer of every round.  The reduction simulates a (N, T, s)
+streaming algorithm with (N/n, n, s*T) blackboard parameters by handing
+the full state across the board after every local pass.
 """
 
 from __future__ import annotations
@@ -73,6 +75,19 @@ class MemoryBoundedAlgorithm:
     def update(self, state: np.ndarray, t: int, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def update_block(
+        self, state: np.ndarray, t: int, i0: int, rows: np.ndarray
+    ) -> np.ndarray:
+        """The state after ``update`` on rows i0, i0+1, .. of pass t.
+
+        The rows lie within one pass.  This default is the reference: one
+        ``update`` per row, with the state checked after each.  An
+        override must return the same bits from ``state`` alone.
+        """
+        for j, x in enumerate(rows):
+            state = _check_state(self.update(state, t, i0 + j, x), self.state_bits)
+        return state
+
     def estimate(self, state: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -98,7 +113,8 @@ def run_memory_bounded(
     """Feed the stream through the algorithm in (t asc, i asc) order.
 
     The state starts all zeros, is the only value carried between
-    transitions, and is length- and binariness-checked every round.
+    passes, and is length- and binariness-checked after every pass,
+    which is one ``update_block`` call.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != profile.samples:
@@ -112,8 +128,7 @@ def run_memory_bounded(
         )
     state = np.zeros(s, dtype=np.uint8)
     for t in range(profile.passes):
-        for i in range(profile.samples):
-            state = _check_state(algorithm.update(state, t, i, data[i]), s)
+        state = _check_state(algorithm.update_block(state, t, 0, data), s)
     out = np.asarray(algorithm.estimate(state.copy()), dtype=np.float64)
     return EstimateReport(
         estimate=out,
@@ -136,15 +151,18 @@ class QuantizerSpec:
 
     Values are clamped to the range and rounded to the nearest lattice
     point with ties to even, so the decode error is at most
-    ``radius * 2^(1 - bits)`` for any finite input.
+    ``radius * 2^(1 - bits)`` for any finite input.  The lattice holds
+    ``2^bits`` points ``level * step - radius``; with ``radius`` at both
+    ends it has no zero point, so zero decodes half a step from zero.
+    ``bits`` stops at 53, where every level is still an exact float.
     """
 
     bits: int = 32
     radius: float = 64.0
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 63:
-            raise ValueError(f"bits per coordinate must be in [1, 63], got {self.bits}")
+        if not 1 <= self.bits <= 53:
+            raise ValueError(f"bits per coordinate must be in [1, 53], got {self.bits}")
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
@@ -152,11 +170,21 @@ class QuantizerSpec:
     def step(self) -> float:
         return 2.0 * self.radius / (2.0**self.bits - 1.0)
 
+    def _levels(self, values: np.ndarray) -> np.ndarray:
+        # Float levels; the top one is capped because (2 * radius) / step
+        # can round up to 2^bits, which has no code.
+        clamped = np.minimum(np.maximum(values, -self.radius), self.radius)
+        levels = np.rint((clamped + self.radius) / self.step)
+        return np.minimum(levels, 2.0**self.bits - 1.0)
+
+    def snap(self, values: np.ndarray) -> np.ndarray:
+        """``decode(encode(values))``, computed on the lattice without codes."""
+        return self._levels(values) * self.step - self.radius
+
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened."""
         values = np.asarray(values, dtype=np.float64).reshape(-1)
-        clamped = np.clip(values, -self.radius, self.radius)
-        levels = np.round((clamped + self.radius) / self.step).astype(np.uint64)
+        levels = self._levels(values).astype(np.uint64)
         shifts = np.arange(self.bits, dtype=np.uint64)
         bits = (levels[:, None] >> shifts[None, :]) & np.uint64(1)
         return bits.astype(np.uint8).reshape(-1)
@@ -216,7 +244,9 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
     adds the result divided by N into the quantized partial sum, and at
     the end of a pass promotes the partial sum to be the next iterate.
     The starting iterate is embedded at the first update (t = 0, i = 0),
-    which keeps the all-zeros initial state convention intact.
+    which keeps the all-zeros initial state convention intact.  So pass 0
+    contracts row 0 against the exact ``init`` and starts its sum at an
+    exact zero, while later passes start from the code for zero.
     """
 
     def __init__(self, psi, quantizer: QuantizerSpec, d: int, n_samples: int, init):
@@ -254,6 +284,44 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if t == 0 and i == 0:
             iterate_bits = q.encode(u)
         return np.concatenate([iterate_bits, new_partial_bits])
+
+    def update_block(self, state, t, i0, rows):
+        """``update`` over a block of one pass, bit-identical to the loop.
+
+        The iterate is fixed within a pass, so the state is decoded once,
+        ``psi`` is built once, and all rows are contracted by one stacked
+        matmul, whose row j equals the single-row ``contract_batch`` of
+        ``update``.  Only the partial sum is accumulated row by row, on
+        lattice values (``QuantizerSpec.snap``), and encoded once at the
+        end.  As in ``update``, row 0 of pass 0 is contracted against the
+        exact ``init`` and starts from an exact zero sum.
+        """
+        q, d, n = self.quantizer, self.d, self.n_samples
+        rows = np.asarray(rows, dtype=np.float64)
+        if i0 + len(rows) > n:
+            raise ValueError(f"rows {i0}..{i0 + len(rows) - 1} run past the pass of {n}")
+        if len(rows) == 0:
+            return state
+        rows = rows.reshape(len(rows), -1, d)
+        iterate_bits, partial_bits = self._split(state)
+        first = int(t == 0 and i0 == 0)  # rows contracted against init
+        w = np.empty((len(rows), d))
+        if first:
+            iterate_bits = q.encode(self.init)
+            partial = np.zeros(d)
+            w[:1] = self.psi(self.init) @ rows[:1]
+        else:
+            partial = q.decode(partial_bits, d)
+        if len(rows) > first:
+            w[first:] = self.psi(q.decode(iterate_bits, d)) @ rows[first:]
+        w /= n
+        for w_j in w[:-1]:
+            partial = q.snap(partial + w_j)
+        partial_bits = q.encode(partial + w[-1])
+        if i0 + len(rows) == n:
+            # Pass boundary, as in ``update``.
+            return np.concatenate([partial_bits, q.encode(np.zeros(d))])
+        return np.concatenate([iterate_bits, partial_bits])
 
     def estimate(self, state):
         u = self.quantizer.decode(self._split(state)[0], self.d)
@@ -297,6 +365,17 @@ class BlackboardProtocol:
     def next_bit(self, shard: np.ndarray, round_index: int, transcript: np.ndarray) -> int:
         raise NotImplementedError
 
+    def next_bits(self, shard: np.ndarray, round_index: int, transcript: np.ndarray):
+        """Bits for rounds ``round_index``, ``round_index + 1``, .. at once.
+
+        Bit j must be what ``next_bit`` returns at round ``round_index + j``
+        given the transcript extended by bits 0..j-1, for as long as
+        ``select_writer`` keeps choosing the same machine; the runner
+        drops the bits past the first round it does not.  This default
+        returns the one bit of ``next_bit``.
+        """
+        return [self.next_bit(shard, round_index, transcript)]
+
     def estimate(self, transcript: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -326,6 +405,26 @@ class Blackboard:
         return True
 
 
+def _writer_at(protocol: BlackboardProtocol, t: int, bits: np.ndarray, m: int) -> int:
+    writer = protocol.select_writer(t, bits[:t])
+    if not isinstance(writer, (int, np.integer)) or not 0 <= writer < m:
+        raise ValueError(f"writer {writer!r} at round {t} is not a machine index in [0, {m})")
+    return int(writer)
+
+
+def _bit_block(values, t: int) -> np.ndarray:
+    block = np.asarray(values)
+    if block.ndim != 1 or block.size == 0:
+        raise ValueError(f"protocol wrote a block of shape {block.shape} at round {t}")
+    if block.dtype.kind not in "uib":
+        raise ValueError(f"protocol wrote non-bit values of dtype {block.dtype} at round {t}")
+    bad = np.flatnonzero((block != 0) & (block != 1))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
+    return block
+
+
 def run_distributed(
     protocol: BlackboardProtocol,
     shards: list[np.ndarray],
@@ -333,7 +432,13 @@ def run_distributed(
     n: int,
     b: int,
 ) -> tuple[EstimateReport, Blackboard]:
-    """Run m*b rounds of one-bit writes and estimate from the transcript."""
+    """Run m*b rounds of one-bit writes and estimate from the transcript.
+
+    Each ``next_bits`` block is written in one go, but ``select_writer``
+    still runs for every round, and the block ends at the first round
+    whose writer differs.  Writers and bits are validated before any
+    cast, and every bit counts against its writer's budget b.
+    """
     if len(shards) != m:
         raise ValueError(f"got {len(shards)} shards for m = {m}")
     if any(np.asarray(shard).shape[0] != n for shard in shards):
@@ -342,20 +447,24 @@ def run_distributed(
     bits = np.zeros(rounds, dtype=np.uint8)
     writers = np.zeros(rounds, dtype=np.int64)
     written = [0] * m
-    for t in range(rounds):
-        writer = int(protocol.select_writer(t, bits[:t]))
-        if not 0 <= writer < m:
-            raise ValueError(f"writer {writer} out of range at round {t}")
-        written[writer] += 1
+    t = 0
+    while t < rounds:
+        writer = _writer_at(protocol, t, bits, m)
+        block = _bit_block(protocol.next_bits(shards[writer], t, bits[:t]), t)
+        end = min(t + block.size, rounds)
+        bits[t:end] = block[: end - t]
+        # A round whose writer differs ends the block; the loop's next
+        # turn validates that writer.
+        stop = t + 1
+        while stop < end and protocol.select_writer(stop, bits[:stop]) == writer:
+            stop += 1
+        written[writer] += stop - t
         if written[writer] > b:
             raise RuntimeError(
                 f"machine {writer} selected for more than b = {b} rounds"
             )
-        bit = int(protocol.next_bit(shards[writer], t, bits[:t]))
-        if bit not in (0, 1):
-            raise ValueError(f"protocol wrote a non-bit value {bit} at round {t}")
-        bits[t] = bit
-        writers[t] = writer
+        writers[t:stop] = writer
+        t = stop
     if any(count != b for count in written):
         raise RuntimeError(f"per-machine round counts {written} != b = {b}")
     out = np.asarray(protocol.estimate(bits.copy()), dtype=np.float64)
@@ -382,9 +491,10 @@ class _StateHandoffProtocol(BlackboardProtocol):
     and simulates pass q // m of the streaming run over that machine's
     shard, starting from the state written in turn q - 1 (all zeros for
     q = 0).  Every machine takes exactly T turns, so it writes exactly
-    s*T = b bits.  Per-turn output states are memoized on (turn, input
-    state) because each of the s bit functions recomputes the same local
-    pass from the public prefix.
+    s*T = b bits.  Nothing is memoized: a turn's output state is a
+    function of the shard and the public prefix alone, and
+    ``next_bits`` hands the runner the rest of the turn, so
+    ``run_distributed`` computes each turn once.
     """
 
     def __init__(self, algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile, n: int):
@@ -393,35 +503,23 @@ class _StateHandoffProtocol(BlackboardProtocol):
         self.n = n
         self.m = profile.samples // n
         self.s = profile.state_bits
-        self._chunk_cache: dict = {}
 
     def select_writer(self, round_index, transcript):
         return (round_index // self.s) % self.m
 
-    def _turn_output(self, shard, turn, transcript):
+    def next_bits(self, shard, round_index, transcript):
         s = self.s
+        turn, offset = divmod(round_index, s)
         if turn == 0:
             prev = np.zeros(s, dtype=np.uint8)
         else:
             prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
-        key = (turn, prev.tobytes())
-        cached = self._chunk_cache.get(key)
-        if cached is not None:
-            return cached
-        t = turn // self.m
-        machine = turn % self.m
-        state = prev
-        for local in range(self.n):
-            i = machine * self.n + local
-            state = _check_state(
-                self.algorithm.update(state, t, i, shard[local]), s
-            )
-        self._chunk_cache[key] = state
-        return state
+        t, machine = divmod(turn, self.m)
+        state = self.algorithm.update_block(prev, t, machine * self.n, shard)
+        return _check_state(state, s)[offset:]
 
     def next_bit(self, shard, round_index, transcript):
-        turn = round_index // self.s
-        return int(self._turn_output(shard, turn, transcript)[round_index % self.s])
+        return int(self.next_bits(shard, round_index, transcript)[0])
 
     def estimate(self, transcript):
         final = np.asarray(transcript[-self.s :], dtype=np.uint8)

@@ -98,6 +98,8 @@ def test_flag_overrides(tmp_path):
         ("estimator = tensor-power", "estimator = cca-matricization"),
         ("problem = tpca", "problem = bogus"),
         ("k = 2", "k = 0"),
+        # seed 1000's instance stream would be seed 0's noise stream
+        ("seeds = 0, 1, 2", "seeds = 0, 1000"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
@@ -156,6 +158,17 @@ def test_sweep_shape_and_order(tmp_path):
     assert lines[0] == "# spikelab-sweep-v1"
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_rows_follow_seed_list_position(tmp_path, threads):
+    text = BASE.replace("seeds = 0, 1, 2", "seeds = 999, 3, 0").replace(
+        "samples = 24, 96", "samples = 96, 24"
+    )
+    rows = run_sweep(parse_config(write(tmp_path, text)), threads=threads)
+    assert [(r["N"], r["seed"]) for r in rows] == [
+        (96, 999), (96, 3), (96, 0), (24, 999), (24, 3), (24, 0)
+    ]
 
 
 def test_sweep_deterministic_modulo_wall_clock(tmp_path):

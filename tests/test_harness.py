@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.config import HarnessSettings
 from spikelab.estimators import PowerMethodConfig, tensor_power_method
 from spikelab.harness import (
     Blackboard,
     BlackboardProtocol,
     MemoryBoundedAlgorithm,
+    QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
     partial_trace_template,
@@ -24,6 +26,7 @@ from spikelab.harness import (
     wrap_iteration_as_memory_bounded,
 )
 from spikelab.models import ModelSpec, sample_tpca
+from spikelab.tensors import contract_batch
 
 
 class XorFold(MemoryBoundedAlgorithm):
@@ -162,6 +165,24 @@ def test_quantizer_validation():
         QuantizerSpec(bits=0)
     with pytest.raises(ValueError, match="radius"):
         QuantizerSpec(radius=0.0)
+    # At 54 bits the top level rounds to 2^54 and +radius came back as
+    # -radius; the codec stops at 53, and so does the config.
+    with pytest.raises(ValueError, match="bits"):
+        QuantizerSpec(bits=54, radius=1.0)
+    with pytest.raises(ValueError, match="bits"):
+        HarnessSettings(bits=54)
+    assert HarnessSettings(bits=53).bits == 53
+
+
+@pytest.mark.parametrize("bits, radius", [(53, 1.0), (53, 0.7), (53, 95.0), (52, 0.7)])
+def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
+    # (2 * radius) / step can round up to level 2^bits, which has no
+    # code; at 52 bits that happened for radius 0.7 before the cap.
+    q = QuantizerSpec(bits=bits, radius=radius)
+    ends = np.array([radius, -radius])
+    back = q.decode(q.encode(ends), 2)
+    np.testing.assert_allclose(back, ends, rtol=0, atol=q.step)
+    np.testing.assert_array_equal(q.snap(ends), back)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +347,55 @@ def test_distributed_rejects_bad_bits_and_shards():
         run_distributed(LocalMeanProtocol(m, q), shards[:1], m, n, q.bits)
 
 
+class BlockMeanProtocol(LocalMeanProtocol):
+    """LocalMeanProtocol that hands over the rest of its code at once."""
+
+    def next_bits(self, shard, round_index, transcript):
+        code = self.q.encode(np.array([shard[:, 0].mean()]))
+        return code[round_index % self.q.bits :]
+
+
+@pytest.mark.parametrize("protocol_class", [LocalMeanProtocol, BlockMeanProtocol])
+def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
+    class FractionalWriter(protocol_class):
+        def select_writer(self, round_index, transcript):
+            return 1.7 if round_index == 3 else super().select_writer(round_index, transcript)
+
+    class FractionalBit(protocol_class):
+        def next_bit(self, shard, round_index, transcript):
+            return 0.7
+
+        def next_bits(self, shard, round_index, transcript):
+            bits = np.asarray(super().next_bits(shard, round_index, transcript), float)
+            bits[0] = 0.7
+            return bits
+
+    m, n = 2, 4
+    q = QuantizerSpec(bits=8, radius=4.0)
+    shards = shard_stream(np.random.default_rng(5).standard_normal((m * n, 2)), n)
+    # int() would turn these into writer 1 and bit 0 and the run would pass.
+    with pytest.raises(ValueError, match="writer 1.7"):
+        run_distributed(FractionalWriter(m, q), shards, m, n, q.bits)
+    with pytest.raises(ValueError, match="non-bit"):
+        run_distributed(FractionalBit(m, q), shards, m, n, q.bits)
+
+
+def test_block_write_ends_where_the_writer_changes():
+    class Overlong(BlockMeanProtocol):
+        def next_bits(self, shard, round_index, transcript):
+            extra = np.ones(5, dtype=np.uint8)
+            return np.concatenate([super().next_bits(shard, round_index, transcript), extra])
+
+    m, n = 3, 4
+    q = QuantizerSpec(bits=8, radius=4.0)
+    shards = shard_stream(np.random.default_rng(6).standard_normal((m * n, 2)), n)
+    _, one_bit = run_distributed(LocalMeanProtocol(m, q), shards, m, n, q.bits)
+    for protocol in (BlockMeanProtocol(m, q), Overlong(m, q)):
+        _, board = run_distributed(protocol, shards, m, n, q.bits)
+        np.testing.assert_array_equal(board.bits, one_bit.bits)
+        np.testing.assert_array_equal(board.writers, one_bit.writers)
+
+
 # ---------------------------------------------------------------------------
 # the simulation reduction
 
@@ -425,3 +495,111 @@ def test_blackboard_audit_detects_tampered_writer_log():
     assert board.audit(protocol)
     board.writers[1] = (board.writers[1] + 1) % m
     assert not board.audit(protocol)
+
+
+def test_protocol_object_reused_on_a_second_stream():
+    _, batch_a = power_batch(k=2, d=4, snr=5.0, n=16, seed=40)
+    _, batch_b = power_batch(k=2, d=4, snr=5.0, n=16, seed=41)
+    q = QuantizerSpec(bits=8, radius=8.0)
+    algo = QuantizedIteration(power_template(2), q, 4, 16, np.array([1.0, 0.2, -0.4, 0.3]))
+    profile = ResourceProfile(16, 3, algo.state_bits)
+    protocol, m, n, b = reduce_memory_to_distributed(algo, profile, 4)
+    for batch in (batch_a, batch_b):
+        report, _ = run_distributed(protocol, shard_stream(batch.data, n), m, n, b)
+        direct = run_memory_bounded(algo, batch.data, profile)
+        np.testing.assert_array_equal(report.estimate, direct.estimate)
+
+
+# ---------------------------------------------------------------------------
+# the per-pass fast path against the per-sample reference
+
+
+@st.composite
+def quantized_runs(draw, max_d=(6, 5, 4)):
+    """A QuantizedIteration with its stream, shard size and pass count."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    d = draw(st.integers(min_value=2, max_value=max_d[k - 2]))
+    n = draw(st.integers(min_value=1, max_value=4))
+    n_samples = n * draw(st.integers(min_value=1, max_value=4))
+    passes = draw(st.integers(min_value=1, max_value=3))
+    q = QuantizerSpec(
+        bits=draw(st.integers(min_value=1, max_value=53)),
+        radius=draw(st.floats(min_value=0.05, max_value=100.0)),
+    )
+    if k % 2 == 0 and draw(st.booleans()):
+        psi = partial_trace_template(k, d)
+    else:
+        psi = power_template(k)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = draw(st.sampled_from([0.1, 1.0, 30.0]))
+    data = scale * rng.standard_normal((n_samples, d**k))
+    algo = QuantizedIteration(psi, q, d, n_samples, rng.standard_normal(d))
+    return algo, data, n, passes
+
+
+@given(quantized_runs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_update_block_equals_per_sample_loop_over_any_split(run, data):
+    algo, stream, _, passes = run
+    n_samples = len(stream)
+    fast = reference = np.zeros(algo.state_bits, dtype=np.uint8)
+    for t in range(passes):
+        cut_after = data.draw(
+            st.lists(st.booleans(), min_size=n_samples - 1, max_size=n_samples - 1)
+        )
+        bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), n_samples]
+        for i0, i1 in zip(bounds, bounds[1:]):
+            # The base-class default: one per-sample ``update`` per row.
+            reference = MemoryBoundedAlgorithm.update_block(
+                algo, reference, t, i0, stream[i0:i1]
+            )
+            fast = algo.update_block(fast, t, i0, stream[i0:i1])
+            np.testing.assert_array_equal(fast, reference)
+
+
+class _OneBitOnly(BlackboardProtocol):
+    """Hides ``next_bits``, so the runner takes the one-bit default."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def select_writer(self, round_index, transcript):
+        return self.inner.select_writer(round_index, transcript)
+
+    def next_bit(self, shard, round_index, transcript):
+        return self.inner.next_bit(shard, round_index, transcript)
+
+    def estimate(self, transcript):
+        return self.inner.estimate(transcript)
+
+
+@given(quantized_runs(max_d=(4, 3, 2)))
+@settings(max_examples=25, deadline=None)
+def test_block_write_run_equals_one_bit_run(run):
+    algo, stream, n, passes = run
+    profile = ResourceProfile(len(stream), passes, algo.state_bits)
+    protocol, m, n, b = reduce_memory_to_distributed(algo, profile, n)
+    shards = shard_stream(stream, n)
+    direct = run_memory_bounded(algo, stream, profile)
+    block_report, block_board = run_distributed(protocol, shards, m, n, b)
+    bit_report, bit_board = run_distributed(_OneBitOnly(protocol), shards, m, n, b)
+    np.testing.assert_array_equal(block_board.bits, bit_board.bits)
+    np.testing.assert_array_equal(block_board.writers, bit_board.writers)
+    np.testing.assert_array_equal(block_report.estimate, bit_report.estimate)
+    np.testing.assert_array_equal(block_report.estimate, direct.estimate)
+
+
+@given(
+    st.sampled_from([2, 3, 4]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_stacked_contraction_rows_equal_single_row_contract_batch(k, d, rows, seed):
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((rows, d**k))
+    psi = rng.standard_normal(d ** (k - 1))
+    stacked = psi @ batch.reshape(rows, -1, d)
+    for i in range(rows):
+        np.testing.assert_array_equal(stacked[i], contract_batch(batch[i : i + 1], d, psi)[0])
