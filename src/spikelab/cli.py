@@ -81,7 +81,7 @@ from spikelab.verify import (
     sign_tail_mass,
 )
 
-__all__ = ["main", "run_sweep", "run_verification", "sweep_csv"]
+__all__ = ["build_harness", "main", "run_sweep", "run_verification", "sweep_csv"]
 
 CSV_VERSION = "spikelab-sweep-v1"
 CSV_COLUMNS = (
@@ -171,6 +171,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
+    """The quantized streaming algorithm of a ``[harness]`` grid point and
+    its ``ResourceProfile``; the start vector comes from the solver seed."""
+    hs = cfg.harness
+    if cfg.estimator == "tensor-power":
+        psi = power_template(cfg.k)
+    else:
+        psi = partial_trace_template(cfg.k, cfg.d)
+    init = np.random.default_rng(benchmarks.iteration_seed(seed)).standard_normal(cfg.d)
+    algorithm = wrap_iteration_as_memory_bounded(
+        psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
+    )
+    return algorithm, ResourceProfile(n_samples, hs.passes, algorithm.state_bits)
+
+
 def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
     """One grid point, one seed; returns a populated CSV row."""
     spec = _build_spec(cfg, seed)
@@ -196,19 +211,7 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
         row["overlap"] = report.overlap
         row["iterations"] = report.iterations
     else:
-        hs = cfg.harness
-        if cfg.estimator == "tensor-power":
-            psi = power_template(cfg.k)
-        else:
-            psi = partial_trace_template(cfg.k, cfg.d)
-        rng = np.random.default_rng(benchmarks.iteration_seed(seed))
-        init = rng.standard_normal(cfg.d)
-        algorithm = wrap_iteration_as_memory_bounded(
-            psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
-        )
-        profile = ResourceProfile(
-            samples=n_samples, passes=hs.passes, state_bits=algorithm.state_bits
-        )
+        algorithm, profile = build_harness(cfg, n_samples, seed)
         if cfg.distributed is None:
             report = run_memory_bounded(algorithm, batch.data, profile)
         else:
@@ -220,8 +223,8 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
             )
             row.update({"m": m, "n": n_shard, "b": b})
         row["overlap"] = overlap(spec.direction, report.estimate)
-        row["iterations"] = hs.passes
-        row.update({"T": hs.passes, "s": algorithm.state_bits, "cost": profile.cost})
+        row["iterations"] = profile.passes
+        row.update({"T": profile.passes, "s": algorithm.state_bits, "cost": profile.cost})
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row
 
@@ -391,7 +394,8 @@ def harness_fixture_runs():
 
     Two wrapped iterations (an order-2 contraction at d = 4 and an
     order-4 partial trace at d = 3) on fixed Gaussian streams of 32
-    rows, each replayed at shard sizes 32, 16, and 8.
+    rows, each replayed at shard sizes 32, 16, and 8; every replay
+    carries its protocol, for the writer audit.
     """
     cases = []
     for label, psi, d, k, bits, radius in (
@@ -414,7 +418,7 @@ def harness_fixture_runs():
             report, board = run_distributed(
                 protocol, shard_stream(data, shard_rows), m, n_shard, b
             )
-            replays.append((shard_rows, report, board, m, n_shard, b))
+            replays.append((shard_rows, protocol, report, board, m, n_shard, b))
         cases.append((label, profile, direct, replays))
     return cases
 
@@ -423,20 +427,27 @@ def _suite_harness() -> list[CheckResult]:
     checks = []
     mismatches = 0
     accounting = 0
-    audits = 0
+    audit_failures = 0
     for label, profile, direct, replays in harness_fixture_runs():
-        for shard_rows, report, board, m, n_shard, b in replays:
+        for shard_rows, protocol, report, board, m, n_shard, b in replays:
             if not np.array_equal(direct.estimate, report.estimate):
                 mismatches += 1
             if m * b != (profile.samples // n_shard) * profile.state_bits * profile.passes:
                 accounting += 1
             if len(board.bits) != m * b:
                 accounting += 1
+            # Round-by-round ``select_writer`` against the writers the
+            # runner took from ``select_writers``.
+            if not board.audit(protocol):
+                audit_failures += 1
     checks.append(
         CheckResult("harness/reduction-bit-equality", mismatches == 0, mismatches, 0.0)
     )
     checks.append(
         CheckResult("harness/transcript-accounting", accounting == 0, accounting, 0.0)
+    )
+    checks.append(
+        CheckResult("harness/writer-audit", audit_failures == 0, audit_failures, 0.0)
     )
     return checks
 
@@ -499,19 +510,7 @@ def _cmd_reduce(args) -> int:
     n_samples = cfg.samples_grid[0]
     spec = _build_spec(cfg, seed)
     batch = _SAMPLERS[cfg.problem](spec, n_samples, 1000 + seed)
-    hs = cfg.harness
-    if cfg.estimator == "tensor-power":
-        psi = power_template(cfg.k)
-    else:
-        psi = partial_trace_template(cfg.k, cfg.d)
-    rng = np.random.default_rng(benchmarks.iteration_seed(seed))
-    init = rng.standard_normal(cfg.d)
-    algorithm = wrap_iteration_as_memory_bounded(
-        psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
-    )
-    profile = ResourceProfile(
-        samples=n_samples, passes=hs.passes, state_bits=algorithm.state_bits
-    )
+    algorithm, profile = build_harness(cfg, n_samples, seed)
     direct = run_memory_bounded(algorithm, batch.data, profile)
     protocol, m, n_shard, b = reduce_memory_to_distributed(
         algorithm, profile, cfg.distributed.shard_rows
@@ -531,7 +530,7 @@ def _cmd_reduce(args) -> int:
         with open(cfg.out, "w") as fh:
             fh.write(board.dump_text())
         print(f"wrote {cfg.out}")
-    return 0 if equal and budget_ok else 1
+    return 0 if equal and budget_ok and bits_ok else 1
 
 
 def main(argv=None) -> int:

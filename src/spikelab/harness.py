@@ -3,20 +3,24 @@ blackboard protocols over sharded data, with an exact simulation of the
 former by the latter.
 
 A memory-bounded algorithm owns nothing but an s-bit state; the runner
-feeds it samples in (pass, index) order, one pass per ``update_block``
-call, and checks the state length and binariness after every block, so
-no side channel can carry extra information between blocks.  A
-blackboard protocol writes one public bit per round; the writer choice
-may depend only on the transcript so far, and the bit only on the
-writer's own shard plus the transcript.  A protocol may hand the runner
-several rounds' bits at once (``next_bits``); the runner still asks for
-the writer of every round.  The reduction simulates a (N, T, s)
-streaming algorithm with (N/n, n, s*T) blackboard parameters by handing
-the full state across the board after every local pass.
+feeds it finite samples in (pass, index) order, one pass per
+``update_block`` call, and checks the state length and binariness after
+every block, so no side channel can carry extra information between
+blocks.  A blackboard protocol writes one public bit per round; the
+writer choice may depend only on the transcript so far, and the bit
+only on the writer's own shard plus the transcript.  A protocol may
+hand the runner several rounds' bits at once (``next_bits``) and the
+writers of a range of rounds at once (``select_writers``); the runner
+asks for the first writer of each block alone and for the writers of
+the block's other rounds in one call.  ``Blackboard.audit`` replays the
+writers round by round.  The reduction simulates a (N, T, s) streaming
+algorithm with (N/n, n, s*T) blackboard parameters by handing the full
+state across the board after every local pass.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +118,15 @@ def run_memory_bounded(
 
     The state starts all zeros, is the only value carried between
     passes, and is length- and binariness-checked after every pass,
-    which is one ``update_block`` call.
+    which is one ``update_block`` call.  Rows must be finite.
     """
+    t0 = time.perf_counter()
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != profile.samples:
         raise ValueError(
             f"stream shape {data.shape} does not provide {profile.samples} rows"
         )
+    _check_finite(data, "stream")
     s = profile.state_bits
     if algorithm.state_bits != s:
         raise ValueError(
@@ -135,10 +141,17 @@ def run_memory_bounded(
         overlap=None,
         iterations=profile.passes,
         converged=True,
-        wall_ms=0.0,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
         info={"cost": profile.cost},
         resources=profile,
     )
+
+
+def _check_finite(data, name: str) -> None:
+    # Non-finite rows make NaN sums, which the codec's uint64 cast turns
+    # into arbitrary codes.
+    if not np.isfinite(data).all():
+        raise ValueError(f"{name} holds a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +193,38 @@ class QuantizerSpec:
     def snap(self, values: np.ndarray) -> np.ndarray:
         """``decode(encode(values))``, computed on the lattice without codes."""
         return self._levels(values) * self.step - self.radius
+
+    def snap_sum(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """``snap(..snap(snap(start + steps[0]) + steps[1]).. + steps[-1])``.
+
+        Bit-identical to that ``snap`` loop (``start`` itself for no
+        rows): the same IEEE operations in the same order, run on Python
+        floats one coordinate at a time, which for a state's few
+        coordinates costs far less than nine array calls per row.  Below
+        2^52, adding and subtracting 2^52 rounds half to even as
+        ``np.rint`` does; from 2^52 up every float is an integer.  NaN
+        passes through every step, as it does through ``snap``.
+        """
+        radius, low, step = float(self.radius), -float(self.radius), self.step
+        top, big = 2.0**self.bits - 1.0, 2.0**52
+        start = np.asarray(start, dtype=np.float64)
+        columns = np.asarray(steps, dtype=np.float64).T
+        out = []
+        for value, column in zip(start.tolist(), columns.tolist()):
+            for w in column:
+                value += w
+                if value > radius:
+                    value = radius
+                elif value < low:
+                    value = low
+                level = (value + radius) / step
+                if level < big:
+                    level = level + big - big
+                if level > top:
+                    level = top
+                value = level * step - radius
+            out.append(value)
+        return np.array(out)
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened."""
@@ -292,9 +337,9 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         ``psi`` is built once, and all rows are contracted by one stacked
         matmul, whose row j equals the single-row ``contract_batch`` of
         ``update``.  Only the partial sum is accumulated row by row, on
-        lattice values (``QuantizerSpec.snap``), and encoded once at the
-        end.  As in ``update``, row 0 of pass 0 is contracted against the
-        exact ``init`` and starts from an exact zero sum.
+        lattice values (``QuantizerSpec.snap_sum``), and encoded once at
+        the end.  As in ``update``, row 0 of pass 0 is contracted against
+        the exact ``init`` and starts from an exact zero sum.
         """
         q, d, n = self.quantizer, self.d, self.n_samples
         rows = np.asarray(rows, dtype=np.float64)
@@ -315,9 +360,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if len(rows) > first:
             w[first:] = self.psi(q.decode(iterate_bits, d)) @ rows[first:]
         w /= n
-        for w_j in w[:-1]:
-            partial = q.snap(partial + w_j)
-        partial_bits = q.encode(partial + w[-1])
+        partial_bits = q.encode(q.snap_sum(partial, w[:-1]) + w[-1])
         if i0 + len(rows) == n:
             # Pass boundary, as in ``update``.
             return np.concatenate([partial_bits, q.encode(np.zeros(d))])
@@ -357,10 +400,22 @@ class BlackboardProtocol:
     number); ``next_bit`` additionally sees the chosen machine's shard
     and nothing else, which structurally prevents cross-shard reads.
     ``estimate`` maps the final transcript alone to the output.
+    ``select_writers`` and ``next_bits`` answer for a range of rounds
+    at once and must agree with their one-round references.
     """
 
     def select_writer(self, round_index: int, transcript: np.ndarray) -> int:
         raise NotImplementedError
+
+    def select_writers(self, start: int, stop: int, transcript: np.ndarray):
+        """Writers of rounds ``start .. stop - 1`` at once.
+
+        ``transcript`` holds rounds ``0 .. stop - 1``, and entry j must be
+        what ``select_writer`` returns at round ``start + j`` given
+        ``transcript[:start + j]``.  This default is that per-round
+        reference; ``Blackboard.audit`` always replays it round by round.
+        """
+        return [self.select_writer(r, transcript[:r]) for r in range(start, stop)]
 
     def next_bit(self, shard: np.ndarray, round_index: int, transcript: np.ndarray) -> int:
         raise NotImplementedError
@@ -405,11 +460,25 @@ class Blackboard:
         return True
 
 
-def _writer_at(protocol: BlackboardProtocol, t: int, bits: np.ndarray, m: int) -> int:
-    writer = protocol.select_writer(t, bits[:t])
-    if not isinstance(writer, (int, np.integer)) or not 0 <= writer < m:
-        raise ValueError(f"writer {writer!r} at round {t} is not a machine index in [0, {m})")
-    return int(writer)
+def _writer_block(values, start: int, stop: int, m: int) -> np.ndarray:
+    """The writers of rounds start..stop-1, checked to be machine indices."""
+    block = np.asarray(values)
+    if block.shape != (stop - start,):
+        raise ValueError(
+            f"protocol gave writers of shape {block.shape} for rounds {start}..{stop - 1}"
+        )
+    if block.dtype.kind in "uib":
+        bad = np.flatnonzero((block < 0) | (block >= m))
+    else:
+        # Name the first entry that is not an integer.
+        ints = (isinstance(w, (int, np.integer)) for w in values)
+        bad = [next((j for j, is_int in enumerate(ints) if not is_int), 0)]
+    if len(bad):
+        j = int(bad[0])
+        raise ValueError(
+            f"writer {block[j]} at round {start + j} is not a machine index in [0, {m})"
+        )
+    return block
 
 
 def _bit_block(values, t: int) -> np.ndarray:
@@ -434,30 +503,37 @@ def run_distributed(
 ) -> tuple[EstimateReport, Blackboard]:
     """Run m*b rounds of one-bit writes and estimate from the transcript.
 
-    Each ``next_bits`` block is written in one go, but ``select_writer``
-    still runs for every round, and the block ends at the first round
-    whose writer differs.  Writers and bits are validated before any
-    cast, and every bit counts against its writer's budget b.
+    A block starts at round t with the writer ``select_writer`` picks
+    there.  Its ``next_bits`` are written in one go, one
+    ``select_writers`` call gives the writers of the block's later
+    rounds, and the block ends at the first of them that differs; the
+    rounds past it are written again by the blocks that follow.  Shards
+    must be finite.  Writers and bits are validated before any cast or
+    comparison, and every bit counts against its writer's budget b.
     """
+    t0 = time.perf_counter()
     if len(shards) != m:
         raise ValueError(f"got {len(shards)} shards for m = {m}")
-    if any(np.asarray(shard).shape[0] != n for shard in shards):
-        raise ValueError(f"every shard must hold n = {n} samples")
+    for j, shard in enumerate(shards):
+        shard = np.asarray(shard)
+        if shard.shape[0] != n:
+            raise ValueError(f"every shard must hold n = {n} samples")
+        _check_finite(shard, f"shard {j}")
     rounds = m * b
     bits = np.zeros(rounds, dtype=np.uint8)
     writers = np.zeros(rounds, dtype=np.int64)
     written = [0] * m
     t = 0
     while t < rounds:
-        writer = _writer_at(protocol, t, bits, m)
+        writer = int(_writer_block([protocol.select_writer(t, bits[:t])], t, t + 1, m)[0])
         block = _bit_block(protocol.next_bits(shards[writer], t, bits[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
-        # A round whose writer differs ends the block; the loop's next
-        # turn validates that writer.
         stop = t + 1
-        while stop < end and protocol.select_writer(stop, bits[:stop]) == writer:
-            stop += 1
+        if end > stop:
+            later = protocol.select_writers(stop, end, bits[:end])
+            change = np.flatnonzero(_writer_block(later, stop, end, m) != writer)
+            stop = stop + int(change[0]) if change.size else end
         written[writer] += stop - t
         if written[writer] > b:
             raise RuntimeError(
@@ -474,7 +550,7 @@ def run_distributed(
         overlap=None,
         iterations=rounds,
         converged=True,
-        wall_ms=0.0,
+        wall_ms=(time.perf_counter() - t0) * 1e3,
         info={"transcript_bits": rounds},
     )
     return report, board
@@ -506,6 +582,9 @@ class _StateHandoffProtocol(BlackboardProtocol):
 
     def select_writer(self, round_index, transcript):
         return (round_index // self.s) % self.m
+
+    def select_writers(self, start, stop, transcript):
+        return (np.arange(start, stop) // self.s) % self.m
 
     def next_bits(self, shard, round_index, transcript):
         s = self.s

@@ -13,6 +13,7 @@ from spikelab.cli import (
     sweep_csv,
 )
 from spikelab.config import parse_config
+from spikelab.harness import Blackboard
 
 BASE = """
 [experiment]
@@ -204,6 +205,20 @@ def test_every_suite_passes(suite):
     results = run_verification(suite)
     assert results
     assert all(r.ok for r in results), [r.check for r in results if not r.ok]
+
+
+def test_harness_suite_audits_every_replay(monkeypatch):
+    boards = []
+
+    def audit(board, protocol):
+        boards.append(board)
+        return len(boards) != 2
+
+    monkeypatch.setattr(Blackboard, "audit", audit)
+    results = {r.check: r for r in run_verification("harness")}
+    assert len(boards) == 6  # two fixture runs, three shard sizes each
+    assert not results["harness/writer-audit"].ok
+    assert results["harness/writer-audit"].measured == 1
 
 
 def test_unknown_suite_rejected():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikelab.config import HarnessSettings
@@ -90,6 +90,7 @@ def test_xor_fold_equals_direct_fold():
         direct ^= 1 if row[0] < 0 else 0
     assert report.estimate[0] == float(direct)
     assert report.resources.cost == 40
+    assert report.wall_ms > 0
 
 
 def test_runner_rejects_wrong_length_state():
@@ -121,6 +122,22 @@ def test_runner_rejects_non_binary_state():
 def test_runner_checks_stream_shape():
     with pytest.raises(ValueError, match="rows"):
         run_memory_bounded(XorFold(), np.zeros((3, 2)), ResourceProfile(4, 1, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_runners_reject_non_finite_rows(bad):
+    # Unchecked, a NaN row streams to an estimate: the codec's uint64
+    # cast turns the NaN partial sum into an arbitrary code.
+    _, batch = power_batch(k=2, d=4, snr=5.0, n=16, seed=50)
+    data = batch.data.copy()
+    data[5, 2] = bad
+    algo = QuantizedIteration(power_template(2), QuantizerSpec(8, 8.0), 4, 16, np.ones(4))
+    profile = ResourceProfile(16, 3, algo.state_bits)
+    with pytest.raises(ValueError, match="non-finite"):
+        run_memory_bounded(algo, data, profile)
+    protocol, m, n, b = reduce_memory_to_distributed(algo, profile, 4)
+    with pytest.raises(ValueError, match="shard 1 holds a non-finite"):
+        run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +200,44 @@ def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     back = q.decode(q.encode(ends), 2)
     np.testing.assert_allclose(back, ends, rtol=0, atol=q.step)
     np.testing.assert_array_equal(q.snap(ends), back)
+
+
+@st.composite
+def snap_sum_cases(draw):
+    """A codec, a start on its lattice (or exact zero) and rows of steps."""
+    bits = draw(st.sampled_from([1, 52, 53]) | st.integers(min_value=1, max_value=53))
+    if draw(st.booleans()):
+        # step = 2^e exactly, so zero and the lattice plus an odd number
+        # of half steps are exact ties (up to 52 bits).
+        radius = (2.0**bits - 1.0) * 2.0 ** draw(st.integers(min_value=-7, max_value=5))
+    else:
+        radius = draw(st.sampled_from([0.05, 0.7, 1.0, 8.0, 95.0, 1e6]))
+    q = QuantizerSpec(bits=bits, radius=radius)
+    d = draw(st.integers(min_value=1, max_value=4))
+    n_rows = draw(st.integers(min_value=0, max_value=10))
+    entry = st.one_of(
+        st.floats(min_value=-3 * radius, max_value=3 * radius),
+        st.integers(min_value=-9, max_value=9).map(lambda h: h * (q.step / 2)),
+        st.sampled_from([radius, -radius, 2 * radius, -2 * radius]),
+    )
+    steps = draw(st.lists(entry, min_size=n_rows * d, max_size=n_rows * d))
+    if draw(st.booleans()):
+        start = np.zeros(d)
+    else:
+        start = q.snap(np.array(draw(st.lists(entry, min_size=d, max_size=d))))
+    return q, start, np.array(steps, dtype=np.float64).reshape(n_rows, d)
+
+
+@given(snap_sum_cases())
+@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2), np.array([[5.0, 0.7]])))
+@example((QuantizerSpec(bits=4, radius=7.5), np.zeros(2), np.array([[-7.0, 0.5], [1.0, 2.0]])))
+@settings(max_examples=300, deadline=None)
+def test_snap_sum_equals_the_snap_loop(case):
+    q, start, steps = case
+    reference = start
+    for row in steps:
+        reference = q.snap(reference + row)
+    assert q.snap_sum(start, steps).tobytes() == reference.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +351,7 @@ def test_local_mean_protocol_equals_pooled_computation():
     assert report.estimate[0] == pytest.approx(direct, abs=1e-12)
     assert len(board.bits) == m * q.bits
     assert board.audit(LocalMeanProtocol(m, q))
+    assert report.wall_ms > 0
 
 
 def test_distributed_replay_is_bit_identical():
@@ -495,6 +551,72 @@ def test_blackboard_audit_detects_tampered_writer_log():
     assert board.audit(protocol)
     board.writers[1] = (board.writers[1] + 1) % m
     assert not board.audit(protocol)
+
+
+class _Wide(MemoryBoundedAlgorithm):
+    def __init__(self, state_bits):
+        self.state_bits = state_bits
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_handoff_select_writers_equals_per_round_reference(s, m, passes, data):
+    protocol, m, _, b = reduce_memory_to_distributed(
+        _Wide(s), ResourceProfile(m * 2, passes, s), 2
+    )
+    start = data.draw(st.integers(min_value=0, max_value=m * b))
+    stop = data.draw(st.integers(min_value=start, max_value=m * b))
+    transcript = np.zeros(stop, dtype=np.uint8)
+    fast = protocol.select_writers(start, stop, transcript)
+    reference = BlackboardProtocol.select_writers(protocol, start, stop, transcript)
+    assert fast.dtype.kind == "i"
+    np.testing.assert_array_equal(fast, np.array(reference, dtype=np.int64))
+
+
+def test_audit_rejects_a_board_from_lying_select_writers():
+    class Lying(BlackboardProtocol):
+        # Machines 0 and 1 write two rounds each, but in a different
+        # order from the one select_writer states.
+        def select_writer(self, round_index, transcript):
+            return [0, 1, 1, 0][round_index]
+
+        def select_writers(self, start, stop, transcript):
+            return np.array([0, 0, 1, 1][start:stop])
+
+        def next_bits(self, shard, round_index, transcript):
+            return np.ones(2, dtype=np.uint8)
+
+        def estimate(self, transcript):
+            return transcript.astype(np.float64)
+
+    shards = shard_stream(np.zeros((4, 1)), 2)
+    _, board = run_distributed(Lying(), shards, 2, 2, 2)
+    np.testing.assert_array_equal(board.writers, [0, 0, 1, 1])
+    assert not board.audit(Lying())
+
+
+@pytest.mark.parametrize(
+    "writers, match",
+    [
+        (lambda start, stop: np.zeros(stop - start), "writer 0.0 at round 1"),
+        (lambda start, stop: [0] * (stop - start - 1), "shape"),
+        (lambda start, stop: np.zeros((stop - start, 1), dtype=int), "shape"),
+        (lambda start, stop: np.full(stop - start, 4), "writer 4 at round 1"),
+        (lambda start, stop: np.full(stop - start, -1), "writer -1 at round 1"),
+    ],
+)
+def test_distributed_validates_select_writers(writers, match):
+    algo = ByteCounter()
+    data = np.random.default_rng(34).standard_normal((16, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(algo, ResourceProfile(16, 1, 8), 4)
+    protocol.select_writers = lambda start, stop, transcript: writers(start, stop)
+    with pytest.raises(ValueError, match=match):
+        run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 
 def test_protocol_object_reused_on_a_second_stream():
