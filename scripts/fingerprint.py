@@ -1,0 +1,96 @@
+"""SHA-256 fingerprints of the CLI outputs that must stay bit-stable.
+
+Usage, from the repository root:
+
+    python3 scripts/fingerprint.py [--src DIR] ITEM [ITEM ...]
+
+Each ITEM is either an INI config or a ``verify`` suite name (``hermite``,
+``rademacher``, ``ldlr``, ``models``, ``harness``).  One line is printed
+per output, ``<verb> <item> <exit status> <sha256>``:
+
+* ``sweep``: the sweep CSV of the config without its ``wall_ms``
+  column, the one column that may differ between runs; the column is
+  removed by ``bench.checks.strip_wall_ms``, the rule the benchmark's
+  rerun check uses;
+* ``reduce``: the ``reduce --out`` transcript, for configs that have
+  both ``[harness]`` and ``[distributed]`` sections;
+* ``verify``: the report of ``spikelab verify <suite>``.
+
+Each config runs with the seed list written in it.  ``--src`` imports
+``spikelab`` from another source tree (default: ``src/`` next to this
+script), so two checkouts can be compared by diffing the output of the
+same command run against each.
+"""
+
+import argparse
+import configparser
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from bench.checks import strip_wall_ms  # noqa: E402
+
+SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(cli, argv) -> tuple[str, int]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        status = cli.main(argv)
+    return buf.getvalue(), status
+
+
+def _run_to_file(cli, argv, out: pathlib.Path) -> tuple[str, int]:
+    """Exit status and the text written to ``--out`` ("" if nothing was)."""
+    out.unlink(missing_ok=True)
+    _, status = _run(cli, [*argv, "--out", str(out)])
+    return (out.read_text() if out.exists() else ""), status
+
+
+def fingerprints(cli, items, workdir: pathlib.Path):
+    for item in items:
+        if item in SUITES:
+            report, status = _run(cli, ["verify", item])
+            yield "verify", item, status, _digest(report)
+            continue
+        out = workdir / "out"
+        text, status = _run_to_file(cli, ["sweep", item], out)
+        yield "sweep", item, status, _digest(strip_wall_ms(text))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(item)
+        if parser.has_section("harness") and parser.has_section("distributed"):
+            text, status = _run_to_file(cli, ["reduce", item], out)
+            yield "reduce", item, status, _digest(text)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("items", nargs="+", help="INI configs and suite names")
+    parser.add_argument(
+        "--src",
+        default=str(ROOT / "src"),
+        help="source tree to import spikelab from",
+    )
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
+    from spikelab import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for verb, item, status, digest in fingerprints(
+            cli, args.items, pathlib.Path(tmp)
+        ):
+            print(f"{verb} {item} {status} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,12 +42,12 @@ from spikelab.harness import (
     Blackboard,
     BlackboardProtocol,
     MemoryBoundedAlgorithm,
+    QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
     reduce_memory_to_distributed,
     run_distributed,
     run_memory_bounded,
-    wrap_iteration_as_memory_bounded,
 )
 from spikelab.hermite import (
     HermiteBasis,
@@ -99,6 +99,7 @@ __all__ = [
     "NonGaussMeasure",
     "PowerMethodConfig",
     "QuadratureRule",
+    "QuantizedIteration",
     "QuantizerSpec",
     "RankOneSpike",
     "ResourceProfile",
@@ -136,5 +137,4 @@ __all__ = [
     "sample_tpca",
     "standard_gaussian",
     "tensor_power_method",
-    "wrap_iteration_as_memory_bounded",
 ]

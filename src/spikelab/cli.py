@@ -42,6 +42,7 @@ from spikelab.estimators import (
     tensor_power_method,
 )
 from spikelab.harness import (
+    QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
     partial_trace_template,
@@ -50,7 +51,6 @@ from spikelab.harness import (
     run_distributed,
     run_memory_bounded,
     shard_stream,
-    wrap_iteration_as_memory_bounded,
 )
 from spikelab.hermite import (
     HermiteBasis,
@@ -180,7 +180,7 @@ def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
     else:
         psi = partial_trace_template(cfg.k, cfg.d)
     init = np.random.default_rng(benchmarks.iteration_seed(seed)).standard_normal(cfg.d)
-    algorithm = wrap_iteration_as_memory_bounded(
+    algorithm = QuantizedIteration(
         psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
     )
     return algorithm, ResourceProfile(n_samples, hs.passes, algorithm.state_bits)
@@ -405,7 +405,7 @@ def harness_fixture_runs():
         rng = np.random.default_rng(97)
         data = rng.standard_normal((32, d**k))
         init = rng.standard_normal(d)
-        algorithm = wrap_iteration_as_memory_bounded(
+        algorithm = QuantizedIteration(
             psi, QuantizerSpec(bits=bits, radius=radius), d, 32, init
         )
         profile = ResourceProfile(samples=32, passes=6, state_bits=algorithm.state_bits)

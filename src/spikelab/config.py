@@ -9,6 +9,7 @@ later as confusing runtime behavior.
 from __future__ import annotations
 
 import configparser
+import numbers
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -125,6 +126,17 @@ class ExperimentConfig:
             if missing:
                 raise ValueError(
                     f"{self.estimator} needs estimator options {sorted(missing)}"
+                )
+        for key in ("probes", "max_net"):
+            value = self.estimator_options.get(key, 1)
+            # The rule of estimators.BruteForceConfig, applied at parse time.
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Integral)
+                or value < 1
+            ):
+                raise ValueError(
+                    f"estimator option {key} must be an integer >= 1, got {value!r}"
                 )
         if self.harness is not None and self.estimator not in _TEMPLATE_ESTIMATORS:
             raise ValueError(

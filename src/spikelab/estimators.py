@@ -12,6 +12,7 @@ and a Rayleigh-quotient stabilization check.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -404,9 +405,18 @@ def ngca_spectral(
 # sphere nets and brute force
 
 
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BruteForceConfig:
-    """Net resolution and truncation level for the exhaustive searches."""
+    """Net resolution and truncation level for the exhaustive searches.
+
+    ``probes`` (coverage probes per net draw) and ``max_net`` (net size
+    budget) are integers >= 1, so the coverage check always runs.
+    """
 
     delta: float
     trunc: float
@@ -419,6 +429,8 @@ class BruteForceConfig:
             raise ValueError(f"delta must be in (0, 2], got {self.delta}")
         if not self.trunc > 0:
             raise ValueError(f"truncation level must be positive, got {self.trunc}")
+        _check_count("probes", self.probes)
+        _check_count("max_net", self.max_net)
 
 
 def sphere_net(
@@ -434,16 +446,24 @@ def sphere_net(
     chord spacing below delta.  For d in {3, 4} the net is random with
     verified coverage: resample at doubled size until none of ``probes``
     fresh random sphere points sits farther than delta from the net.
+    ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
+    net that would outgrow ``max_points`` raises ``RuntimeError``.
     """
     if not 1 <= d <= 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
+    _check_count("probes", probes)
+    _check_count("max_points", max_points)
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
         step = 2.0 * math.asin(min(delta, 2.0) / 2.0)
         count = max(4, math.ceil(2.0 * math.pi / step))
+        if count > max_points:
+            raise RuntimeError(
+                f"net for d=2, delta={delta} exceeds the {max_points}-point budget"
+            )
         angles = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)
@@ -471,6 +491,30 @@ def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> 
     return float(np.abs((net @ u1) ** k - (net @ u2) ** k).max())
 
 
+def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
+    """``x**k`` for an integer ``k >= 1`` by repeated squaring, not ``pow``.
+
+    Left-to-right binary powering with a fixed order: with ``b_1 .. b_r``
+    the bits of ``k`` after its leading one, start from ``y = x`` and for
+    each bit in turn set ``y = y * y``, then ``y = y * x`` if the bit is
+    set.  When ``k`` is a power of two every step is a square done in
+    place and ``x`` itself is returned; otherwise the first square goes
+    to one new buffer, which is returned, and ``x`` is left as it was.
+    For ``k = 2`` this is ``x * x``, bitwise the same as numpy's ``x**2``.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    y = x
+    for bit in bin(k)[3:]:
+        if y is x and k & (k - 1):
+            y = np.multiply(x, x)
+        else:
+            np.multiply(y, y, out=y)
+        if bit == "1":
+            np.multiply(y, x, out=y)
+    return y
+
+
 def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport:
     """Exhaustive sphere-net minimizer of the clipped k-th moment profile.
 
@@ -479,6 +523,11 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     ``mean_i trunc_h(<x_i, w>)^k - E[Z^k]`` and the planted prediction
     ``sign * snr * <u, w>^k``.  Ties break toward the lowest net index,
     with the + sign preferred at equal index.
+
+    The k-th powers of the clipped projections and of the net Gram
+    block are computed by in-place repeated squaring
+    (``_power_inplace``), not by libm ``pow``; for k >= 3 the objective
+    may differ from ``**k`` in its last bits.
     """
     spec = batch.spec
     if spec.problem != "ngca":
@@ -494,7 +543,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     for start in range(0, m, 2048):
         g = batch.data @ net[start : start + 2048].T
         np.clip(g, -cfg.trunc, cfg.trunc, out=g)
-        gvec[start : start + 2048] = (g**k).mean(axis=0)
+        gvec[start : start + 2048] = _power_inplace(g, k).mean(axis=0)
     gvec -= gauss_k
 
     best_score = math.inf
@@ -502,7 +551,8 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     best_sign = 1.0
     for start in range(0, m, 1024):
         block = net[start : start + 1024]
-        planted = spec.snr * (block @ net.T) ** k
+        planted = _power_inplace(block @ net.T, k)
+        planted *= spec.snr
         score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
         score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
         use_minus = score_minus < score_plus

@@ -41,7 +41,6 @@ __all__ = [
     "run_distributed",
     "run_memory_bounded",
     "shard_stream",
-    "wrap_iteration_as_memory_bounded",
 ]
 
 
@@ -291,7 +290,8 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
     The starting iterate is embedded at the first update (t = 0, i = 0),
     which keeps the all-zeros initial state convention intact.  So pass 0
     contracts row 0 against the exact ``init`` and starts its sum at an
-    exact zero, while later passes start from the code for zero.
+    exact zero, while later passes start from the code for zero.  Pair
+    it with ``ResourceProfile(n_samples, T, 2*d*B)``.
     """
 
     def __init__(self, psi, quantizer: QuantizerSpec, d: int, n_samples: int, init):
@@ -372,21 +372,6 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if nrm == 0.0:
             raise RuntimeError("iterate collapsed to numerical zero")
         return u / nrm
-
-
-def wrap_iteration_as_memory_bounded(
-    psi,
-    quantizer: QuantizerSpec,
-    d: int,
-    n_samples: int,
-    init: np.ndarray,
-) -> QuantizedIteration:
-    """Package a contraction family as a streaming algorithm.
-
-    The state budget is exactly ``2 * d * quantizer.bits`` (iterate plus
-    partial sum); pair with ``ResourceProfile(n_samples, T, 2*d*B)``.
-    """
-    return QuantizedIteration(psi, quantizer, d, n_samples, init)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ for ``Z ~ N(0, 1)``.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -173,6 +175,18 @@ def _tridiag_eigh(diag: np.ndarray, offdiag: np.ndarray):
     return d[order], z[:, order]
 
 
+def _node_count(num_nodes) -> int:
+    """A quadrature node count as an exact int, the key of the rule memos.
+
+    Runs before any memo lookup, so a float or a bool raises
+    ``TypeError`` instead of hashing equal to an int key (``2.0 == 2``)
+    and quietly receiving the rule cached under it.
+    """
+    if isinstance(num_nodes, bool):
+        raise TypeError(f"node count must be an integer, got {num_nodes!r}")
+    return operator.index(num_nodes)
+
+
 def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
     """Gauss-Hermite rule for the standard Gaussian weight.
 
@@ -185,9 +199,20 @@ def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
 
     A rule with ``n`` nodes satisfies ``E[p(X)] = E[p(Z)]`` for every
     polynomial ``p`` of degree at most ``2n - 1``, ``Z ~ N(0, 1)``.
+
+    Rules are memoized by node count: the eigensolve runs once per
+    ``n`` and every later call returns the same ``QuadratureRule``,
+    whose arrays are read-only.  ``num_nodes`` must be an int (numpy
+    integers included); floats and bools raise ``TypeError``.
     """
+    num_nodes = _node_count(num_nodes)
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+    return _hermite_rule(num_nodes)
+
+
+@functools.cache
+def _hermite_rule(num_nodes: int) -> QuadratureRule:
     diag = np.zeros(num_nodes)
     offdiag = np.sqrt(np.arange(1, num_nodes, dtype=np.float64))
     eigvals, eigvecs = _tridiag_eigh(diag, offdiag)
@@ -199,6 +224,15 @@ def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
     weights = 0.5 * (weights + weights[::-1])
     weights = weights / weights.sum()
     return QuadratureRule(nodes=nodes, weights=weights)
+
+
+@functools.cache
+def _legendre_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one build per count."""
+    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def hermite_coeff(measure, degree: int, rule: QuadratureRule | None = None) -> float:
@@ -322,7 +356,9 @@ def build_weighted_basis(
     Gauss-Legendre rule mapped to [-1, 1].  The rule integrates the
     polynomial part exactly at machine precision for every degree used
     here, and ``phi`` is entire, so the node count is far past the knee
-    of the error curve.
+    of the error curve.  The Legendre rule is memoized by node count and
+    shared, read-only, as the basis's ``nodes`` and ``leg_weights``;
+    ``quad_points`` must be an int, and a float raises ``TypeError``.
 
     Orthonormalization runs on node values with coefficient tracking and
     one re-orthogonalization pass.  Degrees are capped at 60: well past
@@ -335,7 +371,7 @@ def build_weighted_basis(
         raise ValueError(f"degree {k} too large for a power-basis representation")
     if quad_points < k + 1:
         raise ValueError("quadrature must have more nodes than the top degree")
-    nodes, leg_weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, leg_weights = _legendre_rule(_node_count(quad_points))
     gauss_weights = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)
     w = leg_weights * gauss_weights
 

@@ -32,6 +32,7 @@ from spikelab.estimators import (
     tensor_power_method,
 )
 from spikelab.harness import (
+    QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
     power_template,
@@ -39,7 +40,6 @@ from spikelab.harness import (
     run_distributed,
     run_memory_bounded,
     shard_stream,
-    wrap_iteration_as_memory_bounded,
 )
 from spikelab.hermite import HermiteBasis, build_weighted_basis, gauss_hermite_rule
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
@@ -391,7 +391,7 @@ def test_criterion_6_harness_reduction():
     init = np.random.default_rng(123).standard_normal(6)
     passes = 10
     q = QuantizerSpec(bits=32, radius=64.0)
-    algo = wrap_iteration_as_memory_bounded(power_template(4), q, 6, batch.n, init)
+    algo = QuantizedIteration(power_template(4), q, 6, batch.n, init)
     report = run_memory_bounded(
         algo, batch.data, ResourceProfile(batch.n, passes, algo.state_bits)
     )

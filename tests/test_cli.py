@@ -12,7 +12,7 @@ from spikelab.cli import (
     run_verification,
     sweep_csv,
 )
-from spikelab.config import parse_config
+from spikelab.config import ExperimentConfig, parse_config
 from spikelab.harness import Blackboard
 
 BASE = """
@@ -142,6 +142,33 @@ def test_brute_force_requires_net_options(tmp_path):
     with pytest.raises(ValueError, match="delta"):
         parse_config(write(tmp_path, text))
     parse_config(write(tmp_path, text + "\n[estimator]\ndelta = 0.3\ntrunc = 6\n"))
+
+
+@pytest.mark.parametrize("key", ["probes", "max_net"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_brute_force_net_counts_rejected_at_parse(tmp_path, key, value):
+    text = BASE.replace("problem = tpca", "problem = ngca").replace(
+        "estimator = tensor-power", "estimator = brute-force-ngca"
+    ).replace("k = 2", "k = 4").replace("d = 5", "d = 3")
+    options = "\n[estimator]\ndelta = 0.3\ntrunc = 6\n"
+    parse_config(write(tmp_path, text + options + f"{key} = 1\n"))
+    with pytest.raises(ValueError, match=key):
+        parse_config(write(tmp_path, text + options + f"{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("key", ["probes", "max_net"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
+def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
+    def build(options):
+        return ExperimentConfig(
+            problem="ngca", k=4, d=3, snr=1.0, estimator="brute-force-ngca",
+            samples_grid=(8,), seeds=(0,),
+            estimator_options={"delta": 0.3, "trunc": 6.0, **options},
+        )
+
+    build({key: 3})
+    with pytest.raises(ValueError, match=key):
+        build({key: value})
 
 
 # -- sweeps -----------------------------------------------------------------

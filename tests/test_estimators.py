@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spikelab.estimators import (
     BruteForceConfig,
@@ -22,6 +25,7 @@ from spikelab.estimators import (
     rank1_svd,
     sphere_net,
     tensor_power_method,
+    _power_inplace,
 )
 from spikelab.measures import build_mog_measure
 from spikelab.models import (
@@ -362,6 +366,10 @@ def test_sphere_net_randomized_coverage(d):
 def test_sphere_net_budget_guard():
     with pytest.raises(RuntimeError, match="budget"):
         sphere_net(4, 0.05, max_points=100)
+    # the d = 2 grid (6284 points at delta = 0.001) is held to the budget too
+    with pytest.raises(RuntimeError, match="budget"):
+        sphere_net(2, 0.001, max_points=100)
+    assert len(sphere_net(2, 0.001, max_points=6284)) == 6284
     with pytest.raises(ValueError):
         sphere_net(5, 0.5)
 
@@ -457,3 +465,142 @@ def test_brute_force_config_validation():
         BruteForceConfig(delta=0.5, trunc=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         PowerMethodConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("key", ["probes", "max_net"])
+@pytest.mark.parametrize("value", [0, -1, -5, 2.5, True])
+def test_brute_force_config_rejects_bad_counts(key, value):
+    with pytest.raises(ValueError, match=key):
+        BruteForceConfig(delta=0.5, trunc=1.0, **{key: value})
+
+
+@pytest.mark.parametrize("key", ["probes", "max_points"])
+@pytest.mark.parametrize("value", [0, -1, 2.5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_net_rejects_bad_counts(d, key, value):
+    # Raised before any sampling, including for d = 2, which needs no probe.
+    with pytest.raises(ValueError, match=key):
+        sphere_net(d, 0.1, **{key: value})
+
+
+# ---------------------------------------------------------------------------
+# in-place integer power
+
+
+finite_blocks = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    elements=st.floats(-50.0, 50.0, allow_subnormal=False),
+)
+
+
+def squaring_reference(x: np.ndarray, k: int) -> np.ndarray:
+    """The documented order: y = x, then per bit of k after the leading
+    one, y = y * y and, when the bit is set, y = y * x."""
+    y = x.copy()
+    for bit in bin(k)[3:]:
+        y = y * y
+        if bit == "1":
+            y = y * x
+    return y
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=finite_blocks, k=st.integers(1, 8))
+def test_power_inplace_follows_documented_order(x, k):
+    expected = squaring_reference(x, k)
+    np.testing.assert_array_equal(_power_inplace(x.copy(), k), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=finite_blocks)
+def test_power_inplace_square_is_numpy_square(x):
+    np.testing.assert_array_equal(_power_inplace(x.copy(), 2), x**2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=finite_blocks, k=st.integers(1, 8))
+def test_power_inplace_close_to_pow(x, k):
+    x = np.where(np.abs(x) < 1e-6, 0.0, x)  # keep x**k out of the subnormals
+    got = _power_inplace(x.copy(), k)
+    exact = x**k
+    tol = k * np.finfo(np.float64).eps * np.abs(x) ** k
+    assert np.all(np.abs(got - exact) <= tol)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=finite_blocks, k=st.sampled_from([1, 2, 4, 8]))
+def test_power_inplace_power_of_two_allocates_nothing(x, k):
+    assert _power_inplace(x, k) is x
+
+
+def test_power_inplace_other_k_leaves_input():
+    x = np.array([[1.5, -2.0], [0.25, 3.0]])
+    before = x.copy()
+    y = _power_inplace(x, 3)
+    assert y is not x
+    np.testing.assert_array_equal(x, before)
+    with pytest.raises(ValueError):
+        _power_inplace(x, 0)
+
+
+# ---------------------------------------------------------------------------
+# brute-force ngca against a pow-based reference
+
+
+def pow_brute_force_ngca(batch, cfg):
+    """The net search with libm ``**k`` powers, as before the squaring
+    helper; returns (net_index, sign, objective)."""
+    spec = batch.spec
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    m, k = len(net), spec.k
+    gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
+    gvec = np.empty(m)
+    for start in range(0, m, 2048):
+        g = batch.data @ net[start : start + 2048].T
+        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
+        gvec[start : start + 2048] = (g**k).mean(axis=0)
+    gvec -= gauss_k
+    best = (math.inf, 0, 1.0)
+    for start in range(0, m, 1024):
+        planted = spec.snr * (net[start : start + 1024] @ net.T) ** k
+        score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
+        score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
+        use_minus = score_minus < score_plus
+        scores = np.where(use_minus, score_minus, score_plus)
+        local = int(np.argmin(scores))
+        if scores[local] < best[0]:
+            best = (float(scores[local]), start + local, -1.0 if use_minus[local] else 1.0)
+    return best[1], best[2], best[0]
+
+
+def planted_ngca_batch(d, k, snr, n, seed):
+    """Skewed planted coordinate along a random direction, Gaussian elsewhere."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d)
+    u /= np.linalg.norm(u)
+    direction = math.sqrt(d) * u
+    eta = np.where(rng.random(n) < 0.8, -0.5, 2.0)
+    z = rng.standard_normal((n, d))
+    data = np.outer(eta, u) + z - np.outer(z @ u, u)
+    spec = ModelSpec(problem="ngca", k=k, d=d, snr=snr, direction=direction)
+    return SampleBatch(spec=spec, data=data, seed=seed)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("snr", [0.0, 0.3, 1.5])
+def test_brute_force_ngca_matches_pow_reference(d, k, snr):
+    batch = planted_ngca_batch(d, k, snr, n=300, seed=100 * d + 10 * k)
+    # trunc 1.2 clips a large share of the projections; a coarse net at
+    # d = 4 keeps the m x m Gram block small
+    delta = {2: 0.4, 3: 0.6, 4: 1.2}[d]
+    cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=d + k, probes=500)
+    report = brute_force_ngca(batch, cfg)
+    index, sign, objective = pow_brute_force_ngca(batch, cfg)
+    assert report.info["net_index"] == index
+    assert report.info["sign"] == sign
+    assert abs(report.info["objective"] - objective) <= 1e-13 * abs(objective)
+    if snr == 0.0:
+        # every candidate ties, so the lowest index with the + sign wins
+        assert (index, sign) == (0, 1.0)

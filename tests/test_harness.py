@@ -23,7 +23,6 @@ from spikelab.harness import (
     run_distributed,
     run_memory_bounded,
     shard_stream,
-    wrap_iteration_as_memory_bounded,
 )
 from spikelab.models import ModelSpec, sample_tpca
 from spikelab.tensors import contract_batch
@@ -249,7 +248,7 @@ def test_wrapped_power_method_high_precision_matches_float():
     init = np.array([1.0, 0.3, -0.2, 0.5])
     passes = 10
     q = QuantizerSpec(bits=52, radius=64.0)
-    algo = wrap_iteration_as_memory_bounded(power_template(2), q, 4, batch.n, init)
+    algo = QuantizedIteration(power_template(2), q, 4, batch.n, init)
     profile = ResourceProfile(batch.n, passes, algo.state_bits)
     report = run_memory_bounded(algo, batch.data, profile)
 
@@ -268,7 +267,7 @@ def test_wrapped_power_method_gap_shrinks_with_bits():
     gaps = []
     for bits in (8, 16, 32):
         q = QuantizerSpec(bits=bits, radius=8.0)
-        algo = wrap_iteration_as_memory_bounded(power_template(2), q, 4, batch.n, init)
+        algo = QuantizedIteration(power_template(2), q, 4, batch.n, init)
         report = run_memory_bounded(
             algo, batch.data, ResourceProfile(batch.n, passes, algo.state_bits)
         )
@@ -282,7 +281,7 @@ def test_wrapped_partial_trace_matches_direct_iterates():
     init = np.array([0.6, -0.8, 0.1])
     passes = 8
     q = QuantizerSpec(bits=52, radius=64.0)
-    algo = wrap_iteration_as_memory_bounded(
+    algo = QuantizedIteration(
         partial_trace_template(4, 3), q, 3, batch.n, init
     )
     report = run_memory_bounded(
@@ -304,7 +303,7 @@ def test_identity_template_matches_power_template_for_k2():
 
 def test_wrapped_state_budget_is_2dB():
     q = QuantizerSpec(bits=32, radius=64.0)
-    algo = wrap_iteration_as_memory_bounded(
+    algo = QuantizedIteration(
         power_template(2), q, 6, 10, np.ones(6)
     )
     assert algo.state_bits == 2 * 6 * 32
@@ -468,7 +467,7 @@ def fixture_algorithms():
     q8 = QuantizerSpec(bits=8, radius=8.0)
     algos.append(
         (
-            wrap_iteration_as_memory_bounded(
+            QuantizedIteration(
                 power_template(2), q8, 4, 32, np.array([1.0, 0.2, -0.4, 0.3])
             ),
             batch2.data,
@@ -480,7 +479,7 @@ def fixture_algorithms():
     q16 = QuantizerSpec(bits=16, radius=16.0)
     algos.append(
         (
-            wrap_iteration_as_memory_bounded(
+            QuantizedIteration(
                 power_template(3), q16, 3, 32, np.array([0.7, -0.5, 0.3])
             ),
             batch3.data,
@@ -492,7 +491,7 @@ def fixture_algorithms():
     q32 = QuantizerSpec(bits=32, radius=64.0)
     algos.append(
         (
-            wrap_iteration_as_memory_bounded(
+            QuantizedIteration(
                 partial_trace_template(4, 3), q32, 3, 32, np.array([0.2, 0.9, -0.1])
             ),
             batch4.data,

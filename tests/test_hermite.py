@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from spikelab.hermite import (
     HermiteBasis,
     QuadratureRule,
+    _hermite_rule,
     _tridiag_eigh,
     build_weighted_basis,
     gauss_hermite_rule,
@@ -279,3 +280,42 @@ def test_hermite_coeff_rejects_unknown_kind():
 
     with pytest.raises(TypeError):
         hermite_coeff(Odd(), 2)
+
+
+# ---------------------------------------------------------------------------
+# rule memos
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 13])
+def test_hermite_rule_memo_matches_fresh_solve(n):
+    rule = gauss_hermite_rule(n)
+    assert gauss_hermite_rule(np.int64(n)) is rule
+    fresh = _hermite_rule.__wrapped__(n)  # the uncached tql2 solve
+    np.testing.assert_array_equal(rule.nodes, fresh.nodes)
+    np.testing.assert_array_equal(rule.weights, fresh.weights)
+    assert not rule.nodes.flags.writeable
+    assert not rule.weights.flags.writeable
+
+
+@pytest.mark.parametrize("quad_points", [64, 256])
+def test_weighted_basis_legendre_memo_matches_fresh_rule(quad_points):
+    basis = build_weighted_basis(3, quad_points=quad_points)
+    again = build_weighted_basis(4, quad_points=quad_points)
+    assert again.nodes is basis.nodes
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    np.testing.assert_array_equal(basis.nodes, nodes)
+    np.testing.assert_array_equal(basis.leg_weights, weights)
+    assert not basis.nodes.flags.writeable
+    assert not basis.leg_weights.flags.writeable
+
+
+def test_rule_memos_reject_non_int_keys_after_caching():
+    gauss_hermite_rule(2)
+    build_weighted_basis(2, quad_points=256)
+    for bad in (2.0, True, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            gauss_hermite_rule(bad)
+    with pytest.raises(TypeError):
+        build_weighted_basis(2, quad_points=256.0)
+    with pytest.raises(ValueError):
+        gauss_hermite_rule(0)
