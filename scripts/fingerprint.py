@@ -3,6 +3,7 @@
 Usage, from the repository root:
 
     python3 scripts/fingerprint.py [--src DIR] ITEM [ITEM ...]
+    python3 scripts/fingerprint.py --write [ITEM ...]
 
 Each ITEM is either an INI config or a ``verify`` suite name (``hermite``,
 ``rademacher``, ``ldlr``, ``models``, ``harness``).  One line is printed
@@ -20,6 +21,13 @@ Each config runs with the seed list written in it.  ``--src`` imports
 ``spikelab`` from another source tree (default: ``src/`` next to this
 script), so two checkouts can be compared by diffing the output of the
 same command run against each.
+
+``--write`` stores the lines in ``tests/data/fingerprints.txt``, the
+golden file that ``tests/test_fingerprints.py`` recomputes, under a
+stamp of the Python version, the numpy version and the BLAS name
+(another BLAS build may round matmuls differently).  Without ITEMs it
+rewrites the digests of the items the file already lists; a change that
+moves bits on purpose runs it and says which digests moved.
 """
 
 import argparse
@@ -28,6 +36,7 @@ import contextlib
 import hashlib
 import io
 import pathlib
+import platform
 import sys
 import tempfile
 
@@ -36,6 +45,7 @@ sys.path.insert(0, str(ROOT))
 from bench.checks import strip_wall_ms  # noqa: E402
 
 SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
+GOLDEN = ROOT / "tests" / "data" / "fingerprints.txt"
 
 
 def _digest(text: str) -> str:
@@ -72,23 +82,65 @@ def fingerprints(cli, items, workdir: pathlib.Path):
             yield "reduce", item, status, _digest(text)
 
 
+def fingerprint_lines(cli, items) -> list[str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return [
+            f"{verb} {item} {status} {digest}"
+            for verb, item, status, digest in fingerprints(cli, items, pathlib.Path(tmp))
+        ]
+
+
+def stamp() -> list[str]:
+    """The environment the digests hold for, as ``#`` lines."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    return [
+        f"# python {platform.python_version()}",
+        f"# numpy {np.__version__}",
+        f"# blas {blas}",
+    ]
+
+
+def read_golden(path=GOLDEN) -> tuple[list[str], list[str]]:
+    """``(stamp lines, digest lines)`` of a golden file."""
+    lines = path.read_text().splitlines()
+    return [ln for ln in lines if ln.startswith("#")], [
+        ln for ln in lines if not ln.startswith("#")
+    ]
+
+
+def golden_items(lines) -> list[str]:
+    """The items of digest lines, once each, in file order."""
+    return list(dict.fromkeys(line.split()[1] for line in lines))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("items", nargs="+", help="INI configs and suite names")
+    parser.add_argument("items", nargs="*", help="INI configs and suite names")
     parser.add_argument(
         "--src",
         default=str(ROOT / "src"),
         help="source tree to import spikelab from",
     )
+    parser.add_argument(
+        "--write",
+        action="store_true",
+        help=f"store the stamped lines in {GOLDEN.relative_to(ROOT)}",
+    )
     args = parser.parse_args(argv)
+    items = args.items
+    if not items:
+        if not args.write:
+            parser.error("give ITEMs, or --write to refresh the golden file")
+        items = golden_items(read_golden()[1])
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
     from spikelab import cli
 
-    with tempfile.TemporaryDirectory() as tmp:
-        for verb, item, status, digest in fingerprints(
-            cli, args.items, pathlib.Path(tmp)
-        ):
-            print(f"{verb} {item} {status} {digest}", flush=True)
+    lines = fingerprint_lines(cli, items)
+    print("\n".join(lines))
+    if args.write:
+        GOLDEN.write_text("\n".join(stamp() + lines) + "\n")
     return 0
 
 
