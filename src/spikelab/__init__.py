@@ -6,7 +6,7 @@ The package is organized around a small set of layers:
     Orthonormal Hermite polynomials, Gaussian quadrature, and weighted
     polynomial bases on [-1, 1].
 ``tensors``
-    Dense order-k tensors stored flat, contractions, matricization.
+    Rank-one spikes, contraction, overlap.
 ``measures``
     Scalar non-Gaussian measures that match Gaussian moments up to a
     chosen order (Gaussian mixtures and bounded likelihood-ratio tilts).
@@ -75,7 +75,7 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import DenseTensor, RankOneSpike, contract, matricize, overlap
+from spikelab.tensors import RankOneSpike, overlap
 from spikelab.verify import (
     LDLRInstance,
     check_rademacher_bounds,
@@ -90,7 +90,6 @@ __all__ = [
     "Blackboard",
     "BlackboardProtocol",
     "BruteForceConfig",
-    "DenseTensor",
     "EstimateReport",
     "HermiteBasis",
     "LDLRInstance",
@@ -113,13 +112,11 @@ __all__ = [
     "cca_critical_snr",
     "cca_matricization_estimator",
     "check_rademacher_bounds",
-    "contract",
     "gauss_hermite_rule",
     "hermite_coeff",
     "hermite_eval",
     "integrated_hermite_norm",
     "ldlr_norm_exact",
-    "matricize",
     "mr_matricization_estimator",
     "ngca_spectral",
     "overlap",

@@ -106,6 +106,25 @@ def _renormalize(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w / nrm, nrm
 
 
+def _iterate(step, u: np.ndarray, cfg: PowerMethodConfig, cap_dim: int):
+    """The one power-iteration loop: ``u, value, aux = step(u)`` per step.
+
+    Stops once ``value`` moved by at most ``cfg.tol`` (relative) between
+    consecutive steps, or after ``cfg.max_iters`` steps (default
+    ``ceil(10 log cap_dim)``).  Returns ``(u, value, aux, steps,
+    converged)`` for the last step taken; the cap is always >= 1.
+    """
+    limit = cfg.max_iters if cfg.max_iters is not None else default_power_iters(cap_dim)
+    value = math.nan
+    for steps in range(1, limit + 1):
+        u, new, aux = step(u)
+        converged = steps > 1 and abs(new - value) <= cfg.tol * max(1.0, abs(new))
+        value = new
+        if converged:
+            break
+    return u, value, aux, steps, converged
+
+
 def power_iteration(matvec, dim: int, cfg: PowerMethodConfig):
     """Dominant-eigenpair iteration ``u <- A u / ||A u||``.
 
@@ -114,20 +133,13 @@ def power_iteration(matvec, dim: int, cfg: PowerMethodConfig):
     consecutive steps; the iteration cap is ``ceil(10 log d)`` unless
     overridden.
     """
-    u = _start_vector(cfg, dim)
-    limit = cfg.max_iters if cfg.max_iters is not None else default_power_iters(dim)
-    ray = math.nan
-    converged = False
-    steps = 0
-    for steps in range(1, limit + 1):
+
+    def step(u):
         w = matvec(u)
-        ray_new = float(u @ w)
-        u, _ = _renormalize(w)
-        if steps > 1 and abs(ray_new - ray) <= cfg.tol * max(1.0, abs(ray_new)):
-            ray = ray_new
-            converged = True
-            break
-        ray = ray_new
+        ray = float(u @ w)
+        return _renormalize(w)[0], ray, None
+
+    u, ray, _, steps, converged = _iterate(step, _start_vector(cfg, dim), cfg, dim)
     return u, ray, steps, converged
 
 
@@ -136,29 +148,22 @@ def rank1_svd(mat: np.ndarray, cfg: PowerMethodConfig):
 
     Power iteration on ``M M^T`` realized as alternating mat-vecs, so
     only matrix-vector products with ``M`` and ``M^T`` are used.
-    Returns ``(sigma, u_left, v_right, iterations, converged)``.
+    Convergence watches sigma the way ``power_iteration`` watches the
+    Rayleigh quotient.  Returns ``(sigma, u_left, v_right, iterations,
+    converged)``.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("need a matrix")
-    u = _start_vector(cfg, mat.shape[0])
-    limit = (
-        cfg.max_iters
-        if cfg.max_iters is not None
-        else default_power_iters(max(mat.shape))
-    )
-    sigma = math.nan
-    converged = False
-    steps = 0
-    v = None
-    for steps in range(1, limit + 1):
+
+    def step(u):
         v, _ = _renormalize(mat.T @ u)
-        u, sigma_new = _renormalize(mat @ v)
-        if steps > 1 and abs(sigma_new - sigma) <= cfg.tol * max(1.0, abs(sigma_new)):
-            sigma = sigma_new
-            converged = True
-            break
-        sigma = sigma_new
+        u, sigma = _renormalize(mat @ v)
+        return u, sigma, v
+
+    u, sigma, v, steps, converged = _iterate(
+        step, _start_vector(cfg, mat.shape[0]), cfg, max(mat.shape)
+    )
     return sigma, u, v, steps, converged
 
 
@@ -199,25 +204,12 @@ def tensor_power_method(
         raise ValueError("power method needs order k >= 2")
     t0 = time.perf_counter()
     d = spec.d
-    u = _start_vector(cfg, d)
-    limit = cfg.max_iters if cfg.max_iters is not None else default_power_iters(d)
-    ray = math.nan
-    converged = False
-    steps = 0
-    norms = []
-    for steps in range(1, limit + 1):
-        psi = outer_power(u, spec.k - 1)
-        w = contract_batch(batch.data, d, psi).mean(axis=0)
-        ray_new = float(u @ w)
-        u, _ = _renormalize(w)
-        norms.append(float(np.linalg.norm(u)))
-        if steps > 1 and abs(ray_new - ray) <= cfg.tol * max(1.0, abs(ray_new)):
-            ray = ray_new
-            converged = True
-            break
-        ray = ray_new
-    info = {"rayleigh": ray, "iterate_norms": norms}
-    return _report(t0, u, spec.direction, steps, converged, info)
+
+    def matvec(u):
+        return contract_batch(batch.data, d, outer_power(u, spec.k - 1)).mean(axis=0)
+
+    u, ray, steps, converged = power_iteration(matvec, d, cfg)
+    return _report(t0, u, spec.direction, steps, converged, {"rayleigh": ray})
 
 
 def partial_trace_spectral(

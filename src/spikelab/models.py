@@ -161,7 +161,7 @@ class ModelSpec:
         if self.problem in ("tpca", "ngca", "glm"):
             return np.asarray(self.direction)
         if self.problem in ("atpca", "cca"):
-            return rank1_densify(self.spike).entries
+            return rank1_densify(self.spike)
         raise ValueError(f"no single ground-truth object for {self.problem!r}")
 
 
@@ -220,7 +220,7 @@ def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     check_entry_budget(n * spec.row_length, f"{spec.problem} batch")
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, spec.row_length))
-    data += rank1_densify(spec.spike).entries
+    data += rank1_densify(spec.spike)
     return _new_batch(spec, data, seed)
 
 

@@ -1,9 +1,8 @@
-"""Dense order-k tensors on R^d with flat row-major storage.
+"""Rank-one spikes, contraction and overlap for order-k tensors on R^d.
 
 Tensors are stored as 1-d float64 arrays of length ``d**k`` in C order,
 so ``entries[i_1 * d^{k-1} + .. + i_k]`` is the ``(i_1, .., i_k)``
 entry and ``entries.reshape((d,) * k)`` is always a no-copy view.
-Stored entry buffers are marked read-only; operations return new arrays.
 
 A module-level entry budget guards against accidentally materializing
 something enormous.  ``set_entry_budget`` adjusts it (the CLI exposes
@@ -13,19 +12,14 @@ this as ``--budget-entries``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DenseTensor",
     "RankOneSpike",
-    "contract",
     "contract_batch",
     "entry_budget",
-    "matricize",
-    "matricize_inverse",
     "outer_power",
     "overlap",
     "rank1_densify",
@@ -56,58 +50,6 @@ def check_entry_budget(n_entries: int, what: str = "allocation") -> None:
         raise MemoryError(
             f"{what} needs {n_entries} entries, over the budget of {_entry_budget}"
         )
-
-
-@dataclass(frozen=True)
-class DenseTensor:
-    """An order-k tensor on R^d held flat in row-major order.
-
-    Takes ownership of the entry buffer: when the input is already a
-    contiguous float64 array it is frozen in place rather than copied.
-    Pass a copy if the caller needs to keep mutating it.
-    """
-
-    order: int
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        expected = self.dim**self.order
-        check_entry_budget(expected, f"order-{self.order} tensor on R^{self.dim}")
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64).reshape(-1)
-        if entries.size != expected:
-            raise ValueError(
-                f"expected {expected} entries for order {self.order}, dim "
-                f"{self.dim}; got {entries.size}"
-            )
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_array(cls, arr) -> "DenseTensor":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim < 1:
-            raise ValueError("need at least one axis")
-        dims = set(arr.shape)
-        if len(dims) != 1:
-            raise ValueError(f"axes must share one length, got shape {arr.shape}")
-        return cls(order=arr.ndim, dim=arr.shape[0], entries=arr.reshape(-1))
-
-    def as_array(self) -> np.ndarray:
-        """Read-only view shaped ``(d,) * k``."""
-        return self.entries.reshape((self.dim,) * self.order)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-    def inner(self, other: "DenseTensor") -> float:
-        if (self.order, self.dim) != (other.order, other.dim):
-            raise ValueError("tensors must share order and dimension")
-        return float(np.dot(self.entries, other.entries))
 
 
 @dataclass(frozen=True)
@@ -152,15 +94,15 @@ class RankOneSpike:
         return cls(dim=v.shape[0], snr=snr, factors=(v,) * order)
 
 
-def rank1_densify(spike: RankOneSpike) -> DenseTensor:
-    """Materialize ``snr * (v_1 x .. x v_k) / sqrt(d^k)`` as a DenseTensor."""
+def rank1_densify(spike: RankOneSpike) -> np.ndarray:
+    """Flat entries of ``snr * (v_1 x .. x v_k) / sqrt(d^k)``."""
     k, d = spike.order, spike.dim
     check_entry_budget(d**k, f"order-{k} rank-one tensor on R^{d}")
     out = spike.factors[0]
     for v in spike.factors[1:]:
         out = np.multiply.outer(out, v)
     scale = spike.snr / math.sqrt(float(d) ** k)
-    return DenseTensor(order=k, dim=d, entries=scale * out.reshape(-1))
+    return scale * out.reshape(-1)
 
 
 def outer_power(u: np.ndarray, power: int) -> np.ndarray:
@@ -175,57 +117,18 @@ def outer_power(u: np.ndarray, power: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def contract(x: DenseTensor, psi: np.ndarray) -> np.ndarray:
-    """Contract an order-(k-1) template into the first k-1 slots.
-
-    ``result_i = sum_J x[J, i] psi[J]`` over multi-indices J of length
-    k-1.  ``psi`` may be flat (length ``d^{k-1}``) or cube-shaped.
-    """
-    k, d = x.order, x.dim
-    if k < 2:
-        raise ValueError("contraction needs order >= 2")
-    psi = np.asarray(psi, dtype=np.float64).reshape(-1)
-    if psi.size != d ** (k - 1):
-        raise ValueError(
-            f"template has {psi.size} entries, expected {d ** (k - 1)}"
-        )
-    return x.entries.reshape(d ** (k - 1), d).T @ psi
-
-
 def contract_batch(batch: np.ndarray, dim: int, psi: np.ndarray) -> np.ndarray:
-    """Batched form of :func:`contract` for flat sample rows.
+    """Contract an order-(k-1) template into the first k-1 slots of each row.
 
-    ``batch`` has shape ``(n, d^k)``; returns shape ``(n, d)`` where row
-    i is the contraction of sample i with ``psi``.
+    ``batch`` has shape ``(n, d^k)``, one flat sample per row; returns
+    shape ``(n, d)`` with ``result[r, i] = sum_J batch[r, (J, i)] psi[J]``
+    over multi-indices J of length k-1.  ``psi`` may be flat (length
+    ``d^{k-1}``) or cube-shaped.
     """
     batch = np.asarray(batch, dtype=np.float64)
     psi = np.asarray(psi, dtype=np.float64).reshape(-1)
     n = batch.shape[0]
     return np.tensordot(batch.reshape(n, psi.size, dim), psi, axes=([1], [0]))
-
-
-def matricize(x: DenseTensor) -> np.ndarray:
-    """Square matricization splitting the first k/2 and last k/2 slots.
-
-    ``Mat(T)[(i_1..i_l), (j_1..j_l)] = T[i_1, .., i_l, j_1, .., j_l]``
-    with ``l = k / 2``; row and column indices are the row-major flat
-    encodings of their halves.  A no-copy view into the entry buffer.
-    """
-    if x.order % 2 != 0:
-        raise ValueError(f"matricization needs even order, got {x.order}")
-    half = x.dim ** (x.order // 2)
-    return x.entries.reshape(half, half)
-
-
-def matricize_inverse(m: np.ndarray, dim: int, order: int) -> DenseTensor:
-    """Rebuild the order-k tensor whose matricization is ``m``."""
-    if order % 2 != 0:
-        raise ValueError(f"matricization needs even order, got {order}")
-    m = np.asarray(m, dtype=np.float64)
-    half = dim ** (order // 2)
-    if m.shape != (half, half):
-        raise ValueError(f"matrix shape {m.shape} != ({half}, {half})")
-    return DenseTensor(order=order, dim=dim, entries=m.reshape(-1))
 
 
 def overlap(v: np.ndarray, vhat: np.ndarray) -> float:

@@ -202,7 +202,7 @@ def test_criterion_3_sampler_moments():
     # Symmetric spike: the matched filter is N(snr, 1) per sample.
     spec = ModelSpec.tpca(k=4, d=4, snr=1.2, seed=5)
     batch = sample_tpca(spec, n, seed=1005)
-    signal = rank1_densify(spec.spike).entries
+    signal = rank1_densify(spec.spike)
     filt = signal / np.linalg.norm(signal)
     m = batch.data @ filt
     checks.append(("tpca-filter-scale", abs(np.linalg.norm(signal) - 1.2) <= 1e-9))
@@ -265,7 +265,7 @@ def test_criterion_3_sampler_moments():
 
 
 def noiseless_batch(spec, n=2):
-    entries = rank1_densify(spec.spike).entries
+    entries = rank1_densify(spec.spike)
     return SampleBatch(spec=spec, data=np.tile(entries, (n, 1)), seed=0)
 
 

@@ -36,11 +36,11 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import rank1_densify
+from spikelab.tensors import contract_batch, outer_power, rank1_densify
 
 
 def noiseless_batch(spec, n=1):
-    entries = rank1_densify(spec.spike).entries
+    entries = rank1_densify(spec.spike)
     return SampleBatch(spec=spec, data=np.tile(entries, (n, 1)), seed=0)
 
 
@@ -83,6 +83,103 @@ def test_rank1_svd_matches_dense_svd():
     assert abs(abs(v @ vv[0]) - 1.0) < 1e-8
 
 
+# The loops of ``tensor_power_method`` and ``rank1_svd`` as they were
+# written out before both ran on the one loop behind ``power_iteration``;
+# the folded functions must follow them bit for bit.
+
+
+def _reference_start(seed, dim):
+    u = np.random.default_rng(seed).standard_normal(dim)
+    return u / float(np.linalg.norm(u))
+
+
+def reference_tensor_power_method(batch, max_iters, tol, seed):
+    d, k = batch.spec.d, batch.spec.k
+    u = _reference_start(seed, d)
+    limit = max_iters if max_iters is not None else default_power_iters(d)
+    ray = math.nan
+    converged = False
+    steps = 0
+    for steps in range(1, limit + 1):
+        psi = outer_power(u, k - 1)
+        w = contract_batch(batch.data, d, psi).mean(axis=0)
+        ray_new = float(u @ w)
+        u = w / float(np.linalg.norm(w))
+        if steps > 1 and abs(ray_new - ray) <= tol * max(1.0, abs(ray_new)):
+            ray = ray_new
+            converged = True
+            break
+        ray = ray_new
+    return u, ray, steps, converged
+
+
+def reference_rank1_svd(mat, max_iters, tol, seed):
+    u = _reference_start(seed, mat.shape[0])
+    limit = max_iters if max_iters is not None else default_power_iters(max(mat.shape))
+    sigma = math.nan
+    converged = False
+    steps = 0
+    v = None
+    for steps in range(1, limit + 1):
+        w = mat.T @ u
+        v = w / float(np.linalg.norm(w))
+        w = mat @ v
+        sigma_new = float(np.linalg.norm(w))
+        u = w / sigma_new
+        if steps > 1 and abs(sigma_new - sigma) <= tol * max(1.0, abs(sigma_new)):
+            sigma = sigma_new
+            converged = True
+            break
+        sigma = sigma_new
+    return sigma, u, v, steps, converged
+
+
+# Tolerances loose enough to stop early and tight enough to hit the cap.
+_TOLS = st.sampled_from([1e-1, 1e-3, 1e-6, 1e-10, 1e-300])
+_CAPS = st.one_of(st.none(), st.integers(min_value=1, max_value=40))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.integers(min_value=2, max_value=4),
+    d=st.integers(min_value=2, max_value=5),
+    n=st.integers(min_value=1, max_value=24),
+    max_iters=_CAPS,
+    tol=_TOLS,
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_tensor_power_method_matches_reference_loop(k, d, n, max_iters, tol, seed):
+    spec = ModelSpec.tpca(k=k, d=d, snr=2.0, seed=seed % 1000)
+    batch = sample_tpca(spec, n=n, seed=seed)
+    cfg = PowerMethodConfig(max_iters=max_iters, tol=tol, seed=seed)
+    report = tensor_power_method(batch, cfg)
+    u, ray, steps, converged = reference_tensor_power_method(batch, max_iters, tol, seed)
+    np.testing.assert_array_equal(report.estimate, u)
+    assert report.info["rayleigh"] == ray
+    assert (report.iterations, report.converged) == (steps, converged)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    rows=st.integers(min_value=1, max_value=7),
+    cols=st.integers(min_value=1, max_value=7),
+    max_iters=_CAPS,
+    tol=_TOLS,
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_rank1_svd_matches_reference_loop(rows, cols, max_iters, tol, seed):
+    mat = np.random.default_rng(seed + 1).standard_normal((rows, cols))
+    cfg = PowerMethodConfig(max_iters=max_iters, tol=tol, seed=seed)
+    sigma, u, v, steps, converged = rank1_svd(mat, cfg)
+    ref_sigma, ref_u, ref_v, ref_steps, ref_converged = reference_rank1_svd(
+        mat, max_iters, tol, seed
+    )
+    assert sigma == ref_sigma
+    np.testing.assert_array_equal(u, ref_u)
+    np.testing.assert_array_equal(v, ref_v)
+    assert (steps, converged) == (ref_steps, ref_converged)
+
+
 def test_default_iteration_budget():
     assert default_power_iters(6) == math.ceil(10 * math.log(6))
     assert default_power_iters(1) == math.ceil(10 * math.log(2))
@@ -103,8 +200,7 @@ def test_power_method_unit_norm_iterates():
     spec = ModelSpec.tpca(k=3, d=4, snr=2.0, seed=2)
     batch = sample_tpca(spec, n=64, seed=5)
     report = tensor_power_method(batch, PowerMethodConfig(max_iters=12))
-    for nrm in report.info["iterate_norms"]:
-        assert abs(nrm - 1.0) < 1e-12
+    assert abs(np.linalg.norm(report.estimate) - 1.0) < 1e-12
 
 
 def test_power_method_perpendicular_start_collapses():
@@ -234,6 +330,24 @@ def test_matricization_rank1_rejects_bad_input():
         matricization_rank1(np.ones(8), 3, 2, PowerMethodConfig())
     with pytest.raises(ValueError, match="zero"):
         matricization_rank1(np.zeros(16), 2, 4, PowerMethodConfig())
+
+
+def test_matricization_rank1_splits_first_and_last_halves():
+    # A (x) B with A, B of full rank is rank one only under the split of
+    # the first k/2 slots against the last k/2, row-major within each.
+    d = 3
+    rng = np.random.default_rng(12)
+    a, b = rng.standard_normal((2, d, d))
+    entries = np.multiply.outer(a, b).reshape(-1)
+    sigma, flat, _, converged = matricization_rank1(
+        entries, 4, d, PowerMethodConfig(max_iters=200)
+    )
+    expected = np.outer(a.reshape(-1), b.reshape(-1)).reshape(-1)
+    assert converged
+    assert sigma == pytest.approx(np.linalg.norm(a) * np.linalg.norm(b), rel=1e-12)
+    np.testing.assert_allclose(
+        flat * np.sign(flat @ expected), expected / np.linalg.norm(expected), atol=1e-12
+    )
 
 
 def test_cca_matricization_planted_recovery():

@@ -75,7 +75,7 @@ def test_spec_validation():
 def test_tpca_batch_statistics():
     spec = ModelSpec.tpca(k=3, d=3, snr=1.5, seed=0)
     batch = sample_tpca(spec, n=4000, seed=11)
-    signal = rank1_densify(spec.spike).entries
+    signal = rank1_densify(spec.spike)
     resid = batch.data - signal
     # Mean should sit on the spike entrywise, variance near one pooled.
     err = batch.data.mean(axis=0) - signal

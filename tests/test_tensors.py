@@ -1,4 +1,4 @@
-"""Tests for flat tensor storage, contraction, and matricization."""
+"""Tests for flat tensor storage, rank-one spikes, contraction, and overlap."""
 
 import math
 
@@ -8,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab.tensors import (
-    DenseTensor,
     RankOneSpike,
-    contract,
     contract_batch,
     entry_budget,
-    matricize,
-    matricize_inverse,
     outer_power,
     overlap,
     rank1_densify,
@@ -22,42 +18,24 @@ from spikelab.tensors import (
 )
 
 
-def random_tensor(rng, order, dim):
-    return DenseTensor(order=order, dim=dim, entries=rng.standard_normal(dim**order))
-
-
 def test_flat_layout_is_row_major():
     d = 3
-    t = DenseTensor(order=2, dim=d, entries=np.arange(9.0))
-    cube = t.as_array()
+    a = np.array([1.0, -1.0, 1.0])
+    b = np.array([-1.0, -1.0, 1.0])
+    flat = rank1_densify(RankOneSpike(dim=d, snr=3.0, factors=(a, b)))
     for i in range(d):
         for j in range(d):
-            assert cube[i, j] == i * d + j
-
-
-def test_as_array_is_view_and_read_only():
-    t = DenseTensor(order=3, dim=2, entries=np.arange(8.0))
-    view = t.as_array()
-    assert np.shares_memory(view, t.entries)
-    with pytest.raises(ValueError):
-        view[0, 0, 0] = 99.0
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        DenseTensor(order=2, dim=3, entries=np.zeros(8))
-    with pytest.raises(ValueError):
-        DenseTensor.from_array(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        DenseTensor(order=0, dim=3, entries=np.zeros(1))
+            assert flat[i * d + j] == 3.0 / d * a[i] * b[j]
 
 
 def test_entry_budget_guard():
     prev = set_entry_budget(100)
     try:
         with pytest.raises(MemoryError):
-            DenseTensor(order=3, dim=5, entries=np.zeros(125))
-        DenseTensor(order=2, dim=10, entries=np.zeros(100))
+            rank1_densify(RankOneSpike.symmetric(np.ones(5), order=3, snr=1.0))
+        with pytest.raises(MemoryError):
+            outer_power(np.ones(5), 3)
+        rank1_densify(RankOneSpike.symmetric(np.ones(10), order=2, snr=1.0))
     finally:
         set_entry_budget(prev)
     assert entry_budget() == prev
@@ -80,7 +58,7 @@ def test_densify_matches_naive_loops():
     d, k = 3, 3
     v = rng.choice([-1.0, 1.0], size=d)
     spike = RankOneSpike.symmetric(v, order=k, snr=2.5)
-    dense = rank1_densify(spike).as_array()
+    dense = rank1_densify(spike).reshape((d,) * k)
     scale = 2.5 / math.sqrt(d**k)
     for i in range(d):
         for j in range(d):
@@ -95,7 +73,7 @@ def test_densify_asymmetric_factors():
     e1 = np.zeros(d)
     e1[1] = math.sqrt(d)
     spike = RankOneSpike(dim=d, snr=3.0, factors=(e0, e1))
-    dense = rank1_densify(spike).as_array()
+    dense = rank1_densify(spike).reshape(d, d)
     # Only the (0, 1) cell survives: 3 * sqrt(d) * sqrt(d) / sqrt(d^2) = 3.
     expected = np.zeros((d, d))
     expected[0, 1] = 3.0
@@ -109,7 +87,7 @@ def test_spike_frobenius_norm_equals_snr():
         d = 3
         v = rng.choice([-1.0, 1.0], size=d)
         dense = rank1_densify(RankOneSpike.symmetric(v, order=k, snr=1.7))
-        assert dense.norm() == pytest.approx(1.7, rel=1e-12)
+        assert np.linalg.norm(dense) == pytest.approx(1.7, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +97,10 @@ def test_spike_frobenius_norm_equals_snr():
 def test_contract_matches_index_sum():
     rng = np.random.default_rng(2)
     d, k = 3, 3
-    t = random_tensor(rng, k, d)
+    entries = rng.standard_normal(d**k)
     psi = rng.standard_normal(d ** (k - 1))
-    got = contract(t, psi)
-    cube = t.as_array()
+    got = contract_batch(entries[None, :], d, psi)[0]
+    cube = entries.reshape(d, d, d)
     psi_cube = psi.reshape(d, d)
     expected = np.zeros(d)
     for i in range(d):
@@ -142,7 +120,7 @@ def test_contract_rank_one_identity():
     dense = rank1_densify(spike)
     unit = v / np.linalg.norm(v)
     psi = np.multiply.outer(unit, unit).reshape(-1)
-    got = contract(dense, psi)
+    got = contract_batch(dense[None, :], d, psi)[0]
     # <v, u>^{k-1} * v / sqrt(d^k) with u = v/||v||: (sqrt(d))^{k-1} v / sqrt(d^k)
     expected = v / math.sqrt(d)
     np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -160,8 +138,10 @@ def test_contract_batch_agrees_with_single(d, k, seed):
     batch = rng.standard_normal((n, d**k))
     psi = rng.standard_normal(d ** (k - 1))
     got = contract_batch(batch, d, psi)
+    cube_psi = psi.reshape((d,) * (k - 1))
     for i in range(n):
-        single = contract(DenseTensor(order=k, dim=d, entries=batch[i]), psi)
+        cube = batch[i].reshape((d,) * k)
+        single = np.tensordot(cube, cube_psi, axes=(range(k - 1), range(k - 1)))
         np.testing.assert_allclose(got[i], single, atol=1e-10)
 
 
@@ -171,56 +151,6 @@ def test_outer_power_matches_contract_template():
     p = outer_power(u, 3)
     expected = np.einsum("i,j,k->ijk", u, u, u).reshape(-1)
     np.testing.assert_allclose(p, expected, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# matricization
-
-
-def test_matricize_layout():
-    d, k = 2, 4
-    entries = np.arange(float(d**k))
-    t = DenseTensor(order=k, dim=d, entries=entries)
-    m = matricize(t)
-    assert m.shape == (4, 4)
-    cube = t.as_array()
-    for i1 in range(d):
-        for i2 in range(d):
-            for j1 in range(d):
-                for j2 in range(d):
-                    assert m[i1 * d + i2, j1 * d + j2] == cube[i1, i2, j1, j2]
-    assert np.shares_memory(m, t.entries)  # no copy
-
-
-def test_matricize_roundtrip():
-    rng = np.random.default_rng(4)
-    t = random_tensor(rng, 4, 3)
-    back = matricize_inverse(matricize(t), dim=3, order=4)
-    np.testing.assert_array_equal(back.entries, t.entries)
-
-
-def test_matricize_rejects_odd_order():
-    t = DenseTensor(order=3, dim=2, entries=np.zeros(8))
-    with pytest.raises(ValueError):
-        matricize(t)
-    with pytest.raises(ValueError):
-        matricize_inverse(np.zeros((2, 2)), dim=2, order=3)
-
-
-def test_matricize_is_frobenius_isometry():
-    rng = np.random.default_rng(5)
-    t = random_tensor(rng, 4, 3)
-    assert np.linalg.norm(matricize(t)) == pytest.approx(t.norm(), rel=1e-15)
-
-
-def test_matricize_of_symmetric_rank_one_is_outer_product():
-    d, k = 3, 4
-    v = np.array([1.0, -1.0, 1.0]) * math.sqrt(1.0)
-    dense = rank1_densify(RankOneSpike.symmetric(v, order=k, snr=2.0))
-    m = matricize(dense)
-    vv = np.multiply.outer(v, v).reshape(-1)
-    expected = 2.0 * np.outer(vv, vv) / d**2
-    np.testing.assert_allclose(m, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
