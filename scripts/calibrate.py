@@ -18,9 +18,9 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from spikelab import benchmarks  # noqa: E402
+from spikelab import detection  # noqa: E402
 from spikelab.estimators import net_discrepancy  # noqa: E402
-from spikelab.verify import ldlr_norm_exact  # noqa: E402
+from spikelab.verify import LDLR_GRID_SNR, ldlr_grid, ldlr_norm_exact  # noqa: E402
 
 MARGIN = 1.3
 CALIBRATION_PAIRS = 200
@@ -38,9 +38,9 @@ def wedin_constant(k: int) -> float:
     Per pair the admissible C solve ``delta C^2 + disc C - dist >= 0``,
     so the binding value is the positive root of the quadratic.
     """
-    net = benchmarks.wedin_net()
-    pairs = benchmarks.random_unit_pairs(CALIBRATION_PAIRS, benchmarks.WEDIN_DIM, 0)
-    delta = benchmarks.WEDIN_DELTA
+    net = detection.wedin_net()
+    pairs = detection.random_unit_pairs(CALIBRATION_PAIRS, detection.WEDIN_DIM, 0)
+    delta = detection.WEDIN_DELTA
     worst = 0.0
     for u1, u2 in pairs:
         dist = min(
@@ -55,7 +55,7 @@ def wedin_constant(k: int) -> float:
 def ldlr_constants(k: int) -> tuple[float, float]:
     c_lower = 0.0
     c_upper = 0.0
-    for inst in benchmarks.ldlr_grid(k):
+    for inst in ldlr_grid(k):
         norm = ldlr_norm_exact(inst)
         scale = inst.N * inst.snr**2 * inst.t ** ((k - 2) / 2.0) / inst.d ** (k / 2.0)
         c_upper = max(c_upper, norm / scale)
@@ -71,9 +71,9 @@ def main() -> None:
         "# only when the underlying grids change; tests assert these",
         "# values stay valid for the current code.",
         "format_version = 1",
-        f"wedin_dim = {benchmarks.WEDIN_DIM}",
-        f"wedin_delta = {benchmarks.WEDIN_DELTA}",
-        f"wedin_net_seed = {benchmarks.WEDIN_NET_SEED}",
+        f"wedin_dim = {detection.WEDIN_DIM}",
+        f"wedin_delta = {detection.WEDIN_DELTA}",
+        f"wedin_net_seed = {detection.WEDIN_NET_SEED}",
     ]
     for k in (2, 3, 4):
         value = wedin_constant(k)
@@ -81,15 +81,15 @@ def main() -> None:
         print(lines[-1])
     for k in (2, 4):
         c_lower, c_upper = ldlr_constants(k)
-        lines.append(f"ldlr_ngca_snr_k{k} = {benchmarks.LDLR_GRID_SNR[k]}")
+        lines.append(f"ldlr_ngca_snr_k{k} = {LDLR_GRID_SNR[k]}")
         lines.append(f"ldlr_ngca_c_lower_k{k} = {c_lower:.6g}")
         lines.append(f"ldlr_ngca_c_upper_k{k} = {c_upper:.6g}")
         print(lines[-2])
         print(lines[-1])
     for name, snr in DETECTION_SNR.items():
         key = name.replace("-", "_")
-        signal = benchmarks.detection_median(name, snr)
-        null = benchmarks.detection_median(name, 0.0)
+        signal = detection.detection_median(name, snr)
+        null = detection.detection_median(name, 0.0)
         lines.append(f"det_{key}_snr = {snr}")
         lines.append(f"det_{key}_signal = {signal:.6g}")
         lines.append(f"det_{key}_null = {null:.6g}")

@@ -18,18 +18,14 @@ docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from spikelab import benchmarks
 from spikelab.batchio import dump_batch
-from spikelab.config import ExperimentConfig, parse_config
+from spikelab.config import ExperimentConfig, iteration_seed, parse_config
 from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
@@ -52,36 +48,18 @@ from spikelab.harness import (
     run_memory_bounded,
     shard_stream,
 )
-from spikelab.hermite import (
-    HermiteBasis,
-    build_weighted_basis,
-    gauss_hermite_rule,
-    hermite_eval,
-)
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
 from spikelab.models import (
     ModelSpec,
-    cca_critical_snr,
     sample_atpca,
     sample_cca,
     sample_ngca,
     sample_tpca,
 )
 from spikelab.tensors import overlap, set_entry_budget
-from spikelab.verify import (
-    LDLRInstance,
-    check_rademacher_bounds,
-    integrated_hermite_inner,
-    integrated_hermite_norm,
-    ldlr_norm_exact,
-    ldlr_sandwich,
-    load_calibration,
-    rademacher_mean_moment,
-    sign_coefficient,
-    sign_tail_mass,
-)
+from spikelab.verify import SUITES, CheckResult, run_verification
 
-__all__ = ["build_harness", "main", "run_sweep", "run_verification", "sweep_csv"]
+__all__ = ["build_harness", "main", "run_sweep", "sweep_csv"]
 
 CSV_VERSION = "spikelab-sweep-v1"
 CSV_COLUMNS = (
@@ -102,8 +80,6 @@ CSV_COLUMNS = (
     "wall_ms",
     "cost",
 )
-
-SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
 
 _SAMPLERS = {
     "tpca": sample_tpca,
@@ -133,7 +109,7 @@ def _power_config(cfg: ExperimentConfig, seed: int) -> PowerMethodConfig:
     return PowerMethodConfig(
         max_iters=opts.get("max_iters"),
         tol=opts.get("tol", 1e-10),
-        seed=benchmarks.iteration_seed(seed),
+        seed=iteration_seed(seed),
     )
 
 
@@ -142,7 +118,7 @@ def _brute_config(cfg: ExperimentConfig, seed: int) -> BruteForceConfig:
     return BruteForceConfig(
         delta=opts["delta"],
         trunc=opts["trunc"],
-        seed=benchmarks.iteration_seed(seed),
+        seed=iteration_seed(seed),
         probes=opts.get("probes", 10_000),
         max_net=opts.get("max_net", 200_000),
     )
@@ -179,7 +155,7 @@ def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
         psi = power_template(cfg.k)
     else:
         psi = partial_trace_template(cfg.k, cfg.d)
-    init = np.random.default_rng(benchmarks.iteration_seed(seed)).standard_normal(cfg.d)
+    init = np.random.default_rng(iteration_seed(seed)).standard_normal(cfg.d)
     algorithm = QuantizedIteration(
         psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
     )
@@ -246,226 +222,6 @@ def sweep_csv(rows: list[dict]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    ok: bool
-    measured: float
-    bound: float
-
-    def line(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        return f"{self.check},{status},{_fmt(float(self.measured))},{_fmt(float(self.bound))}"
-
-
-def _suite_hermite() -> list[CheckResult]:
-    checks = []
-    rule = gauss_hermite_rule(16)
-    values = HermiteBasis(8).eval_all(rule.nodes)
-    gram = (values * rule.weights) @ values.T
-    dev = float(np.abs(gram - np.eye(9)).max())
-    checks.append(CheckResult("hermite/orthonormality", dev <= 1e-9, dev, 1e-9))
-    worst = 0.0
-    shift_rule = gauss_hermite_rule(24)
-    for k in range(7):
-        for mu in (0.3, 1.1):
-            got = shift_rule.expect(hermite_eval(k, mu + shift_rule.nodes))
-            worst = max(worst, abs(got - mu**k / math.sqrt(math.factorial(k))))
-    checks.append(CheckResult("hermite/shifted-mean", worst <= 1e-9, worst, 1e-9))
-    worst = 0.0
-    for nodes in range(1, 5):
-        small = gauss_hermite_rule(nodes)
-        got = small.expect(hermite_eval(2 * nodes, small.nodes))
-        target = -math.factorial(nodes) / math.sqrt(math.factorial(2 * nodes))
-        worst = max(worst, abs(got - target))
-    checks.append(CheckResult("hermite/small-rule-residual", worst <= 1e-9, worst, 1e-9))
-    worst = 0.0
-    for k in (2, 3, 4, 6):
-        basis = build_weighted_basis(k)
-        vals = np.array([basis.eval(j, basis.nodes) for j in range(k + 1)])
-        gram = np.array(
-            [[basis.inner(vals[i], vals[j]) for j in range(k + 1)] for i in range(k + 1)]
-        )
-        worst = max(worst, float(np.abs(gram - np.eye(k + 1)).max()))
-    checks.append(CheckResult("hermite/weighted-orthonormality", worst <= 1e-9, worst, 1e-9))
-    return checks
-
-
-def _suite_rademacher() -> list[CheckResult]:
-    checks = []
-    try:
-        report = check_rademacher_bounds(10, 6)
-        ratio = max(
-            abs(e["value"]) / e["bound"]
-            for e in report
-            if e["kind"] in ("plain-upper", "marked-upper") and e["bound"] > 0
-        )
-        checks.append(CheckResult("rademacher/envelope-d10-t6", True, ratio, 1.0))
-    except RuntimeError:
-        checks.append(CheckResult("rademacher/envelope-d10-t6", False, math.inf, 1.0))
-    quartic = rademacher_mean_moment(10, 4)
-    exact = quartic == Fraction(28, 1000)
-    checks.append(CheckResult("rademacher/quartic-closed-form", exact, float(quartic), 0.028))
-    worst = 0.0
-    for d in (4, 6):
-        for k, i in ((2, 1), (2, 2), (3, 2)):
-            wht = integrated_hermite_norm(d, k, i)
-            direct = float(rademacher_mean_moment(d, k * i))
-            worst = max(worst, abs(wht - direct))
-    checks.append(CheckResult("rademacher/pair-route-agreement", worst <= 1e-12, worst, 1e-12))
-    cross = max(
-        abs(integrated_hermite_inner(4, 2, i, j))
-        for i in range(3)
-        for j in range(3)
-        if i != j
-    )
-    checks.append(CheckResult("rademacher/cross-terms-zero", cross == 0.0, cross, 0.0))
-    return checks
-
-
-def _suite_ldlr() -> list[CheckResult]:
-    checks = []
-    calibration = load_calibration()
-    for k in (2, 4):
-        slack = math.inf
-        ok = True
-        for inst in benchmarks.ldlr_grid(k):
-            result = ldlr_sandwich(
-                inst,
-                c_lower=calibration[f"ldlr_ngca_c_lower_k{k}"],
-                c_upper=calibration[f"ldlr_ngca_c_upper_k{k}"],
-            )
-            ok = ok and result["upper_ok"] and result.get("lower_ok", True)
-            slack = min(slack, result["upper"] - result["norm"])
-            if "lower" in result:
-                slack = min(slack, result["norm"] - result["lower"])
-        checks.append(CheckResult(f"ldlr/sandwich-k{k}", ok and slack >= 0, slack, 0.0))
-    partial = sum(sign_coefficient(t) ** 2 for t in range(42))
-    defect = abs(partial + sign_tail_mass(41) - 1.0)
-    checks.append(CheckResult("ldlr/sign-parseval", defect <= 1e-8, defect, 1e-8))
-    coeffs = tuple(build_mog_measure(4, 0.005).nu_hat(8)[1:])
-    one = ldlr_norm_exact(
-        LDLRInstance(problem="ngca", N=1, d=8, k=4, t=8, coeffs=coeffs, snr=0.005)
-    )
-    two = ldlr_norm_exact(
-        LDLRInstance(problem="ngca", N=2, d=8, k=4, t=8, coeffs=coeffs, snr=0.005)
-    )
-    ratio = two / one
-    checks.append(CheckResult("ldlr/doubling-linearity", 1.9 <= ratio <= 2.1, ratio, 2.0))
-    return checks
-
-
-def _suite_models() -> list[CheckResult]:
-    checks = []
-    for k in (2, 4, 6):
-        ceiling = build_mog_measure(k, 0.0).lambda_k
-        measure = build_mog_measure(k, 0.4 * ceiling)
-        dev = max(
-            abs(measure.moment(j) - build_mog_measure(k, 0.0).moment(j))
-            for j in range(k)
-        )
-        gap_err = abs(measure.moment_gap() - measure.snr)
-        checks.append(CheckResult(f"models/mixture-moments-k{k}", dev <= 1e-7, dev, 1e-7))
-        checks.append(CheckResult(f"models/mixture-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
-    for k in (2, 3, 4, 6):
-        ceiling = build_weighted_basis(k).lambda_max
-        measure = build_bounded_llr_measure(k, 0.5 * ceiling)
-        dev = max(abs(measure.moment(j) - _gauss_moment(j)) for j in range(k))
-        gap_err = abs(measure.moment_gap() + measure.snr)
-        checks.append(CheckResult(f"models/tilt-moments-k{k}", dev <= 1e-7, dev, 1e-7))
-        checks.append(CheckResult(f"models/tilt-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
-    try:
-        ModelSpec.cca(k=2, d=3, snr=cca_critical_snr(2) + 0.05)
-        checks.append(CheckResult("models/cca-ceiling-guard", False, 0.0, 0.0))
-    except ValueError:
-        checks.append(CheckResult("models/cca-ceiling-guard", True, 0.0, 0.0))
-    return checks
-
-
-def _gauss_moment(j: int) -> float:
-    return float(math.prod(range(1, j, 2))) if j % 2 == 0 and j > 0 else (1.0 if j == 0 else 0.0)
-
-
-def harness_fixture_runs():
-    """Streaming runs plus their sharded replays, for the equality check.
-
-    Two wrapped iterations (an order-2 contraction at d = 4 and an
-    order-4 partial trace at d = 3) on fixed Gaussian streams of 32
-    rows, each replayed at shard sizes 32, 16, and 8; every replay
-    carries its protocol, for the writer audit.
-    """
-    cases = []
-    for label, psi, d, k, bits, radius in (
-        ("power-k2-d4", power_template(2), 4, 2, 8, 8.0),
-        ("partial-trace-k4-d3", partial_trace_template(4, 3), 3, 4, 32, 64.0),
-    ):
-        rng = np.random.default_rng(97)
-        data = rng.standard_normal((32, d**k))
-        init = rng.standard_normal(d)
-        algorithm = QuantizedIteration(
-            psi, QuantizerSpec(bits=bits, radius=radius), d, 32, init
-        )
-        profile = ResourceProfile(samples=32, passes=6, state_bits=algorithm.state_bits)
-        direct = run_memory_bounded(algorithm, data, profile)
-        replays = []
-        for shard_rows in (32, 16, 8):
-            protocol, m, n_shard, b = reduce_memory_to_distributed(
-                algorithm, profile, shard_rows
-            )
-            report, board = run_distributed(
-                protocol, shard_stream(data, shard_rows), m, n_shard, b
-            )
-            replays.append((shard_rows, protocol, report, board, m, n_shard, b))
-        cases.append((label, profile, direct, replays))
-    return cases
-
-
-def _suite_harness() -> list[CheckResult]:
-    checks = []
-    mismatches = 0
-    accounting = 0
-    audit_failures = 0
-    for label, profile, direct, replays in harness_fixture_runs():
-        for shard_rows, protocol, report, board, m, n_shard, b in replays:
-            if not np.array_equal(direct.estimate, report.estimate):
-                mismatches += 1
-            if m * b != (profile.samples // n_shard) * profile.state_bits * profile.passes:
-                accounting += 1
-            if len(board.bits) != m * b:
-                accounting += 1
-            # Round-by-round ``select_writer`` against the writers the
-            # runner took from ``select_writers``.
-            if not board.audit(protocol):
-                audit_failures += 1
-    checks.append(
-        CheckResult("harness/reduction-bit-equality", mismatches == 0, mismatches, 0.0)
-    )
-    checks.append(
-        CheckResult("harness/transcript-accounting", accounting == 0, accounting, 0.0)
-    )
-    checks.append(
-        CheckResult("harness/writer-audit", audit_failures == 0, audit_failures, 0.0)
-    )
-    return checks
-
-
-def run_verification(suite: str) -> list[CheckResult]:
-    runners = {
-        "hermite": _suite_hermite,
-        "rademacher": _suite_rademacher,
-        "ldlr": _suite_ldlr,
-        "models": _suite_models,
-        "harness": _suite_harness,
-    }
-    if suite not in runners:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return runners[suite]()
-
-
-# ---------------------------------------------------------------------------
 # verbs
 
 
@@ -481,12 +237,16 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    results = run_verification(args.suite)
+def _print_report(results: list[CheckResult]) -> bool:
+    """Print a check report; true when every check passed."""
     print("check,status,measured,bound")
     for result in results:
         print(result.line())
-    return 0 if all(r.ok for r in results) else 1
+    return all(r.ok for r in results)
+
+
+def _cmd_verify(args) -> int:
+    return 0 if _print_report(run_verification(args.suite)) else 1
 
 
 def _cmd_sample(args) -> int:
@@ -518,19 +278,22 @@ def _cmd_reduce(args) -> int:
     report, board = run_distributed(
         protocol, shard_stream(batch.data, n_shard), m, n_shard, b
     )
+    # The harness suite's three checks, on this one replay.
     equal = bool(np.array_equal(direct.estimate, report.estimate))
-    print("check,status,measured,bound")
-    print(f"reduce/bit-equality,{'PASS' if equal else 'FAIL'},{int(not equal)},0")
     budget = (n_samples // n_shard) * profile.state_bits * profile.passes
-    budget_ok = m * b == budget
-    print(f"reduce/accounting,{'PASS' if budget_ok else 'FAIL'},{m * b},{budget}")
-    bits_ok = len(board.bits) == m * b
-    print(f"reduce/transcript-bits,{'PASS' if bits_ok else 'FAIL'},{len(board.bits)},{m * b}")
+    bits = len(board.bits)
+    ok = _print_report(
+        [
+            CheckResult("reduce/bit-equality", equal, int(not equal), 0),
+            CheckResult("reduce/accounting", m * b == budget, m * b, budget),
+            CheckResult("reduce/transcript-bits", bits == m * b, bits, m * b),
+        ]
+    )
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(board.dump_text())
         print(f"wrote {cfg.out}")
-    return 0 if equal and budget_ok and bits_ok else 1
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -1,9 +1,10 @@
 """Experiment configuration: an INI file plus command-line overrides.
 
 The grammar is documented in docs/formats.md.  Parsing is strict:
-unknown sections, unknown keys, empty grids, duplicate seeds and seed
-lists spanning 1000 or more are all rejected here rather than surfacing
-later as confusing runtime behavior.
+unknown sections, unknown keys, estimator options the chosen estimator
+does not read, empty grids, duplicate seeds and seed lists spanning 1000
+or more are all rejected here rather than surfacing later as confusing
+runtime behavior.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ __all__ = [
     "ExperimentConfig",
     "HarnessSettings",
     "estimator_problems",
+    "iteration_seed",
     "parse_config",
 ]
 
@@ -35,6 +37,20 @@ _ESTIMATOR_PROBLEMS = {
 # Estimators with a streaming contraction template; only these can run
 # under the bit-budget harness.
 _TEMPLATE_ESTIMATORS = ("tensor-power", "partial-trace")
+
+# The [estimator] options each estimator reads in plain mode; any other
+# option is rejected rather than silently ignored.
+_POWER_OPTIONS = ("max_iters", "tol")
+_NET_OPTIONS = ("delta", "trunc", "probes", "max_net")
+_ESTIMATOR_OPTIONS = {
+    "tensor-power": _POWER_OPTIONS,
+    "partial-trace": _POWER_OPTIONS,
+    "matricization": _POWER_OPTIONS,
+    "cca-matricization": _POWER_OPTIONS,
+    "ngca-spectral": _POWER_OPTIONS,
+    "brute-force-ngca": _NET_OPTIONS,
+    "brute-force-cca": _NET_OPTIONS,
+}
 
 _ESTIMATOR_OPTION_TYPES = {
     "max_iters": int,
@@ -72,6 +88,19 @@ class DistributedSettings:
     def __post_init__(self):
         if self.shard_rows < 1:
             raise ValueError(f"shard_rows must be >= 1, got {self.shard_rows}")
+
+
+def iteration_seed(seed: int) -> int:
+    """Seed for iterative-solver randomness, derived from the run seed.
+
+    Kept distinct from the instance and sampling seeds: reusing the raw
+    seed would make the starting vector reproduce the planted-direction
+    draw and bias null-model runs.  For a seed list that
+    ``ExperimentConfig`` accepts (seeds >= 0 spanning less than 1000),
+    every ``8191 + 31 * s`` lies above all of its instance streams ``s``
+    and noise streams ``1000 + s``.
+    """
+    return 8191 + 31 * seed
 
 
 @dataclass(frozen=True)
@@ -121,6 +150,11 @@ class ExperimentConfig:
             raise ValueError(f"seeds must span less than 1000, got {seeds}")
         object.__setattr__(self, "samples_grid", grid)
         object.__setattr__(self, "seeds", seeds)
+        unread = set(self.estimator_options) - set(_ESTIMATOR_OPTIONS[self.estimator])
+        if unread:
+            raise ValueError(
+                f"estimator {self.estimator!r} does not read options {sorted(unread)}"
+            )
         if self.estimator.startswith("brute-force"):
             missing = {"delta", "trunc"} - set(self.estimator_options)
             if missing:

@@ -16,6 +16,7 @@ import statistics
 
 import numpy as np
 
+from spikelab.config import iteration_seed
 from spikelab.estimators import (
     PowerMethodConfig,
     cca_matricization_estimator,
@@ -33,11 +34,9 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.verify import LDLRInstance
 
 __all__ = [
     "DETECTION_SEEDS",
-    "LDLR_GRID_SNR",
     "LEG_NAMES",
     "WEDIN_DELTA",
     "WEDIN_DIM",
@@ -45,22 +44,11 @@ __all__ = [
     "default_samples",
     "detection_median",
     "detection_run",
-    "iteration_seed",
-    "ldlr_grid",
     "random_unit_pairs",
     "sample_grid",
     "wedin_net",
 ]
 
-
-def iteration_seed(seed: int) -> int:
-    """Seed for iterative-solver randomness, derived from the run seed.
-
-    Kept distinct from the instance and sampling seeds: reusing the raw
-    seed would make the starting vector reproduce the planted-direction
-    draw and bias null-model runs.
-    """
-    return 8191 + 31 * seed
 
 DETECTION_SEEDS = tuple(range(10))
 
@@ -138,24 +126,6 @@ def detection_median(
 
 # ---------------------------------------------------------------------------
 # fixed grids behind the frozen calibration constants
-
-# Signal levels for the exact-norm envelope grid, safely inside the
-# mixture-measure admissible range at each order.
-LDLR_GRID_SNR = {2: 0.25, 4: 0.5}
-
-
-def ldlr_grid(k: int) -> list[LDLRInstance]:
-    """Exact-norm instances whose envelope constants get frozen."""
-    snr = LDLR_GRID_SNR[k]
-    coeffs = tuple(build_mog_measure(k, snr).nu_hat(6)[1:])
-    degrees = (2, 4, 6) if k == 2 else (4, 6)
-    return [
-        LDLRInstance(problem="ngca", N=n, d=d, k=k, t=t, coeffs=coeffs, snr=snr)
-        for n in (1, 2, 4)
-        for d in (4, 6, 8)
-        for t in degrees
-    ]
-
 
 WEDIN_DIM = 3
 WEDIN_DELTA = 0.2

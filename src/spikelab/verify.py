@@ -4,7 +4,10 @@ Hermite norms, and low-degree likelihood-ratio norms.
 Everything here is ground truth: enumeration over {+-1}^d (organized by
 exchangeability classes or Walsh-Hadamard transforms, never sampled) and
 exact rational arithmetic where the quantity is rational.  Monte Carlo
-appears only in the one explicitly statistical report at the bottom.
+appears only in the one explicitly statistical report,
+``tpca_llr_hermite_check``.  The suites that ``spikelab verify`` runs
+close the module; each checks these oracles or another layer against
+closed forms and returns one ``CheckResult`` per check.
 """
 
 from __future__ import annotations
@@ -16,18 +19,41 @@ from importlib import resources
 
 import numpy as np
 
-from spikelab.hermite import HermiteBasis
-from spikelab.models import cca_critical_snr
+from spikelab.harness import (
+    QuantizedIteration,
+    QuantizerSpec,
+    ResourceProfile,
+    partial_trace_template,
+    power_template,
+    reduce_memory_to_distributed,
+    run_distributed,
+    run_memory_bounded,
+    shard_stream,
+)
+from spikelab.hermite import (
+    HermiteBasis,
+    build_weighted_basis,
+    gauss_hermite_rule,
+    hermite_eval,
+)
+from spikelab.measures import build_bounded_llr_measure, build_mog_measure
+from spikelab.models import ModelSpec, cca_critical_snr
 
 __all__ = [
+    "CheckResult",
     "LDLRInstance",
+    "LDLR_GRID_SNR",
+    "SUITES",
     "check_rademacher_bounds",
+    "harness_fixture_runs",
     "integrated_hermite_inner",
     "integrated_hermite_norm",
+    "ldlr_grid",
     "ldlr_norm_exact",
     "ldlr_sandwich",
     "load_calibration",
     "rademacher_mean_moment",
+    "run_verification",
     "sign_coefficient",
     "sign_tail_mass",
     "tpca_llr_hermite_check",
@@ -397,3 +423,246 @@ def load_calibration() -> dict:
         key, _, raw = line.partition("=")
         values[key.strip()] = float(raw.strip())
     return values
+
+
+# Signal levels for the exact-norm envelope grid, safely inside the
+# mixture-measure admissible range at each order.
+LDLR_GRID_SNR = {2: 0.25, 4: 0.5}
+
+
+def ldlr_grid(k: int) -> list[LDLRInstance]:
+    """Exact-norm instances whose envelope constants get frozen."""
+    snr = LDLR_GRID_SNR[k]
+    coeffs = tuple(build_mog_measure(k, snr).nu_hat(6)[1:])
+    degrees = (2, 4, 6) if k == 2 else (4, 6)
+    return [
+        LDLRInstance(problem="ngca", N=n, d=d, k=k, t=t, coeffs=coeffs, snr=snr)
+        for n in (1, 2, 4)
+        for d in (4, 6, 8)
+        for t in degrees
+    ]
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+
+
+SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One line of a check report: ``check,PASS|FAIL,measured,bound``."""
+
+    check: str
+    ok: bool
+    measured: float
+    bound: float
+
+    def line(self) -> str:
+        status = "PASS" if self.ok else "FAIL"
+        return f"{self.check},{status},{float(self.measured):.12g},{float(self.bound):.12g}"
+
+
+def _suite_hermite() -> list[CheckResult]:
+    checks = []
+    rule = gauss_hermite_rule(16)
+    values = HermiteBasis(8).eval_all(rule.nodes)
+    gram = (values * rule.weights) @ values.T
+    dev = float(np.abs(gram - np.eye(9)).max())
+    checks.append(CheckResult("hermite/orthonormality", dev <= 1e-9, dev, 1e-9))
+    worst = 0.0
+    shift_rule = gauss_hermite_rule(24)
+    for k in range(7):
+        for mu in (0.3, 1.1):
+            got = shift_rule.expect(hermite_eval(k, mu + shift_rule.nodes))
+            worst = max(worst, abs(got - mu**k / math.sqrt(math.factorial(k))))
+    checks.append(CheckResult("hermite/shifted-mean", worst <= 1e-9, worst, 1e-9))
+    worst = 0.0
+    for nodes in range(1, 5):
+        small = gauss_hermite_rule(nodes)
+        got = small.expect(hermite_eval(2 * nodes, small.nodes))
+        target = -math.factorial(nodes) / math.sqrt(math.factorial(2 * nodes))
+        worst = max(worst, abs(got - target))
+    checks.append(CheckResult("hermite/small-rule-residual", worst <= 1e-9, worst, 1e-9))
+    worst = 0.0
+    for k in (2, 3, 4, 6):
+        basis = build_weighted_basis(k)
+        vals = np.array([basis.eval(j, basis.nodes) for j in range(k + 1)])
+        gram = np.array(
+            [[basis.inner(vals[i], vals[j]) for j in range(k + 1)] for i in range(k + 1)]
+        )
+        worst = max(worst, float(np.abs(gram - np.eye(k + 1)).max()))
+    checks.append(CheckResult("hermite/weighted-orthonormality", worst <= 1e-9, worst, 1e-9))
+    return checks
+
+
+def _suite_rademacher() -> list[CheckResult]:
+    checks = []
+    try:
+        report = check_rademacher_bounds(10, 6)
+        ratio = max(
+            abs(e["value"]) / e["bound"]
+            for e in report
+            if e["kind"] in ("plain-upper", "marked-upper") and e["bound"] > 0
+        )
+        checks.append(CheckResult("rademacher/envelope-d10-t6", True, ratio, 1.0))
+    except RuntimeError:
+        checks.append(CheckResult("rademacher/envelope-d10-t6", False, math.inf, 1.0))
+    quartic = rademacher_mean_moment(10, 4)
+    exact = quartic == Fraction(28, 1000)
+    checks.append(CheckResult("rademacher/quartic-closed-form", exact, float(quartic), 0.028))
+    worst = 0.0
+    for d in (4, 6):
+        for k, i in ((2, 1), (2, 2), (3, 2)):
+            wht = integrated_hermite_norm(d, k, i)
+            direct = float(rademacher_mean_moment(d, k * i))
+            worst = max(worst, abs(wht - direct))
+    checks.append(CheckResult("rademacher/pair-route-agreement", worst <= 1e-12, worst, 1e-12))
+    cross = max(
+        abs(integrated_hermite_inner(4, 2, i, j))
+        for i in range(3)
+        for j in range(3)
+        if i != j
+    )
+    checks.append(CheckResult("rademacher/cross-terms-zero", cross == 0.0, cross, 0.0))
+    return checks
+
+
+def _suite_ldlr() -> list[CheckResult]:
+    checks = []
+    calibration = load_calibration()
+    for k in (2, 4):
+        slack = math.inf
+        ok = True
+        for inst in ldlr_grid(k):
+            result = ldlr_sandwich(
+                inst,
+                c_lower=calibration[f"ldlr_ngca_c_lower_k{k}"],
+                c_upper=calibration[f"ldlr_ngca_c_upper_k{k}"],
+            )
+            ok = ok and result["upper_ok"] and result.get("lower_ok", True)
+            slack = min(slack, result["upper"] - result["norm"])
+            if "lower" in result:
+                slack = min(slack, result["norm"] - result["lower"])
+        checks.append(CheckResult(f"ldlr/sandwich-k{k}", ok and slack >= 0, slack, 0.0))
+    partial = sum(sign_coefficient(t) ** 2 for t in range(42))
+    defect = abs(partial + sign_tail_mass(41) - 1.0)
+    checks.append(CheckResult("ldlr/sign-parseval", defect <= 1e-8, defect, 1e-8))
+    coeffs = tuple(build_mog_measure(4, 0.005).nu_hat(8)[1:])
+    one = ldlr_norm_exact(
+        LDLRInstance(problem="ngca", N=1, d=8, k=4, t=8, coeffs=coeffs, snr=0.005)
+    )
+    two = ldlr_norm_exact(
+        LDLRInstance(problem="ngca", N=2, d=8, k=4, t=8, coeffs=coeffs, snr=0.005)
+    )
+    ratio = two / one
+    checks.append(CheckResult("ldlr/doubling-linearity", 1.9 <= ratio <= 2.1, ratio, 2.0))
+    return checks
+
+
+def _suite_models() -> list[CheckResult]:
+    checks = []
+    for k in (2, 4, 6):
+        ceiling = build_mog_measure(k, 0.0).lambda_k
+        measure = build_mog_measure(k, 0.4 * ceiling)
+        dev = max(
+            abs(measure.moment(j) - build_mog_measure(k, 0.0).moment(j))
+            for j in range(k)
+        )
+        gap_err = abs(measure.moment_gap() - measure.snr)
+        checks.append(CheckResult(f"models/mixture-moments-k{k}", dev <= 1e-7, dev, 1e-7))
+        checks.append(CheckResult(f"models/mixture-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
+    for k in (2, 3, 4, 6):
+        ceiling = build_weighted_basis(k).lambda_max
+        measure = build_bounded_llr_measure(k, 0.5 * ceiling)
+        dev = max(abs(measure.moment(j) - _gauss_moment(j)) for j in range(k))
+        gap_err = abs(measure.moment_gap() + measure.snr)
+        checks.append(CheckResult(f"models/tilt-moments-k{k}", dev <= 1e-7, dev, 1e-7))
+        checks.append(CheckResult(f"models/tilt-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
+    try:
+        ModelSpec.cca(k=2, d=3, snr=cca_critical_snr(2) + 0.05)
+        checks.append(CheckResult("models/cca-ceiling-guard", False, 0.0, 0.0))
+    except ValueError:
+        checks.append(CheckResult("models/cca-ceiling-guard", True, 0.0, 0.0))
+    return checks
+
+
+def _gauss_moment(j: int) -> float:
+    return float(math.prod(range(1, j, 2))) if j % 2 == 0 and j > 0 else (1.0 if j == 0 else 0.0)
+
+
+def harness_fixture_runs():
+    """Streaming runs plus their sharded replays, for the equality check.
+
+    Two wrapped iterations (an order-2 contraction at d = 4 and an
+    order-4 partial trace at d = 3) on fixed Gaussian streams of 32
+    rows, each replayed at shard sizes 32, 16, and 8; every replay
+    carries its protocol, for the writer audit.
+    """
+    cases = []
+    for label, psi, d, k, bits, radius in (
+        ("power-k2-d4", power_template(2), 4, 2, 8, 8.0),
+        ("partial-trace-k4-d3", partial_trace_template(4, 3), 3, 4, 32, 64.0),
+    ):
+        rng = np.random.default_rng(97)
+        data = rng.standard_normal((32, d**k))
+        init = rng.standard_normal(d)
+        algorithm = QuantizedIteration(
+            psi, QuantizerSpec(bits=bits, radius=radius), d, 32, init
+        )
+        profile = ResourceProfile(samples=32, passes=6, state_bits=algorithm.state_bits)
+        direct = run_memory_bounded(algorithm, data, profile)
+        replays = []
+        for shard_rows in (32, 16, 8):
+            protocol, m, n_shard, b = reduce_memory_to_distributed(
+                algorithm, profile, shard_rows
+            )
+            report, board = run_distributed(
+                protocol, shard_stream(data, shard_rows), m, n_shard, b
+            )
+            replays.append((shard_rows, protocol, report, board, m, n_shard, b))
+        cases.append((label, profile, direct, replays))
+    return cases
+
+
+def _suite_harness() -> list[CheckResult]:
+    checks = []
+    mismatches = 0
+    accounting = 0
+    audit_failures = 0
+    for label, profile, direct, replays in harness_fixture_runs():
+        for shard_rows, protocol, report, board, m, n_shard, b in replays:
+            if not np.array_equal(direct.estimate, report.estimate):
+                mismatches += 1
+            if m * b != (profile.samples // n_shard) * profile.state_bits * profile.passes:
+                accounting += 1
+            if len(board.bits) != m * b:
+                accounting += 1
+            # Round-by-round ``select_writer`` against the writers the
+            # runner took from ``select_writers``.
+            if not board.audit(protocol):
+                audit_failures += 1
+    checks.append(
+        CheckResult("harness/reduction-bit-equality", mismatches == 0, mismatches, 0.0)
+    )
+    checks.append(
+        CheckResult("harness/transcript-accounting", accounting == 0, accounting, 0.0)
+    )
+    checks.append(
+        CheckResult("harness/writer-audit", audit_failures == 0, audit_failures, 0.0)
+    )
+    return checks
+
+
+def run_verification(suite: str) -> list[CheckResult]:
+    runners = {
+        "hermite": _suite_hermite,
+        "rademacher": _suite_rademacher,
+        "ldlr": _suite_ldlr,
+        "models": _suite_models,
+        "harness": _suite_harness,
+    }
+    if suite not in runners:
+        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    return runners[suite]()

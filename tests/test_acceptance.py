@@ -14,15 +14,9 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.benchmarks import (
-    LEG_NAMES,
-    default_samples,
-    detection_median,
-    ldlr_grid,
-    sample_grid,
-)
 from spikelab.cli import CSV_COLUMNS, run_sweep, sweep_csv
 from spikelab.config import parse_config
+from spikelab.detection import LEG_NAMES, default_samples, detection_median, sample_grid
 from spikelab.estimators import (
     PowerMethodConfig,
     cca_matricization_estimator,
@@ -57,6 +51,7 @@ from spikelab.tensors import overlap, rank1_densify
 from spikelab.verify import (
     check_rademacher_bounds,
     integrated_hermite_inner,
+    ldlr_grid,
     ldlr_sandwich,
     load_calibration,
     sign_coefficient,

@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from spikelab import benchmarks
+from spikelab import detection
 from spikelab.estimators import net_discrepancy
-from spikelab.verify import ldlr_sandwich, load_calibration
+from spikelab.verify import LDLR_GRID_SNR, ldlr_grid, ldlr_sandwich, load_calibration
 
 
 @pytest.fixture(scope="module")
@@ -16,13 +16,13 @@ def calibration():
 
 def test_fixture_keys_and_grid_parameters(calibration):
     assert calibration["format_version"] == 1.0
-    assert calibration["wedin_dim"] == benchmarks.WEDIN_DIM
-    assert calibration["wedin_delta"] == benchmarks.WEDIN_DELTA
-    assert calibration["wedin_net_seed"] == benchmarks.WEDIN_NET_SEED
+    assert calibration["wedin_dim"] == detection.WEDIN_DIM
+    assert calibration["wedin_delta"] == detection.WEDIN_DELTA
+    assert calibration["wedin_net_seed"] == detection.WEDIN_NET_SEED
     for k in (2, 3, 4):
         assert calibration[f"wedin_c_k{k}"] > 0
     for k in (2, 4):
-        assert calibration[f"ldlr_ngca_snr_k{k}"] == benchmarks.LDLR_GRID_SNR[k]
+        assert calibration[f"ldlr_ngca_snr_k{k}"] == LDLR_GRID_SNR[k]
         assert calibration[f"ldlr_ngca_c_lower_k{k}"] > 0
         assert calibration[f"ldlr_ngca_c_upper_k{k}"] > 0
 
@@ -39,7 +39,7 @@ def test_norm_envelope_holds_with_frozen_constants(calibration):
         c_lower = calibration[f"ldlr_ngca_c_lower_k{k}"]
         c_upper = calibration[f"ldlr_ngca_c_upper_k{k}"]
         saw_lower = False
-        for inst in benchmarks.ldlr_grid(k):
+        for inst in ldlr_grid(k):
             result = ldlr_sandwich(inst, c_lower=c_lower, c_upper=c_upper)
             assert result["upper_ok"], (k, inst.N, inst.d, inst.t, result)
             if "lower" in result:
@@ -49,9 +49,9 @@ def test_norm_envelope_holds_with_frozen_constants(calibration):
 
 
 def test_net_discrepancy_inequality_on_fresh_pairs(calibration):
-    net = benchmarks.wedin_net()
-    delta = benchmarks.WEDIN_DELTA
-    pairs = benchmarks.random_unit_pairs(150, benchmarks.WEDIN_DIM, seed=1)
+    net = detection.wedin_net()
+    delta = detection.WEDIN_DELTA
+    pairs = detection.random_unit_pairs(150, detection.WEDIN_DIM, seed=1)
     for k in (2, 3, 4):
         c_k = calibration[f"wedin_c_k{k}"]
         for u1, u2 in pairs:

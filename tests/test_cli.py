@@ -1,19 +1,12 @@
-"""Config parsing, sweep determinism, verification suites, CLI verbs."""
+"""Config parsing, sweep determinism, CLI verbs."""
 
 import numpy as np
 import pytest
 
 from spikelab.batchio import load_batch
-from spikelab.cli import (
-    CSV_COLUMNS,
-    SUITES,
-    main,
-    run_sweep,
-    run_verification,
-    sweep_csv,
-)
+from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
 from spikelab.config import ExperimentConfig, parse_config
-from spikelab.harness import Blackboard
+from spikelab.verify import SUITES
 
 BASE = """
 [experiment]
@@ -101,6 +94,9 @@ def test_flag_overrides(tmp_path):
         ("k = 2", "k = 0"),
         # seed 1000's instance stream would be seed 0's noise stream
         ("seeds = 0, 1, 2", "seeds = 0, 1000"),
+        # net options that the tensor power method never reads
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\ndelta = 0.3"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\nprobes = 5"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
@@ -142,6 +138,10 @@ def test_brute_force_requires_net_options(tmp_path):
     with pytest.raises(ValueError, match="delta"):
         parse_config(write(tmp_path, text))
     parse_config(write(tmp_path, text + "\n[estimator]\ndelta = 0.3\ntrunc = 6\n"))
+    with pytest.raises(ValueError, match="max_iters"):
+        parse_config(
+            write(tmp_path, text + "\n[estimator]\ndelta = 0.3\ntrunc = 6\nmax_iters = 5\n")
+        )
 
 
 @pytest.mark.parametrize("key", ["probes", "max_net"])
@@ -224,47 +224,30 @@ def test_sweep_harness_row_accounting(tmp_path):
     assert 0.0 <= row["overlap"] <= 1.0
 
 
-# -- verification suites ----------------------------------------------------
-
-
-@pytest.mark.parametrize("suite", SUITES)
-def test_every_suite_passes(suite):
-    results = run_verification(suite)
-    assert results
-    assert all(r.ok for r in results), [r.check for r in results if not r.ok]
-
-
-def test_harness_suite_audits_every_replay(monkeypatch):
-    boards = []
-
-    def audit(board, protocol):
-        boards.append(board)
-        return len(boards) != 2
-
-    monkeypatch.setattr(Blackboard, "audit", audit)
-    results = {r.check: r for r in run_verification("harness")}
-    assert len(boards) == 6  # two fixture runs, three shard sizes each
-    assert not results["harness/writer-audit"].ok
-    assert results["harness/writer-audit"].measured == 1
-
-
-def test_unknown_suite_rejected():
-    with pytest.raises(ValueError, match="unknown suite"):
-        run_verification("cosmology")
-
-
-def test_check_lines_are_four_column():
-    for result in run_verification("rademacher"):
-        cells = result.line().split(",")
-        assert len(cells) == 4
-        assert cells[1] in ("PASS", "FAIL")
-
-
 # -- verbs ------------------------------------------------------------------
 
 
 def test_main_verify_exit_code():
     assert main(["verify", "hermite"]) == 0
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_every_suite_passes(suite, capsys):
+    status = main(["verify", suite])
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines
+    assert status == 0, [line for line in lines if ",PASS," not in line]
+
+
+def test_check_lines_are_four_column(capsys):
+    assert main(["verify", "rademacher"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "check,status,measured,bound"
+    assert lines
+    for line in lines:
+        cells = line.split(",")
+        assert len(cells) == 4
+        assert cells[1] in ("PASS", "FAIL")
 
 
 def test_main_sweep_writes_file(tmp_path, capsys):

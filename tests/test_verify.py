@@ -1,5 +1,6 @@
 """Exact-oracle checks: hypercube moments, integrated Hermite norms,
-low-degree likelihood-ratio norms, sign coefficients."""
+low-degree likelihood-ratio norms, sign coefficients, and the
+verification suites built on them."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.harness import Blackboard
 from spikelab.measures import build_mog_measure
 from spikelab.models import cca_critical_snr
 from spikelab.verify import (
@@ -20,6 +22,7 @@ from spikelab.verify import (
     ldlr_norm_exact,
     ldlr_sandwich,
     rademacher_mean_moment,
+    run_verification,
     sign_coefficient,
     sign_tail_mass,
     tpca_llr_hermite_check,
@@ -343,3 +346,25 @@ def test_llr_hermite_projection_bands():
 def test_llr_check_rejects_small_budget():
     with pytest.raises(ValueError):
         tpca_llr_hermite_check(k=2, d=4, snr=0.5, mc_samples=100, seed=0)
+
+
+# -- verification suites ----------------------------------------------------
+
+
+def test_harness_suite_audits_every_replay(monkeypatch):
+    boards = []
+
+    def audit(board, protocol):
+        boards.append(board)
+        return len(boards) != 2
+
+    monkeypatch.setattr(Blackboard, "audit", audit)
+    results = {r.check: r for r in run_verification("harness")}
+    assert len(boards) == 6  # two fixture runs, three shard sizes each
+    assert not results["harness/writer-audit"].ok
+    assert results["harness/writer-audit"].measured == 1
+
+
+def test_unknown_suite_rejected():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_verification("cosmology")
