@@ -104,31 +104,14 @@ def _build_spec(cfg: ExperimentConfig, seed: int) -> ModelSpec:
     return ModelSpec.ngca(d=cfg.d, measure=builder(cfg.k, cfg.snr), seed=seed)
 
 
-def _power_config(cfg: ExperimentConfig, seed: int) -> PowerMethodConfig:
-    opts = cfg.estimator_options
-    return PowerMethodConfig(
-        max_iters=opts.get("max_iters"),
-        tol=opts.get("tol", 1e-10),
-        seed=iteration_seed(seed),
-    )
-
-
-def _brute_config(cfg: ExperimentConfig, seed: int) -> BruteForceConfig:
-    opts = cfg.estimator_options
-    return BruteForceConfig(
-        delta=opts["delta"],
-        trunc=opts["trunc"],
-        seed=iteration_seed(seed),
-        probes=opts.get("probes", 10_000),
-        max_net=opts.get("max_net", 200_000),
-    )
-
-
 def _run_plain(cfg: ExperimentConfig, batch, seed: int):
+    # config.py admits only option names that are fields of the
+    # estimator's config object; unset options keep its defaults.
+    opts = dict(cfg.estimator_options, seed=iteration_seed(seed))
     name = cfg.estimator
     if name in ("brute-force-ngca", "brute-force-cca"):
         fn = brute_force_ngca if name == "brute-force-ngca" else brute_force_cca
-        return fn(batch, _brute_config(cfg, seed))
+        return fn(batch, BruteForceConfig(**opts))
     fn = {
         "tensor-power": tensor_power_method,
         "partial-trace": partial_trace_spectral,
@@ -136,7 +119,7 @@ def _run_plain(cfg: ExperimentConfig, batch, seed: int):
         "cca-matricization": cca_matricization_estimator,
         "ngca-spectral": ngca_spectral,
     }[name]
-    return fn(batch, _power_config(cfg, seed))
+    return fn(batch, PowerMethodConfig(**opts))
 
 
 def _fmt(value) -> str:

@@ -10,47 +10,39 @@ runtime behavior.
 from __future__ import annotations
 
 import configparser
-import numbers
 from dataclasses import dataclass, field
+
+from spikelab.estimators import BruteForceConfig, PowerMethodConfig
 
 __all__ = [
     "DistributedSettings",
     "ExperimentConfig",
     "HarnessSettings",
-    "estimator_problems",
     "iteration_seed",
     "parse_config",
 ]
 
 _PROBLEMS = ("tpca", "atpca", "ngca", "cca")
 
-_ESTIMATOR_PROBLEMS = {
-    "tensor-power": ("tpca",),
-    "partial-trace": ("tpca",),
-    "matricization": ("tpca", "atpca"),
-    "cca-matricization": ("cca",),
-    "ngca-spectral": ("ngca",),
-    "brute-force-ngca": ("ngca",),
-    "brute-force-cca": ("cca",),
+_POWER_OPTIONS = ("max_iters", "tol")
+_NET_OPTIONS = ("delta", "trunc", "probes", "max_net")
+
+# Each estimator: the problems it applies to, and the [estimator] options
+# it reads in plain mode, named as the fields of its PowerMethodConfig or
+# BruteForceConfig.  Any other option is rejected rather than ignored.
+_ESTIMATORS = {
+    "tensor-power": (("tpca",), _POWER_OPTIONS),
+    "partial-trace": (("tpca",), _POWER_OPTIONS),
+    "matricization": (("tpca", "atpca"), _POWER_OPTIONS),
+    "cca-matricization": (("cca",), _POWER_OPTIONS),
+    "ngca-spectral": (("ngca",), _POWER_OPTIONS),
+    "brute-force-ngca": (("ngca",), _NET_OPTIONS),
+    "brute-force-cca": (("cca",), _NET_OPTIONS),
 }
 
 # Estimators with a streaming contraction template; only these can run
 # under the bit-budget harness.
 _TEMPLATE_ESTIMATORS = ("tensor-power", "partial-trace")
-
-# The [estimator] options each estimator reads in plain mode; any other
-# option is rejected rather than silently ignored.
-_POWER_OPTIONS = ("max_iters", "tol")
-_NET_OPTIONS = ("delta", "trunc", "probes", "max_net")
-_ESTIMATOR_OPTIONS = {
-    "tensor-power": _POWER_OPTIONS,
-    "partial-trace": _POWER_OPTIONS,
-    "matricization": _POWER_OPTIONS,
-    "cca-matricization": _POWER_OPTIONS,
-    "ngca-spectral": _POWER_OPTIONS,
-    "brute-force-ngca": _NET_OPTIONS,
-    "brute-force-cca": _NET_OPTIONS,
-}
 
 _ESTIMATOR_OPTION_TYPES = {
     "max_iters": int,
@@ -60,10 +52,6 @@ _ESTIMATOR_OPTION_TYPES = {
     "probes": int,
     "max_net": int,
 }
-
-
-def estimator_problems(name: str) -> tuple[str, ...]:
-    return _ESTIMATOR_PROBLEMS[name]
 
 
 @dataclass(frozen=True)
@@ -121,9 +109,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in _PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.estimator not in _ESTIMATOR_PROBLEMS:
+        if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.problem not in _ESTIMATOR_PROBLEMS[self.estimator]:
+        problems, options = _ESTIMATORS[self.estimator]
+        if self.problem not in problems:
             raise ValueError(
                 f"estimator {self.estimator!r} does not apply to "
                 f"problem {self.problem!r}"
@@ -150,28 +139,22 @@ class ExperimentConfig:
             raise ValueError(f"seeds must span less than 1000, got {seeds}")
         object.__setattr__(self, "samples_grid", grid)
         object.__setattr__(self, "seeds", seeds)
-        unread = set(self.estimator_options) - set(_ESTIMATOR_OPTIONS[self.estimator])
+        unread = set(self.estimator_options) - set(options)
         if unread:
             raise ValueError(
                 f"estimator {self.estimator!r} does not read options {sorted(unread)}"
             )
+        # Build the estimator's config object once, so that its own checks
+        # of the option values run at parse time.
         if self.estimator.startswith("brute-force"):
             missing = {"delta", "trunc"} - set(self.estimator_options)
             if missing:
                 raise ValueError(
                     f"{self.estimator} needs estimator options {sorted(missing)}"
                 )
-        for key in ("probes", "max_net"):
-            value = self.estimator_options.get(key, 1)
-            # The rule of estimators.BruteForceConfig, applied at parse time.
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, numbers.Integral)
-                or value < 1
-            ):
-                raise ValueError(
-                    f"estimator option {key} must be an integer >= 1, got {value!r}"
-                )
+            BruteForceConfig(**self.estimator_options)
+        else:
+            PowerMethodConfig(**self.estimator_options)
         if self.harness is not None and self.estimator not in _TEMPLATE_ESTIMATORS:
             raise ValueError(
                 f"estimator {self.estimator!r} has no streaming template; "

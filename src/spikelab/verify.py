@@ -36,7 +36,11 @@ from spikelab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
-from spikelab.measures import build_bounded_llr_measure, build_mog_measure
+from spikelab.measures import (
+    build_bounded_llr_measure,
+    build_mog_measure,
+    standard_gaussian,
+)
 from spikelab.models import ModelSpec, cca_critical_snr
 
 __all__ = [
@@ -447,9 +451,6 @@ def ldlr_grid(k: int) -> list[LDLRInstance]:
 # verification suites
 
 
-SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """One line of a check report: ``check,PASS|FAIL,measured,bound``."""
@@ -573,10 +574,11 @@ def _suite_models() -> list[CheckResult]:
         gap_err = abs(measure.moment_gap() - measure.snr)
         checks.append(CheckResult(f"models/mixture-moments-k{k}", dev <= 1e-7, dev, 1e-7))
         checks.append(CheckResult(f"models/mixture-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
+    gaussian = standard_gaussian()
     for k in (2, 3, 4, 6):
         ceiling = build_weighted_basis(k).lambda_max
         measure = build_bounded_llr_measure(k, 0.5 * ceiling)
-        dev = max(abs(measure.moment(j) - _gauss_moment(j)) for j in range(k))
+        dev = max(abs(measure.moment(j) - gaussian.moment(j)) for j in range(k))
         gap_err = abs(measure.moment_gap() + measure.snr)
         checks.append(CheckResult(f"models/tilt-moments-k{k}", dev <= 1e-7, dev, 1e-7))
         checks.append(CheckResult(f"models/tilt-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
@@ -586,10 +588,6 @@ def _suite_models() -> list[CheckResult]:
     except ValueError:
         checks.append(CheckResult("models/cca-ceiling-guard", True, 0.0, 0.0))
     return checks
-
-
-def _gauss_moment(j: int) -> float:
-    return float(math.prod(range(1, j, 2))) if j % 2 == 0 and j > 0 else (1.0 if j == 0 else 0.0)
 
 
 def harness_fixture_runs():
@@ -655,14 +653,18 @@ def _suite_harness() -> list[CheckResult]:
     return checks
 
 
+_SUITE_RUNNERS = {
+    "hermite": _suite_hermite,
+    "rademacher": _suite_rademacher,
+    "ldlr": _suite_ldlr,
+    "models": _suite_models,
+    "harness": _suite_harness,
+}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def run_verification(suite: str) -> list[CheckResult]:
-    runners = {
-        "hermite": _suite_hermite,
-        "rademacher": _suite_rademacher,
-        "ldlr": _suite_ldlr,
-        "models": _suite_models,
-        "harness": _suite_harness,
-    }
-    if suite not in runners:
+    """The check results of one suite, by name (one of ``SUITES``)."""
+    if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    return runners[suite]()
+    return _SUITE_RUNNERS[suite]()

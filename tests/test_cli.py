@@ -97,6 +97,8 @@ def test_flag_overrides(tmp_path):
         # net options that the tensor power method never reads
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\ndelta = 0.3"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\nprobes = 5"),
+        # PowerMethodConfig's own check, run at parse time
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\nmax_iters = 0"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
