@@ -97,15 +97,16 @@ class MemoryBoundedAlgorithm:
 
 def _check_state(state, s: int) -> np.ndarray:
     state = np.asarray(state)
-    if state.dtype.kind not in "uib":
+    kind = state.dtype.kind
+    if kind not in "uib":
         raise RuntimeError(f"state must hold bits, got dtype {state.dtype}")
     if state.shape != (s,):
         raise RuntimeError(
             f"transition returned a state of {state.shape} bits, expected ({s},)"
         )
-    if state.dtype.kind != "b" and not np.all((state == 0) | (state == 1)):
+    if kind != "b" and (state.max() > 1 or (kind == "i" and state.min() < 0)):
         raise RuntimeError("state must be a 0/1 bit vector")
-    return state.astype(np.uint8)
+    return state.astype(np.uint8, copy=False)
 
 
 def run_memory_bounded(
@@ -227,17 +228,16 @@ class QuantizerSpec:
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened."""
-        values = np.asarray(values, dtype=np.float64).reshape(-1)
-        levels = self._levels(values).astype(np.uint64)
-        shifts = np.arange(self.bits, dtype=np.uint64)
-        bits = (levels[:, None] >> shifts[None, :]) & np.uint64(1)
-        return bits.astype(np.uint8).reshape(-1)
+        levels = self._levels(np.asarray(values, dtype=np.float64).reshape(-1))
+        octets = levels.astype("<u8").view(np.uint8).reshape(-1, 8)
+        return np.unpackbits(octets, axis=1, count=self.bits, bitorder="little").reshape(-1)
 
     def decode(self, bits: np.ndarray, count: int) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint64).reshape(count, self.bits)
-        weights = np.uint64(1) << np.arange(self.bits, dtype=np.uint64)
-        levels = (bits * weights[None, :]).sum(axis=1)
-        return levels.astype(np.float64) * self.step - self.radius
+        """The ``count`` lattice values of little-endian ``encode`` codes."""
+        padded = np.zeros((count, 64), dtype=np.uint8)
+        padded[:, : self.bits] = np.reshape(bits, (count, self.bits))
+        levels = np.packbits(padded, bitorder="little").view("<u8")
+        return levels * self.step - self.radius
 
 
 # ---------------------------------------------------------------------------
@@ -304,31 +304,36 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             raise ValueError("init must be a nonzero d-vector")
         self.init = init / np.linalg.norm(init)
         self.state_bits = 2 * d * quantizer.bits
+        # The code for zero, which the partial sum resets to at every pass
+        # boundary (all-zero bits would decode to -radius, not zero).  A
+        # constant of the codec and d, so it is built once and read-only.
+        self.reset_code = quantizer.encode(np.zeros(d))
+        self.reset_code.flags.writeable = False
 
-    def _split(self, state):
+    def _next_state(self, head, tail):
+        state = np.empty(self.state_bits, dtype=np.uint8)
         half = self.state_bits // 2
-        return state[:half], state[half:]
+        state[:half] = head
+        state[half:] = tail
+        return state
 
     def update(self, state, t, i, x):
         q, d = self.quantizer, self.d
-        iterate_bits, partial_bits = self._split(state)
         if t == 0 and i == 0:
             u = self.init
             partial = np.zeros(d)
         else:
-            u = q.decode(iterate_bits, d)
-            partial = q.decode(partial_bits, d)
+            values = q.decode(state, 2 * d)
+            u, partial = values[:d], values[d:]
         w = contract_batch(x[None, :], d, self.psi(u))[0]
-        partial = partial + w / self.n_samples
-        new_partial_bits = q.encode(partial)
+        partial_bits = q.encode(partial + w / self.n_samples)
         if i == self.n_samples - 1:
             # Pass boundary: the accumulated sum becomes the iterate and
-            # the partial sum resets to the code for zero (all-zero bits
-            # would decode to -radius, not zero).
-            return np.concatenate([new_partial_bits, q.encode(np.zeros(d))])
+            # the partial sum resets to the code for zero.
+            return self._next_state(partial_bits, self.reset_code)
         if t == 0 and i == 0:
-            iterate_bits = q.encode(u)
-        return np.concatenate([iterate_bits, new_partial_bits])
+            return self._next_state(q.encode(u), partial_bits)
+        return self._next_state(state[: self.state_bits // 2], partial_bits)
 
     def update_block(self, state, t, i0, rows):
         """``update`` over a block of one pass, bit-identical to the loop.
@@ -348,26 +353,27 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if len(rows) == 0:
             return state
         rows = rows.reshape(len(rows), -1, d)
-        iterate_bits, partial_bits = self._split(state)
-        first = int(t == 0 and i0 == 0)  # rows contracted against init
-        w = np.empty((len(rows), d))
-        if first:
+        if t == 0 and i0 == 0:
             iterate_bits = q.encode(self.init)
             partial = np.zeros(d)
+            w = np.empty((len(rows), d))
             w[:1] = self.psi(self.init) @ rows[:1]
+            if len(rows) > 1:
+                w[1:] = self.psi(q.decode(iterate_bits, d)) @ rows[1:]
+            w /= n
         else:
-            partial = q.decode(partial_bits, d)
-        if len(rows) > first:
-            w[first:] = self.psi(q.decode(iterate_bits, d)) @ rows[first:]
-        w /= n
+            iterate_bits = state[: self.state_bits // 2]
+            values = q.decode(state, 2 * d)
+            partial = values[d:]
+            w = (self.psi(values[:d]) @ rows) / n
         partial_bits = q.encode(q.snap_sum(partial, w[:-1]) + w[-1])
         if i0 + len(rows) == n:
             # Pass boundary, as in ``update``.
-            return np.concatenate([partial_bits, q.encode(np.zeros(d))])
-        return np.concatenate([iterate_bits, partial_bits])
+            return self._next_state(partial_bits, self.reset_code)
+        return self._next_state(iterate_bits, partial_bits)
 
     def estimate(self, state):
-        u = self.quantizer.decode(self._split(state)[0], self.d)
+        u = self.quantizer.decode(state[: self.state_bits // 2], self.d)
         nrm = float(np.linalg.norm(u))
         if nrm == 0.0:
             raise RuntimeError("iterate collapsed to numerical zero")
@@ -445,25 +451,36 @@ class Blackboard:
         return True
 
 
+_BOOLS = (bool, np.bool_)
+
+
+def _is_writer(value, m: int) -> bool:
+    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, _BOOLS)
+    return is_int and 0 <= value < m
+
+
 def _writer_block(values, start: int, stop: int, m: int) -> np.ndarray:
-    """The writers of rounds start..stop-1, checked to be machine indices."""
+    """The writers of rounds start..stop-1, checked to be machine indices.
+
+    A bool is not a machine index, even where numpy would cast it to one.
+    """
     block = np.asarray(values)
     if block.shape != (stop - start,):
         raise ValueError(
             f"protocol gave writers of shape {block.shape} for rounds {start}..{stop - 1}"
         )
-    if block.dtype.kind in "uib":
-        bad = np.flatnonzero((block < 0) | (block >= m))
-    else:
-        # Name the first entry that is not an integer.
-        ints = (isinstance(w, (int, np.integer)) for w in values)
-        bad = [next((j for j, is_int in enumerate(ints) if not is_int), 0)]
-    if len(bad):
-        j = int(bad[0])
-        raise ValueError(
-            f"writer {block[j]} at round {start + j} is not a machine index in [0, {m})"
-        )
-    return block
+    if (
+        block.dtype.kind in "ui"
+        and block.min() >= 0
+        and block.max() < m
+        and (isinstance(values, np.ndarray) or not any(isinstance(w, _BOOLS) for w in values))
+    ):
+        return block
+    # Name the first entry that is not a machine index.
+    j = next((j for j, w in enumerate(values) if not _is_writer(w, m)), 0)
+    raise ValueError(
+        f"writer {values[j]} at round {start + j} is not a machine index in [0, {m})"
+    )
 
 
 def _bit_block(values, t: int) -> np.ndarray:
@@ -472,11 +489,10 @@ def _bit_block(values, t: int) -> np.ndarray:
         raise ValueError(f"protocol wrote a block of shape {block.shape} at round {t}")
     if block.dtype.kind not in "uib":
         raise ValueError(f"protocol wrote non-bit values of dtype {block.dtype} at round {t}")
-    bad = np.flatnonzero((block != 0) & (block != 1))
-    if bad.size:
-        j = int(bad[0])
-        raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
-    return block
+    if block.min() >= 0 and block.max() <= 1:
+        return block
+    j = int(np.flatnonzero((block != 0) & (block != 1))[0])
+    raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
 
 
 def run_distributed(
@@ -510,15 +526,17 @@ def run_distributed(
     written = [0] * m
     t = 0
     while t < rounds:
-        writer = int(_writer_block([protocol.select_writer(t, bits[:t])], t, t + 1, m)[0])
+        writer = protocol.select_writer(t, bits[:t])
+        if type(writer) is not int or not 0 <= writer < m:
+            writer = int(_writer_block([writer], t, t + 1, m)[0])
         block = _bit_block(protocol.next_bits(shards[writer], t, bits[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
         stop = t + 1
         if end > stop:
             later = protocol.select_writers(stop, end, bits[:end])
-            change = np.flatnonzero(_writer_block(later, stop, end, m) != writer)
-            stop = stop + int(change[0]) if change.size else end
+            same = _writer_block(later, stop, end, m) == writer
+            stop = end if same.all() else stop + int(same.argmin())
         written[writer] += stop - t
         if written[writer] > b:
             raise RuntimeError(
