@@ -175,16 +175,16 @@ def _tridiag_eigh(diag: np.ndarray, offdiag: np.ndarray):
     return d[order], z[:, order]
 
 
-def _node_count(num_nodes) -> int:
-    """A quadrature node count as an exact int, the key of the rule memos.
+def _memo_key(value, name: str = "node count") -> int:
+    """A memo key (node count, degree, grid size) as an exact int.
 
     Runs before any memo lookup, so a float or a bool raises
     ``TypeError`` instead of hashing equal to an int key (``2.0 == 2``)
-    and quietly receiving the rule cached under it.
+    and quietly receiving the value cached under it.
     """
-    if isinstance(num_nodes, bool):
-        raise TypeError(f"node count must be an integer, got {num_nodes!r}")
-    return operator.index(num_nodes)
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
@@ -205,7 +205,7 @@ def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
     whose arrays are read-only.  ``num_nodes`` must be an int (numpy
     integers included); floats and bools raise ``TypeError``.
     """
-    num_nodes = _node_count(num_nodes)
+    num_nodes = _memo_key(num_nodes)
     if num_nodes < 1:
         raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
     return _hermite_rule(num_nodes)
@@ -357,21 +357,33 @@ def build_weighted_basis(
     polynomial part exactly at machine precision for every degree used
     here, and ``phi`` is entire, so the node count is far past the knee
     of the error curve.  The Legendre rule is memoized by node count and
-    shared, read-only, as the basis's ``nodes`` and ``leg_weights``;
-    ``quad_points`` must be an int, and a float raises ``TypeError``.
+    shared, read-only, as the basis's ``nodes`` and ``leg_weights``.
+
+    Bases are memoized on ``(k, quad_points, grid_points)``: every later
+    call with the same arguments returns the same basis, whose arrays are
+    read-only.  All three must be ints (numpy integers included); floats
+    and bools raise ``TypeError``, before the lookup.
 
     Orthonormalization runs on node values with coefficient tracking and
     one re-orthogonalization pass.  Degrees are capped at 60: well past
     anything the constructions use, and safely clear of the point where
     the power-basis representation degrades.
     """
+    k = _memo_key(k, "degree")
+    quad_points = _memo_key(quad_points)
+    grid_points = _memo_key(grid_points, "grid size")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > 60:
         raise ValueError(f"degree {k} too large for a power-basis representation")
     if quad_points < k + 1:
         raise ValueError("quadrature must have more nodes than the top degree")
-    nodes, leg_weights = _legendre_rule(_node_count(quad_points))
+    return _weighted_basis(k, quad_points, grid_points)
+
+
+@functools.cache
+def _weighted_basis(k: int, quad_points: int, grid_points: int) -> WeightedOrthoBasis:
+    nodes, leg_weights = _legendre_rule(quad_points)
     gauss_weights = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)
     w = leg_weights * gauss_weights
 
@@ -401,6 +413,8 @@ def build_weighted_basis(
 
     sup_norm = _sup_norm_on_interval(coeffs[k], grid_points)
     moment_proj = float(np.dot(w, vander[:, k] * ortho_vals[:, k]))
+    coeffs.flags.writeable = False
+    gauss_weights.flags.writeable = False
     return WeightedOrthoBasis(
         degree=k,
         coeffs=coeffs,

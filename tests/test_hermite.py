@@ -1,5 +1,6 @@
 """Tests for the Hermite / quadrature layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from spikelab.hermite import (
     QuadratureRule,
     _hermite_rule,
     _tridiag_eigh,
+    _weighted_basis,
     build_weighted_basis,
     gauss_hermite_rule,
     hermite_coeff,
@@ -309,13 +311,32 @@ def test_weighted_basis_legendre_memo_matches_fresh_rule(quad_points):
     assert not basis.leg_weights.flags.writeable
 
 
+@pytest.mark.parametrize("k", [2, 3, 6])
+def test_weighted_basis_memo_matches_fresh_build(k):
+    basis = build_weighted_basis(k)
+    assert build_weighted_basis(np.int64(k), np.int64(256), np.int64(100_000)) is basis
+    fresh = _weighted_basis.__wrapped__(k, 256, 100_000)  # the uncached build
+    for field in dataclasses.fields(basis):
+        got, want = getattr(basis, field.name), getattr(fresh, field.name)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+    for array in (basis.coeffs, basis.nodes, basis.leg_weights, basis.gauss_weights):
+        assert not array.flags.writeable
+
+
 def test_rule_memos_reject_non_int_keys_after_caching():
     gauss_hermite_rule(2)
     build_weighted_basis(2, quad_points=256)
     for bad in (2.0, True, np.float64(2.0)):
         with pytest.raises(TypeError):
             gauss_hermite_rule(bad)
+        with pytest.raises(TypeError):
+            build_weighted_basis(bad)
     with pytest.raises(TypeError):
         build_weighted_basis(2, quad_points=256.0)
+    with pytest.raises(TypeError):
+        build_weighted_basis(2, quad_points=np.True_)
+    for bad in (100_000.0, np.float64(100_000.0)):
+        with pytest.raises(TypeError):
+            build_weighted_basis(2, grid_points=bad)
     with pytest.raises(ValueError):
         gauss_hermite_rule(0)
