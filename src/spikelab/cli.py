@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from spikelab.batchio import dump_batch
-from spikelab.config import ExperimentConfig, iteration_seed, parse_config
+from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
 from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
@@ -148,7 +148,7 @@ def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
 def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
     """One grid point, one seed; returns a populated CSV row."""
     spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, 1000 + seed)
+    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
     row = {
         "problem": cfg.problem,
         "k": cfg.k,
@@ -237,7 +237,7 @@ def _cmd_sample(args) -> int:
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, 1000 + seed)
+    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
     path = cfg.out or f"{cfg.problem}_n{n_samples}_seed{seed}.spkb"
     dump_batch(batch, path)
     print(f"wrote {path} ({batch.n} rows x {batch.data.shape[1]} columns)")
@@ -252,7 +252,7 @@ def _cmd_reduce(args) -> int:
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, 1000 + seed)
+    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
     algorithm, profile = build_harness(cfg, n_samples, seed)
     direct = run_memory_bounded(algorithm, batch.data, profile)
     protocol, m, n_shard, b = reduce_memory_to_distributed(

@@ -19,6 +19,7 @@ __all__ = [
     "ExperimentConfig",
     "HarnessSettings",
     "iteration_seed",
+    "noise_seed",
     "parse_config",
 ]
 
@@ -86,9 +87,18 @@ def iteration_seed(seed: int) -> int:
     draw and bias null-model runs.  For a seed list that
     ``ExperimentConfig`` accepts (seeds >= 0 spanning less than 1000),
     every ``8191 + 31 * s`` lies above all of its instance streams ``s``
-    and noise streams ``1000 + s``.
+    and noise streams ``noise_seed(s) = 1000 + s``.
     """
     return 8191 + 31 * seed
+
+
+def noise_seed(seed: int) -> int:
+    """Seed for the sampling noise of the run with instance seed ``seed``.
+
+    Disjoint from every instance stream of a seed list that
+    ``ExperimentConfig`` accepts, because the list spans less than 1000.
+    """
+    return 1000 + seed
 
 
 @dataclass(frozen=True)

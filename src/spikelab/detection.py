@@ -16,7 +16,7 @@ import statistics
 
 import numpy as np
 
-from spikelab.config import iteration_seed
+from spikelab.config import iteration_seed, noise_seed
 from spikelab.estimators import (
     PowerMethodConfig,
     cca_matricization_estimator,
@@ -89,27 +89,27 @@ def detection_run(name: str, snr: float, n_samples: int, seed: int) -> float:
     cfg = PowerMethodConfig(seed=iteration_seed(seed))
     if name == "partial-trace":
         spec = ModelSpec.tpca(k=4, d=_TENSOR_D, snr=snr, seed=seed)
-        report = partial_trace_spectral(sample_tpca(spec, n_samples, 1000 + seed), cfg)
+        report = partial_trace_spectral(sample_tpca(spec, n_samples, noise_seed(seed)), cfg)
         return report.overlap**4
     if name == "reweighted-covariance":
         spec = ModelSpec.ngca(d=_TENSOR_D, measure=build_mog_measure(4, snr), seed=seed)
-        report = ngca_spectral(sample_ngca(spec, n_samples, 1000 + seed), cfg)
+        report = ngca_spectral(sample_ngca(spec, n_samples, noise_seed(seed)), cfg)
         return report.overlap**4
     if name == "matricization":
         spec = ModelSpec.atpca(k=4, d=_TENSOR_D, snr=snr, seed=seed)
         report = mr_matricization_estimator(
-            sample_atpca(spec, n_samples, 1000 + seed), cfg
+            sample_atpca(spec, n_samples, noise_seed(seed)), cfg
         )
         return report.overlap
     if name == "cross-views":
         spec = ModelSpec.cca(k=2, d=2, snr=snr, seed=seed)
         report = cca_matricization_estimator(
-            sample_cca(spec, n_samples, 1000 + seed), cfg
+            sample_cca(spec, n_samples, noise_seed(seed)), cfg
         )
         return report.info["signal_inner"]
     if name == "tensor-power":
         spec = ModelSpec.tpca(k=2, d=_TENSOR_D, snr=snr, seed=seed)
-        report = tensor_power_method(sample_tpca(spec, n_samples, 1000 + seed), cfg)
+        report = tensor_power_method(sample_tpca(spec, n_samples, noise_seed(seed)), cfg)
         return report.overlap**2
     raise ValueError(f"unknown detection leg {name!r}")
 
