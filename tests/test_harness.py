@@ -117,6 +117,13 @@ def test_runner_rejects_non_binary_state():
     with pytest.raises(RuntimeError, match="dtype"):
         run_memory_bounded(Sneaky(), np.zeros((2, 2)), ResourceProfile(2, 1, 1))
 
+    class Negative(XorFold):
+        def update_block(self, state, t, i0, rows):
+            return np.array([-1], dtype=np.int8)  # 255 once cast to uint8
+
+    with pytest.raises(RuntimeError, match="0/1"):
+        run_memory_bounded(Negative(), np.zeros((2, 2)), ResourceProfile(2, 1, 1))
+
 
 def test_runner_checks_stream_shape():
     with pytest.raises(ValueError, match="rows"):
@@ -239,6 +246,62 @@ def test_snap_sum_equals_the_snap_loop(case):
     assert q.snap_sum(start, steps).tobytes() == reference.tobytes()
 
 
+def shift_mask_encode(q, values):
+    """The shift-and-mask encoder the packed codec replaced, as a reference."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    levels = q._levels(values).astype(np.uint64)
+    shifts = np.arange(q.bits, dtype=np.uint64)
+    bits = (levels[:, None] >> shifts[None, :]) & np.uint64(1)
+    return bits.astype(np.uint8).reshape(-1)
+
+
+def shift_mask_decode(q, bits, count):
+    """The multiply-and-sum decoder the packed codec replaced."""
+    bits = np.asarray(bits, dtype=np.uint64).reshape(count, q.bits)
+    weights = np.uint64(1) << np.arange(q.bits, dtype=np.uint64)
+    levels = (bits * weights[None, :]).sum(axis=1)
+    return levels.astype(np.float64) * q.step - q.radius
+
+
+@st.composite
+def codec_cases(draw):
+    """A codec, values out to 3 radii, and codes of the same count."""
+    bits = draw(st.sampled_from([1, 52, 53]) | st.integers(min_value=1, max_value=53))
+    radius = draw(
+        st.sampled_from([0.05, 0.7, 1.0, 8.0, 95.0, 1e6])
+        | st.floats(min_value=1e-3, max_value=1e9)
+    )
+    q = QuantizerSpec(bits=bits, radius=radius)
+    entry = st.floats(min_value=-3 * radius, max_value=3 * radius) | st.sampled_from(
+        [0.0, radius, -radius, 3 * radius, -3 * radius]
+    )
+    values = np.array(draw(st.lists(entry, min_size=1, max_size=8)), dtype=np.float64)
+    size = len(values) * bits
+    code = draw(
+        st.sampled_from([np.zeros(size, np.uint8), np.ones(size, np.uint8)])
+        | st.lists(st.integers(0, 1), min_size=size, max_size=size).map(
+            lambda b: np.array(b, dtype=np.uint8)
+        )
+    )
+    return q, values, code
+
+
+@given(codec_cases())
+@example((QuantizerSpec(bits=53, radius=1.0), np.array([1.0, -1.0, 0.0]), np.ones(159, np.uint8)))
+@example((QuantizerSpec(bits=1, radius=3.0), np.array([-9.0, 9.0]), np.zeros(2, np.uint8)))
+@settings(max_examples=300, deadline=None)
+def test_packed_codec_equals_shift_mask_reference(case):
+    q, values, code = case
+    encoded = q.encode(values)
+    assert encoded.dtype == np.uint8
+    assert encoded.tobytes() == shift_mask_encode(q, values).tobytes()
+    count = len(values)
+    decoded = q.decode(code, count)
+    assert decoded.dtype == np.float64
+    assert decoded.tobytes() == shift_mask_decode(q, code, count).tobytes()
+    assert q.decode(encoded, count).tobytes() == q.snap(values).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # quantized iteration wrappers
 
@@ -307,6 +370,31 @@ def test_wrapped_state_budget_is_2dB():
         power_template(2), q, 6, 10, np.ones(6)
     )
     assert algo.state_bits == 2 * 6 * 32
+
+
+@given(
+    st.integers(min_value=1, max_value=53),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_one_state_decode_equals_two_half_decodes(bits, d, seed):
+    q = QuantizerSpec(bits=bits, radius=4.0)
+    state = np.random.default_rng(seed).integers(0, 2, 2 * d * bits, dtype=np.uint8)
+    whole = q.decode(state, 2 * d)
+    halves = np.concatenate([q.decode(state[: d * bits], d), q.decode(state[d * bits :], d)])
+    assert whole.tobytes() == halves.tobytes()
+
+
+@pytest.mark.parametrize("bits, radius, d", [(1, 3.0, 2), (8, 8.0, 4), (53, 0.7, 3)])
+def test_reset_code_is_the_read_only_code_for_zero(bits, radius, d):
+    q = QuantizerSpec(bits=bits, radius=radius)
+    algo = QuantizedIteration(power_template(2), q, d, 4, np.ones(d))
+    np.testing.assert_array_equal(algo.reset_code, q.encode(np.zeros(d)))
+    assert algo.reset_code.dtype == np.uint8
+    assert not algo.reset_code.flags.writeable
+    with pytest.raises(ValueError):
+        algo.reset_code[0] ^= 1
 
 
 def test_partial_trace_template_rejects_odd_order():
@@ -425,6 +513,26 @@ def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
             bits[0] = 0.7
             return bits
 
+    class NegativeBit(protocol_class):
+        def next_bit(self, shard, round_index, transcript):
+            return -1
+
+        def next_bits(self, shard, round_index, transcript):
+            bits = np.asarray(super().next_bits(shard, round_index, transcript), np.int64)
+            bits[-1] = -1
+            return bits
+
+    class BoolWriter(protocol_class):
+        # The right machine every round, but as a bool: numpy and int()
+        # would read False as machine 0 and True as machine 1.
+        def select_writer(self, round_index, transcript):
+            return bool(super().select_writer(round_index, transcript))
+
+    class NumpyBoolWriter(protocol_class):
+        def select_writer(self, round_index, transcript):
+            writer = super().select_writer(round_index, transcript)
+            return np.bool_(writer) if round_index == 9 else writer
+
     m, n = 2, 4
     q = QuantizerSpec(bits=8, radius=4.0)
     shards = shard_stream(np.random.default_rng(5).standard_normal((m * n, 2)), n)
@@ -433,6 +541,12 @@ def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
         run_distributed(FractionalWriter(m, q), shards, m, n, q.bits)
     with pytest.raises(ValueError, match="non-bit"):
         run_distributed(FractionalBit(m, q), shards, m, n, q.bits)
+    with pytest.raises(ValueError, match="non-bit value -1"):
+        run_distributed(NegativeBit(m, q), shards, m, n, q.bits)
+    with pytest.raises(ValueError, match="writer False at round 0 "):
+        run_distributed(BoolWriter(m, q), shards, m, n, q.bits)
+    with pytest.raises(ValueError, match="writer True at round 9 "):
+        run_distributed(NumpyBoolWriter(m, q), shards, m, n, q.bits)
 
 
 def test_block_write_ends_where_the_writer_changes():
@@ -607,6 +721,12 @@ def test_audit_rejects_a_board_from_lying_select_writers():
         (lambda start, stop: np.zeros((stop - start, 1), dtype=int), "shape"),
         (lambda start, stop: np.full(stop - start, 4), "writer 4 at round 1"),
         (lambda start, stop: np.full(stop - start, -1), "writer -1 at round 1"),
+        (lambda start, stop: np.zeros(stop - start, dtype=bool), "writer False at round 1"),
+        (lambda start, stop: [0, False] + [0] * (stop - start - 2), "writer False at round 2"),
+        (
+            lambda start, stop: [0, 0, np.False_] + [0] * (stop - start - 3),
+            "writer False at round 3",
+        ),
     ],
 )
 def test_distributed_validates_select_writers(writers, match):
