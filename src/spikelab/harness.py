@@ -167,7 +167,10 @@ class QuantizerSpec:
     ``radius * 2^(1 - bits)`` for any finite input.  The lattice holds
     ``2^bits`` points ``level * step - radius``; with ``radius`` at both
     ends it has no zero point, so zero decodes half a step from zero.
-    ``bits`` stops at 53, where every level is still an exact float.
+    A code is the ``bits`` low bits of each level, least significant
+    first, coordinates one after another.  ``bits`` stops at 53, where
+    every level is still an exact float; ``docs/formats.md`` states the
+    whole contract.
     """
 
     bits: int = 32
@@ -286,12 +289,15 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
 
     Each update contracts the current sample against ``psi(iterate)``,
     adds the result divided by N into the quantized partial sum, and at
-    the end of a pass promotes the partial sum to be the next iterate.
-    The starting iterate is embedded at the first update (t = 0, i = 0),
-    which keeps the all-zeros initial state convention intact.  So pass 0
-    contracts row 0 against the exact ``init`` and starts its sum at an
-    exact zero, while later passes start from the code for zero.  Pair
-    it with ``ResourceProfile(n_samples, T, 2*d*B)``.
+    the end of a pass promotes the partial sum to be the next iterate
+    and resets the sum to ``reset_code``, the code for zero.  Both are
+    read from the state, decoded: nothing but the state crosses passes.
+    The first update (t = 0, i = 0) reads ``start_code``, the code of
+    ``init`` beside ``reset_code``, in place of the runner's all-zeros
+    state, so pass 0 runs as every later pass does: its rows contract
+    against ``decode(encode(init))`` and its sum starts at
+    ``decode(reset_code)``, about half a step from zero.  Pair it with
+    ``ResourceProfile(n_samples, T, 2*d*B)``.
     """
 
     def __init__(self, psi, quantizer: QuantizerSpec, d: int, n_samples: int, init):
@@ -309,6 +315,10 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         # constant of the codec and d, so it is built once and read-only.
         self.reset_code = quantizer.encode(np.zeros(d))
         self.reset_code.flags.writeable = False
+        # The state that pass 0 starts from in place of the runner's
+        # all-zeros state: the code of init beside the reset code.
+        self.start_code = np.concatenate([quantizer.encode(self.init), self.reset_code])
+        self.start_code.flags.writeable = False
 
     def _next_state(self, head, tail):
         state = np.empty(self.state_bits, dtype=np.uint8)
@@ -320,31 +330,25 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
     def update(self, state, t, i, x):
         q, d = self.quantizer, self.d
         if t == 0 and i == 0:
-            u = self.init
-            partial = np.zeros(d)
-        else:
-            values = q.decode(state, 2 * d)
-            u, partial = values[:d], values[d:]
-        w = contract_batch(x[None, :], d, self.psi(u))[0]
-        partial_bits = q.encode(partial + w / self.n_samples)
+            state = self.start_code
+        values = q.decode(state, 2 * d)
+        w = contract_batch(x[None, :], d, self.psi(values[:d]))[0]
+        partial_bits = q.encode(values[d:] + w / self.n_samples)
         if i == self.n_samples - 1:
             # Pass boundary: the accumulated sum becomes the iterate and
             # the partial sum resets to the code for zero.
             return self._next_state(partial_bits, self.reset_code)
-        if t == 0 and i == 0:
-            return self._next_state(q.encode(u), partial_bits)
         return self._next_state(state[: self.state_bits // 2], partial_bits)
 
     def update_block(self, state, t, i0, rows):
         """``update`` over a block of one pass, bit-identical to the loop.
 
-        The iterate is fixed within a pass, so the state is decoded once,
-        ``psi`` is built once, and all rows are contracted by one stacked
-        matmul, whose row j equals the single-row ``contract_batch`` of
-        ``update``.  Only the partial sum is accumulated row by row, on
-        lattice values (``QuantizerSpec.snap_sum``), and encoded once at
-        the end.  As in ``update``, row 0 of pass 0 is contracted against
-        the exact ``init`` and starts from an exact zero sum.
+        The iterate is fixed within a pass, so the whole state is decoded
+        once, ``psi`` is built once, and all rows are contracted by one
+        stacked matmul, whose row j equals the single-row
+        ``contract_batch`` of ``update``.  Only the partial sum is
+        accumulated row by row, on lattice values
+        (``QuantizerSpec.snap_sum``), and encoded once at the end.
         """
         q, d, n = self.quantizer, self.d, self.n_samples
         rows = np.asarray(rows, dtype=np.float64)
@@ -352,25 +356,15 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             raise ValueError(f"rows {i0}..{i0 + len(rows) - 1} run past the pass of {n}")
         if len(rows) == 0:
             return state
-        rows = rows.reshape(len(rows), -1, d)
         if t == 0 and i0 == 0:
-            iterate_bits = q.encode(self.init)
-            partial = np.zeros(d)
-            w = np.empty((len(rows), d))
-            w[:1] = self.psi(self.init) @ rows[:1]
-            if len(rows) > 1:
-                w[1:] = self.psi(q.decode(iterate_bits, d)) @ rows[1:]
-            w /= n
-        else:
-            iterate_bits = state[: self.state_bits // 2]
-            values = q.decode(state, 2 * d)
-            partial = values[d:]
-            w = (self.psi(values[:d]) @ rows) / n
-        partial_bits = q.encode(q.snap_sum(partial, w[:-1]) + w[-1])
+            state = self.start_code
+        values = q.decode(state, 2 * d)
+        w = (self.psi(values[:d]) @ rows.reshape(len(rows), -1, d)) / n
+        partial_bits = q.encode(q.snap_sum(values[d:], w[:-1]) + w[-1])
         if i0 + len(rows) == n:
             # Pass boundary, as in ``update``.
             return self._next_state(partial_bits, self.reset_code)
-        return self._next_state(iterate_bits, partial_bits)
+        return self._next_state(state[: self.state_bits // 2], partial_bits)
 
     def estimate(self, state):
         u = self.quantizer.decode(state[: self.state_bits // 2], self.d)

@@ -798,6 +798,27 @@ def test_update_block_equals_per_sample_loop_over_any_split(run, data):
             np.testing.assert_array_equal(fast, reference)
 
 
+@given(quantized_runs())
+@settings(max_examples=40, deadline=None)
+def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
+    # Only the state crosses passes: pass 0 reads its iterate and its
+    # partial sum from a code, as every later pass does.
+    algo, stream, _, _ = run
+    q, d = algo.quantizer, algo.d
+    values = q.decode(algo.start_code, 2 * d)
+    assert values[:d].tobytes() == q.snap(algo.init).tobytes()
+    assert values[d:].tobytes() == q.decode(algo.reset_code, d).tobytes()
+    assert values[d:].tobytes() == q.snap(np.zeros(d)).tobytes()
+    assert not algo.start_code.flags.writeable
+    zeros = np.zeros(algo.state_bits, dtype=np.uint8)
+    np.testing.assert_array_equal(
+        algo.update_block(zeros, 0, 0, stream), algo.update_block(algo.start_code, 1, 0, stream)
+    )
+    np.testing.assert_array_equal(
+        algo.update(zeros, 0, 0, stream[0]), algo.update(algo.start_code, 1, 0, stream[0])
+    )
+
+
 class _OneBitOnly(BlackboardProtocol):
     """Hides ``next_bits``, so the runner takes the one-bit default."""
 
