@@ -2,9 +2,9 @@
 
 The grammar is documented in docs/formats.md.  Parsing is strict:
 unknown sections, unknown keys, estimator options the chosen estimator
-does not read, empty grids, duplicate seeds and seed lists spanning 1000
-or more are all rejected here rather than surfacing later as confusing
-runtime behavior.
+(or harness mode) does not read, empty grids, duplicate seeds and seed
+lists spanning 1000 or more are all rejected here rather than surfacing
+later as confusing runtime behavior.
 """
 
 from __future__ import annotations
@@ -169,6 +169,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"estimator {self.estimator!r} has no streaming template; "
                 f"harness mode supports {_TEMPLATE_ESTIMATORS}"
+            )
+        if self.harness is not None and self.estimator_options:
+            # The streaming run takes its pass count from [harness] passes.
+            raise ValueError(
+                f"harness mode reads no estimator options, got "
+                f"{sorted(self.estimator_options)}"
             )
         if self.distributed is not None and self.harness is None:
             raise ValueError("distributed mode requires a [harness] section")

@@ -453,9 +453,6 @@ estimator = tensor-power
 samples = 16, 64
 seeds = 0, 1, 2
 
-[estimator]
-max_iters = 6
-
 [harness]
 bits = 16
 radius = 8

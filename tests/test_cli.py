@@ -122,6 +122,19 @@ def test_harness_needs_template_estimator(tmp_path):
         parse_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize("options", ["max_iters = 2", "tol = 1e-3", "max_iters = 6\ntol = 0.5"])
+@pytest.mark.parametrize("distributed", [True, False])
+def test_harness_rejects_estimator_options(tmp_path, options, distributed):
+    # The streaming run takes its pass count from [harness] passes.
+    text = HARNESS if distributed else HARNESS.split("[distributed]")[0]
+    text = text.replace("[harness]", f"[estimator]\n{options}\n\n[harness]")
+    with pytest.raises(ValueError, match="harness mode reads no estimator options"):
+        parse_config(write(tmp_path, text))
+    # An empty [estimator] section passes no option, so it still parses.
+    empty = HARNESS.replace("[harness]", "[estimator]\n\n[harness]")
+    assert parse_config(write(tmp_path, empty)).estimator_options == {}
+
+
 def test_distributed_needs_harness_and_divisibility(tmp_path):
     headless = HARNESS.replace("[harness]", "[ignored]").replace(
         "bits = 16", "x = 1"
