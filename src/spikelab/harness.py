@@ -157,6 +157,13 @@ def _check_finite(data, name: str) -> None:
 # ---------------------------------------------------------------------------
 # quantization
 
+# Row-coordinates from which ``QuantizerSpec.snap_sum`` guesses a block
+# with array calls instead of running its scalar loop.  Measured on one
+# x86-64 core: the array path costs ~16 us up to a few hundred
+# row-coordinates, the loop ~0.1 us per row-coordinate; they cross
+# between 160 (16 us each) and 192.
+_SNAP_ARRAY_MIN = 160
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -201,19 +208,62 @@ class QuantizerSpec:
         """``snap(..snap(snap(start + steps[0]) + steps[1]).. + steps[-1])``.
 
         Bit-identical to that ``snap`` loop (``start`` itself for no
-        rows): the same IEEE operations in the same order, run on Python
-        floats one coordinate at a time, which for a state's few
-        coordinates costs far less than nine array calls per row.  Below
-        2^52, adding and subtracting 2^52 rounds half to even as
-        ``np.rint`` does; from 2^52 up every float is an integer.  NaN
-        passes through every step, as it does through ``snap``.
+        rows).  A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates
+        runs the scalar loop ``_snap_loop``.  A longer one is guessed,
+        checked and mended:
+
+        - guess: the level of ``start`` plus the running sum of
+          ``rint(steps / step)``, mapped back to ``level * step - radius``;
+        - check: one ``snap(prev + steps)``, where ``prev`` is ``start``
+          followed by every guessed row but the last, compared with the
+          guess bit for bit (an int64 view, so a NaN or a signed zero
+          must match exactly);
+        - mend: each coordinate that differs resumes ``_snap_loop`` from
+          its checked value at its first difference.
+
+        The check is exact by induction: ``snap`` of the true row j - 1
+        plus ``steps[j]`` is the true row j, so along each coordinate
+        every guessed row before the first difference is true, and so is
+        the checked value at it.  A clamp or a rounding tie the guess
+        misses costs its coordinate one fallback, so the worst case is
+        one array pass on top of the scalar loop.
+        """
+        start = np.asarray(start, dtype=np.float64)
+        steps = np.asarray(steps, dtype=np.float64)
+        if steps.size < _SNAP_ARRAY_MIN:
+            return np.array(self._snap_loop(start.tolist(), steps.T.tolist()))
+        step, radius = self.step, self.radius
+        # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
+        # the check catches that row, so the warning would say nothing.
+        with np.errstate(all="ignore"):
+            levels = np.rint(steps / step)
+            levels[0] += np.rint((start + radius) / step)
+            guess = np.cumsum(levels, axis=0) * step - radius
+            check = self.snap(np.concatenate([start[None], guess[:-1]]) + steps)
+        wrong = guess.view(np.int64) != check.view(np.int64)
+        out = guess[-1]
+        columns = np.flatnonzero(wrong.any(axis=0))
+        if columns.size:
+            first = wrong[:, columns].argmax(axis=0)
+            out[columns] = self._snap_loop(
+                check[first, columns].tolist(),
+                [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
+            )
+        return out
+
+    def _snap_loop(self, starts: list, columns: list) -> list:
+        """The ``snap`` loop on Python floats, each start down its column.
+
+        The same IEEE operations in the same order as ``snap``, one
+        coordinate at a time.  Below 2^52, adding and subtracting 2^52
+        rounds half to even as ``np.rint`` does; from 2^52 up every float
+        is an integer.  NaN passes through every step, as it does
+        through ``snap``.
         """
         radius, low, step = float(self.radius), -float(self.radius), self.step
         top, big = 2.0**self.bits - 1.0, 2.0**52
-        start = np.asarray(start, dtype=np.float64)
-        columns = np.asarray(steps, dtype=np.float64).T
         out = []
-        for value, column in zip(start.tolist(), columns.tolist()):
+        for value, column in zip(starts, columns):
             for w in column:
                 value += w
                 if value > radius:
@@ -227,7 +277,7 @@ class QuantizerSpec:
                     level = top
                 value = level * step - radius
             out.append(value)
-        return np.array(out)
+        return out
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened."""
@@ -438,9 +488,11 @@ class Blackboard:
         return "\n".join(lines) + "\n"
 
     def audit(self, protocol: BlackboardProtocol) -> bool:
-        """Replay writer selection from transcript prefixes alone."""
-        for t in range(len(self.bits)):
-            if protocol.select_writer(t, self.bits[:t]) != int(self.writers[t]):
+        """Replay writer selection from read-only transcript prefixes alone."""
+        bits = self.bits.view()
+        bits.flags.writeable = False
+        for t in range(len(bits)):
+            if protocol.select_writer(t, bits[:t]) != int(self.writers[t]):
                 return False
         return True
 
@@ -505,6 +557,7 @@ def run_distributed(
     rounds past it are written again by the blocks that follow.  Shards
     must be finite.  Writers and bits are validated before any cast or
     comparison, and every bit counts against its writer's budget b.
+    Protocols get the transcript read-only.
     """
     t0 = time.perf_counter()
     if len(shards) != m:
@@ -516,19 +569,23 @@ def run_distributed(
         _check_finite(shard, f"shard {j}")
     rounds = m * b
     bits = np.zeros(rounds, dtype=np.uint8)
+    # Protocols see the transcript through one read-only view, so no bit
+    # on the board can be rewritten after its round.
+    transcript = bits.view()
+    transcript.flags.writeable = False
     writers = np.zeros(rounds, dtype=np.int64)
     written = [0] * m
     t = 0
     while t < rounds:
-        writer = protocol.select_writer(t, bits[:t])
+        writer = protocol.select_writer(t, transcript[:t])
         if type(writer) is not int or not 0 <= writer < m:
             writer = int(_writer_block([writer], t, t + 1, m)[0])
-        block = _bit_block(protocol.next_bits(shards[writer], t, bits[:t]), t)
+        block = _bit_block(protocol.next_bits(shards[writer], t, transcript[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
         stop = t + 1
         if end > stop:
-            later = protocol.select_writers(stop, end, bits[:end])
+            later = protocol.select_writers(stop, end, transcript[:end])
             same = _writer_block(later, stop, end, m) == writer
             stop = end if same.all() else stop + int(same.argmin())
         written[writer] += stop - t

@@ -1,7 +1,10 @@
 """Streaming and blackboard execution: accounting, quantization, and the
 exact simulation of one model by the other."""
 
+import contextlib
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from spikelab.config import HarnessSettings
 from spikelab.estimators import PowerMethodConfig, tensor_power_method
 from spikelab.harness import (
+    _SNAP_ARRAY_MIN,
     Blackboard,
     BlackboardProtocol,
     MemoryBoundedAlgorithm,
@@ -208,9 +212,36 @@ def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     np.testing.assert_array_equal(q.snap(ends), back)
 
 
+@contextlib.contextmanager
+def snap_loop_calls():
+    """Record the (starts, columns) of every ``QuantizerSpec._snap_loop`` call."""
+    calls = []
+    loop = QuantizerSpec._snap_loop
+
+    def spy(self, starts, columns):
+        calls.append((list(starts), [list(column) for column in columns]))
+        return loop(self, starts, columns)
+
+    with mock.patch.object(QuantizerSpec, "_snap_loop", spy):
+        yield calls
+
+
+def snap_loop(q, start, steps):
+    """The ``snap`` loop that ``snap_sum`` must equal bit for bit."""
+    for row in steps:
+        start = q.snap(start + row)
+    return start
+
+
 @st.composite
 def snap_sum_cases(draw):
-    """A codec, a start on its lattice (or exact zero) and rows of steps."""
+    """A codec, a start on its lattice (or exact zero) and rows of steps.
+
+    Short blocks draw every entry.  Long ones, at or past the array
+    crossover, mix the same kinds of entry from a drawn numpy seed, with
+    a fourth kind like a streamed mean's: normal steps of radius / rows,
+    on which the guess mostly holds.
+    """
     bits = draw(st.sampled_from([1, 52, 53]) | st.integers(min_value=1, max_value=53))
     if draw(st.booleans()):
         # step = 2^e exactly, so zero and the lattice plus an odd number
@@ -219,19 +250,33 @@ def snap_sum_cases(draw):
     else:
         radius = draw(st.sampled_from([0.05, 0.7, 1.0, 8.0, 95.0, 1e6]))
     q = QuantizerSpec(bits=bits, radius=radius)
-    d = draw(st.integers(min_value=1, max_value=4))
-    n_rows = draw(st.integers(min_value=0, max_value=10))
     entry = st.one_of(
         st.floats(min_value=-3 * radius, max_value=3 * radius),
         st.integers(min_value=-9, max_value=9).map(lambda h: h * (q.step / 2)),
         st.sampled_from([radius, -radius, 2 * radius, -2 * radius]),
     )
-    steps = draw(st.lists(entry, min_size=n_rows * d, max_size=n_rows * d))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=1, max_value=4))
+        n_rows = draw(st.integers(min_value=0, max_value=10))
+        steps = np.array(draw(st.lists(entry, min_size=n_rows * d, max_size=n_rows * d)))
+    else:
+        d = draw(st.integers(min_value=1, max_value=8))
+        n_rows = draw(st.integers(min_value=-(-_SNAP_ARRAY_MIN // d), max_value=300))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        shape = (n_rows, d)
+        kinds = np.stack([
+            rng.uniform(-3 * radius, 3 * radius, shape),
+            rng.integers(-9, 10, shape) * (q.step / 2),
+            rng.choice([radius, -radius, 2 * radius, -2 * radius], shape),
+            rng.standard_normal(shape) * (radius / n_rows),
+        ])
+        mix = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4))
+        steps = np.take_along_axis(kinds, rng.choice(mix, shape)[None], axis=0)[0]
     if draw(st.booleans()):
         start = np.zeros(d)
     else:
         start = q.snap(np.array(draw(st.lists(entry, min_size=d, max_size=d))))
-    return q, start, np.array(steps, dtype=np.float64).reshape(n_rows, d)
+    return q, start, steps.astype(np.float64).reshape(n_rows, d)
 
 
 @given(snap_sum_cases())
@@ -240,10 +285,90 @@ def snap_sum_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_snap_sum_equals_the_snap_loop(case):
     q, start, steps = case
-    reference = start
-    for row in steps:
-        reference = q.snap(reference + row)
-    assert q.snap_sum(start, steps).tobytes() == reference.tobytes()
+    with snap_loop_calls() as calls:
+        got = q.snap_sum(start, steps)
+    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
+    if steps.size < _SNAP_ARRAY_MIN:
+        # The scalar loop takes every coordinate.
+        assert len(calls) == 1 and len(calls[0][0]) == len(start)
+    else:
+        # At most one resumption per coordinate, each after its first
+        # wrong guess, so never more than the whole column.
+        assert len(calls) <= 1
+        for starts, columns in calls:
+            assert len(starts) == len(columns) <= len(start)
+            assert all(len(column) < len(steps) for column in columns)
+
+
+def lattice_block(rows=64, d=4):
+    """A codec whose step is 1/4, a start at an odd level, even steps.
+
+    Every step is an even number of lattice steps, so every partial sum
+    is exact, at an odd level and far from both ends: the guess holds on
+    every row unless a test plants a clamp, or a tie (half a step from
+    an odd level rounds up to even; the guess adds rint(0.5) = 0
+    levels).  rows * d is past the array crossover.
+    """
+    q = QuantizerSpec(bits=8, radius=255 / 8)
+    assert q.step == 0.25 and rows * d >= _SNAP_ARRAY_MIN
+    start = np.full(d, 129 * q.step - q.radius)
+    steps = np.random.default_rng(5).integers(-1, 2, (rows, d)) * (2 * q.step)
+    return q, start, steps
+
+
+@pytest.mark.parametrize("planted", ["tie", "clamp"])
+@pytest.mark.parametrize("j", [0, 17, 63])
+def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
+    q, start, steps = lattice_block()
+    with snap_loop_calls() as calls:
+        q.snap_sum(start, steps)
+    assert calls == []
+    c = 2
+    steps[j, c] += q.step / 2 if planted == "tie" else 2 * q.radius
+    with snap_loop_calls() as calls:
+        got = q.snap_sum(start, steps)
+    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
+    # One resumption, of coordinate c, from its true row j.
+    (starts, columns), = calls
+    assert starts == [snap_loop(q, start, steps[: j + 1])[c]]
+    assert columns == [steps[j + 1 :, c].tolist()]
+
+
+def test_snap_sum_resumes_each_missed_coordinate_once():
+    q, start, steps = lattice_block()
+    # Coordinates 0 and 3 miss at rows 5 and 40; 1 and 2 never do.
+    steps[5, 0] = -2 * q.radius
+    steps[40, 3] = 2 * q.radius
+    steps[41, 3] = -3 * q.step
+    with snap_loop_calls() as calls:
+        got = q.snap_sum(start, steps)
+    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
+    (starts, columns), = calls
+    assert starts == [-q.radius, q.radius]
+    assert columns == [steps[6:, 0].tolist(), steps[41:, 3].tolist()]
+
+
+def test_snap_sum_nan_start_passes_through_the_array_path():
+    q, start, steps = lattice_block()
+    start[1] = np.nan
+    with snap_loop_calls() as calls:
+        got = q.snap_sum(start, steps)
+    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
+    # The guessed NaN is the checked NaN bit for bit, so no coordinate
+    # falls back to the loop.
+    assert calls == []
+
+
+def test_snap_sum_overflowing_guess_is_silent():
+    # steps / step overflows to +-inf and the running sum meets inf - inf;
+    # the snap loop itself stays finite and warns of nothing.
+    q = QuantizerSpec(bits=53, radius=1e-300)
+    steps = np.resize([1.0, -1.0], (64, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = q.snap_sum(np.zeros(4), steps)
+        assert got.tobytes() == snap_loop(q, np.zeros(4), steps).tobytes()
 
 
 def shift_mask_encode(q, values):
@@ -713,6 +838,50 @@ def test_audit_rejects_a_board_from_lying_select_writers():
     assert not board.audit(Lying())
 
 
+class _OverwritesItsInput(MemoryBoundedAlgorithm):
+    """Writes the complement of its input state, then sets the input to ones."""
+
+    state_bits = 4
+
+    def update_block(self, state, t, i0, rows):
+        out = 1 - state
+        state[:] = 1
+        return out
+
+
+def test_protocols_cannot_rewrite_the_transcript():
+    # Turn q's input is the board's rounds of turn q - 1.  On a writable
+    # board, turn 2 would set rounds 4..7 to ones, and the board would end
+    # 1111 1111 1111 0000 where the writes were 1111 0000 1111 0000,
+    # which audit, checking writers only, passes.
+    protocol, m, n, b = reduce_memory_to_distributed(
+        _OverwritesItsInput(), ResourceProfile(8, 2, 4), 4
+    )
+    with pytest.raises(ValueError, match="read-only"):
+        run_distributed(protocol, shard_stream(np.zeros((8, 1)), n), m, n, b)
+
+
+def test_every_protocol_hook_gets_a_read_only_transcript():
+    data = np.random.default_rng(35).standard_normal((16, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(
+        ByteCounter(), ResourceProfile(16, 2, 8), 4
+    )
+    seen = []
+    for name in ("select_writer", "select_writers", "next_bits"):
+
+        def record(*args, hook=getattr(protocol, name), name=name):
+            seen.append((name, args[-1].flags.writeable))
+            return hook(*args)
+
+        setattr(protocol, name, record)
+    _, board = run_distributed(protocol, shard_stream(data, n), m, n, b)
+    assert board.audit(protocol)
+    assert {name for name, _ in seen} == {"select_writer", "select_writers", "next_bits"}
+    assert not any(writeable for _, writeable in seen)
+    # The board handed back is the caller's own, writable copy.
+    assert board.bits.flags.writeable
+
+
 @pytest.mark.parametrize(
     "writers, match",
     [
@@ -757,11 +926,20 @@ def test_protocol_object_reused_on_a_second_stream():
 
 @st.composite
 def quantized_runs(draw, max_d=(6, 5, 4)):
-    """A QuantizedIteration with its stream, shard size and pass count."""
+    """A QuantizedIteration with its stream, shard size and pass count.
+
+    About half the draws have shards long enough that a whole shard's
+    ``snap_sum`` (all its rows but the last, times d) takes the array path.
+    """
     k = draw(st.sampled_from([2, 3, 4]))
     d = draw(st.integers(min_value=2, max_value=max_d[k - 2]))
-    n = draw(st.integers(min_value=1, max_value=4))
-    n_samples = n * draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=4))
+        n_samples = n * draw(st.integers(min_value=1, max_value=4))
+    else:
+        shortest = -(-_SNAP_ARRAY_MIN // d) + 1
+        n = draw(st.integers(min_value=shortest, max_value=shortest + 8))
+        n_samples = n * draw(st.integers(min_value=1, max_value=2))
     passes = draw(st.integers(min_value=1, max_value=3))
     q = QuantizerSpec(
         bits=draw(st.integers(min_value=1, max_value=53)),
@@ -785,10 +963,15 @@ def test_update_block_equals_per_sample_loop_over_any_split(run, data):
     n_samples = len(stream)
     fast = reference = np.zeros(algo.state_bits, dtype=np.uint8)
     for t in range(passes):
-        cut_after = data.draw(
-            st.lists(st.booleans(), min_size=n_samples - 1, max_size=n_samples - 1)
+        # Any cuts in a short pass; at most three in a long one, so that
+        # its blocks often stay past the array crossover.
+        cuts = data.draw(
+            st.sets(
+                st.integers(min_value=1, max_value=max(1, n_samples - 1)),
+                max_size=None if n_samples <= 16 else 3,
+            )
         )
-        bounds = [0, *(i + 1 for i, cut in enumerate(cut_after) if cut), n_samples]
+        bounds = [0, *sorted(cuts - {n_samples}), n_samples]
         for i0, i1 in zip(bounds, bounds[1:]):
             # The base-class default: one per-sample ``update`` per row.
             reference = MemoryBoundedAlgorithm.update_block(
