@@ -59,7 +59,7 @@ from spikelab.models import (
 from spikelab.tensors import overlap, set_entry_budget
 from spikelab.verify import SUITES, CheckResult, run_verification
 
-__all__ = ["build_harness", "main", "run_sweep", "sweep_csv"]
+__all__ = ["build_harness", "draw", "main", "run_plain", "run_sweep", "sweep_csv"]
 
 CSV_VERSION = "spikelab-sweep-v1"
 CSV_COLUMNS = (
@@ -93,32 +93,34 @@ _SAMPLERS = {
 # sweep
 
 
-def _build_spec(cfg: ExperimentConfig, seed: int) -> ModelSpec:
-    if cfg.problem == "tpca":
-        return ModelSpec.tpca(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
-    if cfg.problem == "atpca":
-        return ModelSpec.atpca(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
-    if cfg.problem == "cca":
-        return ModelSpec.cca(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
-    builder = build_mog_measure if cfg.measure_kind == "mog" else build_bounded_llr_measure
-    return ModelSpec.ngca(d=cfg.d, measure=builder(cfg.k, cfg.snr), seed=seed)
+def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
+    """``(spec, batch)`` of run seed ``seed``: the planted instance drawn
+    from ``seed``, then ``n_samples`` rows from ``noise_seed(seed)``."""
+    if cfg.problem == "ngca":
+        builder = build_mog_measure if cfg.measure_kind == "mog" else build_bounded_llr_measure
+        spec = ModelSpec.ngca(d=cfg.d, measure=builder(cfg.k, cfg.snr), seed=seed)
+    else:
+        spec = getattr(ModelSpec, cfg.problem)(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
+    return spec, _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
 
 
-def _run_plain(cfg: ExperimentConfig, batch, seed: int):
+def run_plain(cfg: ExperimentConfig, batch, seed: int):
+    """The configured estimator's report on ``batch``, started from the
+    solver seed ``iteration_seed(seed)``."""
     # config.py admits only option names that are fields of the
     # estimator's config object; unset options keep its defaults.
     opts = dict(cfg.estimator_options, seed=iteration_seed(seed))
-    name = cfg.estimator
-    if name in ("brute-force-ngca", "brute-force-cca"):
-        fn = brute_force_ngca if name == "brute-force-ngca" else brute_force_cca
-        return fn(batch, BruteForceConfig(**opts))
     fn = {
         "tensor-power": tensor_power_method,
         "partial-trace": partial_trace_spectral,
         "matricization": mr_matricization_estimator,
         "cca-matricization": cca_matricization_estimator,
         "ngca-spectral": ngca_spectral,
-    }[name]
+        "brute-force-ngca": brute_force_ngca,
+        "brute-force-cca": brute_force_cca,
+    }[cfg.estimator]
+    if cfg.estimator.startswith("brute-force"):
+        return fn(batch, BruteForceConfig(**opts))
     return fn(batch, PowerMethodConfig(**opts))
 
 
@@ -147,8 +149,7 @@ def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
 
 def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
     """One grid point, one seed; returns a populated CSV row."""
-    spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
+    spec, batch = draw(cfg, n_samples, seed)
     row = {
         "problem": cfg.problem,
         "k": cfg.k,
@@ -166,7 +167,7 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
     }
     t0 = time.perf_counter()
     if cfg.harness is None:
-        report = _run_plain(cfg, batch, seed)
+        report = run_plain(cfg, batch, seed)
         row["overlap"] = report.overlap
         row["iterations"] = report.iterations
     else:
@@ -236,8 +237,7 @@ def _cmd_sample(args) -> int:
     cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
-    spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
+    _, batch = draw(cfg, n_samples, seed)
     path = cfg.out or f"{cfg.problem}_n{n_samples}_seed{seed}.spkb"
     dump_batch(batch, path)
     print(f"wrote {path} ({batch.n} rows x {batch.data.shape[1]} columns)")
@@ -251,8 +251,7 @@ def _cmd_reduce(args) -> int:
         return 2
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
-    spec = _build_spec(cfg, seed)
-    batch = _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
+    _, batch = draw(cfg, n_samples, seed)
     algorithm, profile = build_harness(cfg, n_samples, seed)
     direct = run_memory_bounded(algorithm, batch.data, profile)
     protocol, m, n_shard, b = reduce_memory_to_distributed(

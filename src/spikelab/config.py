@@ -10,9 +10,11 @@ later as confusing runtime behavior.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from spikelab.estimators import BruteForceConfig, PowerMethodConfig
+from spikelab.harness import QuantizerSpec
 
 __all__ = [
     "DistributedSettings",
@@ -62,10 +64,7 @@ class HarnessSettings:
     passes: int = 10
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 53:
-            raise ValueError(f"bits must be in [1, 53], got {self.bits}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        QuantizerSpec(bits=self.bits, radius=self.radius)  # the codec's checks
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
 
@@ -129,8 +128,8 @@ class ExperimentConfig:
             )
         if self.k < 1 or self.d < 1:
             raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
-        if self.snr < 0:
-            raise ValueError(f"snr must be >= 0, got {self.snr}")
+        if not (math.isfinite(self.snr) and self.snr >= 0):
+            raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         if self.measure_kind not in ("mog", "bounded-llr"):
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         grid = tuple(int(v) for v in self.samples_grid)

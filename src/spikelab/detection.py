@@ -16,24 +16,9 @@ import statistics
 
 import numpy as np
 
-from spikelab.config import iteration_seed, noise_seed
-from spikelab.estimators import (
-    PowerMethodConfig,
-    cca_matricization_estimator,
-    mr_matricization_estimator,
-    ngca_spectral,
-    partial_trace_spectral,
-    sphere_net,
-    tensor_power_method,
-)
-from spikelab.measures import build_mog_measure
-from spikelab.models import (
-    ModelSpec,
-    sample_atpca,
-    sample_cca,
-    sample_ngca,
-    sample_tpca,
-)
+from spikelab.cli import draw, run_plain
+from spikelab.config import ExperimentConfig
+from spikelab.estimators import sphere_net
 
 __all__ = [
     "DETECTION_SEEDS",
@@ -52,20 +37,22 @@ __all__ = [
 
 DETECTION_SEEDS = tuple(range(10))
 
-LEG_NAMES = (
-    "partial-trace",
-    "reweighted-covariance",
-    "matricization",
-    "cross-views",
-    "tensor-power",
-)
-
 # Desk-scale defaults: the order-4 legs run at d = 6 with N = 16 d^2
 # samples; the cross-view leg needs its larger budget because the signal
 # sits below the per-sample noise floor at d = 2.
 _TENSOR_D = 6
 _TENSOR_N = 16 * _TENSOR_D**2
 _CCA_N = 100_000
+
+# leg -> ((problem, k, d, estimator), statistic of its estimate report)
+_LEGS = {
+    "partial-trace": (("tpca", 4, _TENSOR_D, "partial-trace"), lambda r: r.overlap**4),
+    "reweighted-covariance": (("ngca", 4, _TENSOR_D, "ngca-spectral"), lambda r: r.overlap**4),
+    "matricization": (("atpca", 4, _TENSOR_D, "matricization"), lambda r: r.overlap),
+    "cross-views": (("cca", 2, 2, "cca-matricization"), lambda r: r.info["signal_inner"]),
+    "tensor-power": (("tpca", 2, _TENSOR_D, "tensor-power"), lambda r: r.overlap**2),
+}
+LEG_NAMES = tuple(_LEGS)
 
 
 def default_samples(name: str) -> int:
@@ -83,35 +70,17 @@ def sample_grid(name: str) -> tuple[int, int, int]:
 def detection_run(name: str, snr: float, n_samples: int, seed: int) -> float:
     """One seeded draw-and-estimate cycle, returning the leg statistic.
 
-    The planted direction and the data both vary with the seed, so the
-    medians below average over problem instances, not just noise.
+    The leg runs as the sweep runs a plain grid point (``cli.draw`` and
+    ``cli.run_plain``), so the planted direction and the data both vary
+    with the seed and the medians below average over problem instances,
+    not just noise.
     """
-    cfg = PowerMethodConfig(seed=iteration_seed(seed))
-    if name == "partial-trace":
-        spec = ModelSpec.tpca(k=4, d=_TENSOR_D, snr=snr, seed=seed)
-        report = partial_trace_spectral(sample_tpca(spec, n_samples, noise_seed(seed)), cfg)
-        return report.overlap**4
-    if name == "reweighted-covariance":
-        spec = ModelSpec.ngca(d=_TENSOR_D, measure=build_mog_measure(4, snr), seed=seed)
-        report = ngca_spectral(sample_ngca(spec, n_samples, noise_seed(seed)), cfg)
-        return report.overlap**4
-    if name == "matricization":
-        spec = ModelSpec.atpca(k=4, d=_TENSOR_D, snr=snr, seed=seed)
-        report = mr_matricization_estimator(
-            sample_atpca(spec, n_samples, noise_seed(seed)), cfg
-        )
-        return report.overlap
-    if name == "cross-views":
-        spec = ModelSpec.cca(k=2, d=2, snr=snr, seed=seed)
-        report = cca_matricization_estimator(
-            sample_cca(spec, n_samples, noise_seed(seed)), cfg
-        )
-        return report.info["signal_inner"]
-    if name == "tensor-power":
-        spec = ModelSpec.tpca(k=2, d=_TENSOR_D, snr=snr, seed=seed)
-        report = tensor_power_method(sample_tpca(spec, n_samples, noise_seed(seed)), cfg)
-        return report.overlap**2
-    raise ValueError(f"unknown detection leg {name!r}")
+    if name not in _LEGS:
+        raise ValueError(f"unknown detection leg {name!r}")
+    (problem, k, d, estimator), statistic = _LEGS[name]
+    cfg = ExperimentConfig(problem, k, d, snr, estimator, (n_samples,), (seed,))
+    _, batch = draw(cfg, n_samples, seed)
+    return statistic(run_plain(cfg, batch, seed))
 
 
 def detection_median(

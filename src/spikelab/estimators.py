@@ -11,6 +11,7 @@ and a Rayleigh-quotient stabilization check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -24,6 +25,7 @@ from spikelab.tensors import (
     contract_batch,
     entry_budget,
     outer_power,
+    outer_product,
     overlap,
 )
 
@@ -181,12 +183,7 @@ def _report(t0, estimate, truth, iterations, converged, info) -> EstimateReport:
 
 def _tensor_truth(spec) -> np.ndarray | None:
     """Planted rank-one pattern, unscaled so snr = 0 still scores."""
-    if spec.spike is None:
-        return None
-    flat = np.asarray(spec.spike.factors[0], dtype=np.float64)
-    for f in spec.spike.factors[1:]:
-        flat = np.multiply.outer(flat, f)
-    return flat.reshape(-1)
+    return None if spec.spike is None else outer_product(spec.spike.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -584,50 +581,33 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         raise RuntimeError(f"net product of size {m}^{k} exceeds the budget")
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
-
-    # Empirical clipped product moments over all adversary tuples.
+    # Empirical clipped product moments over all adversary tuples, one
+    # block of last factors per head (all factors but the last).
     ghat = np.empty((m,) * k)
-    if k == 2:
-        for a in range(m):
-            prod = proj[0][:, a][:, None] * proj[1]
-            np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
-            ghat[a] = prod.mean(axis=0)
-    else:
-        for a in range(m):
-            pa = proj[0][:, a]
-            for b in range(m):
-                prod = (pa * proj[1][:, b])[:, None] * proj[2]
-                np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
-                ghat[a, b] = prod.mean(axis=0)
+    for head in itertools.product(range(m), repeat=k - 1):
+        pre = proj[0][:, head[0]]
+        for l in range(1, k - 1):
+            pre = pre * proj[l][:, head[l]]
+        prod = pre[:, None] * proj[k - 1]
+        np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
+        ghat[head] = prod.mean(axis=0)
 
+    # Model moments for one candidate head: "w,cy->cwy" for k = 2,
+    # "w,x,cy->cwxy" for k = 3, with c the candidate's last factor.
     gram = net @ net.T
+    axes = "wx"[: k - 1]
+    subscripts = ",".join(axes) + ",cy->c" + axes + "y"
     best_score = math.inf
     best_tuple = (0,) * k
-    if k == 2:
-        for a in range(m):
-            model = spec.snr * np.einsum("w,cv->cwv", gram[a], gram)
-            scores = np.abs(ghat[None, :, :] - model).reshape(m, -1).max(axis=1)
-            local = int(np.argmin(scores))
-            if scores[local] < best_score:
-                best_score = float(scores[local])
-                best_tuple = (a, local)
-    else:
-        for a in range(m):
-            for b in range(m):
-                model = spec.snr * np.einsum(
-                    "w,x,cy->cwxy", gram[a], gram[b], gram
-                )
-                scores = np.abs(ghat[None, :, :, :] - model).reshape(m, -1).max(axis=1)
-                local = int(np.argmin(scores))
-                if scores[local] < best_score:
-                    best_score = float(scores[local])
-                    best_tuple = (a, b, local)
+    for head in itertools.product(range(m), repeat=k - 1):
+        model = spec.snr * np.einsum(subscripts, *(gram[i] for i in head), gram)
+        scores = np.abs(ghat[None] - model).reshape(m, -1).max(axis=1)
+        local = int(np.argmin(scores))
+        if scores[local] < best_score:
+            best_score = float(scores[local])
+            best_tuple = (*head, local)
 
-    factors = [net[i] for i in best_tuple]
-    flat = factors[0]
-    for f in factors[1:]:
-        flat = np.multiply.outer(flat, f)
-    flat = flat.reshape(-1)
+    flat = outer_product([net[i] for i in best_tuple])
     truth = _tensor_truth(spec)
     info = {
         "objective": best_score,

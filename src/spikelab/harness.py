@@ -20,6 +20,7 @@ state across the board after every local pass.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -176,8 +177,9 @@ class QuantizerSpec:
     ends it has no zero point, so zero decodes half a step from zero.
     A code is the ``bits`` low bits of each level, least significant
     first, coordinates one after another.  ``bits`` stops at 53, where
-    every level is still an exact float; ``docs/formats.md`` states the
-    whole contract.
+    every level is still an exact float, and ``radius`` must make
+    ``step`` a finite, normal, positive float; ``docs/formats.md``
+    states the whole contract.
     """
 
     bits: int = 32
@@ -186,8 +188,8 @@ class QuantizerSpec:
     def __post_init__(self):
         if not 1 <= self.bits <= 53:
             raise ValueError(f"bits per coordinate must be in [1, 53], got {self.bits}")
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not np.finfo(np.float64).tiny <= self.step < math.inf:  # NaN fails too
+            raise ValueError(f"radius {self.radius} gives step {self.step}, not a normal float")
 
     @property
     def step(self) -> float:

@@ -33,6 +33,7 @@ __all__ = [
     "NonGaussMeasure",
     "build_bounded_llr_measure",
     "build_mog_measure",
+    "rejection_sample",
     "standard_gaussian",
 ]
 
@@ -165,24 +166,38 @@ class NonGaussMeasure:
         # rejection against the Gaussian proposal works with that
         # constant envelope.
         envelope = 1.0 + self.snr / self.lambda_k
-        out = np.empty(n)
-        filled = 0
-        proposed = 0
-        while filled < n:
-            chunk = max(2 * (n - filled), 256)
-            proposed += chunk
-            if proposed > MAX_PROPOSALS_PER_DRAW * max(n, 1):
-                raise RuntimeError(
-                    "rejection sampler exceeded its proposal budget; "
-                    "the envelope constant is wrong"
-                )
+
+        def propose(chunk):
             z = rng.standard_normal(chunk)
             u = rng.random(chunk)
-            kept = z[u * envelope < self.density_ratio(z)]
-            take = min(len(kept), n - filled)
-            out[filled : filled + take] = kept[:take]
-            filled += take
-        return out
+            return z[u * envelope < self.density_ratio(z)]
+
+        return rejection_sample(n, propose)[0]
+
+
+def rejection_sample(n: int, propose, row_shape=()) -> tuple[np.ndarray, int]:
+    """``(rows, proposals)``: the first ``n`` accepted rows, in draw order.
+
+    ``propose(chunk)`` draws ``max(2 * missing, 256)`` proposals and
+    returns the accepted ones, shaped ``(accepted, *row_shape)``; more
+    than ``MAX_PROPOSALS_PER_DRAW * n`` proposals raise ``RuntimeError``.
+    """
+    out = np.empty((n, *row_shape))
+    filled = 0
+    proposed = 0
+    while filled < n:
+        chunk = max(2 * (n - filled), 256)
+        proposed += chunk
+        if proposed > MAX_PROPOSALS_PER_DRAW * n:
+            raise RuntimeError(
+                "rejection sampler exceeded its proposal budget; "
+                "the envelope constant is wrong"
+            )
+        kept = propose(chunk)
+        take = min(len(kept), n - filled)
+        out[filled : filled + take] = kept[:take]
+        filled += take
+    return out, proposed
 
 
 def _gaussian_moment(j: int) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from spikelab.measures import MAX_PROPOSALS_PER_DRAW, NonGaussMeasure
+from spikelab.measures import NonGaussMeasure, rejection_sample
 from spikelab.tensors import RankOneSpike, check_entry_budget, rank1_densify
 
 __all__ = [
@@ -52,10 +52,18 @@ def _rademacher(rng: np.random.Generator, d: int) -> np.ndarray:
     return rng.choice([-1.0, 1.0], size=d)
 
 
-def _coordinate_factor(d: int, index: int) -> np.ndarray:
-    v = np.zeros(d)
-    v[index] = math.sqrt(d)
-    return v
+def _factor_spike(k, d, snr, indices, factors, seed) -> RankOneSpike:
+    """Order-k spike; coordinate factors ``sqrt(d) e_i`` by default, at
+    ``indices`` or, when those are not given either, at indices drawn
+    from ``seed``."""
+    if factors is None:
+        if indices is None:
+            indices = np.random.default_rng(seed).integers(0, d, size=k)
+        factors = [math.sqrt(d) * np.eye(d)[i] for i in indices]
+    spike = RankOneSpike(dim=d, snr=snr, factors=tuple(factors))
+    if spike.order != k:
+        raise ValueError(f"got {spike.order} factors for order {k}")
+    return spike
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,8 @@ class ModelSpec:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.k < 1 or self.d < 1:
             raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
-        if self.snr < 0:
-            raise ValueError(f"snr must be >= 0, got {self.snr}")
+        if not (math.isfinite(self.snr) and self.snr >= 0):
+            raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         if self.direction is not None:
             v = np.ascontiguousarray(self.direction, dtype=np.float64)
             if v.shape != (self.d,):
@@ -103,13 +111,7 @@ class ModelSpec:
     @classmethod
     def atpca(cls, k, d, snr, indices=None, factors=None, seed=0) -> "ModelSpec":
         """Asymmetric spiked tensor with coordinate factors by default."""
-        if factors is None:
-            if indices is None:
-                indices = tuple(np.random.default_rng(seed).integers(0, d, size=k))
-            factors = tuple(_coordinate_factor(d, i) for i in indices)
-        spike = RankOneSpike(dim=d, snr=snr, factors=tuple(factors))
-        if spike.order != k:
-            raise ValueError(f"got {spike.order} factors for order {k}")
+        spike = _factor_spike(k, d, snr, indices, factors, seed)
         return cls(problem="atpca", k=k, d=d, snr=snr, spike=spike)
 
     @classmethod
@@ -137,13 +139,7 @@ class ModelSpec:
             raise ValueError(
                 f"snr {snr} above the critical value {cca_critical_snr(k)}"
             )
-        if factors is None:
-            if indices is None:
-                indices = tuple(np.random.default_rng(seed).integers(0, d, size=k))
-            factors = tuple(_coordinate_factor(d, i) for i in indices)
-        spike = RankOneSpike(dim=d, snr=snr, factors=tuple(factors))
-        if spike.order != k:
-            raise ValueError(f"got {spike.order} factors for order {k}")
+        spike = _factor_spike(k, d, snr, indices, factors, seed)
         return cls(problem="cca", k=k, d=d, snr=snr, spike=spike)
 
     # -- geometry --------------------------------------------------------
@@ -273,25 +269,15 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     rate = spec.snr / cca_critical_snr(spec.k)
     factors = np.stack(spec.spike.factors)  # (k, d)
     rng = np.random.default_rng(seed)
-    out = np.empty((n, spec.row_length))
-    filled = 0
-    proposed = 0
-    while filled < n:
-        chunk = max(2 * (n - filled), 256)
-        proposed += chunk
-        if proposed > MAX_PROPOSALS_PER_DRAW * n:
-            raise RuntimeError(
-                "rejection sampler exceeded its proposal budget; "
-                "the envelope constant is wrong"
-            )
+
+    def propose(chunk):
         x = rng.standard_normal((chunk, spec.k, spec.d))
         signs = np.sign(np.einsum("nkd,kd->nk", x, factors)).prod(axis=1)
         u = rng.random(chunk)
-        kept = x[u * (1.0 + rate) < 1.0 + rate * signs]
-        take = min(len(kept), n - filled)
-        out[filled : filled + take] = kept[:take].reshape(take, -1)
-        filled += take
-    return _new_batch(spec, out, seed, meta={"proposals": proposed})
+        return x[u * (1.0 + rate) < 1.0 + rate * signs]
+
+    rows, proposed = rejection_sample(n, propose, (spec.k, spec.d))
+    return _new_batch(spec, rows.reshape(n, -1), seed, meta={"proposals": proposed})
 
 
 # ---------------------------------------------------------------------------

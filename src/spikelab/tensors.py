@@ -21,6 +21,7 @@ __all__ = [
     "contract_batch",
     "entry_budget",
     "outer_power",
+    "outer_product",
     "overlap",
     "rank1_densify",
     "set_entry_budget",
@@ -94,15 +95,20 @@ class RankOneSpike:
         return cls(dim=v.shape[0], snr=snr, factors=(v,) * order)
 
 
+def outer_product(vectors) -> np.ndarray:
+    """Flat entries of ``v_1 x .. x v_k`` in C order, multiplied left to right."""
+    out = np.asarray(vectors[0], dtype=np.float64)
+    for v in vectors[1:]:
+        out = np.multiply.outer(out, v)
+    return out.reshape(-1)
+
+
 def rank1_densify(spike: RankOneSpike) -> np.ndarray:
     """Flat entries of ``snr * (v_1 x .. x v_k) / sqrt(d^k)``."""
     k, d = spike.order, spike.dim
     check_entry_budget(d**k, f"order-{k} rank-one tensor on R^{d}")
-    out = spike.factors[0]
-    for v in spike.factors[1:]:
-        out = np.multiply.outer(out, v)
     scale = spike.snr / math.sqrt(float(d) ** k)
-    return scale * out.reshape(-1)
+    return scale * outer_product(spike.factors)
 
 
 def outer_power(u: np.ndarray, power: int) -> np.ndarray:
@@ -111,10 +117,7 @@ def outer_power(u: np.ndarray, power: int) -> np.ndarray:
         raise ValueError(f"power must be >= 1, got {power}")
     u = np.asarray(u, dtype=np.float64)
     check_entry_budget(u.size**power, f"order-{power} outer power")
-    out = u
-    for _ in range(power - 1):
-        out = np.multiply.outer(out, u)
-    return out.reshape(-1)
+    return outer_product((u,) * power)
 
 
 def contract_batch(batch: np.ndarray, dim: int, psi: np.ndarray) -> np.ndarray:

@@ -42,6 +42,7 @@ from spikelab.measures import (
     standard_gaussian,
 )
 from spikelab.models import ModelSpec, cca_critical_snr
+from spikelab.tensors import outer_product
 
 __all__ = [
     "CheckResult",
@@ -385,10 +386,7 @@ def tpca_llr_hermite_check(
         raise ValueError(f"need at least 1e4 samples, got {mc_samples}")
     rng = np.random.default_rng(seed)
     v = rng.choice([-1.0, 1.0], size=d)
-    vk = v
-    for _ in range(k - 1):
-        vk = np.multiply.outer(vk, v)
-    vk = vk.reshape(-1) / math.sqrt(float(d) ** k)
+    vk = outer_product((v,) * k) / math.sqrt(float(d) ** k)
     x = rng.standard_normal((mc_samples, vk.size))
     m = x @ vk
     ratio = np.exp(snr * m - snr * snr / 2.0)

@@ -99,6 +99,16 @@ def test_flag_overrides(tmp_path):
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\nprobes = 5"),
         # PowerMethodConfig's own check, run at parse time
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[estimator]\nmax_iters = 0"),
+        # a non-finite snr used to surface mid-run, if at all
+        ("snr = 1.0", "snr = nan"),
+        ("snr = 1.0", "snr = inf"),
+        ("snr = 1.0", "snr = -0.5"),
+        # the codec's checks: the step must be a finite normal float
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = inf"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = nan"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 1e308"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nbits = 53\nradius = 1e-320"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 0"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
@@ -300,6 +310,25 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
     path = write(tmp_path, BASE.replace("seeds = 0, 1, 2", "seeds ="))
     assert main(["sweep", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HARNESS.replace("radius = 8", "radius = inf"),
+        BASE.replace("snr = 1.0", "snr = nan"),
+        BASE.replace("problem = tpca", "problem = cca")
+        .replace("estimator = tensor-power", "estimator = cca-matricization")
+        .replace("snr = 1.0", "snr = nan"),
+    ],
+    ids=["radius-inf", "tpca-snr-nan", "cca-snr-nan"],
+)
+def test_main_non_finite_values_exit_2_at_parse(tmp_path, capsys, text):
+    # Before, radius = inf swept to overlap = nan rows with exit 0, and
+    # snr = nan died mid-run with a traceback.
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_main_reduce_without_sections(tmp_path, capsys):

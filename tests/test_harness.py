@@ -199,6 +199,27 @@ def test_quantizer_validation():
     with pytest.raises(ValueError, match="bits"):
         HarnessSettings(bits=54)
     assert HarnessSettings(bits=53).bits == 53
+    # The step must be a finite, normal, positive float: at an infinite
+    # step every snap was NaN, and at 1e-320 and 53 bits the step is 0,
+    # which snapped -radius to NaN.  [harness] runs the same checks.
+    bad = [
+        (32, math.nan),
+        (32, math.inf),
+        (1, 1e308),
+        (32, 1e308),
+        (53, 1e-320),
+        (1, 1e-320),
+        (53, 1e-293),
+    ]
+    for bits, radius in bad:
+        with pytest.raises(ValueError, match="radius"):
+            QuantizerSpec(bits=bits, radius=radius)
+        with pytest.raises(ValueError, match="radius"):
+            HarnessSettings(bits=bits, radius=radius)
+    for bits, radius in [(1, 8e307), (53, 1e-291), (1, 1.2e-308)]:
+        q = QuantizerSpec(bits=bits, radius=radius)
+        assert math.isfinite(q.step) and q.step >= 2.0**-1022
+        assert HarnessSettings(bits=bits, radius=radius).radius == radius
 
 
 @pytest.mark.parametrize("bits, radius", [(53, 1.0), (53, 0.7), (53, 95.0), (52, 0.7)])
@@ -362,9 +383,12 @@ def test_snap_sum_nan_start_passes_through_the_array_path():
 
 def test_snap_sum_overflowing_guess_is_silent():
     # steps / step overflows to +-inf and the running sum meets inf - inf;
-    # the snap loop itself stays finite and warns of nothing.
-    q = QuantizerSpec(bits=53, radius=1e-300)
-    steps = np.resize([1.0, -1.0], (64, 4))
+    # the snap loop itself stays finite and warns of nothing.  The step
+    # (about 2.2e-299) is normal, as the codec requires, and small
+    # enough that a 1e10 step overflows.
+    q = QuantizerSpec(bits=53, radius=1e-283)
+    steps = np.resize([1e10, -1e10], (64, 4))
+    assert 1e10 / q.step == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = q.snap_sum(np.zeros(4), steps)

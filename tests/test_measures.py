@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from spikelab.measures import (
+    MAX_PROPOSALS_PER_DRAW,
     build_bounded_llr_measure,
     build_mog_measure,
+    rejection_sample,
     standard_gaussian,
 )
 
@@ -165,6 +167,61 @@ def test_bounded_llr_sampling():
     for j in (1, 2):
         se_j = (x**j).std(ddof=1) / _m.sqrt(n)
         assert abs(np.mean(x**j) - m.moment(j)) < 5 * se_j
+
+
+# ---------------------------------------------------------------------------
+# the rejection loop
+
+
+def counting_proposer(accept_every, row_shape=()):
+    """Numbers the proposals 0, 1, .. and accepts every ``accept_every``-th,
+    each as a row of ``row_shape`` filled with its number; records the
+    chunk sizes."""
+    chunks = []
+
+    def propose(chunk):
+        start = sum(chunks)
+        chunks.append(chunk)
+        ids = np.arange(start, start + chunk, dtype=np.float64)
+        kept = ids[ids % accept_every == 0]
+        return kept.reshape(-1, *(1,) * len(row_shape)) * np.ones(row_shape)
+
+    return propose, chunks
+
+
+def test_rejection_sample_no_rows():
+    propose, chunks = counting_proposer(1)
+    rows, proposals = rejection_sample(0, propose, (2, 3))
+    assert rows.shape == (0, 2, 3) and proposals == 0 and chunks == []
+
+
+@pytest.mark.parametrize("n, accept_every", [(1, 1), (5, 3), (300, 7), (1000, 2), (600, 500)])
+def test_rejection_sample_chunks_and_draw_order(n, accept_every):
+    propose, chunks = counting_proposer(accept_every, (2,))
+    rows, proposals = rejection_sample(n, propose, (2,))
+    assert proposals == sum(chunks)
+    filled = total = 0
+    for chunk in chunks:
+        assert chunk == max(2 * (n - filled), 256)
+        total += chunk
+        filled = min(n, -(-total // accept_every))  # multiples below total
+    assert filled == n
+    # The first n accepted proposals, in the order they were drawn.
+    expected = accept_every * np.arange(n, dtype=np.float64)
+    np.testing.assert_array_equal(rows, np.column_stack([expected, expected]))
+
+
+def test_rejection_sample_stops_at_the_budget():
+    chunks = []
+
+    def accept_nothing(chunk):
+        chunks.append(chunk)
+        return np.empty(0)
+
+    with pytest.raises(RuntimeError, match="proposal budget"):
+        rejection_sample(3, accept_nothing)
+    # The chunk that would pass MAX_PROPOSALS_PER_DRAW * n is never drawn.
+    assert sum(chunks) <= MAX_PROPOSALS_PER_DRAW * 3 < sum(chunks) + 256
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,15 @@ def test_spec_validation():
         ModelSpec(problem="tpca", k=2, d=3, snr=0.1, direction=np.ones(3) * 2)
 
 
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -0.1])
+def test_spec_rejects_non_finite_or_negative_snr(snr):
+    # A cca nan passed the critical-value test and, folded into the
+    # rejection loop, would have burned its whole proposal budget.
+    for build in (ModelSpec.tpca, ModelSpec.atpca, ModelSpec.cca):
+        with pytest.raises(ValueError, match="snr"):
+            build(k=2, d=3, snr=snr)
+
+
 # ---------------------------------------------------------------------------
 # tensor samplers
 

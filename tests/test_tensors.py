@@ -12,6 +12,7 @@ from spikelab.tensors import (
     contract_batch,
     entry_budget,
     outer_power,
+    outer_product,
     overlap,
     rank1_densify,
     set_entry_budget,
@@ -151,6 +152,28 @@ def test_outer_power_matches_contract_template():
     p = outer_power(u, 3)
     expected = np.einsum("i,j,k->ijk", u, u, u).reshape(-1)
     np.testing.assert_allclose(p, expected, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    lengths=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    integral=st.booleans(),
+)
+def test_outer_product_matches_einsum(lengths, seed, integral):
+    rng = np.random.default_rng(seed)
+    if integral:  # small integers: every product is exact
+        vectors = [rng.integers(-9, 10, n).astype(np.float64) for n in lengths]
+    else:
+        vectors = [rng.standard_normal(n) for n in lengths]
+    letters = "abcd"[: len(lengths)]
+    expected = np.einsum(",".join(letters) + "->" + letters, *vectors).reshape(-1)
+    got = outer_product(vectors)
+    assert got.shape == (math.prod(lengths),)
+    if integral:
+        np.testing.assert_array_equal(got, expected)
+    else:
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
