@@ -3,7 +3,8 @@
 ``tests/data/fingerprints.txt`` holds SHA-256 digests, made by
 ``scripts/fingerprint.py --write``, of sweep CSVs without ``wall_ms``
 (every estimator in plain mode, the bounded-llr ngca measure, whose
-sampler is the rejection loop, the k=3 cca net search, ``[harness]``
+sampler is the rejection loop, the k=3 cca net search, ngca nets past
+2,048 points and at d=4, a 90-point k=2 cca net, ``[harness]``
 tpca k=2 and k=4 partial trace, ``[distributed]`` with shard_rows 8),
 one ``reduce --out``
 transcript and the five ``verify`` reports.  A change that moves any of
