@@ -399,6 +399,43 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_finite(batch: SampleBatch) -> None:
+    # A NaN or inf makes every score NaN or inf, and the strict ``<`` of
+    # the searches would then return the first candidate as the winner.
+    if not np.isfinite(batch.data).all():
+        raise ValueError("batch holds a non-finite value")
+
+
+# Product shapes of the net search.  OpenBLAS rounds a product's last
+# rows and columns (the ones its kernels cannot tile) according to the
+# whole product's shape, so cutting a product into blocks can move the
+# last bit of those entries.  The shapes below are the ones the search
+# has always used; changing one moves bits.
+_PROBE_DRAW = 2048  # coverage probes per draw in ``sphere_net``
+_PROJECTION_COLS = 2048  # net points per projection product (n, cols)
+_GRAM_ROWS = 1024  # candidates per Gram product (rows, m)
+
+# Block widths of the work after each product, measured on one pinned
+# core of an Intel Xeon (2 MB L2, scipy-openblas).  They move no bit:
+# each call reuses one workspace per array for all of its blocks, so a
+# block stays in cache while it is clipped, powered and reduced.
+_PROBE_ROWS = 64  # probes per dot block in ``sphere_net``
+_NGCA_ROWS = 64  # sample rows per moment block, candidates per score block
+_CCA_COLS = 64  # product columns per head group of ``brute_force_cca``
+_CCA_MODEL = 1 << 16  # model entries per candidate slice of ``brute_force_cca``
+
+# Two evaluations of one dot of unit vectors in R^d, in any order and
+# with or without fused multiply-adds, differ by at most 2 d 2^-53
+# (< 1e-15 for d <= 4); ``sphere_net`` calls a coverage check this
+# close to delta too close to call from blocked dots.
+_DOT_SLACK = 1e-12
+
+
+def _spans(total: int, width: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` pairs cutting ``range(total)`` into blocks of ``width``."""
+    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
+
+
 @dataclass(frozen=True)
 class BruteForceConfig:
     """Net resolution and truncation level for the exhaustive searches.
@@ -437,6 +474,18 @@ def sphere_net(
     fresh random sphere points sits farther than delta from the net.
     ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
     net that would outgrow ``max_points`` raises ``RuntimeError``.
+
+    The probes are drawn ``_PROBE_DRAW`` at a time.  The reference
+    check takes each draw's dots with the net as one product and asks
+    whether ``sqrt(max(2 - 2 lo, 0)) <= delta``, with ``lo`` the lowest
+    best dot of any probe; that map does not increase, so this is the
+    largest probe distance, exactly.  Here the dots are taken
+    ``_PROBE_ROWS`` probes at a time in one reused workspace, which may
+    move a dot's last bit.  The answer is kept only when it holds for
+    every ``lo`` within ``_DOT_SLACK`` of the blocked one; otherwise the
+    draws are redone as whole products.  Either way the net is the
+    reference net, bit for bit.  The draws are kept for that redo:
+    ``probes * d`` floats, against the ``2048 * m`` of one whole product.
     """
     if not 1 <= d <= 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
@@ -464,15 +513,37 @@ def sphere_net(
             )
         net = rng.standard_normal((count, d))
         net /= np.linalg.norm(net, axis=1, keepdims=True)
-        worst = 0.0
-        for start in range(0, probes, 2048):
-            q = rng.standard_normal((min(2048, probes - start), d))
+        draws = []
+        for start in range(0, probes, _PROBE_DRAW):
+            q = rng.standard_normal((min(_PROBE_DRAW, probes - start), d))
             q /= np.linalg.norm(q, axis=1, keepdims=True)
-            best_dot = (q @ net.T).max(axis=1)
-            worst = max(worst, float(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)).max()))
-        if worst <= delta:
+            draws.append(q)
+        lowest = _lowest_best_dot(draws, net, _PROBE_ROWS)
+        if _reach(lowest + _DOT_SLACK) <= delta < _reach(lowest - _DOT_SLACK):
+            lowest = _lowest_best_dot(draws, net, _PROBE_DRAW)
+        if _reach(lowest) <= delta:
             return net
         count *= 2
+
+
+def _reach(lowest: float) -> float:
+    """Chord distance to the net of a probe whose best dot is ``lowest``."""
+    return math.sqrt(max(2.0 - 2.0 * lowest, 0.0))
+
+
+def _lowest_best_dot(draws: list[np.ndarray], net: np.ndarray, rows: int) -> float:
+    """``min`` over the probes of ``max`` over the net of their dot.
+
+    The dots are taken ``rows`` probes at a time in one workspace; with
+    ``rows = _PROBE_DRAW`` each draw is one product, the reference.
+    """
+    dots = np.empty((min(rows, max(map(len, draws))), len(net)))
+    lowest = math.inf
+    for q in draws:
+        for lo, hi in _spans(len(q), rows):
+            block = np.matmul(q[lo:hi], net.T, out=dots[: hi - lo])
+            lowest = min(lowest, float(block.max(axis=1).min()))
+    return lowest
 
 
 def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> float:
@@ -480,7 +551,7 @@ def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> 
     return float(np.abs((net @ u1) ** k - (net @ u2) ** k).max())
 
 
-def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
+def _power_inplace(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
     """``x**k`` for an integer ``k >= 1`` by repeated squaring, not ``pow``.
 
     Left-to-right binary powering with a fixed order: with ``b_1 .. b_r``
@@ -488,20 +559,59 @@ def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
     each bit in turn set ``y = y * y``, then ``y = y * x`` if the bit is
     set.  When ``k`` is a power of two every step is a square done in
     place and ``x`` itself is returned; otherwise the first square goes
-    to one new buffer, which is returned, and ``x`` is left as it was.
-    For ``k = 2`` this is ``x * x``, bitwise the same as numpy's ``x**2``.
+    to ``out`` (a new buffer when None, else an array of ``x``'s shape
+    that does not overlap it), which is returned, and ``x`` is left as
+    it was.  For ``k = 2`` this is ``x * x``, bitwise the same as
+    numpy's ``x**2``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     y = x
     for bit in bin(k)[3:]:
         if y is x and k & (k - 1):
-            y = np.multiply(x, x)
+            y = np.multiply(x, x, out=out)
         else:
             np.multiply(y, y, out=y)
         if bit == "1":
             np.multiply(y, x, out=y)
     return y
+
+
+def _clipped_moments(data: np.ndarray, net: np.ndarray, k: int, trunc: float) -> np.ndarray:
+    """``mean_i clip(<x_i, w>, -trunc, trunc)^k`` for every net point ``w``.
+
+    The same bits as clipping, powering (``_power_inplace``) and taking
+    ``mean(axis=0)`` of each projection product ``(n, _PROJECTION_COLS)``
+    whole.  The rows of a product are clipped and powered ``_NGCA_ROWS``
+    at a time in one workspace whose first row carries the running
+    column sums, so every column is summed row by row in order, as
+    ``mean(axis=0)`` sums a C-ordered array of two or more columns.
+    numpy sums a single column pairwise, so a one-column product takes
+    the whole-array path.
+    """
+    n = len(data)
+    moments = np.empty(len(net))
+    for start in range(0, len(net), _PROJECTION_COLS):
+        g = data @ net[start : start + _PROJECTION_COLS].T
+        cols = g.shape[1]
+        if cols == 1:
+            np.clip(g, -trunc, trunc, out=g)
+            moments[start:] = _power_inplace(g, k).mean(axis=0)
+            continue
+        work = np.empty((_NGCA_ROWS + 1, cols))
+        total = moments[start : start + cols]
+        first = 1  # the first block has no running sums yet
+        for lo, hi in _spans(n, _NGCA_ROWS):
+            block = work[1 : 1 + hi - lo]
+            np.clip(g[lo:hi], -trunc, trunc, out=block)
+            powered = _power_inplace(block, k, out=g[lo:hi])
+            if powered is not block:
+                block[...] = powered
+            np.add.reduce(work[first : 1 + hi - lo], axis=0, out=total)
+            work[0] = total
+            first = 0
+        total /= n
+    return moments
 
 
 def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport:
@@ -511,46 +621,61 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     discrepancy over the net between the empirical clipped moment curve
     ``mean_i trunc_h(<x_i, w>)^k - E[Z^k]`` and the planted prediction
     ``sign * snr * <u, w>^k``.  Ties break toward the lowest net index,
-    with the + sign preferred at equal index.
+    with the + sign preferred at equal index.  A batch holding a NaN or
+    inf raises ``ValueError``.
 
     The k-th powers of the clipped projections and of the net Gram
     block are computed by in-place repeated squaring
     (``_power_inplace``), not by libm ``pow``; for k >= 3 the objective
     may differ from ``**k`` in its last bits.
+
+    The search costs m^2 score entries for an m-point net.  The
+    projection products ``(n, _PROJECTION_COLS)`` and the Gram products
+    ``(_GRAM_ROWS, m)`` keep their shapes (see ``_GRAM_ROWS``); the work
+    after each product runs ``_NGCA_ROWS`` rows at a time in workspaces
+    reused for every block, bit for bit:
+
+    - moments: ``_clipped_moments`` sums each column row by row in
+      order, as ``mean(axis=0)`` of the whole product does;
+    - scores: one workspace holds the planted curve and one its distance
+      to the empirical curve; a maximum does not round, and the strict
+      ``<`` across blocks keeps the lowest-index tie break.
     """
     spec = batch.spec
     if spec.problem != "ngca":
         raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
     if spec.d > 4:
         raise ValueError(f"net search is capped at d <= 4, got d={spec.d}")
+    _check_finite(batch)
     t0 = time.perf_counter()
     net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m = len(net)
     k = spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
-    gvec = np.empty(m)
-    for start in range(0, m, 2048):
-        g = batch.data @ net[start : start + 2048].T
-        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
-        gvec[start : start + 2048] = _power_inplace(g, k).mean(axis=0)
+    gvec = _clipped_moments(batch.data, net, k, cfg.trunc)
     gvec -= gauss_k
 
     best_score = math.inf
     best_index = 0
     best_sign = 1.0
-    for start in range(0, m, 1024):
-        block = net[start : start + 1024]
-        planted = _power_inplace(block @ net.T, k)
-        planted *= spec.snr
-        score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
-        score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
-        use_minus = score_minus < score_plus
-        scores = np.where(use_minus, score_minus, score_plus)
-        local = int(np.argmin(scores))
-        if scores[local] < best_score:
-            best_score = float(scores[local])
-            best_index = start + local
-            best_sign = -1.0 if use_minus[local] else 1.0
+    powered = np.empty(_NGCA_ROWS * m)
+    gap = np.empty(_NGCA_ROWS * m)
+    for start in range(0, m, _GRAM_ROWS):
+        gram = net[start : start + _GRAM_ROWS] @ net.T
+        for lo, hi in _spans(len(gram), _NGCA_ROWS):
+            rows = gram[lo:hi]
+            planted = _power_inplace(rows, k, out=powered[: rows.size].reshape(rows.shape))
+            planted *= spec.snr
+            diff = gap[: rows.size].reshape(rows.shape)
+            score_plus = np.abs(np.subtract(gvec, planted, out=diff), out=diff).max(axis=1)
+            score_minus = np.abs(np.add(gvec, planted, out=diff), out=diff).max(axis=1)
+            use_minus = score_minus < score_plus
+            scores = np.where(use_minus, score_minus, score_plus)
+            local = int(np.argmin(scores))
+            if scores[local] < best_score:
+                best_score = float(scores[local])
+                best_index = start + lo + local
+                best_sign = -1.0 if use_minus[local] else 1.0
     info = {
         "objective": best_score,
         "sign": best_sign,
@@ -565,14 +690,29 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
 
     Candidates and adversaries both range over the k-fold product of one
     sphere net; the objective compares the clipped empirical product
-    moment against ``snr * prod_l <u_l, w_l>``.  Guarded to d <= 3 and
-    k <= 3, where the product search is still enumerable.
+    moment against ``snr * prod_l <u_l, w_l>``.  Ties break toward the
+    lowest candidate tuple in ``itertools.product`` order.  Guarded to
+    d <= 3 and k <= 3, where the product search is still enumerable, and
+    to an adversary table of at most 10^6 entries (``m**k``).  A batch
+    holding a NaN or inf raises ``ValueError``.
+
+    The search costs m^(2k) score entries for an m-point net, in fixed
+    memory.  The table of clipped product moments is built for groups
+    of heads (every factor but the last) in one reused ``(n, g m)``
+    workspace of about ``_CCA_COLS`` columns; each head's factors are
+    multiplied in the same order as one head at a time, and every
+    column keeps its own sequential row sum, so the table has the same
+    bits.  The model moments of one candidate head are built for slices
+    of the last factor in one reused workspace of at most
+    ``max(_CCA_MODEL, m**k)`` entries; a maximum does not round, and the
+    strict ``<`` across slices keeps the lowest-index tie break.
     """
     spec = batch.spec
     if spec.problem != "cca":
         raise ValueError(f"expected a cca batch, got {spec.problem!r}")
     if spec.d > 3 or spec.k > 3:
         raise ValueError("net-product search is capped at d <= 3, k <= 3")
+    _check_finite(batch)
     t0 = time.perf_counter()
     net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m = len(net)
@@ -580,32 +720,46 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     if m**k > 1_000_000:
         raise RuntimeError(f"net product of size {m}^{k} exceeds the budget")
     views = batch.views()
+    n = len(views)
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
-    # Empirical clipped product moments over all adversary tuples, one
-    # block of last factors per head (all factors but the last).
-    ghat = np.empty((m,) * k)
-    for head in itertools.product(range(m), repeat=k - 1):
-        pre = proj[0][:, head[0]]
+    # Empirical clipped product moments over all adversary tuples: row h
+    # of ``table`` holds head h's block of last factors, heads in
+    # ``itertools.product`` order.
+    heads = m ** (k - 1)
+    table = np.empty((heads, m))
+    group = max(1, _CCA_COLS // m)
+    work = np.empty(n * group * m)
+    for lo, hi in _spans(heads, group):
+        index = np.unravel_index(np.arange(lo, hi), (m,) * (k - 1))
+        pre = proj[0][:, index[0]]
         for l in range(1, k - 1):
-            pre = pre * proj[l][:, head[l]]
-        prod = pre[:, None] * proj[k - 1]
+            pre = pre * proj[l][:, index[l]]
+        prod = work[: n * (hi - lo) * m].reshape(n, hi - lo, m)
+        np.multiply(pre[:, :, None], proj[k - 1][:, None, :], out=prod)
         np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
-        ghat[head] = prod.mean(axis=0)
+        np.mean(prod.reshape(n, -1), axis=0, out=table[lo:hi].reshape(-1))
 
-    # Model moments for one candidate head: "w,cy->cwy" for k = 2,
-    # "w,x,cy->cwxy" for k = 3, with c the candidate's last factor.
+    # Model moments snr * g[h_1, w_1] .. g[h_{k-1}, w_{k-1}] * g[c, y] of
+    # candidate (h, c), multiplied left to right, for a slice of c.
     gram = net @ net.T
-    axes = "wx"[: k - 1]
-    subscripts = ",".join(axes) + ",cy->c" + axes + "y"
+    rows = max(1, _CCA_MODEL // m**k)
+    model = np.empty(min(rows, m) * m**k)
     best_score = math.inf
     best_tuple = (0,) * k
     for head in itertools.product(range(m), repeat=k - 1):
-        model = spec.snr * np.einsum(subscripts, *(gram[i] for i in head), gram)
-        scores = np.abs(ghat[None] - model).reshape(m, -1).max(axis=1)
-        local = int(np.argmin(scores))
-        if scores[local] < best_score:
-            best_score = float(scores[local])
-            best_tuple = (*head, local)
+        outer = gram[head[0]]
+        for i in head[1:]:
+            outer = np.multiply.outer(outer, gram[i]).reshape(-1)
+        for lo, hi in _spans(m, rows):
+            block = model[: (hi - lo) * m**k].reshape(hi - lo, heads, m)
+            np.multiply(outer[None, :, None], gram[lo:hi, None, :], out=block)
+            block *= spec.snr
+            np.abs(np.subtract(table, block, out=block), out=block)
+            scores = block.reshape(hi - lo, -1).max(axis=1)
+            local = int(np.argmin(scores))
+            if scores[local] < best_score:
+                best_score = float(scores[local])
+                best_tuple = (*head, lo + local)
 
     flat = outer_product([net[i] for i in best_tuple])
     truth = _tensor_truth(spec)

@@ -1,6 +1,8 @@
 """Estimator behavior: exact recovery, calibration, and edge cases."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spikelab import estimators as est
 from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
@@ -36,7 +39,7 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import contract_batch, outer_power, rank1_densify
+from spikelab.tensors import contract_batch, outer_power, outer_product, rank1_densify
 
 
 def noiseless_batch(spec, n=1):
@@ -718,3 +721,282 @@ def test_brute_force_ngca_matches_pow_reference(d, k, snr):
     if snr == 0.0:
         # every candidate ties, so the lowest index with the + sign wins
         assert (index, sign) == (0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# blocked net search against the unblocked one, bit for bit
+
+
+def unblocked_sphere_net(d, delta, seed=0, probes=10_000, max_points=200_000):
+    """``sphere_net`` with each 2,048-probe draw's dots taken as one product."""
+    if d <= 2:
+        return sphere_net(d, delta, seed, probes, max_points)
+    rng = np.random.default_rng(seed)
+    count = math.ceil(40.0 * (3.0 / delta) ** (d - 1))
+    while True:
+        if count > max_points:
+            raise RuntimeError("budget")
+        net = rng.standard_normal((count, d))
+        net /= np.linalg.norm(net, axis=1, keepdims=True)
+        worst = 0.0
+        for start in range(0, probes, 2048):
+            q = rng.standard_normal((min(2048, probes - start), d))
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            best_dot = (q @ net.T).max(axis=1)
+            worst = max(worst, float(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)).max()))
+        if worst <= delta:
+            return net
+        count *= 2
+
+
+def unblocked_brute_force_ngca(batch, cfg, cols=2048, rows=1024):
+    """The ngca net search over whole (n, cols) and (rows, m) products;
+    returns (net, objective, net_index, sign)."""
+    spec = batch.spec
+    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    m, k = len(net), spec.k
+    gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
+    gvec = np.empty(m)
+    for start in range(0, m, cols):
+        g = batch.data @ net[start : start + cols].T
+        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
+        gvec[start : start + cols] = _power_inplace(g, k).mean(axis=0)
+    gvec -= gauss_k
+    best = (math.inf, 0, 1.0)
+    for start in range(0, m, rows):
+        planted = _power_inplace(net[start : start + rows] @ net.T, k)
+        planted *= spec.snr
+        score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
+        score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
+        use_minus = score_minus < score_plus
+        scores = np.where(use_minus, score_minus, score_plus)
+        local = int(np.argmin(scores))
+        if scores[local] < best[0]:
+            best = (float(scores[local]), start + local, -1.0 if use_minus[local] else 1.0)
+    return net, best[0], best[1], best[2]
+
+
+def unblocked_brute_force_cca(batch, cfg):
+    """The cca net-product search one head at a time with whole
+    ``m^(k+1)`` model blocks; returns (net, objective, net_indices)."""
+    spec = batch.spec
+    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    m, k = len(net), spec.k
+    views = batch.views()
+    proj = [views[:, l, :] @ net.T for l in range(k)]
+    ghat = np.empty((m,) * k)
+    for head in itertools.product(range(m), repeat=k - 1):
+        pre = proj[0][:, head[0]]
+        for l in range(1, k - 1):
+            pre = pre * proj[l][:, head[l]]
+        prod = pre[:, None] * proj[k - 1]
+        np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
+        ghat[head] = prod.mean(axis=0)
+    gram = net @ net.T
+    axes = "wx"[: k - 1]
+    subscripts = ",".join(axes) + ",cy->c" + axes + "y"
+    best = (math.inf, (0,) * k)
+    for head in itertools.product(range(m), repeat=k - 1):
+        model = spec.snr * np.einsum(subscripts, *(gram[i] for i in head), gram)
+        scores = np.abs(ghat[None] - model).reshape(m, -1).max(axis=1)
+        local = int(np.argmin(scores))
+        if scores[local] < best[0]:
+            best = (float(scores[local]), (*head, local))
+    return net, best[0], best[1]
+
+
+BLOCK_WIDTHS = ["1", "3", "7", "m-1", "m+1"]
+
+
+def _width(kind, m):
+    return {"m-1": max(m - 1, 1), "m+1": m + 1}.get(kind) or int(kind)
+
+
+def _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch, shapes=(2048, 1024)):
+    # ``shapes`` are the product shapes, given to both searches
+    net, objective, index, sign = unblocked_brute_force_ngca(batch, cfg, *shapes)
+    width = _width(kind, len(net))
+    monkeypatch.setattr(est, "_PROBE_ROWS", width)
+    monkeypatch.setattr(est, "_NGCA_ROWS", width)
+    monkeypatch.setattr(est, "_PROJECTION_COLS", shapes[0])
+    monkeypatch.setattr(est, "_GRAM_ROWS", shapes[1])
+    got_net = sphere_net(batch.spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    report = brute_force_ngca(batch, cfg)
+    assert got_net.tobytes() == net.tobytes()
+    assert report.info["objective"].hex() == objective.hex()
+    assert (report.info["net_index"], report.info["sign"]) == (index, sign)
+    assert report.estimate.tobytes() == net[index].tobytes()
+
+
+def _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch):
+    net, objective, indices = unblocked_brute_force_cca(batch, cfg)
+    m, k = len(net), batch.spec.k
+    width = _width(kind, m)
+    # ``width`` heads per group and ``width`` candidates per model slice
+    monkeypatch.setattr(est, "_PROBE_ROWS", width)
+    monkeypatch.setattr(est, "_CCA_COLS", width * m)
+    monkeypatch.setattr(est, "_CCA_MODEL", width * m**k)
+    report = brute_force_cca(batch, cfg)
+    assert report.info["objective"].hex() == objective.hex()
+    assert report.info["net_indices"] == indices
+    assert report.estimate.tobytes() == outer_product([net[i] for i in indices]).tobytes()
+
+
+def _cca_batch(k, d, n, seed):
+    # snr 0.37, not a power of two, so the model's rounding depends on the
+    # order of its factors
+    spec = ModelSpec.cca(k=k, d=d, snr=0.37, seed=seed)
+    return sample_cca(spec, n=n, seed=seed + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(2, 6),
+    delta_step=st.integers(0, 3),
+    snr=st.sampled_from([0.0, 0.4, 1.5]),
+    n=st.integers(1, 300),
+    probes=st.sampled_from([1, 2, 65, 500, 2049, 2113]),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(BLOCK_WIDTHS),
+    shapes=st.sampled_from([(2048, 1024), (5, 3), (2, 1), (1, 2)]),
+)
+def test_blocked_ngca_search_is_bit_identical(
+    d, k, delta_step, snr, n, probes, seed, kind, shapes
+):
+    # nets of 2 (d = 1) to a few hundred points (d = 3, 4; doubled when a
+    # coverage check fails); the product shapes leave one-column and
+    # one-row products at the ends
+    delta = {1: 1.0, 2: 0.3, 3: 1.25, 4: 1.25}[d] + 0.25 * delta_step
+    batch = planted_ngca_batch(d, k, snr, n, seed)
+    cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=seed, probes=probes)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch, shapes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    k=st.integers(2, 3),
+    delta=st.sampled_from([0.4, 0.7, 1.0, 2.0]),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**16),
+    kind=st.sampled_from(BLOCK_WIDTHS),
+)
+def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind):
+    batch = _cca_batch(k, d, n, seed)
+    cfg = BruteForceConfig(delta=delta, trunc=0.8, seed=seed, probes=100)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["64", "7"])
+@pytest.mark.parametrize(
+    "d, delta", [(3, 0.4), (4, 0.9)]  # 2,250 points (two projection products), 1,482
+)
+def test_blocked_ngca_search_is_bit_identical_on_large_nets(d, delta, kind, monkeypatch):
+    batch = planted_ngca_batch(d, 4, 0.9, 512, 7 * d)
+    cfg = BruteForceConfig(delta=delta, trunc=4.0)
+    _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["1", "7", "m+1"])
+def test_blocked_cca_search_is_bit_identical_on_a_90_point_net(kind, monkeypatch):
+    # d = 3, delta = 2 gives 90 points: 8,100 candidates, several model slices
+    batch = _cca_batch(2, 3, 64, 11)
+    cfg = BruteForceConfig(delta=2.0, trunc=4.0)
+    _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
+
+
+@pytest.mark.parametrize("d, delta, probes", [(3, 0.5, 2049), (4, 1.5, 300), (3, 1.9, 4)])
+def test_sphere_net_redoes_a_close_call_with_whole_products(d, delta, probes, monkeypatch):
+    whole_draws = []
+    lowest_best_dot = est._lowest_best_dot
+
+    def spy(draws, net, rows):
+        if rows == est._PROBE_DRAW:
+            whole_draws.append(len(net))
+        return lowest_best_dot(draws, net, rows)
+
+    monkeypatch.setattr(est, "_lowest_best_dot", spy)
+    reference = unblocked_sphere_net(d, delta, 3, probes)
+    assert sphere_net(d, delta, 3, probes).tobytes() == reference.tobytes()
+    assert whole_draws == []  # blocked dots decide every ordinary check
+    # a slack wider than any dot makes every check a close call
+    monkeypatch.setattr(est, "_DOT_SLACK", 4.0)
+    assert sphere_net(d, delta, 3, probes).tobytes() == reference.tobytes()
+    assert whole_draws and whole_draws[-1] == len(reference)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+    m=st.integers(1, 200),
+    rows=st.sampled_from([1, 3, 7, 64, 301]),
+    seed=st.integers(0, 2**16),
+)
+def test_lowest_best_dot_is_the_whole_product_minimum_within_the_slack(d, sizes, m, rows, seed):
+    rng = np.random.default_rng(seed)
+
+    def unit(count):
+        x = rng.standard_normal((count, d))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    draws, net = [unit(size) for size in sizes], unit(m)
+    expected = min(float((q @ net.T).max(axis=1).min()) for q in draws)
+    assert est._lowest_best_dot(draws, net, est._PROBE_DRAW) == expected
+    assert abs(est._lowest_best_dot(draws, net, rows) - expected) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# brute-force input checks and memory
+
+
+def test_brute_force_ngca_rejects_a_non_finite_batch():
+    batch = planted_ngca_batch(2, 4, 0.9, 50, 3)
+    data = batch.data.copy()
+    data[17, 1] = np.nan
+    batch = SampleBatch(spec=batch.spec, data=data, seed=batch.seed)
+    with pytest.raises(ValueError, match="non-finite"):
+        brute_force_ngca(batch, BruteForceConfig(delta=0.5, trunc=2.0))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_brute_force_cca_rejects_a_non_finite_batch(bad):
+    batch = _cca_batch(2, 2, 50, 3)
+    data = batch.data.copy()
+    data[9, 0] = bad
+    batch = SampleBatch(spec=batch.spec, data=data, seed=batch.seed)
+    with pytest.raises(ValueError, match="non-finite"):
+        brute_force_cca(batch, BruteForceConfig(delta=0.5, trunc=2.0))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_force_cca_memory_does_not_grow_with_the_model_block():
+    # m = 90 at k = 2: one head's whole model block has m^(k+1) = 729,000
+    # entries (5.8 MB), and the unblocked search held two of them
+    batch = _cca_batch(2, 3, 64, 5)
+    cfg = BruteForceConfig(delta=2.0, trunc=4.0)
+    assert len(sphere_net(3, 2.0)) == 90
+    assert _peak_bytes(lambda: brute_force_cca(batch, cfg)) < 2_000_000
+
+
+def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces():
+    # n = 4096, m = 1,440: the (n, m) projection product (47 MB) keeps its
+    # shape, which fixes its rounding, and is freed before the search;
+    # all else is workspace of a few MB (the unblocked search peaked at
+    # 83 MB: the projection product, then three (1024, m) arrays)
+    batch = planted_ngca_batch(3, 4, 0.9, 4096, 6)
+    cfg = BruteForceConfig(delta=0.5, trunc=4.0)
+    assert len(sphere_net(3, 0.5)) == 1440
+    projection = 4096 * 1440 * 8
+    assert _peak_bytes(lambda: brute_force_ngca(batch, cfg)) < projection + 4_000_000
