@@ -400,8 +400,9 @@ def _check_count(name: str, value) -> None:
 
 
 def _check_finite(batch: SampleBatch) -> None:
-    # A NaN or inf makes every score NaN or inf, and the strict ``<`` of
-    # the searches would then return the first candidate as the winner.
+    # A NaN or inf turns scores into NaN, which the strict ``<`` of the
+    # searches never takes: they would report the first candidate with
+    # an infinite objective.
     if not np.isfinite(batch.data).all():
         raise ValueError("batch holds a non-finite value")
 
@@ -416,18 +417,20 @@ _PROJECTION_COLS = 2048  # net points per projection product (n, cols)
 _GRAM_ROWS = 1024  # candidates per Gram product (rows, m)
 
 # Block widths of the work after each product, measured on one pinned
-# core of an Intel Xeon (2 MB L2, scipy-openblas).  They move no bit:
-# each call reuses one workspace per array for all of its blocks, so a
-# block stays in cache while it is clipped, powered and reduced.
+# core of an Intel Xeon (2 MB L2, scipy-openblas); 32 to 128 run within
+# noise of each other, 256 and up fall out of cache.  They move no
+# output bit: each call reuses one workspace per array for all of its
+# blocks, so a block stays in cache while it is clipped, powered and
+# reduced.
 _PROBE_ROWS = 64  # probes per dot block in ``sphere_net``
 _NGCA_ROWS = 64  # sample rows per moment block, candidates per score block
 _CCA_COLS = 64  # product columns per head group of ``brute_force_cca``
 _CCA_MODEL = 1 << 16  # model entries per candidate slice of ``brute_force_cca``
 
 # Two evaluations of one dot of unit vectors in R^d, in any order and
-# with or without fused multiply-adds, differ by at most 2 d 2^-53
-# (< 1e-15 for d <= 4); ``sphere_net`` calls a coverage check this
-# close to delta too close to call from blocked dots.
+# with or without fused multiply-adds, differ by at most about 2 d 2^-53
+# (< 1e-15 for d <= 4); ``sphere_net`` redoes a coverage check whose
+# lowest best dot is this close to deciding it the other way.
 _DOT_SLACK = 1e-12
 
 
@@ -631,9 +634,9 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
 
     The search costs m^2 score entries for an m-point net.  The
     projection products ``(n, _PROJECTION_COLS)`` and the Gram products
-    ``(_GRAM_ROWS, m)`` keep their shapes (see ``_GRAM_ROWS``); the work
-    after each product runs ``_NGCA_ROWS`` rows at a time in workspaces
-    reused for every block, bit for bit:
+    ``(_GRAM_ROWS, m)`` keep the shapes that fix their rounding; the
+    work after each product runs ``_NGCA_ROWS`` rows at a time in
+    workspaces reused for every block, bit for bit:
 
     - moments: ``_clipped_moments`` sums each column row by row in
       order, as ``mean(axis=0)`` of the whole product does;
@@ -696,16 +699,19 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     to an adversary table of at most 10^6 entries (``m**k``).  A batch
     holding a NaN or inf raises ``ValueError``.
 
-    The search costs m^(2k) score entries for an m-point net, in fixed
-    memory.  The table of clipped product moments is built for groups
-    of heads (every factor but the last) in one reused ``(n, g m)``
-    workspace of about ``_CCA_COLS`` columns; each head's factors are
-    multiplied in the same order as one head at a time, and every
-    column keeps its own sequential row sum, so the table has the same
-    bits.  The model moments of one candidate head are built for slices
-    of the last factor in one reused workspace of at most
-    ``max(_CCA_MODEL, m**k)`` entries; a maximum does not round, and the
-    strict ``<`` across slices keeps the lowest-index tie break.
+    The search costs m^(2k) score entries for an m-point net; besides
+    the table it holds only workspaces reused block after block, bit for
+    bit:
+
+    - table: the clipped product moments of a group of heads (every
+      factor but the last) fill one ``(n, g m)`` workspace of about
+      ``_CCA_COLS`` columns; each head's factors are multiplied in the
+      same order as one head at a time, and every column is summed row
+      by row in order, as ``mean(axis=0)`` of one head's block does;
+    - scores: the model moments of one candidate head fill one
+      workspace for a slice of last factors, at most
+      ``max(_CCA_MODEL, m**k)`` entries; a maximum does not round, and
+      the strict ``<`` across slices keeps the lowest-index tie break.
     """
     spec = batch.spec
     if spec.problem != "cca":

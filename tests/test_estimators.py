@@ -662,25 +662,49 @@ def test_power_inplace_other_k_leaves_input():
 
 
 # ---------------------------------------------------------------------------
-# brute-force ngca against a pow-based reference
+# brute-force ngca against unblocked references, with libm pow and squaring
 
 
-def pow_brute_force_ngca(batch, cfg):
-    """The net search with libm ``**k`` powers, as before the squaring
-    helper; returns (net_index, sign, objective)."""
+def unblocked_sphere_net(d, delta, seed=0, probes=10_000, max_points=200_000):
+    """``sphere_net`` with each 2,048-probe draw's dots taken as one product."""
+    if d <= 2:
+        return sphere_net(d, delta, seed, probes, max_points)
+    rng = np.random.default_rng(seed)
+    count = math.ceil(40.0 * (3.0 / delta) ** (d - 1))
+    while True:
+        if count > max_points:
+            raise RuntimeError("budget")
+        net = rng.standard_normal((count, d))
+        net /= np.linalg.norm(net, axis=1, keepdims=True)
+        worst = 0.0
+        for start in range(0, probes, 2048):
+            q = rng.standard_normal((min(2048, probes - start), d))
+            q /= np.linalg.norm(q, axis=1, keepdims=True)
+            best_dot = (q @ net.T).max(axis=1)
+            worst = max(worst, float(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)).max()))
+        if worst <= delta:
+            return net
+        count *= 2
+
+
+def unblocked_brute_force_ngca(batch, cfg, cols=2048, rows=1024, power=_power_inplace):
+    """The ngca net search over whole (n, cols) and (rows, m) products,
+    with ``power(x, k)`` for the k-th powers; returns (net, objective,
+    net_index, sign)."""
     spec = batch.spec
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m, k = len(net), spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
     gvec = np.empty(m)
-    for start in range(0, m, 2048):
-        g = batch.data @ net[start : start + 2048].T
+    for start in range(0, m, cols):
+        g = batch.data @ net[start : start + cols].T
         np.clip(g, -cfg.trunc, cfg.trunc, out=g)
-        gvec[start : start + 2048] = (g**k).mean(axis=0)
+        gvec[start : start + cols] = power(g, k).mean(axis=0)
     gvec -= gauss_k
     best = (math.inf, 0, 1.0)
-    for start in range(0, m, 1024):
-        planted = spec.snr * (net[start : start + 1024] @ net.T) ** k
+    for start in range(0, m, rows):
+        planted = power(net[start : start + rows] @ net.T, k)
+        planted *= spec.snr
         score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
         score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
         use_minus = score_minus < score_plus
@@ -688,7 +712,7 @@ def pow_brute_force_ngca(batch, cfg):
         local = int(np.argmin(scores))
         if scores[local] < best[0]:
             best = (float(scores[local]), start + local, -1.0 if use_minus[local] else 1.0)
-    return best[1], best[2], best[0]
+    return net, best[0], best[1], best[2]
 
 
 def planted_ngca_batch(d, k, snr, n, seed):
@@ -714,7 +738,7 @@ def test_brute_force_ngca_matches_pow_reference(d, k, snr):
     delta = {2: 0.4, 3: 0.6, 4: 1.2}[d]
     cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=d + k, probes=500)
     report = brute_force_ngca(batch, cfg)
-    index, sign, objective = pow_brute_force_ngca(batch, cfg)
+    _, objective, index, sign = unblocked_brute_force_ngca(batch, cfg, power=lambda x, k: x**k)
     assert report.info["net_index"] == index
     assert report.info["sign"] == sign
     assert abs(report.info["objective"] - objective) <= 1e-13 * abs(objective)
@@ -725,55 +749,6 @@ def test_brute_force_ngca_matches_pow_reference(d, k, snr):
 
 # ---------------------------------------------------------------------------
 # blocked net search against the unblocked one, bit for bit
-
-
-def unblocked_sphere_net(d, delta, seed=0, probes=10_000, max_points=200_000):
-    """``sphere_net`` with each 2,048-probe draw's dots taken as one product."""
-    if d <= 2:
-        return sphere_net(d, delta, seed, probes, max_points)
-    rng = np.random.default_rng(seed)
-    count = math.ceil(40.0 * (3.0 / delta) ** (d - 1))
-    while True:
-        if count > max_points:
-            raise RuntimeError("budget")
-        net = rng.standard_normal((count, d))
-        net /= np.linalg.norm(net, axis=1, keepdims=True)
-        worst = 0.0
-        for start in range(0, probes, 2048):
-            q = rng.standard_normal((min(2048, probes - start), d))
-            q /= np.linalg.norm(q, axis=1, keepdims=True)
-            best_dot = (q @ net.T).max(axis=1)
-            worst = max(worst, float(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)).max()))
-        if worst <= delta:
-            return net
-        count *= 2
-
-
-def unblocked_brute_force_ngca(batch, cfg, cols=2048, rows=1024):
-    """The ngca net search over whole (n, cols) and (rows, m) products;
-    returns (net, objective, net_index, sign)."""
-    spec = batch.spec
-    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
-    m, k = len(net), spec.k
-    gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
-    gvec = np.empty(m)
-    for start in range(0, m, cols):
-        g = batch.data @ net[start : start + cols].T
-        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
-        gvec[start : start + cols] = _power_inplace(g, k).mean(axis=0)
-    gvec -= gauss_k
-    best = (math.inf, 0, 1.0)
-    for start in range(0, m, rows):
-        planted = _power_inplace(net[start : start + rows] @ net.T, k)
-        planted *= spec.snr
-        score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
-        score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
-        use_minus = score_minus < score_plus
-        scores = np.where(use_minus, score_minus, score_plus)
-        local = int(np.argmin(scores))
-        if scores[local] < best[0]:
-            best = (float(scores[local]), start + local, -1.0 if use_minus[local] else 1.0)
-    return net, best[0], best[1], best[2]
 
 
 def unblocked_brute_force_cca(batch, cfg):
