@@ -969,7 +969,8 @@ def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces(
     # n = 4096, m = 1,440: the (n, m) projection product (47 MB) keeps its
     # shape, which fixes its rounding, and is freed before the search;
     # all else is workspace of a few MB (the unblocked search peaked at
-    # 83 MB: the projection product, then three (1024, m) arrays)
+    # 83 MB: the projection product, still held, and three (1024, m)
+    # arrays)
     batch = planted_ngca_batch(3, 4, 0.9, 4096, 6)
     cfg = BruteForceConfig(delta=0.5, trunc=4.0)
     assert len(sphere_net(3, 0.5)) == 1440
