@@ -22,6 +22,7 @@ import numpy as np
 from spikelab.models import SampleBatch
 from spikelab.tensors import (
     check_entry_budget,
+    check_finite,
     contract_batch,
     entry_budget,
     outer_power,
@@ -399,14 +400,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_finite(batch: SampleBatch) -> None:
-    # A NaN or inf turns scores into NaN, which the strict ``<`` of the
-    # searches never takes: they would report the first candidate with
-    # an infinite objective.
-    if not np.isfinite(batch.data).all():
-        raise ValueError("batch holds a non-finite value")
-
-
 # Product shapes of the net search.  OpenBLAS rounds a product's last
 # rows and columns (the ones its kernels cannot tile) according to the
 # whole product's shape, so cutting a product into blocks can move the
@@ -649,7 +642,9 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
         raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
     if spec.d > 4:
         raise ValueError(f"net search is capped at d <= 4, got d={spec.d}")
-    _check_finite(batch)
+    # NaN scores never pass the strict ``<`` below: the search would
+    # report the first candidate with an infinite objective.
+    check_finite(batch.data, "batch")
     t0 = time.perf_counter()
     net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m = len(net)
@@ -718,7 +713,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         raise ValueError(f"expected a cca batch, got {spec.problem!r}")
     if spec.d > 3 or spec.k > 3:
         raise ValueError("net-product search is capped at d <= 3, k <= 3")
-    _check_finite(batch)
+    check_finite(batch.data, "batch")
     t0 = time.perf_counter()
     net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m = len(net)

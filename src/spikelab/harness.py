@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spikelab.estimators import EstimateReport
-from spikelab.tensors import contract_batch
+from spikelab.tensors import check_finite, contract_batch
 
 __all__ = [
     "Blackboard",
@@ -127,7 +127,9 @@ def run_memory_bounded(
         raise ValueError(
             f"stream shape {data.shape} does not provide {profile.samples} rows"
         )
-    _check_finite(data, "stream")
+    # Non-finite rows make NaN sums, which the codec's uint64 cast turns
+    # into arbitrary codes.
+    check_finite(data, "stream")
     s = profile.state_bits
     if algorithm.state_bits != s:
         raise ValueError(
@@ -146,13 +148,6 @@ def run_memory_bounded(
         info={"cost": profile.cost},
         resources=profile,
     )
-
-
-def _check_finite(data, name: str) -> None:
-    # Non-finite rows make NaN sums, which the codec's uint64 cast turns
-    # into arbitrary codes.
-    if not np.isfinite(data).all():
-        raise ValueError(f"{name} holds a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +563,7 @@ def run_distributed(
         shard = np.asarray(shard)
         if shard.shape[0] != n:
             raise ValueError(f"every shard must hold n = {n} samples")
-        _check_finite(shard, f"shard {j}")
+        check_finite(shard, f"shard {j}")
     rounds = m * b
     bits = np.zeros(rounds, dtype=np.uint8)
     # Protocols see the transcript through one read-only view, so no bit

@@ -53,6 +53,12 @@ def check_entry_budget(n_entries: int, what: str = "allocation") -> None:
         )
 
 
+def check_finite(data, name: str) -> None:
+    """Raise ``ValueError`` when ``data`` holds a NaN or inf."""
+    if not np.isfinite(data).all():
+        raise ValueError(f"{name} holds a non-finite value")
+
+
 @dataclass(frozen=True)
 class RankOneSpike:
     """A scaled rank-one signal ``snr * (v_1 x .. x v_k) / sqrt(d^k)``.
