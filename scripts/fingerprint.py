@@ -24,15 +24,17 @@ same command run against each.
 
 ``--write`` stores the lines in ``tests/data/fingerprints.txt``, the
 golden file that ``tests/test_fingerprints.py`` recomputes, under a
-stamp of the Python version, the numpy version and the BLAS name
-(another BLAS build may round matmuls differently).  Without ITEMs it
-rewrites the digests of the items the file already lists; a change that
-moves bits on purpose runs it and says which digests moved.
+stamp of the Python version, the numpy version, the BLAS name and the
+OpenBLAS core it runs (another BLAS build or core may round matmuls
+differently).  Without ITEMs it rewrites the digests of the items the
+file already lists; a change that moves bits on purpose runs it and
+says which digests moved.
 """
 
 import argparse
 import configparser
 import contextlib
+import ctypes
 import hashlib
 import io
 import pathlib
@@ -90,6 +92,27 @@ def fingerprint_lines(cli, items) -> list[str]:
         ]
 
 
+def blas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked for this CPU.
+
+    A DYNAMIC_ARCH build picks its kernels per CPU (``OPENBLAS_CORETYPE``
+    overrides the pick), and kernels may round a product differently.
+    ``unknown`` when no bundled library exports the core-name symbol.
+    """
+    import numpy as np
+
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def stamp() -> list[str]:
     """The environment the digests hold for, as ``#`` lines."""
     import numpy as np
@@ -99,6 +122,7 @@ def stamp() -> list[str]:
         f"# python {platform.python_version()}",
         f"# numpy {np.__version__}",
         f"# blas {blas}",
+        f"# blas-core {blas_core()}",
     ]
 
 

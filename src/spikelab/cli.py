@@ -10,9 +10,9 @@ Verbs:
 
 Every verb takes ``--seed`` (replace the configured seed list, may be
 repeated), ``--out`` (output path), ``--threads`` (worker pool size for
-sweeps), and ``--budget-entries`` (dense-tensor entry guard).  The
-config grammar and all output formats are documented in
-docs/formats.md.
+sweeps), and ``--budget-entries`` (dense-tensor entry guard); the last
+two must be >= 1.  The config grammar and all output formats are
+documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -304,8 +304,6 @@ def main(argv=None) -> int:
     )
     p_reduce.add_argument("config")
     args = parser.parse_args(argv)
-    if args.budget_entries is not None:
-        set_entry_budget(args.budget_entries)
     handlers = {
         "sweep": _cmd_sweep,
         "verify": _cmd_verify,
@@ -313,6 +311,10 @@ def main(argv=None) -> int:
         "reduce": _cmd_reduce,
     }
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if args.budget_entries is not None:
+            set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -18,7 +18,6 @@ import numpy as np
 
 from spikelab.cli import draw, run_plain
 from spikelab.config import ExperimentConfig
-from spikelab.estimators import sphere_net
 
 __all__ = [
     "DETECTION_SEEDS",
@@ -102,7 +101,10 @@ WEDIN_NET_SEED = 0
 
 
 def wedin_net() -> np.ndarray:
-    return sphere_net(WEDIN_DIM, WEDIN_DELTA, seed=WEDIN_NET_SEED)
+    """The 9,000 random unit vectors the ``wedin_c_k*`` constants were
+    measured on; ``tests/test_calibration.py`` pins them and their reach."""
+    net = np.random.default_rng(WEDIN_NET_SEED).standard_normal((9000, WEDIN_DIM))
+    return net / np.linalg.norm(net, axis=1, keepdims=True)
 
 
 def random_unit_pairs(count: int, d: int, seed: int) -> np.ndarray:

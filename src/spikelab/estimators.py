@@ -400,31 +400,11 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-# Product shapes of the net search.  OpenBLAS rounds a product's last
-# rows and columns (the ones its kernels cannot tile) according to the
-# whole product's shape, so cutting a product into blocks can move the
-# last bit of those entries.  The shapes below are the ones the search
-# has always used; changing one moves bits.
-_PROBE_DRAW = 2048  # coverage probes per draw in ``sphere_net``
-_PROJECTION_COLS = 2048  # net points per projection product (n, cols)
-_GRAM_ROWS = 1024  # candidates per Gram product (rows, m)
-
-# Block widths of the work after each product, measured on one pinned
-# core of an Intel Xeon (2 MB L2, scipy-openblas); 32 to 128 run within
-# noise of each other, 256 and up fall out of cache.  They move no
-# output bit: each call reuses one workspace per array for all of its
-# blocks, so a block stays in cache while it is clipped, powered and
-# reduced.
-_PROBE_ROWS = 64  # probes per dot block in ``sphere_net``
-_NGCA_ROWS = 64  # sample rows per moment block, candidates per score block
-_CCA_COLS = 64  # product columns per head group of ``brute_force_cca``
+# Net points per chunk of the net search: a projection product is at
+# most n x _NET_BLOCK and a Gram or probe-dot product _NET_BLOCK x m,
+# whatever net size delta asks for.
+_NET_BLOCK = 1024
 _CCA_MODEL = 1 << 16  # model entries per candidate slice of ``brute_force_cca``
-
-# Two evaluations of one dot of unit vectors in R^d, in any order and
-# with or without fused multiply-adds, differ by at most about 2 d 2^-53
-# (< 1e-15 for d <= 4); ``sphere_net`` redoes a coverage check whose
-# lowest best dot is this close to deciding it the other way.
-_DOT_SLACK = 1e-12
 
 
 def _spans(total: int, width: int) -> list[tuple[int, int]]:
@@ -466,22 +446,14 @@ def sphere_net(
 
     d = 1 is the two-point sphere and d = 2 a uniform angular grid with
     chord spacing below delta.  For d in {3, 4} the net is random with
-    verified coverage: resample at doubled size until none of ``probes``
-    fresh random sphere points sits farther than delta from the net.
-    ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
-    net that would outgrow ``max_points`` raises ``RuntimeError``.
-
-    The probes are drawn ``_PROBE_DRAW`` at a time.  The reference
-    check takes each draw's dots with the net as one product and asks
-    whether ``sqrt(max(2 - 2 lo, 0)) <= delta``, with ``lo`` the lowest
-    best dot of any probe; that map does not increase, so this is the
-    largest probe distance, exactly.  Here the dots are taken
-    ``_PROBE_ROWS`` probes at a time in one reused workspace, which may
-    move a dot's last bit.  The answer is kept only when it holds for
-    every ``lo`` within ``_DOT_SLACK`` of the blocked one; otherwise the
-    draws are redone as whole products.  Either way the net is the
-    reference net, bit for bit.  The draws are kept for that redo:
-    ``probes * d`` floats, against the ``2048 * m`` of one whole product.
+    verified coverage, and the check sizes it: the first draw has
+    ``max(2 d, ceil(4 delta^(1 - d)))`` points, and the net is redrawn
+    at doubled size until none of ``probes`` fresh random sphere points
+    sits farther than delta from it.  Each round draws the net, then all
+    ``probes`` probes in one call, and takes their dots with the net
+    ``_NET_BLOCK`` probes at a time.  ``probes`` and ``max_points`` must
+    be integers >= 1; for d >= 2 a net that would outgrow ``max_points``
+    raises ``RuntimeError``.
     """
     if not 1 <= d <= 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
@@ -501,7 +473,7 @@ def sphere_net(
         angles = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)
-    count = math.ceil(40.0 * (3.0 / delta) ** (d - 1))
+    count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
     while True:
         if count > max_points:
             raise RuntimeError(
@@ -509,37 +481,16 @@ def sphere_net(
             )
         net = rng.standard_normal((count, d))
         net /= np.linalg.norm(net, axis=1, keepdims=True)
-        draws = []
-        for start in range(0, probes, _PROBE_DRAW):
-            q = rng.standard_normal((min(_PROBE_DRAW, probes - start), d))
-            q /= np.linalg.norm(q, axis=1, keepdims=True)
-            draws.append(q)
-        lowest = _lowest_best_dot(draws, net, _PROBE_ROWS)
-        if _reach(lowest + _DOT_SLACK) <= delta < _reach(lowest - _DOT_SLACK):
-            lowest = _lowest_best_dot(draws, net, _PROBE_DRAW)
-        if _reach(lowest) <= delta:
+        q = rng.standard_normal((probes, d))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        # the farthest probe is the one with the lowest best dot
+        lowest = min(
+            float((q[lo:hi] @ net.T).max(axis=1).min())
+            for lo, hi in _spans(probes, _NET_BLOCK)
+        )
+        if math.sqrt(max(2.0 - 2.0 * lowest, 0.0)) <= delta:
             return net
         count *= 2
-
-
-def _reach(lowest: float) -> float:
-    """Chord distance to the net of a probe whose best dot is ``lowest``."""
-    return math.sqrt(max(2.0 - 2.0 * lowest, 0.0))
-
-
-def _lowest_best_dot(draws: list[np.ndarray], net: np.ndarray, rows: int) -> float:
-    """``min`` over the probes of ``max`` over the net of their dot.
-
-    The dots are taken ``rows`` probes at a time in one workspace; with
-    ``rows = _PROBE_DRAW`` each draw is one product, the reference.
-    """
-    dots = np.empty((min(rows, max(map(len, draws))), len(net)))
-    lowest = math.inf
-    for q in draws:
-        for lo, hi in _spans(len(q), rows):
-            block = np.matmul(q[lo:hi], net.T, out=dots[: hi - lo])
-            lowest = min(lowest, float(block.max(axis=1).min()))
-    return lowest
 
 
 def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> float:
@@ -547,7 +498,7 @@ def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> 
     return float(np.abs((net @ u1) ** k - (net @ u2) ** k).max())
 
 
-def _power_inplace(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
     """``x**k`` for an integer ``k >= 1`` by repeated squaring, not ``pow``.
 
     Left-to-right binary powering with a fixed order: with ``b_1 .. b_r``
@@ -555,59 +506,20 @@ def _power_inplace(x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.n
     each bit in turn set ``y = y * y``, then ``y = y * x`` if the bit is
     set.  When ``k`` is a power of two every step is a square done in
     place and ``x`` itself is returned; otherwise the first square goes
-    to ``out`` (a new buffer when None, else an array of ``x``'s shape
-    that does not overlap it), which is returned, and ``x`` is left as
-    it was.  For ``k = 2`` this is ``x * x``, bitwise the same as
-    numpy's ``x**2``.
+    to one new buffer, which is returned, and ``x`` is left as it was.
+    For ``k = 2`` this is ``x * x``, bitwise the same as numpy's ``x**2``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     y = x
     for bit in bin(k)[3:]:
         if y is x and k & (k - 1):
-            y = np.multiply(x, x, out=out)
+            y = np.multiply(x, x)
         else:
             np.multiply(y, y, out=y)
         if bit == "1":
             np.multiply(y, x, out=y)
     return y
-
-
-def _clipped_moments(data: np.ndarray, net: np.ndarray, k: int, trunc: float) -> np.ndarray:
-    """``mean_i clip(<x_i, w>, -trunc, trunc)^k`` for every net point ``w``.
-
-    The same bits as clipping, powering (``_power_inplace``) and taking
-    ``mean(axis=0)`` of each projection product ``(n, _PROJECTION_COLS)``
-    whole.  The rows of a product are clipped and powered ``_NGCA_ROWS``
-    at a time in one workspace whose first row carries the running
-    column sums, so every column is summed row by row in order, as
-    ``mean(axis=0)`` sums a C-ordered array of two or more columns.
-    numpy sums a single column pairwise, so a one-column product takes
-    the whole-array path.
-    """
-    n = len(data)
-    moments = np.empty(len(net))
-    for start in range(0, len(net), _PROJECTION_COLS):
-        g = data @ net[start : start + _PROJECTION_COLS].T
-        cols = g.shape[1]
-        if cols == 1:
-            np.clip(g, -trunc, trunc, out=g)
-            moments[start:] = _power_inplace(g, k).mean(axis=0)
-            continue
-        work = np.empty((_NGCA_ROWS + 1, cols))
-        total = moments[start : start + cols]
-        first = 1  # the first block has no running sums yet
-        for lo, hi in _spans(n, _NGCA_ROWS):
-            block = work[1 : 1 + hi - lo]
-            np.clip(g[lo:hi], -trunc, trunc, out=block)
-            powered = _power_inplace(block, k, out=g[lo:hi])
-            if powered is not block:
-                block[...] = powered
-            np.add.reduce(work[first : 1 + hi - lo], axis=0, out=total)
-            work[0] = total
-            first = 0
-        total /= n
-    return moments
 
 
 def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport:
@@ -625,17 +537,10 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     (``_power_inplace``), not by libm ``pow``; for k >= 3 the objective
     may differ from ``**k`` in its last bits.
 
-    The search costs m^2 score entries for an m-point net.  The
-    projection products ``(n, _PROJECTION_COLS)`` and the Gram products
-    ``(_GRAM_ROWS, m)`` keep the shapes that fix their rounding; the
-    work after each product runs ``_NGCA_ROWS`` rows at a time in
-    workspaces reused for every block, bit for bit:
-
-    - moments: ``_clipped_moments`` sums each column row by row in
-      order, as ``mean(axis=0)`` of the whole product does;
-    - scores: one workspace holds the planted curve and one its distance
-      to the empirical curve; a maximum does not round, and the strict
-      ``<`` across blocks keeps the lowest-index tie break.
+    The search costs m^2 score entries for an m-point net.  It runs over
+    chunks of ``_NET_BLOCK`` net points, so it holds an n x min(m,
+    _NET_BLOCK) projection block, then a few min(m, _NET_BLOCK) x m
+    score blocks.
     """
     spec = batch.spec
     if spec.problem != "ngca":
@@ -650,30 +555,30 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     m = len(net)
     k = spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
-    gvec = _clipped_moments(batch.data, net, k, cfg.trunc)
+    gvec = np.empty(m)
+    for lo, hi in _spans(m, _NET_BLOCK):
+        g = batch.data @ net[lo:hi].T
+        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
+        gvec[lo:hi] = _power_inplace(g, k).mean(axis=0)
+    del g
     gvec -= gauss_k
 
     best_score = math.inf
     best_index = 0
     best_sign = 1.0
-    powered = np.empty(_NGCA_ROWS * m)
-    gap = np.empty(_NGCA_ROWS * m)
-    for start in range(0, m, _GRAM_ROWS):
-        gram = net[start : start + _GRAM_ROWS] @ net.T
-        for lo, hi in _spans(len(gram), _NGCA_ROWS):
-            rows = gram[lo:hi]
-            planted = _power_inplace(rows, k, out=powered[: rows.size].reshape(rows.shape))
-            planted *= spec.snr
-            diff = gap[: rows.size].reshape(rows.shape)
-            score_plus = np.abs(np.subtract(gvec, planted, out=diff), out=diff).max(axis=1)
-            score_minus = np.abs(np.add(gvec, planted, out=diff), out=diff).max(axis=1)
-            use_minus = score_minus < score_plus
-            scores = np.where(use_minus, score_minus, score_plus)
-            local = int(np.argmin(scores))
-            if scores[local] < best_score:
-                best_score = float(scores[local])
-                best_index = start + lo + local
-                best_sign = -1.0 if use_minus[local] else 1.0
+    for lo, hi in _spans(m, _NET_BLOCK):
+        planted = _power_inplace(net[lo:hi] @ net.T, k)
+        planted *= spec.snr
+        gap = gvec - planted
+        score_plus = np.abs(gap, out=gap).max(axis=1)
+        score_minus = np.abs(np.add(gvec, planted, out=gap), out=gap).max(axis=1)
+        use_minus = score_minus < score_plus
+        scores = np.where(use_minus, score_minus, score_plus)
+        local = int(np.argmin(scores))
+        if scores[local] < best_score:
+            best_score = float(scores[local])
+            best_index = lo + local
+            best_sign = -1.0 if use_minus[local] else 1.0
     info = {
         "objective": best_score,
         "sign": best_sign,
@@ -694,19 +599,11 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     to an adversary table of at most 10^6 entries (``m**k``).  A batch
     holding a NaN or inf raises ``ValueError``.
 
-    The search costs m^(2k) score entries for an m-point net; besides
-    the table it holds only workspaces reused block after block, bit for
-    bit:
-
-    - table: the clipped product moments of a group of heads (every
-      factor but the last) fill one ``(n, g m)`` workspace of about
-      ``_CCA_COLS`` columns; each head's factors are multiplied in the
-      same order as one head at a time, and every column is summed row
-      by row in order, as ``mean(axis=0)`` of one head's block does;
-    - scores: the model moments of one candidate head fill one
-      workspace for a slice of last factors, at most
-      ``max(_CCA_MODEL, m**k)`` entries; a maximum does not round, and
-      the strict ``<`` across slices keeps the lowest-index tie break.
+    The search costs m^(2k) score entries for an m-point net.  It holds
+    the k ``(n, m)`` projections, the m^k-entry moment table, one
+    ``(n, m)`` product block while the table fills, and one model block
+    for a slice of candidates, at most ``max(_CCA_MODEL, m**k)`` entries.
+    The budget keeps m at most 1,000, below ``_NET_BLOCK``.
     """
     spec = batch.spec
     if spec.problem != "cca":
@@ -721,24 +618,19 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     if m**k > 1_000_000:
         raise RuntimeError(f"net product of size {m}^{k} exceeds the budget")
     views = batch.views()
-    n = len(views)
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
     # Empirical clipped product moments over all adversary tuples: row h
     # of ``table`` holds head h's block of last factors, heads in
     # ``itertools.product`` order.
     heads = m ** (k - 1)
     table = np.empty((heads, m))
-    group = max(1, _CCA_COLS // m)
-    work = np.empty(n * group * m)
-    for lo, hi in _spans(heads, group):
-        index = np.unravel_index(np.arange(lo, hi), (m,) * (k - 1))
-        pre = proj[0][:, index[0]]
+    for h, head in enumerate(itertools.product(range(m), repeat=k - 1)):
+        pre = proj[0][:, head[0]]
         for l in range(1, k - 1):
-            pre = pre * proj[l][:, index[l]]
-        prod = work[: n * (hi - lo) * m].reshape(n, hi - lo, m)
-        np.multiply(pre[:, :, None], proj[k - 1][:, None, :], out=prod)
+            pre = pre * proj[l][:, head[l]]
+        prod = pre[:, None] * proj[k - 1]
         np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
-        np.mean(prod.reshape(n, -1), axis=0, out=table[lo:hi].reshape(-1))
+        table[h] = prod.mean(axis=0)
 
     # Model moments snr * g[h_1, w_1] .. g[h_{k-1}, w_{k-1}] * g[c, y] of
     # candidate (h, c), multiplied left to right, for a slice of c.

@@ -1,7 +1,9 @@
 """The frozen constants fixture stays valid for the current code."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from spikelab import detection
@@ -46,6 +48,21 @@ def test_norm_envelope_holds_with_frozen_constants(calibration):
                 saw_lower = True
                 assert result["lower_ok"], (k, inst.N, inst.d, inst.t, result)
         assert saw_lower
+
+
+def test_wedin_net_is_the_calibrated_net():
+    # The wedin_c_k* constants were measured on this exact net, and the
+    # golden digests do not cover the fixture, so pin its bytes here.
+    net = detection.wedin_net()
+    digest = hashlib.sha256(net.tobytes()).hexdigest()
+    assert digest == "2b6471e3ae5cab5d15a50483c7aff5f5ffe2c45586ec2e997cb5d95f6c93f56b"
+    # Its coverage check: 10,000 probes drawn after the net from its seed.
+    rng = np.random.default_rng(detection.WEDIN_NET_SEED)
+    rng.standard_normal(net.shape)
+    q = rng.standard_normal((10_000, detection.WEDIN_DIM))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    lowest = min(float((q[i : i + 500] @ net.T).max(axis=1).min()) for i in range(0, 10_000, 500))
+    assert math.sqrt(max(2.0 - 2.0 * lowest, 0.0)) <= detection.WEDIN_DELTA
 
 
 def test_net_discrepancy_inequality_on_fresh_pairs(calibration):

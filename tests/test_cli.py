@@ -313,6 +313,23 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flags",
+    [
+        ["--threads", "0"],
+        ["--threads", "-4"],
+        ["--budget-entries", "0"],
+        ["--budget-entries", "-1"],
+    ],
+)
+def test_main_rejects_flag_values_below_one(tmp_path, capsys, flags):
+    # A thread count below 1 used to run serially without a word, and a
+    # zero entry budget died with a traceback and exit 1.
+    assert main(["sweep", str(write(tmp_path, BASE)), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize(
     "text",
     [
         HARNESS.replace("radius = 8", "radius = inf"),

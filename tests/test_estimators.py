@@ -662,57 +662,43 @@ def test_power_inplace_other_k_leaves_input():
 
 
 # ---------------------------------------------------------------------------
-# brute-force ngca against unblocked references, with libm pow and squaring
+# net sizing and the brute-force searches against whole-product references
 
 
-def unblocked_sphere_net(d, delta, seed=0, probes=10_000, max_points=200_000):
-    """``sphere_net`` with each 2,048-probe draw's dots taken as one product."""
-    if d <= 2:
-        return sphere_net(d, delta, seed, probes, max_points)
-    rng = np.random.default_rng(seed)
-    count = math.ceil(40.0 * (3.0 / delta) ** (d - 1))
-    while True:
-        if count > max_points:
-            raise RuntimeError("budget")
-        net = rng.standard_normal((count, d))
-        net /= np.linalg.norm(net, axis=1, keepdims=True)
-        worst = 0.0
-        for start in range(0, probes, 2048):
-            q = rng.standard_normal((min(2048, probes - start), d))
-            q /= np.linalg.norm(q, axis=1, keepdims=True)
-            best_dot = (q @ net.T).max(axis=1)
-            worst = max(worst, float(np.sqrt(np.maximum(2.0 - 2.0 * best_dot, 0.0)).max()))
-        if worst <= delta:
-            return net
-        count *= 2
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([3, 4]),
+    delta=st.floats(0.4, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_sphere_net_is_sized_by_its_coverage_check(d, delta, seed):
+    net = sphere_net(d, delta, seed)
+    start = max(2 * d, math.ceil(4 * delta ** (1 - d)))
+    assert len(net) in [start << j for j in range(12)]
+    q = np.random.default_rng([seed, 1]).standard_normal((2000, d))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * (q @ net.T).max(axis=1), 0.0))
+    # Fresh probes may land slightly past delta; allow a whisker.
+    assert dist.max() <= delta * 1.25
 
 
-def unblocked_brute_force_ngca(batch, cfg, cols=2048, rows=1024, power=_power_inplace):
-    """The ngca net search over whole (n, cols) and (rows, m) products,
-    with ``power(x, k)`` for the k-th powers; returns (net, objective,
+def unblocked_brute_force_ngca(batch, cfg):
+    """The ngca net search over the whole (n, m) and (m, m) products,
+    with libm ``pow`` for the k-th powers; returns (net, objective,
     net_index, sign)."""
     spec = batch.spec
-    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
-    m, k = len(net), spec.k
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    k = spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
-    gvec = np.empty(m)
-    for start in range(0, m, cols):
-        g = batch.data @ net[start : start + cols].T
-        np.clip(g, -cfg.trunc, cfg.trunc, out=g)
-        gvec[start : start + cols] = power(g, k).mean(axis=0)
-    gvec -= gauss_k
-    best = (math.inf, 0, 1.0)
-    for start in range(0, m, rows):
-        planted = power(net[start : start + rows] @ net.T, k)
-        planted *= spec.snr
-        score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
-        score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
-        use_minus = score_minus < score_plus
-        scores = np.where(use_minus, score_minus, score_plus)
-        local = int(np.argmin(scores))
-        if scores[local] < best[0]:
-            best = (float(scores[local]), start + local, -1.0 if use_minus[local] else 1.0)
-    return net, best[0], best[1], best[2]
+    g = np.clip(batch.data @ net.T, -cfg.trunc, cfg.trunc)
+    gvec = (g**k).mean(axis=0) - gauss_k
+    planted = spec.snr * (net @ net.T) ** k
+    score_plus = np.abs(gvec[None, :] - planted).max(axis=1)
+    score_minus = np.abs(gvec[None, :] + planted).max(axis=1)
+    use_minus = score_minus < score_plus
+    scores = np.where(use_minus, score_minus, score_plus)
+    index = int(np.argmin(scores))
+    return net, float(scores[index]), index, -1.0 if use_minus[index] else 1.0
 
 
 def planted_ngca_batch(d, k, snr, n, seed):
@@ -733,12 +719,11 @@ def planted_ngca_batch(d, k, snr, n, seed):
 @pytest.mark.parametrize("snr", [0.0, 0.3, 1.5])
 def test_brute_force_ngca_matches_pow_reference(d, k, snr):
     batch = planted_ngca_batch(d, k, snr, n=300, seed=100 * d + 10 * k)
-    # trunc 1.2 clips a large share of the projections; a coarse net at
-    # d = 4 keeps the m x m Gram block small
+    # trunc 1.2 clips a large share of the projections
     delta = {2: 0.4, 3: 0.6, 4: 1.2}[d]
     cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=d + k, probes=500)
     report = brute_force_ngca(batch, cfg)
-    _, objective, index, sign = unblocked_brute_force_ngca(batch, cfg, power=lambda x, k: x**k)
+    _, objective, index, sign = unblocked_brute_force_ngca(batch, cfg)
     assert report.info["net_index"] == index
     assert report.info["sign"] == sign
     assert abs(report.info["objective"] - objective) <= 1e-13 * abs(objective)
@@ -747,15 +732,34 @@ def test_brute_force_ngca_matches_pow_reference(d, k, snr):
         assert (index, sign) == (0, 1.0)
 
 
+def _width(kind, m):
+    return {"m-1": max(m - 1, 1), "m+1": m + 1}.get(kind) or int(kind)
+
+
+@pytest.mark.parametrize("kind", ["1", "3", "7", "m+1"])
+@pytest.mark.parametrize("d, k, delta", [(2, 4, 0.4), (3, 3, 0.5), (3, 4, 0.5), (4, 4, 0.9)])
+def test_brute_force_ngca_net_block_width_moves_no_result(d, k, delta, kind, monkeypatch):
+    batch = planted_ngca_batch(d, k, 0.9, 300, 5 * d + k)
+    cfg = BruteForceConfig(delta=delta, trunc=3.0, seed=d, probes=2000)
+    whole = brute_force_ngca(batch, cfg)
+    monkeypatch.setattr(est, "_NET_BLOCK", _width(kind, whole.info["net_size"]))
+    chunked = brute_force_ngca(batch, cfg)
+    assert chunked.info["net_size"] == whole.info["net_size"]
+    assert chunked.info["net_index"] == whole.info["net_index"]
+    assert chunked.info["sign"] == whole.info["sign"]
+    objective = whole.info["objective"]
+    assert abs(chunked.info["objective"] - objective) <= 1e-13 * abs(objective)
+
+
 # ---------------------------------------------------------------------------
-# blocked net search against the unblocked one, bit for bit
+# the cca model slices against whole model blocks, bit for bit
 
 
 def unblocked_brute_force_cca(batch, cfg):
     """The cca net-product search one head at a time with whole
     ``m^(k+1)`` model blocks; returns (net, objective, net_indices)."""
     spec = batch.spec
-    net = unblocked_sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m, k = len(net), spec.k
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]
@@ -780,37 +784,11 @@ def unblocked_brute_force_cca(batch, cfg):
     return net, best[0], best[1]
 
 
-BLOCK_WIDTHS = ["1", "3", "7", "m-1", "m+1"]
-
-
-def _width(kind, m):
-    return {"m-1": max(m - 1, 1), "m+1": m + 1}.get(kind) or int(kind)
-
-
-def _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch, shapes=(2048, 1024)):
-    # ``shapes`` are the product shapes, given to both searches
-    net, objective, index, sign = unblocked_brute_force_ngca(batch, cfg, *shapes)
-    width = _width(kind, len(net))
-    monkeypatch.setattr(est, "_PROBE_ROWS", width)
-    monkeypatch.setattr(est, "_NGCA_ROWS", width)
-    monkeypatch.setattr(est, "_PROJECTION_COLS", shapes[0])
-    monkeypatch.setattr(est, "_GRAM_ROWS", shapes[1])
-    got_net = sphere_net(batch.spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
-    report = brute_force_ngca(batch, cfg)
-    assert got_net.tobytes() == net.tobytes()
-    assert report.info["objective"].hex() == objective.hex()
-    assert (report.info["net_index"], report.info["sign"]) == (index, sign)
-    assert report.estimate.tobytes() == net[index].tobytes()
-
-
-def _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch):
+def _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch):
     net, objective, indices = unblocked_brute_force_cca(batch, cfg)
     m, k = len(net), batch.spec.k
-    width = _width(kind, m)
-    # ``width`` heads per group and ``width`` candidates per model slice
-    monkeypatch.setattr(est, "_PROBE_ROWS", width)
-    monkeypatch.setattr(est, "_CCA_COLS", width * m)
-    monkeypatch.setattr(est, "_CCA_MODEL", width * m**k)
+    # ``width`` candidates per model slice; most widths leave a short last slice
+    monkeypatch.setattr(est, "_CCA_MODEL", _width(kind, m) * m**k)
     report = brute_force_cca(batch, cfg)
     assert report.info["objective"].hex() == objective.hex()
     assert report.info["net_indices"] == indices
@@ -826,102 +804,31 @@ def _cca_batch(k, d, n, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    d=st.integers(1, 4),
-    k=st.integers(2, 6),
-    delta_step=st.integers(0, 3),
-    snr=st.sampled_from([0.0, 0.4, 1.5]),
-    n=st.integers(1, 300),
-    probes=st.sampled_from([1, 2, 65, 500, 2049, 2113]),
-    seed=st.integers(0, 2**16),
-    kind=st.sampled_from(BLOCK_WIDTHS),
-    shapes=st.sampled_from([(2048, 1024), (5, 3), (2, 1), (1, 2)]),
-)
-def test_blocked_ngca_search_is_bit_identical(
-    d, k, delta_step, snr, n, probes, seed, kind, shapes
-):
-    # nets of 2 (d = 1) to a few hundred points (d = 3, 4; doubled when a
-    # coverage check fails); the product shapes leave one-column and
-    # one-row products at the ends
-    delta = {1: 1.0, 2: 0.3, 3: 1.25, 4: 1.25}[d] + 0.25 * delta_step
-    batch = planted_ngca_batch(d, k, snr, n, seed)
-    cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=seed, probes=probes)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch, shapes)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    d=st.integers(1, 2),
+    d=st.integers(1, 3),
     k=st.integers(2, 3),
     delta=st.sampled_from([0.4, 0.7, 1.0, 2.0]),
     n=st.integers(1, 200),
     seed=st.integers(0, 2**16),
-    kind=st.sampled_from(BLOCK_WIDTHS),
+    kind=st.sampled_from(["1", "3", "7", "m-1", "m+1"]),
 )
 def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind):
+    if d == 3:
+        # a d = 3 net of up to 48 points: k = 3 would score m^6 entries
+        k, delta = 2, max(delta, 1.0)
     batch = _cca_batch(k, d, n, seed)
     cfg = BruteForceConfig(delta=delta, trunc=0.8, seed=seed, probes=100)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
-
-
-@pytest.mark.parametrize("kind", ["64", "7"])
-@pytest.mark.parametrize(
-    "d, delta", [(3, 0.4), (4, 0.9)]  # 2,250 points (two projection products), 1,482
-)
-def test_blocked_ngca_search_is_bit_identical_on_large_nets(d, delta, kind, monkeypatch):
-    batch = planted_ngca_batch(d, 4, 0.9, 512, 7 * d)
-    cfg = BruteForceConfig(delta=delta, trunc=4.0)
-    _assert_ngca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
+        _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["1", "7", "m+1"])
 def test_blocked_cca_search_is_bit_identical_on_a_90_point_net(kind, monkeypatch):
-    # d = 3, delta = 2 gives 90 points: 8,100 candidates, several model slices
-    batch = _cca_batch(2, 3, 64, 11)
-    cfg = BruteForceConfig(delta=2.0, trunc=4.0)
-    _assert_cca_blocked_equals_unblocked(batch, cfg, kind, monkeypatch)
-
-
-@pytest.mark.parametrize("d, delta, probes", [(3, 0.5, 2049), (4, 1.5, 300), (3, 1.9, 4)])
-def test_sphere_net_redoes_a_close_call_with_whole_products(d, delta, probes, monkeypatch):
-    whole_draws = []
-    lowest_best_dot = est._lowest_best_dot
-
-    def spy(draws, net, rows):
-        if rows == est._PROBE_DRAW:
-            whole_draws.append(len(net))
-        return lowest_best_dot(draws, net, rows)
-
-    monkeypatch.setattr(est, "_lowest_best_dot", spy)
-    reference = unblocked_sphere_net(d, delta, 3, probes)
-    assert sphere_net(d, delta, 3, probes).tobytes() == reference.tobytes()
-    assert whole_draws == []  # blocked dots decide every ordinary check
-    # a slack wider than any dot makes every check a close call
-    monkeypatch.setattr(est, "_DOT_SLACK", 4.0)
-    assert sphere_net(d, delta, 3, probes).tobytes() == reference.tobytes()
-    assert whole_draws and whole_draws[-1] == len(reference)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    d=st.integers(2, 4),
-    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3),
-    m=st.integers(1, 200),
-    rows=st.sampled_from([1, 3, 7, 64, 301]),
-    seed=st.integers(0, 2**16),
-)
-def test_lowest_best_dot_is_the_whole_product_minimum_within_the_slack(d, sizes, m, rows, seed):
-    rng = np.random.default_rng(seed)
-
-    def unit(count):
-        x = rng.standard_normal((count, d))
-        return x / np.linalg.norm(x, axis=1, keepdims=True)
-
-    draws, net = [unit(size) for size in sizes], unit(m)
-    expected = min(float((q @ net.T).max(axis=1).min()) for q in draws)
-    assert est._lowest_best_dot(draws, net, est._PROBE_DRAW) == expected
-    assert abs(est._lowest_best_dot(draws, net, rows) - expected) <= 1e-15
+    # d = 2, delta = 0.07 gives 90 points: 8,100 candidates, and the
+    # default _CCA_MODEL cuts each head's model into 12 slices
+    batch = _cca_batch(2, 2, 64, 11)
+    cfg = BruteForceConfig(delta=0.07, trunc=4.0)
+    assert len(sphere_net(2, 0.07)) == 90
+    _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
 
 
 # ---------------------------------------------------------------------------
@@ -957,22 +864,27 @@ def _peak_bytes(fn):
 
 
 def test_brute_force_cca_memory_does_not_grow_with_the_model_block():
-    # m = 90 at k = 2: one head's whole model block has m^(k+1) = 729,000
-    # entries (5.8 MB), and the unblocked search held two of them
+    # m = 96 at k = 2: one head's whole model block has m^(k+1) = 884,736
+    # entries (7.1 MB), and the unblocked search held two of them
     batch = _cca_batch(2, 3, 64, 5)
-    cfg = BruteForceConfig(delta=2.0, trunc=4.0)
-    assert len(sphere_net(3, 2.0)) == 90
+    cfg = BruteForceConfig(delta=0.6, trunc=4.0)
+    assert len(sphere_net(3, 0.6)) == 96
     assert _peak_bytes(lambda: brute_force_cca(batch, cfg)) < 2_000_000
 
 
-def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces():
-    # n = 4096, m = 1,440: the (n, m) projection product (47 MB) keeps its
-    # shape, which fixes its rounding, and is freed before the search;
-    # all else is workspace of a few MB (the unblocked search peaked at
-    # 83 MB: the projection product, still held, and three (1024, m)
-    # arrays)
-    batch = planted_ngca_batch(3, 4, 0.9, 4096, 6)
-    cfg = BruteForceConfig(delta=0.5, trunc=4.0)
-    assert len(sphere_net(3, 0.5)) == 1440
-    projection = 4096 * 1440 * 8
-    assert _peak_bytes(lambda: brute_force_ngca(batch, cfg)) < projection + 4_000_000
+def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces(monkeypatch):
+    # n = 4096, m = 2,848: a whole (n, m) projection product is 93 MB and
+    # an (m, m) Gram product 65 MB.  The search holds (n, _NET_BLOCK)
+    # projection blocks, then (_NET_BLOCK, m) score blocks, and the
+    # coverage check (_NET_BLOCK, m) probe dots; a loop step holds at
+    # most three such blocks at once.
+    n, m = 4096, 2848
+    batch = planted_ngca_batch(3, 4, 0.9, n, 6)
+    cfg = BruteForceConfig(delta=0.15, trunc=4.0, seed=8191)
+    assert len(sphere_net(3, 0.15, 8191)) == m
+    peaks = []
+    for block in (64, 256):
+        monkeypatch.setattr(est, "_NET_BLOCK", block)
+        peaks.append(_peak_bytes(lambda: brute_force_ngca(batch, cfg)))
+        assert peaks[-1] < 3 * 8 * block * max(n, m) + 1_000_000
+    assert peaks[0] < peaks[1] < 8 * n * m / 4

@@ -3,13 +3,14 @@
 ``tests/data/fingerprints.txt`` holds SHA-256 digests, made by
 ``scripts/fingerprint.py --write``, of sweep CSVs without ``wall_ms``
 (every estimator in plain mode, the bounded-llr ngca measure, whose
-sampler is the rejection loop, the k=3 cca net search, ngca nets past
-2,048 points and at d=4, a 90-point k=2 cca net, ``[harness]``
-tpca k=2 and k=4 partial trace, ``[distributed]`` with shard_rows 8),
-one ``reduce --out``
-transcript and the five ``verify`` reports.  A change that moves any of
-these bytes on purpose rewrites the file with ``--write`` and says which
-digests moved.
+sampler is the rejection loop, the k=3 cca net search, a 1,600-point
+ngca net in two ``_NET_BLOCK`` chunks, a d=4 ngca net sized by the
+doubling loop, a 96-point d=3 k=2 cca net in 14 model slices,
+``[harness]`` tpca k=2 and k=4 partial trace, ``[distributed]`` with
+shard_rows 8), one ``reduce --out`` transcript and the five ``verify``
+reports, under a stamp naming Python, numpy, the BLAS build and its
+OpenBLAS core.  A change that moves any of these bytes on purpose
+rewrites the file with ``--write`` and says which digests moved.
 """
 
 import importlib.util
