@@ -3,8 +3,8 @@
 The package is organized around a small set of layers:
 
 ``hermite``
-    Orthonormal Hermite polynomials, Gaussian quadrature, and weighted
-    polynomial bases on [-1, 1].
+    Hermite functions (the orthonormal Hermite polynomials), Gaussian
+    quadrature, and weighted polynomial bases on [-1, 1].
 ``tensors``
     Rank-one spikes, contraction, overlap.
 ``measures``
@@ -50,12 +50,11 @@ from spikelab.harness import (
     run_memory_bounded,
 )
 from spikelab.hermite import (
-    HermiteBasis,
     QuadratureRule,
     WeightedOrthoBasis,
     build_weighted_basis,
     gauss_hermite_rule,
-    hermite_coeff,
+    hermite_all,
     hermite_eval,
 )
 from spikelab.measures import (
@@ -91,7 +90,6 @@ __all__ = [
     "BlackboardProtocol",
     "BruteForceConfig",
     "EstimateReport",
-    "HermiteBasis",
     "LDLRInstance",
     "MemoryBoundedAlgorithm",
     "ModelSpec",
@@ -113,7 +111,7 @@ __all__ = [
     "cca_matricization_estimator",
     "check_rademacher_bounds",
     "gauss_hermite_rule",
-    "hermite_coeff",
+    "hermite_all",
     "hermite_eval",
     "integrated_hermite_norm",
     "ldlr_norm_exact",

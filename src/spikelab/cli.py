@@ -10,9 +10,9 @@ Verbs:
 
 Every verb takes ``--seed`` (replace the configured seed list, may be
 repeated), ``--out`` (output path), ``--threads`` (worker pool size for
-sweeps), and ``--budget-entries`` (dense-tensor entry guard); the last
-two must be >= 1.  The config grammar and all output formats are
-documented in docs/formats.md.
+sweeps), and ``--budget-entries`` (dense-tensor entry guard for this
+call only); the last two must be >= 1.  The config grammar and all
+output formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -310,15 +310,19 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
         "reduce": _cmd_reduce,
     }
+    prev_budget = None
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.budget_entries is not None:
-            set_entry_budget(args.budget_entries)
+            prev_budget = set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if prev_budget is not None:
+            set_entry_budget(prev_budget)
 
 
 if __name__ == "__main__":

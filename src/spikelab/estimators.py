@@ -21,10 +21,10 @@ import numpy as np
 
 from spikelab.models import SampleBatch
 from spikelab.tensors import (
+    DEFAULT_ENTRY_BUDGET,
     check_entry_budget,
     check_finite,
     contract_batch,
-    entry_budget,
     outer_power,
     outer_product,
     overlap,
@@ -295,7 +295,8 @@ def cca_matricization_estimator(
     d, k = spec.d, spec.k
     check_entry_budget(d**k, "cross-moment tensor")
     views = batch.views()
-    block = max(1, min(4096, entry_budget() // max(d**k, 1) // 4))
+    # The block sets the summation order, so a budget override must not size it.
+    block = max(1, min(4096, DEFAULT_ENTRY_BUDGET // max(d**k, 1) // 4))
     acc = np.zeros(d**k)
     for start in range(0, batch.n, block):
         part = views[start : start + block]
@@ -539,8 +540,8 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
 
     The search costs m^2 score entries for an m-point net.  It runs over
     chunks of ``_NET_BLOCK`` net points, so it holds an n x min(m,
-    _NET_BLOCK) projection block, then a few min(m, _NET_BLOCK) x m
-    score blocks.
+    _NET_BLOCK) projection block, then two min(m, _NET_BLOCK) x m score
+    blocks, one chunk at a time.
     """
     spec = batch.spec
     if spec.problem != "ngca":
@@ -560,7 +561,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
         g = batch.data @ net[lo:hi].T
         np.clip(g, -cfg.trunc, cfg.trunc, out=g)
         gvec[lo:hi] = _power_inplace(g, k).mean(axis=0)
-    del g
+        del g  # before the next product, so one block is held at a time
     gvec -= gauss_k
 
     best_score = math.inf
@@ -579,6 +580,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
             best_score = float(scores[local])
             best_index = lo + local
             best_sign = -1.0 if use_minus[local] else 1.0
+        del planted, gap
     info = {
         "objective": best_score,
         "sign": best_sign,

@@ -12,25 +12,27 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "HermiteBasis",
     "QuadratureRule",
     "WeightedOrthoBasis",
     "build_weighted_basis",
     "gauss_hermite_rule",
-    "hermite_coeff",
+    "hermite_all",
     "hermite_eval",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+# Gauss-Legendre nodes behind every weighted basis, and the grid size of
+# the sup-norm search on [-1, 1].
+_QUAD_POINTS = 256
+_GRID_POINTS = 100_000
 
 
-class HermiteBasis:
-    """Orthonormal probabilist's Hermite polynomials ``H_0 .. H_n``.
+def hermite_all(max_degree: int, x) -> np.ndarray:
+    """Orthonormal probabilist's Hermite polynomials ``H_0 .. H_max_degree``.
 
     Evaluations follow the three-term recurrence
 
@@ -38,34 +40,19 @@ class HermiteBasis:
 
     with ``H_0 = 1`` and ``H_1 = x``.  For ``Z ~ N(0, 1)`` the family
     satisfies ``E[H_i(Z) H_j(Z)] = delta_ij``, and for a shifted input
-    ``E[H_n(mu + Z)] = mu^n / sqrt(n!)``.
+    ``E[H_n(mu + Z)] = mu^n / sqrt(n!)``.  Evaluated at ``x``, the result
+    has shape ``(max_degree + 1,) + shape(x)``.
     """
-
-    def __init__(self, max_degree: int):
-        if max_degree < 0:
-            raise ValueError(f"max_degree must be >= 0, got {max_degree}")
-        self.max_degree = int(max_degree)
-
-    def eval_all(self, x) -> np.ndarray:
-        """Evaluate ``H_0 .. H_max_degree`` at ``x``.
-
-        Returns an array of shape ``(max_degree + 1,) + shape(x)``.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty((self.max_degree + 1,) + x.shape, dtype=np.float64)
-        out[0] = 1.0
-        if self.max_degree >= 1:
-            out[1] = x
-        for n in range(1, self.max_degree):
-            out[n + 1] = (x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
-        return out
-
-    def eval(self, degree: int, x):
-        if not 0 <= degree <= self.max_degree:
-            raise ValueError(
-                f"degree {degree} outside basis range [0, {self.max_degree}]"
-            )
-        return self.eval_all(np.asarray(x, dtype=np.float64))[degree]
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((max_degree + 1,) + x.shape, dtype=np.float64)
+    out[0] = 1.0
+    if max_degree >= 1:
+        out[1] = x
+    for n in range(1, max_degree):
+        out[n + 1] = (x * out[n] - math.sqrt(n) * out[n - 1]) / math.sqrt(n + 1)
+    return out
 
 
 def hermite_eval(degree: int, x):
@@ -73,7 +60,7 @@ def hermite_eval(degree: int, x):
 
     Scalar inputs give back a float, arrays an array of the same shape.
     """
-    vals = HermiteBasis(degree).eval(degree, x)
+    vals = hermite_all(degree, x)[degree]
     if np.ndim(x) == 0:
         return float(vals)
     return vals
@@ -100,11 +87,6 @@ class QuadratureRule:
         object.__setattr__(self, "weights", weights)
         nodes.flags.writeable = False
         weights.flags.writeable = False
-
-    @property
-    def exact_degree(self) -> int:
-        """Highest polynomial degree the rule integrates exactly."""
-        return 2 * len(self.nodes) - 1
 
     def expect(self, f) -> float:
         vals = f(self.nodes) if callable(f) else np.asarray(f, dtype=np.float64)
@@ -176,7 +158,7 @@ def _tridiag_eigh(diag: np.ndarray, offdiag: np.ndarray):
 
 
 def _memo_key(value, name: str = "node count") -> int:
-    """A memo key (node count, degree, grid size) as an exact int.
+    """A memo key (node count, degree) as an exact int.
 
     Runs before any memo lookup, so a float or a bool raises
     ``TypeError`` instead of hashing equal to an int key (``2.0 == 2``)
@@ -227,66 +209,17 @@ def _hermite_rule(num_nodes: int) -> QuadratureRule:
 
 
 @functools.cache
-def _legendre_rule(num_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one build per count."""
-    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``_QUAD_POINTS``-node Gauss-Legendre rule on [-1, 1], built once."""
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_POINTS)
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
 
 
-def hermite_coeff(measure, degree: int, rule: QuadratureRule | None = None) -> float:
-    """Hermite coefficient ``E_measure[H_degree(x)]`` of a scalar measure.
-
-    The measure object is duck-typed on its ``kind`` attribute:
-
-    ``"standard-gaussian"``
-        Coefficients are ``delta_{degree, 0}`` by orthonormality.
-    ``"gauss-mixture"``
-        Mixture of Gaussians with common variance.  Expectation per
-        component by Gauss-Hermite quadrature; ``rule`` defaults to a
-        rule exact through the required degree, and a supplied rule is
-        rejected if it is not.
-    ``"bounded-llr"``
-        Density ratio ``1 + scale * T_k(x)`` on [-1, 1] against the
-        Gaussian.  The correction integral runs on the Gauss-Legendre
-        rule attached to the measure's weighted basis, since the
-        integrand has a hard cutoff at the interval ends.
-    """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    kind = getattr(measure, "kind", None)
-    if kind == "standard-gaussian":
-        return 1.0 if degree == 0 else 0.0
-    if kind == "gauss-mixture":
-        if rule is None:
-            rule = gauss_hermite_rule(degree // 2 + 2)
-        elif rule.exact_degree < degree:
-            raise ValueError(
-                f"rule exact to degree {rule.exact_degree}, need {degree}"
-            )
-        basis = HermiteBasis(degree)
-        sigma = math.sqrt(measure.sigma2)
-        total = 0.0
-        for mean, p in zip(measure.means, measure.mix_weights):
-            vals = basis.eval(degree, mean + sigma * rule.nodes)
-            total += p * float(np.dot(rule.weights, vals))
-        return total
-    if kind == "bounded-llr":
-        basis = measure.basis
-        if degree + basis.degree > 2 * len(basis.nodes) - 1:
-            raise ValueError(
-                f"attached rule not exact for degree {degree + basis.degree}"
-            )
-        if degree == 0:
-            return 1.0
-        # E_nu[H_t] = E_0[H_t] + scale * <H_t, T_k>_Delta and the first
-        # term vanishes for t >= 1.
-        hvals = HermiteBasis(degree).eval(degree, basis.nodes)
-        tvals = basis.eval(basis.degree, basis.nodes)
-        corr = float(np.dot(basis.gauss_weights * basis.leg_weights, hvals * tvals))
-        return (measure.snr / measure.lambda_k) * corr / basis.sup_norm
-    raise TypeError(f"unsupported measure kind: {kind!r}")
+def _weighted_dot(w: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """``sum_i w_i f_i g_i``: the one weighted sum behind every basis product."""
+    return float(np.dot(w, f * g))
 
 
 @dataclass(frozen=True)
@@ -324,18 +257,18 @@ class WeightedOrthoBasis:
 
     def inner(self, fvals: np.ndarray, gvals: np.ndarray) -> float:
         """Weighted inner product from node values on ``self.nodes``."""
-        return float(np.dot(self.leg_weights * self.gauss_weights, fvals * gvals))
+        return _weighted_dot(self.leg_weights * self.gauss_weights, fvals, gvals)
 
 
-def _sup_norm_on_interval(coeffs: np.ndarray, grid_points: int) -> float:
+def _sup_norm_on_interval(coeffs: np.ndarray) -> float:
     """Maximum of ``|p|`` over [-1, 1] by grid search plus local refinement."""
     polyval = np.polynomial.polynomial.polyval
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    grid = np.linspace(-1.0, 1.0, _GRID_POINTS)
     vals = np.abs(polyval(grid, coeffs))
     idx = int(np.argmax(vals))
     best = float(vals[idx])
     lo = grid[max(idx - 1, 0)]
-    hi = grid[min(idx + 1, grid_points - 1)]
+    hi = grid[min(idx + 1, _GRID_POINTS - 1)]
     for _ in range(3):
         local = np.linspace(lo, hi, 1001)
         lvals = np.abs(polyval(local, coeffs))
@@ -346,23 +279,21 @@ def _sup_norm_on_interval(coeffs: np.ndarray, grid_points: int) -> float:
     return best
 
 
-def build_weighted_basis(
-    k: int, quad_points: int = 256, grid_points: int = 100_000
-) -> WeightedOrthoBasis:
+def build_weighted_basis(k: int) -> WeightedOrthoBasis:
     """Gram-Schmidt on ``1, x, .., x^k`` under the cutoff-Gaussian product.
 
     The inner product is ``<f, g> = int_{-1}^{1} f g phi`` with ``phi``
-    the standard normal density, discretized on a ``quad_points``-node
+    the standard normal density, discretized on a 256-node
     Gauss-Legendre rule mapped to [-1, 1].  The rule integrates the
     polynomial part exactly at machine precision for every degree used
     here, and ``phi`` is entire, so the node count is far past the knee
-    of the error curve.  The Legendre rule is memoized by node count and
-    shared, read-only, as the basis's ``nodes`` and ``leg_weights``.
+    of the error curve.  The Legendre rule is built once and shared,
+    read-only, as every basis's ``nodes`` and ``leg_weights``.
 
-    Bases are memoized on ``(k, quad_points, grid_points)``: every later
-    call with the same arguments returns the same basis, whose arrays are
-    read-only.  All three must be ints (numpy integers included); floats
-    and bools raise ``TypeError``, before the lookup.
+    Bases are memoized on ``k``: every later call with the same degree
+    returns the same basis, whose arrays are read-only.  ``k`` must be
+    an int (numpy integers included); floats and bools raise
+    ``TypeError``, before the lookup.
 
     Orthonormalization runs on node values with coefficient tracking and
     one re-orthogonalization pass.  Degrees are capped at 60: well past
@@ -370,38 +301,34 @@ def build_weighted_basis(
     the power-basis representation degrades.
     """
     k = _memo_key(k, "degree")
-    quad_points = _memo_key(quad_points)
-    grid_points = _memo_key(grid_points, "grid size")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > 60:
         raise ValueError(f"degree {k} too large for a power-basis representation")
-    if quad_points < k + 1:
-        raise ValueError("quadrature must have more nodes than the top degree")
-    return _weighted_basis(k, quad_points, grid_points)
+    return _weighted_basis(k)
 
 
 @functools.cache
-def _weighted_basis(k: int, quad_points: int, grid_points: int) -> WeightedOrthoBasis:
-    nodes, leg_weights = _legendre_rule(quad_points)
+def _weighted_basis(k: int) -> WeightedOrthoBasis:
+    nodes, leg_weights = _legendre_rule()
     gauss_weights = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)
     w = leg_weights * gauss_weights
 
     # Monomial values at the nodes, one column per degree.
     vander = np.vander(nodes, k + 1, increasing=True)
     coeffs = np.zeros((k + 1, k + 1))
-    ortho_vals = np.zeros((quad_points, k + 1))
+    ortho_vals = np.zeros((_QUAD_POINTS, k + 1))
     for j in range(k + 1):
         vals = vander[:, j].copy()
         cj = np.zeros(k + 1)
         cj[j] = 1.0
-        raw_norm2 = float(np.dot(w, vals * vals))
+        raw_norm2 = _weighted_dot(w, vals, vals)
         for _ in range(2):
             for i in range(j):
-                proj = float(np.dot(w, vals * ortho_vals[:, i]))
+                proj = _weighted_dot(w, vals, ortho_vals[:, i])
                 vals -= proj * ortho_vals[:, i]
                 cj -= proj * coeffs[i]
-        norm2 = float(np.dot(w, vals * vals))
+        norm2 = _weighted_dot(w, vals, vals)
         if not norm2 > raw_norm2 * 1e-24:
             raise ValueError(f"weighted Gram matrix numerically singular at degree {j}")
         norm = math.sqrt(norm2)
@@ -411,8 +338,8 @@ def _weighted_basis(k: int, quad_points: int, grid_points: int) -> WeightedOrtho
             coeffs[j] = -coeffs[j]
             ortho_vals[:, j] = -ortho_vals[:, j]
 
-    sup_norm = _sup_norm_on_interval(coeffs[k], grid_points)
-    moment_proj = float(np.dot(w, vander[:, k] * ortho_vals[:, k]))
+    sup_norm = _sup_norm_on_interval(coeffs[k])
+    moment_proj = _weighted_dot(w, vander[:, k], ortho_vals[:, k])
     coeffs.flags.writeable = False
     gauss_weights.flags.writeable = False
     return WeightedOrthoBasis(

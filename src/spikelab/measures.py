@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from spikelab.hermite import (
-    HermiteBasis,
     WeightedOrthoBasis,
     build_weighted_basis,
     gauss_hermite_rule,
-    hermite_coeff,
+    hermite_eval,
 )
 
 __all__ = [
@@ -120,8 +119,28 @@ class NonGaussMeasure:
     # -- moments and Hermite coefficients --------------------------------
 
     def hermite_coefficient(self, degree: int) -> float:
-        """``E_nu[H_degree]`` for the orthonormal Hermite family."""
-        return hermite_coeff(self, degree)
+        """``E_nu[H_degree]`` for the orthonormal Hermite family.
+
+        A tilt's correction integral runs on its basis's Gauss-Legendre
+        rule, since the integrand has a hard cutoff at the interval ends.
+        """
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if self.kind == "standard-gaussian":
+            return 1.0 if degree == 0 else 0.0
+        if self.kind == "gauss-mixture":
+            return self._mixture_expect(
+                lambda x: hermite_eval(degree, x), degree // 2 + 2
+            )
+        basis = self.basis
+        if degree + basis.degree > 2 * len(basis.nodes) - 1:
+            raise ValueError(
+                f"attached rule not exact for degree {degree + basis.degree}"
+            )
+        if degree == 0:
+            return 1.0
+        # E_0[H_t] vanishes for t >= 1.
+        return self._tilt_term(hermite_eval(degree, basis.nodes))
 
     def nu_hat(self, up_to: int) -> np.ndarray:
         return np.array([self.hermite_coefficient(t) for t in range(up_to + 1)])
@@ -133,17 +152,23 @@ class NonGaussMeasure:
         if self.kind == "standard-gaussian":
             return _gaussian_moment(j)
         if self.kind == "gauss-mixture":
-            rule = gauss_hermite_rule(j // 2 + 1)
-            sigma = math.sqrt(self.sigma2)
-            total = 0.0
-            for mean, p in zip(self.means, self.mix_weights):
-                total += p * rule.expect((mean + sigma * rule.nodes) ** j)
-            return total
+            return self._mixture_expect(lambda x: x**j, j // 2 + 1)
+        return _gaussian_moment(j) + self._tilt_term(self.basis.nodes**j)
+
+    def _mixture_expect(self, f, num_nodes: int) -> float:
+        """``E_nu[f]`` from a ``num_nodes``-node Gauss-Hermite rule per component."""
+        rule = gauss_hermite_rule(num_nodes)
+        sigma = math.sqrt(self.sigma2)
+        total = 0.0
+        for mean, p in zip(self.means, self.mix_weights):
+            total += p * rule.expect(f(mean + sigma * rule.nodes))
+        return total
+
+    def _tilt_term(self, fvals: np.ndarray) -> float:
+        """``E_nu[f] - E_0[f]`` for a tilt, from ``f``'s values at the basis nodes."""
         basis = self.basis
-        corr = basis.inner(
-            basis.nodes**j, basis.eval(basis.degree, basis.nodes)
-        )
-        return _gaussian_moment(j) + (self.snr / self.lambda_k) * corr / basis.sup_norm
+        corr = basis.inner(fvals, basis.eval(basis.degree, basis.nodes))
+        return (self.snr / self.lambda_k) * corr / basis.sup_norm
 
     def moment_gap(self) -> float:
         """Signed gap ``E[Z^k] - E_nu[x^k]`` at the departure order."""
@@ -231,9 +256,9 @@ def build_mog_measure(k: int, snr: float) -> NonGaussMeasure:
     # alpha_k = E[Z^k H_k(Z)], the k-th moment's top Hermite component.
     moment_rule = gauss_hermite_rule(k + 1)
     alpha_k = moment_rule.expect(
-        moment_rule.nodes**k * HermiteBasis(k).eval_all(moment_rule.nodes)[k]
+        moment_rule.nodes**k * hermite_eval(k, moment_rule.nodes)
     )
-    ehk = rule.expect(HermiteBasis(k).eval_all(rule.nodes)[k])
+    ehk = rule.expect(hermite_eval(k, rule.nodes))
     lambda_k = abs(alpha_k) * abs(ehk)
     if not 0.0 <= snr <= lambda_k / 2.0 + 1e-12:
         raise ValueError(
@@ -251,9 +276,7 @@ def build_mog_measure(k: int, snr: float) -> NonGaussMeasure:
     )
 
 
-def build_bounded_llr_measure(
-    k: int, snr: float, quad_points: int = 256, grid_points: int = 100_000
-) -> NonGaussMeasure:
+def build_bounded_llr_measure(k: int, snr: float) -> NonGaussMeasure:
     """Bounded density tilt with moment gap ``-snr`` at order k.
 
     The density ratio is ``1 + (snr / lambda_k) T_k(x) 1{|x| <= 1} /
@@ -266,7 +289,7 @@ def build_bounded_llr_measure(
     """
     if k < 2:
         raise ValueError(f"bounded tilt needs k >= 2, got {k}")
-    basis = build_weighted_basis(k, quad_points=quad_points, grid_points=grid_points)
+    basis = build_weighted_basis(k)
     lambda_k = basis.lambda_max
     if not 0.0 < snr <= lambda_k + 1e-12:
         raise ValueError(f"snr {snr} outside (0, lambda_k] with lambda_k = {lambda_k}")

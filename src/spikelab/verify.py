@@ -31,9 +31,9 @@ from spikelab.harness import (
     shard_stream,
 )
 from spikelab.hermite import (
-    HermiteBasis,
     build_weighted_basis,
     gauss_hermite_rule,
+    hermite_all,
     hermite_eval,
 )
 from spikelab.measures import (
@@ -390,8 +390,7 @@ def tpca_llr_hermite_check(
     x = rng.standard_normal((mc_samples, vk.size))
     m = x @ vk
     ratio = np.exp(snr * m - snr * snr / 2.0)
-    basis = HermiteBasis(5)
-    h = basis.eval_all(m)
+    h = hermite_all(5, m)
     report = []
     for i in range(6):
         values = ratio * h[i]
@@ -466,7 +465,7 @@ class CheckResult:
 def _suite_hermite() -> list[CheckResult]:
     checks = []
     rule = gauss_hermite_rule(16)
-    values = HermiteBasis(8).eval_all(rule.nodes)
+    values = hermite_all(8, rule.nodes)
     gram = (values * rule.weights) @ values.T
     dev = float(np.abs(gram - np.eye(9)).max())
     checks.append(CheckResult("hermite/orthonormality", dev <= 1e-9, dev, 1e-9))

@@ -35,7 +35,12 @@ from spikelab.harness import (
     run_memory_bounded,
     shard_stream,
 )
-from spikelab.hermite import HermiteBasis, build_weighted_basis, gauss_hermite_rule
+from spikelab.hermite import (
+    build_weighted_basis,
+    gauss_hermite_rule,
+    hermite_all,
+    hermite_eval,
+)
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
 from spikelab.models import (
     ModelSpec,
@@ -83,9 +88,8 @@ def gaussian_moment(j):
 
 def test_criterion_1_hermite_facts():
     checks = []
-    basis = HermiteBasis(8)
     rule = gauss_hermite_rule(24)
-    vals = basis.eval_all(rule.nodes)
+    vals = hermite_all(8, rule.nodes)
 
     gram = (vals * rule.weights) @ vals.T
     checks.append(
@@ -94,7 +98,7 @@ def test_criterion_1_hermite_facts():
 
     worst = 0.0
     for mu in (-1.5, 0.3, 2.0):
-        shifted = basis.eval_all(mu + rule.nodes)
+        shifted = hermite_all(8, mu + rule.nodes)
         for k in range(9):
             target = mu**k / math.sqrt(math.factorial(k))
             worst = max(worst, abs(rule.expect(shifted[k]) - target))
@@ -107,15 +111,15 @@ def test_criterion_1_hermite_facts():
     for rho in (-0.6, 0.25, 0.9):
         zp = rho * z + math.sqrt(1.0 - rho**2) * rule.nodes[None, :]
         for i in range(6):
-            hi = basis.eval(i, z * np.ones_like(zp))
+            hi = hermite_eval(i, z * np.ones_like(zp))
             for j in range(6):
-                got = float(np.sum(w2 * hi * basis.eval(j, zp)))
+                got = float(np.sum(w2 * hi * hermite_eval(j, zp)))
                 target = rho**i if i == j else 0.0
                 worst = max(worst, abs(got - target))
     checks.append(("correlated-pair", worst <= 1e-7))
 
     grid = np.linspace(-6.0, 6.0, 481)
-    on_grid = basis.eval_all(grid)
+    on_grid = hermite_all(8, grid)
     envelope = all(
         np.all(np.abs(on_grid[k]) <= (1.0 + np.abs(grid)) ** k + 1e-12)
         for k in range(9)
@@ -180,7 +184,7 @@ def test_criterion_2_measure_constructions():
 
     # One-node rule: the discrete measure sits at 0, so E H_2 = -1/sqrt(2).
     one = gauss_hermite_rule(1)
-    got = one.expect(HermiteBasis(2).eval_all(one.nodes)[2])
+    got = one.expect(hermite_eval(2, one.nodes))
     checks.append(("one-node-h2", got == -1.0 / math.sqrt(2.0)))
 
     emit(2, checks, f"{len(families)} measures")
@@ -222,7 +226,7 @@ def test_criterion_3_sampler_moments():
     spec = ModelSpec.ngca(d=6, measure=measure, seed=2)
     batch = sample_ngca(spec, n, seed=1007)
     xi = batch.data @ spec.direction / math.sqrt(spec.d)
-    vals = HermiteBasis(4).eval_all(xi)
+    vals = hermite_all(4, xi)
     for t in (1, 2, 3):
         checks.append((f"ngca-h{t}-zero", abs(vals[t].mean()) <= mc_band(vals[t])))
     target = measure.hermite_coefficient(4)

@@ -6,6 +6,7 @@ import pytest
 from spikelab.batchio import load_batch
 from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
 from spikelab.config import ExperimentConfig, parse_config
+from spikelab.tensors import entry_budget
 from spikelab.verify import SUITES
 
 BASE = """
@@ -327,6 +328,23 @@ def test_main_rejects_flag_values_below_one(tmp_path, capsys, flags):
     assert main(["sweep", str(write(tmp_path, BASE)), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_main_budget_override_does_not_outlive_the_call(tmp_path, capsys):
+    prev = entry_budget()
+    assert main(["sweep", str(write(tmp_path, BASE)), "--budget-entries", "20000"]) == 0
+    capsys.readouterr()
+    assert entry_budget() == prev
+
+
+def test_main_over_the_entry_budget_exits_2(tmp_path, capsys):
+    # The 24-row batch needs 600 entries.  The guard's MemoryError used
+    # to end in a traceback and exit 1.
+    prev = entry_budget()
+    assert main(["sweep", str(write(tmp_path, BASE)), "--budget-entries", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert entry_budget() == prev
 
 
 @pytest.mark.parametrize(

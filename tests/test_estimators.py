@@ -39,7 +39,13 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import contract_batch, outer_power, outer_product, rank1_densify
+from spikelab.tensors import (
+    contract_batch,
+    outer_power,
+    outer_product,
+    rank1_densify,
+    set_entry_budget,
+)
 
 
 def noiseless_batch(spec, n=1):
@@ -372,6 +378,19 @@ def test_cca_matricization_null_sigma_shrinks_with_n():
         ]
         sigmas[n] = float(np.median(runs))
     assert sigmas[32_000] < sigmas[500]
+
+
+def test_cca_matricization_bits_do_not_depend_on_the_entry_budget():
+    # A 20,000-entry budget used to shrink the accumulation block from
+    # 4,096 rows to 555, which reordered the sum and moved sigma's bits.
+    batch = sample_cca(ModelSpec.cca(k=2, d=3, snr=0.5, seed=0), n=2048, seed=1)
+    want = cca_matricization_estimator(batch).info["sigma"]
+    prev = set_entry_budget(20_000)
+    try:
+        got = cca_matricization_estimator(batch).info["sigma"]
+    finally:
+        set_entry_budget(prev)
+    assert got == want
 
 
 def test_cca_matricization_rejects_odd_view_count():
@@ -874,10 +893,10 @@ def test_brute_force_cca_memory_does_not_grow_with_the_model_block():
 
 def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces(monkeypatch):
     # n = 4096, m = 2,848: a whole (n, m) projection product is 93 MB and
-    # an (m, m) Gram product 65 MB.  The search holds (n, _NET_BLOCK)
-    # projection blocks, then (_NET_BLOCK, m) score blocks, and the
-    # coverage check (_NET_BLOCK, m) probe dots; a loop step holds at
-    # most three such blocks at once.
+    # an (m, m) Gram product 65 MB.  The search holds one (n, _NET_BLOCK)
+    # projection block at a time, then two (_NET_BLOCK, m) score blocks
+    # per chunk, and the coverage check (_NET_BLOCK, m) probe dots; each
+    # chunk's blocks are released before the next chunk's product.
     n, m = 4096, 2848
     batch = planted_ngca_batch(3, 4, 0.9, n, 6)
     cfg = BruteForceConfig(delta=0.15, trunc=4.0, seed=8191)
@@ -886,5 +905,5 @@ def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces(
     for block in (64, 256):
         monkeypatch.setattr(est, "_NET_BLOCK", block)
         peaks.append(_peak_bytes(lambda: brute_force_ngca(batch, cfg)))
-        assert peaks[-1] < 3 * 8 * block * max(n, m) + 1_000_000
+        assert peaks[-1] < max(8 * block * n, 16 * block * m) + 1_000_000
     assert peaks[0] < peaks[1] < 8 * n * m / 4

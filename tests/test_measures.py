@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab.measures import (
     MAX_PROPOSALS_PER_DRAW,
+    NonGaussMeasure,
     build_bounded_llr_measure,
     build_mog_measure,
     rejection_sample,
@@ -158,9 +161,9 @@ def test_bounded_llr_sampling():
     x = m.sample(n, rng)
     assert x.shape == (n,)
     # Empirical E[H_k] within 5 sigma of nu_hat_k.
-    from spikelab.hermite import HermiteBasis
+    from spikelab.hermite import hermite_eval
 
-    vals = HermiteBasis(k).eval_all(x)[k]
+    vals = hermite_eval(k, x)
     se = vals.std(ddof=1) / _m.sqrt(n)
     assert abs(vals.mean() - m.hermite_coefficient(k)) < 5 * se
     # And the first moments of the density are reproduced too.
@@ -238,3 +241,66 @@ def test_standard_gaussian_measure():
     assert abs(x.mean()) < 5 / math.sqrt(len(x))
     np.testing.assert_allclose(m.density_ratio(np.linspace(-3, 3, 7)), 1.0)
     assert m.moment(4) == pytest.approx(3.0)
+    with pytest.raises(ValueError):
+        m.hermite_coefficient(-1)
+
+
+def test_unknown_measure_kind_raises():
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        NonGaussMeasure(kind="mystery", order=2, snr=0.1, lambda_k=1.0)
+
+
+# ---------------------------------------------------------------------------
+# Hermite coefficients against independent oracles
+
+
+def mixture_coefficient_oracle(m, t):
+    """``E_nu[H_t]`` in closed form: for ``X ~ N(mu, s2)``, ``E[He_t(X)] =
+    sum_j t! / (j! (t - 2j)!) ((s2 - 1) / 2)^j mu^(t - 2j)``."""
+    half = (m.sigma2 - 1.0) / 2.0
+    terms = [
+        p
+        * math.factorial(t)
+        / (math.factorial(j) * math.factorial(t - 2 * j))
+        * half**j
+        * mu ** (t - 2 * j)
+        for mu, p in zip(m.means.tolist(), m.mix_weights.tolist())
+        for j in range(t // 2 + 1)
+    ]
+    return math.fsum(terms) / math.sqrt(math.factorial(t))
+
+
+LEGENDRE_400 = np.polynomial.legendre.leggauss(400)
+
+
+def tilt_coefficient_oracle(m, t):
+    """``int_{-1}^{1} (density_ratio - 1) H_t phi`` on a 400-node Legendre rule,
+    with ``H_t`` from numpy's ``hermeval``."""
+    x, w = LEGENDRE_400
+    e = np.zeros(t + 1)
+    e[t] = 1.0
+    h = np.polynomial.hermite_e.hermeval(x, e) / math.sqrt(math.factorial(t))
+    phi = np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi)
+    return math.fsum(w * (m.density_ratio(x) - 1.0) * h * phi)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from([2, 4, 6, 8]),
+    f=st.floats(min_value=0.0, max_value=1.0),
+    t=st.integers(min_value=0, max_value=12),
+)
+def test_mixture_hermite_coefficient_matches_closed_form(k, f, t):
+    m = build_mog_measure(k, f * build_mog_measure(k, 0.0).lambda_k / 2.0)
+    assert abs(m.hermite_coefficient(t) - mixture_coefficient_oracle(m, t)) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    k=st.sampled_from([2, 3, 4, 6]),
+    f=st.floats(min_value=1e-6, max_value=1.0),
+    t=st.integers(min_value=1, max_value=12),
+)
+def test_tilt_hermite_coefficient_matches_legendre_integral(k, f, t):
+    m = build_bounded_llr_measure(k, f * tilt_ceiling(k))
+    assert abs(m.hermite_coefficient(t) - tilt_coefficient_oracle(m, t)) <= 1e-12

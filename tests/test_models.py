@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spikelab.hermite import HermiteBasis, build_weighted_basis
+from spikelab.hermite import build_weighted_basis, hermite_all
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
 from spikelab.models import (
     ModelSpec,
@@ -141,7 +141,7 @@ def test_ngca_projection_carries_the_measure():
     spec = ModelSpec.ngca(d=6, measure=m, seed=2)
     batch = sample_ngca(spec, n=100_000, seed=5)
     xi = batch.data @ spec.direction / math.sqrt(spec.d)
-    vals = HermiteBasis(4).eval_all(xi)
+    vals = hermite_all(4, xi)
     # The planted projection follows nu: H_4 mean at nu_hat_4, H_1..H_3 at 0.
     for t in (1, 2, 3):
         assert abs(vals[t].mean()) < mc_band(vals[t])
@@ -220,7 +220,7 @@ def test_ngca_to_glm_moves_signal_into_labels():
     # Labels are unbiased coin flips.
     assert abs(signed.mean()) < mc_band(signed)
     xi = glm.data @ spec.direction / math.sqrt(spec.d)
-    vals = HermiteBasis(k).eval_all(xi)
+    vals = hermite_all(k, xi)
     # Features are marginally Gaussian along the planted direction.
     for t in (1, 2, 3):
         assert abs(vals[t].mean()) < mc_band(vals[t]), f"H_{t} of features"
