@@ -18,6 +18,7 @@ output formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -278,7 +279,11 @@ def _cmd_reduce(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: ``parse_args`` keeps no state
+    between calls, since every option's default is ``None`` or a
+    constant."""
     parser = argparse.ArgumentParser(
         prog="spikelab",
         description="Planted tensor and projection models under resource bounds.",
@@ -303,7 +308,11 @@ def main(argv=None) -> int:
         "reduce", parents=[common], help="streaming vs distributed replay"
     )
     p_reduce.add_argument("config")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "verify": _cmd_verify,

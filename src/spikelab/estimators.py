@@ -405,7 +405,10 @@ def _check_count(name: str, value) -> None:
 # most n x _NET_BLOCK and a Gram or probe-dot product _NET_BLOCK x m,
 # whatever net size delta asks for.
 _NET_BLOCK = 1024
-_CCA_MODEL = 1 << 16  # model entries per candidate slice of ``brute_force_cca``
+# Entries per block of ``brute_force_cca``: a moment-table block holds
+# max(1, _CCA_MODEL // m**k) samples' m**k products, and a model block
+# max(1, _CCA_MODEL // m**k) candidates' m**k model moments.
+_CCA_MODEL = 1 << 16
 
 
 def _spans(total: int, width: int) -> list[tuple[int, int]]:
@@ -452,9 +455,14 @@ def sphere_net(
     at doubled size until none of ``probes`` fresh random sphere points
     sits farther than delta from it.  Each round draws the net, then all
     ``probes`` probes in one call, and takes their dots with the net
-    ``_NET_BLOCK`` probes at a time.  ``probes`` and ``max_points`` must
-    be integers >= 1; for d >= 2 a net that would outgrow ``max_points``
-    raises ``RuntimeError``.
+    ``_NET_BLOCK`` probes at a time.  A round fails at the first chunk
+    that holds a probe farther than delta, and the chunks after it are
+    not scanned.  Every probe is still drawn, so the generator stream,
+    and with it every net, is the one a full scan gives: a round passes
+    exactly when each chunk does, because the distance
+    ``sqrt(max(2 - 2 dot, 0))`` does not increase with the dot.
+    ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
+    net that would outgrow ``max_points`` raises ``RuntimeError``.
     """
     if not 1 <= d <= 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
@@ -484,12 +492,14 @@ def sphere_net(
         net /= np.linalg.norm(net, axis=1, keepdims=True)
         q = rng.standard_normal((probes, d))
         q /= np.linalg.norm(q, axis=1, keepdims=True)
-        # the farthest probe is the one with the lowest best dot
-        lowest = min(
+        # a chunk's farthest probe is the one with the lowest best dot;
+        # ``all`` stops at the first chunk that misses, so no later chunk
+        # is multiplied
+        lowest = (
             float((q[lo:hi] @ net.T).max(axis=1).min())
             for lo, hi in _spans(probes, _NET_BLOCK)
         )
-        if math.sqrt(max(2.0 - 2.0 * lowest, 0.0)) <= delta:
+        if all(math.sqrt(max(2.0 - 2.0 * dot, 0.0)) <= delta for dot in lowest):
             return net
         count *= 2
 
@@ -590,6 +600,45 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     return _report(t0, net[best_index].copy(), spec.direction, m, True, info)
 
 
+def _row_peaks(p: np.ndarray) -> np.ndarray:
+    """``max_w |p[i, w]|`` for every row i, taken a column at a time,
+    since ``max(axis=1)`` pays one inner-loop call per row."""
+    peaks = np.abs(p[:, 0])
+    for col in p.T[1:]:
+        np.maximum(peaks, np.abs(col), out=peaks)
+    return peaks
+
+
+def _cca_table(proj: list[np.ndarray], trunc: float) -> np.ndarray:
+    """Clipped empirical product moments of ``brute_force_cca``.
+
+    Entry ``(h, c)`` is ``mean_i clip(proj[0][i, h_1] * .. * proj[k-1][i,
+    c])`` over all tuples in ``itertools.product`` order, row h holding
+    head h's block of last factors.  ``brute_force_cca`` describes the
+    fill.
+    """
+    n, m = proj[0].shape
+    size = m ** len(proj)
+    # a sample whose bound is at most trunc has no product to clip
+    bound = _row_peaks(proj[0])
+    for p in proj[1:]:
+        bound *= _row_peaks(p)
+    samples = max(1, _CCA_MODEL // size)
+    work = np.zeros((min(samples, n) + 1, size))
+    for lo, hi in _spans(n, samples):
+        prod = work[1 : hi - lo + 1]
+        pre = proj[0][lo:hi]
+        for p in proj[1:-1]:
+            pre = np.einsum("ia,ib->iab", pre, p[lo:hi]).reshape(hi - lo, -1)
+        np.einsum("ia,ib->iab", pre, proj[-1][lo:hi], out=prod.reshape(hi - lo, -1, m))
+        # np.clip's Python wrapper costs more than its two ufuncs
+        for i in np.flatnonzero(bound[lo:hi] > trunc):
+            np.minimum(np.maximum(prod[i], -trunc, out=prod[i]), trunc, out=prod[i])
+        # row 0 carries the running sums
+        np.add.reduce(work[: hi - lo + 1], axis=0, out=work[0])
+    return (work[0] / n).reshape(-1, m)
+
+
 def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport:
     """Exhaustive net-product minimizer for the correlated-views model.
 
@@ -602,10 +651,22 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     holding a NaN or inf raises ``ValueError``.
 
     The search costs m^(2k) score entries for an m-point net.  It holds
-    the k ``(n, m)`` projections, the m^k-entry moment table, one
-    ``(n, m)`` product block while the table fills, and one model block
-    for a slice of candidates, at most ``max(_CCA_MODEL, m**k)`` entries.
-    The budget keeps m at most 1,000, below ``_NET_BLOCK``.
+    the k ``(n, m)`` projections, a few length-n vectors, the m^k-entry
+    moment table with a workspace of ``b + 1`` table rows while it
+    fills, and one model block for a slice of candidates, at most
+    ``max(_CCA_MODEL, m**k)`` entries.  The budget keeps m at most 1,000,
+    below ``_NET_BLOCK``.
+
+    The table fills ``b = max(1, _CCA_MODEL // m**k)`` samples at a
+    time.  Each sample's m^k products are formed by chained ``einsum``
+    outer products, left to right as ``prod_l <x_i^(l), w_l>`` is
+    written, one IEEE multiply per factor.  Only a sample whose bound
+    ``prod_l max_w |<x_i^(l), w>|`` (multiplied in the same order)
+    exceeds ``trunc`` is clipped: rounding is monotone, so no product of
+    any other sample can exceed it.  Row 0 of the workspace carries the
+    running sums, and ``np.add.reduce`` along the sample axis adds each
+    block onto it, so every entry is summed sample by sample, as
+    ``mean(axis=0)`` over all n samples would, then divided by n.
     """
     spec = batch.spec
     if spec.problem != "cca":
@@ -621,18 +682,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         raise RuntimeError(f"net product of size {m}^{k} exceeds the budget")
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
-    # Empirical clipped product moments over all adversary tuples: row h
-    # of ``table`` holds head h's block of last factors, heads in
-    # ``itertools.product`` order.
-    heads = m ** (k - 1)
-    table = np.empty((heads, m))
-    for h, head in enumerate(itertools.product(range(m), repeat=k - 1)):
-        pre = proj[0][:, head[0]]
-        for l in range(1, k - 1):
-            pre = pre * proj[l][:, head[l]]
-        prod = pre[:, None] * proj[k - 1]
-        np.clip(prod, -cfg.trunc, cfg.trunc, out=prod)
-        table[h] = prod.mean(axis=0)
+    table = _cca_table(proj, cfg.trunc)
 
     # Model moments snr * g[h_1, w_1] .. g[h_{k-1}, w_{k-1}] * g[c, y] of
     # candidate (h, c), multiplied left to right, for a slice of c.
@@ -646,7 +696,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         for i in head[1:]:
             outer = np.multiply.outer(outer, gram[i]).reshape(-1)
         for lo, hi in _spans(m, rows):
-            block = model[: (hi - lo) * m**k].reshape(hi - lo, heads, m)
+            block = model[: (hi - lo) * m**k].reshape(hi - lo, -1, m)
             np.multiply(outer[None, :, None], gram[lo:hi, None, :], out=block)
             block *= spec.snr
             np.abs(np.subtract(table, block, out=block), out=block)

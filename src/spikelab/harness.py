@@ -485,11 +485,18 @@ class Blackboard:
         return "\n".join(lines) + "\n"
 
     def audit(self, protocol: BlackboardProtocol) -> bool:
-        """Replay writer selection from read-only transcript prefixes alone."""
+        """Replay writer selection from read-only transcript prefixes alone.
+
+        Fails at the first round whose replayed writer is not a machine
+        index in ``[0, m)`` (a bool is not one) or is not the logged one.
+        """
         bits = self.bits.view()
         bits.flags.writeable = False
+        writers = self.writers.tolist()
+        select_writer = protocol.select_writer
         for t in range(len(bits)):
-            if protocol.select_writer(t, bits[:t]) != int(self.writers[t]):
+            writer = select_writer(t, bits[:t])
+            if not _is_writer(writer, self.m) or writer != writers[t]:
                 return False
         return True
 

@@ -285,6 +285,26 @@ def test_main_sweep_writes_file(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_calls_share_no_parsed_state(tmp_path, capsys):
+    # The parser is built once per process; the options of one call must
+    # not reach the next.
+    path = write(tmp_path, BASE)
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(path), "--seed", "7", "--seed", "9", "--out", str(out)]) == 0
+    assert main(["sweep", str(path)]) == 0
+    assert main(["sweep", str(path), "--seed", "5"]) == 0
+    captured = capsys.readouterr().out.split("# spikelab-sweep-v1\n")
+    assert captured[0] == f"wrote {out}\n" and len(captured) == 3
+    seed = CSV_COLUMNS.index("seed")
+
+    def seeds(text):
+        return [line.split(",")[seed] for line in text.splitlines()[1:]]
+
+    assert seeds(out.read_text().split("\n", 1)[1]) == ["7", "9"] * 2
+    assert seeds(captured[1]) == ["0", "1", "2"] * 2
+    assert seeds(captured[2]) == ["5"] * 2
+
+
 def test_main_sample_dumps_container(tmp_path, capsys):
     path = write(tmp_path, BASE)
     out = tmp_path / "batch.spkb"

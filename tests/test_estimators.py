@@ -701,6 +701,56 @@ def test_sphere_net_is_sized_by_its_coverage_check(d, delta, seed):
     assert dist.max() <= delta * 1.25
 
 
+def full_scan_sphere_net(d, delta, seed, probes):
+    """``sphere_net`` for d in {3, 4} with every coverage round scanned
+    to its last ``_NET_BLOCK`` chunk."""
+    rng = np.random.default_rng(seed)
+    count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
+    while True:
+        net = rng.standard_normal((count, d))
+        net /= np.linalg.norm(net, axis=1, keepdims=True)
+        q = rng.standard_normal((probes, d))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        lowest = min(
+            float((q[lo : lo + est._NET_BLOCK] @ net.T).max(axis=1).min())
+            for lo in range(0, probes, est._NET_BLOCK)
+        )
+        if math.sqrt(max(2.0 - 2.0 * lowest, 0.0)) <= delta:
+            return net
+        count *= 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([3, 4]),
+    delta=st.floats(0.3, 2.0),
+    seed=st.integers(0, 2**16),
+    block=st.sampled_from([1, 7, 1024]),
+    probes=st.sampled_from([1, 10, 1000, 2049, 5001]),
+)
+def test_sphere_net_stopping_at_a_failed_chunk_keeps_every_net(d, delta, seed, block, probes):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(est, "_NET_BLOCK", block)
+        reference = full_scan_sphere_net(d, delta, seed, probes)
+        assert sphere_net(d, delta, seed, probes).tobytes() == reference.tobytes()
+
+
+def test_sphere_net_failed_rounds_stop_at_their_first_far_chunk(monkeypatch):
+    # d = 3, delta = 0.5 draws nets of 16, 32, 64 and 128 points; the
+    # first three rounds each hold a far probe in their first chunk.
+    chunks = []
+    whole = est._spans
+
+    def spans(total, width):
+        for span in whole(total, width):
+            chunks.append(span)
+            yield span
+
+    monkeypatch.setattr(est, "_spans", spans)
+    assert len(sphere_net(3, 0.5, 5)) == 128
+    assert chunks == [(0, 1024)] * 3 + whole(10_000, 1024)
+
+
 def unblocked_brute_force_ngca(batch, cfg):
     """The ngca net search over the whole (n, m) and (m, m) products,
     with libm ``pow`` for the k-th powers; returns (net, objective,
@@ -821,7 +871,25 @@ def _cca_batch(k, d, n, seed):
     return sample_cca(spec, n=n, seed=seed + 1)
 
 
-@settings(max_examples=100, deadline=None)
+def _sample_bounds(batch, net):
+    """Per sample, ``max_w |<x^(l), w>|`` multiplied over the views in order."""
+    views = batch.views()
+    bound = np.ones(batch.n)
+    for l in range(batch.spec.k):
+        bound = bound * np.abs(views[:, l, :] @ net.T).max(axis=1)
+    return bound
+
+
+def _clip_level(clip, bound, pick):
+    """``trunc`` for a clip case: 0.8 clips some samples, 1e3 none and
+    1e-3 (nearly) all; ``exact`` is sample ``pick``'s own bound, so its
+    largest product lands on ``trunc`` exactly and it is not clipped."""
+    if clip == "exact":
+        return float(bound[pick % len(bound)])
+    return {"some": 0.8, "none": 1e3, "all": 1e-3}[clip]
+
+
+@settings(max_examples=120, deadline=None)
 @given(
     d=st.integers(1, 3),
     k=st.integers(2, 3),
@@ -829,15 +897,33 @@ def _cca_batch(k, d, n, seed):
     n=st.integers(1, 200),
     seed=st.integers(0, 2**16),
     kind=st.sampled_from(["1", "3", "7", "m-1", "m+1"]),
+    clip=st.sampled_from(["some", "none", "all", "exact"]),
+    pick=st.integers(0, 199),
 )
-def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind):
+def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind, clip, pick):
     if d == 3:
         # a d = 3 net of up to 48 points: k = 3 would score m^6 entries
         k, delta = 2, max(delta, 1.0)
     batch = _cca_batch(k, d, n, seed)
-    cfg = BruteForceConfig(delta=delta, trunc=0.8, seed=seed, probes=100)
+    trunc = _clip_level(clip, _sample_bounds(batch, sphere_net(d, delta, seed, 100)), pick)
+    cfg = BruteForceConfig(delta=delta, trunc=trunc, seed=seed, probes=100)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
+
+
+@pytest.mark.parametrize("clip", ["none", "all", "exact"])
+@pytest.mark.parametrize("kind", ["1", "3", "7"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_cca_table_clip_edges_are_bit_identical(k, kind, clip, monkeypatch):
+    # 50 samples leave a ragged last block of 2 at width 3 and 1 at width 7
+    batch = _cca_batch(k, 2, 50, 17)
+    bound = _sample_bounds(batch, sphere_net(2, 0.7))
+    trunc = _clip_level(clip, bound, 25)
+    clipped = int((bound > trunc).sum())
+    assert clipped == {"none": 0, "all": 50}.get(clip, clipped)
+    assert clip != "exact" or 0 < clipped < 50
+    cfg = BruteForceConfig(delta=0.7, trunc=trunc)
+    _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
 
 
 @pytest.mark.parametrize("kind", ["1", "7", "m+1"])
@@ -889,6 +975,19 @@ def test_brute_force_cca_memory_does_not_grow_with_the_model_block():
     cfg = BruteForceConfig(delta=0.6, trunc=4.0)
     assert len(sphere_net(3, 0.6)) == 96
     assert _peak_bytes(lambda: brute_force_cca(batch, cfg)) < 2_000_000
+
+
+def test_brute_force_cca_table_workspace_does_not_grow_with_n():
+    # m = 96 at k = 2.  Filling the table one head at a time held an
+    # (n, m) product, 8 m bytes more per sample; the sample blocks leave
+    # only a few length-n vectors beside the two (n, m) projections.  The
+    # batch is made before tracing starts, so it is not in the peak.
+    cfg = BruteForceConfig(delta=0.6, trunc=4.0)
+    extra = {}
+    for n in (256, 4096):
+        batch = _cca_batch(2, 3, n, 5)
+        extra[n] = _peak_bytes(lambda: brute_force_cca(batch, cfg)) - 2 * n * 96 * 8
+    assert extra[4096] - extra[256] < 16 * (4096 - 256)
 
 
 def test_brute_force_ngca_memory_is_the_projection_product_and_small_workspaces(monkeypatch):

@@ -815,6 +815,27 @@ def test_blackboard_audit_detects_tampered_writer_log():
     assert not board.audit(protocol)
 
 
+@pytest.mark.parametrize("cast", [bool, np.bool_, float], ids=["bool", "np.bool_", "float"])
+def test_blackboard_audit_rejects_a_writer_that_is_not_a_machine_index(cast):
+    # m = 2, so every replayed writer compares equal to the logged 0 or 1
+    # after the cast, and an audit that only compared passed them.
+    data = np.random.default_rng(34).standard_normal((8, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(XorFold(), ResourceProfile(8, 2, 1), 4)
+    _, board = run_distributed(protocol, shard_stream(data, n), m, n, b)
+    assert m == 2 and set(board.writers.tolist()) == {0, 1}
+
+    class Cast(BlackboardProtocol):
+        def select_writer(self, round_index, transcript):
+            return cast(protocol.select_writer(round_index, transcript))
+
+    class Numpy(BlackboardProtocol):
+        def select_writer(self, round_index, transcript):
+            return np.int64(protocol.select_writer(round_index, transcript))
+
+    assert board.audit(protocol) and board.audit(Numpy())
+    assert not board.audit(Cast())
+
+
 class _Wide(MemoryBoundedAlgorithm):
     def __init__(self, state_bits):
         self.state_bits = state_bits
