@@ -29,6 +29,11 @@ OpenBLAS core it runs (another BLAS build or core may round matmuls
 differently).  Without ITEMs it rewrites the digests of the items the
 file already lists; a change that moves bits on purpose runs it and
 says which digests moved.
+
+A ``# host-specific <verb> <item>: <reason>`` line in the golden file
+names a digest that only the stamped BLAS core reproduces;
+``tests/test_fingerprints.py`` recomputes every other line under a
+second core (``OPENBLAS_CORETYPE``), and ``--write`` keeps these lines.
 """
 
 import argparse
@@ -126,12 +131,25 @@ def stamp() -> list[str]:
     ]
 
 
+HOST_SPECIFIC = "# host-specific "
+
+
 def read_golden(path=GOLDEN) -> tuple[list[str], list[str]]:
     """``(stamp lines, digest lines)`` of a golden file."""
     lines = path.read_text().splitlines()
-    return [ln for ln in lines if ln.startswith("#")], [
+    return [ln for ln in lines if ln.startswith("#") and not ln.startswith(HOST_SPECIFIC)], [
         ln for ln in lines if not ln.startswith("#")
     ]
+
+
+def host_specific(path=GOLDEN) -> dict:
+    """``{"<verb> <item>": reason}`` of the host-specific lines of a golden file."""
+    notes = {}
+    for line in path.read_text().splitlines():
+        if line.startswith(HOST_SPECIFIC):
+            key, _, reason = line.removeprefix(HOST_SPECIFIC).partition(": ")
+            notes[key] = reason
+    return notes
 
 
 def golden_items(lines) -> list[str]:
@@ -164,7 +182,8 @@ def main(argv=None) -> int:
     lines = fingerprint_lines(cli, items)
     print("\n".join(lines))
     if args.write:
-        GOLDEN.write_text("\n".join(stamp() + lines) + "\n")
+        notes = [f"{HOST_SPECIFIC}{key}: {why}" for key, why in host_specific().items()]
+        GOLDEN.write_text("\n".join(stamp() + notes + lines) + "\n")
     return 0
 
 

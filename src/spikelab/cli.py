@@ -27,27 +27,14 @@ import numpy as np
 
 from spikelab.batchio import dump_batch
 from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
-from spikelab.estimators import (
-    BruteForceConfig,
-    PowerMethodConfig,
-    brute_force_cca,
-    brute_force_ngca,
-    cca_matricization_estimator,
-    mr_matricization_estimator,
-    ngca_spectral,
-    partial_trace_spectral,
-    tensor_power_method,
-)
+from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import (
+    TEMPLATES,
     QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
-    partial_trace_template,
-    power_template,
-    reduce_memory_to_distributed,
-    run_distributed,
+    replay,
     run_memory_bounded,
-    shard_stream,
 )
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
 from spikelab.models import (
@@ -58,7 +45,7 @@ from spikelab.models import (
     sample_tpca,
 )
 from spikelab.tensors import overlap, set_entry_budget
-from spikelab.verify import SUITES, CheckResult, run_verification
+from spikelab.verify import SUITES, CheckResult, replay_checks, run_verification
 
 __all__ = ["build_harness", "draw", "main", "run_plain", "run_sweep", "sweep_csv"]
 
@@ -108,21 +95,11 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
 def run_plain(cfg: ExperimentConfig, batch, seed: int):
     """The configured estimator's report on ``batch``, started from the
     solver seed ``iteration_seed(seed)``."""
-    # config.py admits only option names that are fields of the
-    # estimator's config object; unset options keep its defaults.
+    # config.py admits only the options class's own options; unset ones
+    # keep its defaults.
+    options = ESTIMATOR_SCOPES[cfg.estimator][1]
     opts = dict(cfg.estimator_options, seed=iteration_seed(seed))
-    fn = {
-        "tensor-power": tensor_power_method,
-        "partial-trace": partial_trace_spectral,
-        "matricization": mr_matricization_estimator,
-        "cca-matricization": cca_matricization_estimator,
-        "ngca-spectral": ngca_spectral,
-        "brute-force-ngca": brute_force_ngca,
-        "brute-force-cca": brute_force_cca,
-    }[cfg.estimator]
-    if cfg.estimator.startswith("brute-force"):
-        return fn(batch, BruteForceConfig(**opts))
-    return fn(batch, PowerMethodConfig(**opts))
+    return ESTIMATORS[cfg.estimator](batch, options(**opts))
 
 
 def _fmt(value) -> str:
@@ -137,10 +114,7 @@ def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
     """The quantized streaming algorithm of a ``[harness]`` grid point and
     its ``ResourceProfile``; the start vector comes from the solver seed."""
     hs = cfg.harness
-    if cfg.estimator == "tensor-power":
-        psi = power_template(cfg.k)
-    else:
-        psi = partial_trace_template(cfg.k, cfg.d)
+    psi = TEMPLATES[cfg.estimator](cfg.k, cfg.d)
     init = np.random.default_rng(iteration_seed(seed)).standard_normal(cfg.d)
     algorithm = QuantizedIteration(
         psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
@@ -176,13 +150,10 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
         if cfg.distributed is None:
             report = run_memory_bounded(algorithm, batch.data, profile)
         else:
-            protocol, m, n_shard, b = reduce_memory_to_distributed(
-                algorithm, profile, cfg.distributed.shard_rows
+            report, board, _ = replay(
+                algorithm, batch.data, profile, cfg.distributed.shard_rows
             )
-            report, _ = run_distributed(
-                protocol, shard_stream(batch.data, n_shard), m, n_shard, b
-            )
-            row.update({"m": m, "n": n_shard, "b": b})
+            row.update({"m": board.m, "n": board.n, "b": board.b})
         row["overlap"] = overlap(spec.direction, report.estimate)
         row["iterations"] = profile.passes
         row.update({"T": profile.passes, "s": algorithm.state_bits, "cost": profile.cost})
@@ -255,23 +226,11 @@ def _cmd_reduce(args) -> int:
     _, batch = draw(cfg, n_samples, seed)
     algorithm, profile = build_harness(cfg, n_samples, seed)
     direct = run_memory_bounded(algorithm, batch.data, profile)
-    protocol, m, n_shard, b = reduce_memory_to_distributed(
-        algorithm, profile, cfg.distributed.shard_rows
+    report, board, protocol = replay(
+        algorithm, batch.data, profile, cfg.distributed.shard_rows
     )
-    report, board = run_distributed(
-        protocol, shard_stream(batch.data, n_shard), m, n_shard, b
-    )
-    # The harness suite's three checks, on this one replay.
-    equal = bool(np.array_equal(direct.estimate, report.estimate))
-    budget = (n_samples // n_shard) * profile.state_bits * profile.passes
-    bits = len(board.bits)
-    ok = _print_report(
-        [
-            CheckResult("reduce/bit-equality", equal, int(not equal), 0),
-            CheckResult("reduce/accounting", m * b == budget, m * b, budget),
-            CheckResult("reduce/transcript-bits", bits == m * b, bits, m * b),
-        ]
-    )
+    # The harness suite's checks, on this one replay.
+    ok = _print_report(replay_checks("reduce", [(profile, direct, report, board, protocol)]))
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(board.dump_text())

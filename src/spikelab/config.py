@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
-from spikelab.estimators import BruteForceConfig, PowerMethodConfig
-from spikelab.harness import QuantizerSpec
+from spikelab.estimators import ESTIMATOR_SCOPES
+from spikelab.harness import TEMPLATES, QuantizerSpec
 
 __all__ = [
     "DistributedSettings",
@@ -26,35 +26,6 @@ __all__ = [
 ]
 
 _PROBLEMS = ("tpca", "atpca", "ngca", "cca")
-
-_POWER_OPTIONS = ("max_iters", "tol")
-_NET_OPTIONS = ("delta", "trunc", "probes", "max_net")
-
-# Each estimator: the problems it applies to, and the [estimator] options
-# it reads in plain mode, named as the fields of its PowerMethodConfig or
-# BruteForceConfig.  Any other option is rejected rather than ignored.
-_ESTIMATORS = {
-    "tensor-power": (("tpca",), _POWER_OPTIONS),
-    "partial-trace": (("tpca",), _POWER_OPTIONS),
-    "matricization": (("tpca", "atpca"), _POWER_OPTIONS),
-    "cca-matricization": (("cca",), _POWER_OPTIONS),
-    "ngca-spectral": (("ngca",), _POWER_OPTIONS),
-    "brute-force-ngca": (("ngca",), _NET_OPTIONS),
-    "brute-force-cca": (("cca",), _NET_OPTIONS),
-}
-
-# Estimators with a streaming contraction template; only these can run
-# under the bit-budget harness.
-_TEMPLATE_ESTIMATORS = ("tensor-power", "partial-trace")
-
-_ESTIMATOR_OPTION_TYPES = {
-    "max_iters": int,
-    "tol": float,
-    "delta": float,
-    "trunc": float,
-    "probes": int,
-    "max_net": int,
-}
 
 
 @dataclass(frozen=True)
@@ -118,9 +89,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in _PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.estimator not in _ESTIMATORS:
+        if self.estimator not in ESTIMATOR_SCOPES:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        problems, options = _ESTIMATORS[self.estimator]
+        problems, options = ESTIMATOR_SCOPES[self.estimator]
         if self.problem not in problems:
             raise ValueError(
                 f"estimator {self.estimator!r} does not apply to "
@@ -148,26 +119,26 @@ class ExperimentConfig:
             raise ValueError(f"seeds must span less than 1000, got {seeds}")
         object.__setattr__(self, "samples_grid", grid)
         object.__setattr__(self, "seeds", seeds)
-        unread = set(self.estimator_options) - set(options)
+        unread = set(self.estimator_options) - set(options.OPTIONS)
         if unread:
             raise ValueError(
                 f"estimator {self.estimator!r} does not read options {sorted(unread)}"
             )
-        # Build the estimator's config object once, so that its own checks
-        # of the option values run at parse time.
-        if self.estimator.startswith("brute-force"):
-            missing = {"delta", "trunc"} - set(self.estimator_options)
-            if missing:
-                raise ValueError(
-                    f"{self.estimator} needs estimator options {sorted(missing)}"
-                )
-            BruteForceConfig(**self.estimator_options)
-        else:
-            PowerMethodConfig(**self.estimator_options)
-        if self.harness is not None and self.estimator not in _TEMPLATE_ESTIMATORS:
+        required = {
+            f.name
+            for f in fields(options)
+            if f.default is MISSING and f.default_factory is MISSING
+        }
+        missing = sorted(required - set(self.estimator_options))
+        if missing:
+            raise ValueError(f"{self.estimator} needs estimator options {missing}")
+        # Build the options object once, so that its own checks of the
+        # values run at parse time.
+        options(**self.estimator_options)
+        if self.harness is not None and self.estimator not in TEMPLATES:
             raise ValueError(
                 f"estimator {self.estimator!r} has no streaming template; "
-                f"harness mode supports {_TEMPLATE_ESTIMATORS}"
+                f"harness mode supports {tuple(TEMPLATES)}"
             )
         if self.harness is not None and self.estimator_options:
             # The streaming run takes its pass count from [harness] passes.
@@ -192,11 +163,17 @@ def _int_list(raw: str) -> tuple:
 
 
 def _typed_options(section) -> dict:
+    """``[estimator]`` values, typed as the options class declaring them says."""
+    types = {
+        key: kind
+        for _, options in ESTIMATOR_SCOPES.values()
+        for key, kind in options.OPTIONS.items()
+    }
     options = {}
     for key in section:
-        if key not in _ESTIMATOR_OPTION_TYPES:
+        if key not in types:
             raise ValueError(f"unknown estimator option {key!r}")
-        options[key] = _ESTIMATOR_OPTION_TYPES[key](section[key])
+        options[key] = types[key](section[key])
     return options
 
 

@@ -16,6 +16,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -32,6 +33,8 @@ from spikelab.tensors import (
 
 __all__ = [
     "BruteForceConfig",
+    "ESTIMATORS",
+    "ESTIMATOR_SCOPES",
     "EstimateReport",
     "PowerMethodConfig",
     "brute_force_cca",
@@ -72,6 +75,8 @@ class PowerMethodConfig:
     hand; ``init`` overrides the seeded random start (useful for the
     invariant-subspace edge cases).
     """
+
+    OPTIONS: ClassVar[dict] = {"max_iters": int, "tol": float}
 
     max_iters: int | None = None
     tol: float = 1e-10
@@ -424,6 +429,8 @@ class BruteForceConfig:
     budget) are integers >= 1, so the coverage check always runs.
     """
 
+    OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float, "probes": int, "max_net": int}
+
     delta: float
     trunc: float
     seed: int = 0
@@ -714,3 +721,32 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         "net_indices": best_tuple,
     }
     return _report(t0, flat, truth, m**k, True, info)
+
+
+# ---------------------------------------------------------------------------
+# the estimator catalogue
+
+# Name -> estimator function.  The values are bare functions, looked up at
+# call time, so a wrapper put in their place reaches every caller.
+ESTIMATORS = {
+    "tensor-power": tensor_power_method,
+    "partial-trace": partial_trace_spectral,
+    "matricization": mr_matricization_estimator,
+    "cca-matricization": cca_matricization_estimator,
+    "ngca-spectral": ngca_spectral,
+    "brute-force-ngca": brute_force_ngca,
+    "brute-force-cca": brute_force_cca,
+}
+
+# Name -> (the problems it applies to, its options class).  A config may
+# set the class's ``OPTIONS``, typed as given there, and must set its
+# fields that have no default.
+ESTIMATOR_SCOPES = {
+    "tensor-power": (("tpca",), PowerMethodConfig),
+    "partial-trace": (("tpca",), PowerMethodConfig),
+    "matricization": (("tpca", "atpca"), PowerMethodConfig),
+    "cca-matricization": (("cca",), PowerMethodConfig),
+    "ngca-spectral": (("ngca",), PowerMethodConfig),
+    "brute-force-ngca": (("ngca",), BruteForceConfig),
+    "brute-force-cca": (("cca",), BruteForceConfig),
+}

@@ -36,9 +36,11 @@ __all__ = [
     "QuantizedIteration",
     "QuantizerSpec",
     "ResourceProfile",
+    "TEMPLATES",
     "partial_trace_template",
     "power_template",
     "reduce_memory_to_distributed",
+    "replay",
     "run_distributed",
     "run_memory_bounded",
     "shard_stream",
@@ -329,6 +331,14 @@ def partial_trace_template(k: int, d: int):
         return out
 
     return psi
+
+
+# Estimator name -> builder of its streaming contraction template from
+# (k, d); only these estimators run under the bit-budget harness.
+TEMPLATES = {
+    "tensor-power": lambda k, d: power_template(k),
+    "partial-trace": partial_trace_template,
+}
 
 
 class QuantizedIteration(MemoryBoundedAlgorithm):
@@ -633,7 +643,6 @@ class _StateHandoffProtocol(BlackboardProtocol):
 
     def __init__(self, algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile, n: int):
         self.algorithm = algorithm
-        self.profile = profile
         self.n = n
         self.m = profile.samples // n
         self.s = profile.state_bits
@@ -689,3 +698,17 @@ def shard_stream(data: np.ndarray, n: int) -> list[np.ndarray]:
     if data.shape[0] % n != 0:
         raise ValueError(f"n = {n} does not divide {data.shape[0]} rows")
     return [data[j : j + n] for j in range(0, data.shape[0], n)]
+
+
+def replay(
+    algorithm: MemoryBoundedAlgorithm,
+    data: np.ndarray,
+    profile: ResourceProfile,
+    shard_rows: int,
+) -> tuple[EstimateReport, Blackboard, BlackboardProtocol]:
+    """``(report, board, protocol)`` of the streaming run replayed as its
+    blackboard simulation at ``shard_rows`` rows per machine; the board
+    carries ``(m, n, b)``."""
+    protocol, m, n, b = reduce_memory_to_distributed(algorithm, profile, shard_rows)
+    report, board = run_distributed(protocol, shard_stream(data, n), m, n, b)
+    return report, board, protocol

@@ -152,14 +152,6 @@ class ModelSpec:
             return self.d
         return self.k * self.d  # cca, parity
 
-    def truth(self) -> np.ndarray:
-        """Flat ground-truth object estimators are scored against."""
-        if self.problem in ("tpca", "ngca", "glm"):
-            return np.asarray(self.direction)
-        if self.problem in ("atpca", "cca"):
-            return rank1_densify(self.spike)
-        raise ValueError(f"no single ground-truth object for {self.problem!r}")
-
 
 @dataclass(frozen=True)
 class SampleBatch:

@@ -20,15 +20,12 @@ from importlib import resources
 import numpy as np
 
 from spikelab.harness import (
+    TEMPLATES,
     QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
-    partial_trace_template,
-    power_template,
-    reduce_memory_to_distributed,
-    run_distributed,
+    replay,
     run_memory_bounded,
-    shard_stream,
 )
 from spikelab.hermite import (
     build_weighted_basis,
@@ -50,7 +47,6 @@ __all__ = [
     "LDLR_GRID_SNR",
     "SUITES",
     "check_rademacher_bounds",
-    "harness_fixture_runs",
     "integrated_hermite_inner",
     "integrated_hermite_norm",
     "ldlr_grid",
@@ -58,6 +54,7 @@ __all__ = [
     "ldlr_sandwich",
     "load_calibration",
     "rademacher_mean_moment",
+    "replay_checks",
     "run_verification",
     "sign_coefficient",
     "sign_tail_mass",
@@ -587,67 +584,51 @@ def _suite_models() -> list[CheckResult]:
     return checks
 
 
-def harness_fixture_runs():
-    """Streaming runs plus their sharded replays, for the equality check.
+def replay_checks(prefix: str, replays) -> list[CheckResult]:
+    """``<prefix>/`` bit-equality, accounting and writer-audit checks, each
+    counting the replays that fail it.  A replay is ``(profile, direct,
+    report, board, protocol)``: a streaming run's profile and report, then
+    the report, board and protocol of its blackboard replay."""
+    mismatches = accounting = audit_failures = 0
+    for profile, direct, report, board, protocol in replays:
+        if not np.array_equal(direct.estimate, report.estimate):
+            mismatches += 1
+        budget = (profile.samples // board.n) * profile.state_bits * profile.passes
+        if board.m * board.b != budget:
+            accounting += 1
+        if len(board.bits) != board.m * board.b:
+            accounting += 1
+        # Round-by-round ``select_writer`` against the writers the runner
+        # took from ``select_writers``.
+        if not board.audit(protocol):
+            audit_failures += 1
+    return [
+        CheckResult(f"{prefix}/reduction-bit-equality", mismatches == 0, mismatches, 0.0),
+        CheckResult(f"{prefix}/transcript-accounting", accounting == 0, accounting, 0.0),
+        CheckResult(f"{prefix}/writer-audit", audit_failures == 0, audit_failures, 0.0),
+    ]
 
-    Two wrapped iterations (an order-2 contraction at d = 4 and an
-    order-4 partial trace at d = 3) on fixed Gaussian streams of 32
-    rows, each replayed at shard sizes 32, 16, and 8; every replay
-    carries its protocol, for the writer audit.
-    """
-    cases = []
-    for label, psi, d, k, bits, radius in (
-        ("power-k2-d4", power_template(2), 4, 2, 8, 8.0),
-        ("partial-trace-k4-d3", partial_trace_template(4, 3), 3, 4, 32, 64.0),
+
+def _suite_harness() -> list[CheckResult]:
+    """Two wrapped iterations (an order-2 power contraction at d = 4 and
+    an order-4 partial trace at d = 3) on fixed Gaussian streams of 32
+    rows, each replayed at shard sizes 32, 16, and 8."""
+    replays = []
+    for estimator, d, k, bits, radius in (
+        ("tensor-power", 4, 2, 8, 8.0),
+        ("partial-trace", 3, 4, 32, 64.0),
     ):
         rng = np.random.default_rng(97)
         data = rng.standard_normal((32, d**k))
         init = rng.standard_normal(d)
         algorithm = QuantizedIteration(
-            psi, QuantizerSpec(bits=bits, radius=radius), d, 32, init
+            TEMPLATES[estimator](k, d), QuantizerSpec(bits=bits, radius=radius), d, 32, init
         )
         profile = ResourceProfile(samples=32, passes=6, state_bits=algorithm.state_bits)
         direct = run_memory_bounded(algorithm, data, profile)
-        replays = []
         for shard_rows in (32, 16, 8):
-            protocol, m, n_shard, b = reduce_memory_to_distributed(
-                algorithm, profile, shard_rows
-            )
-            report, board = run_distributed(
-                protocol, shard_stream(data, shard_rows), m, n_shard, b
-            )
-            replays.append((shard_rows, protocol, report, board, m, n_shard, b))
-        cases.append((label, profile, direct, replays))
-    return cases
-
-
-def _suite_harness() -> list[CheckResult]:
-    checks = []
-    mismatches = 0
-    accounting = 0
-    audit_failures = 0
-    for label, profile, direct, replays in harness_fixture_runs():
-        for shard_rows, protocol, report, board, m, n_shard, b in replays:
-            if not np.array_equal(direct.estimate, report.estimate):
-                mismatches += 1
-            if m * b != (profile.samples // n_shard) * profile.state_bits * profile.passes:
-                accounting += 1
-            if len(board.bits) != m * b:
-                accounting += 1
-            # Round-by-round ``select_writer`` against the writers the
-            # runner took from ``select_writers``.
-            if not board.audit(protocol):
-                audit_failures += 1
-    checks.append(
-        CheckResult("harness/reduction-bit-equality", mismatches == 0, mismatches, 0.0)
-    )
-    checks.append(
-        CheckResult("harness/transcript-accounting", accounting == 0, accounting, 0.0)
-    )
-    checks.append(
-        CheckResult("harness/writer-audit", audit_failures == 0, audit_failures, 0.0)
-    )
-    return checks
+            replays.append((profile, direct, *replay(algorithm, data, profile, shard_rows)))
+    return replay_checks("harness", replays)
 
 
 _SUITE_RUNNERS = {

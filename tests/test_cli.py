@@ -1,11 +1,17 @@
 """Config parsing, sweep determinism, CLI verbs."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikelab.batchio import load_batch
 from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
-from spikelab.config import ExperimentConfig, parse_config
+from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
+from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
+from spikelab.harness import TEMPLATES, Blackboard
 from spikelab.tensors import entry_budget
 from spikelab.verify import SUITES
 
@@ -118,6 +124,30 @@ def test_parse_config_rejections(tmp_path, mutation):
         parse_config(write(tmp_path, BASE.replace(old, new)))
 
 
+@given(
+    base=st.integers(-3, 10**9),
+    offsets=st.lists(st.integers(0, 1100), min_size=1, max_size=12),
+)
+@example(base=0, offsets=[0, 999])
+@example(base=0, offsets=[0, 1000])
+@settings(max_examples=60, deadline=None)
+def test_accepted_seed_lists_keep_every_stream_disjoint(base, offsets):
+    seeds = tuple(base + offset for offset in offsets)
+    try:
+        cfg = ExperimentConfig("tpca", 2, 3, 1.0, "tensor-power", (8,), seeds)
+    except ValueError:
+        # Only duplicates, negative seeds and spans of 1000 or more are refused.
+        assert len(set(seeds)) < len(seeds) or min(seeds) < 0 or max(seeds) - min(seeds) >= 1000
+        return
+    assert max(seeds) - min(seeds) < 1000
+    streams = [
+        set(cfg.seeds),
+        {noise_seed(s) for s in cfg.seeds},
+        {iteration_seed(s) for s in cfg.seeds},
+    ]
+    assert len(set().union(*streams)) == 3 * len(seeds)
+
+
 def test_parse_config_unknown_material(tmp_path):
     with pytest.raises(ValueError, match="sections"):
         parse_config(write(tmp_path, BASE + "\n[mystery]\nx = 1\n"))
@@ -195,6 +225,66 @@ def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
     build({key: 3})
     with pytest.raises(ValueError, match=key):
         build({key: value})
+
+
+# One valid INI value per option that some options class declares.
+OPTION_VALUES = {
+    "max_iters": "7",
+    "tol": "1e-3",
+    "delta": "0.3",
+    "trunc": "6",
+    "probes": "5",
+    "max_net": "900",
+}
+
+
+def test_catalogue_tables_name_the_same_estimators():
+    assert list(ESTIMATORS) == list(ESTIMATOR_SCOPES)
+    assert set(TEMPLATES) <= set(ESTIMATORS)
+    assert set(OPTION_VALUES) == {
+        key for _, options in ESTIMATOR_SCOPES.values() for key in options.OPTIONS
+    }
+
+
+@pytest.mark.parametrize("problem", ["tpca", "atpca", "ngca", "cca"])
+@pytest.mark.parametrize("estimator", list(ESTIMATOR_SCOPES))
+def test_catalogue_decides_which_configs_parse(tmp_path, estimator, problem):
+    problems, options = ESTIMATOR_SCOPES[estimator]
+    required = {
+        f.name
+        for f in fields(options)
+        if f.default is MISSING and f.default_factory is MISSING
+    }
+    head = BASE.replace("problem = tpca", f"problem = {problem}").replace(
+        "estimator = tensor-power", f"estimator = {estimator}"
+    )
+
+    def parse(keys, extra=""):
+        lines = "".join(f"{key} = {OPTION_VALUES.get(key, '1')}\n" for key in sorted(keys))
+        return parse_config(write(tmp_path, f"{head}\n[estimator]\n{lines}{extra}"))
+
+    if problem not in problems:
+        with pytest.raises(ValueError, match="does not apply to problem"):
+            parse(required)
+        return
+    for key in OPTION_VALUES:
+        if key in options.OPTIONS:
+            value = parse(required | {key}).estimator_options[key]
+            assert type(value) is options.OPTIONS[key]
+        else:
+            with pytest.raises(ValueError, match=rf"does not read options \['{key}'\]"):
+                parse(required | {key})
+    with pytest.raises(ValueError, match="unknown estimator option 'warp'"):
+        parse(required | {"warp"})
+    for key in required:
+        with pytest.raises(ValueError, match=rf"needs estimator options \['{key}'\]"):
+            parse(required - {key})
+    harness = "\n[harness]\nbits = 8\n"
+    if estimator in TEMPLATES:
+        assert parse(required, harness).harness.bits == 8
+    else:
+        with pytest.raises(ValueError, match="has no streaming template"):
+            parse(required, harness)
 
 
 # -- sweeps -----------------------------------------------------------------
@@ -320,11 +410,22 @@ def test_main_reduce_replays_and_dumps(tmp_path, capsys):
     out = tmp_path / "transcript.txt"
     assert main(["reduce", str(path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert "reduce/bit-equality,PASS" in captured.out
+    assert captured.out.splitlines()[:4] == [
+        "check,status,measured,bound",
+        "reduce/reduction-bit-equality,PASS,0,0",
+        "reduce/transcript-accounting,PASS,0,0",
+        "reduce/writer-audit,PASS,0,0",
+    ]
     lines = out.read_text().splitlines()
     assert len(lines) == 4 * (2 * 4 * 16) * 6
     first = lines[0].split()
     assert len(first) == 3 and first[0] == "0"
+
+
+def test_main_reduce_fails_when_the_writer_audit_does(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Blackboard, "audit", lambda board, protocol: False)
+    assert main(["reduce", str(write(tmp_path, HARNESS))]) == 1
+    assert "reduce/writer-audit,FAIL,1,0" in capsys.readouterr().out.splitlines()
 
 
 def test_main_bad_config_exit_code(tmp_path, capsys):

@@ -227,6 +227,33 @@ def test_rejection_sample_stops_at_the_budget():
     assert sum(chunks) <= MAX_PROPOSALS_PER_DRAW * 3 < sum(chunks) + 256
 
 
+@given(n=st.integers(1, 16), pattern=st.lists(st.booleans(), min_size=1, max_size=32))
+@settings(max_examples=30, deadline=None)
+def test_rejection_sample_keeps_the_first_accepted_rows(n, pattern):
+    # Proposal i is accepted when pattern[i % len(pattern)] is set.
+    accept = np.array(pattern)
+    budget = MAX_PROPOSALS_PER_DRAW * n
+    chunks = []
+
+    def propose(chunk):
+        start = sum(chunks)
+        chunks.append(chunk)
+        assert start + chunk <= budget
+        index = np.arange(start, start + chunk)
+        return index[accept[index % len(accept)]].astype(np.float64)
+
+    if not accept.any():
+        with pytest.raises(RuntimeError, match="proposal budget"):
+            rejection_sample(n, propose)
+        # It stops at the chunk that would pass the budget.
+        assert sum(chunks) + max(2 * n, 256) > budget
+        return
+    rows, proposals = rejection_sample(n, propose)
+    assert proposals == sum(chunks)
+    accepted = np.flatnonzero(np.resize(accept, proposals))
+    np.testing.assert_array_equal(rows, accepted[:n])
+
+
 # ---------------------------------------------------------------------------
 # reference measure
 

@@ -35,7 +35,6 @@ def test_tpca_spec_defaults():
     assert spec.row_length == 125
     assert set(np.unique(spec.direction)) <= {-1.0, 1.0}
     assert spec.direction @ spec.direction == pytest.approx(5.0)
-    assert spec.truth().shape == (5,)
 
 
 def test_atpca_spec_coordinate_factors():
@@ -43,7 +42,6 @@ def test_atpca_spec_coordinate_factors():
     for v, idx in zip(spec.spike.factors, (1, 3, 0)):
         assert v[idx] == pytest.approx(2.0)
         assert np.count_nonzero(v) == 1
-    assert spec.truth().shape == (64,)
 
 
 def test_ngca_spec_inherits_measure_scales():
