@@ -28,14 +28,7 @@ import numpy as np
 from spikelab.batchio import dump_batch
 from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
-from spikelab.harness import (
-    TEMPLATES,
-    QuantizedIteration,
-    QuantizerSpec,
-    ResourceProfile,
-    replay,
-    run_memory_bounded,
-)
+from spikelab.harness import replay, run_memory_bounded, streaming_run
 from spikelab.measures import build_bounded_llr_measure, build_mog_measure
 from spikelab.models import (
     ModelSpec,
@@ -85,7 +78,8 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
     """``(spec, batch)`` of run seed ``seed``: the planted instance drawn
     from ``seed``, then ``n_samples`` rows from ``noise_seed(seed)``."""
     if cfg.problem == "ngca":
-        builder = build_mog_measure if cfg.measure_kind == "mog" else build_bounded_llr_measure
+        llr = cfg.measure_kind == "bounded-llr"
+        builder = build_bounded_llr_measure if llr else build_mog_measure
         spec = ModelSpec.ngca(d=cfg.d, measure=builder(cfg.k, cfg.snr), seed=seed)
     else:
         spec = getattr(ModelSpec, cfg.problem)(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
@@ -111,15 +105,11 @@ def _fmt(value) -> str:
 
 
 def build_harness(cfg: ExperimentConfig, n_samples: int, seed: int):
-    """The quantized streaming algorithm of a ``[harness]`` grid point and
-    its ``ResourceProfile``; the start vector comes from the solver seed."""
+    """``harness.streaming_run`` of a ``[harness]`` grid point, started
+    from the solver seed ``iteration_seed(seed)``."""
     hs = cfg.harness
-    psi = TEMPLATES[cfg.estimator](cfg.k, cfg.d)
     init = np.random.default_rng(iteration_seed(seed)).standard_normal(cfg.d)
-    algorithm = QuantizedIteration(
-        psi, QuantizerSpec(bits=hs.bits, radius=hs.radius), cfg.d, n_samples, init
-    )
-    return algorithm, ResourceProfile(n_samples, hs.passes, algorithm.state_bits)
+    return streaming_run(cfg.estimator, cfg.k, cfg.d, hs.quantizer, hs.passes, n_samples, init)
 
 
 def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:

@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
+from spikelab.tensors import check_count
 
 __all__ = [
     "DistributedSettings",
@@ -30,14 +31,20 @@ _PROBLEMS = ("tpca", "atpca", "ngca", "cca")
 
 @dataclass(frozen=True)
 class HarnessSettings:
-    bits: int = 32
-    radius: float = 64.0
+    """``[harness]``: the streaming state's codec and the pass count.
+
+    ``bits`` and ``radius`` default to the codec's own defaults.
+    """
+
+    bits: int = QuantizerSpec.bits
+    radius: float = QuantizerSpec.radius
     passes: int = 10
+    # The codec of bits and radius, built (and so checked) once here.
+    quantizer: QuantizerSpec = field(init=False, repr=False)
 
     def __post_init__(self):
-        QuantizerSpec(bits=self.bits, radius=self.radius)  # the codec's checks
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        object.__setattr__(self, "quantizer", QuantizerSpec(bits=self.bits, radius=self.radius))
+        check_count("passes", self.passes)
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,7 @@ class DistributedSettings:
     shard_rows: int
 
     def __post_init__(self):
-        if self.shard_rows < 1:
-            raise ValueError(f"shard_rows must be >= 1, got {self.shard_rows}")
+        check_count("shard_rows", self.shard_rows)
 
 
 def iteration_seed(seed: int) -> int:
@@ -80,7 +86,8 @@ class ExperimentConfig:
     estimator: str
     samples_grid: tuple
     seeds: tuple
-    measure_kind: str = "mog"
+    # ngca only: "mog" (the default) or "bounded-llr".
+    measure_kind: str | None = None
     estimator_options: dict = field(default_factory=dict)
     harness: HarnessSettings | None = None
     distributed: DistributedSettings | None = None
@@ -97,22 +104,26 @@ class ExperimentConfig:
                 f"estimator {self.estimator!r} does not apply to "
                 f"problem {self.problem!r}"
             )
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
+        check_count("k", self.k)
+        check_count("d", self.d)
         if not (math.isfinite(self.snr) and self.snr >= 0):
             raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
-        if self.measure_kind not in ("mog", "bounded-llr"):
+        if self.problem != "ngca" and self.measure_kind is not None:
+            raise ValueError(f"measure applies to ngca only, got it for {self.problem!r}")
+        if self.measure_kind not in (None, "mog", "bounded-llr"):
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
-        grid = tuple(int(v) for v in self.samples_grid)
-        if not grid or any(v < 1 for v in grid):
-            raise ValueError(f"samples grid must be non-empty positive, got {grid}")
-        seeds = tuple(int(v) for v in self.seeds)
+        grid, seeds = tuple(self.samples_grid), tuple(self.seeds)
+        for v in grid:
+            check_count("samples", v)
+        for v in seeds:
+            check_count("seeds", v, low=0)
+        grid, seeds = tuple(map(int, grid)), tuple(map(int, seeds))
+        if not grid:
+            raise ValueError("samples grid must not be empty")
         if not seeds:
             raise ValueError("seed list must not be empty")
         if len(set(seeds)) != len(seeds):
             raise ValueError(f"seeds must be distinct, got {seeds}")
-        if any(v < 0 for v in seeds):
-            raise ValueError(f"seeds must be >= 0, got {seeds}")
         if max(seeds) - min(seeds) >= 1000:
             # Seed s draws its noise from 1000 + s, the instance stream of
             # seed s + 1000; a span below 1000 keeps every stream disjoint.
@@ -158,23 +169,49 @@ class ExperimentConfig:
 
 
 def _int_list(raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",")]
-    return tuple(int(p) for p in parts if p)
+    """A comma-separated list of ints; an empty entry does not parse."""
+    return tuple(int(part) for part in raw.split(","))
 
 
-def _typed_options(section) -> dict:
-    """``[estimator]`` values, typed as the options class declaring them says."""
-    types = {
+# Section -> key -> the type its value is read as.  [estimator] takes
+# every option that some options class declares, typed as it declares.
+_SECTIONS = {
+    "experiment": {
+        "problem": str,
+        "k": int,
+        "d": int,
+        "snr": float,
+        "estimator": str,
+        "samples": _int_list,
+        "seeds": _int_list,
+        "measure": str,
+    },
+    "estimator": {
         key: kind
         for _, options in ESTIMATOR_SCOPES.values()
         for key, kind in options.OPTIONS.items()
-    }
-    options = {}
-    for key in section:
+    },
+    "harness": {"bits": int, "radius": float, "passes": int},
+    "distributed": {"shard_rows": int},
+    "output": {"path": str},
+}
+_EXPERIMENT_REQUIRED = ("problem", "k", "d", "snr", "estimator", "samples", "seeds")
+
+
+def _read_section(name: str, section) -> dict:
+    """``[name]``'s values, typed by ``_SECTIONS``; an unknown key raises."""
+    types = _SECTIONS[name]
+    values = {}
+    for key, raw in section.items():
         if key not in types:
-            raise ValueError(f"unknown estimator option {key!r}")
-        options[key] = types[key](section[key])
-    return options
+            raise ValueError(
+                f"unknown {name} option {key!r}; [{name}] keys: {', '.join(sorted(types))}"
+            )
+        try:
+            values[key] = types[key](raw)
+        except ValueError as err:
+            raise ValueError(f"[{name}] {key}: {err}") from None
+    return values
 
 
 def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -182,65 +219,31 @@ def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfi
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
         parser.read_file(fh)
-    known = {"experiment", "estimator", "harness", "distributed", "output"}
-    extra = set(parser.sections()) - known
+    extra = set(parser.sections()) - set(_SECTIONS)
     if extra:
         raise ValueError(f"unknown config sections {sorted(extra)}")
     if "experiment" not in parser:
         raise ValueError("config needs an [experiment] section")
-    exp = parser["experiment"]
-    allowed = {"problem", "k", "d", "snr", "estimator", "samples", "seeds", "measure"}
-    unknown = set(exp) - allowed
-    if unknown:
-        raise ValueError(f"unknown [experiment] keys {sorted(unknown)}")
-    for key in ("problem", "k", "d", "snr", "estimator", "samples", "seeds"):
+    sections = {name: _read_section(name, parser[name]) for name in parser.sections()}
+    exp = sections["experiment"]
+    for key in _EXPERIMENT_REQUIRED:
         if key not in exp:
             raise ValueError(f"[experiment] is missing {key!r}")
-    harness = None
-    if "harness" in parser:
-        sec = parser["harness"]
-        unknown = set(sec) - {"bits", "radius", "passes"}
-        if unknown:
-            raise ValueError(f"unknown [harness] keys {sorted(unknown)}")
-        harness = HarnessSettings(
-            bits=sec.getint("bits", 32),
-            radius=sec.getfloat("radius", 64.0),
-            passes=sec.getint("passes", 10),
-        )
-    distributed = None
-    if "distributed" in parser:
-        sec = parser["distributed"]
-        unknown = set(sec) - {"shard_rows"}
-        if unknown:
-            raise ValueError(f"unknown [distributed] keys {sorted(unknown)}")
-        if "shard_rows" not in sec:
-            raise ValueError("[distributed] needs shard_rows")
-        distributed = DistributedSettings(shard_rows=sec.getint("shard_rows"))
-    out = None
-    if "output" in parser:
-        sec = parser["output"]
-        unknown = set(sec) - {"path"}
-        if unknown:
-            raise ValueError(f"unknown [output] keys {sorted(unknown)}")
-        out = sec.get("path")
-    seeds = _int_list(exp["seeds"])
-    if seed_override is not None:
-        seeds = tuple(seed_override)
-    if out_override is not None:
-        out = out_override
+    if "distributed" in sections and "shard_rows" not in sections["distributed"]:
+        raise ValueError("[distributed] needs shard_rows")
+    harness = sections.get("harness")
+    distributed = sections.get("distributed")
     return ExperimentConfig(
-        problem=exp["problem"].strip(),
-        k=exp.getint("k"),
-        d=exp.getint("d"),
-        snr=exp.getfloat("snr"),
-        estimator=exp["estimator"].strip(),
-        samples_grid=_int_list(exp["samples"]),
-        seeds=seeds,
-        measure_kind=exp.get("measure", "mog").strip(),
-        estimator_options=_typed_options(parser["estimator"])
-        if "estimator" in parser
-        else {},
-        harness=harness,
-        distributed=distributed,
-        out=out,
+        problem=exp["problem"],
+        k=exp["k"],
+        d=exp["d"],
+        snr=exp["snr"],
+        estimator=exp["estimator"],
+        samples_grid=exp["samples"],
+        seeds=exp["seeds"] if seed_override is None else tuple(seed_override),
+        measure_kind=exp.get("measure"),
+        estimator_options=sections.get("estimator", {}),
+        harness=None if harness is None else HarnessSettings(**harness),
+        distributed=None if distributed is None else DistributedSettings(**distributed),
+        out=sections.get("output", {}).get("path") if out_override is None else out_override,
     )

@@ -23,6 +23,7 @@ import numpy as np
 from spikelab.models import SampleBatch
 from spikelab.tensors import (
     DEFAULT_ENTRY_BUDGET,
+    check_count,
     check_entry_budget,
     check_finite,
     contract_batch,
@@ -84,10 +85,11 @@ class PowerMethodConfig:
     init: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if self.max_iters is not None:
+            check_count("max_iters", self.max_iters)
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
+            raise ValueError(f"tolerance must be a positive real number, got {tol!r}")
 
 
 def default_power_iters(d: int) -> int:
@@ -401,11 +403,6 @@ def ngca_spectral(
 # sphere nets and brute force
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 # Net points per chunk of the net search: a projection product is at
 # most n x _NET_BLOCK and a Gram or probe-dot product _NET_BLOCK x m,
 # whatever net size delta asks for.
@@ -442,8 +439,8 @@ class BruteForceConfig:
             raise ValueError(f"delta must be in (0, 2], got {self.delta}")
         if not self.trunc > 0:
             raise ValueError(f"truncation level must be positive, got {self.trunc}")
-        _check_count("probes", self.probes)
-        _check_count("max_net", self.max_net)
+        check_count("probes", self.probes)
+        check_count("max_net", self.max_net)
 
 
 def sphere_net(
@@ -475,8 +472,8 @@ def sphere_net(
         raise ValueError(f"net construction supports d <= 4, got {d}")
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
-    _check_count("probes", probes)
-    _check_count("max_points", max_points)
+    check_count("probes", probes)
+    check_count("max_points", max_points)
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:

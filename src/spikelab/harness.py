@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spikelab.estimators import EstimateReport
-from spikelab.tensors import check_finite, contract_batch
+from spikelab.tensors import check_count, check_finite, contract_batch
 
 __all__ = [
     "Blackboard",
@@ -44,6 +44,7 @@ __all__ = [
     "run_distributed",
     "run_memory_bounded",
     "shard_stream",
+    "streaming_run",
 ]
 
 
@@ -57,8 +58,7 @@ class ResourceProfile:
 
     def __post_init__(self):
         for name in ("samples", "passes", "state_bits"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name))
 
     @property
     def cost(self) -> int:
@@ -183,7 +183,8 @@ class QuantizerSpec:
     radius: float = 64.0
 
     def __post_init__(self):
-        if not 1 <= self.bits <= 53:
+        check_count("bits per coordinate", self.bits)
+        if self.bits > 53:
             raise ValueError(f"bits per coordinate must be in [1, 53], got {self.bits}")
         if not np.finfo(np.float64).tiny <= self.step < math.inf:  # NaN fails too
             raise ValueError(f"radius {self.radius} gives step {self.step}, not a normal float")
@@ -429,6 +430,22 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if nrm == 0.0:
             raise RuntimeError("iterate collapsed to numerical zero")
         return u / nrm
+
+
+def streaming_run(
+    estimator: str,
+    k: int,
+    d: int,
+    quantizer: QuantizerSpec,
+    passes: int,
+    n_samples: int,
+    init,
+) -> tuple[QuantizedIteration, ResourceProfile]:
+    """The quantized streaming run of ``estimator``'s template on order-k
+    samples in R^d, started from ``init``, and its ``ResourceProfile`` of
+    ``(n_samples, passes, 2 * d * quantizer.bits)``."""
+    algorithm = QuantizedIteration(TEMPLATES[estimator](k, d), quantizer, d, n_samples, init)
+    return algorithm, ResourceProfile(n_samples, passes, algorithm.state_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -192,12 +192,6 @@ class SampleBatch:
         return self.data.reshape(self.n, self.spec.k, self.spec.d)
 
 
-def _new_batch(spec, data, seed, labels=None, meta=None) -> SampleBatch:
-    return SampleBatch(
-        spec=spec, data=data, seed=seed, labels=labels, meta=meta or {}
-    )
-
-
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -209,7 +203,7 @@ def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, spec.row_length))
     data += rank1_densify(spec.spike)
-    return _new_batch(spec, data, seed)
+    return SampleBatch(spec, data, seed)
 
 
 def sample_tpca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
@@ -243,7 +237,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     z = rng.standard_normal((n, spec.d))
     v = spec.direction
     data = np.outer(eta, v / math.sqrt(spec.d)) + z - np.outer((z @ v) / spec.d, v)
-    return _new_batch(spec, data, seed)
+    return SampleBatch(spec, data, seed)
 
 
 def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
@@ -269,7 +263,7 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
         return x[u * (1.0 + rate) < 1.0 + rate * signs]
 
     rows, proposed = rejection_sample(n, propose, (spec.k, spec.d))
-    return _new_batch(spec, rows.reshape(n, -1), seed, meta={"proposals": proposed})
+    return SampleBatch(spec, rows.reshape(n, -1), seed, meta={"proposals": proposed})
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
         direction=np.asarray(spec.direction),
         measure=measure,
     )
-    return _new_batch(glm_spec, features, seed, labels=r)
+    return SampleBatch(glm_spec, features, seed, labels=r)
 
 
 def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
@@ -342,4 +336,4 @@ def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
         spike=spec.spike,
         subset=tuple(subset),
     )
-    return _new_batch(parity_spec, features, seed, labels=r)
+    return SampleBatch(parity_spec, features, seed, labels=r)

@@ -59,6 +59,16 @@ def check_finite(data, name: str) -> None:
         raise ValueError(f"{name} holds a non-finite value")
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer >= ``low``.
+
+    An ``int`` or a numpy integer counts; a bool does not, and neither
+    does a float, however close to whole, so nothing is truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RankOneSpike:
     """A scaled rank-one signal ``snr * (v_1 x .. x v_k) / sqrt(d^k)``.

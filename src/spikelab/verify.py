@@ -19,14 +19,7 @@ from importlib import resources
 
 import numpy as np
 
-from spikelab.harness import (
-    TEMPLATES,
-    QuantizedIteration,
-    QuantizerSpec,
-    ResourceProfile,
-    replay,
-    run_memory_bounded,
-)
+from spikelab.harness import QuantizerSpec, replay, run_memory_bounded, streaming_run
 from spikelab.hermite import (
     build_weighted_basis,
     gauss_hermite_rule,
@@ -614,17 +607,14 @@ def _suite_harness() -> list[CheckResult]:
     an order-4 partial trace at d = 3) on fixed Gaussian streams of 32
     rows, each replayed at shard sizes 32, 16, and 8."""
     replays = []
-    for estimator, d, k, bits, radius in (
-        ("tensor-power", 4, 2, 8, 8.0),
-        ("partial-trace", 3, 4, 32, 64.0),
+    for estimator, d, k, quantizer in (
+        ("tensor-power", 4, 2, QuantizerSpec(bits=8, radius=8.0)),
+        ("partial-trace", 3, 4, QuantizerSpec(bits=32, radius=64.0)),
     ):
         rng = np.random.default_rng(97)
         data = rng.standard_normal((32, d**k))
         init = rng.standard_normal(d)
-        algorithm = QuantizedIteration(
-            TEMPLATES[estimator](k, d), QuantizerSpec(bits=bits, radius=radius), d, 32, init
-        )
-        profile = ResourceProfile(samples=32, passes=6, state_bits=algorithm.state_bits)
+        algorithm, profile = streaming_run(estimator, k, d, quantizer, 6, 32, init)
         direct = run_memory_bounded(algorithm, data, profile)
         for shard_rows in (32, 16, 8):
             replays.append((profile, direct, *replay(algorithm, data, profile, shard_rows)))

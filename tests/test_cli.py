@@ -1,17 +1,29 @@
 """Config parsing, sweep determinism, CLI verbs."""
 
+import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikelab import cli
 from spikelab.batchio import load_batch
 from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
-from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
+from spikelab.config import (
+    DistributedSettings,
+    ExperimentConfig,
+    HarnessSettings,
+    iteration_seed,
+    noise_seed,
+    parse_config,
+)
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
-from spikelab.harness import TEMPLATES, Blackboard
+from spikelab.harness import TEMPLATES, Blackboard, QuantizerSpec, ResourceProfile
 from spikelab.tensors import entry_budget
 from spikelab.verify import SUITES
 
@@ -116,12 +128,69 @@ def test_flag_overrides(tmp_path):
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 1e308"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nbits = 53\nradius = 1e-320"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 0"),
+        # an empty list entry used to be dropped
+        ("samples = 24, 96", "samples = 24,,"),
+        ("seeds = 0, 1, 2", "seeds = 0, ,1"),
+        # measure is read for ngca only
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\nmeasure = bounded-llr"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\nmeasure = mog"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
     old, new = mutation
     with pytest.raises(ValueError):
         parse_config(write(tmp_path, BASE.replace(old, new)))
+
+
+def test_measure_is_an_ngca_key(tmp_path):
+    ngca = BASE.replace("problem = tpca", "problem = ngca").replace(
+        "estimator = tensor-power", "estimator = ngca-spectral"
+    ).replace("k = 2", "k = 4")
+    assert parse_config(write(tmp_path, ngca)).measure_kind is None  # a mixture
+    for kind in ("mog", "bounded-llr"):
+        text = ngca + f"measure = {kind}\n"
+        assert parse_config(write(tmp_path, text)).measure_kind == kind
+    with pytest.raises(ValueError, match="unknown measure kind"):
+        parse_config(write(tmp_path, ngca + "measure = tilt\n"))
+    with pytest.raises(ValueError, match="ngca only"):
+        ExperimentConfig("cca", 2, 3, 0.5, "cca-matricization", (8,), (0,), "bounded-llr")
+
+
+GOOD = dict(
+    problem="tpca", k=2, d=3, snr=1.0, estimator="tensor-power", samples_grid=(64,), seeds=(0,)
+)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (ExperimentConfig, {**GOOD, "samples_grid": (64.9,)}),
+        (ExperimentConfig, {**GOOD, "samples_grid": ("64",)}),
+        (ExperimentConfig, {**GOOD, "seeds": (0.5, 1.5)}),
+        (ExperimentConfig, {**GOOD, "seeds": (True,)}),
+        (ExperimentConfig, {**GOOD, "k": 2.5}),
+        (ExperimentConfig, {**GOOD, "d": True}),
+        (ExperimentConfig, {**GOOD, "estimator_options": {"max_iters": 2.5}}),
+        (HarnessSettings, {"passes": 2.5}),
+        (HarnessSettings, {"bits": 8.0}),
+        (DistributedSettings, {"shard_rows": 2.5}),
+        (QuantizerSpec, {"bits": True}),
+        (ResourceProfile, {"samples": 2.5, "passes": 1, "state_bits": 1}),
+        (ResourceProfile, {"samples": 1, "passes": np.True_, "state_bits": 1}),
+    ],
+)
+def test_counts_must_be_integers_and_are_never_truncated(make, kwargs):
+    # Each of these used to construct, most of them truncated to an int.
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(**kwargs)
+
+
+def test_numpy_integer_counts_are_accepted():
+    counts = {"k": np.int64(2), "samples_grid": (np.int32(64),), "seeds": (np.uint8(0),)}
+    cfg = ExperimentConfig(**{**GOOD, **counts})
+    assert cfg.samples_grid == (64,) and cfg.seeds == (0,)
+    assert type(cfg.samples_grid[0]) is int and type(cfg.seeds[0]) is int
+    assert HarnessSettings(passes=np.int16(3)).passes == 3
 
 
 @given(
@@ -155,6 +224,42 @@ def test_parse_config_unknown_material(tmp_path):
         parse_config(write(tmp_path, BASE + "colour = red\n"))
     with pytest.raises(ValueError, match="estimator option"):
         parse_config(write(tmp_path, BASE + "\n[estimator]\nwarp = 9\n"))
+
+
+SECTION_TEXTS = {
+    "experiment": BASE,
+    "estimator": BASE + "\n[estimator]\n",
+    "harness": HARNESS,
+    "distributed": HARNESS,
+    "output": BASE + "\n[output]\npath = o.csv\n",
+}
+
+
+@pytest.mark.parametrize("section", list(SECTION_TEXTS))
+def test_every_section_rejects_unknown_keys(tmp_path, section):
+    # One reader types and checks every section against one table.
+    text = SECTION_TEXTS[section].replace(f"[{section}]\n", f"[{section}]\nwarp = 9\n")
+    with pytest.raises(ValueError, match=rf"unknown {section} option 'warp'; \[{section}\] keys"):
+        parse_config(write(tmp_path, text))
+
+
+def test_empty_harness_section_takes_the_defaults(tmp_path):
+    cfg = parse_config(write(tmp_path, HARNESS.split("[harness]")[0] + "[harness]\n"))
+    assert cfg.harness == HarnessSettings()
+    assert (cfg.harness.bits, cfg.harness.radius, cfg.harness.passes) == (32, 64.0, 10)
+    # The settings hand out the codec they checked.
+    assert cfg.harness.quantizer == QuantizerSpec(bits=32, radius=64.0)
+
+
+def test_required_keys_and_typed_values_are_named(tmp_path):
+    with pytest.raises(ValueError, match=r"\[experiment\] is missing 'k'"):
+        parse_config(write(tmp_path, BASE.replace("k = 2\n", "")))
+    with pytest.raises(ValueError, match=r"\[distributed\] needs shard_rows"):
+        parse_config(write(tmp_path, HARNESS.replace("shard_rows = 8", "")))
+    with pytest.raises(ValueError, match=r"\[experiment\] k: invalid literal"):
+        parse_config(write(tmp_path, BASE.replace("k = 2", "k = 2.5")))
+    with pytest.raises(ValueError, match=r"\[harness\] passes: invalid literal"):
+        parse_config(write(tmp_path, HARNESS.replace("passes = 6", "passes = 2.5")))
 
 
 def test_harness_needs_template_estimator(tmp_path):
@@ -487,7 +592,49 @@ def test_main_non_finite_values_exit_2_at_parse(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        BASE.replace("seeds = 0, 1, 2", "seeds = 0, 1, 2\nmeasure = bounded-llr"),
+        BASE.replace("samples = 24, 96", "samples = 64,,"),
+        BASE.replace("seeds = 0, 1, 2", "seeds = 0, ,1"),
+    ],
+    ids=["tpca-measure", "samples-empty-entry", "seeds-empty-entry"],
+)
+def test_main_ignored_input_exits_2_at_parse(tmp_path, capsys, text):
+    # Each of these used to parse: the measure was never read and the
+    # empty list entries were dropped.
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_main_reduce_without_sections(tmp_path, capsys):
     path = write(tmp_path, BASE)
     assert main(["reduce", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_every_module_imports_on_its_own():
+    # The package's __init__ imports no module, so each module has to
+    # import what it uses itself; a fresh interpreter state per module
+    # catches one that only worked because another was loaded first.
+    package = Path(cli.__file__).parent
+    names = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    child = (
+        "import importlib, sys\n"
+        "for name in sys.argv[1:]:\n"
+        "    for loaded in [m for m in sys.modules if m.split('.')[0] == 'spikelab']:\n"
+        "        del sys.modules[loaded]\n"
+        "    importlib.import_module('spikelab.' + name)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", child, *names],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "cli" in names and "config" in names

@@ -603,6 +603,18 @@ def test_brute_force_config_validation():
         PowerMethodConfig(max_iters=0)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("max_iters", 2.5), ("max_iters", True), ("max_iters", "3"), ("tol", "1e-3"), ("tol", True)],
+)
+def test_power_method_config_rejects_non_numbers(key, value):
+    # A float or bool max_iters used to construct and then fail in the
+    # iteration with TypeError; a string raised TypeError at once.
+    with pytest.raises(ValueError, match="max_iters" if key == "max_iters" else "tolerance"):
+        PowerMethodConfig(**{key: value})
+    assert PowerMethodConfig(max_iters=np.int64(3), tol=np.float32(1e-3)).max_iters == 3
+
+
 @pytest.mark.parametrize("key", ["probes", "max_net"])
 @pytest.mark.parametrize("value", [0, -1, -5, 2.5, True])
 def test_brute_force_config_rejects_bad_counts(key, value):
