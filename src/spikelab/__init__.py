@@ -6,7 +6,7 @@ The package is organized around a small set of layers:
     Hermite functions (the orthonormal Hermite polynomials), Gaussian
     quadrature, and weighted polynomial bases on [-1, 1].
 ``tensors``
-    Rank-one spikes, contraction, overlap.
+    Rank-one densification of a spike's factors, contraction, overlap.
 ``measures``
     Scalar non-Gaussian measures that match Gaussian moments up to a
     chosen order (Gaussian mixtures and bounded likelihood-ratio tilts).

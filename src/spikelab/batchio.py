@@ -21,8 +21,6 @@ import numpy as np
 
 from spikelab.models import ModelSpec, SampleBatch
 
-__all__ = ["batch_from_bytes", "batch_to_bytes", "dump_batch", "load_batch"]
-
 MAGIC = b"SPKB"
 LAYOUT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIQdQII")

@@ -40,8 +40,6 @@ from spikelab.models import (
 from spikelab.tensors import overlap, set_entry_budget
 from spikelab.verify import SUITES, CheckResult, replay_checks, run_verification
 
-__all__ = ["build_harness", "draw", "main", "run_plain", "run_sweep", "sweep_csv"]
-
 CSV_VERSION = "spikelab-sweep-v1"
 CSV_COLUMNS = (
     "problem",

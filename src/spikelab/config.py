@@ -17,15 +17,6 @@ from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
 from spikelab.tensors import check_count
 
-__all__ = [
-    "DistributedSettings",
-    "ExperimentConfig",
-    "HarnessSettings",
-    "iteration_seed",
-    "noise_seed",
-    "parse_config",
-]
-
 _PROBLEMS = ("tpca", "atpca", "ngca", "cca")
 
 
@@ -202,14 +193,14 @@ def _read_section(name: str, section) -> dict:
     """``[name]``'s values, typed by ``_SECTIONS``; an unknown key raises."""
     types = _SECTIONS[name]
     values = {}
-    for key, raw in section.items():
+    for key in section:
         if key not in types:
             raise ValueError(
                 f"unknown {name} option {key!r}; [{name}] keys: {', '.join(sorted(types))}"
             )
-        try:
-            values[key] = types[key](raw)
-        except ValueError as err:
+        try:  # reading a value interpolates it, so a bad % raises here
+            values[key] = types[key](section[key])
+        except (ValueError, configparser.Error) as err:
             raise ValueError(f"[{name}] {key}: {err}") from None
     return values
 
@@ -218,7 +209,11 @@ def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfi
     """Read an experiment INI file and apply flag overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as err:
+            # Its message can span lines; the CLI prints one.
+            raise ValueError(" ".join(str(err).split())) from None
     extra = set(parser.sections()) - set(_SECTIONS)
     if extra:
         raise ValueError(f"unknown config sections {sorted(extra)}")

@@ -19,20 +19,6 @@ import numpy as np
 from spikelab.cli import draw, run_plain
 from spikelab.config import ExperimentConfig
 
-__all__ = [
-    "DETECTION_SEEDS",
-    "LEG_NAMES",
-    "WEDIN_DELTA",
-    "WEDIN_DIM",
-    "WEDIN_NET_SEED",
-    "default_samples",
-    "detection_median",
-    "detection_run",
-    "random_unit_pairs",
-    "sample_grid",
-    "wedin_net",
-]
-
 
 DETECTION_SEEDS = tuple(range(10))
 

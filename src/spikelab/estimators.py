@@ -32,28 +32,6 @@ from spikelab.tensors import (
     overlap,
 )
 
-__all__ = [
-    "BruteForceConfig",
-    "ESTIMATORS",
-    "ESTIMATOR_SCOPES",
-    "EstimateReport",
-    "PowerMethodConfig",
-    "brute_force_cca",
-    "brute_force_ngca",
-    "cca_matricization_estimator",
-    "default_power_iters",
-    "gaussian_reference_constant",
-    "matricization_rank1",
-    "mr_matricization_estimator",
-    "net_discrepancy",
-    "ngca_spectral",
-    "partial_trace_spectral",
-    "power_iteration",
-    "rank1_svd",
-    "sphere_net",
-    "tensor_power_method",
-]
-
 
 @dataclass
 class EstimateReport:
@@ -65,7 +43,6 @@ class EstimateReport:
     converged: bool
     wall_ms: float
     info: dict = field(default_factory=dict)
-    resources: object = None
 
 
 @dataclass(frozen=True)
@@ -191,7 +168,7 @@ def _report(t0, estimate, truth, iterations, converged, info) -> EstimateReport:
 
 def _tensor_truth(spec) -> np.ndarray | None:
     """Planted rank-one pattern, unscaled so snr = 0 still scores."""
-    return None if spec.spike is None else outer_product(spec.spike.factors)
+    return outer_product(spec.factors) if spec.factors else None
 
 
 # ---------------------------------------------------------------------------

@@ -29,24 +29,6 @@ import numpy as np
 from spikelab.estimators import EstimateReport
 from spikelab.tensors import check_count, check_finite, contract_batch
 
-__all__ = [
-    "Blackboard",
-    "BlackboardProtocol",
-    "MemoryBoundedAlgorithm",
-    "QuantizedIteration",
-    "QuantizerSpec",
-    "ResourceProfile",
-    "TEMPLATES",
-    "partial_trace_template",
-    "power_template",
-    "reduce_memory_to_distributed",
-    "replay",
-    "run_distributed",
-    "run_memory_bounded",
-    "shard_stream",
-    "streaming_run",
-]
-
 
 @dataclass(frozen=True)
 class ResourceProfile:
@@ -148,7 +130,6 @@ def run_memory_bounded(
         converged=True,
         wall_ms=(time.perf_counter() - t0) * 1e3,
         info={"cost": profile.cost},
-        resources=profile,
     )
 
 

@@ -15,15 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QuadratureRule",
-    "WeightedOrthoBasis",
-    "build_weighted_basis",
-    "gauss_hermite_rule",
-    "hermite_all",
-    "hermite_eval",
-]
-
 _EPS = float(np.finfo(np.float64).eps)
 # Gauss-Legendre nodes behind every weighted basis, and the grid size of
 # the sup-norm search on [-1, 1].

@@ -28,14 +28,6 @@ from spikelab.hermite import (
     hermite_eval,
 )
 
-__all__ = [
-    "NonGaussMeasure",
-    "build_bounded_llr_measure",
-    "build_mog_measure",
-    "rejection_sample",
-    "standard_gaussian",
-]
-
 # Hard ceiling on rejection-sampler work, measured in proposals per
 # accepted draw.  Hitting it means the envelope is broken, not unlucky.
 MAX_PROPOSALS_PER_DRAW = 10_000

@@ -13,9 +13,10 @@ glm         direction + link         point in R^d, 0/1 labels
 parity      relevant subset          k*d features, 0/1 labels
 ==========  =======================  =========================
 
-Planted directions and factors live on the sphere of squared radius d,
-so the normalized alignment ``<x, v> / d`` is the natural overlap scale
-throughout.
+A ``ModelSpec`` holds each fact of its planted instance once: the snr,
+the direction and the spike's factors.  Planted directions and factors
+live on the sphere of squared radius d, so the normalized alignment
+``<x, v> / d`` is the natural overlap scale throughout.
 """
 
 from __future__ import annotations
@@ -26,19 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from spikelab.measures import NonGaussMeasure, rejection_sample
-from spikelab.tensors import RankOneSpike, check_entry_budget, rank1_densify
-
-__all__ = [
-    "ModelSpec",
-    "SampleBatch",
-    "cca_critical_snr",
-    "reduce_cca_to_parity",
-    "reduce_ngca_to_glm",
-    "sample_atpca",
-    "sample_cca",
-    "sample_ngca",
-    "sample_tpca",
-]
+from spikelab.tensors import check_count, check_entry_budget, rank1_densify
 
 PROBLEMS = ("tpca", "atpca", "ngca", "cca", "glm", "parity")
 
@@ -49,32 +38,52 @@ def cca_critical_snr(k: int) -> float:
 
 
 def _rademacher(rng: np.random.Generator, d: int) -> np.ndarray:
+    check_count("d", d)  # before numpy reads it as a size
     return rng.choice([-1.0, 1.0], size=d)
 
 
-def _factor_spike(k, d, snr, indices, factors, seed) -> RankOneSpike:
-    """Order-k spike; coordinate factors ``sqrt(d) e_i`` by default, at
-    ``indices`` or, when those are not given either, at indices drawn
-    from ``seed``."""
+def _planted_factors(k, d, indices, factors, seed) -> tuple:
+    """The factors of an order-k spike: ``factors`` when given, else
+    coordinate factors ``sqrt(d) e_i`` at ``indices`` or, when those are
+    not given either, at indices drawn from ``seed``."""
+    check_count("k", k)  # before numpy reads them as sizes
+    check_count("d", d)
     if factors is None:
         if indices is None:
             indices = np.random.default_rng(seed).integers(0, d, size=k)
         factors = [math.sqrt(d) * np.eye(d)[i] for i in indices]
-    spike = RankOneSpike(dim=d, snr=snr, factors=tuple(factors))
-    if spike.order != k:
-        raise ValueError(f"got {spike.order} factors for order {k}")
-    return spike
+    return tuple(factors)
+
+
+def _on_sphere(v, d: int, name: str) -> np.ndarray:
+    """A read-only float64 copy of ``v``, a d-vector with squared norm d.
+
+    The copy owns its data: a caller that writes to ``v`` or to the array
+    ``v`` views changes no spec, and ``v`` itself stays writable.
+    """
+    v = np.array(v, dtype=np.float64)
+    if v.shape != (d,):
+        raise ValueError(f"{name} shape {v.shape} != ({d},)")
+    nrm2 = float(v @ v)
+    if not math.isclose(nrm2, d, rel_tol=1e-9, abs_tol=1e-9):
+        raise ValueError(f"{name} squared norm {nrm2} is not d = {d} (1e-9 tolerance)")
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A fully specified planted instance (problem, sizes, signal)."""
+    """A fully specified planted instance (problem, sizes, signal).
+
+    ``factors`` are the k factors of the planted tensor, or none.  A tpca
+    spec holds ``(direction,) * k``; factors passed to it must equal it.
+    """
 
     problem: str
     k: int
     d: int
     snr: float
-    spike: RankOneSpike | None = None
+    factors: tuple = ()
     direction: np.ndarray | None = None
     measure: NonGaussMeasure | None = None
     subset: tuple = ()
@@ -82,18 +91,25 @@ class ModelSpec:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
+        check_count("k", self.k)
+        check_count("d", self.d)
         if not (math.isfinite(self.snr) and self.snr >= 0):
             raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         if self.direction is not None:
-            v = np.ascontiguousarray(self.direction, dtype=np.float64)
-            if v.shape != (self.d,):
-                raise ValueError(f"direction shape {v.shape} != ({self.d},)")
-            if not math.isclose(float(v @ v), self.d, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError("direction must have squared norm d")
-            v.flags.writeable = False
-            object.__setattr__(self, "direction", v)
+            direction = _on_sphere(self.direction, self.d, "direction")
+            object.__setattr__(self, "direction", direction)
+        factors = tuple(_on_sphere(v, self.d, "factor") for v in self.factors)
+        if factors and len(factors) != self.k:
+            raise ValueError(f"got {len(factors)} factors for order {self.k}")
+        if self.problem == "tpca":
+            if any(
+                self.direction is None or not np.array_equal(v, self.direction)
+                for v in factors
+            ):
+                raise ValueError("tpca factors must each equal its direction")
+            if self.direction is not None:
+                factors = (self.direction,) * self.k
+        object.__setattr__(self, "factors", factors)
 
     # -- constructors ----------------------------------------------------
 
@@ -102,17 +118,13 @@ class ModelSpec:
         """Symmetric spiked tensor; default direction is Rademacher."""
         if direction is None:
             direction = _rademacher(np.random.default_rng(seed), d)
-        direction = np.asarray(direction, dtype=np.float64)
-        spike = RankOneSpike.symmetric(direction, order=k, snr=snr)
-        return cls(
-            problem="tpca", k=k, d=d, snr=snr, spike=spike, direction=direction
-        )
+        return cls(problem="tpca", k=k, d=d, snr=snr, direction=direction)
 
     @classmethod
     def atpca(cls, k, d, snr, indices=None, factors=None, seed=0) -> "ModelSpec":
         """Asymmetric spiked tensor with coordinate factors by default."""
-        spike = _factor_spike(k, d, snr, indices, factors, seed)
-        return cls(problem="atpca", k=k, d=d, snr=snr, spike=spike)
+        factors = _planted_factors(k, d, indices, factors, seed)
+        return cls(problem="atpca", k=k, d=d, snr=snr, factors=factors)
 
     @classmethod
     def ngca(cls, d, measure: NonGaussMeasure, direction=None, seed=0) -> "ModelSpec":
@@ -126,7 +138,7 @@ class ModelSpec:
             k=measure.order,
             d=d,
             snr=measure.snr,
-            direction=np.asarray(direction, dtype=np.float64),
+            direction=direction,
             measure=measure,
         )
 
@@ -139,8 +151,8 @@ class ModelSpec:
             raise ValueError(
                 f"snr {snr} above the critical value {cca_critical_snr(k)}"
             )
-        spike = _factor_spike(k, d, snr, indices, factors, seed)
-        return cls(problem="cca", k=k, d=d, snr=snr, spike=spike)
+        factors = _planted_factors(k, d, indices, factors, seed)
+        return cls(problem="cca", k=k, d=d, snr=snr, factors=factors)
 
     # -- geometry --------------------------------------------------------
 
@@ -197,12 +209,11 @@ class SampleBatch:
 
 
 def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count("n", n)
     check_entry_budget(n * spec.row_length, f"{spec.problem} batch")
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, spec.row_length))
-    data += rank1_densify(spec.spike)
+    data += rank1_densify(spec.factors, spec.snr)
     return SampleBatch(spec, data, seed)
 
 
@@ -229,8 +240,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """
     if spec.problem != "ngca":
         raise ValueError(f"expected an ngca spec, got {spec.problem!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count("n", n)
     check_entry_budget(n * spec.d, "ngca batch")
     rng = np.random.default_rng(seed)
     eta = spec.measure.sample(n, rng)
@@ -249,11 +259,10 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """
     if spec.problem != "cca":
         raise ValueError(f"expected a cca spec, got {spec.problem!r}")
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    check_count("n", n)
     check_entry_budget(n * spec.row_length, "cca batch")
     rate = spec.snr / cca_critical_snr(spec.k)
-    factors = np.stack(spec.spike.factors)  # (k, d)
+    factors = np.stack(spec.factors)  # (k, d)
     rng = np.random.default_rng(seed)
 
     def propose(chunk):
@@ -298,7 +307,7 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
         k=spec.k,
         d=spec.d,
         snr=spec.snr,
-        direction=np.asarray(spec.direction),
+        direction=spec.direction,
         measure=measure,
     )
     return SampleBatch(glm_spec, features, seed, labels=r)
@@ -319,7 +328,7 @@ def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
     if spec.k % 2 != 1:
         raise ValueError("parity relabeling needs an odd number of views")
     subset = []
-    for view, v in enumerate(spec.spike.factors):
+    for view, v in enumerate(spec.factors):
         nonzero = np.flatnonzero(v)
         if len(nonzero) != 1:
             raise ValueError("parity relabeling needs coordinate factors")
@@ -333,7 +342,7 @@ def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
         k=spec.k,
         d=spec.d,
         snr=rate,
-        spike=spec.spike,
+        factors=spec.factors,
         subset=tuple(subset),
     )
     return SampleBatch(parity_spec, features, seed, labels=r)

@@ -1,4 +1,7 @@
-"""Rank-one spikes, contraction and overlap for order-k tensors on R^d.
+"""Rank-one densification, contraction and overlap for order-k tensors on R^d.
+
+A planted spike's factors live on ``models.ModelSpec``, which checks
+them; ``rank1_densify`` takes them with the snr.
 
 Tensors are stored as 1-d float64 arrays of length ``d**k`` in C order,
 so ``entries[i_1 * d^{k-1} + .. + i_k]`` is the ``(i_1, .., i_k)``
@@ -12,20 +15,8 @@ this as ``--budget-entries``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "RankOneSpike",
-    "contract_batch",
-    "entry_budget",
-    "outer_power",
-    "outer_product",
-    "overlap",
-    "rank1_densify",
-    "set_entry_budget",
-]
 
 DEFAULT_ENTRY_BUDGET = 10**8
 
@@ -69,48 +60,6 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class RankOneSpike:
-    """A scaled rank-one signal ``snr * (v_1 x .. x v_k) / sqrt(d^k)``.
-
-    Factors live on the sphere of radius ``sqrt(d)``: each must satisfy
-    ``||v_i||^2 = d`` to within 1e-9 relative.  For symmetric spikes all
-    factors are the same vector.
-    """
-
-    dim: int
-    snr: float
-    factors: tuple
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.factors:
-            raise ValueError("need at least one factor")
-        frozen = []
-        for v in self.factors:
-            v = np.ascontiguousarray(v, dtype=np.float64)
-            if v.shape != (self.dim,):
-                raise ValueError(f"factor shape {v.shape} != ({self.dim},)")
-            nrm2 = float(np.dot(v, v))
-            if not math.isclose(nrm2, self.dim, rel_tol=1e-9, abs_tol=1e-9):
-                raise ValueError(
-                    f"factor squared norm {nrm2} is not {self.dim} (1e-9 tolerance)"
-                )
-            v.flags.writeable = False
-            frozen.append(v)
-        object.__setattr__(self, "factors", tuple(frozen))
-
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
-    @classmethod
-    def symmetric(cls, v, order: int, snr: float) -> "RankOneSpike":
-        v = np.asarray(v, dtype=np.float64)
-        return cls(dim=v.shape[0], snr=snr, factors=(v,) * order)
-
-
 def outer_product(vectors) -> np.ndarray:
     """Flat entries of ``v_1 x .. x v_k`` in C order, multiplied left to right."""
     out = np.asarray(vectors[0], dtype=np.float64)
@@ -119,12 +68,14 @@ def outer_product(vectors) -> np.ndarray:
     return out.reshape(-1)
 
 
-def rank1_densify(spike: RankOneSpike) -> np.ndarray:
+def rank1_densify(factors, snr: float) -> np.ndarray:
     """Flat entries of ``snr * (v_1 x .. x v_k) / sqrt(d^k)``."""
-    k, d = spike.order, spike.dim
+    if not factors:
+        raise ValueError("need at least one factor")
+    k, d = len(factors), len(factors[0])
     check_entry_budget(d**k, f"order-{k} rank-one tensor on R^{d}")
-    scale = spike.snr / math.sqrt(float(d) ** k)
-    return scale * outer_product(spike.factors)
+    scale = snr / math.sqrt(float(d) ** k)
+    return scale * outer_product(factors)
 
 
 def outer_power(u: np.ndarray, power: int) -> np.ndarray:

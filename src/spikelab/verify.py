@@ -34,26 +34,6 @@ from spikelab.measures import (
 from spikelab.models import ModelSpec, cca_critical_snr
 from spikelab.tensors import outer_product
 
-__all__ = [
-    "CheckResult",
-    "LDLRInstance",
-    "LDLR_GRID_SNR",
-    "SUITES",
-    "check_rademacher_bounds",
-    "integrated_hermite_inner",
-    "integrated_hermite_norm",
-    "ldlr_grid",
-    "ldlr_norm_exact",
-    "ldlr_sandwich",
-    "load_calibration",
-    "rademacher_mean_moment",
-    "replay_checks",
-    "run_verification",
-    "sign_coefficient",
-    "sign_tail_mass",
-    "tpca_llr_hermite_check",
-]
-
 MAX_ENUM_DIM = 20
 MAX_PAIR_ENUM_DIM = 12
 

@@ -201,7 +201,7 @@ def test_criterion_3_sampler_moments():
     # Symmetric spike: the matched filter is N(snr, 1) per sample.
     spec = ModelSpec.tpca(k=4, d=4, snr=1.2, seed=5)
     batch = sample_tpca(spec, n, seed=1005)
-    signal = rank1_densify(spec.spike)
+    signal = rank1_densify(spec.factors, spec.snr)
     filt = signal / np.linalg.norm(signal)
     m = batch.data @ filt
     checks.append(("tpca-filter-scale", abs(np.linalg.norm(signal) - 1.2) <= 1e-9))
@@ -264,7 +264,7 @@ def test_criterion_3_sampler_moments():
 
 
 def noiseless_batch(spec, n=2):
-    entries = rank1_densify(spec.spike)
+    entries = rank1_densify(spec.factors, spec.snr)
     return SampleBatch(spec=spec, data=np.tile(entries, (n, 1)), seed=0)
 
 

@@ -609,6 +609,24 @@ def test_main_ignored_input_exits_2_at_parse(tmp_path, capsys, text):
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        BASE.replace("[experiment]\n", ""),
+        BASE.replace("k = 2\n", "k = 2\nk = 3\n"),
+        BASE.replace("problem = tpca", "problem = tp%ca"),
+    ],
+    ids=["no-section-header", "duplicate-key", "lone-percent"],
+)
+def test_main_malformed_ini_exits_2_with_one_error_line(tmp_path, capsys, text):
+    # configparser raises its own errors, not ValueError: these used to
+    # end in a traceback with exit 1.
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_main_reduce_without_sections(tmp_path, capsys):
     path = write(tmp_path, BASE)
     assert main(["reduce", str(path)]) == 2

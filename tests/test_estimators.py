@@ -49,7 +49,7 @@ from spikelab.tensors import (
 
 
 def noiseless_batch(spec, n=1):
-    entries = rank1_densify(spec.spike)
+    entries = rank1_densify(spec.factors, spec.snr)
     return SampleBatch(spec=spec, data=np.tile(entries, (n, 1)), seed=0)
 
 

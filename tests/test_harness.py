@@ -92,7 +92,7 @@ def test_xor_fold_equals_direct_fold():
     for row in data:
         direct ^= 1 if row[0] < 0 else 0
     assert report.estimate[0] == float(direct)
-    assert report.resources.cost == 40
+    assert report.info["cost"] == 40
     assert report.wall_ms > 0
 
 

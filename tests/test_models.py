@@ -39,7 +39,7 @@ def test_tpca_spec_defaults():
 
 def test_atpca_spec_coordinate_factors():
     spec = ModelSpec.atpca(k=3, d=4, snr=0.7, indices=(1, 3, 0))
-    for v, idx in zip(spec.spike.factors, (1, 3, 0)):
+    for v, idx in zip(spec.factors, (1, 3, 0)):
         assert v[idx] == pytest.approx(2.0)
         assert np.count_nonzero(v) == 1
 
@@ -75,6 +75,90 @@ def test_spec_rejects_non_finite_or_negative_snr(snr):
             build(k=2, d=3, snr=snr)
 
 
+def test_spec_holds_each_planted_fact_once():
+    # When the spike was a separate object, a tpca spec could report snr
+    # 1 and direction -v while its sampler drew at snr 50 along +v, and
+    # three factors for k = 2 failed only inside the sampler.
+    v = np.array([1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="direction"):
+        ModelSpec(problem="tpca", k=2, d=3, snr=1.0, factors=(v, v), direction=-v)
+    with pytest.raises(ValueError, match="direction"):
+        ModelSpec(problem="tpca", k=2, d=3, snr=1.0, factors=(v, v))
+    with pytest.raises(ValueError, match="3 factors for order 2"):
+        ModelSpec(problem="tpca", k=2, d=3, snr=1.0, factors=(v, v, v), direction=v)
+    with pytest.raises(ValueError, match="1 factors for order 2"):
+        ModelSpec.atpca(k=2, d=3, snr=1.0, factors=(v,))
+    with pytest.raises(ValueError, match="2 factors for order 3"):
+        ModelSpec.cca(k=3, d=3, snr=0.1, factors=(v, v))
+
+
+def test_tpca_factors_are_k_references_to_the_direction():
+    spec = ModelSpec.tpca(k=3, d=4, snr=1.0, seed=2)
+    assert len(spec.factors) == 3
+    assert all(v is spec.direction for v in spec.factors)
+    assert not spec.direction.flags.writeable
+    # A strided direction is copied once, not once per factor, and a
+    # direct construction from a direction alone gets its factors too.
+    strided = np.array([1.0, 0.0, -1.0, 0.0, 1.0, 0.0])[::2]
+    for spec in (
+        ModelSpec.tpca(k=2, d=3, snr=1.0, direction=strided),
+        ModelSpec(problem="tpca", k=2, d=3, snr=1.0, direction=strided),
+    ):
+        assert all(v is spec.direction for v in spec.factors)
+        assert spec.direction.flags.c_contiguous and not spec.direction.flags.writeable
+
+
+def test_spec_vectors_do_not_alias_the_callers_arrays():
+    # A contiguous view used to be frozen in place: the caller's array
+    # became read-only, and writing to its base moved the spec's
+    # direction past the sphere check.
+    base = np.ones(4)
+    spec = ModelSpec.tpca(k=2, d=3, snr=1.0, direction=base[:3])
+    factor = np.array([0.0, math.sqrt(3.0), 0.0])
+    atpca = ModelSpec.atpca(k=2, d=3, snr=1.0, factors=(factor, factor))
+    base[0] = 10.0
+    factor[1] = 10.0
+    np.testing.assert_array_equal(spec.direction, np.ones(3))
+    np.testing.assert_array_equal(spec.factors[1], np.ones(3))
+    assert atpca.factors[0][1] == math.sqrt(3.0)
+    assert not spec.direction.flags.writeable and spec.direction.flags.owndata
+
+
+@pytest.mark.parametrize("k, d", [(True, 3), (2.0, 3), (2, False), (2, 3.0), (0, 3)])
+def test_spec_counts_are_integers(k, d):
+    with pytest.raises(ValueError, match="must be an integer"):
+        ModelSpec(problem="atpca", k=k, d=d, snr=1.0)
+
+
+def test_spec_constructors_and_samplers_check_counts():
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ModelSpec.tpca(k=True, d=3, snr=1.0)
+    # The default direction and factors are drawn before the spec
+    # exists, so the constructors check the sizes they draw with.
+    m = build_mog_measure(2, 0.4)
+    for build in (
+        lambda: ModelSpec.tpca(k=2, d=2.5, snr=1.0),
+        lambda: ModelSpec.tpca(k=2, d=True, snr=1.0),
+        lambda: ModelSpec.ngca(d=2.5, measure=m),
+        lambda: ModelSpec.atpca(k=2.5, d=3, snr=1.0),
+        lambda: ModelSpec.atpca(k=2, d=3.0, snr=1.0),
+        lambda: ModelSpec.cca(k=3, d=2.5, snr=0.1),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+    cases = (
+        (sample_tpca, ModelSpec.tpca(k=2, d=3, snr=1.0)),
+        (sample_atpca, ModelSpec.atpca(k=2, d=3, snr=1.0)),
+        (sample_ngca, ModelSpec.ngca(d=3, measure=m)),
+        (sample_cca, ModelSpec.cca(k=2, d=3, snr=0.1)),
+    )
+    for sample, spec in cases:
+        for n in (2.5, True, 0, -1):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                sample(spec, n, 0)
+        assert sample(spec, np.int64(2), 0).n == 2
+
+
 # ---------------------------------------------------------------------------
 # tensor samplers
 
@@ -82,7 +166,7 @@ def test_spec_rejects_non_finite_or_negative_snr(snr):
 def test_tpca_batch_statistics():
     spec = ModelSpec.tpca(k=3, d=3, snr=1.5, seed=0)
     batch = sample_tpca(spec, n=4000, seed=11)
-    signal = rank1_densify(spec.spike)
+    signal = rank1_densify(spec.factors, spec.snr)
     resid = batch.data - signal
     # Mean should sit on the spike entrywise, variance near one pooled.
     err = batch.data.mean(axis=0) - signal

@@ -1,4 +1,4 @@
-"""Tests for flat tensor storage, rank-one spikes, contraction, and overlap."""
+"""Tests for flat tensor storage, rank-one densification, contraction, and overlap."""
 
 import math
 
@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.models import ModelSpec
 from spikelab.tensors import (
-    RankOneSpike,
     contract_batch,
     entry_budget,
     outer_power,
@@ -23,7 +23,7 @@ def test_flat_layout_is_row_major():
     d = 3
     a = np.array([1.0, -1.0, 1.0])
     b = np.array([-1.0, -1.0, 1.0])
-    flat = rank1_densify(RankOneSpike(dim=d, snr=3.0, factors=(a, b)))
+    flat = rank1_densify((a, b), 3.0)
     for i in range(d):
         for j in range(d):
             assert flat[i * d + j] == 3.0 / d * a[i] * b[j]
@@ -33,33 +33,43 @@ def test_entry_budget_guard():
     prev = set_entry_budget(100)
     try:
         with pytest.raises(MemoryError):
-            rank1_densify(RankOneSpike.symmetric(np.ones(5), order=3, snr=1.0))
+            rank1_densify((np.ones(5),) * 3, 1.0)
         with pytest.raises(MemoryError):
             outer_power(np.ones(5), 3)
-        rank1_densify(RankOneSpike.symmetric(np.ones(10), order=2, snr=1.0))
+        rank1_densify((np.ones(10),) * 2, 1.0)
     finally:
         set_entry_budget(prev)
     assert entry_budget() == prev
 
 
 # ---------------------------------------------------------------------------
-# rank-one spikes
+# rank-one densification and the factor checks
 
 
 def test_spike_norm_validation():
+    # Factors live on ModelSpec, which holds them to the sphere of
+    # squared radius d and to shape (d,).
     d = 5
     good = np.ones(d) * math.sqrt(1.0)  # entries +-1 have squared norm d
-    RankOneSpike(dim=d, snr=1.0, factors=(good,))
-    with pytest.raises(ValueError):
-        RankOneSpike(dim=d, snr=1.0, factors=(np.ones(d) * 2.0,))
+    ModelSpec.atpca(k=1, d=d, snr=1.0, factors=(good,))
+    with pytest.raises(ValueError, match="squared norm"):
+        ModelSpec.atpca(k=1, d=d, snr=1.0, factors=(np.ones(d) * 2.0,))
+    with pytest.raises(ValueError, match="shape"):
+        ModelSpec.atpca(k=1, d=d, snr=1.0, factors=(np.ones(d + 1),))
+    with pytest.raises(ValueError, match="shape"):
+        ModelSpec.atpca(k=1, d=d, snr=1.0, factors=(np.ones((d, 1)),))
+
+
+def test_densify_rejects_no_factors():
+    with pytest.raises(ValueError, match="factor"):
+        rank1_densify((), 1.0)
 
 
 def test_densify_matches_naive_loops():
     rng = np.random.default_rng(0)
     d, k = 3, 3
     v = rng.choice([-1.0, 1.0], size=d)
-    spike = RankOneSpike.symmetric(v, order=k, snr=2.5)
-    dense = rank1_densify(spike).reshape((d,) * k)
+    dense = rank1_densify((v,) * k, 2.5).reshape((d,) * k)
     scale = 2.5 / math.sqrt(d**k)
     for i in range(d):
         for j in range(d):
@@ -73,8 +83,7 @@ def test_densify_asymmetric_factors():
     e0[0] = math.sqrt(d)
     e1 = np.zeros(d)
     e1[1] = math.sqrt(d)
-    spike = RankOneSpike(dim=d, snr=3.0, factors=(e0, e1))
-    dense = rank1_densify(spike).reshape(d, d)
+    dense = rank1_densify((e0, e1), 3.0).reshape(d, d)
     # Only the (0, 1) cell survives: 3 * sqrt(d) * sqrt(d) / sqrt(d^2) = 3.
     expected = np.zeros((d, d))
     expected[0, 1] = 3.0
@@ -87,7 +96,7 @@ def test_spike_frobenius_norm_equals_snr():
     for k in (2, 3, 4):
         d = 3
         v = rng.choice([-1.0, 1.0], size=d)
-        dense = rank1_densify(RankOneSpike.symmetric(v, order=k, snr=1.7))
+        dense = rank1_densify((v,) * k, 1.7)
         assert np.linalg.norm(dense) == pytest.approx(1.7, rel=1e-12)
 
 
@@ -117,8 +126,7 @@ def test_contract_rank_one_identity():
     d, k = 4, 3
     v = np.ones(d)  # squared norm d
     v = v * 1.0
-    spike = RankOneSpike.symmetric(v * math.sqrt(1.0), order=k, snr=1.0)
-    dense = rank1_densify(spike)
+    dense = rank1_densify((v * math.sqrt(1.0),) * k, 1.0)
     unit = v / np.linalg.norm(v)
     psi = np.multiply.outer(unit, unit).reshape(-1)
     got = contract_batch(dense[None, :], d, psi)[0]
