@@ -84,12 +84,12 @@ def batch_from_bytes(buf: bytes) -> SampleBatch:
         )
     offset = _HEADER.size
     data = np.frombuffer(buf, dtype="<f8", count=n * row_length, offset=offset)
-    data = data.reshape(n, row_length).copy()
+    data = data.reshape(n, row_length)
     labels = None
     if has_labels:
         labels = np.frombuffer(
             buf, dtype="<f8", count=n, offset=offset + 8 * n * row_length
-        ).copy()
+        )
     return SampleBatch(
         spec=spec,
         data=data,

@@ -29,7 +29,7 @@ from spikelab.batchio import dump_batch
 from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_config
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import replay, run_memory_bounded, streaming_run
-from spikelab.measures import build_bounded_llr_measure, build_mog_measure
+from spikelab.measures import NonGaussMeasure
 from spikelab.models import (
     ModelSpec,
     sample_atpca,
@@ -76,9 +76,8 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
     """``(spec, batch)`` of run seed ``seed``: the planted instance drawn
     from ``seed``, then ``n_samples`` rows from ``noise_seed(seed)``."""
     if cfg.problem == "ngca":
-        llr = cfg.measure_kind == "bounded-llr"
-        builder = build_bounded_llr_measure if llr else build_mog_measure
-        spec = ModelSpec.ngca(d=cfg.d, measure=builder(cfg.k, cfg.snr), seed=seed)
+        measure = NonGaussMeasure(cfg.measure_kind or "mog", cfg.k, cfg.snr)
+        spec = ModelSpec.ngca(d=cfg.d, measure=measure, seed=seed)
     else:
         spec = getattr(ModelSpec, cfg.problem)(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
     return spec, _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))

@@ -15,6 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
+from spikelab.measures import KINDS
 from spikelab.tensors import check_count
 
 _PROBLEMS = ("tpca", "atpca", "ngca", "cca")
@@ -77,7 +78,7 @@ class ExperimentConfig:
     estimator: str
     samples_grid: tuple
     seeds: tuple
-    # ngca only: "mog" (the default) or "bounded-llr".
+    # ngca only: one of measures.KINDS, "mog" when unset.
     measure_kind: str | None = None
     estimator_options: dict = field(default_factory=dict)
     harness: HarnessSettings | None = None
@@ -101,7 +102,7 @@ class ExperimentConfig:
             raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         if self.problem != "ngca" and self.measure_kind is not None:
             raise ValueError(f"measure applies to ngca only, got it for {self.problem!r}")
-        if self.measure_kind not in (None, "mog", "bounded-llr"):
+        if self.measure_kind not in (None, *KINDS):
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         grid, seeds = tuple(self.samples_grid), tuple(self.seeds)
         for v in grid:

@@ -1,14 +1,16 @@
 """Scalar measures that imitate the Gaussian up to a chosen moment order.
 
-Two constructions of a univariate measure ``nu`` such that the Hermite
-coefficients ``E_nu[H_i]`` vanish for ``1 <= i <= k - 1`` while the k-th
-raw moment differs from the Gaussian one by exactly the tilt size:
+``NonGaussMeasure(kind, order, snr)`` is a univariate measure ``nu``
+whose Hermite coefficients ``E_nu[H_i]`` vanish for ``1 <= i <= k - 1``
+while the k-th raw moment differs from the Gaussian one by exactly
+``snr``.  ``kind`` names one of two constructions, the ``KINDS`` that an
+INI file's ``measure`` key takes:
 
-* a mixture of ``k/2`` Gaussians placed on scaled Gauss-Hermite nodes
-  (``build_mog_measure``, even k only), and
-* a bounded tilt ``1 + c T_k(x) 1{|x| <= 1}`` of the Gaussian density,
-  where ``T_k`` is the top polynomial of the cutoff-weighted orthonormal
-  family (``build_bounded_llr_measure``, any k >= 2).
+* ``"mog"``: a mixture of ``k/2`` Gaussians placed on scaled
+  Gauss-Hermite nodes (even k only), and
+* ``"bounded-llr"``: a bounded tilt ``1 + c T_k(x) 1{|x| <= 1}`` of the
+  Gaussian density, where ``T_k`` is the top polynomial of the
+  cutoff-weighted orthonormal family (any k >= 2).
 
 The mixture's k-th moment sits below the Gaussian's; the bounded tilt's
 sits above.  Both orientations are frozen and tested.
@@ -17,7 +19,7 @@ sits above.  Both orientations are frozen and tested.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from spikelab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
+from spikelab.tensors import check_count
+
+KINDS = ("mog", "bounded-llr")
 
 # Hard ceiling on rejection-sampler work, measured in proposals per
 # accepted draw.  Hitting it means the envelope is broken, not unlucky.
@@ -35,66 +40,98 @@ MAX_PROPOSALS_PER_DRAW = 10_000
 
 @dataclass(frozen=True)
 class NonGaussMeasure:
-    """A scalar measure with Gaussian-matching low moments.
+    """A scalar measure that departs from the Gaussian at moment ``order``.
 
-    ``kind`` selects the payload:
+    The three inputs fix the measure: ``kind`` names the construction (one
+    of ``KINDS``), ``order`` is the first moment where the measure departs
+    from the Gaussian, and ``snr`` is the size of that departure.  The
+    rest is derived from them and takes no part in ``==``: ``lambda_k``,
+    the largest admissible ``snr`` for the construction at this order, and
+    the construction's payload.
 
-    ``"standard-gaussian"``
-        No payload; the reference measure itself.
-    ``"gauss-mixture"``
-        ``means``, ``mix_weights``, common variance ``sigma2``.
+    ``"mog"``
+        Mixture of k/2 Gaussians matching moments below k, gap snr at k;
+        even k only.  Start from the (k/2)-node Gauss-Hermite measure W,
+        which agrees with the Gaussian on all polynomials of degree
+        <= k - 1 and undershoots ``E[H_k]`` by ``(k/2)! / sqrt(k!)``.
+        Shrink it by ``gamma = (snr / lambda_k)^{1/k}`` and re-inflate
+        with independent Gaussian noise of variance ``1 - gamma^2``; the
+        Hermite coefficients scale by ``gamma^i``, which preserves the
+        zeros and dials the k-th moment gap to exactly ``snr``.
+        Admissible for ``0 <= snr <= lambda_k / 2`` with ``lambda_k =
+        (k/2)!``.  Payload: ``means``, ``mix_weights`` and the common
+        variance ``sigma2``.
     ``"bounded-llr"``
-        ``basis``, the weighted orthonormal family whose top polynomial
-        tilts the Gaussian density on [-1, 1].
-
-    ``order`` is the first moment where the measure departs from the
-    Gaussian, ``snr`` the size of that departure, and ``lambda_k`` the
-    largest admissible ``snr`` for the construction at this order.
+        Bounded density tilt with moment gap ``-snr`` at order k.  The
+        density ratio is ``1 + (snr / lambda_k) T_k(x) 1{|x| <= 1} /
+        ||T_k||_inf`` with ``T_k`` the top weighted orthonormal
+        polynomial, so the ratio lives in ``[1 - snr / lambda_k, 1 + snr
+        / lambda_k]`` and is in particular bounded and nonnegative for
+        ``snr <= lambda_k``.  Orthogonality of ``T_k`` to lower monomials
+        kills the Hermite coefficients 1 .. k - 1; the k-th raw moment
+        exceeds the Gaussian one by exactly ``snr``.  Admissible for
+        ``0 < snr <= lambda_k``.  Payload: ``basis``, the weighted
+        orthonormal family of degree k.
     """
 
     kind: str
     order: int
     snr: float
-    lambda_k: float
-    means: np.ndarray | None = None
-    mix_weights: np.ndarray | None = None
-    sigma2: float | None = None
-    basis: WeightedOrthoBasis | None = None
+    lambda_k: float = field(init=False, compare=False)
+    means: np.ndarray | None = field(default=None, init=False, compare=False)
+    mix_weights: np.ndarray | None = field(default=None, init=False, compare=False)
+    sigma2: float | None = field(default=None, init=False, compare=False)
+    basis: WeightedOrthoBasis | None = field(default=None, init=False, compare=False)
 
     def __post_init__(self):
-        if self.kind == "gauss-mixture":
-            if self.means is None or self.mix_weights is None or self.sigma2 is None:
-                raise ValueError("gauss-mixture needs means, mix_weights, sigma2")
-            means = np.asarray(self.means, dtype=np.float64)
-            weights = np.asarray(self.mix_weights, dtype=np.float64)
-            if means.shape != weights.shape or means.ndim != 1:
-                raise ValueError("means and mix_weights must be matching 1-d arrays")
-            if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-                raise ValueError("mix_weights must be a probability vector")
-            if not 0.0 < self.sigma2 <= 1.0:
-                raise ValueError(f"component variance {self.sigma2} outside (0, 1]")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+        check_count("order", self.order, low=2)
+        k, snr = self.order, self.snr
+        if self.kind == "mog":
+            if k % 2 != 0:
+                raise ValueError(f"mixture construction needs even k >= 2, got {k}")
+            num = k // 2
+            rule = gauss_hermite_rule(num)
+            # alpha_k = E[Z^k H_k(Z)], the k-th moment's top Hermite component.
+            moment_rule = gauss_hermite_rule(k + 1)
+            alpha_k = moment_rule.expect(
+                moment_rule.nodes**k * hermite_eval(k, moment_rule.nodes)
+            )
+            ehk = rule.expect(hermite_eval(k, rule.nodes))
+            lambda_k = abs(alpha_k) * abs(ehk)
+            if not 0.0 <= snr <= lambda_k / 2.0 + 1e-12:
+                raise ValueError(
+                    f"snr {snr} outside [0, lambda_k / 2] with lambda_k = {lambda_k}"
+                )
+            gamma = (snr / lambda_k) ** (1.0 / k)
+            means = gamma * rule.nodes
+            weights = rule.weights.copy()
             means.flags.writeable = False
             weights.flags.writeable = False
             object.__setattr__(self, "means", means)
             object.__setattr__(self, "mix_weights", weights)
-        elif self.kind == "bounded-llr":
-            if self.basis is None:
-                raise ValueError("bounded-llr needs its weighted basis")
-        elif self.kind != "standard-gaussian":
-            raise ValueError(f"unknown measure kind {self.kind!r}")
+            object.__setattr__(self, "sigma2", 1.0 - gamma**2)
+        else:
+            basis = build_weighted_basis(k)
+            lambda_k = basis.lambda_max
+            if not 0.0 < snr <= lambda_k + 1e-12:
+                raise ValueError(
+                    f"snr {snr} outside (0, lambda_k] with lambda_k = {lambda_k}"
+                )
+            object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "lambda_k", lambda_k)
 
     # -- density ---------------------------------------------------------
 
     def density_ratio(self, x) -> np.ndarray:
         """``d(nu) / d(gaussian)`` evaluated pointwise."""
         x = np.asarray(x, dtype=np.float64)
-        if self.kind == "standard-gaussian":
-            return np.ones_like(x)
-        if self.kind == "gauss-mixture":
+        if self.kind == "mog":
             # Ratio of the mixture density to phi(x); each component is
             # N(mean, sigma2) so the Gaussian normalizers divide out to
             # a 1/sigma factor.
-            sigma2 = float(self.sigma2)
+            sigma2 = self.sigma2
             expo = (
                 x[..., None] ** 2 / 2.0
                 - (x[..., None] - self.means) ** 2 / (2.0 * sigma2)
@@ -118,9 +155,7 @@ class NonGaussMeasure:
         """
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
-        if self.kind == "standard-gaussian":
-            return 1.0 if degree == 0 else 0.0
-        if self.kind == "gauss-mixture":
+        if self.kind == "mog":
             return self._mixture_expect(
                 lambda x: hermite_eval(degree, x), degree // 2 + 2
             )
@@ -141,11 +176,9 @@ class NonGaussMeasure:
         """Raw moment ``E_nu[x^j]`` by exact quadrature."""
         if j < 0:
             raise ValueError(f"moment order must be >= 0, got {j}")
-        if self.kind == "standard-gaussian":
-            return _gaussian_moment(j)
-        if self.kind == "gauss-mixture":
+        if self.kind == "mog":
             return self._mixture_expect(lambda x: x**j, j // 2 + 1)
-        return _gaussian_moment(j) + self._tilt_term(self.basis.nodes**j)
+        return gaussian_moment(j) + self._tilt_term(self.basis.nodes**j)
 
     def _mixture_expect(self, f, num_nodes: int) -> float:
         """``E_nu[f]`` from a ``num_nodes``-node Gauss-Hermite rule per component."""
@@ -164,21 +197,16 @@ class NonGaussMeasure:
 
     def moment_gap(self) -> float:
         """Signed gap ``E[Z^k] - E_nu[x^k]`` at the departure order."""
-        return _gaussian_moment(self.order) - self.moment(self.order)
+        return gaussian_moment(self.order) - self.moment(self.order)
 
     # -- sampling --------------------------------------------------------
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        if self.kind == "standard-gaussian":
-            return rng.standard_normal(n)
-        if self.kind == "gauss-mixture":
+        if self.kind == "mog":
             idx = rng.choice(len(self.means), size=n, p=self.mix_weights)
             return self.means[idx] + math.sqrt(self.sigma2) * rng.standard_normal(n)
-        return self._sample_rejection(n, rng)
-
-    def _sample_rejection(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # The density ratio is bounded by 1 + snr / lambda_k, so plain
         # rejection against the Gaussian proposal works with that
         # constant envelope.
@@ -217,78 +245,8 @@ def rejection_sample(n: int, propose, row_shape=()) -> tuple[np.ndarray, int]:
     return out, proposed
 
 
-def _gaussian_moment(j: int) -> float:
+def gaussian_moment(j: int) -> float:
+    """``E[Z^j]`` for a standard Gaussian ``Z``: ``(j - 1)!!``, or 0 for odd j."""
     if j % 2 == 1:
         return 0.0
     return float(math.prod(range(1, j, 2))) if j > 0 else 1.0
-
-
-def standard_gaussian() -> NonGaussMeasure:
-    return NonGaussMeasure(
-        kind="standard-gaussian", order=0, snr=0.0, lambda_k=math.inf
-    )
-
-
-def build_mog_measure(k: int, snr: float) -> NonGaussMeasure:
-    """Mixture of k/2 Gaussians matching moments below k, gap snr at k.
-
-    Start from the (k/2)-node Gauss-Hermite measure W, which agrees with
-    the Gaussian on all polynomials of degree <= k - 1 and undershoots
-    ``E[H_k]`` by ``(k/2)! / sqrt(k!)``.  Shrink it by
-    ``gamma = (snr / lambda_k)^{1/k}`` and re-inflate with independent
-    Gaussian noise of variance ``1 - gamma^2``; the Hermite coefficients
-    scale by ``gamma^i``, which preserves the zeros and dials the k-th
-    moment gap to exactly ``snr``.  Admissible for
-    ``0 <= snr <= lambda_k / 2`` with ``lambda_k = (k/2)!``.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"mixture construction needs even k >= 2, got {k}")
-    num = k // 2
-    rule = gauss_hermite_rule(num)
-    # alpha_k = E[Z^k H_k(Z)], the k-th moment's top Hermite component.
-    moment_rule = gauss_hermite_rule(k + 1)
-    alpha_k = moment_rule.expect(
-        moment_rule.nodes**k * hermite_eval(k, moment_rule.nodes)
-    )
-    ehk = rule.expect(hermite_eval(k, rule.nodes))
-    lambda_k = abs(alpha_k) * abs(ehk)
-    if not 0.0 <= snr <= lambda_k / 2.0 + 1e-12:
-        raise ValueError(
-            f"snr {snr} outside [0, lambda_k / 2] with lambda_k = {lambda_k}"
-        )
-    gamma = (snr / lambda_k) ** (1.0 / k)
-    return NonGaussMeasure(
-        kind="gauss-mixture",
-        order=k,
-        snr=snr,
-        lambda_k=lambda_k,
-        means=gamma * rule.nodes,
-        mix_weights=rule.weights.copy(),
-        sigma2=1.0 - gamma**2,
-    )
-
-
-def build_bounded_llr_measure(k: int, snr: float) -> NonGaussMeasure:
-    """Bounded density tilt with moment gap ``-snr`` at order k.
-
-    The density ratio is ``1 + (snr / lambda_k) T_k(x) 1{|x| <= 1} /
-    ||T_k||_inf`` with ``T_k`` the top weighted orthonormal polynomial,
-    so the ratio lives in ``[1 - snr / lambda_k, 1 + snr / lambda_k]``
-    and is in particular bounded and nonnegative for ``snr <=
-    lambda_k``.  Orthogonality of ``T_k`` to lower monomials kills the
-    Hermite coefficients 1 .. k - 1; the k-th raw moment exceeds the
-    Gaussian one by exactly ``snr``.
-    """
-    if k < 2:
-        raise ValueError(f"bounded tilt needs k >= 2, got {k}")
-    basis = build_weighted_basis(k)
-    lambda_k = basis.lambda_max
-    if not 0.0 < snr <= lambda_k + 1e-12:
-        raise ValueError(f"snr {snr} outside (0, lambda_k] with lambda_k = {lambda_k}")
-    return NonGaussMeasure(
-        kind="bounded-llr",
-        order=k,
-        snr=snr,
-        lambda_k=lambda_k,
-        basis=basis,
-    )

@@ -77,6 +77,7 @@ class ModelSpec:
 
     ``factors`` are the k factors of the planted tensor, or none.  A tpca
     spec holds ``(direction,) * k``; factors passed to it must equal it.
+    A spec with a ``measure`` has the measure's order as k and its snr.
     """
 
     problem: str
@@ -110,6 +111,12 @@ class ModelSpec:
             if self.direction is not None:
                 factors = (self.direction,) * self.k
         object.__setattr__(self, "factors", factors)
+        measure = self.measure
+        if measure is not None and (self.k, self.snr) != (measure.order, measure.snr):
+            raise ValueError(
+                f"spec k {self.k} and snr {self.snr} differ from its measure's "
+                f"order {measure.order} and snr {measure.snr}"
+            )
 
     # -- constructors ----------------------------------------------------
 
@@ -129,8 +136,6 @@ class ModelSpec:
     @classmethod
     def ngca(cls, d, measure: NonGaussMeasure, direction=None, seed=0) -> "ModelSpec":
         """Planted non-Gaussian projection; k and snr come from the measure."""
-        if measure.order < 1:
-            raise ValueError("measure must depart from Gaussian at some order")
         if direction is None:
             direction = _rademacher(np.random.default_rng(seed), d)
         return cls(
@@ -165,6 +170,21 @@ class ModelSpec:
         return self.k * self.d  # cca, parity
 
 
+def _sealed(a) -> np.ndarray:
+    """``a`` as a read-only C-ordered float64 array that no other handle writes.
+
+    An array that is already one and owns its memory is kept: the samplers
+    seal theirs before they hand them over.  Any other array is copied, so
+    a caller's array is never frozen in place and no view moves a batch.
+    """
+    a = np.asarray(a)
+    kept = a.dtype == np.float64 and a.flags.c_contiguous and a.flags.owndata
+    if a.flags.writeable or not kept:
+        a = np.array(a, dtype=np.float64, order="C")
+        a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     """n sample rows drawn from one planted instance."""
@@ -176,21 +196,19 @@ class SampleBatch:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        data = np.ascontiguousarray(self.data, dtype=np.float64)
+        data = _sealed(self.data)
         if data.ndim != 2 or data.shape[1] != self.spec.row_length:
             raise ValueError(
                 f"data shape {data.shape} incompatible with row length "
                 f"{self.spec.row_length}"
             )
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.float64)
+            labels = _sealed(self.labels)
             if labels.shape != (data.shape[0],):
                 raise ValueError("labels must be one scalar per row")
             if not np.all((labels == 0.0) | (labels == 1.0)):
                 raise ValueError("labels must be 0/1")
-            labels.flags.writeable = False
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -214,6 +232,7 @@ def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((n, spec.row_length))
     data += rank1_densify(spec.factors, spec.snr)
+    data.flags.writeable = False
     return SampleBatch(spec, data, seed)
 
 
@@ -240,6 +259,8 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """
     if spec.problem != "ngca":
         raise ValueError(f"expected an ngca spec, got {spec.problem!r}")
+    if spec.measure is None:
+        raise ValueError("ngca spec has no measure to sample from")
     check_count("n", n)
     check_entry_budget(n * spec.d, "ngca batch")
     rng = np.random.default_rng(seed)
@@ -247,6 +268,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     z = rng.standard_normal((n, spec.d))
     v = spec.direction
     data = np.outer(eta, v / math.sqrt(spec.d)) + z - np.outer((z @ v) / spec.d, v)
+    data.flags.writeable = False
     return SampleBatch(spec, data, seed)
 
 
@@ -269,10 +291,11 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
         x = rng.standard_normal((chunk, spec.k, spec.d))
         signs = np.sign(np.einsum("nkd,kd->nk", x, factors)).prod(axis=1)
         u = rng.random(chunk)
-        return x[u * (1.0 + rate) < 1.0 + rate * signs]
+        return x[u * (1.0 + rate) < 1.0 + rate * signs].reshape(-1, spec.row_length)
 
-    rows, proposed = rejection_sample(n, propose, (spec.k, spec.d))
-    return SampleBatch(spec, rows.reshape(n, -1), seed, meta={"proposals": proposed})
+    rows, proposed = rejection_sample(n, propose, (spec.row_length,))
+    rows.flags.writeable = False
+    return SampleBatch(spec, rows, seed, meta={"proposals": proposed})
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +315,8 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
     if spec.problem != "ngca":
         raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
     measure = spec.measure
+    if measure is None:
+        raise ValueError("ngca batch has no measure to check the relabeling against")
     grid = np.linspace(-4.0, 4.0, 1601)
     sym = 0.5 * (measure.density_ratio(grid) + measure.density_ratio(-grid))
     if not np.all(np.abs(sym - 1.0) <= 1e-6):

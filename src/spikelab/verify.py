@@ -26,11 +26,7 @@ from spikelab.hermite import (
     hermite_all,
     hermite_eval,
 )
-from spikelab.measures import (
-    build_bounded_llr_measure,
-    build_mog_measure,
-    standard_gaussian,
-)
+from spikelab.measures import NonGaussMeasure, gaussian_moment
 from spikelab.models import ModelSpec, cca_critical_snr
 from spikelab.tensors import outer_product
 
@@ -404,7 +400,7 @@ LDLR_GRID_SNR = {2: 0.25, 4: 0.5}
 def ldlr_grid(k: int) -> list[LDLRInstance]:
     """Exact-norm instances whose envelope constants get frozen."""
     snr = LDLR_GRID_SNR[k]
-    coeffs = tuple(build_mog_measure(k, snr).nu_hat(6)[1:])
+    coeffs = tuple(NonGaussMeasure("mog", k, snr).nu_hat(6)[1:])
     degrees = (2, 4, 6) if k == 2 else (4, 6)
     return [
         LDLRInstance(problem="ngca", N=n, d=d, k=k, t=t, coeffs=coeffs, snr=snr)
@@ -517,7 +513,7 @@ def _suite_ldlr() -> list[CheckResult]:
     partial = sum(sign_coefficient(t) ** 2 for t in range(42))
     defect = abs(partial + sign_tail_mass(41) - 1.0)
     checks.append(CheckResult("ldlr/sign-parseval", defect <= 1e-8, defect, 1e-8))
-    coeffs = tuple(build_mog_measure(4, 0.005).nu_hat(8)[1:])
+    coeffs = tuple(NonGaussMeasure("mog", 4, 0.005).nu_hat(8)[1:])
     one = ldlr_norm_exact(
         LDLRInstance(problem="ngca", N=1, d=8, k=4, t=8, coeffs=coeffs, snr=0.005)
     )
@@ -532,20 +528,16 @@ def _suite_ldlr() -> list[CheckResult]:
 def _suite_models() -> list[CheckResult]:
     checks = []
     for k in (2, 4, 6):
-        ceiling = build_mog_measure(k, 0.0).lambda_k
-        measure = build_mog_measure(k, 0.4 * ceiling)
-        dev = max(
-            abs(measure.moment(j) - build_mog_measure(k, 0.0).moment(j))
-            for j in range(k)
-        )
+        flat = NonGaussMeasure("mog", k, 0.0)
+        measure = NonGaussMeasure("mog", k, 0.4 * flat.lambda_k)
+        dev = max(abs(measure.moment(j) - flat.moment(j)) for j in range(k))
         gap_err = abs(measure.moment_gap() - measure.snr)
         checks.append(CheckResult(f"models/mixture-moments-k{k}", dev <= 1e-7, dev, 1e-7))
         checks.append(CheckResult(f"models/mixture-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))
-    gaussian = standard_gaussian()
     for k in (2, 3, 4, 6):
         ceiling = build_weighted_basis(k).lambda_max
-        measure = build_bounded_llr_measure(k, 0.5 * ceiling)
-        dev = max(abs(measure.moment(j) - gaussian.moment(j)) for j in range(k))
+        measure = NonGaussMeasure("bounded-llr", k, 0.5 * ceiling)
+        dev = max(abs(measure.moment(j) - gaussian_moment(j)) for j in range(k))
         gap_err = abs(measure.moment_gap() + measure.snr)
         checks.append(CheckResult(f"models/tilt-moments-k{k}", dev <= 1e-7, dev, 1e-7))
         checks.append(CheckResult(f"models/tilt-gap-k{k}", gap_err <= 1e-6, gap_err, 1e-6))

@@ -41,7 +41,7 @@ from spikelab.hermite import (
     hermite_all,
     hermite_eval,
 )
-from spikelab.measures import build_bounded_llr_measure, build_mog_measure
+from spikelab.measures import NonGaussMeasure
 from spikelab.models import (
     ModelSpec,
     SampleBatch,
@@ -153,12 +153,12 @@ def test_criterion_2_measure_constructions():
     for k in (2, 4, 6):  # mixture route exists for even orders only
         cap = math.factorial(k // 2) / 2.0
         for frac in (0.25, 0.6, 1.0):
-            families.append(("mog", k, build_mog_measure(k, frac * cap), 1.0))
+            families.append(("mog", k, NonGaussMeasure("mog", k, frac * cap), 1.0))
     for k in (2, 3, 4, 6):
         cap = build_weighted_basis(k).lambda_max
         for frac in (0.25, 0.6, 1.0):
             families.append(
-                ("tilt", k, build_bounded_llr_measure(k, frac * cap), -1.0)
+                ("tilt", k, NonGaussMeasure("bounded-llr", k, frac * cap), -1.0)
             )
 
     grid = np.linspace(-4.0, 4.0, 10_000)
@@ -222,7 +222,7 @@ def test_criterion_3_sampler_moments():
     checks.append(("atpca-off-cells", np.max(np.abs(mean[mask])) <= 5.0 / math.sqrt(n)))
 
     # Planted projection carries the measure, the complement stays Gaussian.
-    measure = build_mog_measure(4, 1.0)
+    measure = NonGaussMeasure("mog", 4, 1.0)
     spec = ModelSpec.ngca(d=6, measure=measure, seed=2)
     batch = sample_ngca(spec, n, seed=1007)
     xi = batch.data @ spec.direction / math.sqrt(spec.d)

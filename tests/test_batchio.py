@@ -11,7 +11,7 @@ from spikelab.batchio import (
     dump_batch,
     load_batch,
 )
-from spikelab.measures import build_mog_measure, build_bounded_llr_measure
+from spikelab.measures import NonGaussMeasure
 from spikelab.models import (
     ModelSpec,
     reduce_cca_to_parity,
@@ -27,10 +27,10 @@ def example_batches():
     # tilt for the regression one, three views for parity.
     tpca = sample_tpca(ModelSpec.tpca(k=3, d=4, snr=0.7, seed=2), 5, 11)
     ngca = sample_ngca(
-        ModelSpec.ngca(d=6, measure=build_mog_measure(2, 0.3), seed=3), 8, 12
+        ModelSpec.ngca(d=6, measure=NonGaussMeasure("mog", 2, 0.3), seed=3), 8, 12
     )
     odd = sample_ngca(
-        ModelSpec.ngca(d=4, measure=build_bounded_llr_measure(3, 0.02), seed=5), 6, 16
+        ModelSpec.ngca(d=4, measure=NonGaussMeasure("bounded-llr", 3, 0.02), seed=5), 6, 16
     )
     cca = sample_cca(ModelSpec.cca(k=2, d=3, snr=0.4, seed=4), 7, 13)
     cca3 = sample_cca(ModelSpec.cca(k=3, d=3, snr=0.2, seed=8), 9, 17)

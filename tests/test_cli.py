@@ -24,6 +24,7 @@ from spikelab.config import (
 )
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import TEMPLATES, Blackboard, QuantizerSpec, ResourceProfile
+from spikelab.measures import KINDS, NonGaussMeasure
 from spikelab.tensors import entry_budget
 from spikelab.verify import SUITES
 
@@ -147,7 +148,7 @@ def test_measure_is_an_ngca_key(tmp_path):
         "estimator = tensor-power", "estimator = ngca-spectral"
     ).replace("k = 2", "k = 4")
     assert parse_config(write(tmp_path, ngca)).measure_kind is None  # a mixture
-    for kind in ("mog", "bounded-llr"):
+    for kind in KINDS:
         text = ngca + f"measure = {kind}\n"
         assert parse_config(write(tmp_path, text)).measure_kind == kind
     with pytest.raises(ValueError, match="unknown measure kind"):
@@ -625,6 +626,38 @@ def test_main_malformed_ini_exits_2_with_one_error_line(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+ONE_POINT_NGCA = """
+[experiment]
+problem = ngca
+k = 4
+d = 4
+snr = 0.01
+estimator = ngca-spectral
+samples = 32
+seeds = 3
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_main_sweeps_every_measure_kind(tmp_path, capsys, kind):
+    path = write(tmp_path, ONE_POINT_NGCA + f"measure = {kind}\n")
+    out = tmp_path / "rows.csv"
+    assert main(["sweep", str(path), "--out", str(out)]) == 0
+    rows = [line for line in out.read_text().splitlines() if line.startswith("ngca,")]
+    assert len(rows) == 1
+    spec, batch = cli.draw(parse_config(path), 32, 3)
+    assert spec.measure == NonGaussMeasure(kind, 4, 0.01) and batch.n == 32
+    capsys.readouterr()
+
+
+def test_main_unknown_measure_kind_exits_2_with_one_error_line(tmp_path, capsys):
+    path = write(tmp_path, ONE_POINT_NGCA + "measure = gaussian\n")
+    assert main(["sweep", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "unknown measure kind" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_main_reduce_without_sections(tmp_path, capsys):

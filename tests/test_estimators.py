@@ -30,7 +30,7 @@ from spikelab.estimators import (
     tensor_power_method,
     _power_inplace,
 )
-from spikelab.measures import build_mog_measure
+from spikelab.measures import NonGaussMeasure
 from spikelab.models import (
     ModelSpec,
     SampleBatch,
@@ -423,7 +423,7 @@ def test_reference_constant_monte_carlo():
 
 
 def test_ngca_spectral_planted_sign_and_overlap():
-    measure = build_mog_measure(2, 0.5)
+    measure = NonGaussMeasure("mog", 2, 0.5)
     spec = ModelSpec.ngca(d=6, measure=measure, seed=80)
     batch = sample_ngca(spec, n=20_000, seed=81)
     report = ngca_spectral(batch)
@@ -436,7 +436,7 @@ def test_ngca_spectral_planted_sign_and_overlap():
 def test_ngca_spectral_matrix_expectation():
     # Batch average of the reweighted covariance matches -(snr/d) V V^T
     # entrywise, within five standard errors of the batch spread.
-    measure = build_mog_measure(4, 1.0)
+    measure = NonGaussMeasure("mog", 4, 1.0)
     spec = ModelSpec.ngca(d=4, measure=measure, seed=82)
     mats = []
     for s in range(200):
@@ -449,7 +449,7 @@ def test_ngca_spectral_matrix_expectation():
 
 
 def test_ngca_spectral_null_operator_norm_shrinks():
-    measure = build_mog_measure(4, 0.0)
+    measure = NonGaussMeasure("mog", 4, 0.0)
     spec = ModelSpec.ngca(d=10, measure=measure, seed=83)
     norms = {}
     for n in (1000, 100_000):
@@ -460,7 +460,7 @@ def test_ngca_spectral_null_operator_norm_shrinks():
 
 
 def test_ngca_spectral_sign_symmetry():
-    measure = build_mog_measure(2, 0.4)
+    measure = NonGaussMeasure("mog", 2, 0.4)
     spec = ModelSpec.ngca(d=5, measure=measure, seed=85)
     batch = sample_ngca(spec, n=4000, seed=86)
     a = ngca_spectral(batch)
@@ -519,7 +519,7 @@ def test_net_discrepancy_separates_far_pairs():
 
 
 def test_brute_force_ngca_planted_recovery_even_k():
-    measure = build_mog_measure(2, 0.45)
+    measure = NonGaussMeasure("mog", 2, 0.45)
     spec = ModelSpec.ngca(d=2, measure=measure, seed=90)
     batch = sample_ngca(spec, n=20_000, seed=91)
     cfg = BruteForceConfig(delta=0.2, trunc=8.0)
@@ -550,7 +550,7 @@ def test_brute_force_ngca_skewed_odd_k():
 
 
 def test_brute_force_ngca_deterministic_tie_break():
-    measure = build_mog_measure(2, 0.0)
+    measure = NonGaussMeasure("mog", 2, 0.0)
     spec = ModelSpec.ngca(d=2, measure=measure, seed=93)
     batch = sample_ngca(spec, n=100, seed=94)
     cfg = BruteForceConfig(delta=0.3, trunc=5.0)
@@ -562,7 +562,7 @@ def test_brute_force_ngca_deterministic_tie_break():
 
 
 def test_brute_force_ngca_dimension_guard():
-    measure = build_mog_measure(2, 0.1)
+    measure = NonGaussMeasure("mog", 2, 0.1)
     spec = ModelSpec.ngca(d=5, measure=measure, seed=0)
     batch = sample_ngca(spec, n=10, seed=0)
     with pytest.raises(ValueError, match="d <= 4"):

@@ -1,5 +1,6 @@
 """Tests for the moment-matching scalar measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab.measures import (
+    KINDS,
     MAX_PROPOSALS_PER_DRAW,
     NonGaussMeasure,
-    build_bounded_llr_measure,
-    build_mog_measure,
     rejection_sample,
-    standard_gaussian,
 )
 
 
@@ -31,7 +30,7 @@ def gaussian_moment(j):
 def test_mog_critical_scale_closed_form(k):
     # lambda_k = (k/2)! for the mixture route: alpha_k = sqrt(k!) and the
     # (k/2)-node rule's k-th Hermite coefficient is -(k/2)!/sqrt(k!).
-    m = build_mog_measure(k, 0.1)
+    m = NonGaussMeasure("mog", k, 0.1)
     assert m.lambda_k == pytest.approx(math.factorial(k // 2), rel=1e-12)
 
 
@@ -39,7 +38,7 @@ def test_mog_critical_scale_closed_form(k):
 @pytest.mark.parametrize("frac", [0.1, 0.5])
 def test_mog_moment_matching_and_gap(k, frac):
     snr = frac * math.factorial(k // 2)
-    m = build_mog_measure(k, snr)
+    m = NonGaussMeasure("mog", k, snr)
     assert len(m.means) == k // 2
     for i in range(1, k):
         assert m.hermite_coefficient(i) == pytest.approx(0.0, abs=1e-10)
@@ -55,7 +54,7 @@ def test_mog_moment_matching_and_gap(k, frac):
 
 
 def test_mog_snr_zero_is_gaussian():
-    m = build_mog_measure(4, 0.0)
+    m = NonGaussMeasure("mog", 4, 0.0)
     assert m.sigma2 == pytest.approx(1.0)
     np.testing.assert_allclose(m.means, 0.0, atol=1e-15)
     x = np.linspace(-3, 3, 11)
@@ -64,19 +63,19 @@ def test_mog_snr_zero_is_gaussian():
 
 def test_mog_preconditions():
     with pytest.raises(ValueError):
-        build_mog_measure(3, 0.1)
+        NonGaussMeasure("mog", 3, 0.1)
     with pytest.raises(ValueError):
-        build_mog_measure(4, -0.5)
+        NonGaussMeasure("mog", 4, -0.5)
     with pytest.raises(ValueError):
-        build_mog_measure(4, 1.01)  # lambda_k / 2 = 1 for k = 4
-    build_mog_measure(4, 1.0)  # boundary is admissible
+        NonGaussMeasure("mog", 4, 1.01)  # lambda_k / 2 = 1 for k = 4
+    NonGaussMeasure("mog", 4, 1.0)  # boundary is admissible
 
 
 def test_mog_density_ratio_is_a_density():
     # int ratio * phi = 1, checked on a wide Gauss-Hermite rule.
     from spikelab.hermite import gauss_hermite_rule
 
-    m = build_mog_measure(4, 0.7)
+    m = NonGaussMeasure("mog", 4, 0.7)
     rule = gauss_hermite_rule(48)
     assert rule.expect(m.density_ratio(rule.nodes)) == pytest.approx(1.0, abs=1e-9)
 
@@ -85,7 +84,7 @@ def test_mog_sampling_moments():
     # 2e5 draws; each raw moment is checked inside a 5-sigma band with
     # the sigma estimated from the same draws.  A correct sampler fails
     # a single band with probability < 1e-6.
-    m = build_mog_measure(4, 1.0)
+    m = NonGaussMeasure("mog", 4, 1.0)
     rng = np.random.default_rng(42)
     x = m.sample(200_000, rng)
     for j in range(1, 5):
@@ -108,7 +107,7 @@ def tilt_ceiling(k):
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_bounded_llr_profile(k):
     snr = 0.5 * tilt_ceiling(k)
-    m = build_bounded_llr_measure(k, snr)
+    m = NonGaussMeasure("bounded-llr", k, snr)
     for i in range(1, k):
         assert m.hermite_coefficient(i) == pytest.approx(0.0, abs=1e-9)
     # nu_hat_k = +snr / sqrt(k!), the mirror image of the mixture route.
@@ -121,7 +120,7 @@ def test_bounded_llr_profile(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 6])
 def test_bounded_llr_ratio_bounds(k):
-    m = build_bounded_llr_measure(k, 0.9 * tilt_ceiling(k))
+    m = NonGaussMeasure("bounded-llr", k, 0.9 * tilt_ceiling(k))
     grid = np.linspace(-2.5, 2.5, 10_001)
     ratio = m.density_ratio(grid)
     assert np.all(ratio >= -1e-12)
@@ -134,7 +133,7 @@ def test_bounded_llr_ratio_bounds(k):
 def test_bounded_llr_odd_k_symmetry(k):
     # For odd k the tilt polynomial is odd, so the symmetrized ratio is
     # exactly 1: (ratio(x) + ratio(-x)) / 2 = 1.
-    m = build_bounded_llr_measure(k, 0.5 * tilt_ceiling(k))
+    m = NonGaussMeasure("bounded-llr", k, 0.5 * tilt_ceiling(k))
     grid = np.linspace(-1.5, 1.5, 2001)
     np.testing.assert_allclose(
         0.5 * (m.density_ratio(grid) + m.density_ratio(-grid)), 1.0, atol=1e-9
@@ -144,18 +143,18 @@ def test_bounded_llr_odd_k_symmetry(k):
 def test_bounded_llr_preconditions():
     lam_max = tilt_ceiling(4)
     with pytest.raises(ValueError):
-        build_bounded_llr_measure(4, 0.0)
+        NonGaussMeasure("bounded-llr", 4, 0.0)
     with pytest.raises(ValueError):
-        build_bounded_llr_measure(4, 1.5 * lam_max)
+        NonGaussMeasure("bounded-llr", 4, 1.5 * lam_max)
     with pytest.raises(ValueError):
-        build_bounded_llr_measure(1, 0.1)
+        NonGaussMeasure("bounded-llr", 1, 0.1)
 
 
 def test_bounded_llr_sampling():
     import math as _m
 
     k = 3
-    m = build_bounded_llr_measure(k, 0.8 * tilt_ceiling(k))
+    m = NonGaussMeasure("bounded-llr", k, 0.8 * tilt_ceiling(k))
     rng = np.random.default_rng(7)
     n = 100_000
     x = m.sample(n, rng)
@@ -254,27 +253,54 @@ def test_rejection_sample_keeps_the_first_accepted_rows(n, pattern):
     np.testing.assert_array_equal(rows, accepted[:n])
 
 
-# ---------------------------------------------------------------------------
-# reference measure
-
-
-def test_standard_gaussian_measure():
-    m = standard_gaussian()
-    assert m.hermite_coefficient(0) == 1.0
-    for t in range(1, 6):
-        assert m.hermite_coefficient(t) == 0.0
-    rng = np.random.default_rng(0)
-    x = m.sample(50_000, rng)
-    assert abs(x.mean()) < 5 / math.sqrt(len(x))
-    np.testing.assert_allclose(m.density_ratio(np.linspace(-3, 3, 7)), 1.0)
-    assert m.moment(4) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        m.hermite_coefficient(-1)
-
-
 def test_unknown_measure_kind_raises():
     with pytest.raises(ValueError, match="unknown measure kind"):
-        NonGaussMeasure(kind="mystery", order=2, snr=0.1, lambda_k=1.0)
+        NonGaussMeasure(kind="mystery", order=2, snr=0.1)
+
+
+def test_kinds_are_the_constructions():
+    assert KINDS == ("mog", "bounded-llr")
+    mog, tilt = (NonGaussMeasure(kind, 4, 0.01) for kind in KINDS)
+    assert mog.basis is None and len(mog.means) == 2
+    assert tilt.means is None and tilt.mix_weights is None and tilt.sigma2 is None
+    assert tilt.basis.degree == 4
+
+
+def test_the_payload_is_derived_not_passed():
+    # A mixture built for snr 0.5 could be passed as the payload of a
+    # measure that said snr 0.01, and its moment gap read 0.5.
+    m = NonGaussMeasure("mog", 4, 0.5)
+    with pytest.raises(TypeError):
+        NonGaussMeasure(
+            kind="mog",
+            order=4,
+            snr=0.01,
+            lambda_k=2.0,
+            means=m.means,
+            mix_weights=m.mix_weights,
+            sigma2=m.sigma2,
+        )
+    # A new snr re-derives the payload.
+    small = dataclasses.replace(m, snr=0.01)
+    assert small.moment_gap() == pytest.approx(0.01, rel=1e-10)
+    assert not small.means.flags.writeable and not small.mix_weights.flags.writeable
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_measures_from_the_same_inputs_compare_equal(kind):
+    # Mixtures used to compare their arrays, and == raised numpy's
+    # ambiguous-truth ValueError.
+    a, b = NonGaussMeasure(kind, 4, 0.01), NonGaussMeasure(kind, 4, 0.01)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != NonGaussMeasure(kind, 4, 0.005)
+    assert a != NonGaussMeasure(kind, 2, 0.01)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("order", [0, 1, True, 4.0, "4"])
+def test_measure_order_is_a_count_of_at_least_two(kind, order):
+    with pytest.raises(ValueError, match="order must be an integer >= 2"):
+        NonGaussMeasure(kind, order, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +344,7 @@ def tilt_coefficient_oracle(m, t):
     t=st.integers(min_value=0, max_value=12),
 )
 def test_mixture_hermite_coefficient_matches_closed_form(k, f, t):
-    m = build_mog_measure(k, f * build_mog_measure(k, 0.0).lambda_k / 2.0)
+    m = NonGaussMeasure("mog", k, f * NonGaussMeasure("mog", k, 0.0).lambda_k / 2.0)
     assert abs(m.hermite_coefficient(t) - mixture_coefficient_oracle(m, t)) <= 1e-12
 
 
@@ -329,5 +355,5 @@ def test_mixture_hermite_coefficient_matches_closed_form(k, f, t):
     t=st.integers(min_value=1, max_value=12),
 )
 def test_tilt_hermite_coefficient_matches_legendre_integral(k, f, t):
-    m = build_bounded_llr_measure(k, f * tilt_ceiling(k))
+    m = NonGaussMeasure("bounded-llr", k, f * tilt_ceiling(k))
     assert abs(m.hermite_coefficient(t) - tilt_coefficient_oracle(m, t)) <= 1e-12

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spikelab.batchio import batch_from_bytes, batch_to_bytes
 from spikelab.hermite import build_weighted_basis, hermite_all
-from spikelab.measures import build_bounded_llr_measure, build_mog_measure
+from spikelab.measures import KINDS, NonGaussMeasure
 from spikelab.models import (
     ModelSpec,
     SampleBatch,
@@ -45,11 +48,35 @@ def test_atpca_spec_coordinate_factors():
 
 
 def test_ngca_spec_inherits_measure_scales():
-    m = build_mog_measure(4, 0.5)
+    m = NonGaussMeasure("mog", 4, 0.5)
     spec = ModelSpec.ngca(d=6, measure=m, seed=1)
     assert spec.k == 4
     assert spec.snr == 0.5
     assert spec.row_length == 6
+
+
+def test_spec_k_and_snr_are_its_measures():
+    # An ngca spec could say k = 2 and snr 9 while its sampler drew from
+    # an order-4, snr-0.5 law.
+    v = np.array([1.0, -1.0, 1.0, 1.0])
+    m = NonGaussMeasure("mog", 4, 0.5)
+    for problem, k, snr in (("ngca", 2, 9.0), ("ngca", 2, 0.5), ("glm", 4, 0.25)):
+        with pytest.raises(ValueError, match="measure's order 4 and snr 0.5"):
+            ModelSpec(problem=problem, k=k, d=4, snr=snr, direction=v, measure=m)
+    spec = ModelSpec(problem="ngca", k=4, d=4, snr=0.5, direction=v, measure=m)
+    assert spec.measure == NonGaussMeasure("mog", 4, 0.5)
+
+
+def test_measureless_ngca_specs_raise_value_errors():
+    # A loaded batch carries no measure; both calls used to end in
+    # AttributeError on None.
+    spec = ModelSpec.ngca(d=4, measure=NonGaussMeasure("mog", 2, 0.4), seed=1)
+    loaded = batch_from_bytes(batch_to_bytes(sample_ngca(spec, 8, 2)))
+    assert loaded.spec.problem == "ngca" and loaded.spec.measure is None
+    with pytest.raises(ValueError, match="no measure"):
+        sample_ngca(loaded.spec, 8, 2)
+    with pytest.raises(ValueError, match="no measure"):
+        reduce_ngca_to_glm(loaded, seed=0)
 
 
 def test_cca_spec_snr_ceiling():
@@ -135,7 +162,7 @@ def test_spec_constructors_and_samplers_check_counts():
         ModelSpec.tpca(k=True, d=3, snr=1.0)
     # The default direction and factors are drawn before the spec
     # exists, so the constructors check the sizes they draw with.
-    m = build_mog_measure(2, 0.4)
+    m = NonGaussMeasure("mog", 2, 0.4)
     for build in (
         lambda: ModelSpec.tpca(k=2, d=2.5, snr=1.0),
         lambda: ModelSpec.tpca(k=2, d=True, snr=1.0),
@@ -219,7 +246,7 @@ def test_batch_budget_guard():
 
 
 def test_ngca_projection_carries_the_measure():
-    m = build_mog_measure(4, 1.0)
+    m = NonGaussMeasure("mog", 4, 1.0)
     spec = ModelSpec.ngca(d=6, measure=m, seed=2)
     batch = sample_ngca(spec, n=100_000, seed=5)
     xi = batch.data @ spec.direction / math.sqrt(spec.d)
@@ -232,7 +259,7 @@ def test_ngca_projection_carries_the_measure():
 
 
 def test_ngca_orthogonal_directions_stay_gaussian():
-    m = build_mog_measure(2, 0.4)
+    m = NonGaussMeasure("mog", 2, 0.4)
     spec = ModelSpec.ngca(d=5, measure=m, seed=3)
     batch = sample_ngca(spec, n=50_000, seed=8)
     w = np.zeros(5)
@@ -292,7 +319,7 @@ def test_cca_determinism():
 
 def test_ngca_to_glm_moves_signal_into_labels():
     k = 3
-    m = build_bounded_llr_measure(k, 0.6 * build_weighted_basis(k).lambda_max)
+    m = NonGaussMeasure("bounded-llr", k, 0.6 * build_weighted_basis(k).lambda_max)
     spec = ModelSpec.ngca(d=5, measure=m, seed=6)
     batch = sample_ngca(spec, n=120_000, seed=7)
     glm = reduce_ngca_to_glm(batch, seed=17)
@@ -313,7 +340,7 @@ def test_ngca_to_glm_moves_signal_into_labels():
 
 
 def test_ngca_to_glm_requires_symmetrized_ratio():
-    m = build_mog_measure(4, 0.5)  # even tilt: symmetrized ratio != 1
+    m = NonGaussMeasure("mog", 4, 0.5)  # even tilt: symmetrized ratio != 1
     spec = ModelSpec.ngca(d=4, measure=m, seed=0)
     batch = sample_ngca(spec, n=100, seed=0)
     with pytest.raises(ValueError):
@@ -366,3 +393,122 @@ def test_batch_validation():
     assert batch.n == 4
     with pytest.raises(ValueError):
         batch.data[0, 0] = 1.0
+
+
+def test_batch_does_not_alias_the_callers_arrays():
+    # A contiguous float64 view used to be frozen in place: the caller's
+    # array became read-only, and writing to its base moved the batch's
+    # data and labels past their checks.
+    spec = ModelSpec(problem="glm", k=2, d=3, snr=0.0)
+    base = np.arange(12.0)
+    flags = np.array([0.0, 1.0, 1.0, 0.0])
+    data, labels = base[:6].reshape(2, 3), flags[:2]
+    batch = SampleBatch(spec, data, 0, labels=labels)
+    base[0] = 7.0
+    flags[1] = 0.5
+    assert batch.data[0, 0] == 0.0 and batch.labels[1] == 1.0
+    assert data.flags.writeable and labels.flags.writeable
+    assert not batch.data.flags.writeable and not batch.labels.flags.writeable
+    fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+    assert SampleBatch(spec, fortran, 0).data.flags.c_contiguous
+    # A read-only view still has a writable base, so it is copied too; a
+    # sealed array that owns its memory, as the samplers hand over, is kept.
+    view = base[:6].reshape(2, 3)
+    view.flags.writeable = False
+    assert SampleBatch(spec, view, 0).data is not view
+    sealed = np.zeros((2, 3))
+    sealed.flags.writeable = False
+    assert SampleBatch(spec, sealed, 0).data is sealed
+
+
+# ---------------------------------------------------------------------------
+# relabeling properties: any rows, any seed
+
+# Even k gives an even tilt, so only the odd bounded tilts are odd
+# around 1; f >= 0.1 keeps the others' departure far above the 1e-6 grid
+# check.
+NGCA_MEASURES = st.one_of(
+    st.tuples(st.just("mog"), st.sampled_from([2, 4, 6])),
+    st.tuples(st.just("bounded-llr"), st.sampled_from([2, 3, 4, 5])),
+)
+
+
+def any_rows(seed, n, width):
+    return np.random.default_rng(seed).standard_normal((n, width)) * 4.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    measure=NGCA_MEASURES,
+    f=st.floats(0.1, 1.0),
+    d=st.integers(1, 5),
+    n=st.integers(0, 12),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_ngca_to_glm_relabels_rows_exactly(measure, f, d, n, seeds):
+    kind, k = measure
+    # The top admissible snr: lambda_k / 2 = (k/2)! / 2 for a mixture.
+    if kind == "mog":
+        top = math.factorial(k // 2) / 2.0
+    else:
+        top = build_weighted_basis(k).lambda_max
+    m = NonGaussMeasure(kind, k, f * top)
+    spec = ModelSpec.ngca(d=d, measure=m, seed=seeds[0])
+    batch = SampleBatch(spec, any_rows(seeds[0], n, d), 5)
+    if not (kind == "bounded-llr" and k % 2 == 1):
+        with pytest.raises(ValueError, match="not odd around 1"):
+            reduce_ngca_to_glm(batch, seeds[1])
+        return
+    glm = reduce_ngca_to_glm(batch, seeds[1])
+    assert glm.labels.shape == (n,) and set(glm.labels) <= {0.0, 1.0}
+    np.testing.assert_array_equal((2.0 * glm.labels - 1.0)[:, None] * glm.data, batch.data)
+    assert glm.seed == seeds[1]
+    assert (glm.spec.problem, glm.spec.k, glm.spec.d, glm.spec.snr) == ("glm", k, d, m.snr)
+    assert glm.spec.measure is m and (glm.spec.k, glm.spec.snr) == (m.order, m.snr)
+    np.testing.assert_array_equal(glm.spec.direction, spec.direction)
+    assert glm.spec.factors == () and glm.spec.subset == ()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 5),
+    d=st.integers(2, 4),
+    f=st.floats(0.0, 1.0),
+    dense=st.one_of(st.none(), st.integers(0, 4)),
+    n=st.integers(0, 12),
+    seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+)
+def test_cca_to_parity_relabels_rows_exactly(k, d, f, dense, n, seeds):
+    # Signed coordinate factors, but for view ``dense`` (when it is one of
+    # the k views), which gets a Rademacher factor.
+    rng = np.random.default_rng(seeds[0])
+    indices = rng.integers(0, d, size=k)
+    signs = rng.choice([-1.0, 1.0], size=(k, d))
+    factors = [
+        signs[view] if view == dense else signs[view, 0] * math.sqrt(d) * np.eye(d)[i]
+        for view, i in enumerate(indices)
+    ]
+    spec = ModelSpec.cca(k=k, d=d, snr=f * cca_critical_snr(k), factors=factors)
+    batch = SampleBatch(spec, any_rows(seeds[0], n, k * d), 5)
+    if k % 2 == 0:
+        with pytest.raises(ValueError, match="odd number of views"):
+            reduce_cca_to_parity(batch, seeds[1])
+        return
+    if dense is not None and dense < k:
+        with pytest.raises(ValueError, match="coordinate factors"):
+            reduce_cca_to_parity(batch, seeds[1])
+        return
+    parity = reduce_cca_to_parity(batch, seeds[1])
+    assert parity.labels.shape == (n,) and set(parity.labels) <= {0.0, 1.0}
+    np.testing.assert_array_equal(
+        (2.0 * parity.labels - 1.0)[:, None] * parity.data, batch.data
+    )
+    assert parity.seed == seeds[1]
+    out = parity.spec
+    assert (out.problem, out.k, out.d) == ("parity", k, d)
+    assert out.snr == spec.snr / cca_critical_snr(k)
+    assert out.subset == tuple(view * d + int(i) for view, i in enumerate(indices))
+    assert len(out.factors) == k
+    for got, want in zip(out.factors, spec.factors):
+        np.testing.assert_array_equal(got, want)
+    assert out.direction is None and out.measure is None

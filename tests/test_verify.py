@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab.harness import Blackboard
-from spikelab.measures import build_mog_measure
+from spikelab.measures import NonGaussMeasure
 from spikelab.models import cca_critical_snr
 from spikelab.verify import (
     LDLRInstance,
@@ -212,7 +212,7 @@ def cca_naive(n_samples, k, d, t, coeffs, snr):
 
 
 def mog_instance(k, snr, n_samples, d, t):
-    coeffs = tuple(build_mog_measure(k, snr).nu_hat(t)[1:])
+    coeffs = tuple(NonGaussMeasure("mog", k, snr).nu_hat(t)[1:])
     return LDLRInstance(
         problem="ngca", N=n_samples, d=d, k=k, t=t, coeffs=coeffs, snr=snr
     )
