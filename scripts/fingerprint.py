@@ -5,9 +5,9 @@ Usage, from the repository root:
     python3 scripts/fingerprint.py [--src DIR] ITEM [ITEM ...]
     python3 scripts/fingerprint.py --write [ITEM ...]
 
-Each ITEM is either an INI config or a ``verify`` suite name (``hermite``,
-``rademacher``, ``ldlr``, ``models``, ``harness``).  One line is printed
-per output, ``<verb> <item> <exit status> <sha256>``:
+Each ITEM is either an INI config or a ``verify`` suite name, one of the
+``cli.SUITES`` of the imported ``spikelab``.  One line is printed per
+output, ``<verb> <item> <exit status> <sha256>``:
 
 * ``sweep``: the sweep CSV of the config without its ``wall_ms``
   column, the one column that may differ between runs; the column is
@@ -51,7 +51,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT))
 from bench.checks import strip_wall_ms  # noqa: E402
 
-SUITES = ("hermite", "rademacher", "ldlr", "models", "harness")
 GOLDEN = ROOT / "tests" / "data" / "fingerprints.txt"
 
 
@@ -75,7 +74,7 @@ def _run_to_file(cli, argv, out: pathlib.Path) -> tuple[str, int]:
 
 def fingerprints(cli, items, workdir: pathlib.Path):
     for item in items:
-        if item in SUITES:
+        if item in cli.SUITES:
             report, status = _run(cli, ["verify", item])
             yield "verify", item, status, _digest(report)
             continue

@@ -37,7 +37,7 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import overlap, set_entry_budget
+from spikelab.tensors import check_count, overlap, set_entry_budget
 from spikelab.verify import SUITES, CheckResult, replay_checks, run_verification
 
 CSV_VERSION = "spikelab-sweep-v1"
@@ -267,8 +267,7 @@ def main(argv=None) -> int:
     }
     prev_budget = None
     try:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        check_count("--threads", args.threads)
         if args.budget_entries is not None:
             prev_budget = set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)

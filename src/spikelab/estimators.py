@@ -20,7 +20,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from spikelab.models import SampleBatch
+from spikelab.models import SampleBatch, expect_problem
 from spikelab.tensors import (
     DEFAULT_ENTRY_BUDGET,
     check_count,
@@ -30,6 +30,7 @@ from spikelab.tensors import (
     outer_power,
     outer_product,
     overlap,
+    unit,
 )
 
 
@@ -86,13 +87,6 @@ def _start_vector(cfg: PowerMethodConfig, dim: int) -> np.ndarray:
     return u / nrm
 
 
-def _renormalize(w: np.ndarray) -> tuple[np.ndarray, float]:
-    nrm = float(np.linalg.norm(w))
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise RuntimeError("power iterate collapsed to numerical zero")
-    return w / nrm, nrm
-
-
 def _iterate(step, u: np.ndarray, cfg: PowerMethodConfig, cap_dim: int):
     """The one power-iteration loop: ``u, value, aux = step(u)`` per step.
 
@@ -124,7 +118,7 @@ def power_iteration(matvec, dim: int, cfg: PowerMethodConfig):
     def step(u):
         w = matvec(u)
         ray = float(u @ w)
-        return _renormalize(w)[0], ray, None
+        return unit(w)[0], ray, None
 
     u, ray, _, steps, converged = _iterate(step, _start_vector(cfg, dim), cfg, dim)
     return u, ray, steps, converged
@@ -144,8 +138,8 @@ def rank1_svd(mat: np.ndarray, cfg: PowerMethodConfig):
         raise ValueError("need a matrix")
 
     def step(u):
-        v, _ = _renormalize(mat.T @ u)
-        u, sigma = _renormalize(mat @ v)
+        v, _ = unit(mat.T @ u)
+        u, sigma = unit(mat @ v)
         return u, sigma, v
 
     u, sigma, v, steps, converged = _iterate(
@@ -180,10 +174,8 @@ def tensor_power_method(
 ) -> EstimateReport:
     """u <- mean_i X_i { (u/||u||)^{(x)(k-1)}, . }, normalized each step."""
     spec = batch.spec
-    if spec.problem != "tpca":
-        raise ValueError(f"expected a tpca batch, got {spec.problem!r}")
-    if spec.k < 2:
-        raise ValueError("power method needs order k >= 2")
+    expect_problem(spec, "tpca")
+    check_count("power method order k", spec.k, low=2)
     t0 = time.perf_counter()
     d = spec.d
 
@@ -206,8 +198,7 @@ def partial_trace_spectral(
     execution paths walk the same sequence of iterates.
     """
     spec = batch.spec
-    if spec.problem != "tpca":
-        raise ValueError(f"expected a tpca batch, got {spec.problem!r}")
+    expect_problem(spec, "tpca")
     if spec.k % 2 != 0:
         raise ValueError(f"partial trace needs even k, got {spec.k}")
     t0 = time.perf_counter()
@@ -246,8 +237,7 @@ def mr_matricization_estimator(
 ) -> EstimateReport:
     """Rank-1 approximation of the matricized sample mean."""
     spec = batch.spec
-    if spec.problem not in ("tpca", "atpca"):
-        raise ValueError(f"expected a spiked-tensor batch, got {spec.problem!r}")
+    expect_problem(spec, "tpca", "atpca")
     t0 = time.perf_counter()
     xbar = batch.data.mean(axis=0)
     sigma, flat, steps, converged = matricization_rank1(xbar, spec.k, spec.d, cfg)
@@ -271,8 +261,7 @@ def cca_matricization_estimator(
     a detection statistic (``info["sigma"]``).
     """
     spec = batch.spec
-    if spec.problem != "cca":
-        raise ValueError(f"expected a cca batch, got {spec.problem!r}")
+    expect_problem(spec, "cca")
     if spec.k % 2 != 0:
         raise ValueError(f"matricization needs an even view count, got {spec.k}")
     t0 = time.perf_counter()
@@ -313,10 +302,10 @@ def gaussian_reference_constant(k: int, d: int) -> float:
     binomially; every factor moment is an integer, so the whole value is
     computed in exact integer arithmetic.
     """
-    if k % 2 != 0 or k < 2:
+    check_count("k", k, low=2)
+    if k % 2 != 0:
         raise ValueError(f"need even k >= 2, got {k}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    check_count("d", d)
     m = (k - 2) // 2
 
     def even_moment(i):  # E[z^{2i}] = (2i - 1)!!
@@ -355,8 +344,7 @@ def ngca_spectral(
     off the Rayleigh quotient afterwards.
     """
     spec = batch.spec
-    if spec.problem != "ngca":
-        raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
+    expect_problem(spec, "ngca")
     if spec.k % 2 != 0:
         raise ValueError(f"reweighted covariance needs even k, got {spec.k}")
     t0 = time.perf_counter()
@@ -445,7 +433,8 @@ def sphere_net(
     ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
     net that would outgrow ``max_points`` raises ``RuntimeError``.
     """
-    if not 1 <= d <= 4:
+    check_count("d", d)
+    if d > 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
@@ -501,8 +490,7 @@ def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
     to one new buffer, which is returned, and ``x`` is left as it was.
     For ``k = 2`` this is ``x * x``, bitwise the same as numpy's ``x**2``.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     y = x
     for bit in bin(k)[3:]:
         if y is x and k & (k - 1):
@@ -535,8 +523,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     blocks, one chunk at a time.
     """
     spec = batch.spec
-    if spec.problem != "ngca":
-        raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
+    expect_problem(spec, "ngca")
     if spec.d > 4:
         raise ValueError(f"net search is capped at d <= 4, got d={spec.d}")
     # NaN scores never pass the strict ``<`` below: the search would
@@ -650,8 +637,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     ``mean(axis=0)`` over all n samples would, then divided by n.
     """
     spec = batch.spec
-    if spec.problem != "cca":
-        raise ValueError(f"expected a cca batch, got {spec.problem!r}")
+    expect_problem(spec, "cca")
     if spec.d > 3 or spec.k > 3:
         raise ValueError("net-product search is capped at d <= 3, k <= 3")
     check_finite(batch.data, "batch")

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from spikelab.estimators import EstimateReport
-from spikelab.tensors import check_count, check_finite, contract_batch
+from spikelab.tensors import check_count, check_finite, contract_batch, outer_power, unit
 
 
 @dataclass(frozen=True)
@@ -280,13 +280,10 @@ class QuantizerSpec:
 
 def power_template(k: int):
     """psi(u) = (u/||u||)^(x)(k-1), the tensor power-method contraction."""
-    from spikelab.tensors import outer_power
+    check_count("k", k, low=2)
 
     def psi(u: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            raise RuntimeError("iterate collapsed to numerical zero")
-        return outer_power(u / nrm, k - 1)
+        return outer_power(unit(u)[0], k - 1)
 
     return psi
 
@@ -299,15 +296,14 @@ def partial_trace_template(k: int, d: int):
     the wrapped iteration walks the same iterates as the direct spectral
     method.
     """
+    check_count("k", k, low=2)
+    check_count("d", d)
     if k % 2 != 0:
         raise ValueError(f"partial-trace template needs even k, got {k}")
     eye_flat = np.eye(d).reshape(-1)
 
     def psi(u: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            raise RuntimeError("iterate collapsed to numerical zero")
-        out = u / nrm
+        out = unit(u)[0]
         for _ in range(k // 2 - 1):
             out = np.kron(eye_flat, out)
         return out
@@ -340,6 +336,8 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
     """
 
     def __init__(self, psi, quantizer: QuantizerSpec, d: int, n_samples: int, init):
+        check_count("d", d)
+        check_count("n_samples", n_samples)
         self.psi = psi
         self.quantizer = quantizer
         self.d = d
@@ -406,11 +404,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         return self._next_state(state[: self.state_bits // 2], partial_bits)
 
     def estimate(self, state):
-        u = self.quantizer.decode(state[: self.state_bits // 2], self.d)
-        nrm = float(np.linalg.norm(u))
-        if nrm == 0.0:
-            raise RuntimeError("iterate collapsed to numerical zero")
-        return u / nrm
+        return unit(self.quantizer.decode(state[: self.state_bits // 2], self.d))[0]
 
 
 def streaming_run(
@@ -682,6 +676,7 @@ def reduce_memory_to_distributed(
     estimate bit for bit, because turns visit (pass, machine) in the
     same order the streaming runner visits (pass, sample index).
     """
+    check_count("n", n)
     if profile.samples % n != 0:
         raise ValueError(f"n = {n} does not divide N = {profile.samples}")
     if algorithm.state_bits != profile.state_bits:
@@ -692,6 +687,7 @@ def reduce_memory_to_distributed(
 
 def shard_stream(data: np.ndarray, n: int) -> list[np.ndarray]:
     """Split a stream into row-contiguous shards of n samples each."""
+    check_count("n", n)
     data = np.asarray(data)
     if data.shape[0] % n != 0:
         raise ValueError(f"n = {n} does not divide {data.shape[0]} rows")

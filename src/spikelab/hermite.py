@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from spikelab.tensors import check_count
 
 _EPS = float(np.finfo(np.float64).eps)
 # Gauss-Legendre nodes behind every weighted basis, and the grid size of
@@ -34,8 +35,7 @@ def hermite_all(max_degree: int, x) -> np.ndarray:
     ``E[H_n(mu + Z)] = mu^n / sqrt(n!)``.  Evaluated at ``x``, the result
     has shape ``(max_degree + 1,) + shape(x)``.
     """
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    check_count("max_degree", max_degree, low=0)
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((max_degree + 1,) + x.shape, dtype=np.float64)
     out[0] = 1.0
@@ -148,18 +148,6 @@ def _tridiag_eigh(diag: np.ndarray, offdiag: np.ndarray):
     return d[order], z[:, order]
 
 
-def _memo_key(value, name: str = "node count") -> int:
-    """A memo key (node count, degree) as an exact int.
-
-    Runs before any memo lookup, so a float or a bool raises
-    ``TypeError`` instead of hashing equal to an int key (``2.0 == 2``)
-    and quietly receiving the value cached under it.
-    """
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
 def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
     """Gauss-Hermite rule for the standard Gaussian weight.
 
@@ -175,13 +163,12 @@ def gauss_hermite_rule(num_nodes: int) -> QuadratureRule:
 
     Rules are memoized by node count: the eigensolve runs once per
     ``n`` and every later call returns the same ``QuadratureRule``,
-    whose arrays are read-only.  ``num_nodes`` must be an int (numpy
-    integers included); floats and bools raise ``TypeError``.
+    whose arrays are read-only.  ``num_nodes`` is checked by
+    ``tensors.check_count`` before the lookup, so a float or a bool
+    raises ``ValueError`` instead of hashing equal to an int key
+    (``2.0 == 2``) and receiving the rule cached under it.
     """
-    num_nodes = _memo_key(num_nodes)
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    return _hermite_rule(num_nodes)
+    return _hermite_rule(check_count("num_nodes", num_nodes))
 
 
 @functools.cache
@@ -241,7 +228,8 @@ class WeightedOrthoBasis:
         return abs(self.moment_proj) / self.sup_norm
 
     def eval(self, j: int, x):
-        if not 0 <= j <= self.degree:
+        check_count("index", j, low=0)
+        if j > self.degree:
             raise ValueError(f"index {j} outside basis range [0, {self.degree}]")
         x = np.asarray(x, dtype=np.float64)
         return np.polynomial.polynomial.polyval(x, self.coeffs[j])
@@ -282,18 +270,16 @@ def build_weighted_basis(k: int) -> WeightedOrthoBasis:
     read-only, as every basis's ``nodes`` and ``leg_weights``.
 
     Bases are memoized on ``k``: every later call with the same degree
-    returns the same basis, whose arrays are read-only.  ``k`` must be
-    an int (numpy integers included); floats and bools raise
-    ``TypeError``, before the lookup.
+    returns the same basis, whose arrays are read-only.  ``k`` is
+    checked by ``tensors.check_count`` before the lookup, as in
+    ``gauss_hermite_rule``.
 
     Orthonormalization runs on node values with coefficient tracking and
     one re-orthogonalization pass.  Degrees are capped at 60: well past
     anything the constructions use, and safely clear of the point where
     the power-basis representation degrades.
     """
-    k = _memo_key(k, "degree")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_count("k", k)
     if k > 60:
         raise ValueError(f"degree {k} too large for a power-basis representation")
     return _weighted_basis(k)

@@ -153,8 +153,7 @@ class NonGaussMeasure:
         A tilt's correction integral runs on its basis's Gauss-Legendre
         rule, since the integrand has a hard cutoff at the interval ends.
         """
-        if degree < 0:
-            raise ValueError(f"degree must be >= 0, got {degree}")
+        degree = check_count("degree", degree, low=0)
         if self.kind == "mog":
             return self._mixture_expect(
                 lambda x: hermite_eval(degree, x), degree // 2 + 2
@@ -174,8 +173,7 @@ class NonGaussMeasure:
 
     def moment(self, j: int) -> float:
         """Raw moment ``E_nu[x^j]`` by exact quadrature."""
-        if j < 0:
-            raise ValueError(f"moment order must be >= 0, got {j}")
+        j = check_count("moment order", j, low=0)
         if self.kind == "mog":
             return self._mixture_expect(lambda x: x**j, j // 2 + 1)
         return gaussian_moment(j) + self._tilt_term(self.basis.nodes**j)
@@ -202,8 +200,7 @@ class NonGaussMeasure:
     # -- sampling --------------------------------------------------------
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if n < 0:
-            raise ValueError(f"sample count must be >= 0, got {n}")
+        check_count("sample count", n, low=0)
         if self.kind == "mog":
             idx = rng.choice(len(self.means), size=n, p=self.mix_weights)
             return self.means[idx] + math.sqrt(self.sigma2) * rng.standard_normal(n)
@@ -247,6 +244,7 @@ def rejection_sample(n: int, propose, row_shape=()) -> tuple[np.ndarray, int]:
 
 def gaussian_moment(j: int) -> float:
     """``E[Z^j]`` for a standard Gaussian ``Z``: ``(j - 1)!!``, or 0 for odd j."""
+    check_count("moment order", j, low=0)
     if j % 2 == 1:
         return 0.0
     return float(math.prod(range(1, j, 2))) if j > 0 else 1.0

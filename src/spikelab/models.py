@@ -22,7 +22,8 @@ live on the sphere of squared radius d, so the normalized alignment
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,6 +119,17 @@ class ModelSpec:
                 f"order {measure.order} and snr {measure.snr}"
             )
 
+    def __eq__(self, other):
+        """Field by field, the direction and the factors by ``np.array_equal``
+        (``==`` on an array has no single truth value)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        for f in fields(self):
+            same = np.array_equal if f.name in ("direction", "factors") else operator.eq
+            if not same(getattr(self, f.name), getattr(other, f.name)):
+                return False
+        return True
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -150,8 +162,7 @@ class ModelSpec:
     @classmethod
     def cca(cls, k, d, snr, indices=None, factors=None, seed=0) -> "ModelSpec":
         """k correlated Gaussian views; coordinate factors by default."""
-        if k < 2:
-            raise ValueError(f"correlation model needs k >= 2 views, got {k}")
+        check_count("k", k, low=2)  # before snr is compared with a k-dependent ceiling
         if snr > cca_critical_snr(k) + 1e-12:
             raise ValueError(
                 f"snr {snr} above the critical value {cca_critical_snr(k)}"
@@ -168,6 +179,12 @@ class ModelSpec:
         if self.problem in ("ngca", "glm"):
             return self.d
         return self.k * self.d  # cca, parity
+
+
+def expect_problem(spec: ModelSpec, *problems: str) -> None:
+    """Raise ``ValueError`` unless ``spec`` is a spec of one of ``problems``."""
+    if spec.problem not in problems:
+        raise ValueError(f"expected problem {' or '.join(problems)}, got {spec.problem!r}")
 
 
 def _sealed(a) -> np.ndarray:
@@ -217,8 +234,7 @@ class SampleBatch:
 
     def views(self) -> np.ndarray:
         """Per-view slices for multi-view rows, shaped (n, k, d)."""
-        if self.spec.problem not in ("cca", "parity"):
-            raise ValueError(f"{self.spec.problem!r} rows are not multi-view")
+        expect_problem(self.spec, "cca", "parity")
         return self.data.reshape(self.n, self.spec.k, self.spec.d)
 
 
@@ -238,15 +254,13 @@ def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
 
 def sample_tpca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """X_i = snr * v^{(x)k} / sqrt(d^k) + W_i with iid N(0,1) entries."""
-    if spec.problem != "tpca":
-        raise ValueError(f"expected a tpca spec, got {spec.problem!r}")
+    expect_problem(spec, "tpca")
     return _sample_spiked_tensor(spec, n, seed)
 
 
 def sample_atpca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """X_i = snr * (v_1 x .. x v_k) / sqrt(d^k) + W_i, same noise model."""
-    if spec.problem != "atpca":
-        raise ValueError(f"expected an atpca spec, got {spec.problem!r}")
+    expect_problem(spec, "atpca")
     return _sample_spiked_tensor(spec, n, seed)
 
 
@@ -257,8 +271,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     ``z_i ~ N(0, I_d)``; the planted projection ``<x_i, v> / sqrt(d)``
     equals ``eta_i`` exactly.
     """
-    if spec.problem != "ngca":
-        raise ValueError(f"expected an ngca spec, got {spec.problem!r}")
+    expect_problem(spec, "ngca")
     if spec.measure is None:
         raise ValueError("ngca spec has no measure to sample from")
     check_count("n", n)
@@ -279,8 +292,7 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     prod_l sign(<x^(l), v_l>)`` with ``Lambda = snr / (2/pi)^{k/2}``;
     sampling is by rejection with the constant envelope ``1 + Lambda``.
     """
-    if spec.problem != "cca":
-        raise ValueError(f"expected a cca spec, got {spec.problem!r}")
+    expect_problem(spec, "cca")
     check_count("n", n)
     check_entry_budget(n * spec.row_length, "cca batch")
     rate = spec.snr / cca_critical_snr(spec.k)
@@ -312,8 +324,7 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
     That symmetry is a precondition and is checked on a grid to 1e-6.
     """
     spec = batch.spec
-    if spec.problem != "ngca":
-        raise ValueError(f"expected an ngca batch, got {spec.problem!r}")
+    expect_problem(spec, "ngca")
     measure = spec.measure
     if measure is None:
         raise ValueError("ngca batch has no measure to check the relabeling against")
@@ -348,8 +359,7 @@ def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
     relevant subset is well defined.
     """
     spec = batch.spec
-    if spec.problem != "cca":
-        raise ValueError(f"expected a cca batch, got {spec.problem!r}")
+    expect_problem(spec, "cca")
     if spec.k % 2 != 1:
         raise ValueError("parity relabeling needs an odd number of views")
     subset = []

@@ -9,7 +9,8 @@ entry and ``entries.reshape((d,) * k)`` is always a no-copy view.
 
 A module-level entry budget guards against accidentally materializing
 something enormous.  ``set_entry_budget`` adjusts it (the CLI exposes
-this as ``--budget-entries``).
+this as ``--budget-entries``).  ``check_count`` and ``unit`` are input
+rules that every layer shares.
 """
 
 from __future__ import annotations
@@ -30,10 +31,8 @@ def entry_budget() -> int:
 def set_entry_budget(budget: int) -> int:
     """Set the dense-entry allocation cap and return the previous one."""
     global _entry_budget
-    if budget < 1:
-        raise ValueError(f"entry budget must be positive, got {budget}")
     prev = _entry_budget
-    _entry_budget = int(budget)
+    _entry_budget = check_count("entry budget", budget)
     return prev
 
 
@@ -50,14 +49,28 @@ def check_finite(data, name: str) -> None:
         raise ValueError(f"{name} holds a non-finite value")
 
 
-def check_count(name: str, value, low: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer >= ``low``.
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is an integer >= ``low``.
 
     An ``int`` or a numpy integer counts; a bool does not, and neither
-    does a float, however close to whole, so nothing is truncated.
+    does a float, however close to whole, so nothing is truncated.  The
+    ``int`` is a Python integer, so arithmetic on it never overflows.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(u / ||u||, ||u||)``; a zero or non-finite norm raises ``RuntimeError``.
+
+    The one collapse check of the iterative extractors and the streaming
+    templates: an iterate that reaches zero has lost its direction.
+    """
+    nrm = float(np.linalg.norm(u))
+    if nrm == 0.0 or not math.isfinite(nrm):
+        raise RuntimeError("iterate collapsed to numerical zero")
+    return u / nrm, nrm
 
 
 def outer_product(vectors) -> np.ndarray:
@@ -80,8 +93,7 @@ def rank1_densify(factors, snr: float) -> np.ndarray:
 
 def outer_power(u: np.ndarray, power: int) -> np.ndarray:
     """Flat entries of ``u^{(x) power}``, length ``len(u)**power``."""
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
+    check_count("power", power)
     u = np.asarray(u, dtype=np.float64)
     check_entry_budget(u.size**power, f"order-{power} outer power")
     return outer_product((u,) * power)

@@ -28,7 +28,7 @@ from spikelab.hermite import (
 )
 from spikelab.measures import NonGaussMeasure, gaussian_moment
 from spikelab.models import ModelSpec, cca_critical_snr
-from spikelab.tensors import outer_product
+from spikelab.tensors import check_count, outer_product
 
 MAX_ENUM_DIM = 20
 MAX_PAIR_ENUM_DIM = 12
@@ -42,12 +42,12 @@ def rademacher_mean_moment(d: int, t: int, marked=()) -> Fraction:
     marked coordinates and among the rest), which keeps the arithmetic
     in small Python integers.
     """
-    if not 1 <= d <= MAX_ENUM_DIM:
+    d = check_count("d", d)
+    if d > MAX_ENUM_DIM:
         raise ValueError(f"enumeration supports 1 <= d <= {MAX_ENUM_DIM}, got {d}")
-    if t < 0:
-        raise ValueError(f"moment order must be >= 0, got {t}")
-    marked = tuple(sorted(set(int(i) for i in marked)))
-    if marked and not (0 <= marked[0] and marked[-1] < d):
+    t = check_count("moment order", t, low=0)
+    marked = tuple(sorted({check_count("marked coordinate", i, low=0) for i in marked}))
+    if marked and marked[-1] >= d:
         raise ValueError(f"marked coordinates {marked} out of range for d = {d}")
     ell = len(marked)
     total = 0
@@ -75,9 +75,11 @@ def check_rademacher_bounds(d: int, t_max: int) -> list[dict]:
     Raises on any violation, which would indicate an oracle or
     transcription bug.
     """
-    if not 3 <= d <= MAX_ENUM_DIM:
+    d = check_count("d", d, low=3)
+    if d > MAX_ENUM_DIM:
         raise ValueError(f"need 3 <= d <= {MAX_ENUM_DIM}, got {d}")
-    if not 1 <= t_max <= 2 * (d - 1):
+    t_max = check_count("t_max", t_max)
+    if t_max > 2 * (d - 1):
         raise ValueError(f"need 1 <= t_max <= 2(d - 1), got {t_max}")
     report = []
     for t in range(1, t_max + 1):
@@ -140,14 +142,16 @@ def check_rademacher_bounds(d: int, t_max: int) -> list[dict]:
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a power-of-two-length
+    vector: per level, the butterfly ``(a, b) -> (a + b, a - b)`` on every
+    block pair at once, in place."""
     out = np.array(values, dtype=np.float64)
     h = 1
     while h < len(out):
-        for start in range(0, len(out), 2 * h):
-            a = out[start : start + h].copy()
-            b = out[start + h : start + 2 * h].copy()
-            out[start : start + h] = a + b
-            out[start + h : start + 2 * h] = a - b
+        pairs = out.reshape(-1, 2, h)
+        a = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(a, pairs[:, 1], out=pairs[:, 1])
         h *= 2
     return out
 
@@ -162,10 +166,11 @@ def integrated_hermite_norm(d: int, k: int, i: int, s_values=None) -> float:
     ``s_values`` lists S over {+-1}^d in binary order (bit = 1 meaning
     coordinate -1); None means S = 1.
     """
-    if not 1 <= d <= MAX_PAIR_ENUM_DIM:
+    d = check_count("d", d)
+    if d > MAX_PAIR_ENUM_DIM:
         raise ValueError(f"pair enumeration supports d <= {MAX_PAIR_ENUM_DIM}")
-    if k < 1 or i < 0:
-        raise ValueError(f"need k >= 1 and i >= 0, got k={k}, i={i}")
+    k = check_count("k", k)
+    i = check_count("i", i, low=0)
     size = 2**d
     if s_values is None:
         s_values = np.ones(size)
@@ -185,6 +190,8 @@ def integrated_hermite_inner(d: int, k: int, i: int, j: int, s_values=None) -> f
     ``rho^i * delta_ij``, so the cross expectation vanishes before any
     enumeration happens; the diagonal reduces to the norm.
     """
+    check_count("i", i, low=0)
+    check_count("j", j, low=0)
     if i != j:
         return 0.0
     return integrated_hermite_norm(d, k, i, s_values)
@@ -215,8 +222,8 @@ class LDLRInstance:
     def __post_init__(self):
         if self.problem not in ("ngca", "cca"):
             raise ValueError(f"unsupported problem {self.problem!r}")
-        if self.N < 1 or self.d < 1 or self.k < 1 or self.t < 1:
-            raise ValueError("N, d, k, t must all be >= 1")
+        for name in ("N", "d", "k", "t"):
+            check_count(name, getattr(self, name))
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) < self.t:
             raise ValueError(f"need {self.t} coefficients, got {len(coeffs)}")
@@ -305,8 +312,7 @@ def sign_coefficient(t: int) -> float:
     Zero for even t; for t = 2m + 1 the value is
     ``sqrt(2/pi) (-1)^m (2m-1)!! / sqrt((2m+1)!)``.
     """
-    if t < 0:
-        raise ValueError(f"degree must be >= 0, got {t}")
+    t = check_count("degree", t, low=0)
     if t % 2 == 0:
         return 0.0
     m = (t - 1) // 2
@@ -323,8 +329,7 @@ def sign_tail_mass(t_max: int) -> float:
     rational partial sum (scaled by 2/pi), with only float rounding in
     the final conversion.
     """
-    if t_max < 0:
-        raise ValueError(f"degree cap must be >= 0, got {t_max}")
+    check_count("degree cap", t_max, low=0)
     partial = Fraction(0)
     m = 0
     while 2 * m + 1 <= t_max:
@@ -348,8 +353,9 @@ def tpca_llr_hermite_check(
     where ``m_V = <X, V^(x)k>/d^{k/2}``; each degree i <= 5 is reported
     with its five-standard-error band.
     """
-    if mc_samples < 10_000:
-        raise ValueError(f"need at least 1e4 samples, got {mc_samples}")
+    check_count("k", k)
+    check_count("d", d)
+    check_count("mc_samples", mc_samples, low=10_000)
     rng = np.random.default_rng(seed)
     v = rng.choice([-1.0, 1.0], size=d)
     vk = outer_product((v,) * k) / math.sqrt(float(d) ** k)

@@ -67,6 +67,24 @@ def test_spec_k_and_snr_are_its_measures():
     assert spec.measure == NonGaussMeasure("mog", 4, 0.5)
 
 
+def test_specs_compare_by_value():
+    # The generated == compared the direction arrays as fields and raised
+    # numpy's ambiguous-truth ValueError.
+    v = np.array([1.0, -1.0, 1.0, 1.0])
+    m = NonGaussMeasure("mog", 4, 0.5)
+    spec = ModelSpec(problem="ngca", k=4, d=4, snr=0.5, direction=v, measure=m)
+    assert ModelSpec.ngca(d=4, measure=m, direction=v) == spec
+    assert ModelSpec.ngca(d=4, measure=m, direction=-v) != spec
+    assert ModelSpec.tpca(3, 4, 1.0, direction=v) == ModelSpec.tpca(3, 4, 1.0, direction=v.copy())
+    assert ModelSpec.tpca(2, 4, 1.0, direction=v) != ModelSpec.tpca(3, 4, 1.0, direction=v)
+    atpca = ModelSpec.atpca(2, 4, 1.0, indices=(0, 1))
+    assert atpca == ModelSpec.atpca(2, 4, 1.0, indices=(0, 1))
+    assert atpca != ModelSpec.atpca(2, 4, 1.0, indices=(0, 2))
+    assert atpca != ModelSpec(problem="atpca", k=2, d=4, snr=1.0)
+    assert atpca != ModelSpec.atpca(2, 4, 0.5, indices=(0, 1))
+    assert spec != "ngca"
+
+
 def test_measureless_ngca_specs_raise_value_errors():
     # A loaded batch carries no measure; both calls used to end in
     # AttributeError on None.

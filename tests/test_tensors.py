@@ -7,6 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.estimators import _power_inplace, gaussian_reference_constant, sphere_net
+from spikelab.harness import (
+    QuantizedIteration,
+    QuantizerSpec,
+    ResourceProfile,
+    partial_trace_template,
+    power_template,
+    reduce_memory_to_distributed,
+    shard_stream,
+)
+from spikelab.hermite import build_weighted_basis, gauss_hermite_rule, hermite_all
+from spikelab.measures import NonGaussMeasure, gaussian_moment
 from spikelab.models import ModelSpec
 from spikelab.tensors import (
     contract_batch,
@@ -16,6 +28,17 @@ from spikelab.tensors import (
     overlap,
     rank1_densify,
     set_entry_budget,
+    unit,
+)
+from spikelab.verify import (
+    LDLRInstance,
+    check_rademacher_bounds,
+    integrated_hermite_inner,
+    integrated_hermite_norm,
+    rademacher_mean_moment,
+    sign_coefficient,
+    sign_tail_mass,
+    tpca_llr_hermite_check,
 )
 
 
@@ -216,3 +239,112 @@ def test_overlap_rejects_zero_and_mismatch():
         overlap(np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         overlap(np.ones(3), np.ones(4))
+
+
+# ---------------------------------------------------------------------------
+# the count rule
+
+
+def _budget_call(value):
+    prev = set_entry_budget(value)
+    set_entry_budget(prev)
+
+
+def _quantized(d=3, n_samples=4):
+    return QuantizedIteration(power_template(2), QuantizerSpec(), d, n_samples, np.ones(3))
+
+
+_MOG = NonGaussMeasure("mog", 4, 0.5)
+_PROFILE = ResourceProfile(4, 1, _quantized().state_bits)
+
+# (entry point, call with the count in its slot, lowest accepted value, a
+# valid value).  Every count and degree goes through ``check_count``.
+COUNT_SLOTS = [
+    ("hermite_all", lambda v: hermite_all(v, 0.5), 0, 2),
+    ("gauss_hermite_rule", gauss_hermite_rule, 1, 2),
+    ("build_weighted_basis", build_weighted_basis, 1, 2),
+    ("WeightedOrthoBasis.eval", lambda v: build_weighted_basis(3).eval(v, 0.5), 0, 2),
+    ("hermite_coefficient", _MOG.hermite_coefficient, 0, 2),
+    ("moment", _MOG.moment, 0, 2),
+    ("sample", lambda v: _MOG.sample(v, np.random.default_rng(0)), 0, 2),
+    ("gaussian_moment", gaussian_moment, 0, 2),
+    ("rademacher_mean_moment d", lambda v: rademacher_mean_moment(v, 2), 1, 2),
+    ("rademacher_mean_moment t", lambda v: rademacher_mean_moment(4, v), 0, 2),
+    ("rademacher_mean_moment marked", lambda v: rademacher_mean_moment(4, 2, (v,)), 0, 2),
+    ("check_rademacher_bounds d", lambda v: check_rademacher_bounds(v, 2), 3, 4),
+    ("check_rademacher_bounds t_max", lambda v: check_rademacher_bounds(4, v), 1, 2),
+    ("integrated_hermite_norm d", lambda v: integrated_hermite_norm(v, 2, 1), 1, 2),
+    ("integrated_hermite_norm k", lambda v: integrated_hermite_norm(4, v, 1), 1, 2),
+    ("integrated_hermite_norm i", lambda v: integrated_hermite_norm(4, 2, v), 0, 2),
+    ("integrated_hermite_inner i", lambda v: integrated_hermite_inner(4, 2, v, 1), 0, 2),
+    ("integrated_hermite_inner j", lambda v: integrated_hermite_inner(4, 2, 1, v), 0, 2),
+    *[
+        (
+            f"LDLRInstance {name}",
+            lambda v, name=name: LDLRInstance(
+                **{"problem": "ngca", "N": 2, "d": 4, "k": 2, "t": 2, name: v},
+                coeffs=(0.1,) * 4,
+            ),
+            1,
+            2,
+        )
+        for name in ("N", "d", "k", "t")
+    ],
+    ("sign_coefficient", sign_coefficient, 0, 2),
+    ("sign_tail_mass", sign_tail_mass, 0, 2),
+    ("tpca_llr_hermite_check k", lambda v: tpca_llr_hermite_check(v, 2, 0.5, 10_000, 0), 1, 2),
+    ("tpca_llr_hermite_check d", lambda v: tpca_llr_hermite_check(2, v, 0.5, 10_000, 0), 1, 2),
+    (
+        "tpca_llr_hermite_check mc_samples",
+        lambda v: tpca_llr_hermite_check(2, 2, 0.5, v, 0),
+        10_000,
+        10_000,
+    ),
+    ("set_entry_budget", _budget_call, 1, 2),
+    ("outer_power", lambda v: outer_power(np.ones(2), v), 1, 2),
+    ("ModelSpec.cca k", lambda v: ModelSpec.cca(v, 3, 0.1), 2, 2),
+    ("_power_inplace", lambda v: _power_inplace(np.ones(2), v), 1, 2),
+    ("gaussian_reference_constant k", lambda v: gaussian_reference_constant(v, 3), 2, 2),
+    ("gaussian_reference_constant d", lambda v: gaussian_reference_constant(4, v), 1, 2),
+    ("sphere_net d", lambda v: sphere_net(v, 0.5), 1, 2),
+    ("shard_stream", lambda v: shard_stream(np.zeros((4, 2)), v), 1, 2),
+    (
+        "reduce_memory_to_distributed n",
+        lambda v: reduce_memory_to_distributed(_quantized(), _PROFILE, v),
+        1,
+        2,
+    ),
+    ("power_template k", power_template, 2, 2),
+    ("partial_trace_template k", lambda v: partial_trace_template(v, 3), 2, 2),
+    ("partial_trace_template d", lambda v: partial_trace_template(2, v), 1, 2),
+    ("QuantizedIteration d", lambda v: _quantized(d=v), 1, 3),
+    ("QuantizedIteration n_samples", lambda v: _quantized(n_samples=v), 1, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "call, low, good", [c[1:] for c in COUNT_SLOTS], ids=[c[0] for c in COUNT_SLOTS]
+)
+def test_every_count_slot_follows_the_count_rule(call, low, good):
+    call(np.int64(good))  # numpy integers count; memos are warm from here on
+    for bad in (True, float(good), np.float64(good), low - 1):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+
+
+def test_rejected_entry_budget_leaves_the_budget():
+    before = entry_budget()
+    for bad in (2.5, True, 0):
+        with pytest.raises(ValueError):
+            set_entry_budget(bad)
+        assert entry_budget() == before
+
+
+def test_unit_divides_by_the_norm_and_rejects_a_collapse():
+    u = np.array([3.0, -4.0, 1e-3])
+    direction, nrm = unit(u)
+    assert nrm == float(np.linalg.norm(u))
+    assert direction.tobytes() == (u / nrm).tobytes()
+    for bad in (np.zeros(3), np.array([np.inf, 0.0]), np.array([np.nan, 1.0])):
+        with pytest.raises(RuntimeError, match="collapsed"):
+            unit(bad)

@@ -66,6 +66,16 @@ def test_moment_matches_direct_enumeration():
             assert rademacher_mean_moment(d, t, marked) == naive_moment(d, t, marked)
 
 
+def test_numpy_integer_orders_give_the_python_integer_values():
+    # numpy integers ran the exact arithmetic in int64: at d = 20, t = 30
+    # it overflowed to a zero denominator, and check_rademacher_bounds
+    # raised on d ** -1.
+    assert rademacher_mean_moment(np.int64(20), np.int64(30), (np.int64(1),)) == (
+        rademacher_mean_moment(20, 30, (1,))
+    )
+    assert check_rademacher_bounds(np.int64(6), np.int64(4)) == check_rademacher_bounds(6, 4)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_moment_depends_only_on_marked_count(data):
