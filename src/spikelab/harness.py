@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from spikelab.estimators import EstimateReport
-from spikelab.tensors import check_count, check_finite, contract_batch, outer_power, unit
+from spikelab.tensors import (
+    check_count,
+    check_entry_budget,
+    check_finite,
+    contract_batch,
+    outer_power,
+    unit,
+)
 
 
 @dataclass(frozen=True)
@@ -143,6 +150,10 @@ def run_memory_bounded(
 # between 160 (16 us each) and 192.
 _SNAP_ARRAY_MIN = 160
 
+# 2^0 .. 2^52, the weights ``QuantizerSpec.decode`` gives a code's bits.
+_BIT_WEIGHTS = 2.0 ** np.arange(53)
+_BIT_WEIGHTS.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class QuantizerSpec:
@@ -212,7 +223,7 @@ class QuantizerSpec:
         start = np.asarray(start, dtype=np.float64)
         steps = np.asarray(steps, dtype=np.float64)
         if steps.size < _SNAP_ARRAY_MIN:
-            return np.array(self._snap_loop(start.tolist(), steps.T.tolist()))
+            return np.array(self._snap_loop(start.tolist(), steps.T.tolist())[0])
         step, radius = self.step, self.radius
         # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
         # the check catches that row, so the warning would say nothing.
@@ -229,22 +240,38 @@ class QuantizerSpec:
             out[columns] = self._snap_loop(
                 check[first, columns].tolist(),
                 [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
-            )
+            )[0]
         return out
 
-    def _snap_loop(self, starts: list, columns: list) -> list:
+    def _last_levels(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """``_levels(snap_sum(start, steps[:-1]) + steps[-1])``, the levels of
+        ``snap_sum(start, steps)``, for float64 arrays and one row or more.
+
+        A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates takes the
+        levels ``_snap_loop`` computed at its last step; a longer one snaps
+        all rows but the last with ``snap_sum`` and levels the last.
+        """
+        if steps.size < _SNAP_ARRAY_MIN:
+            return np.array(self._snap_loop(start.tolist(), steps.T.tolist())[1])
+        return self._levels(self.snap_sum(start, steps[:-1]) + steps[-1])
+
+    def _snap_loop(self, starts: list, columns: list) -> tuple[list, list]:
         """The ``snap`` loop on Python floats, each start down its column.
 
-        The same IEEE operations in the same order as ``snap``, one
-        coordinate at a time.  Below 2^52, adding and subtracting 2^52
+        Returns each column's last value and the level its last step
+        computed (NaN for a column with no steps), the value being
+        ``level * step - radius``.  The same IEEE operations in the same
+        order as ``snap``, one coordinate at a time, so each level is
+        what ``_levels`` gives.  Below 2^52, adding and subtracting 2^52
         rounds half to even as ``np.rint`` does; from 2^52 up every float
         is an integer.  NaN passes through every step, as it does
         through ``snap``.
         """
         radius, low, step = float(self.radius), -float(self.radius), self.step
         top, big = 2.0**self.bits - 1.0, 2.0**52
-        out = []
+        values, levels = [], []
         for value, column in zip(starts, columns):
+            level = math.nan
             for w in column:
                 value += w
                 if value > radius:
@@ -257,20 +284,30 @@ class QuantizerSpec:
                 if level > top:
                     level = top
                 value = level * step - radius
-            out.append(value)
-        return out
+            values.append(value)
+            levels.append(level)
+        return values, levels
 
     def encode(self, values: np.ndarray) -> np.ndarray:
-        """Little-endian bit codes, ``bits`` per coordinate, flattened."""
-        levels = self._levels(np.asarray(values, dtype=np.float64).reshape(-1))
+        """Little-endian bit codes, ``bits`` per coordinate, flattened.
+
+        ``_code(_levels(values))``; ``QuantizedIteration.update_block``
+        codes the levels of its partial sum with ``_code`` directly.
+        """
+        return self._code(self._levels(np.asarray(values, dtype=np.float64).reshape(-1)))
+
+    def _code(self, levels: np.ndarray) -> np.ndarray:
         octets = levels.astype("<u8").view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1, count=self.bits, bitorder="little").reshape(-1)
 
     def decode(self, bits: np.ndarray, count: int) -> np.ndarray:
-        """The ``count`` lattice values of little-endian ``encode`` codes."""
-        padded = np.zeros((count, 64), dtype=np.uint8)
-        padded[:, : self.bits] = np.reshape(bits, (count, self.bits))
-        levels = np.packbits(padded, bitorder="little").view("<u8")
+        """The ``count`` lattice values of little-endian ``encode`` codes.
+
+        Each level is its 0/1 bits times ascending powers of two, summed
+        in float64: every partial sum is a sum of distinct powers of two
+        below 2^53, so it is exact in any order.
+        """
+        levels = np.reshape(bits, (count, self.bits)) @ _BIT_WEIGHTS[: self.bits]
         return levels * self.step - self.radius
 
 
@@ -294,18 +331,21 @@ def partial_trace_template(k: int, d: int):
     Contracting an order-k sample against this template yields one
     matrix-vector product with the transposed pair-contracted tensor, so
     the wrapped iteration walks the same iterates as the direct spectral
-    method.
+    method.  The order and the entry budget of ``d^(k-1)`` are checked
+    here, once.  Each pair is one ``multiply.outer``, which makes every
+    entry by the one multiply ``np.kron`` makes.
     """
     check_count("k", k, low=2)
     check_count("d", d)
     if k % 2 != 0:
         raise ValueError(f"partial-trace template needs even k, got {k}")
+    check_entry_budget(d ** (k - 1), "partial-trace template")
     eye_flat = np.eye(d).reshape(-1)
 
     def psi(u: np.ndarray) -> np.ndarray:
         out = unit(u)[0]
         for _ in range(k // 2 - 1):
-            out = np.kron(eye_flat, out)
+            out = np.multiply.outer(eye_flat, out).reshape(-1)
         return out
 
     return psi
@@ -358,11 +398,8 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         self.start_code.flags.writeable = False
 
     def _next_state(self, head, tail):
-        state = np.empty(self.state_bits, dtype=np.uint8)
-        half = self.state_bits // 2
-        state[:half] = head
-        state[half:] = tail
-        return state
+        # Cast as assigning into a uint8 array would.
+        return np.concatenate([head, tail], dtype=np.uint8, casting="unsafe")
 
     def update(self, state, t, i, x):
         q, d = self.quantizer, self.d
@@ -384,8 +421,10 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         once, ``psi`` is built once, and all rows are contracted by one
         stacked matmul, whose row j equals the single-row
         ``contract_batch`` of ``update``.  Only the partial sum is
-        accumulated row by row, on lattice values
-        (``QuantizerSpec.snap_sum``), and encoded once at the end.
+        accumulated row by row, on lattice values, and coded once at the
+        end from the levels of its last row
+        (``QuantizerSpec._last_levels``), which are the levels
+        ``encode`` finds for it.
         """
         q, d, n = self.quantizer, self.d, self.n_samples
         rows = np.asarray(rows, dtype=np.float64)
@@ -397,7 +436,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             state = self.start_code
         values = q.decode(state, 2 * d)
         w = (self.psi(values[:d]) @ rows.reshape(len(rows), -1, d)) / n
-        partial_bits = q.encode(q.snap_sum(values[d:], w[:-1]) + w[-1])
+        partial_bits = q._code(q._last_levels(values[d:], w))
         if i0 + len(rows) == n:
             # Pass boundary, as in ``update``.
             return self._next_state(partial_bits, self.reset_code)
@@ -491,14 +530,19 @@ class Blackboard:
 
         Fails at the first round whose replayed writer is not a machine
         index in ``[0, m)`` (a bool is not one) or is not the logged one.
+        A writer whose type is exactly ``int`` is checked inline.
         """
         bits = self.bits.view()
         bits.flags.writeable = False
         writers = self.writers.tolist()
         select_writer = protocol.select_writer
+        m = self.m
         for t in range(len(bits)):
             writer = select_writer(t, bits[:t])
-            if not _is_writer(writer, self.m) or writer != writers[t]:
+            if type(writer) is int:
+                if not (0 <= writer < m and writer == writers[t]):
+                    return False
+            elif not _is_writer(writer, m) or writer != writers[t]:
                 return False
         return True
 
@@ -539,9 +583,10 @@ def _bit_block(values, t: int) -> np.ndarray:
     block = np.asarray(values)
     if block.ndim != 1 or block.size == 0:
         raise ValueError(f"protocol wrote a block of shape {block.shape} at round {t}")
-    if block.dtype.kind not in "uib":
+    kind = block.dtype.kind
+    if kind not in "uib":
         raise ValueError(f"protocol wrote non-bit values of dtype {block.dtype} at round {t}")
-    if block.min() >= 0 and block.max() <= 1:
+    if (kind != "i" or block.min() >= 0) and block.max() <= 1:
         return block
     j = int(np.flatnonzero((block != 0) & (block != 1))[0])
     raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
@@ -563,7 +608,10 @@ def run_distributed(
     rounds past it are written again by the blocks that follow.  Shards
     must be finite.  Writers and bits are validated before any cast or
     comparison, and every bit counts against its writer's budget b.
-    Protocols get the transcript read-only.
+    A later-writers block that is an integer ndarray of the right shape
+    holding only the block's writer is accepted by one comparison, since
+    that writer is already checked; any other value is checked entry by
+    entry.  Protocols get the transcript read-only.
     """
     t0 = time.perf_counter()
     if len(shards) != m:
@@ -592,8 +640,16 @@ def run_distributed(
         stop = t + 1
         if end > stop:
             later = protocol.select_writers(stop, end, transcript[:end])
-            same = _writer_block(later, stop, end, m) == writer
-            stop = end if same.all() else stop + int(same.argmin())
+            if (
+                isinstance(later, np.ndarray)
+                and later.dtype.kind in "ui"
+                and later.shape == (end - stop,)
+                and (later == writer).all()
+            ):
+                stop = end
+            else:
+                same = _writer_block(later, stop, end, m) == writer
+                stop = end if same.all() else stop + int(same.argmin())
         written[writer] += stop - t
         if written[writer] > b:
             raise RuntimeError(
@@ -643,6 +699,12 @@ class _StateHandoffProtocol(BlackboardProtocol):
         return (round_index // self.s) % self.m
 
     def select_writers(self, start, stop, transcript):
+        """The turn owners of rounds ``start .. stop - 1``: one ``np.full``
+        when the range lies inside one turn, as it does for every block
+        ``run_distributed`` asks about."""
+        turn = start // self.s
+        if stop <= (turn + 1) * self.s:
+            return np.full(stop - start, turn % self.m)
         return (np.arange(start, stop) // self.s) % self.m
 
     def next_bits(self, shard, round_index, transcript):

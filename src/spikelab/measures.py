@@ -224,6 +224,7 @@ def rejection_sample(n: int, propose, row_shape=()) -> tuple[np.ndarray, int]:
     returns the accepted ones, shaped ``(accepted, *row_shape)``; more
     than ``MAX_PROPOSALS_PER_DRAW * n`` proposals raise ``RuntimeError``.
     """
+    check_count("n", n, low=0)
     out = np.empty((n, *row_shape))
     filled = 0
     proposed = 0

@@ -213,6 +213,7 @@ class SampleBatch:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_count("seed", self.seed, low=0)
         data = _sealed(self.data)
         if data.ndim != 2 or data.shape[1] != self.spec.row_length:
             raise ValueError(
@@ -245,7 +246,7 @@ class SampleBatch:
 def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     check_count("n", n)
     check_entry_budget(n * spec.row_length, f"{spec.problem} batch")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
     data = rng.standard_normal((n, spec.row_length))
     data += rank1_densify(spec.factors, spec.snr)
     data.flags.writeable = False
@@ -276,7 +277,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
         raise ValueError("ngca spec has no measure to sample from")
     check_count("n", n)
     check_entry_budget(n * spec.d, "ngca batch")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
     eta = spec.measure.sample(n, rng)
     z = rng.standard_normal((n, spec.d))
     v = spec.direction
@@ -297,7 +298,7 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     check_entry_budget(n * spec.row_length, "cca batch")
     rate = spec.snr / cca_critical_snr(spec.k)
     factors = np.stack(spec.factors)  # (k, d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
 
     def propose(chunk):
         x = rng.standard_normal((chunk, spec.k, spec.d))
@@ -335,7 +336,7 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
             "measure density ratio is not odd around 1; the relabeling "
             "would distort the feature marginal"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
     r = rng.integers(0, 2, size=batch.n).astype(np.float64)
     features = (2.0 * r - 1.0)[:, None] * batch.data
     glm_spec = ModelSpec(
@@ -369,7 +370,7 @@ def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
             raise ValueError("parity relabeling needs coordinate factors")
         subset.append(view * spec.d + int(nonzero[0]))
     rate = spec.snr / cca_critical_snr(spec.k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
     r = rng.integers(0, 2, size=batch.n).astype(np.float64)
     features = (2.0 * r - 1.0)[:, None] * batch.data
     parity_spec = ModelSpec(

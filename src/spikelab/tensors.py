@@ -65,9 +65,12 @@ def unit(u: np.ndarray) -> tuple[np.ndarray, float]:
     """``(u / ||u||, ||u||)``; a zero or non-finite norm raises ``RuntimeError``.
 
     The one collapse check of the iterative extractors and the streaming
-    templates: an iterate that reaches zero has lost its direction.
+    templates: an iterate that reaches zero has lost its direction.  The
+    norm is ``sqrt(flat @ flat)`` over ``u.ravel(order="K")``, the sum
+    ``np.linalg.norm`` runs for a float64 ``u``.
     """
-    nrm = float(np.linalg.norm(u))
+    flat = u.ravel(order="K")
+    nrm = math.sqrt(flat @ flat)
     if nrm == 0.0 or not math.isfinite(nrm):
         raise RuntimeError("iterate collapsed to numerical zero")
     return u / nrm, nrm

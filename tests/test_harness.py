@@ -395,6 +395,53 @@ def test_snap_sum_overflowing_guess_is_silent():
         assert got.tobytes() == snap_loop(q, np.zeros(4), steps).tobytes()
 
 
+@st.composite
+def last_level_cases(draw):
+    """A ``snap_sum_cases`` block of at least one row, its start NaN in
+    one coordinate in about a quarter of the draws."""
+    q, start, steps = draw(snap_sum_cases().filter(lambda case: len(case[2]) > 0))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        start = start.copy()
+        start[draw(st.integers(min_value=0, max_value=len(start) - 1))] = np.nan
+    return q, start, steps
+
+
+def one_row(nan_start):
+    """One row on the ``lattice_block`` codec: an even step, a tie, a
+    clamp past each end, and the start NaN in coordinate 1 if asked."""
+    q = QuantizerSpec(bits=8, radius=255 / 8)
+    start = np.full(4, 129 * q.step - q.radius)
+    if nan_start:
+        start[1] = np.nan
+    return q, start, np.array([[0.5, q.step / 2, 40.0, -80.0]])
+
+
+def nan_block():
+    q, start, steps = lattice_block()
+    start[1] = np.nan
+    return q, start, steps
+
+
+@given(last_level_cases())
+@example(lattice_block())  # array path, every guess right
+@example(nan_block())
+@example(one_row(nan_start=False))
+@example(one_row(nan_start=True))
+@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2), np.array([[5.0, 0.7]])))  # clamp
+@example((QuantizerSpec(bits=4, radius=7.5), np.zeros(2), np.array([[0.5, -0.5]])))  # ties
+@settings(max_examples=300, deadline=None)
+def test_last_levels_equal_the_levels_of_the_snapped_sum(case):
+    # Both sides of _SNAP_ARRAY_MIN: the short path's levels come from
+    # the scalar loop, the long path's from _levels.
+    q, start, steps = case
+    got = q._last_levels(start, steps)
+    expected = q._levels(q.snap_sum(start, steps[:-1]) + steps[-1])
+    assert got.dtype == np.float64
+    assert got.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
+    reference = q._levels(snap_loop(q, start, steps[:-1]) + steps[-1])
+    assert got.view(np.int64).tobytes() == reference.view(np.int64).tobytes()
+
+
 def shift_mask_encode(q, values):
     """The shift-and-mask encoder the packed codec replaced, as a reference."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -845,20 +892,33 @@ class _Wide(MemoryBoundedAlgorithm):
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=3),
+    st.sampled_from(["any", "inside", "across"]),
     st.data(),
 )
-@settings(max_examples=100, deadline=None)
-def test_handoff_select_writers_equals_per_round_reference(s, m, passes, data):
+@settings(max_examples=200, deadline=None)
+def test_handoff_select_writers_equals_per_round_reference(s, m, passes, span, data):
     protocol, m, _, b = reduce_memory_to_distributed(
         _Wide(s), ResourceProfile(m * 2, passes, s), 2
     )
-    start = data.draw(st.integers(min_value=0, max_value=m * b))
-    stop = data.draw(st.integers(min_value=start, max_value=m * b))
+    turns = m * passes
+    if span == "inside" or (span == "across" and turns == 1):
+        # A range within one turn, empty ones included.
+        turn = data.draw(st.integers(min_value=0, max_value=turns - 1))
+        start = data.draw(st.integers(min_value=turn * s, max_value=(turn + 1) * s))
+        stop = data.draw(st.integers(min_value=start, max_value=(turn + 1) * s))
+    elif span == "across":
+        # A range across at least one turn boundary.
+        boundary = data.draw(st.integers(min_value=1, max_value=turns - 1)) * s
+        start = data.draw(st.integers(min_value=0, max_value=boundary - 1))
+        stop = data.draw(st.integers(min_value=boundary + 1, max_value=m * b))
+    else:
+        start = data.draw(st.integers(min_value=0, max_value=m * b))
+        stop = data.draw(st.integers(min_value=start, max_value=m * b))
     transcript = np.zeros(stop, dtype=np.uint8)
     fast = protocol.select_writers(start, stop, transcript)
     reference = BlackboardProtocol.select_writers(protocol, start, stop, transcript)
-    assert fast.dtype.kind == "i"
-    np.testing.assert_array_equal(fast, np.array(reference, dtype=np.int64))
+    assert fast.dtype == np.int64
+    assert fast.view(np.int64).tobytes() == np.array(reference, dtype=np.int64).tobytes()
 
 
 def test_audit_rejects_a_board_from_lying_select_writers():
@@ -949,6 +1009,42 @@ def test_distributed_validates_select_writers(writers, match):
     protocol, m, n, b = reduce_memory_to_distributed(algo, ResourceProfile(16, 1, 8), 4)
     protocol.select_writers = lambda start, stop, transcript: writers(start, stop)
     with pytest.raises(ValueError, match=match):
+        run_distributed(protocol, shard_stream(data, n), m, n, b)
+
+
+@given(
+    st.sampled_from(["bool array", "list holding True", "m", "-1"]),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=1, max_value=7),
+)
+@settings(max_examples=100, deadline=None)
+def test_distributed_names_the_round_of_a_bad_later_writer(bad, turn, offset):
+    # Four machines of one eight-bit turn each: the block of turn q starts
+    # at round 8q, and select_writers answers for its rounds 8q+1..8q+7.
+    # The planted round's block is otherwise honest, so all but one entry
+    # equal the block's writer.
+    data = np.random.default_rng(34).standard_normal((16, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(ByteCounter(), ResourceProfile(16, 1, 8), 4)
+    honest = protocol.select_writers
+    planted = 8 * turn + offset
+
+    def select_writers(start, stop, transcript):
+        writers = honest(start, stop, transcript)
+        if not start <= planted < stop:
+            return writers
+        if bad == "bool array":
+            # Every entry is a bool, so the first is named.
+            return writers.astype(bool)
+        if bad == "list holding True":
+            writers = writers.tolist()
+            writers[planted - start] = True
+            return writers
+        writers[planted - start] = m if bad == "m" else -1
+        return writers
+
+    protocol.select_writers = select_writers
+    named = 8 * turn + 1 if bad == "bool array" else planted
+    with pytest.raises(ValueError, match=f"at round {named} is not a machine index"):
         run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 

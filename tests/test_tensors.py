@@ -18,8 +18,8 @@ from spikelab.harness import (
     shard_stream,
 )
 from spikelab.hermite import build_weighted_basis, gauss_hermite_rule, hermite_all
-from spikelab.measures import NonGaussMeasure, gaussian_moment
-from spikelab.models import ModelSpec
+from spikelab.measures import NonGaussMeasure, gaussian_moment, rejection_sample
+from spikelab.models import ModelSpec, SampleBatch, sample_cca, sample_ngca, sample_tpca
 from spikelab.tensors import (
     contract_batch,
     entry_budget,
@@ -256,6 +256,7 @@ def _quantized(d=3, n_samples=4):
 
 _MOG = NonGaussMeasure("mog", 4, 0.5)
 _PROFILE = ResourceProfile(4, 1, _quantized().state_bits)
+_TPCA = ModelSpec.tpca(2, 2, 1.0)
 
 # (entry point, call with the count in its slot, lowest accepted value, a
 # valid value).  Every count and degree goes through ``check_count``.
@@ -319,6 +320,11 @@ COUNT_SLOTS = [
     ("partial_trace_template d", lambda v: partial_trace_template(2, v), 1, 2),
     ("QuantizedIteration d", lambda v: _quantized(d=v), 1, 3),
     ("QuantizedIteration n_samples", lambda v: _quantized(n_samples=v), 1, 2),
+    ("SampleBatch seed", lambda v: SampleBatch(_TPCA, np.zeros((1, 4)), v), 0, 2),
+    ("sample_tpca seed", lambda v: sample_tpca(_TPCA, 2, v), 0, 2),
+    ("sample_ngca seed", lambda v: sample_ngca(ModelSpec.ngca(3, _MOG), 2, v), 0, 2),
+    ("sample_cca seed", lambda v: sample_cca(ModelSpec.cca(2, 3, 0.1), 2, v), 0, 2),
+    ("rejection_sample n", lambda v: rejection_sample(v, np.zeros), 0, 2),
 ]
 
 
