@@ -30,13 +30,7 @@ from spikelab.config import ExperimentConfig, iteration_seed, noise_seed, parse_
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import replay, run_memory_bounded, streaming_run
 from spikelab.measures import NonGaussMeasure
-from spikelab.models import (
-    ModelSpec,
-    sample_atpca,
-    sample_cca,
-    sample_ngca,
-    sample_tpca,
-)
+from spikelab.models import SAMPLERS, ModelSpec
 from spikelab.tensors import check_count, overlap, set_entry_budget
 from spikelab.verify import SUITES, CheckResult, replay_checks, run_verification
 
@@ -60,13 +54,6 @@ CSV_COLUMNS = (
     "cost",
 )
 
-_SAMPLERS = {
-    "tpca": sample_tpca,
-    "atpca": sample_atpca,
-    "ngca": sample_ngca,
-    "cca": sample_cca,
-}
-
 
 # ---------------------------------------------------------------------------
 # sweep
@@ -80,7 +67,7 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
         spec = ModelSpec.ngca(d=cfg.d, measure=measure, seed=seed)
     else:
         spec = getattr(ModelSpec, cfg.problem)(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
-    return spec, _SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
+    return spec, SAMPLERS[cfg.problem](spec, n_samples, noise_seed(seed))
 
 
 def run_plain(cfg: ExperimentConfig, batch, seed: int):

@@ -16,9 +16,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
 from spikelab.measures import KINDS
+from spikelab.models import SAMPLERS
 from spikelab.tensors import check_count
-
-_PROBLEMS = ("tpca", "atpca", "ngca", "cca")
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.problem not in _PROBLEMS:
+        if self.problem not in SAMPLERS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.estimator not in ESTIMATOR_SCOPES:
             raise ValueError(f"unknown estimator {self.estimator!r}")

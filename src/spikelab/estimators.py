@@ -65,6 +65,7 @@ class PowerMethodConfig:
     def __post_init__(self):
         if self.max_iters is not None:
             check_count("max_iters", self.max_iters)
+        check_count("seed", self.seed, low=0)
         tol = self.tol
         if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
             raise ValueError(f"tolerance must be a positive real number, got {tol!r}")
@@ -74,7 +75,10 @@ def default_power_iters(d: int) -> int:
     return max(1, math.ceil(10.0 * math.log(max(d, 2))))
 
 
-def _start_vector(cfg: PowerMethodConfig, dim: int) -> np.ndarray:
+def start_vector(cfg: PowerMethodConfig, dim: int) -> np.ndarray:
+    """``cfg.init``, or a standard normal draw from ``cfg.seed``, divided by
+    its norm; ``ValueError`` unless it is a ``dim``-vector with a nonzero,
+    finite norm."""
     if cfg.init is not None:
         u = np.asarray(cfg.init, dtype=np.float64).reshape(-1)
         if u.shape != (dim,):
@@ -120,7 +124,7 @@ def power_iteration(matvec, dim: int, cfg: PowerMethodConfig):
         ray = float(u @ w)
         return unit(w)[0], ray, None
 
-    u, ray, _, steps, converged = _iterate(step, _start_vector(cfg, dim), cfg, dim)
+    u, ray, _, steps, converged = _iterate(step, start_vector(cfg, dim), cfg, dim)
     return u, ray, steps, converged
 
 
@@ -143,7 +147,7 @@ def rank1_svd(mat: np.ndarray, cfg: PowerMethodConfig):
         return u, sigma, v
 
     u, sigma, v, steps, converged = _iterate(
-        step, _start_vector(cfg, mat.shape[0]), cfg, max(mat.shape)
+        step, start_vector(cfg, mat.shape[0]), cfg, max(mat.shape)
     )
     return sigma, u, v, steps, converged
 
@@ -388,7 +392,8 @@ class BruteForceConfig:
     """Net resolution and truncation level for the exhaustive searches.
 
     ``probes`` (coverage probes per net draw) and ``max_net`` (net size
-    budget) are integers >= 1, so the coverage check always runs.
+    budget) are integers >= 1, so the coverage check always runs, and
+    ``seed`` is an integer >= 0.
     """
 
     OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float, "probes": int, "max_net": int}
@@ -404,6 +409,7 @@ class BruteForceConfig:
             raise ValueError(f"delta must be in (0, 2], got {self.delta}")
         if not self.trunc > 0:
             raise ValueError(f"truncation level must be positive, got {self.trunc}")
+        check_count("seed", self.seed, low=0)
         check_count("probes", self.probes)
         check_count("max_net", self.max_net)
 
@@ -430,14 +436,16 @@ def sphere_net(
     and with it every net, is the one a full scan gives: a round passes
     exactly when each chunk does, because the distance
     ``sqrt(max(2 - 2 dot, 0))`` does not increase with the dot.
-    ``probes`` and ``max_points`` must be integers >= 1; for d >= 2 a
-    net that would outgrow ``max_points`` raises ``RuntimeError``.
+    ``probes`` and ``max_points`` must be integers >= 1 and ``seed`` one
+    >= 0; for d >= 2 a net that would outgrow ``max_points`` raises
+    ``RuntimeError``.
     """
     check_count("d", d)
     if d > 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
+    check_count("seed", seed, low=0)
     check_count("probes", probes)
     check_count("max_points", max_points)
     if d == 1:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spikelab.estimators import EstimateReport
+from spikelab.estimators import EstimateReport, PowerMethodConfig, start_vector
 from spikelab.tensors import (
     check_count,
     check_entry_budget,
@@ -143,7 +143,7 @@ def run_memory_bounded(
 # ---------------------------------------------------------------------------
 # quantization
 
-# Row-coordinates from which ``QuantizerSpec.snap_sum`` guesses a block
+# Row-coordinates from which ``QuantizerSpec._snap_block`` guesses a block
 # with array calls instead of running its scalar loop.  Measured on one
 # x86-64 core: the array path costs ~16 us up to a few hundred
 # row-coordinates, the loop ~0.1 us per row-coordinate; they cross
@@ -197,63 +197,63 @@ class QuantizerSpec:
         return self._levels(values) * self.step - self.radius
 
     def snap_sum(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """``snap(..snap(snap(start + steps[0]) + steps[1]).. + steps[-1])``.
+        """``snap(..snap(snap(start + steps[0]) + steps[1]).. + steps[-1])``,
+        bit for bit (``start`` itself for no rows): the values half of
+        ``_snap_block``."""
+        start = np.asarray(start, dtype=np.float64)
+        return np.asarray(self._snap_block(start, np.asarray(steps, dtype=np.float64))[0])
 
-        Bit-identical to that ``snap`` loop (``start`` itself for no
-        rows).  A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates
-        runs the scalar loop ``_snap_loop``.  A longer one is guessed,
-        checked and mended:
+    def _snap_block(self, start: np.ndarray, steps: np.ndarray) -> tuple:
+        """``(values, levels)`` of the last row of ``snap_sum``'s ``snap``
+        loop, for float64 ``start`` and ``steps``: lists of floats from the
+        loop, array rows from the array path, so a caller converts only
+        the half it uses.  The values are ``levels * step - radius``; for
+        no rows they are ``start`` and the levels are NaN.
 
-        - guess: the level of ``start`` plus the running sum of
-          ``rint(steps / step)``, mapped back to ``level * step - radius``;
-        - check: one ``snap(prev + steps)``, where ``prev`` is ``start``
-          followed by every guessed row but the last, compared with the
-          guess bit for bit (an int64 view, so a NaN or a signed zero
-          must match exactly);
-        - mend: each coordinate that differs resumes ``_snap_loop`` from
-          its checked value at its first difference.
+        A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates runs the
+        scalar loop ``_snap_loop``.  A longer one is guessed, checked and
+        mended:
+
+        - guess: rows 0 .. n - 2 only, the level of ``start`` plus the
+          running sum of ``rint(steps / step)``, mapped back to
+          ``level * step - radius``;
+        - check: one ``_levels(prev + steps)`` over all n rows, where
+          ``prev`` is ``start`` followed by the guessed rows, compared
+          with the guess bit for bit (an int64 view, so a NaN or a signed
+          zero must match exactly); its last row gives the result;
+        - mend: each coordinate whose guess differs resumes ``_snap_loop``
+          from its checked value at its first difference, which lies
+          before the last row, so the loop has a step to take.
 
         The check is exact by induction: ``snap`` of the true row j - 1
         plus ``steps[j]`` is the true row j, so along each coordinate
         every guessed row before the first difference is true, and so is
-        the checked value at it.  A clamp or a rounding tie the guess
+        the checked value at it; a coordinate with no difference has its
+        last checked row true.  A clamp or a rounding tie the guess
         misses costs its coordinate one fallback, so the worst case is
         one array pass on top of the scalar loop.
         """
-        start = np.asarray(start, dtype=np.float64)
-        steps = np.asarray(steps, dtype=np.float64)
         if steps.size < _SNAP_ARRAY_MIN:
-            return np.array(self._snap_loop(start.tolist(), steps.T.tolist())[0])
+            return self._snap_loop(start.tolist(), steps.T.tolist())
         step, radius = self.step, self.radius
         # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
         # the check catches that row, so the warning would say nothing.
         with np.errstate(all="ignore"):
-            levels = np.rint(steps / step)
-            levels[0] += np.rint((start + radius) / step)
+            levels = np.rint(steps[:-1] / step)
+            levels[:1] += np.rint((start + radius) / step)
             guess = np.cumsum(levels, axis=0) * step - radius
-            check = self.snap(np.concatenate([start[None], guess[:-1]]) + steps)
-        wrong = guess.view(np.int64) != check.view(np.int64)
-        out = guess[-1]
+            checked = self._levels(np.concatenate([start[None], guess]) + steps)
+        check = checked * step - radius
+        wrong = guess.view(np.int64) != check[:-1].view(np.int64)
+        values, levels = check[-1], checked[-1]
         columns = np.flatnonzero(wrong.any(axis=0))
         if columns.size:
             first = wrong[:, columns].argmax(axis=0)
-            out[columns] = self._snap_loop(
+            values[columns], levels[columns] = self._snap_loop(
                 check[first, columns].tolist(),
                 [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
-            )[0]
-        return out
-
-    def _last_levels(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """``_levels(snap_sum(start, steps[:-1]) + steps[-1])``, the levels of
-        ``snap_sum(start, steps)``, for float64 arrays and one row or more.
-
-        A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates takes the
-        levels ``_snap_loop`` computed at its last step; a longer one snaps
-        all rows but the last with ``snap_sum`` and levels the last.
-        """
-        if steps.size < _SNAP_ARRAY_MIN:
-            return np.array(self._snap_loop(start.tolist(), steps.T.tolist())[1])
-        return self._levels(self.snap_sum(start, steps[:-1]) + steps[-1])
+            )
+        return values, levels
 
     def _snap_loop(self, starts: list, columns: list) -> tuple[list, list]:
         """The ``snap`` loop on Python floats, each start down its column.
@@ -382,10 +382,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         self.quantizer = quantizer
         self.d = d
         self.n_samples = n_samples
-        init = np.asarray(init, dtype=np.float64).reshape(-1)
-        if init.shape != (d,) or not np.linalg.norm(init) > 0:
-            raise ValueError("init must be a nonzero d-vector")
-        self.init = init / np.linalg.norm(init)
+        self.init = start_vector(PowerMethodConfig(init=init), d)
         self.state_bits = 2 * d * quantizer.bits
         # The code for zero, which the partial sum resets to at every pass
         # boundary (all-zero bits would decode to -radius, not zero).  A
@@ -422,9 +419,9 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         stacked matmul, whose row j equals the single-row
         ``contract_batch`` of ``update``.  Only the partial sum is
         accumulated row by row, on lattice values, and coded once at the
-        end from the levels of its last row
-        (``QuantizerSpec._last_levels``), which are the levels
-        ``encode`` finds for it.
+        end from the levels of its last row, the levels half of
+        ``QuantizerSpec._snap_block``, which are the levels ``encode``
+        finds for it.
         """
         q, d, n = self.quantizer, self.d, self.n_samples
         rows = np.asarray(rows, dtype=np.float64)
@@ -436,7 +433,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             state = self.start_code
         values = q.decode(state, 2 * d)
         w = (self.psi(values[:d]) @ rows.reshape(len(rows), -1, d)) / n
-        partial_bits = q._code(q._last_levels(values[d:], w))
+        partial_bits = q._code(np.asarray(q._snap_block(values[d:], w)[1]))
         if i0 + len(rows) == n:
             # Pass boundary, as in ``update``.
             return self._next_state(partial_bits, self.reset_code)

@@ -51,7 +51,8 @@ def _planted_factors(k, d, indices, factors, seed) -> tuple:
     check_count("d", d)
     if factors is None:
         if indices is None:
-            indices = np.random.default_rng(seed).integers(0, d, size=k)
+            rng = np.random.default_rng(check_count("seed", seed, low=0))
+            indices = rng.integers(0, d, size=k)
         factors = [math.sqrt(d) * np.eye(d)[i] for i in indices]
     return tuple(factors)
 
@@ -136,7 +137,7 @@ class ModelSpec:
     def tpca(cls, k, d, snr, direction=None, seed=0) -> "ModelSpec":
         """Symmetric spiked tensor; default direction is Rademacher."""
         if direction is None:
-            direction = _rademacher(np.random.default_rng(seed), d)
+            direction = _rademacher(np.random.default_rng(check_count("seed", seed, low=0)), d)
         return cls(problem="tpca", k=k, d=d, snr=snr, direction=direction)
 
     @classmethod
@@ -149,7 +150,7 @@ class ModelSpec:
     def ngca(cls, d, measure: NonGaussMeasure, direction=None, seed=0) -> "ModelSpec":
         """Planted non-Gaussian projection; k and snr come from the measure."""
         if direction is None:
-            direction = _rademacher(np.random.default_rng(seed), d)
+            direction = _rademacher(np.random.default_rng(check_count("seed", seed, low=0)), d)
         return cls(
             problem="ngca",
             k=measure.order,
@@ -309,6 +310,15 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     rows, proposed = rejection_sample(n, propose, (spec.row_length,))
     rows.flags.writeable = False
     return SampleBatch(spec, rows, seed, meta={"proposals": proposed})
+
+
+# The sampleable problems, each with its sampler ``(spec, n, seed) -> batch``.
+SAMPLERS = {
+    "tpca": sample_tpca,
+    "atpca": sample_atpca,
+    "ngca": sample_ngca,
+    "cca": sample_cca,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -356,7 +356,7 @@ def tpca_llr_hermite_check(
     check_count("k", k)
     check_count("d", d)
     check_count("mc_samples", mc_samples, low=10_000)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
     v = rng.choice([-1.0, 1.0], size=d)
     vk = outer_product((v,) * k) / math.sqrt(float(d) ** k)
     x = rng.standard_normal((mc_samples, vk.size))

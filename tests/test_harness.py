@@ -314,11 +314,12 @@ def test_snap_sum_equals_the_snap_loop(case):
         assert len(calls) == 1 and len(calls[0][0]) == len(start)
     else:
         # At most one resumption per coordinate, each after its first
-        # wrong guess, so never more than the whole column.
+        # wrong guess, which lies before the last row: never the whole
+        # column, and never an empty one.
         assert len(calls) <= 1
         for starts, columns in calls:
             assert len(starts) == len(columns) <= len(start)
-            assert all(len(column) < len(steps) for column in columns)
+            assert all(0 < len(column) < len(steps) for column in columns)
 
 
 def lattice_block(rows=64, d=4):
@@ -338,7 +339,7 @@ def lattice_block(rows=64, d=4):
 
 
 @pytest.mark.parametrize("planted", ["tie", "clamp"])
-@pytest.mark.parametrize("j", [0, 17, 63])
+@pytest.mark.parametrize("j", [0, 17, 62, 63])
 def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
     q, start, steps = lattice_block()
     with snap_loop_calls() as calls:
@@ -349,6 +350,11 @@ def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
     with snap_loop_calls() as calls:
         got = q.snap_sum(start, steps)
     assert got.tobytes() == snap_loop(q, start, steps).tobytes()
+    if j == len(steps) - 1:
+        # The last row is not guessed: the check computes it, and no
+        # coordinate resumes the loop.
+        assert calls == []
+        return
     # One resumption, of coordinate c, from its true row j.
     (starts, columns), = calls
     assert starts == [snap_loop(q, start, steps[: j + 1])[c]]
@@ -422,24 +428,33 @@ def nan_block():
     return q, start, steps
 
 
+def wide_row():
+    """One row of ``_SNAP_ARRAY_MIN`` coordinates: the array path with no
+    row to guess, and a tie, clamps and a NaN start among its columns."""
+    q, start, steps = lattice_block(rows=1, d=_SNAP_ARRAY_MIN)
+    steps[0, :4] = [0.5, q.step / 2, 40.0, -80.0]
+    start[4] = np.nan
+    return q, start, steps
+
+
 @given(last_level_cases())
 @example(lattice_block())  # array path, every guess right
 @example(nan_block())
 @example(one_row(nan_start=False))
 @example(one_row(nan_start=True))
+@example(wide_row())
 @example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2), np.array([[5.0, 0.7]])))  # clamp
 @example((QuantizerSpec(bits=4, radius=7.5), np.zeros(2), np.array([[0.5, -0.5]])))  # ties
 @settings(max_examples=300, deadline=None)
 def test_last_levels_equal_the_levels_of_the_snapped_sum(case):
     # Both sides of _SNAP_ARRAY_MIN: the short path's levels come from
-    # the scalar loop, the long path's from _levels.
+    # the scalar loop, the long path's from the check's last row.
     q, start, steps = case
-    got = q._last_levels(start, steps)
-    expected = q._levels(q.snap_sum(start, steps[:-1]) + steps[-1])
-    assert got.dtype == np.float64
-    assert got.view(np.int64).tobytes() == expected.view(np.int64).tobytes()
+    values, levels = map(np.asarray, q._snap_block(start, steps))
+    assert levels.dtype == np.float64
     reference = q._levels(snap_loop(q, start, steps[:-1]) + steps[-1])
-    assert got.view(np.int64).tobytes() == reference.view(np.int64).tobytes()
+    assert levels.view(np.int64).tobytes() == reference.view(np.int64).tobytes()
+    assert values.tobytes() == snap_loop(q, start, steps).tobytes()
 
 
 def shift_mask_encode(q, values):
@@ -1070,7 +1085,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
     """A QuantizedIteration with its stream, shard size and pass count.
 
     About half the draws have shards long enough that a whole shard's
-    ``snap_sum`` (all its rows but the last, times d) takes the array path.
+    block (its rows times d) takes the array path of ``_snap_block``.
     """
     k = draw(st.sampled_from([2, 3, 4]))
     d = draw(st.integers(min_value=2, max_value=max_d[k - 2]))
@@ -1078,7 +1093,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
         n = draw(st.integers(min_value=1, max_value=4))
         n_samples = n * draw(st.integers(min_value=1, max_value=4))
     else:
-        shortest = -(-_SNAP_ARRAY_MIN // d) + 1
+        shortest = -(-_SNAP_ARRAY_MIN // d)
         n = draw(st.integers(min_value=shortest, max_value=shortest + 8))
         n_samples = n * draw(st.integers(min_value=1, max_value=2))
     passes = draw(st.integers(min_value=1, max_value=3))
@@ -1141,6 +1156,27 @@ def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
     np.testing.assert_array_equal(
         algo.update(zeros, 0, 0, stream[0]), algo.update(algo.start_code, 1, 0, stream[0])
     )
+
+
+@pytest.mark.parametrize(
+    "init",
+    [[0.0, 0.0], [math.nan, 1.0], [math.inf, 1.0], [1e308, 1e308], [1.0, 2.0, 3.0]],
+    ids=["zero", "nan", "inf", "overflowing-norm", "wrong-shape"],
+)
+def test_quantized_iteration_rejects_a_start_without_a_direction(init):
+    # Unchecked, inf normalizes to [nan, 0] and a 1e308 pair to [0, 0],
+    # and either is coded as a start.  The power methods' rule applies.
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        QuantizedIteration(power_template(2), QuantizerSpec(8, 8.0), 2, 4, init)
+
+
+def test_quantized_iteration_start_code_divides_init_by_its_norm():
+    q, init = QuantizerSpec(8, 8.0), np.array([3.0, -4.0, 1e-3])
+    algo = QuantizedIteration(power_template(2), q, 3, 4, list(init))
+    direction = init / np.linalg.norm(init)
+    assert algo.init.tobytes() == direction.tobytes()
+    expected = np.concatenate([q.encode(direction), q.encode(np.zeros(3))])
+    assert algo.start_code.tobytes() == expected.tobytes()
 
 
 class _OneBitOnly(BlackboardProtocol):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab.estimators import _power_inplace, gaussian_reference_constant, sphere_net
+from spikelab.estimators import (
+    BruteForceConfig,
+    PowerMethodConfig,
+    _power_inplace,
+    gaussian_reference_constant,
+    sphere_net,
+)
 from spikelab.harness import (
     QuantizedIteration,
     QuantizerSpec,
@@ -325,6 +331,19 @@ COUNT_SLOTS = [
     ("sample_ngca seed", lambda v: sample_ngca(ModelSpec.ngca(3, _MOG), 2, v), 0, 2),
     ("sample_cca seed", lambda v: sample_cca(ModelSpec.cca(2, 3, 0.1), 2, v), 0, 2),
     ("rejection_sample n", lambda v: rejection_sample(v, np.zeros), 0, 2),
+    ("ModelSpec.tpca seed", lambda v: ModelSpec.tpca(2, 3, 1.0, seed=v), 0, 2),
+    ("ModelSpec.atpca seed", lambda v: ModelSpec.atpca(2, 3, 1.0, seed=v), 0, 2),
+    ("ModelSpec.ngca seed", lambda v: ModelSpec.ngca(3, _MOG, seed=v), 0, 2),
+    ("ModelSpec.cca seed", lambda v: ModelSpec.cca(2, 3, 0.3, seed=v), 0, 2),
+    ("PowerMethodConfig seed", lambda v: PowerMethodConfig(seed=v), 0, 2),
+    ("BruteForceConfig seed", lambda v: BruteForceConfig(0.5, 1.0, seed=v), 0, 2),
+    ("sphere_net seed", lambda v: sphere_net(3, 1.0, v), 0, 2),
+    (
+        "tpca_llr_hermite_check seed",
+        lambda v: tpca_llr_hermite_check(2, 2, 0.5, 10_000, v),
+        0,
+        2,
+    ),
 ]
 
 
