@@ -57,9 +57,9 @@ def ldlr_constants(k: int) -> tuple[float, float]:
     c_upper = 0.0
     for inst in ldlr_grid(k):
         norm = ldlr_norm_exact(inst)
-        scale = inst.N * inst.snr**2 * inst.t ** ((k - 2) / 2.0) / inst.d ** (k / 2.0)
+        scale = inst.envelope_scale
         c_upper = max(c_upper, norm / scale)
-        if inst.t % 2 == 0 and inst.t % k == 0 and inst.t <= inst.d:
+        if inst.has_lower_envelope:
             c_lower = max(c_lower, scale / norm ** (k / inst.t))
     return c_lower * MARGIN, c_upper * MARGIN
 

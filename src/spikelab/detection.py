@@ -46,12 +46,6 @@ def default_samples(name: str) -> int:
     return _TENSOR_N
 
 
-def sample_grid(name: str) -> tuple[int, int, int]:
-    """Three sample counts spaced by factors of 4, largest = default."""
-    top = default_samples(name)
-    return (top // 16, top // 4, top)
-
-
 def detection_run(name: str, snr: float, n_samples: int, seed: int) -> float:
     """One seeded draw-and-estimate cycle, returning the leg statistic.
 

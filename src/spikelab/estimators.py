@@ -85,7 +85,9 @@ def start_vector(cfg: PowerMethodConfig, dim: int) -> np.ndarray:
             raise ValueError(f"init has shape {u.shape}, expected ({dim},)")
     else:
         u = np.random.default_rng(cfg.seed).standard_normal(dim)
-    nrm = float(np.linalg.norm(u))
+    # An overflowing norm is inf, which the check below rejects.
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(u))
     if nrm == 0.0 or not math.isfinite(nrm):
         raise ValueError("initial vector must be nonzero and finite")
     return u / nrm

@@ -31,7 +31,6 @@ from spikelab.tensors import (
     check_count,
     check_entry_budget,
     check_finite,
-    contract_batch,
     outer_power,
     unit,
 )
@@ -60,12 +59,15 @@ class MemoryBoundedAlgorithm:
 
     Subclasses set ``state_bits`` and implement ``update`` (returning the
     next state as a 0/1 uint8 vector of the same length) and
-    ``estimate`` (mapping the final state to an output vector).  The
+    ``estimate`` (mapping the final state to an output vector).  One
+    that reads its pass length sets ``n_samples``, and the runners hold
+    the profile's stream length to it; ``None`` takes any length.  The
     runner owns the state; implementations must not stash anything on
     ``self`` between calls.
     """
 
     state_bits: int
+    n_samples: int | None = None
 
     def update(self, state: np.ndarray, t: int, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -101,6 +103,21 @@ def _check_state(state, s: int) -> np.ndarray:
     return state.astype(np.uint8, copy=False)
 
 
+def _check_profile(algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile) -> None:
+    """``ValueError`` unless the algorithm's state bits, and its pass
+    length if it declares one, are the profile's."""
+    if algorithm.state_bits != profile.state_bits:
+        raise ValueError(
+            f"algorithm declares {algorithm.state_bits} state bits, "
+            f"profile says {profile.state_bits}"
+        )
+    if algorithm.n_samples is not None and algorithm.n_samples != profile.samples:
+        raise ValueError(
+            f"algorithm streams passes of {algorithm.n_samples} samples, "
+            f"profile says {profile.samples}"
+        )
+
+
 def run_memory_bounded(
     algorithm: MemoryBoundedAlgorithm,
     data: np.ndarray,
@@ -110,9 +127,11 @@ def run_memory_bounded(
 
     The state starts all zeros, is the only value carried between
     passes, and is length- and binariness-checked after every pass,
-    which is one ``update_block`` call.  Rows must be finite.
+    which is one ``update_block`` call.  Rows must be finite, and the
+    algorithm must agree with the profile (``_check_profile``).
     """
     t0 = time.perf_counter()
+    _check_profile(algorithm, profile)
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] != profile.samples:
         raise ValueError(
@@ -122,10 +141,6 @@ def run_memory_bounded(
     # into arbitrary codes.
     check_finite(data, "stream")
     s = profile.state_bits
-    if algorithm.state_bits != s:
-        raise ValueError(
-            f"algorithm declares {algorithm.state_bits} state bits, profile says {s}"
-        )
     state = np.zeros(s, dtype=np.uint8)
     for t in range(profile.passes):
         state = _check_state(algorithm.update_block(state, t, 0, data), s)
@@ -192,23 +207,15 @@ class QuantizerSpec:
         levels = np.rint((clamped + self.radius) / self.step)
         return np.minimum(levels, 2.0**self.bits - 1.0)
 
-    def snap(self, values: np.ndarray) -> np.ndarray:
-        """``decode(encode(values))``, computed on the lattice without codes."""
-        return self._levels(values) * self.step - self.radius
-
-    def snap_sum(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """``snap(..snap(snap(start + steps[0]) + steps[1]).. + steps[-1])``,
-        bit for bit (``start`` itself for no rows): the values half of
-        ``_snap_block``."""
-        start = np.asarray(start, dtype=np.float64)
-        return np.asarray(self._snap_block(start, np.asarray(steps, dtype=np.float64))[0])
-
     def _snap_block(self, start: np.ndarray, steps: np.ndarray) -> tuple:
-        """``(values, levels)`` of the last row of ``snap_sum``'s ``snap``
-        loop, for float64 ``start`` and ``steps``: lists of floats from the
-        loop, array rows from the array path, so a caller converts only
-        the half it uses.  The values are ``levels * step - radius``; for
-        no rows they are ``start`` and the levels are NaN.
+        """``(values, levels)`` of the last row of the ``snap`` loop
+        ``start = snap(start + row)`` over the rows of ``steps``, where
+        ``snap(v) = decode(encode(v)) = _levels(v) * step - radius``.
+        ``start`` and ``steps`` are float64 arrays; the halves come back
+        as lists of floats from the loop and as array rows from the array
+        path, so a caller converts only the half it uses.  The values are
+        ``levels * step - radius``; for no rows they are ``start`` and
+        the levels are NaN.
 
         A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates runs the
         scalar loop ``_snap_loop``.  A longer one is guessed, checked and
@@ -256,16 +263,17 @@ class QuantizerSpec:
         return values, levels
 
     def _snap_loop(self, starts: list, columns: list) -> tuple[list, list]:
-        """The ``snap`` loop on Python floats, each start down its column.
+        """The ``snap`` loop of ``_snap_block`` on Python floats, each
+        start down its column.
 
         Returns each column's last value and the level its last step
         computed (NaN for a column with no steps), the value being
         ``level * step - radius``.  The same IEEE operations in the same
-        order as ``snap``, one coordinate at a time, so each level is
+        order as ``_levels``, one coordinate at a time, so each level is
         what ``_levels`` gives.  Below 2^52, adding and subtracting 2^52
         rounds half to even as ``np.rint`` does; from 2^52 up every float
         is an integer.  NaN passes through every step, as it does
-        through ``snap``.
+        through ``_levels``.
         """
         radius, low, step = float(self.radius), -float(self.radius), self.step
         top, big = 2.0**self.bits - 1.0, 2.0**52
@@ -362,12 +370,12 @@ TEMPLATES = {
 class QuantizedIteration(MemoryBoundedAlgorithm):
     """State = [iterate code | partial-sum code], s = 2*d*B bits.
 
-    Each update contracts the current sample against ``psi(iterate)``,
-    adds the result divided by N into the quantized partial sum, and at
-    the end of a pass promotes the partial sum to be the next iterate
-    and resets the sum to ``reset_code``, the code for zero.  Both are
-    read from the state, decoded: nothing but the state crosses passes.
-    The first update (t = 0, i = 0) reads ``start_code``, the code of
+    Each row contracts against ``psi(iterate)``, and the result divided
+    by N goes into the quantized partial sum; the last row of a pass
+    promotes the partial sum to be the next iterate and resets the sum
+    to ``reset_code``, the code for zero.  Both are read from the state,
+    decoded: nothing but the state crosses passes.  The block that
+    starts pass 0 (t = 0, i0 = 0) reads ``start_code``, the code of
     ``init`` beside ``reset_code``, in place of the runner's all-zeros
     state, so pass 0 runs as every later pass does: its rows contract
     against ``decode(encode(init))`` and its sum starts at
@@ -398,30 +406,18 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         # Cast as assigning into a uint8 array would.
         return np.concatenate([head, tail], dtype=np.uint8, casting="unsafe")
 
-    def update(self, state, t, i, x):
-        q, d = self.quantizer, self.d
-        if t == 0 and i == 0:
-            state = self.start_code
-        values = q.decode(state, 2 * d)
-        w = contract_batch(x[None, :], d, self.psi(values[:d]))[0]
-        partial_bits = q.encode(values[d:] + w / self.n_samples)
-        if i == self.n_samples - 1:
-            # Pass boundary: the accumulated sum becomes the iterate and
-            # the partial sum resets to the code for zero.
-            return self._next_state(partial_bits, self.reset_code)
-        return self._next_state(state[: self.state_bits // 2], partial_bits)
-
     def update_block(self, state, t, i0, rows):
-        """``update`` over a block of one pass, bit-identical to the loop.
+        """The state after rows i0, i0+1, .. of pass t, bit for bit the
+        state that re-encoding the partial sum after every row leaves
+        (``tests/references.py`` keeps that row-by-row reference).
 
         The iterate is fixed within a pass, so the whole state is decoded
         once, ``psi`` is built once, and all rows are contracted by one
         stacked matmul, whose row j equals the single-row
-        ``contract_batch`` of ``update``.  Only the partial sum is
-        accumulated row by row, on lattice values, and coded once at the
-        end from the levels of its last row, the levels half of
-        ``QuantizerSpec._snap_block``, which are the levels ``encode``
-        finds for it.
+        ``contract_batch``.  Only the partial sum is accumulated row by
+        row, on lattice values, and coded once at the end from the levels
+        of its last row, the levels half of ``QuantizerSpec._snap_block``,
+        which are the levels ``encode`` finds for it.
         """
         q, d, n = self.quantizer, self.d, self.n_samples
         rows = np.asarray(rows, dtype=np.float64)
@@ -435,7 +431,8 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         w = (self.psi(values[:d]) @ rows.reshape(len(rows), -1, d)) / n
         partial_bits = q._code(np.asarray(q._snap_block(values[d:], w)[1]))
         if i0 + len(rows) == n:
-            # Pass boundary, as in ``update``.
+            # Pass boundary: the accumulated sum becomes the iterate and
+            # the partial sum resets to the code for zero.
             return self._next_state(partial_bits, self.reset_code)
         return self._next_state(state[: self.state_bits // 2], partial_bits)
 
@@ -715,9 +712,6 @@ class _StateHandoffProtocol(BlackboardProtocol):
         state = self.algorithm.update_block(prev, t, machine * self.n, shard)
         return _check_state(state, s)[offset:]
 
-    def next_bit(self, shard, round_index, transcript):
-        return int(self.next_bits(shard, round_index, transcript)[0])
-
     def estimate(self, transcript):
         final = np.asarray(transcript[-self.s :], dtype=np.uint8)
         return self.algorithm.estimate(final)
@@ -736,10 +730,9 @@ def reduce_memory_to_distributed(
     same order the streaming runner visits (pass, sample index).
     """
     check_count("n", n)
+    _check_profile(algorithm, profile)
     if profile.samples % n != 0:
         raise ValueError(f"n = {n} does not divide N = {profile.samples}")
-    if algorithm.state_bits != profile.state_bits:
-        raise ValueError("algorithm and profile disagree on state bits")
     protocol = _StateHandoffProtocol(algorithm, profile, n)
     return protocol, profile.samples // n, n, profile.state_bits * profile.passes
 

@@ -63,7 +63,7 @@ class QuadratureRule:
 
     For Gauss-Hermite rules the weights sum to one, so the rule can be
     read as a finitely supported probability measure.  ``expect`` takes
-    either a callable or an array of function values at the nodes.
+    the array of function values at the nodes.
     """
 
     nodes: np.ndarray
@@ -79,9 +79,8 @@ class QuadratureRule:
         nodes.flags.writeable = False
         weights.flags.writeable = False
 
-    def expect(self, f) -> float:
-        vals = f(self.nodes) if callable(f) else np.asarray(f, dtype=np.float64)
-        return float(np.dot(self.weights, vals))
+    def expect(self, values) -> float:
+        return float(np.dot(self.weights, np.asarray(values, dtype=np.float64)))
 
 
 def _tridiag_eigh(diag: np.ndarray, offdiag: np.ndarray):

@@ -3,11 +3,10 @@ Hermite norms, and low-degree likelihood-ratio norms.
 
 Everything here is ground truth: enumeration over {+-1}^d (organized by
 exchangeability classes or Walsh-Hadamard transforms, never sampled) and
-exact rational arithmetic where the quantity is rational.  Monte Carlo
-appears only in the one explicitly statistical report,
-``tpca_llr_hermite_check``.  The suites that ``spikelab verify`` runs
-close the module; each checks these oracles or another layer against
-closed forms and returns one ``CheckResult`` per check.
+exact rational arithmetic where the quantity is rational.  The suites
+that ``spikelab verify`` runs close the module; each checks these
+oracles or another layer against closed forms and returns one
+``CheckResult`` per check.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from spikelab.hermite import (
 )
 from spikelab.measures import NonGaussMeasure, gaussian_moment
 from spikelab.models import ModelSpec, cca_critical_snr
-from spikelab.tensors import check_count, outer_product
+from spikelab.tensors import check_count
 
 MAX_ENUM_DIM = 20
 MAX_PAIR_ENUM_DIM = 12
@@ -231,6 +230,16 @@ class LDLRInstance:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeffs", coeffs)
 
+    @property
+    def envelope_scale(self) -> float:
+        """``N lam^2 t^{(k-2)/2} / d^{k/2}``, the scale of both envelope bounds."""
+        return self.N * self.snr**2 * self.t ** ((self.k - 2) / 2.0) / self.d ** (self.k / 2.0)
+
+    @property
+    def has_lower_envelope(self) -> bool:
+        """The lower envelope bound applies: t even, divisible by k, at most d."""
+        return self.t % 2 == 0 and self.t % self.k == 0 and self.t <= self.d
+
 
 def _convolve_truncated(a, b, cap):
     out = [0.0] * (cap + 1)
@@ -290,12 +299,10 @@ def ldlr_sandwich(inst: LDLRInstance, c_lower: float, c_upper: float) -> dict:
     upper bound: ``norm <= c_upper N lam^2 t^{(k-2)/2} / d^{k/2}``.
     """
     norm = ldlr_norm_exact(inst)
-    scale = (
-        inst.N * inst.snr**2 * inst.t ** ((inst.k - 2) / 2.0) / inst.d ** (inst.k / 2.0)
-    )
+    scale = inst.envelope_scale
     upper = c_upper * scale
     result = {"norm": norm, "upper": upper, "upper_ok": norm <= upper}
-    if inst.t % 2 == 0 and inst.t % inst.k == 0 and inst.t <= inst.d:
+    if inst.has_lower_envelope:
         lower = (scale / c_lower) ** (inst.t / inst.k)
         result["lower"] = lower
         result["lower_ok"] = lower <= norm
@@ -338,47 +345,6 @@ def sign_tail_mass(t_max: int) -> float:
         partial += Fraction(num, den)
         m += 1
     return 1.0 - (2.0 / math.pi) * float(partial)
-
-
-# ---------------------------------------------------------------------------
-# statistical cross-check of the likelihood-ratio decomposition
-
-
-def tpca_llr_hermite_check(
-    k: int, d: int, snr: float, mc_samples: int, seed: int
-) -> list[dict]:
-    """Monte Carlo check of the spiked-tensor likelihood-ratio expansion.
-
-    Under the null, ``E[LR(X) H_i(m_V)]`` must equal ``snr^i/sqrt(i!)``
-    where ``m_V = <X, V^(x)k>/d^{k/2}``; each degree i <= 5 is reported
-    with its five-standard-error band.
-    """
-    check_count("k", k)
-    check_count("d", d)
-    check_count("mc_samples", mc_samples, low=10_000)
-    rng = np.random.default_rng(check_count("seed", seed, low=0))
-    v = rng.choice([-1.0, 1.0], size=d)
-    vk = outer_product((v,) * k) / math.sqrt(float(d) ** k)
-    x = rng.standard_normal((mc_samples, vk.size))
-    m = x @ vk
-    ratio = np.exp(snr * m - snr * snr / 2.0)
-    h = hermite_all(5, m)
-    report = []
-    for i in range(6):
-        values = ratio * h[i]
-        estimate = float(values.mean())
-        se = float(values.std(ddof=1)) / math.sqrt(mc_samples)
-        target = snr**i / math.sqrt(math.factorial(i))
-        report.append(
-            {
-                "degree": i,
-                "estimate": estimate,
-                "target": target,
-                "se": se,
-                "ok": abs(estimate - target) <= 5.0 * se + 1e-12,
-            }
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------

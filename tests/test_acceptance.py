@@ -16,7 +16,7 @@ import pytest
 
 from spikelab.cli import CSV_COLUMNS, run_sweep, sweep_csv
 from spikelab.config import parse_config
-from spikelab.detection import LEG_NAMES, default_samples, detection_median, sample_grid
+from spikelab.detection import LEG_NAMES, default_samples, detection_median
 from spikelab.estimators import (
     PowerMethodConfig,
     cca_matricization_estimator,
@@ -316,6 +316,12 @@ def test_criterion_4b_detection_ratios():
             (f"{leg}-stability", abs(signal - frozen_signal) <= 1e-5 * frozen_signal)
         )
     emit("4b", checks, "; ".join(lines))
+
+
+def sample_grid(name: str) -> tuple[int, int, int]:
+    """Three sample counts spaced by factors of 4, largest = default."""
+    top = default_samples(name)
+    return (top // 16, top // 4, top)
 
 
 def test_criterion_4c_detection_monotone_in_n():

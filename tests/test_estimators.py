@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,15 @@ def test_power_iteration_collapse_raises():
     cfg = PowerMethodConfig(max_iters=10, init=np.array([0.0, 1.0]))
     with pytest.raises(RuntimeError, match="collapsed"):
         power_iteration(lambda x: nilpotent @ x, 2, cfg)
+
+
+def test_start_vector_rejects_an_overflowing_norm_without_a_warning():
+    # np.linalg.norm overflows to inf on this pair.  Under -W error the
+    # caller must get the ValueError, not an overflow warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="nonzero and finite"):
+            power_iteration(lambda x: x, 2, PowerMethodConfig(init=[1e308, 1e308]))
 
 
 def test_rank1_svd_matches_dense_svd():

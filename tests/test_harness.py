@@ -24,12 +24,15 @@ from spikelab.harness import (
     partial_trace_template,
     power_template,
     reduce_memory_to_distributed,
+    replay,
     run_distributed,
     run_memory_bounded,
     shard_stream,
 )
 from spikelab.models import ModelSpec, sample_tpca
 from spikelab.tensors import contract_batch
+
+from references import row_by_row, snap, snap_loop, snap_sum
 
 
 class XorFold(MemoryBoundedAlgorithm):
@@ -132,6 +135,23 @@ def test_runner_rejects_non_binary_state():
 def test_runner_checks_stream_shape():
     with pytest.raises(ValueError, match="rows"):
         run_memory_bounded(XorFold(), np.zeros((3, 2)), ResourceProfile(4, 1, 1))
+    with pytest.raises(ValueError, match="declares 1 state bits, profile says 2"):
+        run_memory_bounded(XorFold(), np.zeros((4, 2)), ResourceProfile(4, 1, 2))
+
+
+@pytest.mark.parametrize("n_samples", [32, 8], ids=["shorter", "longer"])
+def test_runners_hold_the_stream_to_the_algorithms_pass_length(n_samples):
+    # A 16-row stream is shorter (longer) than a pass of 32 (8) rows.
+    # Unchecked, the 32-row pass never reached its boundary: both runners
+    # returned the quantized init and reported 5 passes.
+    _, batch = power_batch(k=2, d=3, snr=5.0, n=16, seed=60)
+    algo = QuantizedIteration(power_template(2), QuantizerSpec(16, 8.0), 3, n_samples, np.ones(3))
+    profile = ResourceProfile(16, 5, algo.state_bits)
+    match = f"passes of {n_samples} samples, profile says 16"
+    with pytest.raises(ValueError, match=match):
+        run_memory_bounded(algo, batch.data, profile)
+    with pytest.raises(ValueError, match=match):
+        replay(algo, batch.data, profile, 8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -230,7 +250,7 @@ def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     ends = np.array([radius, -radius])
     back = q.decode(q.encode(ends), 2)
     np.testing.assert_allclose(back, ends, rtol=0, atol=q.step)
-    np.testing.assert_array_equal(q.snap(ends), back)
+    np.testing.assert_array_equal(snap(q, ends), back)
 
 
 @contextlib.contextmanager
@@ -245,13 +265,6 @@ def snap_loop_calls():
 
     with mock.patch.object(QuantizerSpec, "_snap_loop", spy):
         yield calls
-
-
-def snap_loop(q, start, steps):
-    """The ``snap`` loop that ``snap_sum`` must equal bit for bit."""
-    for row in steps:
-        start = q.snap(start + row)
-    return start
 
 
 @st.composite
@@ -296,7 +309,7 @@ def snap_sum_cases(draw):
     if draw(st.booleans()):
         start = np.zeros(d)
     else:
-        start = q.snap(np.array(draw(st.lists(entry, min_size=d, max_size=d))))
+        start = snap(q, np.array(draw(st.lists(entry, min_size=d, max_size=d))))
     return q, start, steps.astype(np.float64).reshape(n_rows, d)
 
 
@@ -307,7 +320,7 @@ def snap_sum_cases(draw):
 def test_snap_sum_equals_the_snap_loop(case):
     q, start, steps = case
     with snap_loop_calls() as calls:
-        got = q.snap_sum(start, steps)
+        got = snap_sum(q, start, steps)
     assert got.tobytes() == snap_loop(q, start, steps).tobytes()
     if steps.size < _SNAP_ARRAY_MIN:
         # The scalar loop takes every coordinate.
@@ -343,12 +356,12 @@ def lattice_block(rows=64, d=4):
 def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
     q, start, steps = lattice_block()
     with snap_loop_calls() as calls:
-        q.snap_sum(start, steps)
+        snap_sum(q, start, steps)
     assert calls == []
     c = 2
     steps[j, c] += q.step / 2 if planted == "tie" else 2 * q.radius
     with snap_loop_calls() as calls:
-        got = q.snap_sum(start, steps)
+        got = snap_sum(q, start, steps)
     assert got.tobytes() == snap_loop(q, start, steps).tobytes()
     if j == len(steps) - 1:
         # The last row is not guessed: the check computes it, and no
@@ -368,7 +381,7 @@ def test_snap_sum_resumes_each_missed_coordinate_once():
     steps[40, 3] = 2 * q.radius
     steps[41, 3] = -3 * q.step
     with snap_loop_calls() as calls:
-        got = q.snap_sum(start, steps)
+        got = snap_sum(q, start, steps)
     assert got.tobytes() == snap_loop(q, start, steps).tobytes()
     (starts, columns), = calls
     assert starts == [-q.radius, q.radius]
@@ -379,7 +392,7 @@ def test_snap_sum_nan_start_passes_through_the_array_path():
     q, start, steps = lattice_block()
     start[1] = np.nan
     with snap_loop_calls() as calls:
-        got = q.snap_sum(start, steps)
+        got = snap_sum(q, start, steps)
     assert got.tobytes() == snap_loop(q, start, steps).tobytes()
     assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
     # The guessed NaN is the checked NaN bit for bit, so no coordinate
@@ -397,7 +410,7 @@ def test_snap_sum_overflowing_guess_is_silent():
     assert 1e10 / q.step == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = q.snap_sum(np.zeros(4), steps)
+        got = snap_sum(q, np.zeros(4), steps)
         assert got.tobytes() == snap_loop(q, np.zeros(4), steps).tobytes()
 
 
@@ -510,7 +523,7 @@ def test_packed_codec_equals_shift_mask_reference(case):
     decoded = q.decode(code, count)
     assert decoded.dtype == np.float64
     assert decoded.tobytes() == shift_mask_decode(q, code, count).tobytes()
-    assert q.decode(encoded, count).tobytes() == q.snap(values).tobytes()
+    assert q.decode(encoded, count).tobytes() == snap(q, values).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1116,6 +1129,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
 @settings(max_examples=60, deadline=None)
 def test_update_block_equals_per_sample_loop_over_any_split(run, data):
     algo, stream, _, passes = run
+    row_by_row_algo = row_by_row(algo)
     n_samples = len(stream)
     fast = reference = np.zeros(algo.state_bits, dtype=np.uint8)
     for t in range(passes):
@@ -1130,9 +1144,7 @@ def test_update_block_equals_per_sample_loop_over_any_split(run, data):
         bounds = [0, *sorted(cuts - {n_samples}), n_samples]
         for i0, i1 in zip(bounds, bounds[1:]):
             # The base-class default: one per-sample ``update`` per row.
-            reference = MemoryBoundedAlgorithm.update_block(
-                algo, reference, t, i0, stream[i0:i1]
-            )
+            reference = row_by_row_algo.update_block(reference, t, i0, stream[i0:i1])
             fast = algo.update_block(fast, t, i0, stream[i0:i1])
             np.testing.assert_array_equal(fast, reference)
 
@@ -1145,16 +1157,18 @@ def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
     algo, stream, _, _ = run
     q, d = algo.quantizer, algo.d
     values = q.decode(algo.start_code, 2 * d)
-    assert values[:d].tobytes() == q.snap(algo.init).tobytes()
+    assert values[:d].tobytes() == snap(q, algo.init).tobytes()
     assert values[d:].tobytes() == q.decode(algo.reset_code, d).tobytes()
-    assert values[d:].tobytes() == q.snap(np.zeros(d)).tobytes()
+    assert values[d:].tobytes() == snap(q, np.zeros(d)).tobytes()
     assert not algo.start_code.flags.writeable
     zeros = np.zeros(algo.state_bits, dtype=np.uint8)
     np.testing.assert_array_equal(
         algo.update_block(zeros, 0, 0, stream), algo.update_block(algo.start_code, 1, 0, stream)
     )
+    reference = row_by_row(algo)
     np.testing.assert_array_equal(
-        algo.update(zeros, 0, 0, stream[0]), algo.update(algo.start_code, 1, 0, stream[0])
+        reference.update(zeros, 0, 0, stream[0]),
+        reference.update(algo.start_code, 1, 0, stream[0]),
     )
 
 
@@ -1166,7 +1180,7 @@ def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
 def test_quantized_iteration_rejects_a_start_without_a_direction(init):
     # Unchecked, inf normalizes to [nan, 0] and a 1e308 pair to [0, 0],
     # and either is coded as a start.  The power methods' rule applies.
-    with pytest.raises(ValueError), np.errstate(over="ignore"):
+    with pytest.raises(ValueError):
         QuantizedIteration(power_template(2), QuantizerSpec(8, 8.0), 2, 4, init)
 
 
@@ -1189,7 +1203,7 @@ class _OneBitOnly(BlackboardProtocol):
         return self.inner.select_writer(round_index, transcript)
 
     def next_bit(self, shard, round_index, transcript):
-        return self.inner.next_bit(shard, round_index, transcript)
+        return int(self.inner.next_bits(shard, round_index, transcript)[0])
 
     def estimate(self, transcript):
         return self.inner.estimate(transcript)

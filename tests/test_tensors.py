@@ -44,7 +44,6 @@ from spikelab.verify import (
     rademacher_mean_moment,
     sign_coefficient,
     sign_tail_mass,
-    tpca_llr_hermite_check,
 )
 
 
@@ -299,14 +298,6 @@ COUNT_SLOTS = [
     ],
     ("sign_coefficient", sign_coefficient, 0, 2),
     ("sign_tail_mass", sign_tail_mass, 0, 2),
-    ("tpca_llr_hermite_check k", lambda v: tpca_llr_hermite_check(v, 2, 0.5, 10_000, 0), 1, 2),
-    ("tpca_llr_hermite_check d", lambda v: tpca_llr_hermite_check(2, v, 0.5, 10_000, 0), 1, 2),
-    (
-        "tpca_llr_hermite_check mc_samples",
-        lambda v: tpca_llr_hermite_check(2, 2, 0.5, v, 0),
-        10_000,
-        10_000,
-    ),
     ("set_entry_budget", _budget_call, 1, 2),
     ("outer_power", lambda v: outer_power(np.ones(2), v), 1, 2),
     ("ModelSpec.cca k", lambda v: ModelSpec.cca(v, 3, 0.1), 2, 2),
@@ -338,12 +329,6 @@ COUNT_SLOTS = [
     ("PowerMethodConfig seed", lambda v: PowerMethodConfig(seed=v), 0, 2),
     ("BruteForceConfig seed", lambda v: BruteForceConfig(0.5, 1.0, seed=v), 0, 2),
     ("sphere_net seed", lambda v: sphere_net(3, 1.0, v), 0, 2),
-    (
-        "tpca_llr_hermite_check seed",
-        lambda v: tpca_llr_hermite_check(2, 2, 0.5, 10_000, v),
-        0,
-        2,
-    ),
 ]
 
 

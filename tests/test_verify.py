@@ -25,7 +25,6 @@ from spikelab.verify import (
     run_verification,
     sign_coefficient,
     sign_tail_mass,
-    tpca_llr_hermite_check,
 )
 
 
@@ -339,23 +338,6 @@ def test_sign_tail_shrinks():
     tails = [sign_tail_mass(cap) for cap in (1, 5, 11, 31)]
     assert all(b < a for a, b in zip(tails, tails[1:]))
     assert tails[-1] > 0.0
-
-
-# -- likelihood-ratio spot check --------------------------------------------
-
-
-def test_llr_hermite_projection_bands():
-    report = tpca_llr_hermite_check(k=2, d=4, snr=0.5, mc_samples=200_000, seed=7)
-    assert [entry["degree"] for entry in report] == list(range(6))
-    assert all(entry["ok"] for entry in report)
-    assert report[0]["target"] == 1.0
-    assert report[1]["target"] == pytest.approx(0.5)
-    assert report[3]["target"] == pytest.approx(0.051031, abs=1e-6)
-
-
-def test_llr_check_rejects_small_budget():
-    with pytest.raises(ValueError):
-        tpca_llr_hermite_check(k=2, d=4, snr=0.5, mc_samples=100, seed=0)
 
 
 # -- verification suites ----------------------------------------------------
