@@ -204,7 +204,8 @@ def _cmd_reduce(args) -> int:
         algorithm, batch.data, profile, cfg.distributed.shard_rows
     )
     # The harness suite's checks, on this one replay.
-    ok = _print_report(replay_checks("reduce", [(profile, direct, report, board, protocol)]))
+    replays = [(profile, batch.data, direct, report, board, protocol)]
+    ok = _print_report(replay_checks("reduce", replays))
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(board.dump_text())

@@ -8,18 +8,23 @@ feeds it finite samples in (pass, index) order, one pass per
 every block, so no side channel can carry extra information between
 blocks.  A blackboard protocol writes one public bit per round; the
 writer choice may depend only on the transcript so far, and the bit
-only on the writer's own shard plus the transcript.  A protocol may
-hand the runner several rounds' bits at once (``next_bits``) and the
-writers of a range of rounds at once (``select_writers``); the runner
-asks for the first writer of each block alone and for the writers of
-the block's other rounds in one call.  ``Blackboard.audit`` replays the
-writers round by round.  The reduction simulates a (N, T, s) streaming
-algorithm with (N/n, n, s*T) blackboard parameters by handing the full
-state across the board after every local pass.
+only on the writer's own shard plus the transcript.  A protocol hands
+the runner a block of rounds' bits at once (``next_bits``), which may
+span several writers, and the writers of those rounds in one
+``select_writers`` call.  ``Blackboard.audit`` replays the writers round
+by round, and ``Blackboard.recompute`` replays each writer's rounds with
+only its own shard visible.  Both runners hand the algorithm or protocol
+read-only views of their checked inputs, so nothing written into a row
+survives to a later pass.  The reduction simulates a (N, T, s)
+streaming algorithm with (N/n, n, s*T) blackboard parameters by handing
+the full state across the board after every local pass; it answers a
+whole pass of turns in one ``update_chunks`` call.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -82,25 +87,49 @@ class MemoryBoundedAlgorithm:
         override must return the same bits from ``state`` alone.
         """
         for j, x in enumerate(rows):
-            state = _check_state(self.update(state, t, i0 + j, x), self.state_bits)
+            state = _check_state(self.update(state, t, i0 + j, x), (self.state_bits,))
         return state
+
+    def update_chunks(self, state: np.ndarray, t: int, i0: int, chunks) -> np.ndarray:
+        """The states after each of ``chunks``, consecutive blocks of rows
+        of pass t that start at row i0, as a ``(len(chunks), state_bits)``
+        uint8 array.
+
+        This default is the reference: one ``update_block`` per chunk,
+        each state checked, the next chunk starting from it.  An override
+        must return the same bits.
+        """
+        states = np.empty((len(chunks), self.state_bits), dtype=np.uint8)
+        for c, rows in enumerate(chunks):
+            state = _check_state(self.update_block(state, t, i0, rows), (self.state_bits,))
+            states[c] = state
+            i0 += len(rows)
+        return states
 
     def estimate(self, state: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
-def _check_state(state, s: int) -> np.ndarray:
+def _check_state(state, shape: tuple) -> np.ndarray:
+    """``state`` as uint8; ``RuntimeError`` unless it holds only 0/1 bits
+    in ``shape``, one state of s bits or a stack of them."""
     state = np.asarray(state)
     kind = state.dtype.kind
     if kind not in "uib":
         raise RuntimeError(f"state must hold bits, got dtype {state.dtype}")
-    if state.shape != (s,):
-        raise RuntimeError(
-            f"transition returned a state of {state.shape} bits, expected ({s},)"
-        )
+    if state.shape != shape:
+        raise RuntimeError(f"transition returned a state of {state.shape} bits, expected {shape}")
     if kind != "b" and (state.max() > 1 or (kind == "i" and state.min() < 0)):
         raise RuntimeError("state must be a 0/1 bit vector")
     return state.astype(np.uint8, copy=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``: a write through it raises
+    ``ValueError``, and ``array`` itself stays writable."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def _check_profile(algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile) -> None:
@@ -128,7 +157,10 @@ def run_memory_bounded(
     The state starts all zeros, is the only value carried between
     passes, and is length- and binariness-checked after every pass,
     which is one ``update_block`` call.  Rows must be finite, and the
-    algorithm must agree with the profile (``_check_profile``).
+    algorithm must agree with the profile (``_check_profile``).  The
+    algorithm reads the rows through a read-only float64 view, so a
+    write into them raises ``ValueError`` and cannot reach a later pass
+    or the caller's array.
     """
     t0 = time.perf_counter()
     _check_profile(algorithm, profile)
@@ -140,10 +172,11 @@ def run_memory_bounded(
     # Non-finite rows make NaN sums, which the codec's uint64 cast turns
     # into arbitrary codes.
     check_finite(data, "stream")
+    data = _read_only(data)
     s = profile.state_bits
     state = np.zeros(s, dtype=np.uint8)
     for t in range(profile.passes):
-        state = _check_state(algorithm.update_block(state, t, 0, data), s)
+        state = _check_state(algorithm.update_block(state, t, 0, data), (s,))
     out = np.asarray(algorithm.estimate(state.copy()), dtype=np.float64)
     return EstimateReport(
         estimate=out,
@@ -207,15 +240,16 @@ class QuantizerSpec:
         levels = np.rint((clamped + self.radius) / self.step)
         return np.minimum(levels, 2.0**self.bits - 1.0)
 
-    def _snap_block(self, start: np.ndarray, steps: np.ndarray) -> tuple:
-        """``(values, levels)`` of the last row of the ``snap`` loop
-        ``start = snap(start + row)`` over the rows of ``steps``, where
-        ``snap(v) = decode(encode(v)) = _levels(v) * step - radius``.
-        ``start`` and ``steps`` are float64 arrays; the halves come back
-        as lists of floats from the loop and as array rows from the array
-        path, so a caller converts only the half it uses.  The values are
-        ``levels * step - radius``; for no rows they are ``start`` and
-        the levels are NaN.
+    def _snap_block(self, start: np.ndarray, steps: np.ndarray, marks) -> np.ndarray:
+        """The levels at rows ``marks`` of the ``snap`` loop ``start =
+        snap(start + row)`` over the rows of ``steps``, where ``snap(v) =
+        decode(encode(v)) = _levels(v) * step - radius``.
+
+        ``start`` and ``steps`` are float64 arrays and ``marks`` an
+        ascending list of row indices (repeats allowed).  Row j of the
+        ``(len(marks), columns)`` float64 result holds the levels that
+        ``encode`` finds for the loop's value at row ``marks[j]``, whose
+        value is ``level * step - radius``.
 
         A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates runs the
         scalar loop ``_snap_loop``.  A longer one is guessed, checked and
@@ -227,21 +261,24 @@ class QuantizerSpec:
         - check: one ``_levels(prev + steps)`` over all n rows, where
           ``prev`` is ``start`` followed by the guessed rows, compared
           with the guess bit for bit (an int64 view, so a NaN or a signed
-          zero must match exactly); its last row gives the result;
+          zero must match exactly); its rows at the marks give the result;
         - mend: each coordinate whose guess differs resumes ``_snap_loop``
           from its checked value at its first difference, which lies
-          before the last row, so the loop has a step to take.
+          before the last row, and the loop records its levels at the
+          marks past that row.
 
         The check is exact by induction: ``snap`` of the true row j - 1
         plus ``steps[j]`` is the true row j, so along each coordinate
         every guessed row before the first difference is true, and so is
-        the checked value at it; a coordinate with no difference has its
-        last checked row true.  A clamp or a rounding tie the guess
+        every checked row up to it; a coordinate with no difference has
+        every checked row true.  A clamp or a rounding tie the guess
         misses costs its coordinate one fallback, so the worst case is
         one array pass on top of the scalar loop.
         """
         if steps.size < _SNAP_ARRAY_MIN:
-            return self._snap_loop(start.tolist(), steps.T.tolist())
+            counts = [[mark + 1 for mark in marks]] * len(start)
+            levels = self._snap_loop(start.tolist(), steps.T.tolist(), counts)
+            return np.array(levels, dtype=np.float64).reshape(len(start), len(marks)).T
         step, radius = self.step, self.radius
         # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
         # the check catches that row, so the warning would say nothing.
@@ -252,60 +289,68 @@ class QuantizerSpec:
             checked = self._levels(np.concatenate([start[None], guess]) + steps)
         check = checked * step - radius
         wrong = guess.view(np.int64) != check[:-1].view(np.int64)
-        values, levels = check[-1], checked[-1]
+        levels = checked[marks]
         columns = np.flatnonzero(wrong.any(axis=0))
         if columns.size:
+            marks = np.asarray(marks)
             first = wrong[:, columns].argmax(axis=0)
-            values[columns], levels[columns] = self._snap_loop(
+            # The first mark past each column's first difference.
+            after = np.searchsorted(marks, first, side="right")
+            mended = self._snap_loop(
                 check[first, columns].tolist(),
                 [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
+                [(marks[a:] - j).tolist() for a, j in zip(after.tolist(), first.tolist())],
             )
-        return values, levels
+            for c, a, column_levels in zip(columns.tolist(), after.tolist(), mended):
+                levels[a:, c] = column_levels
+        return levels
 
-    def _snap_loop(self, starts: list, columns: list) -> tuple[list, list]:
+    def _snap_loop(self, starts: list, columns: list, counts: list) -> list:
         """The ``snap`` loop of ``_snap_block`` on Python floats, each
         start down its column.
 
-        Returns each column's last value and the level its last step
-        computed (NaN for a column with no steps), the value being
-        ``level * step - radius``.  The same IEEE operations in the same
-        order as ``_levels``, one coordinate at a time, so each level is
-        what ``_levels`` gives.  Below 2^52, adding and subtracting 2^52
-        rounds half to even as ``np.rint`` does; from 2^52 up every float
-        is an integer.  NaN passes through every step, as it does
-        through ``_levels``.
+        Returns, for each column, the level its loop reaches after each
+        of its ``counts``, ascending step counts of at least 1; the value
+        there is ``level * step - radius``.  The same IEEE operations in
+        the same order as ``_levels``, one coordinate at a time, so each
+        level is what ``_levels`` gives.  Below 2^52, adding and
+        subtracting 2^52 rounds half to even as ``np.rint`` does; from
+        2^52 up every float is an integer.  NaN passes through every
+        step, as it does through ``_levels``.
         """
         radius, low, step = float(self.radius), -float(self.radius), self.step
         top, big = 2.0**self.bits - 1.0, 2.0**52
-        values, levels = [], []
-        for value, column in zip(starts, columns):
-            level = math.nan
-            for w in column:
-                value += w
-                if value > radius:
-                    value = radius
-                elif value < low:
-                    value = low
-                level = (value + radius) / step
-                if level < big:
-                    level = level + big - big
-                if level > top:
-                    level = top
-                value = level * step - radius
-            values.append(value)
-            levels.append(level)
-        return values, levels
+        out = []
+        for value, column, stops in zip(starts, columns, counts):
+            levels, level, done = [], math.nan, 0
+            for stop in stops:
+                for w in column[done:stop]:
+                    value += w
+                    if value > radius:
+                        value = radius
+                    elif value < low:
+                        value = low
+                    level = (value + radius) / step
+                    if level < big:
+                        level = level + big - big
+                    if level > top:
+                        level = top
+                    value = level * step - radius
+                levels.append(level)
+                done = stop
+            out.append(levels)
+        return out
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened.
 
-        ``_code(_levels(values))``; ``QuantizedIteration.update_block``
-        codes the levels of its partial sum with ``_code`` directly.
+        ``_code(_levels(values))``; ``QuantizedIteration.update_chunks``
+        codes the levels of its partial sums with ``_code`` directly.
         """
         return self._code(self._levels(np.asarray(values, dtype=np.float64).reshape(-1)))
 
     def _code(self, levels: np.ndarray) -> np.ndarray:
-        octets = levels.astype("<u8").view(np.uint8).reshape(-1, 8)
+        octets = levels.astype("<u8", order="C").view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1, count=self.bits, bitorder="little").reshape(-1)
 
     def decode(self, bits: np.ndarray, count: int) -> np.ndarray:
@@ -402,39 +447,54 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         self.start_code = np.concatenate([quantizer.encode(self.init), self.reset_code])
         self.start_code.flags.writeable = False
 
-    def _next_state(self, head, tail):
-        # Cast as assigning into a uint8 array would.
-        return np.concatenate([head, tail], dtype=np.uint8, casting="unsafe")
-
     def update_block(self, state, t, i0, rows):
-        """The state after rows i0, i0+1, .. of pass t, bit for bit the
-        state that re-encoding the partial sum after every row leaves
+        """``update_chunks`` of the one chunk ``rows``."""
+        return self.update_chunks(state, t, i0, [rows])[0]
+
+    def update_chunks(self, state, t, i0, chunks):
+        """The states after each chunk of rows, bit for bit the states
+        that re-encoding the partial sum after every row leaves
         (``tests/references.py`` keeps that row-by-row reference).
 
         The iterate is fixed within a pass, so the whole state is decoded
-        once, ``psi`` is built once, and all rows are contracted by one
-        stacked matmul, whose row j equals the single-row
-        ``contract_batch``.  Only the partial sum is accumulated row by
-        row, on lattice values, and coded once at the end from the levels
-        of its last row, the levels half of ``QuantizerSpec._snap_block``,
-        which are the levels ``encode`` finds for it.
+        once, ``psi`` is built once, and the rows of every chunk are
+        contracted by one stacked matmul, whose row j equals the
+        single-row ``contract_batch``.  Only the partial sum is
+        accumulated row by row, on lattice values, by one
+        ``QuantizerSpec._snap_block`` marked at each chunk's last row;
+        its levels there are the levels ``encode`` finds for that
+        chunk's sum, and one ``_code`` codes them all.  A chunk that
+        ends the pass makes its sum the iterate and resets the sum to
+        ``reset_code``; a chunk before the first row leaves ``state``.
         """
-        q, d, n = self.quantizer, self.d, self.n_samples
-        rows = np.asarray(rows, dtype=np.float64)
-        if i0 + len(rows) > n:
-            raise ValueError(f"rows {i0}..{i0 + len(rows) - 1} run past the pass of {n}")
-        if len(rows) == 0:
-            return state
+        q, d, n, half = self.quantizer, self.d, self.n_samples, self.state_bits // 2
+        chunks = [np.asarray(rows, dtype=np.float64) for rows in chunks]
+        ends = list(itertools.accumulate(map(len, chunks)))
+        total = ends[-1]
+        if i0 + total > n:
+            raise ValueError(f"rows {i0}..{i0 + total - 1} run past the pass of {n}")
+        states = np.empty((len(chunks), 2 * half), dtype=np.uint8)
+        # Chunks before the first row, and the first chunk that ends the pass.
+        lead = bisect.bisect_right(ends, 0)
+        boundary = bisect.bisect_left(ends, n - i0)
+        if lead:
+            states[:lead] = state
+        if total == 0:
+            return states
         if t == 0 and i0 == 0:
             state = self.start_code
+        rows = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         values = q.decode(state, 2 * d)
-        w = (self.psi(values[:d]) @ rows.reshape(len(rows), -1, d)) / n
-        partial_bits = q._code(np.asarray(q._snap_block(values[d:], w)[1]))
-        if i0 + len(rows) == n:
-            # Pass boundary: the accumulated sum becomes the iterate and
-            # the partial sum resets to the code for zero.
-            return self._next_state(partial_bits, self.reset_code)
-        return self._next_state(state[: self.state_bits // 2], partial_bits)
+        w = (self.psi(values[:d]) @ rows.reshape(total, -1, d)) / n
+        marks = [end - 1 for end in ends[lead:]]
+        sums = q._code(q._snap_block(values[d:], w, marks)).reshape(-1, half)
+        if lead < boundary:
+            states[lead:boundary, :half] = state[:half]
+            states[lead:boundary, half:] = sums[: boundary - lead]
+        if boundary < len(chunks):
+            states[boundary:, :half] = sums[boundary - lead :]
+            states[boundary:, half:] = self.reset_code
+        return states
 
     def estimate(self, state):
         return unit(self.quantizer.decode(state[: self.state_bits // 2], self.d))[0]
@@ -464,11 +524,13 @@ class BlackboardProtocol:
     """Deterministic public-transcript protocol over m shards.
 
     ``select_writer`` sees only the transcript prefix (and the round
-    number); ``next_bit`` additionally sees the chosen machine's shard
-    and nothing else, which structurally prevents cross-shard reads.
-    ``estimate`` maps the final transcript alone to the output.
-    ``select_writers`` and ``next_bits`` answer for a range of rounds
-    at once and must agree with their one-round references.
+    number).  A round's bit may depend only on its writer's shard and
+    the prefix: ``next_bit`` sees that one shard, and ``next_bits``,
+    which sees every shard, is held to the rule by
+    ``Blackboard.recompute``.  ``estimate`` maps the final transcript
+    alone to the output.  ``select_writers`` and ``next_bits`` answer for
+    a range of rounds at once and must agree with their one-round
+    references.
     """
 
     def select_writer(self, round_index: int, transcript: np.ndarray) -> int:
@@ -487,16 +549,20 @@ class BlackboardProtocol:
     def next_bit(self, shard: np.ndarray, round_index: int, transcript: np.ndarray) -> int:
         raise NotImplementedError
 
-    def next_bits(self, shard: np.ndarray, round_index: int, transcript: np.ndarray):
+    def next_bits(self, shards: tuple, round_index: int, transcript: np.ndarray):
         """Bits for rounds ``round_index``, ``round_index + 1``, .. at once.
 
-        Bit j must be what ``next_bit`` returns at round ``round_index + j``
-        given the transcript extended by bits 0..j-1, for as long as
-        ``select_writer`` keeps choosing the same machine; the runner
-        drops the bits past the first round it does not.  This default
-        returns the one bit of ``next_bit``.
+        ``shards`` holds every machine's shard, and a block may span
+        several writers, but bit j must be what the writer that
+        ``select_writer`` picks at round ``round_index + j`` computes from
+        its own shard and the transcript extended by bits 0..j-1.  This
+        default returns the one ``next_bit`` bit of the machine that
+        ``select_writer`` picks, checked to be a machine index before it
+        picks a shard.
         """
-        return [self.next_bit(shard, round_index, transcript)]
+        writer = self.select_writer(round_index, transcript)
+        writer = _writer_block([writer], round_index, round_index + 1, len(shards))[0]
+        return [self.next_bit(shards[writer], round_index, transcript)]
 
     def estimate(self, transcript: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -526,8 +592,7 @@ class Blackboard:
         index in ``[0, m)`` (a bool is not one) or is not the logged one.
         A writer whose type is exactly ``int`` is checked inline.
         """
-        bits = self.bits.view()
-        bits.flags.writeable = False
+        bits = _read_only(self.bits)
         writers = self.writers.tolist()
         select_writer = protocol.select_writer
         m = self.m
@@ -538,6 +603,39 @@ class Blackboard:
                     return False
             elif not _is_writer(writer, m) or writer != writers[t]:
                 return False
+        return True
+
+    def recompute(self, protocol: BlackboardProtocol, shards) -> bool:
+        """Recompute every logged writer's bits from its own shard and the
+        written prefix alone.
+
+        Each run of consecutive rounds of one writer goes through
+        ``next_bits`` from its first round on, until the run is covered,
+        with that writer's shard visible and every other entry an empty
+        read-only ``(0, columns)`` array; bits past the run are not
+        compared.  Fails at the first run whose writer is not a machine
+        index or whose bits differ from the board's.  The shards are
+        checked as ``run_distributed`` checks them, and an error the
+        protocol raises propagates.
+        """
+        shards = _checked_shards(shards, self.m, self.n)
+        hidden = [_read_only(np.empty((0, shard.shape[1]))) for shard in shards]
+        bits = _read_only(self.bits)
+        writers = self.writers
+        changes = (np.flatnonzero(writers[1:] != writers[:-1]) + 1).tolist()
+        starts = [0, *changes] if len(writers) else []
+        for start, stop in zip(starts, starts[1:] + [len(writers)]):
+            writer = writers[start]
+            if not _is_writer(writer, self.m):
+                return False
+            visible = (*hidden[:writer], shards[writer], *hidden[writer + 1 :])
+            t = start
+            while t < stop:
+                block = _bit_block(protocol.next_bits(visible, t, bits[:t]), t)
+                end = min(t + block.size, stop)
+                if not np.array_equal(block[: end - t], bits[t:end]):
+                    return False
+                t = end
         return True
 
 
@@ -586,6 +684,23 @@ def _bit_block(values, t: int) -> np.ndarray:
     raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
 
 
+def _checked_shards(shards, m: int, n: int) -> tuple:
+    """The m shards as read-only float64 views, each a 2-D array of n
+    rows of finite values; ``ValueError`` otherwise."""
+    if len(shards) != m:
+        raise ValueError(f"got {len(shards)} shards for m = {m}")
+    checked = []
+    for j, shard in enumerate(shards):
+        shard = np.asarray(shard, dtype=np.float64)
+        if shard.ndim != 2 or shard.shape[0] != n:
+            raise ValueError(
+                f"shard {j} has shape {shard.shape}; every shard must hold n = {n} rows"
+            )
+        check_finite(shard, f"shard {j}")
+        checked.append(_read_only(shard))
+    return tuple(checked)
+
+
 def run_distributed(
     protocol: BlackboardProtocol,
     shards: list[np.ndarray],
@@ -595,64 +710,41 @@ def run_distributed(
 ) -> tuple[EstimateReport, Blackboard]:
     """Run m*b rounds of one-bit writes and estimate from the transcript.
 
-    A block starts at round t with the writer ``select_writer`` picks
-    there.  Its ``next_bits`` are written in one go, one
-    ``select_writers`` call gives the writers of the block's later
-    rounds, and the block ends at the first of them that differs; the
-    rounds past it are written again by the blocks that follow.  Shards
-    must be finite.  Writers and bits are validated before any cast or
-    comparison, and every bit counts against its writer's budget b.
-    A later-writers block that is an integer ndarray of the right shape
-    holding only the block's writer is accepted by one comparison, since
-    that writer is already checked; any other value is checked entry by
-    entry.  Protocols get the transcript read-only.
+    From round t on, the runner writes the whole block ``next_bits``
+    returns (up to the last round), takes the block's writers from one
+    ``select_writers`` call, each checked to be a machine index, and
+    charges them to their budgets of b rounds with a bincount; a writer
+    past its budget raises ``RuntimeError``.  Shards must be 2-D arrays
+    of n finite rows.  Writers and bits are validated before any cast.
+    Protocols get the checked shards and the transcript as read-only
+    views.  That each bit came from its writer's own shard is what
+    ``Blackboard.recompute`` checks.
     """
     t0 = time.perf_counter()
-    if len(shards) != m:
-        raise ValueError(f"got {len(shards)} shards for m = {m}")
-    for j, shard in enumerate(shards):
-        shard = np.asarray(shard)
-        if shard.shape[0] != n:
-            raise ValueError(f"every shard must hold n = {n} samples")
-        check_finite(shard, f"shard {j}")
+    shards = _checked_shards(shards, m, n)
     rounds = m * b
     bits = np.zeros(rounds, dtype=np.uint8)
     # Protocols see the transcript through one read-only view, so no bit
     # on the board can be rewritten after its round.
-    transcript = bits.view()
-    transcript.flags.writeable = False
+    transcript = _read_only(bits)
     writers = np.zeros(rounds, dtype=np.int64)
-    written = [0] * m
+    written = np.zeros(m, dtype=np.int64)
     t = 0
     while t < rounds:
-        writer = protocol.select_writer(t, transcript[:t])
-        if type(writer) is not int or not 0 <= writer < m:
-            writer = int(_writer_block([writer], t, t + 1, m)[0])
-        block = _bit_block(protocol.next_bits(shards[writer], t, transcript[:t]), t)
+        block = _bit_block(protocol.next_bits(shards, t, transcript[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
-        stop = t + 1
-        if end > stop:
-            later = protocol.select_writers(stop, end, transcript[:end])
-            if (
-                isinstance(later, np.ndarray)
-                and later.dtype.kind in "ui"
-                and later.shape == (end - stop,)
-                and (later == writer).all()
-            ):
-                stop = end
-            else:
-                same = _writer_block(later, stop, end, m) == writer
-                stop = end if same.all() else stop + int(same.argmin())
-        written[writer] += stop - t
-        if written[writer] > b:
-            raise RuntimeError(
-                f"machine {writer} selected for more than b = {b} rounds"
-            )
-        writers[t:stop] = writer
-        t = stop
-    if any(count != b for count in written):
-        raise RuntimeError(f"per-machine round counts {written} != b = {b}")
+        block_writers = _writer_block(
+            protocol.select_writers(t, end, transcript[:end]), t, end, m
+        )
+        written += np.bincount(block_writers, minlength=m)
+        over = np.flatnonzero(written > b)
+        if over.size:
+            raise RuntimeError(f"machine {over[0]} selected for more than b = {b} rounds")
+        writers[t:end] = block_writers
+        t = end
+    if (written != b).any():
+        raise RuntimeError(f"per-machine round counts {written.tolist()} != b = {b}")
     out = np.asarray(protocol.estimate(bits.copy()), dtype=np.float64)
     board = Blackboard(bits=bits, writers=writers, m=m, n=n, b=b)
     report = EstimateReport(
@@ -677,10 +769,11 @@ class _StateHandoffProtocol(BlackboardProtocol):
     and simulates pass q // m of the streaming run over that machine's
     shard, starting from the state written in turn q - 1 (all zeros for
     q = 0).  Every machine takes exactly T turns, so it writes exactly
-    s*T = b bits.  Nothing is memoized: a turn's output state is a
-    function of the shard and the public prefix alone, and
-    ``next_bits`` hands the runner the rest of the turn, so
-    ``run_distributed`` computes each turn once.
+    s*T = b bits.  Nothing is memoized: ``next_bits`` hands the runner
+    the rest of a pass, each turn's state a function of its machine's
+    shard and the state written in the turn before, from one
+    ``update_chunks`` call, so ``run_distributed`` computes each pass
+    once.
     """
 
     def __init__(self, algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile, n: int):
@@ -693,15 +786,15 @@ class _StateHandoffProtocol(BlackboardProtocol):
         return (round_index // self.s) % self.m
 
     def select_writers(self, start, stop, transcript):
-        """The turn owners of rounds ``start .. stop - 1``: one ``np.full``
-        when the range lies inside one turn, as it does for every block
-        ``run_distributed`` asks about."""
-        turn = start // self.s
-        if stop <= (turn + 1) * self.s:
-            return np.full(stop - start, turn % self.m)
-        return (np.arange(start, stop) // self.s) % self.m
+        """The turn owners of rounds ``start .. stop - 1``: the owner of
+        each turn the range touches, repeated s times, then cut to it."""
+        s, first = self.s, start // self.s
+        owners = np.repeat(np.arange(first, -(-stop // s)) % self.m, s)
+        return owners[start - first * s : stop - first * s]
 
-    def next_bits(self, shard, round_index, transcript):
+    def next_bits(self, shards, round_index, transcript):
+        """Round ``round_index`` to the end of its pass: the turn's state
+        from its offset on, then the states of the pass's later turns."""
         s = self.s
         turn, offset = divmod(round_index, s)
         if turn == 0:
@@ -709,8 +802,8 @@ class _StateHandoffProtocol(BlackboardProtocol):
         else:
             prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
         t, machine = divmod(turn, self.m)
-        state = self.algorithm.update_block(prev, t, machine * self.n, shard)
-        return _check_state(state, s)[offset:]
+        states = self.algorithm.update_chunks(prev, t, machine * self.n, shards[machine:])
+        return _check_state(states, (self.m - machine, s)).reshape(-1)[offset:]
 
     def estimate(self, transcript):
         final = np.asarray(transcript[-self.s :], dtype=np.uint8)

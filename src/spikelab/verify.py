@@ -18,7 +18,13 @@ from importlib import resources
 
 import numpy as np
 
-from spikelab.harness import QuantizerSpec, replay, run_memory_bounded, streaming_run
+from spikelab.harness import (
+    QuantizerSpec,
+    replay,
+    run_memory_bounded,
+    shard_stream,
+    streaming_run,
+)
 from spikelab.hermite import (
     build_weighted_basis,
     gauss_hermite_rule,
@@ -522,12 +528,13 @@ def _suite_models() -> list[CheckResult]:
 
 
 def replay_checks(prefix: str, replays) -> list[CheckResult]:
-    """``<prefix>/`` bit-equality, accounting and writer-audit checks, each
-    counting the replays that fail it.  A replay is ``(profile, direct,
-    report, board, protocol)``: a streaming run's profile and report, then
-    the report, board and protocol of its blackboard replay."""
-    mismatches = accounting = audit_failures = 0
-    for profile, direct, report, board, protocol in replays:
+    """``<prefix>/`` bit-equality, accounting, writer-audit and
+    shard-recompute checks, each counting the replays that fail it.  A
+    replay is ``(profile, data, direct, report, board, protocol)``: a
+    streaming run's profile, stream and report, then the report, board
+    and protocol of its blackboard replay."""
+    mismatches = accounting = audit_failures = recompute_failures = 0
+    for profile, data, direct, report, board, protocol in replays:
         if not np.array_equal(direct.estimate, report.estimate):
             mismatches += 1
         budget = (profile.samples // board.n) * profile.state_bits * profile.passes
@@ -539,10 +546,17 @@ def replay_checks(prefix: str, replays) -> list[CheckResult]:
         # took from ``select_writers``.
         if not board.audit(protocol):
             audit_failures += 1
+        # Each writer's bits from its own shard alone, against the bits
+        # the runner took a pass at a time from ``next_bits``.
+        if not board.recompute(protocol, shard_stream(data, board.n)):
+            recompute_failures += 1
     return [
         CheckResult(f"{prefix}/reduction-bit-equality", mismatches == 0, mismatches, 0.0),
         CheckResult(f"{prefix}/transcript-accounting", accounting == 0, accounting, 0.0),
         CheckResult(f"{prefix}/writer-audit", audit_failures == 0, audit_failures, 0.0),
+        CheckResult(
+            f"{prefix}/shard-recompute", recompute_failures == 0, recompute_failures, 0.0
+        ),
     ]
 
 
@@ -561,7 +575,9 @@ def _suite_harness() -> list[CheckResult]:
         algorithm, profile = streaming_run(estimator, k, d, quantizer, 6, 32, init)
         direct = run_memory_bounded(algorithm, data, profile)
         for shard_rows in (32, 16, 8):
-            replays.append((profile, direct, *replay(algorithm, data, profile, shard_rows)))
+            replays.append(
+                (profile, data, direct, *replay(algorithm, data, profile, shard_rows))
+            )
     return replay_checks("harness", replays)
 
 

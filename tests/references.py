@@ -7,17 +7,26 @@ benchmark runs them.
 
 import numpy as np
 
-from spikelab.harness import MemoryBoundedAlgorithm, QuantizedIteration
+from spikelab.harness import (
+    MemoryBoundedAlgorithm,
+    QuantizedIteration,
+    _check_state,
+    _StateHandoffProtocol,
+)
 from spikelab.tensors import contract_batch
 
 
-def snap(q, values):
-    """``q.decode(q.encode(values))`` on the lattice, from the codec
+def levels(q, values):
+    """The levels ``q.encode`` codes ``values`` by, from the codec
     contract: clamp to ``[-radius, radius]``, round ``(value + radius) /
     step`` half to even, cap the level at ``2^bits - 1``."""
     clamped = np.minimum(np.maximum(values, -q.radius), q.radius)
-    levels = np.minimum(np.rint((clamped + q.radius) / q.step), 2.0**q.bits - 1.0)
-    return levels * q.step - q.radius
+    return np.minimum(np.rint((clamped + q.radius) / q.step), 2.0**q.bits - 1.0)
+
+
+def snap(q, values):
+    """``q.decode(q.encode(values))`` on the lattice."""
+    return levels(q, values) * q.step - q.radius
 
 
 def snap_loop(q, start, steps):
@@ -28,18 +37,24 @@ def snap_loop(q, start, steps):
 
 
 def snap_sum(q, start, steps):
-    """The values half of ``q._snap_block``, as an array; it must equal
-    ``snap_loop`` bit for bit (``start`` itself for no rows)."""
+    """The value ``q._snap_block``'s levels at the last row stand for, as
+    an array; it must equal ``snap_loop`` bit for bit (``start`` itself
+    for no rows)."""
     start = np.asarray(start, dtype=np.float64)
-    return np.asarray(q._snap_block(start, np.asarray(steps, dtype=np.float64))[0])
+    steps = np.asarray(steps, dtype=np.float64)
+    if len(steps) == 0:
+        return start
+    return q._snap_block(start, steps, [len(steps) - 1])[0] * q.step - q.radius
 
 
 class RowByRowIteration(QuantizedIteration):
     """``QuantizedIteration`` that re-encodes its partial sum after every
-    row: the base class's ``update_block`` runs one ``update`` per row,
-    the reference the block update must equal bit for bit."""
+    row: the base class's ``update_chunks`` and ``update_block`` run one
+    ``update`` per row, the reference the chunked update must equal bit
+    for bit."""
 
     update_block = MemoryBoundedAlgorithm.update_block
+    update_chunks = MemoryBoundedAlgorithm.update_chunks
 
     def update(self, state, t, i, x):
         q, d = self.quantizer, self.d
@@ -51,8 +66,11 @@ class RowByRowIteration(QuantizedIteration):
         if i == self.n_samples - 1:
             # Pass boundary: the accumulated sum becomes the iterate and
             # the partial sum resets to the code for zero.
-            return self._next_state(partial_bits, self.reset_code)
-        return self._next_state(state[: self.state_bits // 2], partial_bits)
+            head, tail = partial_bits, self.reset_code
+        else:
+            head, tail = state[: self.state_bits // 2], partial_bits
+        # Cast as assigning into a uint8 array would.
+        return np.concatenate([head, tail], dtype=np.uint8, casting="unsafe")
 
 
 def row_by_row(algorithm: QuantizedIteration) -> RowByRowIteration:
@@ -60,4 +78,37 @@ def row_by_row(algorithm: QuantizedIteration) -> RowByRowIteration:
     ``RowByRowIteration``."""
     reference = object.__new__(RowByRowIteration)
     vars(reference).update(vars(algorithm))
+    return reference
+
+
+class TurnByTurnProtocol(_StateHandoffProtocol):
+    """The state-handoff protocol answering one turn per ``next_bits``
+    call: the rest of the turn of round ``round_index``, from one
+    ``update_block`` over its writer's shard alone, started from the
+    state written in the turn before.  ``next_bit`` is one bit of it."""
+
+    def next_bits(self, shards, round_index, transcript):
+        shard = shards[self.select_writer(round_index, transcript)]
+        return self.turn(shard, round_index, transcript)
+
+    def next_bit(self, shard, round_index, transcript):
+        return int(self.turn(shard, round_index, transcript)[0])
+
+    def turn(self, shard, round_index, transcript):
+        s = self.s
+        turn, offset = divmod(round_index, s)
+        if turn == 0:
+            prev = np.zeros(s, dtype=np.uint8)
+        else:
+            prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
+        t, machine = divmod(turn, self.m)
+        state = self.algorithm.update_block(prev, t, machine * self.n, shard)
+        return _check_state(state, (s,))[offset:]
+
+
+def turn_by_turn(protocol: _StateHandoffProtocol) -> TurnByTurnProtocol:
+    """``protocol``'s algorithm, shard size and turn schedule, answered by
+    ``TurnByTurnProtocol``."""
+    reference = object.__new__(TurnByTurnProtocol)
+    vars(reference).update(vars(protocol))
     return reference

@@ -516,11 +516,12 @@ def test_main_reduce_replays_and_dumps(tmp_path, capsys):
     out = tmp_path / "transcript.txt"
     assert main(["reduce", str(path), "--out", str(out)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[:4] == [
+    assert captured.out.splitlines()[:5] == [
         "check,status,measured,bound",
         "reduce/reduction-bit-equality,PASS,0,0",
         "reduce/transcript-accounting,PASS,0,0",
         "reduce/writer-audit,PASS,0,0",
+        "reduce/shard-recompute,PASS,0,0",
     ]
     lines = out.read_text().splitlines()
     assert len(lines) == 4 * (2 * 4 * 16) * 6

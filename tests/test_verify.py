@@ -344,17 +344,24 @@ def test_sign_tail_shrinks():
 
 
 def test_harness_suite_audits_every_replay(monkeypatch):
-    boards = []
+    boards, recomputed = [], []
 
     def audit(board, protocol):
         boards.append(board)
         return len(boards) != 2
 
+    def recompute(board, protocol, shards):
+        recomputed.append(board)
+        return len(recomputed) != 5
+
     monkeypatch.setattr(Blackboard, "audit", audit)
+    monkeypatch.setattr(Blackboard, "recompute", recompute)
     results = {r.check: r for r in run_verification("harness")}
     assert len(boards) == 6  # two fixture runs, three shard sizes each
-    assert not results["harness/writer-audit"].ok
-    assert results["harness/writer-audit"].measured == 1
+    assert recomputed == boards
+    for check in ("harness/writer-audit", "harness/shard-recompute"):
+        assert not results[check].ok
+        assert results[check].measured == 1
 
 
 def test_unknown_suite_rejected():
