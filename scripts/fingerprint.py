@@ -27,8 +27,9 @@ golden file that ``tests/test_fingerprints.py`` recomputes, under a
 stamp of the Python version, the numpy version, the BLAS name and the
 OpenBLAS core it runs (another BLAS build or core may round matmuls
 differently).  Without ITEMs it rewrites the digests of the items the
-file already lists; a change that moves bits on purpose runs it and
-says which digests moved.
+file already lists; with ITEMs it writes the lines of those items and
+keeps every other item's lines.  A change that moves bits on purpose
+runs it and says which digests moved.
 
 A ``# host-specific <verb> <item>: <reason>`` line in the golden file
 names a digest that only the stamped BLAS core reproduces;
@@ -182,7 +183,8 @@ def main(argv=None) -> int:
     print("\n".join(lines))
     if args.write:
         notes = [f"{HOST_SPECIFIC}{key}: {why}" for key, why in host_specific().items()]
-        GOLDEN.write_text("\n".join(stamp() + notes + lines) + "\n")
+        kept = [line for line in read_golden()[1] if line.split()[1] not in items]
+        GOLDEN.write_text("\n".join(stamp() + notes + kept + lines) + "\n")
     return 0
 
 

@@ -416,6 +416,18 @@ class BruteForceConfig:
         check_count("max_net", self.max_net)
 
 
+def _normalize_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` divided in place by its row norms, bit for bit
+    ``x / np.linalg.norm(x, axis=1, keepdims=True)``: the squares summed
+    column by column from the left, then ``sqrt``, an array op per column
+    in place of a reduction per row."""
+    total = x[:, 0] * x[:, 0]
+    for j in range(1, x.shape[1]):
+        total += x[:, j] * x[:, j]
+    x /= np.sqrt(total)[:, None]
+    return x
+
+
 def sphere_net(
     d: int,
     delta: float,
@@ -468,15 +480,14 @@ def sphere_net(
             raise RuntimeError(
                 f"net for d={d}, delta={delta} exceeds the {max_points}-point budget"
             )
-        net = rng.standard_normal((count, d))
-        net /= np.linalg.norm(net, axis=1, keepdims=True)
-        q = rng.standard_normal((probes, d))
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        # a chunk's farthest probe is the one with the lowest best dot;
-        # ``all`` stops at the first chunk that misses, so no later chunk
-        # is multiplied
+        net = _normalize_rows(rng.standard_normal((count, d)))
+        q = _normalize_rows(rng.standard_normal((probes, d)))
+        # a chunk's farthest probe is the one with the lowest best dot
+        # (a max down the columns of net @ probes.T, one array op per net
+        # point); ``all`` stops at the first chunk that misses, so no
+        # later chunk is multiplied
         lowest = (
-            float((q[lo:hi] @ net.T).max(axis=1).min())
+            float(np.maximum.reduce(net @ q[lo:hi].T, axis=0).min())
             for lo, hi in _spans(probes, _NET_BLOCK)
         )
         if all(math.sqrt(max(2.0 - 2.0 * dot, 0.0)) <= delta for dot in lowest):

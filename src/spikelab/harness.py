@@ -290,8 +290,9 @@ class QuantizerSpec:
         check = checked * step - radius
         wrong = guess.view(np.int64) != check[:-1].view(np.int64)
         levels = checked[marks]
-        columns = np.flatnonzero(wrong.any(axis=0))
-        if columns.size:
+        # The per-column mask is built only when some guess missed.
+        if wrong.any():
+            columns = np.flatnonzero(wrong.any(axis=0))
             marks = np.asarray(marks)
             first = wrong[:, columns].argmax(axis=0)
             # The first mark past each column's first difference.
@@ -561,7 +562,7 @@ class BlackboardProtocol:
         picks a shard.
         """
         writer = self.select_writer(round_index, transcript)
-        writer = _writer_block([writer], round_index, round_index + 1, len(shards))[0]
+        writer = _writer_block([writer], round_index, round_index + 1, len(shards))[0][0]
         return [self.next_bit(shards[writer], round_index, transcript)]
 
     def estimate(self, transcript: np.ndarray) -> np.ndarray:
@@ -570,7 +571,13 @@ class BlackboardProtocol:
 
 @dataclass
 class Blackboard:
-    """Public transcript: bits in write order plus the writer log."""
+    """Public transcript: bits in write order plus the writer log.
+
+    ``run_distributed`` logs the writers in the narrowest unsigned dtype
+    that holds ``m - 1`` (``np.min_scalar_type``), one byte a round for
+    m <= 256; ``dump_text``, ``audit`` and ``recompute`` read the values,
+    so any integer array of the same values gives the same answers.
+    """
 
     bits: np.ndarray
     writers: np.ndarray
@@ -622,14 +629,14 @@ class Blackboard:
         hidden = [_read_only(np.empty((0, shard.shape[1]))) for shard in shards]
         bits = _read_only(self.bits)
         writers = self.writers
-        changes = (np.flatnonzero(writers[1:] != writers[:-1]) + 1).tolist()
-        starts = [0, *changes] if len(writers) else []
-        for start, stop in zip(starts, starts[1:] + [len(writers)]):
-            writer = writers[start]
+        heads, lengths = _runs(writers) if len(writers) else (np.zeros(0, dtype=np.intp),) * 2
+        # Python values, so a narrow unsigned writer cannot wrap in ``writer + 1``.
+        owners = writers[heads].tolist()
+        for start, length, writer in zip(heads.tolist(), lengths.tolist(), owners):
             if not _is_writer(writer, self.m):
                 return False
             visible = (*hidden[:writer], shards[writer], *hidden[writer + 1 :])
-            t = start
+            t, stop = start, start + length
             while t < stop:
                 block = _bit_block(protocol.next_bits(visible, t, bits[:t]), t)
                 end = min(t + block.size, stop)
@@ -647,23 +654,41 @@ def _is_writer(value, m: int) -> bool:
     return is_int and 0 <= value < m
 
 
-def _writer_block(values, start: int, stop: int, m: int) -> np.ndarray:
-    """The writers of rounds start..stop-1, checked to be machine indices.
+def _runs(writers: np.ndarray) -> tuple:
+    """``(heads, lengths)`` of the runs of one writer in a non-empty writer
+    array: the offset where each run begins (0, then every entry that
+    differs from the one before) and the rounds it holds."""
+    changes = (writers[1:] != writers[:-1]).nonzero()[0]
+    changes += 1
+    heads = np.concatenate(([0], changes))
+    lengths = np.empty_like(heads)
+    lengths[:-1] = changes
+    lengths[-1] = len(writers)
+    lengths -= heads
+    return heads, lengths
+
+
+def _writer_block(values, start: int, stop: int, m: int) -> tuple:
+    """``(block, heads, lengths)``: the writers of rounds start..stop-1 (at
+    least one), checked to be machine indices, and ``_runs`` of them.
 
     A bool is not a machine index, even where numpy would cast it to one.
+    Every entry sits at the head of its run, so an integer block is
+    checked at its heads alone; a block that fails is scanned to name
+    its first bad round, which is a head.
     """
     block = np.asarray(values)
     if block.shape != (stop - start,):
         raise ValueError(
             f"protocol gave writers of shape {block.shape} for rounds {start}..{stop - 1}"
         )
-    if (
-        block.dtype.kind in "ui"
-        and block.min() >= 0
-        and block.max() < m
-        and (isinstance(values, np.ndarray) or not any(isinstance(w, _BOOLS) for w in values))
+    if block.dtype.kind in "ui" and (
+        isinstance(values, np.ndarray) or not any(isinstance(w, _BOOLS) for w in values)
     ):
-        return block
+        heads, lengths = _runs(block)
+        owners = block[heads]
+        if owners.min() >= 0 and owners.max() < m:
+            return block, heads, lengths
     # Name the first entry that is not a machine index.
     j = next((j for j, w in enumerate(values) if not _is_writer(w, m)), 0)
     raise ValueError(
@@ -696,8 +721,12 @@ def _checked_shards(shards, m: int, n: int) -> tuple:
             raise ValueError(
                 f"shard {j} has shape {shard.shape}; every shard must hold n = {n} rows"
             )
-        check_finite(shard, f"shard {j}")
         checked.append(_read_only(shard))
+    # One finiteness pass when the shards stack; shard by shard only to
+    # name the first bad one.
+    if len({shard.shape[1] for shard in checked}) != 1 or not np.isfinite(np.stack(checked)).all():
+        for j, shard in enumerate(checked):
+            check_finite(shard, f"shard {j}")
     return tuple(checked)
 
 
@@ -711,11 +740,13 @@ def run_distributed(
     """Run m*b rounds of one-bit writes and estimate from the transcript.
 
     From round t on, the runner writes the whole block ``next_bits``
-    returns (up to the last round), takes the block's writers from one
-    ``select_writers`` call, each checked to be a machine index, and
-    charges them to their budgets of b rounds with a bincount; a writer
-    past its budget raises ``RuntimeError``.  Shards must be 2-D arrays
-    of n finite rows.  Writers and bits are validated before any cast.
+    returns (up to the last round) and takes the block's writers from
+    one ``select_writers`` call.  Each run of one writer is checked and
+    charged once: its writer must be a machine index, and its length
+    goes to that machine's budget of b rounds; a machine past its budget
+    after a block raises ``RuntimeError``.  The writer log is kept in
+    ``np.min_scalar_type(m - 1)``.  Shards must be 2-D arrays of n
+    finite rows.  Writers and bits are validated before any cast.
     Protocols get the checked shards and the transcript as read-only
     views.  That each bit came from its writer's own shard is what
     ``Blackboard.recompute`` checks.
@@ -727,17 +758,17 @@ def run_distributed(
     # Protocols see the transcript through one read-only view, so no bit
     # on the board can be rewritten after its round.
     transcript = _read_only(bits)
-    writers = np.zeros(rounds, dtype=np.int64)
+    writers = np.zeros(rounds, dtype=np.min_scalar_type(m - 1))
     written = np.zeros(m, dtype=np.int64)
     t = 0
     while t < rounds:
         block = _bit_block(protocol.next_bits(shards, t, transcript[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
-        block_writers = _writer_block(
+        block_writers, heads, lengths = _writer_block(
             protocol.select_writers(t, end, transcript[:end]), t, end, m
         )
-        written += np.bincount(block_writers, minlength=m)
+        np.add.at(written, block_writers[heads], lengths)
         over = np.flatnonzero(written > b)
         if over.size:
             raise RuntimeError(f"machine {over[0]} selected for more than b = {b} rounds")
@@ -781,15 +812,18 @@ class _StateHandoffProtocol(BlackboardProtocol):
         self.n = n
         self.m = profile.samples // n
         self.s = profile.state_bits
+        self.writer_dtype = np.min_scalar_type(self.m - 1)
 
     def select_writer(self, round_index, transcript):
         return (round_index // self.s) % self.m
 
     def select_writers(self, start, stop, transcript):
         """The turn owners of rounds ``start .. stop - 1``: the owner of
-        each turn the range touches, repeated s times, then cut to it."""
+        each turn the range touches, repeated s times, then cut to it, in
+        the writer log's dtype ``np.min_scalar_type(m - 1)``."""
         s, first = self.s, start // self.s
-        owners = np.repeat(np.arange(first, -(-stop // s)) % self.m, s)
+        turns = np.arange(first, -(-stop // s)) % self.m
+        owners = np.repeat(turns.astype(self.writer_dtype), s)
         return owners[start - first * s : stop - first * s]
 
     def next_bits(self, shards, round_index, transcript):

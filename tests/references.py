@@ -112,3 +112,36 @@ def turn_by_turn(protocol: _StateHandoffProtocol) -> TurnByTurnProtocol:
     reference = object.__new__(TurnByTurnProtocol)
     vars(reference).update(vars(protocol))
     return reference
+
+
+def first_bad_writer(values, m: int):
+    """The index of the first entry of ``values`` that is not a machine
+    index (an ``int`` or numpy integer in ``[0, m)``, and not a bool), or
+    ``None``; every entry is scanned."""
+    for j, w in enumerate(values):
+        if isinstance(w, (bool, np.bool_)) or not isinstance(w, (int, np.integer)):
+            return j
+        if not 0 <= w < m:
+            return j
+    return None
+
+
+def charge_blocks(blocks, m: int, b: int):
+    """What ``run_distributed`` does with writer blocks ``(start, values)``
+    written in order: ``(ValueError or RuntimeError, message)`` for the
+    first block with a writer that is not a machine index or that leaves
+    a machine past its budget of ``b`` rounds, else ``(None, counts)``,
+    the rounds charged to each machine by a bincount of every round."""
+    counts = np.zeros(m, dtype=np.int64)
+    for start, values in blocks:
+        j = first_bad_writer(values, m)
+        if j is not None:
+            message = f"writer {values[j]} at round {start + j} is not a machine index in [0, {m})"
+            return ValueError, message
+        counts += np.bincount(np.asarray(values, dtype=np.int64), minlength=m)
+        over = np.flatnonzero(counts > b)
+        if over.size:
+            return RuntimeError, f"machine {over[0]} selected for more than b = {b} rounds"
+    if (counts != b).any():
+        return RuntimeError, f"per-machine round counts {counts.tolist()} != b = {b}"
+    return None, counts

@@ -29,6 +29,7 @@ from spikelab.estimators import (
     rank1_svd,
     sphere_net,
     tensor_power_method,
+    _normalize_rows,
     _power_inplace,
 )
 from spikelab.measures import NonGaussMeasure
@@ -496,6 +497,17 @@ def test_sphere_net_small_dimensions():
     gaps = np.linalg.norm(net2 - np.roll(net2, -1, axis=0), axis=1)
     assert gaps.max() <= 0.3 + 1e-12
     np.testing.assert_allclose(np.linalg.norm(net2, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_normalize_rows_is_the_row_norm_bit_for_bit(d):
+    # Rows across 200 decades, so the squares are neither near 1 nor alike.
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((20_000, d)) * 10.0 ** rng.uniform(-100, 100, (20_000, 1))
+    reference = x / np.linalg.norm(x, axis=1, keepdims=True)
+    out = _normalize_rows(x)
+    assert out is x
+    assert out.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 4])

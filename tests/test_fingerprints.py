@@ -7,7 +7,8 @@ sampler is the rejection loop, the k=3 cca net search, a 1,600-point
 ngca net in two ``_NET_BLOCK`` chunks, a d=4 ngca net sized by the
 doubling loop, a 96-point d=3 k=2 cca net in 14 model slices,
 ``[harness]`` tpca k=2 and k=4 partial trace, ``[distributed]`` with
-shard_rows 8), one ``reduce --out`` transcript and the five ``verify``
+shard_rows 8 and with 300 two-row machines, whose writer log is uint16),
+their two ``reduce --out`` transcripts and the five ``verify``
 reports, under a stamp naming Python, numpy, the BLAS build and its
 OpenBLAS core.  A change that moves any of these bytes on purpose
 rewrites the file with ``--write`` and says which digests moved.

@@ -4,6 +4,7 @@ exact simulation of one model by the other."""
 import contextlib
 import functools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -33,7 +34,15 @@ from spikelab.harness import (
 from spikelab.models import ModelSpec, sample_tpca
 from spikelab.tensors import contract_batch
 
-from references import levels, row_by_row, snap, snap_loop, snap_sum, turn_by_turn
+from references import (
+    charge_blocks,
+    levels,
+    row_by_row,
+    snap,
+    snap_loop,
+    snap_sum,
+    turn_by_turn,
+)
 
 
 class XorFold(MemoryBoundedAlgorithm):
@@ -1077,8 +1086,9 @@ def test_handoff_select_writers_equals_per_round_reference(s, m, passes, span, d
     transcript = np.zeros(stop, dtype=np.uint8)
     fast = protocol.select_writers(start, stop, transcript)
     reference = BlackboardProtocol.select_writers(protocol, start, stop, transcript)
-    assert fast.dtype == np.int64
-    assert fast.view(np.int64).tobytes() == np.array(reference, dtype=np.int64).tobytes()
+    # The writer log's narrow unsigned dtype, holding the reference's values.
+    assert fast.dtype == np.min_scalar_type(m - 1)
+    assert fast.tolist() == reference
 
 
 def test_audit_rejects_a_board_from_lying_select_writers():
@@ -1217,6 +1227,7 @@ def test_distributed_names_the_round_of_a_bad_later_writer(bad, turn, offset):
             writers = writers.tolist()
             writers[planted - start] = True
             return writers
+        writers = writers.astype(np.int64)
         writers[planted - start] = m if bad == "m" else -1
         return writers
 
@@ -1224,6 +1235,134 @@ def test_distributed_names_the_round_of_a_bad_later_writer(bad, turn, offset):
     named = 0 if bad == "bool array" else planted
     with pytest.raises(ValueError, match=f"at round {named} is not a machine index"):
         run_distributed(protocol, shard_stream(data, n), m, n, b)
+
+
+class _Scripted(BlackboardProtocol):
+    """Zero bits in blocks that end at ``cuts``, each block's writers a
+    slice of ``writers`` (a list or an array), with ``swap(start, block)``
+    free to replace a block."""
+
+    def __init__(self, writers, cuts, swap):
+        self.writers, self.cuts, self.swap = writers, cuts, swap
+
+    def next_bits(self, shards, round_index, transcript):
+        stop = next(cut for cut in self.cuts if cut > round_index)
+        return np.zeros(stop - round_index, dtype=np.uint8)
+
+    def select_writers(self, start, stop, transcript):
+        return self.swap(start, self.writers[start:stop])
+
+    def estimate(self, transcript):
+        return transcript.astype(np.float64)
+
+
+def _writer_sequence(rng, m, b, balanced):
+    """Writers of m*b rounds in runs: each machine's b rounds cut into
+    runs and shuffled, and unless ``balanced``, some runs handed to
+    another machine."""
+    runs = []
+    for machine in range(m):
+        cuts = np.sort(rng.choice(np.arange(1, b), size=rng.integers(0, b), replace=False))
+        runs += [(machine, size) for size in np.diff(np.r_[0, cuts, b])]
+    order = rng.permutation(len(runs))
+    runs = [runs[j] for j in order]
+    if not balanced:
+        runs = [(int(rng.integers(m)) if rng.random() < 0.3 else w, size) for w, size in runs]
+    return np.concatenate([np.full(size, w, dtype=np.int64) for w, size in runs])
+
+
+@given(
+    m=st.one_of(st.integers(1, 6), st.sampled_from([255, 256, 257])),
+    b=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    balanced=st.booleans(),
+    returned=st.sampled_from(["list", "int64", "narrow", "int16"]),
+    bad=st.sampled_from([None, "-1", "m", "bool", "float"]),
+    where=st.sampled_from(["head", "inside", "last"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_runner_checks_and_charges_writer_runs_as_a_full_scan(
+    m, b, seed, balanced, returned, bad, where
+):
+    # Writers come as runs in blocks of random lengths; a planted bad
+    # writer sits at a run head, inside a run or at the last round.  The
+    # runner must raise what a check and a bincount of every round raise.
+    rng = np.random.default_rng(seed)
+    rounds = m * b
+    honest = _writer_sequence(rng, m, b, balanced)
+    # Up to three block ends before the last round.
+    inner = rng.choice(rounds - 1, size=min(rng.integers(0, 4), rounds - 1), replace=False)
+    cuts = [*np.sort(inner + 1).tolist(), rounds]
+    heads = np.r_[0, np.flatnonzero(honest[1:] != honest[:-1]) + 1]
+    inside = np.setdiff1d(np.arange(rounds), heads)
+    if where == "last":
+        planted = rounds - 1
+    elif where == "inside" and inside.size:
+        planted = int(rng.choice(inside))
+    else:
+        planted = int(rng.choice(heads))
+    value = {"-1": -1, "m": m, "bool": True, "float": float(honest[planted])}.get(bad)
+    if returned == "list":
+        writers = honest.tolist()
+        if bad is not None:
+            writers[planted] = value
+    else:
+        dtype = {"int64": np.int64, "narrow": np.min_scalar_type(m - 1), "int16": np.int16}
+        writers = honest.astype(dtype[returned])
+        if bad in ("-1", "m"):
+            # Widened only where the returned dtype cannot hold the value.
+            writers = writers.astype(np.result_type(writers, np.min_scalar_type(value)))
+            writers[planted] = value
+
+    def swap(start, block):
+        # An array carries a bool or a float only as its dtype.
+        holds = start <= planted < start + len(block)
+        if returned != "list" and bad in ("bool", "float") and holds:
+            return block.astype(bool if bad == "bool" else np.float64)
+        return block
+
+    blocks = [(start, swap(start, writers[start:stop])) for start, stop in zip([0, *cuts], cuts)]
+    error, expected = charge_blocks(blocks, m, b)
+    shards = [np.zeros((1, 1))] * m
+    protocol = _Scripted(writers, cuts, swap)
+    if error is not None:
+        with pytest.raises(error, match=f"^{re.escape(expected)}$"):
+            run_distributed(protocol, shards, m, 1, b)
+        return
+    np.testing.assert_array_equal(expected, np.full(m, b))
+    _, board = run_distributed(protocol, shards, m, 1, b)
+    assert board.writers.dtype == np.min_scalar_type(m - 1)
+    assert board.writers.tolist() == honest.tolist()
+
+
+@pytest.mark.parametrize("m", [255, 256, 257])
+def test_board_logs_writers_in_the_narrowest_dtype(m):
+    # One one-bit turn per machine and pass, two passes: machine m - 1
+    # (255 at m = 256, the top of a byte) writes rounds m - 1 and 2m - 1.
+    data = np.random.default_rng(m).standard_normal((m, 2))
+    profile = ResourceProfile(m, 2, 1)
+    protocol, m, n, b = reduce_memory_to_distributed(XorFold(), profile, 1)
+    _, board = run_distributed(protocol, shard_stream(data, n), m, n, b)
+    assert board.writers.dtype == (np.uint8 if m <= 256 else np.uint16)
+    wide = Blackboard(board.bits, board.writers.astype(np.int64), m, n, b)
+    assert board.writers.tolist() == (np.arange(2 * m) % m).tolist()
+    assert board.dump_text() == wide.dump_text()
+    assert board.audit(protocol) and wide.audit(protocol)
+    assert board.recompute(protocol, shard_stream(data, n))
+    assert wide.recompute(protocol, shard_stream(data, n))
+
+
+@pytest.mark.parametrize("columns", [[2, 2, 2, 2], [2, 3, 2, 2]], ids=["stacked", "ragged"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distributed_names_a_non_finite_value_in_the_last_shard(columns, bad):
+    q = QuantizerSpec(bits=4, radius=4.0)
+    shards = [np.ones((4, c)) for c in columns]
+    shards[-1][3, -1] = bad
+    with pytest.raises(ValueError, match="^shard 3 holds a non-finite value$"):
+        run_distributed(LocalMeanProtocol(4, q), shards, 4, 4, q.bits)
+    shards[1][0, 0] = bad
+    with pytest.raises(ValueError, match="^shard 1 holds a non-finite value$"):
+        run_distributed(LocalMeanProtocol(4, q), shards, 4, 4, q.bits)
 
 
 def test_protocol_object_reused_on_a_second_stream():
