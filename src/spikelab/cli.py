@@ -8,11 +8,12 @@ Verbs:
     sample <config>   draw one batch and dump the binary container
     reduce <config>   replay the streaming run as a one-bit protocol
 
-Every verb takes ``--seed`` (replace the configured seed list, may be
-repeated), ``--out`` (output path), ``--threads`` (worker pool size for
-sweeps), and ``--budget-entries`` (dense-tensor entry guard for this
-call only); the last two must be >= 1.  The config grammar and all
-output formats are documented in docs/formats.md.
+Every verb takes ``--budget-entries`` (dense-tensor entry guard for
+this call only).  The three config verbs take ``--seed`` (replace the
+configured seed list, may be repeated) and ``--out`` (output path), and
+``sweep`` alone takes ``--threads`` (worker pool size).  Counts must be
+>= 1, and a verb rejects a flag it does not read.  The config grammar
+and all output formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def sweep_csv(rows: list[dict]) -> str:
 
 
 def _cmd_sweep(args) -> int:
+    check_count("--threads", args.threads)
     cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     text = sweep_csv(run_sweep(cfg, threads=args.threads))
     if cfg.out:
@@ -193,8 +195,7 @@ def _cmd_sample(args) -> int:
 def _cmd_reduce(args) -> int:
     cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
     if cfg.harness is None or cfg.distributed is None:
-        print("reduce needs [harness] and [distributed] sections", file=sys.stderr)
-        return 2
+        raise ValueError("reduce needs [harness] and [distributed] sections")
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     _, batch = draw(cfg, n_samples, seed)
@@ -224,24 +225,22 @@ def _parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, action="append", help="replace the seed list (repeatable)"
-    )
-    common.add_argument("--out", help="output path override")
-    common.add_argument("--threads", type=int, default=1, help="worker pool size")
-    common.add_argument(
         "--budget-entries", type=int, help="dense tensor entry budget override"
     )
+    # The config verbs: a config path, a seed list and an output path.
+    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured.add_argument("config")
+    configured.add_argument(
+        "--seed", type=int, action="append", help="replace the seed list (repeatable)"
+    )
+    configured.add_argument("--out", help="output path override")
     sub = parser.add_subparsers(dest="verb", required=True)
-    p_sweep = sub.add_parser("sweep", parents=[common], help="run a config grid")
-    p_sweep.add_argument("config")
+    p_sweep = sub.add_parser("sweep", parents=[configured], help="run a config grid")
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker pool size")
     p_verify = sub.add_parser("verify", parents=[common], help="run a check suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_sample = sub.add_parser("sample", parents=[common], help="dump one batch")
-    p_sample.add_argument("config")
-    p_reduce = sub.add_parser(
-        "reduce", parents=[common], help="streaming vs distributed replay"
-    )
-    p_reduce.add_argument("config")
+    sub.add_parser("sample", parents=[configured], help="dump one batch")
+    sub.add_parser("reduce", parents=[configured], help="streaming vs distributed replay")
     return parser
 
 
@@ -255,7 +254,6 @@ def main(argv=None) -> int:
     }
     prev_budget = None
     try:
-        check_count("--threads", args.threads)
         if args.budget_entries is not None:
             prev_budget = set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)

@@ -4,9 +4,9 @@ former by the latter.
 
 A memory-bounded algorithm owns nothing but an s-bit state; the runner
 feeds it finite samples in (pass, index) order, one pass per
-``update_block`` call, and checks the state length and binariness after
-every block, so no side channel can carry extra information between
-blocks.  A blackboard protocol writes one public bit per round; the
+``update_chunks`` call, and checks the state length and binariness after
+every pass, so no side channel can carry extra information between
+passes.  A blackboard protocol writes one public bit per round; the
 writer choice may depend only on the transcript so far, and the bit
 only on the writer's own shard plus the transcript.  A protocol hands
 the runner a block of rounds' bits at once (``next_bits``), which may
@@ -62,9 +62,10 @@ class ResourceProfile:
 class MemoryBoundedAlgorithm:
     """Interface for streaming algorithms with an s-bit state.
 
-    Subclasses set ``state_bits`` and implement ``update`` (returning the
-    next state as a 0/1 uint8 vector of the same length) and
-    ``estimate`` (mapping the final state to an output vector).  One
+    Subclasses set ``state_bits``, implement ``estimate`` (mapping the
+    final state to an output vector), and either implement ``update``
+    (returning the next state as a 0/1 uint8 vector of the same length)
+    or override ``update_chunks`` to answer whole blocks of rows.  One
     that reads its pass length sets ``n_samples``, and the runners hold
     the profile's stream length to it; ``None`` takes any length.  The
     runner owns the state; implementations must not stash anything on
@@ -77,33 +78,22 @@ class MemoryBoundedAlgorithm:
     def update(self, state: np.ndarray, t: int, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def update_block(
-        self, state: np.ndarray, t: int, i0: int, rows: np.ndarray
-    ) -> np.ndarray:
-        """The state after ``update`` on rows i0, i0+1, .. of pass t.
-
-        The rows lie within one pass.  This default is the reference: one
-        ``update`` per row, with the state checked after each.  An
-        override must return the same bits from ``state`` alone.
-        """
-        for j, x in enumerate(rows):
-            state = _check_state(self.update(state, t, i0 + j, x), (self.state_bits,))
-        return state
-
     def update_chunks(self, state: np.ndarray, t: int, i0: int, chunks) -> np.ndarray:
         """The states after each of ``chunks``, consecutive blocks of rows
         of pass t that start at row i0, as a ``(len(chunks), state_bits)``
         uint8 array.
 
-        This default is the reference: one ``update_block`` per chunk,
-        each state checked, the next chunk starting from it.  An override
-        must return the same bits.
+        This default is the reference: one ``update`` per row, with the
+        state checked after each, the next chunk starting from the state
+        the last one left.  An override must return the same bits from
+        ``state`` alone.
         """
         states = np.empty((len(chunks), self.state_bits), dtype=np.uint8)
         for c, rows in enumerate(chunks):
-            state = _check_state(self.update_block(state, t, i0, rows), (self.state_bits,))
+            for x in rows:
+                state = _check_state(self.update(state, t, i0, x), (self.state_bits,))
+                i0 += 1
             states[c] = state
-            i0 += len(rows)
         return states
 
     def estimate(self, state: np.ndarray) -> np.ndarray:
@@ -156,11 +146,11 @@ def run_memory_bounded(
 
     The state starts all zeros, is the only value carried between
     passes, and is length- and binariness-checked after every pass,
-    which is one ``update_block`` call.  Rows must be finite, and the
-    algorithm must agree with the profile (``_check_profile``).  The
-    algorithm reads the rows through a read-only float64 view, so a
-    write into them raises ``ValueError`` and cannot reach a later pass
-    or the caller's array.
+    which is one ``update_chunks`` call with the whole stream as its one
+    chunk.  Rows must be finite, and the algorithm must agree with the
+    profile (``_check_profile``).  The algorithm reads the rows through
+    a read-only float64 view, so a write into them raises ``ValueError``
+    and cannot reach a later pass or the caller's array.
     """
     t0 = time.perf_counter()
     _check_profile(algorithm, profile)
@@ -176,7 +166,7 @@ def run_memory_bounded(
     s = profile.state_bits
     state = np.zeros(s, dtype=np.uint8)
     for t in range(profile.passes):
-        state = _check_state(algorithm.update_block(state, t, 0, data), (s,))
+        state = _check_state(algorithm.update_chunks(state, t, 0, [data]), (1, s))[0]
     out = np.asarray(algorithm.estimate(state.copy()), dtype=np.float64)
     return EstimateReport(
         estimate=out,
@@ -240,16 +230,15 @@ class QuantizerSpec:
         levels = np.rint((clamped + self.radius) / self.step)
         return np.minimum(levels, 2.0**self.bits - 1.0)
 
-    def _snap_block(self, start: np.ndarray, steps: np.ndarray, marks) -> np.ndarray:
-        """The levels at rows ``marks`` of the ``snap`` loop ``start =
+    def _snap_block(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """The levels at every row of the ``snap`` loop ``start =
         snap(start + row)`` over the rows of ``steps``, where ``snap(v) =
         decode(encode(v)) = _levels(v) * step - radius``.
 
-        ``start`` and ``steps`` are float64 arrays and ``marks`` an
-        ascending list of row indices (repeats allowed).  Row j of the
-        ``(len(marks), columns)`` float64 result holds the levels that
-        ``encode`` finds for the loop's value at row ``marks[j]``, whose
-        value is ``level * step - radius``.
+        ``start`` and ``steps`` are float64 arrays.  Row j of the
+        ``steps.shape`` float64 result holds the levels that ``encode``
+        finds for the loop's value after row j, whose value is ``level *
+        step - radius``.
 
         A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates runs the
         scalar loop ``_snap_loop``.  A longer one is guessed, checked and
@@ -261,11 +250,11 @@ class QuantizerSpec:
         - check: one ``_levels(prev + steps)`` over all n rows, where
           ``prev`` is ``start`` followed by the guessed rows, compared
           with the guess bit for bit (an int64 view, so a NaN or a signed
-          zero must match exactly); its rows at the marks give the result;
+          zero must match exactly); its levels are the result;
         - mend: each coordinate whose guess differs resumes ``_snap_loop``
           from its checked value at its first difference, which lies
-          before the last row, and the loop records its levels at the
-          marks past that row.
+          before the last row, and the loop's levels overwrite the
+          column's rows past that row.
 
         The check is exact by induction: ``snap`` of the true row j - 1
         plus ``steps[j]`` is the true row j, so along each coordinate
@@ -276,9 +265,8 @@ class QuantizerSpec:
         one array pass on top of the scalar loop.
         """
         if steps.size < _SNAP_ARRAY_MIN:
-            counts = [[mark + 1 for mark in marks]] * len(start)
-            levels = self._snap_loop(start.tolist(), steps.T.tolist(), counts)
-            return np.array(levels, dtype=np.float64).reshape(len(start), len(marks)).T
+            levels = self._snap_loop(start.tolist(), steps.T.tolist())
+            return np.array(levels, dtype=np.float64).reshape(steps.shape[::-1]).T
         step, radius = self.step, self.radius
         # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
         # the check catches that row, so the warning would say nothing.
@@ -289,56 +277,48 @@ class QuantizerSpec:
             checked = self._levels(np.concatenate([start[None], guess]) + steps)
         check = checked * step - radius
         wrong = guess.view(np.int64) != check[:-1].view(np.int64)
-        levels = checked[marks]
         # The per-column mask is built only when some guess missed.
         if wrong.any():
             columns = np.flatnonzero(wrong.any(axis=0))
-            marks = np.asarray(marks)
             first = wrong[:, columns].argmax(axis=0)
-            # The first mark past each column's first difference.
-            after = np.searchsorted(marks, first, side="right")
             mended = self._snap_loop(
                 check[first, columns].tolist(),
                 [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
-                [(marks[a:] - j).tolist() for a, j in zip(after.tolist(), first.tolist())],
             )
-            for c, a, column_levels in zip(columns.tolist(), after.tolist(), mended):
-                levels[a:, c] = column_levels
-        return levels
+            for c, j, column_levels in zip(columns.tolist(), first.tolist(), mended):
+                checked[j + 1 :, c] = column_levels
+        return checked
 
-    def _snap_loop(self, starts: list, columns: list, counts: list) -> list:
+    def _snap_loop(self, starts: list, columns: list) -> list:
         """The ``snap`` loop of ``_snap_block`` on Python floats, each
         start down its column.
 
         Returns, for each column, the level its loop reaches after each
-        of its ``counts``, ascending step counts of at least 1; the value
-        there is ``level * step - radius``.  The same IEEE operations in
-        the same order as ``_levels``, one coordinate at a time, so each
-        level is what ``_levels`` gives.  Below 2^52, adding and
-        subtracting 2^52 rounds half to even as ``np.rint`` does; from
-        2^52 up every float is an integer.  NaN passes through every
-        step, as it does through ``_levels``.
+        of its steps; the value there is ``level * step - radius``.  The
+        same IEEE operations in the same order as ``_levels``, one
+        coordinate at a time, so each level is what ``_levels`` gives.
+        Below 2^52, adding and subtracting 2^52 rounds half to even as
+        ``np.rint`` does; from 2^52 up every float is an integer.  NaN
+        passes through every step, as it does through ``_levels``.
         """
         radius, low, step = float(self.radius), -float(self.radius), self.step
         top, big = 2.0**self.bits - 1.0, 2.0**52
         out = []
-        for value, column, stops in zip(starts, columns, counts):
-            levels, level, done = [], math.nan, 0
-            for stop in stops:
-                for w in column[done:stop]:
-                    value += w
-                    if value > radius:
-                        value = radius
-                    elif value < low:
-                        value = low
-                    level = (value + radius) / step
-                    if level < big:
-                        level = level + big - big
-                    if level > top:
-                        level = top
-                    value = level * step - radius
+        for value, column in zip(starts, columns):
+            levels = []
+            for w in column:
+                value += w
+                if value > radius:
+                    value = radius
+                elif value < low:
+                    value = low
+                level = (value + radius) / step
+                if level < big:
+                    level = level + big - big
+                if level > top:
+                    level = top
+                value = level * step - radius
                 levels.append(level)
-                done = stop
             out.append(levels)
         return out
 
@@ -448,10 +428,6 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         self.start_code = np.concatenate([quantizer.encode(self.init), self.reset_code])
         self.start_code.flags.writeable = False
 
-    def update_block(self, state, t, i0, rows):
-        """``update_chunks`` of the one chunk ``rows``."""
-        return self.update_chunks(state, t, i0, [rows])[0]
-
     def update_chunks(self, state, t, i0, chunks):
         """The states after each chunk of rows, bit for bit the states
         that re-encoding the partial sum after every row leaves
@@ -462,11 +438,11 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         contracted by one stacked matmul, whose row j equals the
         single-row ``contract_batch``.  Only the partial sum is
         accumulated row by row, on lattice values, by one
-        ``QuantizerSpec._snap_block`` marked at each chunk's last row;
-        its levels there are the levels ``encode`` finds for that
-        chunk's sum, and one ``_code`` codes them all.  A chunk that
-        ends the pass makes its sum the iterate and resets the sum to
-        ``reset_code``; a chunk before the first row leaves ``state``.
+        ``QuantizerSpec._snap_block``; its levels at each chunk's last row
+        are the levels ``encode`` finds for that chunk's sum, and one
+        ``_code`` codes them all.  A chunk that ends the pass makes its
+        sum the iterate and resets the sum to ``reset_code``; a chunk
+        before the first row leaves ``state``.
         """
         q, d, n, half = self.quantizer, self.d, self.n_samples, self.state_bits // 2
         chunks = [np.asarray(rows, dtype=np.float64) for rows in chunks]
@@ -488,7 +464,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         values = q.decode(state, 2 * d)
         w = (self.psi(values[:d]) @ rows.reshape(total, -1, d)) / n
         marks = [end - 1 for end in ends[lead:]]
-        sums = q._code(q._snap_block(values[d:], w, marks)).reshape(-1, half)
+        sums = q._code(q._snap_block(values[d:], w)[marks]).reshape(-1, half)
         if lead < boundary:
             states[lead:boundary, :half] = state[:half]
             states[lead:boundary, half:] = sums[: boundary - lead]

@@ -44,16 +44,14 @@ def snap_sum(q, start, steps):
     steps = np.asarray(steps, dtype=np.float64)
     if len(steps) == 0:
         return start
-    return q._snap_block(start, steps, [len(steps) - 1])[0] * q.step - q.radius
+    return q._snap_block(start, steps)[-1] * q.step - q.radius
 
 
 class RowByRowIteration(QuantizedIteration):
     """``QuantizedIteration`` that re-encodes its partial sum after every
-    row: the base class's ``update_chunks`` and ``update_block`` run one
-    ``update`` per row, the reference the chunked update must equal bit
-    for bit."""
+    row: the base class's ``update_chunks`` runs one ``update`` per row,
+    the reference the chunked update must equal bit for bit."""
 
-    update_block = MemoryBoundedAlgorithm.update_block
     update_chunks = MemoryBoundedAlgorithm.update_chunks
 
     def update(self, state, t, i, x):
@@ -84,8 +82,9 @@ def row_by_row(algorithm: QuantizedIteration) -> RowByRowIteration:
 class TurnByTurnProtocol(_StateHandoffProtocol):
     """The state-handoff protocol answering one turn per ``next_bits``
     call: the rest of the turn of round ``round_index``, from one
-    ``update_block`` over its writer's shard alone, started from the
-    state written in the turn before.  ``next_bit`` is one bit of it."""
+    ``update_chunks`` call whose one chunk is its writer's shard, started
+    from the state written in the turn before.  ``next_bit`` is one bit
+    of it."""
 
     def next_bits(self, shards, round_index, transcript):
         shard = shards[self.select_writer(round_index, transcript)]
@@ -102,7 +101,7 @@ class TurnByTurnProtocol(_StateHandoffProtocol):
         else:
             prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
         t, machine = divmod(turn, self.m)
-        state = self.algorithm.update_block(prev, t, machine * self.n, shard)
+        state = self.algorithm.update_chunks(prev, t, machine * self.n, [shard])[0]
         return _check_state(state, (s,))[offset:]
 
 

@@ -662,9 +662,21 @@ def test_main_unknown_measure_kind_exits_2_with_one_error_line(tmp_path, capsys)
 
 
 def test_main_reduce_without_sections(tmp_path, capsys):
+    # This used to print a bare message, without the ``error:`` prefix.
     path = write(tmp_path, BASE)
     assert main(["reduce", str(path)]) == 2
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_main_verify_rejects_flags_it_does_not_read(capsys):
+    # ``verify`` reads no config: ``--out`` used to be taken and ignored,
+    # so the call exited 0 and wrote nothing.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "hermite", "--out", "x"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
 
 
 def test_every_module_imports_on_its_own():

@@ -118,6 +118,14 @@ def test_runner_rejects_wrong_length_state():
     with pytest.raises(RuntimeError, match="bits"):
         run_memory_bounded(Bad(), data, ResourceProfile(4, 1, 1))
 
+    class Flat(ByteCounter):
+        # One flat state where the runner expects a stack of one.
+        def update_chunks(self, state, t, i0, chunks):
+            return super().update_chunks(state, t, i0, chunks)[-1]
+
+    with pytest.raises(RuntimeError, match=r"\(8,\) bits, expected \(1, 8\)"):
+        run_memory_bounded(Flat(), data, ResourceProfile(4, 1, 8))
+
 
 def test_runner_rejects_non_binary_state():
     class Bad(XorFold):
@@ -135,8 +143,8 @@ def test_runner_rejects_non_binary_state():
         run_memory_bounded(Sneaky(), np.zeros((2, 2)), ResourceProfile(2, 1, 1))
 
     class Negative(XorFold):
-        def update_block(self, state, t, i0, rows):
-            return np.array([-1], dtype=np.int8)  # 255 once cast to uint8
+        def update_chunks(self, state, t, i0, chunks):
+            return np.full((len(chunks), 1), -1, dtype=np.int8)  # 255 once cast to uint8
 
     with pytest.raises(RuntimeError, match="0/1"):
         run_memory_bounded(Negative(), np.zeros((2, 2)), ResourceProfile(2, 1, 1))
@@ -269,9 +277,9 @@ def snap_loop_calls():
     calls = []
     loop = QuantizerSpec._snap_loop
 
-    def spy(self, starts, columns, counts):
+    def spy(self, starts, columns):
         calls.append((list(starts), [list(column) for column in columns]))
-        return loop(self, starts, columns, counts)
+        return loop(self, starts, columns)
 
     with mock.patch.object(QuantizerSpec, "_snap_loop", spy):
         yield calls
@@ -385,9 +393,8 @@ def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
     (starts, columns), = calls
     assert starts == [snap_loop(q, start, steps[: j + 1])[c]]
     assert columns == [steps[j + 1 :, c].tolist()]
-    # Marked at every row, the resumed loop records every row past j.
-    every = np.arange(len(steps))
-    assert_levels_at_marks(q, start, steps, every, q._snap_block(start, steps, every))
+    # The resumed loop gives every row of coordinate c past j.
+    assert_levels_at_marks(q, start, steps, q._snap_block(start, steps))
 
 
 def test_snap_sum_resumes_each_missed_coordinate_once():
@@ -479,44 +486,38 @@ def test_last_levels_equal_the_levels_of_the_snapped_sum(case):
     # Both sides of _SNAP_ARRAY_MIN: the short path's levels come from
     # the scalar loop, the long path's from the check's last row.
     q, start, steps = case
-    last = len(steps) - 1
-    got = q._snap_block(start, steps, [last])
-    assert got.dtype == np.float64 and got.shape == (1, len(start))
+    got = q._snap_block(start, steps)
     reference = levels(q, snap_loop(q, start, steps[:-1]) + steps[-1])
-    assert got[0].view(np.int64).tobytes() == reference.view(np.int64).tobytes()
+    assert got[-1].view(np.int64).tobytes() == reference.view(np.int64).tobytes()
     assert snap_sum(q, start, steps).tobytes() == snap_loop(q, start, steps).tobytes()
-    # Marked at every row, the block gives every row's levels.
-    every = np.arange(len(steps))
-    assert_levels_at_marks(q, start, steps, every, q._snap_block(start, steps, every))
+    assert_levels_at_marks(q, start, steps, got)
 
 
-def assert_levels_at_marks(q, start, steps, marks, got):
-    """``got`` holds, bit for bit, the levels of the snap loop's value at
-    each row in ``marks``, computed by ``snap_loop`` from ``start``."""
-    assert got.shape == (len(marks), len(start))
-    value, done = np.asarray(start, dtype=np.float64), 0
-    for mark, row in zip(marks, got):
-        value = snap_loop(q, value, steps[done:mark])
-        done = mark
-        expected = levels(q, value + steps[mark])
-        assert row.view(np.int64).tobytes() == expected.view(np.int64).tobytes(), mark
+def assert_levels_at_marks(q, start, steps, got):
+    """``got`` is a float64 array of ``steps``' shape whose row j holds,
+    bit for bit, the levels of the snap loop's value after row j,
+    computed by ``snap_loop`` from ``start``."""
+    assert got.dtype == np.float64 and got.shape == steps.shape
+    value = np.asarray(start, dtype=np.float64)
+    for j, row in enumerate(got):
+        expected = levels(q, value + steps[j])
+        assert row.view(np.int64).tobytes() == expected.view(np.int64).tobytes(), j
+        value = snap_loop(q, value, steps[j : j + 1])
 
 
 @given(last_level_cases(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_marked_levels_equal_the_snap_loop_at_every_mark(case, data):
-    # Sparse marks, repeats included, on both sides of _SNAP_ARRAY_MIN;
-    # a planted clamp or tie makes its coordinate resume the loop between
-    # marks, which must then record the marks past its first miss.
+    # Every row, on both sides of _SNAP_ARRAY_MIN.  A planted clamp or tie
+    # makes its coordinate resume the loop after it on the array path,
+    # and the loop's levels must fill every later row of that column.
     q, start, steps = case
     n_rows, d = steps.shape
-    if data.draw(st.booleans()):
-        j = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
-        c = data.draw(st.integers(min_value=0, max_value=d - 1))
-        steps = steps.copy()
-        steps[j, c] = data.draw(st.sampled_from([q.step / 2, 2 * q.radius, -2 * q.radius]))
-    marks = sorted(data.draw(st.lists(st.integers(min_value=0, max_value=n_rows - 1), max_size=8)))
-    assert_levels_at_marks(q, start, steps, marks, q._snap_block(start, steps, marks))
+    j = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
+    c = data.draw(st.integers(min_value=0, max_value=d - 1))
+    steps = steps.copy()
+    steps[j, c] = data.draw(st.sampled_from([q.step / 2, 2 * q.radius, -2 * q.radius]))
+    assert_levels_at_marks(q, start, steps, q._snap_block(start, steps))
 
 
 def shift_mask_encode(q, values):
@@ -783,10 +784,13 @@ class _StashesInItsRows(MemoryBoundedAlgorithm):
 
     state_bits = 1
 
-    def update_block(self, state, t, i0, rows):
-        if t == 0:
-            rows[0, 0] = 12345.0
-        return np.array([rows[0, 0] == 12345.0], dtype=np.uint8)
+    def update_chunks(self, state, t, i0, chunks):
+        states = []
+        for rows in chunks:
+            if t == 0:
+                rows[0, 0] = 12345.0
+            states.append([rows[0, 0] == 12345.0])
+        return np.array(states, dtype=np.uint8)
 
     def estimate(self, state):
         return state.astype(np.float64)
@@ -1120,14 +1124,19 @@ def test_audit_rejects_a_board_from_lying_select_writers():
 
 
 class _OverwritesItsInput(MemoryBoundedAlgorithm):
-    """Writes the complement of its input state, then sets the input to ones."""
+    """Writes the complement of its input state, then sets the input to
+    ones, chunk after chunk."""
 
     state_bits = 4
 
-    def update_block(self, state, t, i0, rows):
-        out = 1 - state
-        state[:] = 1
-        return out
+    def update_chunks(self, state, t, i0, chunks):
+        states = np.empty((len(chunks), self.state_bits), dtype=np.uint8)
+        for c in range(len(chunks)):
+            out = 1 - state
+            state[:] = 1
+            states[c] = out
+            state = out
+        return states
 
 
 def test_protocols_cannot_rewrite_the_transcript():
@@ -1417,7 +1426,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
 
 @given(quantized_runs(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_update_block_equals_per_sample_loop_over_any_split(run, data):
+def test_update_chunks_equals_per_sample_loop_over_any_split(run, data):
     algo, stream, _, passes = run
     row_by_row_algo = row_by_row(algo)
     n_samples = len(stream)
@@ -1433,16 +1442,16 @@ def test_update_block_equals_per_sample_loop_over_any_split(run, data):
         )
         bounds = [0, *sorted(cuts - {n_samples}), n_samples]
         # The whole pass in one call, empty chunks at either end if drawn;
-        # the reference runs ``update_block`` per chunk.
+        # the reference runs one ``update`` per row.
         lead = [stream[:0]] * data.draw(st.integers(0, 1))
         tail = [stream[:0]] * data.draw(st.integers(0, 1))
         chunks = lead + [stream[i0:i1] for i0, i1 in zip(bounds, bounds[1:])] + tail
         states = algo.update_chunks(fast, t, 0, chunks)
         assert states.tobytes() == row_by_row_algo.update_chunks(reference, t, 0, chunks).tobytes()
         for i0, i1 in zip(bounds, bounds[1:]):
-            # The base-class default: one per-sample ``update`` per row.
-            reference = row_by_row_algo.update_block(reference, t, i0, stream[i0:i1])
-            fast = algo.update_block(fast, t, i0, stream[i0:i1])
+            # One chunk per call, each from the state the last one left.
+            reference = row_by_row_algo.update_chunks(reference, t, i0, [stream[i0:i1]])[0]
+            fast = algo.update_chunks(fast, t, i0, [stream[i0:i1]])[0]
             np.testing.assert_array_equal(fast, reference)
         np.testing.assert_array_equal(states[-1], reference)
 
@@ -1461,7 +1470,8 @@ def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
     assert not algo.start_code.flags.writeable
     zeros = np.zeros(algo.state_bits, dtype=np.uint8)
     np.testing.assert_array_equal(
-        algo.update_block(zeros, 0, 0, stream), algo.update_block(algo.start_code, 1, 0, stream)
+        algo.update_chunks(zeros, 0, 0, [stream]),
+        algo.update_chunks(algo.start_code, 1, 0, [stream]),
     )
     reference = row_by_row(algo)
     np.testing.assert_array_equal(
