@@ -214,12 +214,21 @@ def _cmd_reduce(args) -> int:
     return 0 if ok else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ValueError``, so that
+    ``main`` prints them as one ``error:`` line and returns 2; its
+    subparsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once: ``parse_args`` keeps no state
     between calls, since every option's default is ``None`` or a
     constant."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="spikelab",
         description="Planted tensor and projection models under resource bounds.",
     )
@@ -245,7 +254,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {
         "sweep": _cmd_sweep,
         "verify": _cmd_verify,
@@ -254,6 +262,7 @@ def main(argv=None) -> int:
     }
     prev_budget = None
     try:
+        args = _parser().parse_args(argv)
         if args.budget_entries is not None:
             prev_budget = set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)

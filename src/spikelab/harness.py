@@ -8,17 +8,20 @@ feeds it finite samples in (pass, index) order, one pass per
 every pass, so no side channel can carry extra information between
 passes.  A blackboard protocol writes one public bit per round; the
 writer choice may depend only on the transcript so far, and the bit
-only on the writer's own shard plus the transcript.  A protocol hands
-the runner a block of rounds' bits at once (``next_bits``), which may
-span several writers, and the writers of those rounds in one
-``select_writers`` call.  ``Blackboard.audit`` replays the writers round
-by round, and ``Blackboard.recompute`` replays each writer's rounds with
-only its own shard visible.  Both runners hand the algorithm or protocol
-read-only views of their checked inputs, so nothing written into a row
-survives to a later pass.  The reduction simulates a (N, T, s)
-streaming algorithm with (N/n, n, s*T) blackboard parameters by handing
-the full state across the board after every local pass; it answers a
-whole pass of turns in one ``update_chunks`` call.
+only on the writer's own shard plus the transcript.  A protocol names
+its writers a run at a time (``writer_run``: a writer and the rounds it
+holds, from the transcript before them) and hands the runner a block
+of rounds' bits at once (``next_bits``), which may span several runs.
+``Blackboard.audit`` replays the runs from transcript prefixes, and
+``Blackboard.recompute`` replays each writer's rounds with only its own
+shard visible.  Both runners hand the algorithm or protocol read-only
+views of their checked inputs (a protocol gets every shard as one
+``(m, n, columns)`` array when the column counts agree), so nothing
+written into a row survives to a later pass.  The reduction simulates
+a (N, T, s) streaming algorithm with (N/n, n, s*T) blackboard
+parameters by handing the full state across the board after every
+local pass; it answers a whole pass of turns in one ``update_chunks``
+call, and names each turn as one writer run.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ class MemoryBoundedAlgorithm:
     def update_chunks(self, state: np.ndarray, t: int, i0: int, chunks) -> np.ndarray:
         """The states after each of ``chunks``, consecutive blocks of rows
         of pass t that start at row i0, as a ``(len(chunks), state_bits)``
-        uint8 array.
+        uint8 array.  ``chunks`` is a sequence of 2-D row blocks or one
+        3-D array of equal ones.
 
         This default is the reference: one ``update`` per row, with the
         state checked after each, the next chunk starting from the state
@@ -442,15 +446,22 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         are the levels ``encode`` finds for that chunk's sum, and one
         ``_code`` codes them all.  A chunk that ends the pass makes its
         sum the iterate and resets the sum to ``reset_code``; a chunk
-        before the first row leaves ``state``.
+        before the first row leaves ``state``.  A 3-D ``chunks`` array is
+        read as one block of rows, through one reshape, with no gather.
         """
         q, d, n, half = self.quantizer, self.d, self.n_samples, self.state_bits // 2
-        chunks = [np.asarray(rows, dtype=np.float64) for rows in chunks]
-        ends = list(itertools.accumulate(map(len, chunks)))
-        total = ends[-1]
+        if isinstance(chunks, np.ndarray) and chunks.ndim == 3:
+            rows = np.asarray(chunks, dtype=np.float64)
+            count, size = rows.shape[:2]
+            total = count * size
+            ends = range(size, total + 1, size) if size else [0] * count
+        else:
+            chunks = [np.asarray(rows, dtype=np.float64) for rows in chunks]
+            ends = list(itertools.accumulate(map(len, chunks)))
+            count, total = len(chunks), ends[-1]
         if i0 + total > n:
             raise ValueError(f"rows {i0}..{i0 + total - 1} run past the pass of {n}")
-        states = np.empty((len(chunks), 2 * half), dtype=np.uint8)
+        states = np.empty((count, 2 * half), dtype=np.uint8)
         # Chunks before the first row, and the first chunk that ends the pass.
         lead = bisect.bisect_right(ends, 0)
         boundary = bisect.bisect_left(ends, n - i0)
@@ -460,7 +471,8 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             return states
         if t == 0 and i0 == 0:
             state = self.start_code
-        rows = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        if isinstance(chunks, list):
+            rows = chunks[0] if count == 1 else np.concatenate(chunks)
         values = q.decode(state, 2 * d)
         w = (self.psi(values[:d]) @ rows.reshape(total, -1, d)) / n
         marks = [end - 1 for end in ends[lead:]]
@@ -468,7 +480,7 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if lead < boundary:
             states[lead:boundary, :half] = state[:half]
             states[lead:boundary, half:] = sums[: boundary - lead]
-        if boundary < len(chunks):
+        if boundary < count:
             states[boundary:, :half] = sums[boundary - lead :]
             states[boundary:, half:] = self.reset_code
         return states
@@ -500,45 +512,38 @@ def streaming_run(
 class BlackboardProtocol:
     """Deterministic public-transcript protocol over m shards.
 
-    ``select_writer`` sees only the transcript prefix (and the round
-    number).  A round's bit may depend only on its writer's shard and
-    the prefix: ``next_bit`` sees that one shard, and ``next_bits``,
-    which sees every shard, is held to the rule by
+    ``writer_run(round_index, transcript)`` returns ``(writer, rounds)``:
+    the writer holds the board for the ``rounds`` rounds from
+    ``round_index`` on, and the hook sees only the transcript before
+    them.  The runner and ``Blackboard.audit`` call it once at each run
+    head; a one-bit protocol returns ``rounds = 1``.  A round's bit may
+    depend only on its writer's shard and the prefix: ``next_bit`` sees
+    that one shard, and ``next_bits``, which sees every shard and may
+    answer for several runs at once, is held to the rule by
     ``Blackboard.recompute``.  ``estimate`` maps the final transcript
-    alone to the output.  ``select_writers`` and ``next_bits`` answer for
-    a range of rounds at once and must agree with their one-round
-    references.
+    alone to the output.
     """
 
-    def select_writer(self, round_index: int, transcript: np.ndarray) -> int:
+    def writer_run(self, round_index: int, transcript: np.ndarray) -> tuple:
         raise NotImplementedError
-
-    def select_writers(self, start: int, stop: int, transcript: np.ndarray):
-        """Writers of rounds ``start .. stop - 1`` at once.
-
-        ``transcript`` holds rounds ``0 .. stop - 1``, and entry j must be
-        what ``select_writer`` returns at round ``start + j`` given
-        ``transcript[:start + j]``.  This default is that per-round
-        reference; ``Blackboard.audit`` always replays it round by round.
-        """
-        return [self.select_writer(r, transcript[:r]) for r in range(start, stop)]
 
     def next_bit(self, shard: np.ndarray, round_index: int, transcript: np.ndarray) -> int:
         raise NotImplementedError
 
-    def next_bits(self, shards: tuple, round_index: int, transcript: np.ndarray):
+    def next_bits(self, shards, round_index: int, transcript: np.ndarray):
         """Bits for rounds ``round_index``, ``round_index + 1``, .. at once.
 
-        ``shards`` holds every machine's shard, and a block may span
-        several writers, but bit j must be what the writer that
-        ``select_writer`` picks at round ``round_index + j`` computes from
-        its own shard and the transcript extended by bits 0..j-1.  This
-        default returns the one ``next_bit`` bit of the machine that
-        ``select_writer`` picks, checked to be a machine index before it
-        picks a shard.
+        ``shards`` holds every machine's shard (``shards[j]`` is shard j),
+        and a block may span several runs, but bit j must be what the
+        writer of round ``round_index + j`` computes from its own shard
+        and the transcript extended by bits 0..j-1.  This default returns
+        the one ``next_bit`` bit of the writer that ``writer_run`` names
+        at ``round_index``, checked (``_checked_run``) before it picks a
+        shard, so a protocol that keeps it answers ``writer_run`` at every
+        round.
         """
-        writer = self.select_writer(round_index, transcript)
-        writer = _writer_block([writer], round_index, round_index + 1, len(shards))[0][0]
+        run = self.writer_run(round_index, transcript)
+        writer = _checked_run(run, round_index, len(shards), math.inf)[0]
         return [self.next_bit(shards[writer], round_index, transcript)]
 
     def estimate(self, transcript: np.ndarray) -> np.ndarray:
@@ -562,30 +567,37 @@ class Blackboard:
     b: int
 
     def dump_text(self) -> str:
-        lines = [
-            f"{t} {int(self.writers[t])} {int(self.bits[t])}"
-            for t in range(len(self.bits))
-        ]
+        """One ``"<round> <writer> <bit>"`` line per round."""
+        rounds = range(len(self.bits))
+        lines = map("{} {} {}".format, rounds, self.writers.tolist(), self.bits.tolist())
         return "\n".join(lines) + "\n"
 
     def audit(self, protocol: BlackboardProtocol) -> bool:
-        """Replay writer selection from read-only transcript prefixes alone.
+        """Replay the writer runs from read-only transcript prefixes alone.
 
-        Fails at the first round whose replayed writer is not a machine
-        index in ``[0, m)`` (a bool is not one) or is not the logged one.
-        A writer whose type is exactly ``int`` is checked inline.
+        Walks the runs from round 0 as ``run_distributed`` takes them, one
+        ``writer_run`` call per run.  Fails at the first run that
+        ``_checked_run`` rejects or whose writer is not the logged writer
+        of every round it holds.  An error the protocol raises propagates.
         """
         bits = _read_only(self.bits)
-        writers = self.writers.tolist()
-        select_writer = protocol.select_writer
-        m = self.m
-        for t in range(len(bits)):
-            writer = select_writer(t, bits[:t])
-            if type(writer) is int:
-                if not (0 <= writer < m and writer == writers[t]):
-                    return False
-            elif not _is_writer(writer, m) or writer != writers[t]:
+        rounds = len(bits)
+        heads, lengths = _runs(self.writers)
+        # Each logged run's writer and the round after its last.
+        owners = self.writers[heads].tolist()
+        ends = (heads + lengths).tolist()
+        head = logged = 0
+        while head < rounds:
+            run = protocol.writer_run(head, bits[:head])
+            try:
+                writer, length = _checked_run(run, head, self.m, rounds - head)
+            except ValueError:
                 return False
+            while ends[logged] <= head:
+                logged += 1
+            if writer != owners[logged] or head + length > ends[logged]:
+                return False
+            head += length
         return True
 
     def recompute(self, protocol: BlackboardProtocol, shards) -> bool:
@@ -605,7 +617,7 @@ class Blackboard:
         hidden = [_read_only(np.empty((0, shard.shape[1]))) for shard in shards]
         bits = _read_only(self.bits)
         writers = self.writers
-        heads, lengths = _runs(writers) if len(writers) else (np.zeros(0, dtype=np.intp),) * 2
+        heads, lengths = _runs(writers)
         # Python values, so a narrow unsigned writer cannot wrap in ``writer + 1``.
         owners = writers[heads].tolist()
         for start, length, writer in zip(heads.tolist(), lengths.tolist(), owners):
@@ -625,15 +637,49 @@ class Blackboard:
 _BOOLS = (bool, np.bool_)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, _BOOLS)
+
+
 def _is_writer(value, m: int) -> bool:
-    is_int = isinstance(value, (int, np.integer)) and not isinstance(value, _BOOLS)
-    return is_int and 0 <= value < m
+    return _is_int(value) and 0 <= value < m
+
+
+def _checked_run(run, head: int, m: int, left) -> tuple:
+    """``run``, a ``writer_run`` answer at round ``head``, as Python ints
+    ``(writer, rounds)``.
+
+    ``ValueError`` naming ``head`` unless it is a pair of a machine index
+    (an ``int`` or numpy integer in ``[0, m)``, not a bool) and a count of
+    rounds (the same kind of integer, at least 1) no larger than
+    ``left``, the rounds from ``head`` to the end of the board.
+    """
+    try:
+        writer, rounds = run
+    except (TypeError, ValueError):
+        message = f"protocol gave {run!r} at round {head}, not a (writer, rounds) pair"
+        raise ValueError(message) from None
+    # The common answer, two exact ints, is checked inline.
+    if type(writer) is int and type(rounds) is int and 0 <= writer < m and 0 < rounds <= left:
+        return writer, rounds
+    if not _is_writer(writer, m):
+        raise ValueError(f"writer {writer} at round {head} is not a machine index in [0, {m})")
+    if not _is_int(rounds) or rounds < 1:
+        raise ValueError(f"writer {writer} at round {head} holds {rounds} rounds, not a count >= 1")
+    if rounds > left:
+        raise ValueError(
+            f"writer {writer} at round {head} holds {rounds} rounds, "
+            f"past the last round {head + left - 1}"
+        )
+    return int(writer), int(rounds)
 
 
 def _runs(writers: np.ndarray) -> tuple:
-    """``(heads, lengths)`` of the runs of one writer in a non-empty writer
-    array: the offset where each run begins (0, then every entry that
-    differs from the one before) and the rounds it holds."""
+    """``(heads, lengths)`` of the runs of one writer in a writer array:
+    the offset where each run begins (0, then every entry that differs
+    from the one before) and the rounds it holds; none for no rounds."""
+    if not len(writers):
+        return (np.zeros(0, dtype=np.intp),) * 2
     changes = (writers[1:] != writers[:-1]).nonzero()[0]
     changes += 1
     heads = np.concatenate(([0], changes))
@@ -642,34 +688,6 @@ def _runs(writers: np.ndarray) -> tuple:
     lengths[-1] = len(writers)
     lengths -= heads
     return heads, lengths
-
-
-def _writer_block(values, start: int, stop: int, m: int) -> tuple:
-    """``(block, heads, lengths)``: the writers of rounds start..stop-1 (at
-    least one), checked to be machine indices, and ``_runs`` of them.
-
-    A bool is not a machine index, even where numpy would cast it to one.
-    Every entry sits at the head of its run, so an integer block is
-    checked at its heads alone; a block that fails is scanned to name
-    its first bad round, which is a head.
-    """
-    block = np.asarray(values)
-    if block.shape != (stop - start,):
-        raise ValueError(
-            f"protocol gave writers of shape {block.shape} for rounds {start}..{stop - 1}"
-        )
-    if block.dtype.kind in "ui" and (
-        isinstance(values, np.ndarray) or not any(isinstance(w, _BOOLS) for w in values)
-    ):
-        heads, lengths = _runs(block)
-        owners = block[heads]
-        if owners.min() >= 0 and owners.max() < m:
-            return block, heads, lengths
-    # Name the first entry that is not a machine index.
-    j = next((j for j, w in enumerate(values) if not _is_writer(w, m)), 0)
-    raise ValueError(
-        f"writer {values[j]} at round {start + j} is not a machine index in [0, {m})"
-    )
 
 
 def _bit_block(values, t: int) -> np.ndarray:
@@ -685,9 +703,11 @@ def _bit_block(values, t: int) -> np.ndarray:
     raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
 
 
-def _checked_shards(shards, m: int, n: int) -> tuple:
-    """The m shards as read-only float64 views, each a 2-D array of n
-    rows of finite values; ``ValueError`` otherwise."""
+def _checked_shards(shards, m: int, n: int):
+    """The m shards as read-only float64 arrays of n rows of finite
+    values, ``shards[j]`` shard j: one ``(m, n, columns)`` array when
+    their column counts agree, else a tuple of 2-D views; ``ValueError``
+    otherwise."""
     if len(shards) != m:
         raise ValueError(f"got {len(shards)} shards for m = {m}")
     checked = []
@@ -697,13 +717,16 @@ def _checked_shards(shards, m: int, n: int) -> tuple:
             raise ValueError(
                 f"shard {j} has shape {shard.shape}; every shard must hold n = {n} rows"
             )
-        checked.append(_read_only(shard))
-    # One finiteness pass when the shards stack; shard by shard only to
-    # name the first bad one.
-    if len({shard.shape[1] for shard in checked}) != 1 or not np.isfinite(np.stack(checked)).all():
-        for j, shard in enumerate(checked):
-            check_finite(shard, f"shard {j}")
-    return tuple(checked)
+        checked.append(shard)
+    # One finiteness pass over the stack; shard by shard only to name the
+    # first bad one.
+    if len({shard.shape[1] for shard in checked}) == 1:
+        stack = np.stack(checked)
+        if np.isfinite(stack).all():
+            return _read_only(stack)
+    for j, shard in enumerate(checked):
+        check_finite(shard, f"shard {j}")
+    return tuple(map(_read_only, checked))
 
 
 def run_distributed(
@@ -716,16 +739,16 @@ def run_distributed(
     """Run m*b rounds of one-bit writes and estimate from the transcript.
 
     From round t on, the runner writes the whole block ``next_bits``
-    returns (up to the last round) and takes the block's writers from
-    one ``select_writers`` call.  Each run of one writer is checked and
-    charged once: its writer must be a machine index, and its length
-    goes to that machine's budget of b rounds; a machine past its budget
-    after a block raises ``RuntimeError``.  The writer log is kept in
-    ``np.min_scalar_type(m - 1)``.  Shards must be 2-D arrays of n
-    finite rows.  Writers and bits are validated before any cast.
-    Protocols get the checked shards and the transcript as read-only
-    views.  That each bit came from its writer's own shard is what
-    ``Blackboard.recompute`` checks.
+    returns (up to the last round), then calls ``writer_run`` once at the
+    head of each run that starts in the block; a run may reach past it.
+    Each run is checked (``_checked_run``), and its rounds are charged to
+    its writer's budget of b rounds; a machine past its budget raises
+    ``RuntimeError``.  The writer log is built once from the runs, in
+    ``np.min_scalar_type(m - 1)``.  Shards must be 2-D arrays of n finite
+    rows.  Writers and bits are validated before any cast.  Protocols get
+    the checked shards (``_checked_shards``) and the transcript as
+    read-only views.  That each bit came from its writer's own shard is
+    what ``Blackboard.recompute`` checks.
     """
     t0 = time.perf_counter()
     shards = _checked_shards(shards, m, n)
@@ -734,24 +757,28 @@ def run_distributed(
     # Protocols see the transcript through one read-only view, so no bit
     # on the board can be rewritten after its round.
     transcript = _read_only(bits)
-    writers = np.zeros(rounds, dtype=np.min_scalar_type(m - 1))
-    written = np.zeros(m, dtype=np.int64)
-    t = 0
+    owners, lengths = [], []
+    written = [0] * m
+    t = head = 0
     while t < rounds:
         block = _bit_block(protocol.next_bits(shards, t, transcript[:t]), t)
         end = min(t + block.size, rounds)
         bits[t:end] = block[: end - t]
-        block_writers, heads, lengths = _writer_block(
-            protocol.select_writers(t, end, transcript[:end]), t, end, m
-        )
-        np.add.at(written, block_writers[heads], lengths)
-        over = np.flatnonzero(written > b)
-        if over.size:
-            raise RuntimeError(f"machine {over[0]} selected for more than b = {b} rounds")
-        writers[t:end] = block_writers
+        while head < end:
+            run = protocol.writer_run(head, transcript[:head])
+            writer, length = _checked_run(run, head, m, rounds - head)
+            written[writer] += length
+            if written[writer] > b:
+                raise RuntimeError(f"machine {writer} selected for more than b = {b} rounds")
+            owners.append(writer)
+            lengths.append(length)
+            head += length
         t = end
-    if (written != b).any():
-        raise RuntimeError(f"per-machine round counts {written.tolist()} != b = {b}")
+    if any(count != b for count in written):
+        raise RuntimeError(f"per-machine round counts {written} != b = {b}")
+    writers = np.repeat(
+        np.array(owners, dtype=np.min_scalar_type(m - 1)), np.array(lengths, dtype=np.intp)
+    )
     out = np.asarray(protocol.estimate(bits.copy()), dtype=np.float64)
     board = Blackboard(bits=bits, writers=writers, m=m, n=n, b=b)
     report = EstimateReport(
@@ -788,19 +815,11 @@ class _StateHandoffProtocol(BlackboardProtocol):
         self.n = n
         self.m = profile.samples // n
         self.s = profile.state_bits
-        self.writer_dtype = np.min_scalar_type(self.m - 1)
 
-    def select_writer(self, round_index, transcript):
-        return (round_index // self.s) % self.m
-
-    def select_writers(self, start, stop, transcript):
-        """The turn owners of rounds ``start .. stop - 1``: the owner of
-        each turn the range touches, repeated s times, then cut to it, in
-        the writer log's dtype ``np.min_scalar_type(m - 1)``."""
-        s, first = self.s, start // self.s
-        turns = np.arange(first, -(-stop // s)) % self.m
-        owners = np.repeat(turns.astype(self.writer_dtype), s)
-        return owners[start - first * s : stop - first * s]
+    def writer_run(self, round_index, transcript):
+        """Machine ``turn % m`` holds the rest of turn ``round_index // s``."""
+        turn, offset = divmod(round_index, self.s)
+        return turn % self.m, self.s - offset
 
     def next_bits(self, shards, round_index, transcript):
         """Round ``round_index`` to the end of its pass: the turn's state

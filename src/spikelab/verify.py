@@ -542,8 +542,8 @@ def replay_checks(prefix: str, replays) -> list[CheckResult]:
             accounting += 1
         if len(board.bits) != board.m * board.b:
             accounting += 1
-        # Round-by-round ``select_writer`` against the writers the runner
-        # took from ``select_writers``.
+        # The protocol's writer runs, replayed from transcript prefixes,
+        # against the writer log the runner built from the same hook.
         if not board.audit(protocol):
             audit_failures += 1
         # Each writer's bits from its own shard alone, against the bits

@@ -82,12 +82,12 @@ def row_by_row(algorithm: QuantizedIteration) -> RowByRowIteration:
 class TurnByTurnProtocol(_StateHandoffProtocol):
     """The state-handoff protocol answering one turn per ``next_bits``
     call: the rest of the turn of round ``round_index``, from one
-    ``update_chunks`` call whose one chunk is its writer's shard, started
-    from the state written in the turn before.  ``next_bit`` is one bit
-    of it."""
+    ``update_chunks`` call whose one chunk is the shard of the writer
+    ``writer_run`` names, started from the state written in the turn
+    before.  ``next_bit`` is one bit of it."""
 
     def next_bits(self, shards, round_index, transcript):
-        shard = shards[self.select_writer(round_index, transcript)]
+        shard = shards[self.writer_run(round_index, transcript)[0]]
         return self.turn(shard, round_index, transcript)
 
     def next_bit(self, shard, round_index, transcript):
@@ -113,31 +113,33 @@ def turn_by_turn(protocol: _StateHandoffProtocol) -> TurnByTurnProtocol:
     return reference
 
 
-def first_bad_writer(values, m: int):
-    """The index of the first entry of ``values`` that is not a machine
-    index (an ``int`` or numpy integer in ``[0, m)``, and not a bool), or
-    ``None``; every entry is scanned."""
-    for j, w in enumerate(values):
-        if isinstance(w, (bool, np.bool_)) or not isinstance(w, (int, np.integer)):
-            return j
-        if not 0 <= w < m:
-            return j
-    return None
+def is_integer(value) -> bool:
+    """An ``int`` or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
 
 
-def charge_blocks(blocks, m: int, b: int):
-    """What ``run_distributed`` does with writer blocks ``(start, values)``
-    written in order: ``(ValueError or RuntimeError, message)`` for the
-    first block with a writer that is not a machine index or that leaves
-    a machine past its budget of ``b`` rounds, else ``(None, counts)``,
-    the rounds charged to each machine by a bincount of every round."""
-    counts = np.zeros(m, dtype=np.int64)
-    for start, values in blocks:
-        j = first_bad_writer(values, m)
-        if j is not None:
-            message = f"writer {values[j]} at round {start + j} is not a machine index in [0, {m})"
-            return ValueError, message
-        counts += np.bincount(np.asarray(values, dtype=np.int64), minlength=m)
+def charge_runs(owners, lengths, m: int, b: int):
+    """What ``run_distributed`` does with the writer runs ``(owners[i],
+    lengths[i])`` taken in order on a board of ``m * b`` rounds: a check
+    of each run, then a bincount of every round written so far.
+
+    Returns ``(ValueError or RuntimeError, message)`` for the first run
+    whose writer is not a machine index (an integer in ``[0, m)``), whose
+    length is not an integer of at least 1 or runs past the board, or
+    that leaves a machine past its budget of ``b`` rounds; else ``(None,
+    counts)``, the rounds charged to each machine."""
+    rounds, head, counts = m * b, 0, np.zeros(m, dtype=np.int64)
+    for i, (writer, length) in enumerate(zip(owners, lengths)):
+        named = f"writer {writer} at round {head}"
+        if not (is_integer(writer) and 0 <= writer < m):
+            return ValueError, f"{named} is not a machine index in [0, {m})"
+        if not (is_integer(length) and length >= 1):
+            return ValueError, f"{named} holds {length} rounds, not a count >= 1"
+        if head + int(length) > rounds:
+            return ValueError, f"{named} holds {length} rounds, past the last round {rounds - 1}"
+        head += int(length)
+        logged = np.repeat(np.array(owners[: i + 1], dtype=np.int64), lengths[: i + 1])
+        counts = np.bincount(logged, minlength=m)
         over = np.flatnonzero(counts > b)
         if over.size:
             return RuntimeError, f"machine {over[0]} selected for more than b = {b} rounds"

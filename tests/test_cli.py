@@ -670,13 +670,31 @@ def test_main_reduce_without_sections(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_main_verify_rejects_flags_it_does_not_read(capsys):
+def test_main_verify_rejects_flags_it_does_not_read(tmp_path, capsys):
     # ``verify`` reads no config: ``--out`` used to be taken and ignored,
-    # so the call exited 0 and wrote nothing.
+    # so the call exited 0 and wrote nothing.  This and the other argument
+    # errors print one ``error:`` line and return 2, where argparse printed
+    # a usage line and raised ``SystemExit``.
+    config = str(write(tmp_path, BASE))
+    cases = [
+        (["verify", "hermite", "--out", "x"], "unrecognized arguments: --out x"),
+        (["sweep", config, "--threads", "abc"], "invalid int value: 'abc'"),
+        (["sweep"], "the following arguments are required: config"),
+        (["verify", "bogus"], "invalid choice: 'bogus'"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert captured.out == ""
+
+
+def test_main_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(["verify", "hermite", "--out", "x"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+        main(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def test_every_module_imports_on_its_own():

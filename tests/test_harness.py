@@ -23,6 +23,7 @@ from spikelab.harness import (
     QuantizedIteration,
     QuantizerSpec,
     ResourceProfile,
+    _checked_shards,
     partial_trace_template,
     power_template,
     reduce_memory_to_distributed,
@@ -35,7 +36,7 @@ from spikelab.models import ModelSpec, sample_tpca
 from spikelab.tensors import contract_batch
 
 from references import (
-    charge_blocks,
+    charge_runs,
     levels,
     row_by_row,
     snap,
@@ -687,8 +688,8 @@ class LocalMeanProtocol(BlackboardProtocol):
         self.m = m
         self.q = quantizer
 
-    def select_writer(self, round_index, transcript):
-        return round_index // self.q.bits
+    def writer_run(self, round_index, transcript):
+        return round_index // self.q.bits, 1
 
     def next_bit(self, shard, round_index, transcript):
         code = self.q.encode(np.array([shard[:, 0].mean()]))
@@ -739,10 +740,23 @@ def test_transcript_dump_format():
     assert lines == ["0 0 1", "1 1 0", "2 0 1"]
 
 
+def test_dump_text_equals_the_per_round_formula():
+    # A uint16 writer log (m > 256) and a uint8 one, against one f-string
+    # a round; no rounds give one newline.
+    rng = np.random.default_rng(38)
+    for m, rounds in ((300, 1000), (3, 7), (2, 0)):
+        writers = rng.integers(0, m, size=rounds).astype(np.min_scalar_type(m - 1))
+        assert writers.dtype == (np.uint16 if m > 256 else np.uint8)
+        bits = rng.integers(0, 2, size=rounds).astype(np.uint8)
+        board = Blackboard(bits=bits, writers=writers, m=m, n=1, b=1)
+        lines = [f"{t} {int(writers[t])} {int(bits[t])}" for t in range(rounds)]
+        assert board.dump_text() == "\n".join(lines) + "\n"
+
+
 def test_distributed_rejects_overdrawn_writer():
     class Greedy(LocalMeanProtocol):
-        def select_writer(self, round_index, transcript):
-            return 0
+        def writer_run(self, round_index, transcript):
+            return 0, 1
 
     m, n = 2, 4
     q = QuantizerSpec(bits=8, radius=4.0)
@@ -808,19 +822,26 @@ def test_runners_hand_the_algorithm_read_only_rows():
 
 
 class BlockMeanProtocol(LocalMeanProtocol):
-    """LocalMeanProtocol that hands over the rest of its code at once."""
+    """LocalMeanProtocol that names each machine's rounds as one run and
+    hands over the rest of its code at once."""
+
+    def writer_run(self, round_index, transcript):
+        machine, offset = divmod(round_index, self.q.bits)
+        return machine, self.q.bits - offset
 
     def next_bits(self, shards, round_index, transcript):
-        shard = shards[self.select_writer(round_index, transcript)]
+        shard = shards[round_index // self.q.bits]
         code = self.q.encode(np.array([shard[:, 0].mean()]))
         return code[round_index % self.q.bits :]
 
 
 @pytest.mark.parametrize("protocol_class", [LocalMeanProtocol, BlockMeanProtocol])
 def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
+    # Round 8 heads a run in both protocols: machine 1's first round.
     class FractionalWriter(protocol_class):
-        def select_writer(self, round_index, transcript):
-            return 1.7 if round_index == 3 else super().select_writer(round_index, transcript)
+        def writer_run(self, round_index, transcript):
+            writer, rounds = super().writer_run(round_index, transcript)
+            return (1.7 if round_index == 8 else writer), rounds
 
     class FractionalBit(protocol_class):
         def next_bit(self, shard, round_index, transcript):
@@ -841,21 +862,22 @@ def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
             return bits
 
     class BoolWriter(protocol_class):
-        # The right machine every round, but as a bool: numpy and int()
+        # The right machine every run, but as a bool: numpy and int()
         # would read False as machine 0 and True as machine 1.
-        def select_writer(self, round_index, transcript):
-            return bool(super().select_writer(round_index, transcript))
+        def writer_run(self, round_index, transcript):
+            writer, rounds = super().writer_run(round_index, transcript)
+            return bool(writer), rounds
 
     class NumpyBoolWriter(protocol_class):
-        def select_writer(self, round_index, transcript):
-            writer = super().select_writer(round_index, transcript)
-            return np.bool_(writer) if round_index == 9 else writer
+        def writer_run(self, round_index, transcript):
+            writer, rounds = super().writer_run(round_index, transcript)
+            return (np.bool_(writer) if round_index == 8 else writer), rounds
 
     m, n = 2, 4
     q = QuantizerSpec(bits=8, radius=4.0)
     shards = shard_stream(np.random.default_rng(5).standard_normal((m * n, 2)), n)
     # int() would turn these into writer 1 and bit 0 and the run would pass.
-    with pytest.raises(ValueError, match="writer 1.7"):
+    with pytest.raises(ValueError, match="writer 1.7 at round 8 "):
         run_distributed(FractionalWriter(m, q), shards, m, n, q.bits)
     with pytest.raises(ValueError, match="non-bit"):
         run_distributed(FractionalBit(m, q), shards, m, n, q.bits)
@@ -863,13 +885,13 @@ def test_distributed_validates_writer_and_bit_before_casting(protocol_class):
         run_distributed(NegativeBit(m, q), shards, m, n, q.bits)
     with pytest.raises(ValueError, match="writer False at round 0 "):
         run_distributed(BoolWriter(m, q), shards, m, n, q.bits)
-    with pytest.raises(ValueError, match="writer True at round 9 "):
+    with pytest.raises(ValueError, match="writer True at round 8 "):
         run_distributed(NumpyBoolWriter(m, q), shards, m, n, q.bits)
 
 
 def test_recompute_rejects_an_overlong_block():
     # The runner writes a block whole, so the five extra ones land in the
-    # next machine's rounds; the writers still follow select_writer, and
+    # next machine's rounds; the writers still follow writer_run, and
     # only recomputing the next machine's bits from its shard sees it.
     class Overlong(BlockMeanProtocol):
         def next_bits(self, shards, round_index, transcript):
@@ -897,7 +919,7 @@ def test_recompute_rejects_a_hook_that_reads_a_neighbours_shard():
     # machine's bits are the code of an empty sum.
     class Neighbour(BlockMeanProtocol):
         def next_bits(self, shards, round_index, transcript):
-            writer = self.select_writer(round_index, transcript)
+            writer = self.writer_run(round_index, transcript)[0]
             shard = shards[(writer + 1) % self.m]
             code = self.q.encode(np.array([shard[:, 0].sum()]))
             return code[round_index % self.q.bits :]
@@ -911,17 +933,15 @@ def test_recompute_rejects_a_hook_that_reads_a_neighbours_shard():
 
 
 def test_distributed_names_an_over_budget_writer_inside_a_block():
-    # One block holds every machine's code; its writers give machine 1 a
-    # round of machine 2's, one past machine 1's budget.
+    # One block holds every machine's code; its writer runs give machine
+    # 1 a round of machine 2's, one past machine 1's budget.
     class WholeBoard(LocalMeanProtocol):
         def next_bits(self, shards, round_index, transcript):
             codes = [self.q.encode(np.array([shard[:, 0].mean()])) for shard in shards]
             return np.concatenate(codes)[round_index:]
 
-        def select_writers(self, start, stop, transcript):
-            writers = np.repeat(np.arange(self.m), self.q.bits)
-            writers[2 * self.q.bits] = 1
-            return writers[start:stop]
+        def writer_run(self, round_index, transcript):
+            return {0: (0, 8), 8: (1, 9), 17: (2, 7)}[round_index]
 
     m, n = 3, 4
     q = QuantizerSpec(bits=8, radius=4.0)
@@ -1016,8 +1036,8 @@ def test_reduction_writer_schedule_and_guards():
     protocol, m, n, b = reduce_memory_to_distributed(algo, profile, 4)
     assert (m, n, b) == (3, 4, 2)
     # Turn q (one round here, s = 1) belongs to machine q mod m.
-    writers = [protocol.select_writer(r, np.zeros(r, dtype=np.uint8)) for r in range(6)]
-    assert writers == [0, 1, 2, 0, 1, 2]
+    runs = [protocol.writer_run(r, np.zeros(r, dtype=np.uint8)) for r in range(6)]
+    assert runs == [(0, 1), (1, 1), (2, 1), (0, 1), (1, 1), (2, 1)]
     with pytest.raises(ValueError, match="divide"):
         reduce_memory_to_distributed(algo, profile, 5)
     with pytest.raises(ValueError, match="state bits"):
@@ -1045,15 +1065,23 @@ def test_blackboard_audit_rejects_a_writer_that_is_not_a_machine_index(cast):
     assert m == 2 and set(board.writers.tolist()) == {0, 1}
 
     class Cast(BlackboardProtocol):
-        def select_writer(self, round_index, transcript):
-            return cast(protocol.select_writer(round_index, transcript))
+        def writer_run(self, round_index, transcript):
+            writer, rounds = protocol.writer_run(round_index, transcript)
+            return cast(writer), rounds
+
+    class CastRounds(BlackboardProtocol):
+        def writer_run(self, round_index, transcript):
+            writer, rounds = protocol.writer_run(round_index, transcript)
+            return writer, cast(rounds)
 
     class Numpy(BlackboardProtocol):
-        def select_writer(self, round_index, transcript):
-            return np.int64(protocol.select_writer(round_index, transcript))
+        def writer_run(self, round_index, transcript):
+            writer, rounds = protocol.writer_run(round_index, transcript)
+            return np.int64(writer), np.uint8(rounds)
 
     assert board.audit(protocol) and board.audit(Numpy())
     assert not board.audit(Cast())
+    assert not board.audit(CastRounds())
 
 
 class _Wide(MemoryBoundedAlgorithm):
@@ -1065,62 +1093,58 @@ class _Wide(MemoryBoundedAlgorithm):
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=1, max_value=3),
-    st.sampled_from(["any", "inside", "across"]),
     st.data(),
 )
 @settings(max_examples=200, deadline=None)
-def test_handoff_select_writers_equals_per_round_reference(s, m, passes, span, data):
+def test_handoff_writer_run_holds_the_rest_of_the_turn(s, m, passes, data):
+    # At any round, the owner of its turn and the rounds left in the turn;
+    # walked from round 0, one run a turn.
     protocol, m, _, b = reduce_memory_to_distributed(
         _Wide(s), ResourceProfile(m * 2, passes, s), 2
     )
-    turns = m * passes
-    if span == "inside" or (span == "across" and turns == 1):
-        # A range within one turn, empty ones included.
-        turn = data.draw(st.integers(min_value=0, max_value=turns - 1))
-        start = data.draw(st.integers(min_value=turn * s, max_value=(turn + 1) * s))
-        stop = data.draw(st.integers(min_value=start, max_value=(turn + 1) * s))
-    elif span == "across":
-        # A range across at least one turn boundary.
-        boundary = data.draw(st.integers(min_value=1, max_value=turns - 1)) * s
-        start = data.draw(st.integers(min_value=0, max_value=boundary - 1))
-        stop = data.draw(st.integers(min_value=boundary + 1, max_value=m * b))
-    else:
-        start = data.draw(st.integers(min_value=0, max_value=m * b))
-        stop = data.draw(st.integers(min_value=start, max_value=m * b))
-    transcript = np.zeros(stop, dtype=np.uint8)
-    fast = protocol.select_writers(start, stop, transcript)
-    reference = BlackboardProtocol.select_writers(protocol, start, stop, transcript)
-    # The writer log's narrow unsigned dtype, holding the reference's values.
-    assert fast.dtype == np.min_scalar_type(m - 1)
-    assert fast.tolist() == reference
+    r = data.draw(st.integers(min_value=0, max_value=m * b - 1))
+    writer, rounds = protocol.writer_run(r, np.zeros(r, dtype=np.uint8))
+    assert type(writer) is int and type(rounds) is int
+    assert writer == (r // s) % m and r + rounds == (r // s + 1) * s
+    head, runs = 0, []
+    while head < m * b:
+        runs.append(protocol.writer_run(head, np.zeros(head, dtype=np.uint8)))
+        head += runs[-1][1]
+    assert runs == [(turn % m, s) for turn in range(m * passes)]
 
 
-def test_audit_rejects_a_board_from_lying_select_writers():
-    class Lying(BlackboardProtocol):
-        # Machines 0 and 1 write two rounds each, but in a different
-        # order from the one select_writer states.  Each bit is honest:
-        # the sign of the column sum of select_writer's machine.
-        def select_writer(self, round_index, transcript):
-            return [0, 1, 1, 0][round_index]
+def test_audit_rejects_a_board_from_a_lying_writer_run():
+    class Stated(BlackboardProtocol):
+        # Machines 0, 1, 1 and 0 write a round each.  Each bit is honest:
+        # the sign of the column sum of the stated machine's shard.
+        order = (0, 1, 1, 0)
 
-        def select_writers(self, start, stop, transcript):
-            return np.array([0, 0, 1, 1][start:stop])
+        def writer_run(self, round_index, transcript):
+            return self.order[round_index], 1
 
         def next_bits(self, shards, round_index, transcript):
-            shard = shards[self.select_writer(round_index, transcript)]
+            shard = shards[self.order[round_index]]
             return [int(shard.sum() > 0)]
 
         def estimate(self, transcript):
             return transcript.astype(np.float64)
 
+    class Lying(Stated):
+        # Names runs of machines 0, 0, 1, 1 for the stated machines' bits.
+        def writer_run(self, round_index, transcript):
+            return (0, 0, 1, 1)[round_index], 1
+
     shards = shard_stream(np.ones((4, 1)), 2)
     _, board = run_distributed(Lying(), shards, 2, 2, 2)
     np.testing.assert_array_equal(board.writers, [0, 0, 1, 1])
     np.testing.assert_array_equal(board.bits, [1, 1, 1, 1])
-    assert not board.audit(Lying())
+    _, honest = run_distributed(Stated(), shards, 2, 2, 2)
+    assert honest.audit(Stated()) and honest.recompute(Stated(), shards)
+    assert not board.audit(Stated())
     # Machine 0's logged round 1 is machine 1's bit, which machine 0's
     # shard alone does not give.
     assert not board.recompute(Lying(), shards)
+    assert not board.recompute(Stated(), shards)
 
 
 class _OverwritesItsInput(MemoryBoundedAlgorithm):
@@ -1157,7 +1181,7 @@ def test_every_protocol_hook_gets_a_read_only_transcript():
         ByteCounter(), ResourceProfile(16, 2, 8), 4
     )
     seen, handed = [], []
-    for name in ("select_writer", "select_writers", "next_bits"):
+    for name in ("writer_run", "next_bits"):
 
         def record(*args, hook=getattr(protocol, name), name=name):
             seen.append((name, args[-1].flags.writeable))
@@ -1169,115 +1193,144 @@ def test_every_protocol_hook_gets_a_read_only_transcript():
     shards = shard_stream(data, n)
     _, board = run_distributed(protocol, shards, m, n, b)
     assert board.audit(protocol)
-    assert {name for name, _ in seen} == {"select_writer", "select_writers", "next_bits"}
+    assert {name for name, _ in seen} == {"writer_run", "next_bits"}
     assert not any(writeable for _, writeable in seen)
     # next_bits gets the checked shards, read-only and never the caller's
     # own objects.
     assert handed and not any(shard.flags.writeable for shard in handed)
     assert not any(shard is own for shard in handed for own in shards)
     # The board handed back is the caller's own, writable copy.
-    assert board.bits.flags.writeable
+    assert board.bits.flags.writeable and board.writers.flags.writeable
+
+
+def test_runner_and_audit_call_writer_run_once_a_turn():
+    # m = 32 machines and T = 10 passes, as at the harness-protocol bench
+    # point: 320 runs, one call each, however many rounds a turn holds.
+    data = np.random.default_rng(36).standard_normal((64, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(
+        ByteCounter(), ResourceProfile(64, 10, 8), 2
+    )
+    calls = []
+    hook = protocol.writer_run
+    protocol.writer_run = lambda r, transcript: calls.append(r) or hook(r, transcript)
+    _, board = run_distributed(protocol, shard_stream(data, n), m, n, b)
+    assert (m, len(board.bits)) == (32, 2560)
+    assert calls == list(range(0, 2560, 8))
+    calls.clear()
+    assert board.audit(protocol)
+    assert calls == list(range(0, 2560, 8))
 
 
 @pytest.mark.parametrize(
-    "writers, match",
+    "run, match",
     [
-        (lambda start, stop: np.zeros(stop - start), "writer 0.0 at round 1"),
-        (lambda start, stop: [0] * (stop - start - 1), "shape"),
-        (lambda start, stop: np.zeros((stop - start, 1), dtype=int), "shape"),
-        (lambda start, stop: np.full(stop - start, 4), "writer 4 at round 1"),
-        (lambda start, stop: np.full(stop - start, -1), "writer -1 at round 1"),
-        (lambda start, stop: np.zeros(stop - start, dtype=bool), "writer False at round 1"),
-        (lambda start, stop: [0, False] + [0] * (stop - start - 2), "writer False at round 2"),
-        (
-            lambda start, stop: [0, 0, np.False_] + [0] * (stop - start - 3),
-            "writer False at round 3",
-        ),
+        ((0.0, 7), "writer 0.0 at round 1 is not a machine index"),
+        ((4, 7), "writer 4 at round 1 is not a machine index"),
+        ((-1, 7), "writer -1 at round 1 is not a machine index"),
+        ((False, 7), "writer False at round 1 is not a machine index"),
+        ((np.False_, 7), "writer False at round 1 is not a machine index"),
+        ((0, 0), "writer 0 at round 1 holds 0 rounds, not a count >= 1"),
+        ((0, True), "writer 0 at round 1 holds True rounds, not a count >= 1"),
+        ((0, np.True_), "writer 0 at round 1 holds True rounds, not a count >= 1"),
+        ((0, 7.0), "writer 0 at round 1 holds 7.0 rounds, not a count >= 1"),
+        ((0, 32), "writer 0 at round 1 holds 32 rounds, past the last round 31"),
+        (0, r"protocol gave 0 at round 1, not a \(writer, rounds\) pair"),
+        ((0, 7, 1), r"protocol gave \(0, 7, 1\) at round 1, not a \(writer, rounds\) pair"),
+    ],
+    ids=[
+        "float-writer",
+        "writer-m",
+        "negative-writer",
+        "bool-writer",
+        "numpy-bool-writer",
+        "zero-rounds",
+        "bool-rounds",
+        "numpy-bool-rounds",
+        "float-rounds",
+        "past-the-board",
+        "not-a-pair",
+        "triple",
     ],
 )
-def test_distributed_validates_select_writers(writers, match):
-    # The first block is round 0 alone, so one select_writers call
-    # answers for rounds 1..31, the rest of the one pass.
+def test_distributed_validates_writer_runs(run, match):
+    # The first block is round 0 alone, the first run round 0 alone, so
+    # the second run's head is round 1, inside the block of rounds 1..31.
     algo = ByteCounter()
     data = np.random.default_rng(34).standard_normal((16, 2))
     protocol, m, n, b = reduce_memory_to_distributed(algo, ResourceProfile(16, 1, 8), 4)
     pass_bits = protocol.next_bits
     protocol.next_bits = lambda shards, r, tr: pass_bits(shards, r, tr)[: 1 if r == 0 else None]
-    protocol.select_writers = lambda start, stop, transcript: (
-        [0] if start == 0 else writers(start, stop)
-    )
-    with pytest.raises(ValueError, match=match):
+    protocol.writer_run = lambda head, transcript: (0, 1) if head == 0 else run
+    with pytest.raises(ValueError, match=f"^{match}"):
         run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 
 @given(
-    st.sampled_from(["bool array", "list holding True", "m", "-1"]),
+    st.sampled_from(["True", "np.True_", "m", "-1", "no rounds", "past the board"]),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=1, max_value=7),
 )
 @settings(max_examples=100, deadline=None)
 def test_distributed_names_the_round_of_a_bad_later_writer(bad, turn, offset):
     # Four machines of one eight-bit turn each, one pass: the one block
-    # holds rounds 0..31, turn q's at 8q..8q+7, and one select_writers
-    # call answers for all of them.  All but the planted entry are honest.
+    # holds rounds 0..31, turn q's at 8q..8q+7.  Turn ``turn`` is cut in
+    # two runs at ``offset``, and the second one's answer is bad.
     data = np.random.default_rng(34).standard_normal((16, 2))
     protocol, m, n, b = reduce_memory_to_distributed(ByteCounter(), ResourceProfile(16, 1, 8), 4)
-    honest = protocol.select_writers
+    honest = protocol.writer_run
     planted = 8 * turn + offset
 
-    def select_writers(start, stop, transcript):
-        writers = honest(start, stop, transcript)
-        if not start <= planted < stop:
-            return writers
-        if bad == "bool array":
-            # Every entry is a bool, so the first is named.
-            return writers.astype(bool)
-        if bad == "list holding True":
-            writers = writers.tolist()
-            writers[planted - start] = True
-            return writers
-        writers = writers.astype(np.int64)
-        writers[planted - start] = m if bad == "m" else -1
-        return writers
+    def writer_run(head, transcript):
+        writer, rounds = honest(head, transcript)
+        if head < planted < head + rounds:
+            return writer, planted - head
+        if head != planted:
+            return writer, rounds
+        return {
+            "True": (True, rounds),
+            "np.True_": (np.True_, rounds),
+            "m": (m, rounds),
+            "-1": (-1, rounds),
+            "no rounds": (writer, 0),
+            "past the board": (writer, 33 - planted),
+        }[bad]
 
-    protocol.select_writers = select_writers
-    named = 0 if bad == "bool array" else planted
-    with pytest.raises(ValueError, match=f"at round {named} is not a machine index"):
+    protocol.writer_run = writer_run
+    with pytest.raises(ValueError, match=f" at round {planted} (is not|holds)"):
         run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 
 class _Scripted(BlackboardProtocol):
-    """Zero bits in blocks that end at ``cuts``, each block's writers a
-    slice of ``writers`` (a list or an array), with ``swap(start, block)``
-    free to replace a block."""
+    """Zero bits in blocks that end at ``cuts``, and the writer runs
+    ``runs``, a dict from each run head to its ``writer_run`` answer."""
 
-    def __init__(self, writers, cuts, swap):
-        self.writers, self.cuts, self.swap = writers, cuts, swap
+    def __init__(self, runs, cuts):
+        self.runs, self.cuts = runs, cuts
 
     def next_bits(self, shards, round_index, transcript):
         stop = next(cut for cut in self.cuts if cut > round_index)
         return np.zeros(stop - round_index, dtype=np.uint8)
 
-    def select_writers(self, start, stop, transcript):
-        return self.swap(start, self.writers[start:stop])
+    def writer_run(self, round_index, transcript):
+        return self.runs[round_index]
 
     def estimate(self, transcript):
         return transcript.astype(np.float64)
 
 
-def _writer_sequence(rng, m, b, balanced):
-    """Writers of m*b rounds in runs: each machine's b rounds cut into
-    runs and shuffled, and unless ``balanced``, some runs handed to
-    another machine."""
+def _writer_runs(rng, m, b, balanced):
+    """``(owners, lengths)`` of runs over m*b rounds: each machine's b
+    rounds cut into runs and shuffled, and unless ``balanced``, some runs
+    handed to another machine."""
     runs = []
     for machine in range(m):
         cuts = np.sort(rng.choice(np.arange(1, b), size=rng.integers(0, b), replace=False))
-        runs += [(machine, size) for size in np.diff(np.r_[0, cuts, b])]
-    order = rng.permutation(len(runs))
-    runs = [runs[j] for j in order]
+        runs += [(machine, int(size)) for size in np.diff(np.r_[0, cuts, b])]
+    runs = [runs[j] for j in rng.permutation(len(runs))]
     if not balanced:
         runs = [(int(rng.integers(m)) if rng.random() < 0.3 else w, size) for w, size in runs]
-    return np.concatenate([np.full(size, w, dtype=np.int64) for w, size in runs])
+    owners, lengths = zip(*runs)
+    return list(owners), list(lengths)
 
 
 @given(
@@ -1285,55 +1338,40 @@ def _writer_sequence(rng, m, b, balanced):
     b=st.integers(1, 5),
     seed=st.integers(0, 2**32 - 1),
     balanced=st.booleans(),
-    returned=st.sampled_from(["list", "int64", "narrow", "int16"]),
-    bad=st.sampled_from([None, "-1", "m", "bool", "float"]),
-    where=st.sampled_from(["head", "inside", "last"]),
+    returned=st.sampled_from(["int", "int64", "narrow", "int16"]),
+    bad=st.sampled_from(
+        [None, "-1", "m", "True", "np.True_", "1.7", "0 rounds", "True rounds", "past the board"]
+    ),
 )
 @settings(max_examples=150, deadline=None)
 def test_runner_checks_and_charges_writer_runs_as_a_full_scan(
-    m, b, seed, balanced, returned, bad, where
+    m, b, seed, balanced, returned, bad
 ):
-    # Writers come as runs in blocks of random lengths; a planted bad
-    # writer sits at a run head, inside a run or at the last round.  The
-    # runner must raise what a check and a bincount of every round raise.
+    # A drawn run schedule, given in blocks of random lengths, with a bad
+    # writer or length planted at a random run.  The runner must raise what
+    # a check of each run and a bincount of every round raise, log
+    # ``np.repeat(owners, lengths)``, and pass the audit until one logged
+    # writer is forged.
     rng = np.random.default_rng(seed)
     rounds = m * b
-    honest = _writer_sequence(rng, m, b, balanced)
+    owners, lengths = _writer_runs(rng, m, b, balanced)
+    heads = np.r_[0, np.cumsum(lengths)[:-1]].tolist()
+    cast = {"int": int, "int64": np.int64, "narrow": np.min_scalar_type(m - 1).type}
+    cast["int16"] = np.int16
+    owners = [cast[returned](w) for w in owners]
+    lengths = [cast[returned](size) for size in lengths]
+    if bad is not None:
+        i = int(rng.integers(len(owners)))
+        if bad in ("-1", "m", "True", "np.True_", "1.7"):
+            owners[i] = {"-1": -1, "m": m, "True": True, "np.True_": np.True_, "1.7": 1.7}[bad]
+        else:
+            lengths[i] = {"0 rounds": 0, "True rounds": True}.get(bad, rounds - heads[i] + 1)
     # Up to three block ends before the last round.
     inner = rng.choice(rounds - 1, size=min(rng.integers(0, 4), rounds - 1), replace=False)
     cuts = [*np.sort(inner + 1).tolist(), rounds]
-    heads = np.r_[0, np.flatnonzero(honest[1:] != honest[:-1]) + 1]
-    inside = np.setdiff1d(np.arange(rounds), heads)
-    if where == "last":
-        planted = rounds - 1
-    elif where == "inside" and inside.size:
-        planted = int(rng.choice(inside))
-    else:
-        planted = int(rng.choice(heads))
-    value = {"-1": -1, "m": m, "bool": True, "float": float(honest[planted])}.get(bad)
-    if returned == "list":
-        writers = honest.tolist()
-        if bad is not None:
-            writers[planted] = value
-    else:
-        dtype = {"int64": np.int64, "narrow": np.min_scalar_type(m - 1), "int16": np.int16}
-        writers = honest.astype(dtype[returned])
-        if bad in ("-1", "m"):
-            # Widened only where the returned dtype cannot hold the value.
-            writers = writers.astype(np.result_type(writers, np.min_scalar_type(value)))
-            writers[planted] = value
-
-    def swap(start, block):
-        # An array carries a bool or a float only as its dtype.
-        holds = start <= planted < start + len(block)
-        if returned != "list" and bad in ("bool", "float") and holds:
-            return block.astype(bool if bad == "bool" else np.float64)
-        return block
-
-    blocks = [(start, swap(start, writers[start:stop])) for start, stop in zip([0, *cuts], cuts)]
-    error, expected = charge_blocks(blocks, m, b)
+    error, expected = charge_runs(owners, lengths, m, b)
     shards = [np.zeros((1, 1))] * m
-    protocol = _Scripted(writers, cuts, swap)
+    protocol = _Scripted(dict(zip(heads, zip(owners, lengths))), cuts)
     if error is not None:
         with pytest.raises(error, match=f"^{re.escape(expected)}$"):
             run_distributed(protocol, shards, m, 1, b)
@@ -1341,7 +1379,12 @@ def test_runner_checks_and_charges_writer_runs_as_a_full_scan(
     np.testing.assert_array_equal(expected, np.full(m, b))
     _, board = run_distributed(protocol, shards, m, 1, b)
     assert board.writers.dtype == np.min_scalar_type(m - 1)
-    assert board.writers.tolist() == honest.tolist()
+    assert board.writers.tolist() == np.repeat(np.array(owners, np.int64), lengths).tolist()
+    assert board.audit(protocol)
+    if m > 1:
+        r = int(rng.integers(rounds))
+        board.writers[r] = (int(board.writers[r]) + 1) % m
+        assert not board.audit(protocol)
 
 
 @pytest.mark.parametrize("m", [255, 256, 257])
@@ -1359,6 +1402,23 @@ def test_board_logs_writers_in_the_narrowest_dtype(m):
     assert board.audit(protocol) and wide.audit(protocol)
     assert board.recompute(protocol, shard_stream(data, n))
     assert wide.recompute(protocol, shard_stream(data, n))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_checked_shards_of_equal_columns_are_one_read_only_stack(m):
+    rng = np.random.default_rng(37)
+    shards = [rng.standard_normal((4, 3)) for _ in range(m)]
+    shards[0] = shards[0].astype(np.float32)
+    checked = _checked_shards(shards, m, 4)
+    assert isinstance(checked, np.ndarray) and checked.dtype == np.float64
+    assert checked.shape == (m, 4, 3) and not checked.flags.writeable
+    assert checked.tobytes() == np.stack(shards).astype(np.float64).tobytes()
+    assert all(checked[j].tobytes() == shards[j].astype(np.float64).tobytes() for j in range(m))
+    assert _checked_shards(shards[:1], 1, 4).shape == (1, 4, 3)
+    # Mixed column counts keep one read-only 2-D view a shard.
+    ragged = _checked_shards([np.zeros((4, 2)), *shards[1:]], m, 4)
+    assert isinstance(ragged, tuple) and [shard.shape[1] for shard in ragged] == [2] + [3] * (m - 1)
+    assert not any(shard.flags.writeable for shard in ragged)
 
 
 @pytest.mark.parametrize("columns", [[2, 2, 2, 2], [2, 3, 2, 2]], ids=["stacked", "ragged"])
@@ -1448,6 +1508,18 @@ def test_update_chunks_equals_per_sample_loop_over_any_split(run, data):
         chunks = lead + [stream[i0:i1] for i0, i1 in zip(bounds, bounds[1:])] + tail
         states = algo.update_chunks(fast, t, 0, chunks)
         assert states.tobytes() == row_by_row_algo.update_chunks(reference, t, 0, chunks).tobytes()
+        # Equal chunks from a chunk boundary on, as one 3-D array, the way
+        # a protocol gets its stacked shards.
+        divisors = [c for c in range(1, n_samples + 1) if n_samples % c == 0]
+        size = data.draw(st.sampled_from(divisors))
+        equal = stream.reshape(n_samples // size, size, -1)
+        skip = data.draw(st.integers(min_value=0, max_value=len(equal) - 1))
+        start = algo.update_chunks(fast, t, 0, list(equal[:skip]))[-1] if skip else fast
+        stacked = algo.update_chunks(start, t, skip * size, equal[skip:])
+        listed = row_by_row_algo.update_chunks(start, t, skip * size, list(equal[skip:]))
+        assert stacked.tobytes() == listed.tobytes()
+        empty = algo.update_chunks(start, t, skip * size, equal[skip:, :0])
+        assert empty.tobytes() == np.tile(start, (len(equal) - skip, 1)).tobytes()
         for i0, i1 in zip(bounds, bounds[1:]):
             # One chunk per call, each from the state the last one left.
             reference = row_by_row_algo.update_chunks(reference, t, i0, [stream[i0:i1]])[0]
