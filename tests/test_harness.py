@@ -1227,7 +1227,6 @@ def test_runner_and_audit_call_writer_run_once_a_turn():
         ((0.0, 7), "writer 0.0 at round 1 is not a machine index"),
         ((4, 7), "writer 4 at round 1 is not a machine index"),
         ((-1, 7), "writer -1 at round 1 is not a machine index"),
-        ((False, 7), "writer False at round 1 is not a machine index"),
         ((np.False_, 7), "writer False at round 1 is not a machine index"),
         ((0, 0), "writer 0 at round 1 holds 0 rounds, not a count >= 1"),
         ((0, True), "writer 0 at round 1 holds True rounds, not a count >= 1"),
@@ -1241,7 +1240,6 @@ def test_runner_and_audit_call_writer_run_once_a_turn():
         "float-writer",
         "writer-m",
         "negative-writer",
-        "bool-writer",
         "numpy-bool-writer",
         "zero-rounds",
         "bool-rounds",
@@ -1262,6 +1260,27 @@ def test_distributed_validates_writer_runs(run, match):
     protocol.next_bits = lambda shards, r, tr: pass_bits(shards, r, tr)[: 1 if r == 0 else None]
     protocol.writer_run = lambda head, transcript: (0, 1) if head == 0 else run
     with pytest.raises(ValueError, match=f"^{match}"):
+        run_distributed(protocol, shard_stream(data, n), m, n, b)
+
+
+@pytest.mark.parametrize(
+    "writers, match",
+    [
+        (lambda head: (False, 31), "writer False at round 1"),
+        (lambda head: (0, 1) if head == 1 else (False, 30), "writer False at round 2"),
+    ],
+)
+def test_distributed_validates_select_writers(writers, match):
+    # A bool is no machine index, whether it heads the block's first run
+    # or a later one, and the error names the round of that run's head.
+    # The name is that of the block hook writer_run replaced.
+    algo = ByteCounter()
+    data = np.random.default_rng(34).standard_normal((16, 2))
+    protocol, m, n, b = reduce_memory_to_distributed(algo, ResourceProfile(16, 1, 8), 4)
+    pass_bits = protocol.next_bits
+    protocol.next_bits = lambda shards, r, tr: pass_bits(shards, r, tr)[: 1 if r == 0 else None]
+    protocol.writer_run = lambda head, transcript: (0, 1) if head == 0 else writers(head)
+    with pytest.raises(ValueError, match=f"^{match} is not a machine index"):
         run_distributed(protocol, shard_stream(data, n), m, n, b)
 
 
