@@ -2,7 +2,7 @@
 
 Usage, from the repository root:
 
-    python3 scripts/fingerprint.py [--src DIR] ITEM [ITEM ...]
+    python3 scripts/fingerprint.py [--src DIR] [ITEM ...]
     python3 scripts/fingerprint.py --write [ITEM ...]
 
 Each ITEM is either an INI config or a ``verify`` suite name, one of the
@@ -17,7 +17,10 @@ output, ``<verb> <item> <exit status> <sha256>``:
   both ``[harness]`` and ``[distributed]`` sections;
 * ``verify``: the report of ``spikelab verify <suite>``.
 
-Each config runs with the seed list written in it.  ``--src`` imports
+Without ITEMs it prints the lines of every item the golden file lists,
+so ``python3 scripts/fingerprint.py | diff - <(grep -v '^#'
+tests/data/fingerprints.txt)`` shows every moved digest.  Each config
+runs with the seed list written in it.  ``--src`` imports
 ``spikelab`` from another source tree (default: ``src/`` next to this
 script), so two checkouts can be compared by diffing the output of the
 same command run against each.
@@ -27,9 +30,10 @@ golden file that ``tests/test_fingerprints.py`` recomputes, under a
 stamp of the Python version, the numpy version, the BLAS name and the
 OpenBLAS core it runs (another BLAS build or core may round matmuls
 differently).  Without ITEMs it rewrites the digests of the items the
-file already lists; with ITEMs it writes the lines of those items and
-keeps every other item's lines.  A change that moves bits on purpose
-runs it and says which digests moved.
+file already lists, the items printed without ``--write``; with ITEMs
+it writes the lines of those items and keeps every other item's lines.
+A change that moves bits on purpose runs it and says which digests
+moved.
 
 A ``# host-specific <verb> <item>: <reason>`` line in the golden file
 names a digest that only the stamped BLAS core reproduces;
@@ -159,7 +163,9 @@ def golden_items(lines) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("items", nargs="*", help="INI configs and suite names")
+    parser.add_argument(
+        "items", nargs="*", help="INI configs and suite names (default: the golden file's)"
+    )
     parser.add_argument(
         "--src",
         default=str(ROOT / "src"),
@@ -171,11 +177,7 @@ def main(argv=None) -> int:
         help=f"store the stamped lines in {GOLDEN.relative_to(ROOT)}",
     )
     args = parser.parse_args(argv)
-    items = args.items
-    if not items:
-        if not args.write:
-            parser.error("give ITEMs, or --write to refresh the golden file")
-        items = golden_items(read_golden()[1])
+    items = args.items or golden_items(read_golden()[1])
     sys.path.insert(0, str(pathlib.Path(args.src).resolve()))
     from spikelab import cli
 

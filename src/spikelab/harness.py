@@ -14,20 +14,18 @@ holds, from the transcript before them) and hands the runner a block
 of rounds' bits at once (``next_bits``), which may span several runs.
 ``Blackboard.audit`` replays the runs from transcript prefixes, and
 ``Blackboard.recompute`` replays each writer's rounds with only its own
-shard visible.  Both runners hand the algorithm or protocol read-only
-views of their checked inputs (a protocol gets every shard as one
-``(m, n, columns)`` array when the column counts agree), so nothing
-written into a row survives to a later pass.  The reduction simulates
-a (N, T, s) streaming algorithm with (N/n, n, s*T) blackboard
-parameters by handing the full state across the board after every
-local pass; it answers a whole pass of turns in one ``update_chunks``
-call, and names each turn as one writer run.
+shard visible.  Rows travel in one form: ``update_chunks`` takes one
+``(count, rows, columns)`` array of equal chunks, and a protocol gets
+every shard as one ``(m, n, columns)`` array.  Both runners hand these
+over read-only, so nothing written into a row survives to a later
+pass.  The reduction simulates a (N, T, s) streaming algorithm with
+(N/n, n, s*T) blackboard parameters by handing the full state across
+the board after every local pass; it answers a whole pass of turns in
+one ``update_chunks`` call, and names each turn as one writer run.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -68,7 +66,7 @@ class MemoryBoundedAlgorithm:
     Subclasses set ``state_bits``, implement ``estimate`` (mapping the
     final state to an output vector), and either implement ``update``
     (returning the next state as a 0/1 uint8 vector of the same length)
-    or override ``update_chunks`` to answer whole blocks of rows.  One
+    or override ``update_chunks`` to answer a stack of row blocks.  One
     that reads its pass length sets ``n_samples``, and the runners hold
     the profile's stream length to it; ``None`` takes any length.  The
     runner owns the state; implementations must not stash anything on
@@ -81,11 +79,11 @@ class MemoryBoundedAlgorithm:
     def update(self, state: np.ndarray, t: int, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def update_chunks(self, state: np.ndarray, t: int, i0: int, chunks) -> np.ndarray:
+    def update_chunks(self, state: np.ndarray, t: int, i0: int, chunks: np.ndarray) -> np.ndarray:
         """The states after each of ``chunks``, consecutive blocks of rows
         of pass t that start at row i0, as a ``(len(chunks), state_bits)``
-        uint8 array.  ``chunks`` is a sequence of 2-D row blocks or one
-        3-D array of equal ones.
+        uint8 array.  ``chunks`` is one ``(count, rows, columns)`` array:
+        ``count`` equal blocks, one after another.
 
         This default is the reference: one ``update`` per row, with the
         state checked after each, the next chunk starting from the state
@@ -151,10 +149,10 @@ def run_memory_bounded(
     The state starts all zeros, is the only value carried between
     passes, and is length- and binariness-checked after every pass,
     which is one ``update_chunks`` call with the whole stream as its one
-    chunk.  Rows must be finite, and the algorithm must agree with the
-    profile (``_check_profile``).  The algorithm reads the rows through
-    a read-only float64 view, so a write into them raises ``ValueError``
-    and cannot reach a later pass or the caller's array.
+    chunk, ``data[None]``.  Rows must be finite, and the algorithm must
+    agree with the profile (``_check_profile``).  The algorithm reads the
+    rows through a read-only float64 view, so a write into them raises
+    ``ValueError`` and cannot reach a later pass or the caller's array.
     """
     t0 = time.perf_counter()
     _check_profile(algorithm, profile)
@@ -170,7 +168,7 @@ def run_memory_bounded(
     s = profile.state_bits
     state = np.zeros(s, dtype=np.uint8)
     for t in range(profile.passes):
-        state = _check_state(algorithm.update_chunks(state, t, 0, [data]), (1, s))[0]
+        state = _check_state(algorithm.update_chunks(state, t, 0, data[None]), (1, s))[0]
     out = np.asarray(algorithm.estimate(state.copy()), dtype=np.float64)
     return EstimateReport(
         estimate=out,
@@ -438,51 +436,37 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         (``tests/references.py`` keeps that row-by-row reference).
 
         The iterate is fixed within a pass, so the whole state is decoded
-        once, ``psi`` is built once, and the rows of every chunk are
-        contracted by one stacked matmul, whose row j equals the
-        single-row ``contract_batch``.  Only the partial sum is
-        accumulated row by row, on lattice values, by one
+        once, ``psi`` is built once, and the chunks' rows, read as one
+        block through one reshape, are contracted by one stacked matmul,
+        whose row j equals the single-row ``contract_batch``.  Only the
+        partial sum is accumulated row by row, on lattice values, by one
         ``QuantizerSpec._snap_block``; its levels at each chunk's last row
         are the levels ``encode`` finds for that chunk's sum, and one
         ``_code`` codes them all.  A chunk that ends the pass makes its
-        sum the iterate and resets the sum to ``reset_code``; a chunk
-        before the first row leaves ``state``.  A 3-D ``chunks`` array is
-        read as one block of rows, through one reshape, with no gather.
+        sum the iterate and resets the sum to ``reset_code``; chunks of
+        no rows leave ``state``.
         """
         q, d, n, half = self.quantizer, self.d, self.n_samples, self.state_bits // 2
-        if isinstance(chunks, np.ndarray) and chunks.ndim == 3:
-            rows = np.asarray(chunks, dtype=np.float64)
-            count, size = rows.shape[:2]
-            total = count * size
-            ends = range(size, total + 1, size) if size else [0] * count
-        else:
-            chunks = [np.asarray(rows, dtype=np.float64) for rows in chunks]
-            ends = list(itertools.accumulate(map(len, chunks)))
-            count, total = len(chunks), ends[-1]
+        rows = np.asarray(chunks, dtype=np.float64)
+        count, size = rows.shape[:2]
+        total = count * size
         if i0 + total > n:
             raise ValueError(f"rows {i0}..{i0 + total - 1} run past the pass of {n}")
         states = np.empty((count, 2 * half), dtype=np.uint8)
-        # Chunks before the first row, and the first chunk that ends the pass.
-        lead = bisect.bisect_right(ends, 0)
-        boundary = bisect.bisect_left(ends, n - i0)
-        if lead:
-            states[:lead] = state
         if total == 0:
+            states[:] = state
             return states
         if t == 0 and i0 == 0:
             state = self.start_code
-        if isinstance(chunks, list):
-            rows = chunks[0] if count == 1 else np.concatenate(chunks)
         values = q.decode(state, 2 * d)
         w = (self.psi(values[:d]) @ rows.reshape(total, -1, d)) / n
-        marks = [end - 1 for end in ends[lead:]]
-        sums = q._code(q._snap_block(values[d:], w)[marks]).reshape(-1, half)
-        if lead < boundary:
-            states[lead:boundary, :half] = state[:half]
-            states[lead:boundary, half:] = sums[: boundary - lead]
-        if boundary < count:
-            states[boundary:, :half] = sums[boundary - lead :]
-            states[boundary:, half:] = self.reset_code
+        sums = q._code(q._snap_block(values[d:], w)[size - 1 :: size]).reshape(-1, half)
+        # Every chunk holds rows, so only the last one can end the pass.
+        boundary = count - 1 if i0 + total == n else count
+        states[:boundary, :half] = state[:half]
+        states[:boundary, half:] = sums[:boundary]
+        states[boundary:, :half] = sums[boundary:]
+        states[boundary:, half:] = self.reset_code
         return states
 
     def estimate(self, state):
@@ -533,14 +517,14 @@ class BlackboardProtocol:
     def next_bits(self, shards, round_index: int, transcript: np.ndarray):
         """Bits for rounds ``round_index``, ``round_index + 1``, .. at once.
 
-        ``shards`` holds every machine's shard (``shards[j]`` is shard j),
-        and a block may span several runs, but bit j must be what the
-        writer of round ``round_index + j`` computes from its own shard
-        and the transcript extended by bits 0..j-1.  This default returns
-        the one ``next_bit`` bit of the writer that ``writer_run`` names
-        at ``round_index``, checked (``_checked_run``) before it picks a
-        shard, so a protocol that keeps it answers ``writer_run`` at every
-        round.
+        ``shards`` is one ``(m, n, columns)`` array of every machine's
+        shard (``shards[j]`` is shard j), and a block may span several
+        runs, but bit j must be what the writer of round ``round_index +
+        j`` computes from its own shard and the transcript extended by
+        bits 0..j-1.  This default returns the one ``next_bit`` bit of
+        the writer that ``writer_run`` names at ``round_index``, checked
+        (``_checked_run``) before it picks a shard, so a protocol that
+        keeps it answers ``writer_run`` at every round.
         """
         run = self.writer_run(round_index, transcript)
         writer = _checked_run(run, round_index, len(shards), math.inf)[0]
@@ -575,13 +559,16 @@ class Blackboard:
     def audit(self, protocol: BlackboardProtocol) -> bool:
         """Replay the writer runs from read-only transcript prefixes alone.
 
-        Walks the runs from round 0 as ``run_distributed`` takes them, one
-        ``writer_run`` call per run.  Fails at the first run that
-        ``_checked_run`` rejects or whose writer is not the logged writer
-        of every round it holds.  An error the protocol raises propagates.
+        Fails unless the log holds one writer per round.  Walks the runs
+        from round 0 as ``run_distributed`` takes them, one ``writer_run``
+        call per run.  Fails at the first run that ``_checked_run``
+        rejects or whose writer is not the logged writer of every round
+        it holds.  An error the protocol raises propagates.
         """
         bits = _read_only(self.bits)
         rounds = len(bits)
+        if len(self.writers) != rounds:
+            return False
         heads, lengths = _runs(self.writers)
         # Each logged run's writer and the round after its last.
         owners = self.writers[heads].tolist()
@@ -604,26 +591,31 @@ class Blackboard:
         """Recompute every logged writer's bits from its own shard and the
         written prefix alone.
 
-        Each run of consecutive rounds of one writer goes through
-        ``next_bits`` from its first round on, until the run is covered,
-        with that writer's shard visible and every other entry an empty
-        read-only ``(0, columns)`` array; bits past the run are not
-        compared.  Fails at the first run whose writer is not a machine
-        index or whose bits differ from the board's.  The shards are
-        checked as ``run_distributed`` checks them, and an error the
-        protocol raises propagates.
+        Fails unless the log holds one writer per round.  Each run of
+        consecutive rounds of one writer goes through ``next_bits`` from
+        its first round on, until the run is covered, with the shards
+        handed over as one read-only ``(m, n, columns)`` stack that holds
+        that writer's shard and zeros in every other machine's place; bits
+        past the run are not compared.  Fails at the first run whose
+        writer is not a machine index or whose bits differ from the
+        board's.  The shards are checked as ``run_distributed`` checks
+        them, and an error the protocol raises propagates.
         """
         shards = _checked_shards(shards, self.m, self.n)
-        hidden = [_read_only(np.empty((0, shard.shape[1]))) for shard in shards]
         bits = _read_only(self.bits)
         writers = self.writers
+        if len(writers) != len(bits):
+            return False
+        # One stack for every run: the writer's shard is copied in for its
+        # run and zeroed after, so no run sees another machine's rows.
+        stack = np.zeros_like(shards)
+        visible = _read_only(stack)
         heads, lengths = _runs(writers)
-        # Python values, so a narrow unsigned writer cannot wrap in ``writer + 1``.
         owners = writers[heads].tolist()
         for start, length, writer in zip(heads.tolist(), lengths.tolist(), owners):
             if not _is_writer(writer, self.m):
                 return False
-            visible = (*hidden[:writer], shards[writer], *hidden[writer + 1 :])
+            stack[writer] = shards[writer]
             t, stop = start, start + length
             while t < stop:
                 block = _bit_block(protocol.next_bits(visible, t, bits[:t]), t)
@@ -631,6 +623,7 @@ class Blackboard:
                 if not np.array_equal(block[: end - t], bits[t:end]):
                     return False
                 t = end
+            stack[writer] = 0
         return True
 
 
@@ -703,11 +696,10 @@ def _bit_block(values, t: int) -> np.ndarray:
     raise ValueError(f"protocol wrote a non-bit value {block[j]} at round {t + j}")
 
 
-def _checked_shards(shards, m: int, n: int):
-    """The m shards as read-only float64 arrays of n rows of finite
-    values, ``shards[j]`` shard j: one ``(m, n, columns)`` array when
-    their column counts agree, else a tuple of 2-D views; ``ValueError``
-    otherwise."""
+def _checked_shards(shards, m: int, n: int) -> np.ndarray:
+    """The m shards as one read-only ``(m, n, columns)`` float64 array of
+    finite values, ``[j]`` shard j; ``ValueError`` unless every shard is
+    a 2-D array of n rows with shard 0's column count."""
     if len(shards) != m:
         raise ValueError(f"got {len(shards)} shards for m = {m}")
     checked = []
@@ -717,16 +709,18 @@ def _checked_shards(shards, m: int, n: int):
             raise ValueError(
                 f"shard {j} has shape {shard.shape}; every shard must hold n = {n} rows"
             )
+        if checked and shard.shape[1] != checked[0].shape[1]:
+            raise ValueError(
+                f"shard {j} has {shard.shape[1]} columns; shard 0 has {checked[0].shape[1]}"
+            )
         checked.append(shard)
+    stack = np.stack(checked)
     # One finiteness pass over the stack; shard by shard only to name the
     # first bad one.
-    if len({shard.shape[1] for shard in checked}) == 1:
-        stack = np.stack(checked)
-        if np.isfinite(stack).all():
-            return _read_only(stack)
-    for j, shard in enumerate(checked):
-        check_finite(shard, f"shard {j}")
-    return tuple(map(_read_only, checked))
+    if not np.isfinite(stack).all():
+        for j, shard in enumerate(stack):
+            check_finite(shard, f"shard {j}")
+    return _read_only(stack)
 
 
 def run_distributed(
@@ -745,10 +739,11 @@ def run_distributed(
     its writer's budget of b rounds; a machine past its budget raises
     ``RuntimeError``.  The writer log is built once from the runs, in
     ``np.min_scalar_type(m - 1)``.  Shards must be 2-D arrays of n finite
-    rows.  Writers and bits are validated before any cast.  Protocols get
-    the checked shards (``_checked_shards``) and the transcript as
-    read-only views.  That each bit came from its writer's own shard is
-    what ``Blackboard.recompute`` checks.
+    rows and one column count.  Writers and bits are validated before any
+    cast.  Protocols get the checked shards as one ``(m, n, columns)``
+    stack (``_checked_shards``) and the transcript, both read-only.  That
+    each bit came from its writer's own shard is what
+    ``Blackboard.recompute`` checks.
     """
     t0 = time.perf_counter()
     shards = _checked_shards(shards, m, n)

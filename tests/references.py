@@ -101,7 +101,7 @@ class TurnByTurnProtocol(_StateHandoffProtocol):
         else:
             prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
         t, machine = divmod(turn, self.m)
-        state = self.algorithm.update_chunks(prev, t, machine * self.n, [shard])[0]
+        state = self.algorithm.update_chunks(prev, t, machine * self.n, shard[None])[0]
         return _check_state(state, (s,))[offset:]
 
 

@@ -104,3 +104,23 @@ def test_another_blas_core_gives_every_portable_digest(other_core):
     assert running_core == core
     moved = [new for old, new in zip(portable, got) if old != new]
     assert got == portable, moved
+
+
+def test_script_without_items_prints_every_golden_items_lines(monkeypatch, capsys):
+    # The lines are stubbed, so no item runs; the script asks for the
+    # golden file's items in file order and prints what it gets.
+    fingerprint = _script()
+    items = fingerprint.golden_items(fingerprint.read_golden()[1])
+    asked = []
+
+    def lines(cli, wanted):
+        asked.append(list(wanted))
+        return [f"line {item}" for item in wanted]
+
+    monkeypatch.setattr(fingerprint, "fingerprint_lines", lines)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    golden = fingerprint.GOLDEN.read_text()
+    assert fingerprint.main([]) == 0
+    assert asked == [items] and len(items) > 1
+    assert capsys.readouterr().out == "".join(f"line {item}\n" for item in items)
+    assert fingerprint.GOLDEN.read_text() == golden

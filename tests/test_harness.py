@@ -792,6 +792,19 @@ def test_distributed_rejects_a_malformed_shard(shard):
         run_distributed(LocalMeanProtocol(2, q), [np.zeros((4, 2)), shard], 2, 4, q.bits)
 
 
+def test_distributed_rejects_shards_of_unequal_column_counts():
+    # Protocols get the shards as one (m, n, columns) stack, so a shard
+    # whose column count differs from shard 0's is named, not read.
+    q = QuantizerSpec(bits=4, radius=4.0)
+    shards = [np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 3))]
+    with pytest.raises(ValueError, match="^shard 2 has 3 columns; shard 0 has 2$"):
+        run_distributed(LocalMeanProtocol(3, q), shards, 3, 4, q.bits)
+    protocol, m, n, b = reduce_memory_to_distributed(XorFold(), ResourceProfile(12, 1, 1), 4)
+    _, board = run_distributed(protocol, [np.zeros((4, 2))] * 3, m, n, b)
+    with pytest.raises(ValueError, match="^shard 2 has 3 columns; shard 0 has 2$"):
+        board.recompute(protocol, shards)
+
+
 class _StashesInItsRows(MemoryBoundedAlgorithm):
     """Writes a marker into its first row in pass 0 and reads it back
     in pass 1, a channel past its one-bit state."""
@@ -916,7 +929,8 @@ def test_recompute_rejects_an_overlong_block():
 def test_recompute_rejects_a_hook_that_reads_a_neighbours_shard():
     # Each machine writes the code of the next machine's column-0 sum:
     # the writers are honest, but recomputed from its own shard alone, a
-    # machine's bits are the code of an empty sum.
+    # machine's bits are the code of the zero rows that stand in for the
+    # next machine's shard.
     class Neighbour(BlockMeanProtocol):
         def next_bits(self, shards, round_index, transcript):
             writer = self.writer_run(round_index, transcript)[0]
@@ -1053,6 +1067,52 @@ def test_blackboard_audit_detects_tampered_writer_log():
     assert board.audit(protocol)
     board.writers[1] = (board.writers[1] + 1) % m
     assert not board.audit(protocol)
+
+
+def test_audit_and_recompute_reject_a_writer_log_that_does_not_cover_the_board():
+    # 16 rounds: tpca k=2, d=2, B=2 (s = 8), N=8, two 4-row machines, one
+    # pass.  Unchecked, the recompute compared only the logged rounds and
+    # passed a board whose unlogged bits were flipped, the audit indexed
+    # past a short log (IndexError), and it passed a log one round long.
+    _, batch = power_batch(k=2, d=2, n=8, seed=39)
+    algo = QuantizedIteration(power_template(2), QuantizerSpec(2, 4.0), 2, 8, np.ones(2))
+    _, board, protocol = replay(algo, batch.data, ResourceProfile(8, 1, 8), 4)
+    shards = shard_stream(batch.data, 4)
+    assert len(board.bits) == 16 and board.audit(protocol)
+    assert board.recompute(protocol, shards)
+    flipped = board.bits.copy()
+    flipped[8:] ^= 1
+    short = Blackboard(flipped, board.writers[:8], board.m, board.n, board.b)
+    assert not short.recompute(protocol, shards)
+    assert not short.audit(protocol)
+    extra = np.append(board.writers, board.writers[-1])
+    longer = Blackboard(board.bits, extra, board.m, board.n, board.b)
+    assert not longer.audit(protocol)
+    assert not longer.recompute(protocol, shards)
+
+
+def test_recompute_shows_a_protocol_its_writers_shard_and_zeros():
+    data = np.random.default_rng(38).standard_normal((12, 3))
+    protocol, m, n, b = reduce_memory_to_distributed(ByteCounter(), ResourceProfile(12, 2, 8), 4)
+    shards = shard_stream(data, n)
+    _, board = run_distributed(protocol, shards, m, n, b)
+    seen = []
+    hook = protocol.next_bits
+
+    def spy(stack, round_index, transcript):
+        writer = protocol.writer_run(round_index, transcript)[0]
+        seen.append((writer, stack.shape, stack.dtype, stack.flags.writeable, stack.copy()))
+        return hook(stack, round_index, transcript)
+
+    protocol.next_bits = spy
+    assert board.recompute(protocol, shards)
+    # One call a turn: three machines, two passes.
+    assert [writer for writer, *_ in seen] == [0, 1, 2, 0, 1, 2]
+    for writer, shape, dtype, writeable, stack in seen:
+        assert (shape, dtype, writeable) == ((m, n, 3), np.float64, False)
+        assert stack[writer].tobytes() == shards[writer].tobytes()
+        hidden = np.delete(stack, writer, axis=0)
+        assert hidden.tobytes() == np.zeros_like(hidden).tobytes()
 
 
 @pytest.mark.parametrize("cast", [bool, np.bool_, float], ids=["bool", "np.bool_", "float"])
@@ -1434,13 +1494,12 @@ def test_checked_shards_of_equal_columns_are_one_read_only_stack(m):
     assert checked.tobytes() == np.stack(shards).astype(np.float64).tobytes()
     assert all(checked[j].tobytes() == shards[j].astype(np.float64).tobytes() for j in range(m))
     assert _checked_shards(shards[:1], 1, 4).shape == (1, 4, 3)
-    # Mixed column counts keep one read-only 2-D view a shard.
-    ragged = _checked_shards([np.zeros((4, 2)), *shards[1:]], m, 4)
-    assert isinstance(ragged, tuple) and [shard.shape[1] for shard in ragged] == [2] + [3] * (m - 1)
-    assert not any(shard.flags.writeable for shard in ragged)
+    # Mixed column counts cannot be stacked: the first odd shard is named.
+    with pytest.raises(ValueError, match="^shard 1 has 3 columns; shard 0 has 2$"):
+        _checked_shards([np.zeros((4, 2)), *shards[1:]], m, 4)
 
 
-@pytest.mark.parametrize("columns", [[2, 2, 2, 2], [2, 3, 2, 2]], ids=["stacked", "ragged"])
+@pytest.mark.parametrize("columns", [[2, 2, 2, 2]], ids=["stacked"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_distributed_names_a_non_finite_value_in_the_last_shard(columns, bad):
     q = QuantizerSpec(bits=4, radius=4.0)
@@ -1520,31 +1579,28 @@ def test_update_chunks_equals_per_sample_loop_over_any_split(run, data):
             )
         )
         bounds = [0, *sorted(cuts - {n_samples}), n_samples]
-        # The whole pass in one call, empty chunks at either end if drawn;
-        # the reference runs one ``update`` per row.
-        lead = [stream[:0]] * data.draw(st.integers(0, 1))
-        tail = [stream[:0]] * data.draw(st.integers(0, 1))
-        chunks = lead + [stream[i0:i1] for i0, i1 in zip(bounds, bounds[1:])] + tail
-        states = algo.update_chunks(fast, t, 0, chunks)
-        assert states.tobytes() == row_by_row_algo.update_chunks(reference, t, 0, chunks).tobytes()
+        # The whole pass as one chunk.
+        whole = algo.update_chunks(fast, t, 0, stream[None])
         # Equal chunks from a chunk boundary on, as one 3-D array, the way
-        # a protocol gets its stacked shards.
+        # a protocol gets its stacked shards; the reference runs one
+        # ``update`` per row.
         divisors = [c for c in range(1, n_samples + 1) if n_samples % c == 0]
         size = data.draw(st.sampled_from(divisors))
         equal = stream.reshape(n_samples // size, size, -1)
         skip = data.draw(st.integers(min_value=0, max_value=len(equal) - 1))
-        start = algo.update_chunks(fast, t, 0, list(equal[:skip]))[-1] if skip else fast
+        start = algo.update_chunks(fast, t, 0, equal[:skip])[-1] if skip else fast
         stacked = algo.update_chunks(start, t, skip * size, equal[skip:])
-        listed = row_by_row_algo.update_chunks(start, t, skip * size, list(equal[skip:]))
-        assert stacked.tobytes() == listed.tobytes()
+        expected = row_by_row_algo.update_chunks(start, t, skip * size, equal[skip:])
+        assert stacked.tobytes() == expected.tobytes()
         empty = algo.update_chunks(start, t, skip * size, equal[skip:, :0])
         assert empty.tobytes() == np.tile(start, (len(equal) - skip, 1)).tobytes()
         for i0, i1 in zip(bounds, bounds[1:]):
-            # One chunk per call, each from the state the last one left.
-            reference = row_by_row_algo.update_chunks(reference, t, i0, [stream[i0:i1]])[0]
-            fast = algo.update_chunks(fast, t, i0, [stream[i0:i1]])[0]
+            # One chunk per call at any cuts, each from the state the last
+            # one left.
+            reference = row_by_row_algo.update_chunks(reference, t, i0, stream[i0:i1][None])[0]
+            fast = algo.update_chunks(fast, t, i0, stream[i0:i1][None])[0]
             np.testing.assert_array_equal(fast, reference)
-        np.testing.assert_array_equal(states[-1], reference)
+        np.testing.assert_array_equal(whole[0], reference)
 
 
 @given(quantized_runs())
@@ -1561,8 +1617,8 @@ def test_pass_zero_runs_like_a_later_pass_from_the_start_code(run):
     assert not algo.start_code.flags.writeable
     zeros = np.zeros(algo.state_bits, dtype=np.uint8)
     np.testing.assert_array_equal(
-        algo.update_chunks(zeros, 0, 0, [stream]),
-        algo.update_chunks(algo.start_code, 1, 0, [stream]),
+        algo.update_chunks(zeros, 0, 0, stream[None]),
+        algo.update_chunks(algo.start_code, 1, 0, stream[None]),
     )
     reference = row_by_row(algo)
     np.testing.assert_array_equal(
