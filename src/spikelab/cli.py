@@ -200,13 +200,10 @@ def _cmd_reduce(args) -> int:
     n_samples = cfg.samples_grid[0]
     _, batch = draw(cfg, n_samples, seed)
     algorithm, profile = build_harness(cfg, n_samples, seed)
-    direct = run_memory_bounded(algorithm, batch.data, profile)
-    report, board, protocol = replay(
-        algorithm, batch.data, profile, cfg.distributed.shard_rows
-    )
     # The harness suite's checks, on this one replay.
-    replays = [(profile, batch.data, direct, report, board, protocol)]
-    ok = _print_report(replay_checks("reduce", replays))
+    run = (algorithm, batch.data, profile, (cfg.distributed.shard_rows,))
+    checks, (board,) = replay_checks("reduce", [run])
+    ok = _print_report(checks)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(board.dump_text())

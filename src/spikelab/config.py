@@ -17,7 +17,7 @@ from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
 from spikelab.measures import KINDS
 from spikelab.models import SAMPLERS
-from spikelab.tensors import check_count
+from spikelab.tensors import check_count, check_real
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ class ExperimentConfig:
             )
         check_count("k", self.k)
         check_count("d", self.d)
+        check_real("snr", self.snr)
         if not (math.isfinite(self.snr) and self.snr >= 0):
             raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         if self.problem != "ngca" and self.measure_kind is not None:

@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
+from spikelab.measures import gaussian_moment
 from spikelab.models import SampleBatch, expect_problem
 from spikelab.tensors import (
     DEFAULT_ENTRY_BUDGET,
     check_count,
     check_entry_budget,
     check_finite,
+    check_real,
     contract_batch,
     outer_power,
     outer_product,
@@ -66,9 +67,9 @@ class PowerMethodConfig:
         if self.max_iters is not None:
             check_count("max_iters", self.max_iters)
         check_count("seed", self.seed, low=0)
-        tol = self.tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol > 0:
-            raise ValueError(f"tolerance must be a positive real number, got {tol!r}")
+        check_real("tolerance", self.tol)
+        if not self.tol > 0:
+            raise ValueError(f"tolerance must be positive, got {self.tol!r}")
 
 
 def default_power_iters(d: int) -> int:
@@ -314,12 +315,9 @@ def gaussian_reference_constant(k: int, d: int) -> float:
     check_count("d", d)
     m = (k - 2) // 2
 
-    def even_moment(i):  # E[z^{2i}] = (2i - 1)!!
-        return math.prod(range(1, 2 * i, 2)) if i > 0 else 1
-
     def centered_z2_moment(j):  # E[(z^2 - 1)^j z^2]
         return sum(
-            math.comb(j, i) * (-1) ** (j - i) * even_moment(i + 1) for i in range(j + 1)
+            math.comb(j, i) * (-1) ** (j - i) * gaussian_moment(2 * i + 2) for i in range(j + 1)
         )
 
     def chi_raw(q):  # E[R^q], R ~ chi^2_{d-1}
@@ -407,6 +405,8 @@ class BruteForceConfig:
     max_net: int = 200_000
 
     def __post_init__(self):
+        check_real("delta", self.delta)
+        check_real("truncation level", self.trunc)
         if not 0.0 < self.delta <= 2.0:
             raise ValueError(f"delta must be in (0, 2], got {self.delta}")
         if not self.trunc > 0:
@@ -452,11 +452,12 @@ def sphere_net(
     ``sqrt(max(2 - 2 dot, 0))`` does not increase with the dot.
     ``probes`` and ``max_points`` must be integers >= 1 and ``seed`` one
     >= 0; for d >= 2 a net that would outgrow ``max_points`` raises
-    ``RuntimeError``.
+    ``MemoryError``, as ``check_entry_budget`` does.
     """
     check_count("d", d)
     if d > 4:
         raise ValueError(f"net construction supports d <= 4, got {d}")
+    check_real("delta", delta)
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
     check_count("seed", seed, low=0)
@@ -468,7 +469,7 @@ def sphere_net(
         step = 2.0 * math.asin(min(delta, 2.0) / 2.0)
         count = max(4, math.ceil(2.0 * math.pi / step))
         if count > max_points:
-            raise RuntimeError(
+            raise MemoryError(
                 f"net for d=2, delta={delta} exceeds the {max_points}-point budget"
             )
         angles = 2.0 * math.pi * np.arange(count) / count
@@ -477,7 +478,7 @@ def sphere_net(
     count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
     while True:
         if count > max_points:
-            raise RuntimeError(
+            raise MemoryError(
                 f"net for d={d}, delta={delta} exceeds the {max_points}-point budget"
             )
         net = _normalize_rows(rng.standard_normal((count, d)))
@@ -554,7 +555,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
     m = len(net)
     k = spec.k
-    gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
+    gauss_k = gaussian_moment(k)
     gvec = np.empty(m)
     for lo, hi in _spans(m, _NET_BLOCK):
         g = batch.data @ net[lo:hi].T
@@ -636,8 +637,8 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     moment against ``snr * prod_l <u_l, w_l>``.  Ties break toward the
     lowest candidate tuple in ``itertools.product`` order.  Guarded to
     d <= 3 and k <= 3, where the product search is still enumerable, and
-    to an adversary table of at most 10^6 entries (``m**k``).  A batch
-    holding a NaN or inf raises ``ValueError``.
+    to an adversary table of at most 10^6 entries (``m**k``), or it raises
+    ``MemoryError``.  A batch holding a NaN or inf raises ``ValueError``.
 
     The search costs m^(2k) score entries for an m-point net.  It holds
     the k ``(n, m)`` projections, a few length-n vectors, the m^k-entry
@@ -667,7 +668,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     m = len(net)
     k = spec.k
     if m**k > 1_000_000:
-        raise RuntimeError(f"net product of size {m}^{k} exceeds the budget")
+        raise MemoryError(f"net product of size {m}^{k} exceeds the budget")
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
     table = _cca_table(proj, cfg.trunc)

@@ -16,12 +16,13 @@ of rounds' bits at once (``next_bits``), which may span several runs.
 ``Blackboard.recompute`` replays each writer's rounds with only its own
 shard visible.  Rows travel in one form: ``update_chunks`` takes one
 ``(count, rows, columns)`` array of equal chunks, and a protocol gets
-every shard as one ``(m, n, columns)`` array.  Both runners hand these
-over read-only, so nothing written into a row survives to a later
-pass.  The reduction simulates a (N, T, s) streaming algorithm with
-(N/n, n, s*T) blackboard parameters by handing the full state across
-the board after every local pass; it answers a whole pass of turns in
-one ``update_chunks`` call, and names each turn as one writer run.
+every shard as one ``(m, n, columns)`` view (``shard_stream``).  Both
+runners read a float64 stream in place, read-only, so nothing written
+into a row survives to a later pass.  The reduction simulates a (N, T,
+s) streaming algorithm with (N/n, n, s*T) blackboard parameters by
+handing the full state across the board after every local pass; it
+answers a whole pass of turns in one ``update_chunks`` call, and names
+each turn as one writer run.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from spikelab.tensors import (
     check_count,
     check_entry_budget,
     check_finite,
+    check_real,
     outer_power,
     unit,
 )
@@ -218,6 +220,7 @@ class QuantizerSpec:
         check_count("bits per coordinate", self.bits)
         if self.bits > 53:
             raise ValueError(f"bits per coordinate must be in [1, 53], got {self.bits}")
+        check_real("radius", self.radius)
         if not np.finfo(np.float64).tiny <= self.step < math.inf:  # NaN fails too
             raise ValueError(f"radius {self.radius} gives step {self.step}, not a normal float")
 
@@ -697,35 +700,27 @@ def _bit_block(values, t: int) -> np.ndarray:
 
 
 def _checked_shards(shards, m: int, n: int) -> np.ndarray:
-    """The m shards as one read-only ``(m, n, columns)`` float64 array of
-    finite values, ``[j]`` shard j; ``ValueError`` unless every shard is
-    a 2-D array of n rows with shard 0's column count."""
-    if len(shards) != m:
-        raise ValueError(f"got {len(shards)} shards for m = {m}")
-    checked = []
-    for j, shard in enumerate(shards):
-        shard = np.asarray(shard, dtype=np.float64)
-        if shard.ndim != 2 or shard.shape[0] != n:
-            raise ValueError(
-                f"shard {j} has shape {shard.shape}; every shard must hold n = {n} rows"
-            )
-        if checked and shard.shape[1] != checked[0].shape[1]:
-            raise ValueError(
-                f"shard {j} has {shard.shape[1]} columns; shard 0 has {checked[0].shape[1]}"
-            )
-        checked.append(shard)
-    stack = np.stack(checked)
-    # One finiteness pass over the stack; shard by shard only to name the
+    """A read-only float64 view of ``shards``, one ``(m, n, columns)`` array
+    of finite values (read in place when float64; a list of equal shards is
+    stacked); any other shape raises one ``ValueError`` naming m and n."""
+    rule = f"shards must be one (m, n, columns) array with m = {m}, n = {n}"
+    try:
+        shards = np.asarray(shards, dtype=np.float64)
+    except (TypeError, ValueError) as err:  # ragged, or not numbers
+        raise ValueError(f"{rule}: {err}") from None
+    if shards.ndim != 3 or shards.shape[:2] != (m, n):
+        raise ValueError(f"{rule}, got shape {shards.shape}")
+    # One finiteness pass over the array; shard by shard only to name the
     # first bad one.
-    if not np.isfinite(stack).all():
-        for j, shard in enumerate(stack):
+    if not np.isfinite(shards).all():
+        for j, shard in enumerate(shards):
             check_finite(shard, f"shard {j}")
-    return _read_only(stack)
+    return _read_only(shards)
 
 
 def run_distributed(
     protocol: BlackboardProtocol,
-    shards: list[np.ndarray],
+    shards: np.ndarray,
     m: int,
     n: int,
     b: int,
@@ -738,12 +733,12 @@ def run_distributed(
     Each run is checked (``_checked_run``), and its rounds are charged to
     its writer's budget of b rounds; a machine past its budget raises
     ``RuntimeError``.  The writer log is built once from the runs, in
-    ``np.min_scalar_type(m - 1)``.  Shards must be 2-D arrays of n finite
-    rows and one column count.  Writers and bits are validated before any
-    cast.  Protocols get the checked shards as one ``(m, n, columns)``
-    stack (``_checked_shards``) and the transcript, both read-only.  That
-    each bit came from its writer's own shard is what
-    ``Blackboard.recompute`` checks.
+    ``np.min_scalar_type(m - 1)``.  The shards are one ``(m, n,
+    columns)`` array of finite values, as ``shard_stream`` cuts them
+    (``_checked_shards``).  Writers and bits are validated before any
+    cast.  Protocols get the shards, in place for a float64 array, and
+    the transcript, both through read-only views.  That each bit came
+    from its writer's own shard is what ``Blackboard.recompute`` checks.
     """
     t0 = time.perf_counter()
     shards = _checked_shards(shards, m, n)
@@ -854,13 +849,13 @@ def reduce_memory_to_distributed(
     return protocol, profile.samples // n, n, profile.state_bits * profile.passes
 
 
-def shard_stream(data: np.ndarray, n: int) -> list[np.ndarray]:
-    """Split a stream into row-contiguous shards of n samples each."""
+def shard_stream(data: np.ndarray, n: int) -> np.ndarray:
+    """The stream's row-contiguous shards of n rows each, one ``(N/n, n, columns)`` view."""
     check_count("n", n)
     data = np.asarray(data)
     if data.shape[0] % n != 0:
         raise ValueError(f"n = {n} does not divide {data.shape[0]} rows")
-    return [data[j : j + n] for j in range(0, data.shape[0], n)]
+    return data.reshape(data.shape[0] // n, n, *data.shape[1:])
 
 
 def replay(

@@ -29,7 +29,7 @@ from spikelab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
-from spikelab.tensors import check_count
+from spikelab.tensors import check_count, check_real
 
 KINDS = ("mog", "bounded-llr")
 
@@ -87,6 +87,7 @@ class NonGaussMeasure:
         if self.kind not in KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         check_count("order", self.order, low=2)
+        check_real("snr", self.snr)
         k, snr = self.order, self.snr
         if self.kind == "mog":
             if k % 2 != 0:
@@ -243,9 +244,8 @@ def rejection_sample(n: int, propose, row_shape=()) -> tuple[np.ndarray, int]:
     return out, proposed
 
 
-def gaussian_moment(j: int) -> float:
-    """``E[Z^j]`` for a standard Gaussian ``Z``: ``(j - 1)!!``, or 0 for odd j."""
-    check_count("moment order", j, low=0)
-    if j % 2 == 1:
-        return 0.0
-    return float(math.prod(range(1, j, 2))) if j > 0 else 1.0
+def gaussian_moment(j: int) -> int:
+    """``E[Z^j]`` for a standard Gaussian ``Z`` as an exact integer:
+    ``(j - 1)!!`` (an empty product, 1, at j = 0), or 0 for odd j."""
+    j = check_count("moment order", j, low=0)
+    return 0 if j % 2 else math.prod(range(1, j, 2))

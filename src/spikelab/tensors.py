@@ -9,13 +9,14 @@ entry and ``entries.reshape((d,) * k)`` is always a no-copy view.
 
 A module-level entry budget guards against accidentally materializing
 something enormous.  ``set_entry_budget`` adjusts it (the CLI exposes
-this as ``--budget-entries``).  ``check_count`` and ``unit`` are input
-rules that every layer shares.
+this as ``--budget-entries``).  ``check_count``, ``check_real`` and
+``unit`` are input rules that every layer shares.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -59,6 +60,13 @@ def check_count(name: str, value, low: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is a real number (``numbers.Real``,
+    so a numpy float counts) and not a bool; ranges are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def unit(u: np.ndarray) -> tuple[np.ndarray, float]:

@@ -33,7 +33,7 @@ from spikelab.hermite import (
 )
 from spikelab.measures import NonGaussMeasure, gaussian_moment
 from spikelab.models import ModelSpec, cca_critical_snr
-from spikelab.tensors import check_count
+from spikelab.tensors import check_count, check_real
 
 MAX_ENUM_DIM = 20
 MAX_PAIR_ENUM_DIM = 12
@@ -229,6 +229,9 @@ class LDLRInstance:
             raise ValueError(f"unsupported problem {self.problem!r}")
         for name in ("N", "d", "k", "t"):
             check_count(name, getattr(self, name))
+        check_real("snr", self.snr)
+        if not (math.isfinite(self.snr) and self.snr >= 0):
+            raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
         coeffs = tuple(float(c) for c in self.coeffs)
         if len(coeffs) < self.t:
             raise ValueError(f"need {self.t} coefficients, got {len(coeffs)}")
@@ -328,9 +331,8 @@ def sign_coefficient(t: int) -> float:
     t = check_count("degree", t, low=0)
     if t % 2 == 0:
         return 0.0
-    m = (t - 1) // 2
-    dfact = math.prod(range(1, 2 * m, 2)) if m > 0 else 1
-    return math.sqrt(2.0 / math.pi) * (-1) ** m * dfact / math.sqrt(math.factorial(t))
+    sign = (-1) ** ((t - 1) // 2)
+    return math.sqrt(2.0 / math.pi) * sign * gaussian_moment(t - 1) / math.sqrt(math.factorial(t))
 
 
 def sign_tail_mass(t_max: int) -> float:
@@ -343,13 +345,10 @@ def sign_tail_mass(t_max: int) -> float:
     the final conversion.
     """
     check_count("degree cap", t_max, low=0)
-    partial = Fraction(0)
-    m = 0
-    while 2 * m + 1 <= t_max:
-        num = math.prod(range(1, 2 * m, 2)) if m > 0 else 1
-        den = (math.prod(range(2, 2 * m + 1, 2)) if m > 0 else 1) * (2 * m + 1)
-        partial += Fraction(num, den)
-        m += 1
+    partial = sum(  # over t = 2m + 1 <= t_max; (2m - 1)!! = E[Z^{2m}]
+        Fraction(gaussian_moment(2 * m), math.prod(range(2, 2 * m + 1, 2)) * (2 * m + 1))
+        for m in range((t_max + 1) // 2)
+    )
     return 1.0 - (2.0 / math.pi) * float(partial)
 
 
@@ -527,30 +526,29 @@ def _suite_models() -> list[CheckResult]:
     return checks
 
 
-def replay_checks(prefix: str, replays) -> list[CheckResult]:
-    """``<prefix>/`` bit-equality, accounting, writer-audit and
-    shard-recompute checks, each counting the replays that fail it.  A
-    replay is ``(profile, data, direct, report, board, protocol)``: a
-    streaming run's profile, stream and report, then the report, board
-    and protocol of its blackboard replay."""
+def replay_checks(prefix: str, runs) -> tuple[list[CheckResult], list]:
+    """``(checks, boards)``: the ``<prefix>/`` bit-equality, accounting,
+    writer-audit and shard-recompute checks, each counting the replays
+    that fail it, and the replays' boards in order.  A run ``(algorithm,
+    data, profile, shard_rows)`` goes once through ``run_memory_bounded``
+    and once through ``replay`` per shard size in ``shard_rows``."""
     mismatches = accounting = audit_failures = recompute_failures = 0
-    for profile, data, direct, report, board, protocol in replays:
-        if not np.array_equal(direct.estimate, report.estimate):
-            mismatches += 1
-        budget = (profile.samples // board.n) * profile.state_bits * profile.passes
-        if board.m * board.b != budget:
-            accounting += 1
-        if len(board.bits) != board.m * board.b:
-            accounting += 1
-        # The protocol's writer runs, replayed from transcript prefixes,
-        # against the writer log the runner built from the same hook.
-        if not board.audit(protocol):
-            audit_failures += 1
-        # Each writer's bits from its own shard alone, against the bits
-        # the runner took a pass at a time from ``next_bits``.
-        if not board.recompute(protocol, shard_stream(data, board.n)):
-            recompute_failures += 1
-    return [
+    boards = []
+    for algorithm, data, profile, shard_rows in runs:
+        direct = run_memory_bounded(algorithm, data, profile)
+        for rows in shard_rows:
+            report, board, protocol = replay(algorithm, data, profile, rows)
+            boards.append(board)
+            mismatches += not np.array_equal(direct.estimate, report.estimate)
+            budget = (profile.samples // board.n) * profile.state_bits * profile.passes
+            accounting += (board.m * board.b != budget) + (len(board.bits) != board.m * board.b)
+            # The protocol's writer runs, replayed from transcript prefixes,
+            # against the writer log the runner built from the same hook.
+            audit_failures += not board.audit(protocol)
+            # Each writer's bits from its own shard alone, against the bits
+            # the runner took a pass at a time from ``next_bits``.
+            recompute_failures += not board.recompute(protocol, shard_stream(data, board.n))
+    checks = [
         CheckResult(f"{prefix}/reduction-bit-equality", mismatches == 0, mismatches, 0.0),
         CheckResult(f"{prefix}/transcript-accounting", accounting == 0, accounting, 0.0),
         CheckResult(f"{prefix}/writer-audit", audit_failures == 0, audit_failures, 0.0),
@@ -558,13 +556,14 @@ def replay_checks(prefix: str, replays) -> list[CheckResult]:
             f"{prefix}/shard-recompute", recompute_failures == 0, recompute_failures, 0.0
         ),
     ]
+    return checks, boards
 
 
 def _suite_harness() -> list[CheckResult]:
     """Two wrapped iterations (an order-2 power contraction at d = 4 and
     an order-4 partial trace at d = 3) on fixed Gaussian streams of 32
     rows, each replayed at shard sizes 32, 16, and 8."""
-    replays = []
+    runs = []
     for estimator, d, k, quantizer in (
         ("tensor-power", 4, 2, QuantizerSpec(bits=8, radius=8.0)),
         ("partial-trace", 3, 4, QuantizerSpec(bits=32, radius=64.0)),
@@ -573,12 +572,8 @@ def _suite_harness() -> list[CheckResult]:
         data = rng.standard_normal((32, d**k))
         init = rng.standard_normal(d)
         algorithm, profile = streaming_run(estimator, k, d, quantizer, 6, 32, init)
-        direct = run_memory_bounded(algorithm, data, profile)
-        for shard_rows in (32, 16, 8):
-            replays.append(
-                (profile, data, direct, *replay(algorithm, data, profile, shard_rows))
-            )
-    return replay_checks("harness", replays)
+        runs.append((algorithm, data, profile, (32, 16, 8)))
+    return replay_checks("harness", runs)[0]
 
 
 _SUITE_RUNNERS = {

@@ -575,6 +575,40 @@ def test_main_over_the_entry_budget_exits_2(tmp_path, capsys):
     assert entry_budget() == prev
 
 
+_NET_SEARCH = """
+[experiment]
+problem = {problem}
+k = {k}
+d = {d}
+snr = {snr}
+estimator = brute-force-{problem}
+samples = 64
+seeds = 0
+
+[estimator]
+delta = {delta}
+trunc = {trunc}
+"""
+
+
+@pytest.mark.parametrize(
+    "problem, k, d, snr, delta, trunc, message",
+    [
+        ("cca", 3, 2, 0.3, 0.05, 2.0, "net product of size 126^3 exceeds the budget"),
+        ("ngca", 4, 4, 0.5, 0.01, 4.0, "net for d=4, delta=0.01 exceeds the 200000-point budget"),
+    ],
+    ids=["cca-net-product", "ngca-net"],
+)
+def test_main_over_budget_net_search_exits_2(
+    tmp_path, capsys, problem, k, d, snr, delta, trunc, message
+):
+    # The net-size guards raised RuntimeError, a traceback and exit 1.
+    text = _NET_SEARCH.format(problem=problem, k=k, d=d, snr=snr, delta=delta, trunc=trunc)
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
 @pytest.mark.parametrize(
     "text",
     [

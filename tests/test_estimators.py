@@ -522,10 +522,11 @@ def test_sphere_net_randomized_coverage(d):
 
 
 def test_sphere_net_budget_guard():
-    with pytest.raises(RuntimeError, match="budget"):
+    # MemoryError, as check_entry_budget raises, so the CLI exits 2
+    with pytest.raises(MemoryError, match="budget"):
         sphere_net(4, 0.05, max_points=100)
     # the d = 2 grid (6284 points at delta = 0.001) is held to the budget too
-    with pytest.raises(RuntimeError, match="budget"):
+    with pytest.raises(MemoryError, match="budget"):
         sphere_net(2, 0.001, max_points=100)
     assert len(sphere_net(2, 0.001, max_points=6284)) == 6284
     with pytest.raises(ValueError):
@@ -614,6 +615,13 @@ def test_brute_force_cca_guards():
     batch = sample_cca(spec, n=8, seed=0)
     with pytest.raises(ValueError, match="capped"):
         brute_force_cca(batch, BruteForceConfig(delta=0.5, trunc=5.0))
+
+
+def test_brute_force_cca_budget_guard():
+    # A 126-point d = 2 net at delta = 0.05 makes a 126^3 > 10^6 table.
+    batch = sample_cca(ModelSpec.cca(k=3, d=2, snr=0.3), n=8, seed=0)
+    with pytest.raises(MemoryError, match=r"^net product of size 126\^3 exceeds the budget$"):
+        brute_force_cca(batch, BruteForceConfig(delta=0.05, trunc=2.0))
 
 
 def test_brute_force_config_validation():

@@ -779,6 +779,11 @@ def test_distributed_rejects_bad_bits_and_shards():
         run_distributed(LocalMeanProtocol(m, q), shards[:1], m, n, q.bits)
 
 
+def _shards_rule(m, n):
+    """The start of every ``_checked_shards`` shape error, as a pattern."""
+    return re.escape(f"shards must be one (m, n, columns) array with m = {m}, n = {n}")
+
+
 @pytest.mark.parametrize(
     "shard",
     [1.0, np.zeros(4), np.zeros((4, 2, 1)), np.zeros((3, 2))],
@@ -786,23 +791,69 @@ def test_distributed_rejects_bad_bits_and_shards():
 )
 def test_distributed_rejects_a_malformed_shard(shard):
     # Unchecked, a scalar shard raised IndexError (a 0-d shape has no row
-    # count), and a 3-d one reached the protocol.
+    # count), and a 3-d one reached the protocol.  Each makes a ragged
+    # list, which numpy cannot make one array of.
     q = QuantizerSpec(bits=4, radius=4.0)
-    with pytest.raises(ValueError, match="shard 1 has shape .* n = 4 rows"):
+    with pytest.raises(ValueError, match=_shards_rule(2, 4) + ": "):
         run_distributed(LocalMeanProtocol(2, q), [np.zeros((4, 2)), shard], 2, 4, q.bits)
 
 
 def test_distributed_rejects_shards_of_unequal_column_counts():
-    # Protocols get the shards as one (m, n, columns) stack, so a shard
-    # whose column count differs from shard 0's is named, not read.
+    # Protocols get the shards as one (m, n, columns) array, so shards of
+    # unequal column counts are rejected, not read.
     q = QuantizerSpec(bits=4, radius=4.0)
     shards = [np.zeros((4, 2)), np.zeros((4, 2)), np.zeros((4, 3))]
-    with pytest.raises(ValueError, match="^shard 2 has 3 columns; shard 0 has 2$"):
+    with pytest.raises(ValueError, match=_shards_rule(3, 4) + ": "):
         run_distributed(LocalMeanProtocol(3, q), shards, 3, 4, q.bits)
     protocol, m, n, b = reduce_memory_to_distributed(XorFold(), ResourceProfile(12, 1, 1), 4)
     _, board = run_distributed(protocol, [np.zeros((4, 2))] * 3, m, n, b)
-    with pytest.raises(ValueError, match="^shard 2 has 3 columns; shard 0 has 2$"):
+    with pytest.raises(ValueError, match=_shards_rule(3, 4) + ": "):
         board.recompute(protocol, shards)
+
+
+def test_shard_stream_is_one_view_of_the_stream():
+    stream = np.arange(24.0).reshape(12, 2)
+    shards = shard_stream(stream, 4)
+    assert isinstance(shards, np.ndarray) and shards.shape == (3, 4, 2)
+    assert np.shares_memory(shards, stream)
+    for j in range(3):
+        assert shards[j].tobytes() == stream[4 * j : 4 * j + 4].tobytes()
+    # A column slice is not contiguous, and is still cut without a copy.
+    assert np.shares_memory(shard_stream(stream[:, 1:], 6), stream)
+    with pytest.raises(ValueError, match="does not divide"):
+        shard_stream(stream, 5)
+
+
+def test_checked_shards_reads_a_float64_array_in_place():
+    stream = np.random.default_rng(39).standard_normal((12, 3))
+    checked = _checked_shards(shard_stream(stream, 4), 3, 4)
+    assert np.shares_memory(checked, stream) and not checked.flags.writeable
+    assert stream.flags.writeable  # the caller's array is not frozen
+    with pytest.raises(ValueError, match="read-only"):
+        checked[0, 0, 0] = 1.0
+    # A sampler's sealed batch is read in place too.
+    batch = sample_tpca(ModelSpec.tpca(2, 3, 1.0, seed=0), 12, 1)
+    assert np.shares_memory(_checked_shards(shard_stream(batch.data, 4), 3, 4), batch.data)
+    # Another dtype is converted once.
+    single = stream.astype(np.float32)
+    converted = _checked_shards(shard_stream(single, 4), 3, 4)
+    assert converted.dtype == np.float64 and not np.shares_memory(converted, single)
+
+
+@pytest.mark.parametrize(
+    "shards, m, n, found",
+    [
+        (np.zeros((12, 3)), 3, 4, ", got shape (12, 3)"),
+        (np.zeros((3, 4, 3)), 2, 4, ", got shape (3, 4, 3)"),
+        (np.zeros((3, 4, 3)), 3, 2, ", got shape (3, 4, 3)"),
+        ([np.zeros((4, 3)), np.zeros((4, 2)), np.zeros((4, 3))], 3, 4, ": "),
+        ([["a"] * 3] * 4, 1, 4, ": "),
+    ],
+    ids=["2-d", "wrong-m", "wrong-n", "ragged", "strings"],
+)
+def test_checked_shards_names_m_and_n_in_every_shape_error(shards, m, n, found):
+    with pytest.raises(ValueError, match="^" + _shards_rule(m, n) + re.escape(found)):
+        _checked_shards(shards, m, n)
 
 
 class _StashesInItsRows(MemoryBoundedAlgorithm):
@@ -1494,8 +1545,8 @@ def test_checked_shards_of_equal_columns_are_one_read_only_stack(m):
     assert checked.tobytes() == np.stack(shards).astype(np.float64).tobytes()
     assert all(checked[j].tobytes() == shards[j].astype(np.float64).tobytes() for j in range(m))
     assert _checked_shards(shards[:1], 1, 4).shape == (1, 4, 3)
-    # Mixed column counts cannot be stacked: the first odd shard is named.
-    with pytest.raises(ValueError, match="^shard 1 has 3 columns; shard 0 has 2$"):
+    # Mixed column counts cannot be stacked: one shape error names m and n.
+    with pytest.raises(ValueError, match="^" + _shards_rule(m, 4) + ": "):
         _checked_shards([np.zeros((4, 2)), *shards[1:]], m, 4)
 
 

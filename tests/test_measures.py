@@ -14,12 +14,23 @@ from spikelab.measures import (
     NonGaussMeasure,
     rejection_sample,
 )
+from spikelab.measures import gaussian_moment as exact_gaussian_moment
 
 
 def gaussian_moment(j):
     if j % 2 == 1:
         return 0.0
     return float(math.prod(range(1, j, 2))) if j > 0 else 1.0
+
+
+def test_gaussian_moment_is_the_exact_integer():
+    # E[Z^j] = (j - 1) E[Z^(j - 2)], in Python integers; past j = 33 the
+    # double factorial has no exact float.
+    expected = [1, 0]
+    for j in range(2, 80):
+        expected.append((j - 1) * expected[j - 2])
+    got = [exact_gaussian_moment(j) for j in range(80)]
+    assert got == expected and all(type(v) is int for v in got)
 
 
 # ---------------------------------------------------------------------------

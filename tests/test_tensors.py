@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikelab.config import ExperimentConfig
 from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
@@ -339,6 +340,45 @@ def test_every_count_slot_follows_the_count_rule(call, low, good):
     call(np.int64(good))  # numpy integers count; memos are warm from here on
     for bad in (True, float(good), np.float64(good), low - 1):
         with pytest.raises(ValueError, match="must be an integer"):
+            call(bad)
+
+
+# (entry point, call with the value in its slot, a valid value).  Every
+# snr, delta, truncation level, radius and tolerance goes through
+# ``check_real``.
+REAL_SLOTS = [
+    (
+        "ExperimentConfig snr",
+        lambda v: ExperimentConfig("tpca", 2, 3, v, "tensor-power", (8,), (0,)),
+        1.0,
+    ),
+    ("ModelSpec snr", lambda v: ModelSpec("tpca", 2, 3, v), 1.0),
+    ("ModelSpec.tpca snr", lambda v: ModelSpec.tpca(2, 3, snr=v), 1.0),
+    ("ModelSpec.atpca snr", lambda v: ModelSpec.atpca(2, 3, snr=v), 1.0),
+    ("ModelSpec.cca snr", lambda v: ModelSpec.cca(2, 3, snr=v), 0.3),
+    ("NonGaussMeasure snr", lambda v: NonGaussMeasure("mog", 4, v), 0.5),
+    (
+        "LDLRInstance snr",
+        lambda v: LDLRInstance("ngca", N=2, d=4, k=2, t=2, coeffs=(0.1,) * 2, snr=v),
+        0.5,
+    ),
+    ("BruteForceConfig delta", lambda v: BruteForceConfig(delta=v, trunc=1.0), 1.0),
+    ("BruteForceConfig trunc", lambda v: BruteForceConfig(delta=1.0, trunc=v), 1.0),
+    ("sphere_net delta", lambda v: sphere_net(2, v), 1.0),
+    ("QuantizerSpec radius", lambda v: QuantizerSpec(bits=8, radius=v), 1.0),
+    ("PowerMethodConfig tol", lambda v: PowerMethodConfig(tol=v), 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "call, good", [c[1:] for c in REAL_SLOTS], ids=[c[0] for c in REAL_SLOTS]
+)
+def test_every_real_slot_follows_the_real_rule(call, good):
+    # A bool used to be taken as 1, and a string or None to raise TypeError.
+    for ok in (good, np.float64(good), np.float32(good)):
+        call(ok)
+    for bad in (True, np.True_, "1.0", None):
+        with pytest.raises(ValueError, match="must be a real number"):
             call(bad)
 
 

@@ -2,6 +2,7 @@
 low-degree likelihood-ratio norms, sign coefficients, and the
 verification suites built on them."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -11,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikelab.harness import Blackboard
+from spikelab import verify
+from spikelab.harness import (
+    Blackboard,
+    QuantizerSpec,
+    replay,
+    run_memory_bounded,
+    streaming_run,
+)
 from spikelab.measures import NonGaussMeasure
 from spikelab.models import cca_critical_snr
 from spikelab.verify import (
@@ -22,6 +30,7 @@ from spikelab.verify import (
     ldlr_norm_exact,
     ldlr_sandwich,
     rademacher_mean_moment,
+    replay_checks,
     run_verification,
     sign_coefficient,
     sign_tail_mass,
@@ -362,6 +371,72 @@ def test_harness_suite_audits_every_replay(monkeypatch):
     for check in ("harness/writer-audit", "harness/shard-recompute"):
         assert not results[check].ok
         assert results[check].measured == 1
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf, -0.1])
+def test_ldlr_instance_rejects_a_non_finite_or_negative_snr(snr):
+    # snr = nan used to give a nan envelope.
+    with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+        LDLRInstance(problem="ngca", N=1, d=4, k=2, t=2, coeffs=(0.1, 0.1), snr=snr)
+
+
+def test_replay_checks_return_one_board_per_shard_size_in_order(monkeypatch):
+    rng = np.random.default_rng(41)
+    runs = []
+    for d, shard_rows in ((3, (8, 2, 4)), (2, (16,))):
+        data = rng.standard_normal((16, d * d))
+        quantizer = QuantizerSpec(bits=8, radius=8.0)
+        algorithm, profile = streaming_run("tensor-power", 2, d, quantizer, 2, 16, np.ones(d))
+        runs.append((algorithm, data, profile, shard_rows))
+    # One streaming run per run and one replay per shard size, in order.
+    calls = []
+
+    def spy(name):
+        real = getattr(verify, name)
+
+        def call(*args):
+            calls.append((name, *args[3:]))  # replay's shard size
+            return real(*args)
+
+        return call
+
+    for name in ("run_memory_bounded", "replay"):
+        monkeypatch.setattr(verify, name, spy(name))
+    checks, boards = replay_checks("x", runs)
+    assert calls == [
+        ("run_memory_bounded",),
+        ("replay", 8),
+        ("replay", 2),
+        ("replay", 4),
+        ("run_memory_bounded",),
+        ("replay", 16),
+    ]
+    assert [c.check for c in checks] == [
+        "x/reduction-bit-equality",
+        "x/transcript-accounting",
+        "x/writer-audit",
+        "x/shard-recompute",
+    ]
+    assert all(c.ok for c in checks)
+    assert [board.n for board in boards] == [8, 2, 4, 16]
+    replayed = [
+        replay(algorithm, data, profile, rows)[1]
+        for algorithm, data, profile, shard_rows in runs
+        for rows in shard_rows
+    ]
+    for board, expected in zip(boards, replayed, strict=True):
+        assert board.bits.tobytes() == expected.bits.tobytes()
+        assert board.writers.tobytes() == expected.writers.tobytes()
+    checks, boards = replay_checks("x", [])
+    assert boards == [] and all(c.ok and c.measured == 0 for c in checks)
+    # Each replay is held to its run's streaming estimate.
+    def off_by_one(algorithm, data, profile):
+        report = run_memory_bounded(algorithm, data, profile)
+        return dataclasses.replace(report, estimate=report.estimate + 1.0)
+
+    monkeypatch.setattr(verify, "run_memory_bounded", off_by_one)
+    checks, _ = replay_checks("x", runs)
+    assert checks[0].measured == 4 and not checks[0].ok
 
 
 def test_unknown_suite_rejected():
