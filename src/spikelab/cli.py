@@ -122,12 +122,10 @@ def run_point(cfg: ExperimentConfig, n_samples: int, seed: int) -> dict:
         row["iterations"] = report.iterations
     else:
         algorithm, profile = build_harness(cfg, n_samples, seed)
-        if cfg.distributed is None:
+        if cfg.shard_rows is None:
             report = run_memory_bounded(algorithm, batch.data, profile)
         else:
-            report, board, _ = replay(
-                algorithm, batch.data, profile, cfg.distributed.shard_rows
-            )
+            report, board, _ = replay(algorithm, batch.data, profile, cfg.shard_rows)
             row.update({"m": board.m, "n": board.n, "b": board.b})
         row["overlap"] = overlap(spec.direction, report.estimate)
         row["iterations"] = profile.passes
@@ -194,14 +192,14 @@ def _cmd_sample(args) -> int:
 
 def _cmd_reduce(args) -> int:
     cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
-    if cfg.harness is None or cfg.distributed is None:
+    if cfg.harness is None or cfg.shard_rows is None:
         raise ValueError("reduce needs [harness] and [distributed] sections")
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     _, batch = draw(cfg, n_samples, seed)
     algorithm, profile = build_harness(cfg, n_samples, seed)
     # The harness suite's checks, on this one replay.
-    run = (algorithm, batch.data, profile, (cfg.distributed.shard_rows,))
+    run = (algorithm, batch.data, profile, (cfg.shard_rows,))
     checks, (board,) = replay_checks("reduce", [run])
     ok = _print_report(checks)
     if cfg.out:

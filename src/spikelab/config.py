@@ -10,14 +10,13 @@ later as confusing runtime behavior.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from spikelab.estimators import ESTIMATOR_SCOPES
 from spikelab.harness import TEMPLATES, QuantizerSpec
 from spikelab.measures import KINDS
 from spikelab.models import SAMPLERS
-from spikelab.tensors import check_count, check_real
+from spikelab.tensors import check_count, check_snr
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class HarnessSettings:
     def __post_init__(self):
         object.__setattr__(self, "quantizer", QuantizerSpec(bits=self.bits, radius=self.radius))
         check_count("passes", self.passes)
-
-
-@dataclass(frozen=True)
-class DistributedSettings:
-    shard_rows: int
-
-    def __post_init__(self):
-        check_count("shard_rows", self.shard_rows)
 
 
 def iteration_seed(seed: int) -> int:
@@ -81,7 +72,8 @@ class ExperimentConfig:
     measure_kind: str | None = None
     estimator_options: dict = field(default_factory=dict)
     harness: HarnessSettings | None = None
-    distributed: DistributedSettings | None = None
+    # [distributed] shard_rows, or None without that section.
+    shard_rows: int | None = None
     out: str | None = None
 
     def __post_init__(self):
@@ -97,9 +89,7 @@ class ExperimentConfig:
             )
         check_count("k", self.k)
         check_count("d", self.d)
-        check_real("snr", self.snr)
-        if not (math.isfinite(self.snr) and self.snr >= 0):
-            raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
+        check_snr(self.snr)
         if self.problem != "ngca" and self.measure_kind is not None:
             raise ValueError(f"measure applies to ngca only, got it for {self.problem!r}")
         if self.measure_kind not in (None, *KINDS):
@@ -149,15 +139,14 @@ class ExperimentConfig:
                 f"harness mode reads no estimator options, got "
                 f"{sorted(self.estimator_options)}"
             )
-        if self.distributed is not None and self.harness is None:
-            raise ValueError("distributed mode requires a [harness] section")
-        if self.distributed is not None and any(
-            v % self.distributed.shard_rows != 0 for v in grid
-        ):
-            raise ValueError(
-                f"shard_rows {self.distributed.shard_rows} must divide every "
-                f"grid sample count {grid}"
-            )
+        if self.shard_rows is not None:
+            check_count("shard_rows", self.shard_rows)
+            if self.harness is None:
+                raise ValueError("distributed mode requires a [harness] section")
+            if any(v % self.shard_rows != 0 for v in grid):
+                raise ValueError(
+                    f"shard_rows {self.shard_rows} must divide every grid sample count {grid}"
+                )
 
 
 def _int_list(raw: str) -> tuple:
@@ -228,7 +217,6 @@ def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfi
     if "distributed" in sections and "shard_rows" not in sections["distributed"]:
         raise ValueError("[distributed] needs shard_rows")
     harness = sections.get("harness")
-    distributed = sections.get("distributed")
     return ExperimentConfig(
         problem=exp["problem"],
         k=exp["k"],
@@ -240,6 +228,6 @@ def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfi
         measure_kind=exp.get("measure"),
         estimator_options=sections.get("estimator", {}),
         harness=None if harness is None else HarnessSettings(**harness),
-        distributed=None if distributed is None else DistributedSettings(**distributed),
+        shard_rows=sections.get("distributed", {}).get("shard_rows"),
         out=sections.get("output", {}).get("path") if out_override is None else out_override,
     )

@@ -25,6 +25,7 @@ from spikelab.tensors import (
     DEFAULT_ENTRY_BUDGET,
     check_count,
     check_entry_budget,
+    check_even,
     check_finite,
     check_real,
     contract_batch,
@@ -155,7 +156,8 @@ def rank1_svd(mat: np.ndarray, cfg: PowerMethodConfig):
     return sigma, u, v, steps, converged
 
 
-def _report(t0, estimate, truth, iterations, converged, info) -> EstimateReport:
+def build_report(t0, estimate, truth, iterations, converged, info) -> EstimateReport:
+    """The report of a run begun at ``t0``; a ``truth`` of ``None`` scores no overlap."""
     ov = None if truth is None else overlap(truth, estimate)
     return EstimateReport(
         estimate=estimate,
@@ -190,7 +192,7 @@ def tensor_power_method(
         return contract_batch(batch.data, d, outer_power(u, spec.k - 1)).mean(axis=0)
 
     u, ray, steps, converged = power_iteration(matvec, d, cfg)
-    return _report(t0, u, spec.direction, steps, converged, {"rayleigh": ray})
+    return build_report(t0, u, spec.direction, steps, converged, {"rayleigh": ray})
 
 
 def partial_trace_spectral(
@@ -206,8 +208,7 @@ def partial_trace_spectral(
     """
     spec = batch.spec
     expect_problem(spec, "tpca")
-    if spec.k % 2 != 0:
-        raise ValueError(f"partial trace needs even k, got {spec.k}")
+    check_even("partial trace", spec.k)
     t0 = time.perf_counter()
     d = spec.d
     m = batch.data.mean(axis=0).reshape((d,) * spec.k)
@@ -215,7 +216,7 @@ def partial_trace_spectral(
         m = np.trace(m, axis1=0, axis2=1)
     u, ray, steps, converged = power_iteration(lambda x: m.T @ x, d, cfg)
     info = {"rayleigh": ray, "matrix": m}
-    return _report(t0, u, spec.direction, steps, converged, info)
+    return build_report(t0, u, spec.direction, steps, converged, info)
 
 
 def matricization_rank1(entries: np.ndarray, k: int, d: int, cfg: PowerMethodConfig):
@@ -225,8 +226,7 @@ def matricization_rank1(entries: np.ndarray, k: int, d: int, cfg: PowerMethodCon
     ``flat_rank1`` is the unit-Frobenius outer product of the singular
     pair, reshaped back to flat tensor entries.
     """
-    if k % 2 != 0:
-        raise ValueError(f"matricization needs even k, got {k}")
+    check_even("matricization", k)
     entries = np.asarray(entries, dtype=np.float64).reshape(-1)
     if entries.size != d**k:
         raise ValueError(f"expected {d ** k} entries, got {entries.size}")
@@ -250,7 +250,7 @@ def mr_matricization_estimator(
     sigma, flat, steps, converged = matricization_rank1(xbar, spec.k, spec.d, cfg)
     info = {"sigma": sigma}
     truth = _tensor_truth(spec)
-    report = _report(t0, flat, truth, steps, converged, info)
+    report = build_report(t0, flat, truth, steps, converged, info)
     if truth is not None:
         report.info["signal_inner"] = abs(
             float(flat @ truth) / float(np.linalg.norm(truth))
@@ -269,8 +269,7 @@ def cca_matricization_estimator(
     """
     spec = batch.spec
     expect_problem(spec, "cca")
-    if spec.k % 2 != 0:
-        raise ValueError(f"matricization needs an even view count, got {spec.k}")
+    check_even("cca matricization", spec.k)
     t0 = time.perf_counter()
     d, k = spec.d, spec.k
     check_entry_budget(d**k, "cross-moment tensor")
@@ -289,7 +288,7 @@ def cca_matricization_estimator(
     tbar = acc / batch.n
     sigma, flat, steps, converged = matricization_rank1(tbar, k, d, cfg)
     truth = _tensor_truth(spec)
-    report = _report(t0, sigma * flat, truth, steps, converged, {"sigma": sigma})
+    report = build_report(t0, sigma * flat, truth, steps, converged, {"sigma": sigma})
     if truth is not None:
         report.info["signal_inner"] = abs(
             float(sigma * (flat @ truth)) / float(np.linalg.norm(truth))
@@ -310,8 +309,7 @@ def gaussian_reference_constant(k: int, d: int) -> float:
     computed in exact integer arithmetic.
     """
     check_count("k", k, low=2)
-    if k % 2 != 0:
-        raise ValueError(f"need even k >= 2, got {k}")
+    check_even("gaussian reference constant", k)
     check_count("d", d)
     m = (k - 2) // 2
 
@@ -349,8 +347,7 @@ def ngca_spectral(
     """
     spec = batch.spec
     expect_problem(spec, "ngca")
-    if spec.k % 2 != 0:
-        raise ValueError(f"reweighted covariance needs even k, got {spec.k}")
+    check_even("reweighted covariance", spec.k)
     t0 = time.perf_counter()
     d = spec.d
     x = batch.data
@@ -365,7 +362,7 @@ def ngca_spectral(
         "sign": 1.0 if eigenvalue >= 0 else -1.0,
         "matrix": mat,
     }
-    return _report(t0, u, spec.direction, steps, converged, info)
+    return build_report(t0, u, spec.direction, steps, converged, info)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +584,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
         "net_size": m,
         "net_index": best_index,
     }
-    return _report(t0, net[best_index].copy(), spec.direction, m, True, info)
+    return build_report(t0, net[best_index].copy(), spec.direction, m, True, info)
 
 
 def _row_peaks(p: np.ndarray) -> np.ndarray:
@@ -702,7 +699,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         "net_size": m,
         "net_indices": best_tuple,
     }
-    return _report(t0, flat, truth, m**k, True, info)
+    return build_report(t0, flat, truth, m**k, True, info)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spikelab.estimators import EstimateReport, PowerMethodConfig, start_vector
+from spikelab.estimators import EstimateReport, PowerMethodConfig, build_report, start_vector
 from spikelab.tensors import (
     check_count,
     check_entry_budget,
+    check_even,
     check_finite,
     check_real,
+    is_count,
     outer_power,
     unit,
 )
@@ -172,14 +174,7 @@ def run_memory_bounded(
     for t in range(profile.passes):
         state = _check_state(algorithm.update_chunks(state, t, 0, data[None]), (1, s))[0]
     out = np.asarray(algorithm.estimate(state.copy()), dtype=np.float64)
-    return EstimateReport(
-        estimate=out,
-        overlap=None,
-        iterations=profile.passes,
-        converged=True,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        info={"cost": profile.cost},
-    )
+    return build_report(t0, out, None, profile.passes, True, {"cost": profile.cost})
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +371,7 @@ def partial_trace_template(k: int, d: int):
     """
     check_count("k", k, low=2)
     check_count("d", d)
-    if k % 2 != 0:
-        raise ValueError(f"partial-trace template needs even k, got {k}")
+    check_even("partial-trace template", k)
     check_entry_budget(d ** (k - 1), "partial-trace template")
     eye_flat = np.eye(d).reshape(-1)
 
@@ -417,6 +411,14 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
     def __init__(self, psi, quantizer: QuantizerSpec, d: int, n_samples: int, init):
         check_count("d", d)
         check_count("n_samples", n_samples)
+        # The lattice has no zero point, so a decoded coordinate lies in
+        # [step/2, radius] in magnitude; the iterate's squared norm, which
+        # ``unit`` takes, must neither overflow nor underflow to zero.
+        radius, half_step = float(quantizer.radius), float(quantizer.step) / 2
+        if math.isinf(d * radius * radius):
+            raise ValueError(f"radius {radius} overflows the squared norm of {d} coordinates")
+        if half_step * half_step == 0.0:
+            raise ValueError(f"radius {radius} at {quantizer.bits} bits: half a step squares to 0")
         self.psi = psi
         self.quantizer = quantizer
         self.d = d
@@ -616,7 +618,7 @@ class Blackboard:
         heads, lengths = _runs(writers)
         owners = writers[heads].tolist()
         for start, length, writer in zip(heads.tolist(), lengths.tolist(), owners):
-            if not _is_writer(writer, self.m):
+            if not (is_count(writer, 0) and writer < self.m):
                 return False
             stack[writer] = shards[writer]
             t, stop = start, start + length
@@ -628,17 +630,6 @@ class Blackboard:
                 t = end
             stack[writer] = 0
         return True
-
-
-_BOOLS = (bool, np.bool_)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, _BOOLS)
-
-
-def _is_writer(value, m: int) -> bool:
-    return _is_int(value) and 0 <= value < m
 
 
 def _checked_run(run, head: int, m: int, left) -> tuple:
@@ -658,9 +649,9 @@ def _checked_run(run, head: int, m: int, left) -> tuple:
     # The common answer, two exact ints, is checked inline.
     if type(writer) is int and type(rounds) is int and 0 <= writer < m and 0 < rounds <= left:
         return writer, rounds
-    if not _is_writer(writer, m):
+    if not (is_count(writer, 0) and writer < m):
         raise ValueError(f"writer {writer} at round {head} is not a machine index in [0, {m})")
-    if not _is_int(rounds) or rounds < 1:
+    if not is_count(rounds):
         raise ValueError(f"writer {writer} at round {head} holds {rounds} rounds, not a count >= 1")
     if rounds > left:
         raise ValueError(
@@ -771,15 +762,7 @@ def run_distributed(
     )
     out = np.asarray(protocol.estimate(bits.copy()), dtype=np.float64)
     board = Blackboard(bits=bits, writers=writers, m=m, n=n, b=b)
-    report = EstimateReport(
-        estimate=out,
-        overlap=None,
-        iterations=rounds,
-        converged=True,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        info={"transcript_bits": rounds},
-    )
-    return report, board
+    return build_report(t0, out, None, rounds, True, {"transcript_bits": rounds}), board
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from spikelab.hermite import (
     gauss_hermite_rule,
     hermite_eval,
 )
-from spikelab.tensors import check_count, check_real
+from spikelab.tensors import check_count, check_even, check_real
 
 KINDS = ("mog", "bounded-llr")
 
@@ -90,8 +90,7 @@ class NonGaussMeasure:
         check_real("snr", self.snr)
         k, snr = self.order, self.snr
         if self.kind == "mog":
-            if k % 2 != 0:
-                raise ValueError(f"mixture construction needs even k >= 2, got {k}")
+            check_even("mixture construction", k)
             num = k // 2
             rule = gauss_hermite_rule(num)
             # alpha_k = E[Z^k H_k(Z)], the k-th moment's top Hermite component.

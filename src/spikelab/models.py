@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from spikelab.measures import NonGaussMeasure, rejection_sample
-from spikelab.tensors import check_count, check_entry_budget, check_real, rank1_densify
+from spikelab.tensors import check_count, check_entry_budget, check_snr, rank1_densify
 
 PROBLEMS = ("tpca", "atpca", "ngca", "cca", "glm", "parity")
 
@@ -96,9 +96,7 @@ class ModelSpec:
             raise ValueError(f"unknown problem {self.problem!r}")
         check_count("k", self.k)
         check_count("d", self.d)
-        check_real("snr", self.snr)
-        if not (math.isfinite(self.snr) and self.snr >= 0):
-            raise ValueError(f"snr must be finite and >= 0, got {self.snr}")
+        check_snr(self.snr)
         if self.direction is not None:
             direction = _on_sphere(self.direction, self.d, "direction")
             object.__setattr__(self, "direction", direction)
@@ -165,7 +163,7 @@ class ModelSpec:
     def cca(cls, k, d, snr, indices=None, factors=None, seed=0) -> "ModelSpec":
         """k correlated Gaussian views; coordinate factors by default."""
         check_count("k", k, low=2)  # before snr is compared with a k-dependent ceiling
-        check_real("snr", snr)
+        check_snr(snr)
         if snr > cca_critical_snr(k) + 1e-12:
             raise ValueError(
                 f"snr {snr} above the critical value {cca_critical_snr(k)}"

@@ -9,8 +9,9 @@ entry and ``entries.reshape((d,) * k)`` is always a no-copy view.
 
 A module-level entry budget guards against accidentally materializing
 something enormous.  ``set_entry_budget`` adjusts it (the CLI exposes
-this as ``--budget-entries``).  ``check_count``, ``check_real`` and
-``unit`` are input rules that every layer shares.
+this as ``--budget-entries``).  ``is_count`` (and ``check_count`` on
+it), ``check_real``, ``check_snr``, ``check_even`` and ``unit`` are
+input rules that every layer shares.
 """
 
 from __future__ import annotations
@@ -50,14 +51,18 @@ def check_finite(data, name: str) -> None:
         raise ValueError(f"{name} holds a non-finite value")
 
 
-def check_count(name: str, value, low: int = 1) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is an integer >= ``low``.
+def is_count(value, low: int = 1) -> bool:
+    """Whether ``value`` is an ``int`` or numpy integer >= ``low``: not a
+    bool, nor a float however close to whole, so nothing is truncated."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low
 
-    An ``int`` or a numpy integer counts; a bool does not, and neither
-    does a float, however close to whole, so nothing is truncated.  The
-    ``int`` is a Python integer, so arithmetic on it never overflows.
+
+def check_count(name: str, value, low: int = 1) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless ``is_count(value, low)``.
+
+    The ``int`` is a Python integer, so arithmetic on it never overflows.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if not is_count(value, low):
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -67,6 +72,19 @@ def check_real(name: str, value) -> None:
     so a numpy float counts) and not a bool; ranges are the caller's."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_snr(snr) -> None:
+    """``ValueError`` unless ``snr`` is a finite real number >= 0."""
+    check_real("snr", snr)
+    if not (math.isfinite(snr) and snr >= 0):
+        raise ValueError(f"snr must be finite and >= 0, got {snr}")
+
+
+def check_even(what: str, k) -> None:
+    """``ValueError`` unless the order ``k`` is even, as ``what`` needs."""
+    if k % 2 != 0:
+        raise ValueError(f"{what} needs even k, got {k}")
 
 
 def unit(u: np.ndarray) -> tuple[np.ndarray, float]:

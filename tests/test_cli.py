@@ -15,7 +15,6 @@ from spikelab import cli
 from spikelab.batchio import load_batch
 from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
 from spikelab.config import (
-    DistributedSettings,
     ExperimentConfig,
     HarnessSettings,
     iteration_seed,
@@ -86,14 +85,14 @@ def test_parse_config_round_trip(tmp_path):
     assert cfg.problem == "tpca"
     assert cfg.samples_grid == (24, 96)
     assert cfg.seeds == (0, 1, 2)
-    assert cfg.harness is None and cfg.distributed is None
+    assert cfg.harness is None and cfg.shard_rows is None
 
 
 def test_parse_config_harness_sections(tmp_path):
     cfg = parse_config(write(tmp_path, HARNESS))
     assert cfg.harness.bits == 16
     assert cfg.harness.passes == 6
-    assert cfg.distributed.shard_rows == 8
+    assert cfg.shard_rows == 8
 
 
 def test_flag_overrides(tmp_path):
@@ -174,7 +173,7 @@ GOOD = dict(
         (ExperimentConfig, {**GOOD, "estimator_options": {"max_iters": 2.5}}),
         (HarnessSettings, {"passes": 2.5}),
         (HarnessSettings, {"bits": 8.0}),
-        (DistributedSettings, {"shard_rows": 2.5}),
+        (ExperimentConfig, {**GOOD, "shard_rows": 2.5}),
         (QuantizerSpec, {"bits": True}),
         (ResourceProfile, {"samples": 2.5, "passes": 1, "state_bits": 1}),
         (ResourceProfile, {"samples": 1, "passes": np.True_, "state_bits": 1}),
@@ -702,6 +701,41 @@ def test_main_reduce_without_sections(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["sweep", "reduce"])
+@pytest.mark.parametrize(
+    "snr, bits, radius, message",
+    [(3.0, 8, "1e300", "overflows"), (0.0, 1, "1e-300", "squares to 0")],
+)
+def test_main_rejects_a_radius_the_iterate_norm_cannot_hold(
+    tmp_path, capsys, verb, snr, bits, radius, message
+):
+    # Each used to end in "RuntimeError: iterate collapsed to numerical
+    # zero", a traceback and exit 1.
+    text = f"""
+[experiment]
+problem = tpca
+k = 2
+d = 3
+snr = {snr}
+estimator = tensor-power
+samples = 8
+seeds = 0
+
+[harness]
+bits = {bits}
+radius = {radius}
+passes = 2
+
+[distributed]
+shard_rows = 4
+"""
+    assert main([verb, str(write(tmp_path, text))]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+    assert captured.out == ""
 
 
 def test_main_verify_rejects_flags_it_does_not_read(tmp_path, capsys):

@@ -261,6 +261,28 @@ def test_quantizer_validation():
         assert HarnessSettings(bits=bits, radius=radius).radius == radius
 
 
+def test_quantized_iteration_rejects_a_radius_the_iterate_norm_cannot_hold():
+    # An 8- or 1-bit lattice has no zero point, so each decoded coordinate
+    # lies in [step/2, radius] in magnitude.  At d = 3, d * radius^2
+    # overflows from radius ~7.7e153 on, and at 1 bit (step/2)^2
+    # underflows to zero below radius ~1.6e-162; past either boundary
+    # ``unit`` used to raise "iterate collapsed" mid-run.  Inside both a
+    # run ends with a unit estimate.
+    batch = sample_tpca(ModelSpec.tpca(2, 3, 3.0), 8, 1)
+
+    def iteration(bits, radius):
+        return QuantizedIteration(power_template(2), QuantizerSpec(bits, radius), 3, 8, np.ones(3))
+
+    for bits, radius in [(8, 7e153), (1, 1e-161)]:
+        algorithm = iteration(bits, radius)
+        profile = ResourceProfile(8, 2, algorithm.state_bits)
+        report = run_memory_bounded(algorithm, batch.data, profile)
+        assert np.linalg.norm(report.estimate) == pytest.approx(1.0, rel=0.1)
+    for bits, radius, message in [(8, 8e153, "overflows"), (1, 1e-163, "squares to 0")]:
+        with pytest.raises(ValueError, match=message):
+            iteration(bits, radius)
+
+
 @pytest.mark.parametrize("bits, radius", [(53, 1.0), (53, 0.7), (53, 95.0), (52, 0.7)])
 def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     # (2 * radius) / step can round up to level 2^bits, which has no

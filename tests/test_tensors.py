@@ -1,5 +1,6 @@
 """Tests for flat tensor storage, rank-one densification, contraction, and overlap."""
 
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,11 @@ from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
     _power_inplace,
+    cca_matricization_estimator,
     gaussian_reference_constant,
+    matricization_rank1,
+    ngca_spectral,
+    partial_trace_spectral,
     sphere_net,
 )
 from spikelab.harness import (
@@ -380,6 +385,77 @@ def test_every_real_slot_follows_the_real_rule(call, good):
     for bad in (True, np.True_, "1.0", None):
         with pytest.raises(ValueError, match="must be a real number"):
             call(bad)
+
+
+# (entry point, call with the snr in its slot, a valid value).  Every
+# planted-instance snr goes through ``check_snr``.
+SNR_SLOTS = [
+    (
+        "ExperimentConfig",
+        lambda v: ExperimentConfig("tpca", 2, 3, v, "tensor-power", (8,), (0,)),
+        1.0,
+    ),
+    ("ModelSpec", lambda v: ModelSpec("tpca", 2, 3, v), 1.0),
+    ("ModelSpec.tpca", lambda v: ModelSpec.tpca(2, 3, snr=v), 1.0),
+    ("ModelSpec.atpca", lambda v: ModelSpec.atpca(2, 3, snr=v), 1.0),
+    ("ModelSpec.cca", lambda v: ModelSpec.cca(2, 3, snr=v), 0.3),
+    (
+        "LDLRInstance",
+        lambda v: LDLRInstance("ngca", N=2, d=4, k=2, t=2, coeffs=(0.1,) * 2, snr=v),
+        0.5,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, good", [c[1:] for c in SNR_SLOTS], ids=[c[0] for c in SNR_SLOTS]
+)
+def test_every_snr_slot_follows_the_snr_rule(call, good):
+    call(good)
+    call(0.0)
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="snr must be finite and >= 0"):
+            call(bad)
+
+
+_LLR = functools.partial(NonGaussMeasure, "bounded-llr", snr=0.001)
+
+# (entry point, call with the order k in its slot, a valid even k).  Every
+# construction that pairs the k slots goes through ``check_even``.
+EVEN_SLOTS = [
+    (
+        "partial_trace_spectral",
+        lambda k: partial_trace_spectral(sample_tpca(ModelSpec.tpca(k, 2, 1.0), 4, 0)),
+        2,
+    ),
+    (
+        "matricization_rank1",
+        lambda k: matricization_rank1(np.ones(2**k), k, 2, PowerMethodConfig()),
+        2,
+    ),
+    (
+        "cca_matricization_estimator",
+        lambda k: cca_matricization_estimator(sample_cca(ModelSpec.cca(k, 3, 0.1), 4, 0)),
+        2,
+    ),
+    ("gaussian_reference_constant", lambda k: gaussian_reference_constant(k, 3), 4),
+    (
+        "ngca_spectral",
+        lambda k: ngca_spectral(sample_ngca(ModelSpec.ngca(3, _LLR(order=k)), 4, 0)),
+        4,
+    ),
+    ("partial_trace_template", lambda k: partial_trace_template(k, 3), 2),
+    ("NonGaussMeasure mog", lambda k: NonGaussMeasure("mog", k, 0.5), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "call, good", [c[1:] for c in EVEN_SLOTS], ids=[c[0] for c in EVEN_SLOTS]
+)
+def test_every_even_order_slot_follows_the_even_rule(call, good):
+    call(good)
+    with pytest.raises(ValueError, match="needs even k, got 3"):
+        call(3)
 
 
 def test_rejected_entry_budget_leaves_the_budget():
