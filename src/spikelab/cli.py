@@ -64,7 +64,7 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
     """``(spec, batch)`` of run seed ``seed``: the planted instance drawn
     from ``seed``, then ``n_samples`` rows from ``noise_seed(seed)``."""
     if cfg.problem == "ngca":
-        measure = NonGaussMeasure(cfg.measure_kind or "mog", cfg.k, cfg.snr)
+        measure = NonGaussMeasure(cfg.measure_kind, cfg.k, cfg.snr)
         spec = ModelSpec.ngca(d=cfg.d, measure=measure, seed=seed)
     else:
         spec = getattr(ModelSpec, cfg.problem)(k=cfg.k, d=cfg.d, snr=cfg.snr, seed=seed)
@@ -156,12 +156,12 @@ def sweep_csv(rows: list[dict]) -> str:
 
 def _cmd_sweep(args) -> int:
     check_count("--threads", args.threads)
-    cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
+    cfg = parse_config(args.config, seed_override=args.seed)
     text = sweep_csv(run_sweep(cfg, threads=args.threads))
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
     return 0
@@ -180,18 +180,18 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
+    cfg = parse_config(args.config, seed_override=args.seed)
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     _, batch = draw(cfg, n_samples, seed)
-    path = cfg.out or f"{cfg.problem}_n{n_samples}_seed{seed}.spkb"
+    path = args.out or f"{cfg.problem}_n{n_samples}_seed{seed}.spkb"
     dump_batch(batch, path)
     print(f"wrote {path} ({batch.n} rows x {batch.data.shape[1]} columns)")
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    cfg = parse_config(args.config, seed_override=args.seed, out_override=args.out)
+    cfg = parse_config(args.config, seed_override=args.seed)
     if cfg.harness is None or cfg.shard_rows is None:
         raise ValueError("reduce needs [harness] and [distributed] sections")
     seed = cfg.seeds[0]
@@ -202,10 +202,10 @@ def _cmd_reduce(args) -> int:
     run = (algorithm, batch.data, profile, (cfg.shard_rows,))
     checks, (board,) = replay_checks("reduce", [run])
     ok = _print_report(checks)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(board.dump_text())
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return 0 if ok else 1
 
 
@@ -237,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
     configured.add_argument(
         "--seed", type=int, action="append", help="replace the seed list (repeatable)"
     )
-    configured.add_argument("--out", help="output path override")
+    configured.add_argument("--out", help="output path")
     sub = parser.add_subparsers(dest="verb", required=True)
     p_sweep = sub.add_parser("sweep", parents=[configured], help="run a config grid")
     p_sweep.add_argument("--threads", type=int, default=1, help="worker pool size")

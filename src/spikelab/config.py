@@ -1,4 +1,4 @@
-"""Experiment configuration: an INI file plus command-line overrides.
+"""Experiment configuration: an INI file, plus the ``--seed`` override.
 
 The grammar is documented in docs/formats.md.  Parsing is strict:
 unknown sections, unknown keys, estimator options the chosen estimator
@@ -68,13 +68,13 @@ class ExperimentConfig:
     estimator: str
     samples_grid: tuple
     seeds: tuple
-    # ngca only: one of measures.KINDS, "mog" when unset.
+    # ngca only: one of measures.KINDS, "mog" when unset; None for the
+    # other problems.
     measure_kind: str | None = None
     estimator_options: dict = field(default_factory=dict)
     harness: HarnessSettings | None = None
     # [distributed] shard_rows, or None without that section.
     shard_rows: int | None = None
-    out: str | None = None
 
     def __post_init__(self):
         if self.problem not in SAMPLERS:
@@ -92,6 +92,8 @@ class ExperimentConfig:
         check_snr(self.snr)
         if self.problem != "ngca" and self.measure_kind is not None:
             raise ValueError(f"measure applies to ngca only, got it for {self.problem!r}")
+        if self.problem == "ngca" and self.measure_kind is None:
+            object.__setattr__(self, "measure_kind", "mog")
         if self.measure_kind not in (None, *KINDS):
             raise ValueError(f"unknown measure kind {self.measure_kind!r}")
         grid, seeds = tuple(self.samples_grid), tuple(self.seeds)
@@ -174,7 +176,6 @@ _SECTIONS = {
     },
     "harness": {"bits": int, "radius": float, "passes": int},
     "distributed": {"shard_rows": int},
-    "output": {"path": str},
 }
 _EXPERIMENT_REQUIRED = ("problem", "k", "d", "snr", "estimator", "samples", "seeds")
 
@@ -195,8 +196,9 @@ def _read_section(name: str, section) -> dict:
     return values
 
 
-def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
-    """Read an experiment INI file and apply flag overrides."""
+def parse_config(path, seed_override=None) -> ExperimentConfig:
+    """Read an experiment INI file; ``seed_override`` (the ``--seed``
+    list), when given, replaces its seed list before the checks run."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
         try:
@@ -229,5 +231,4 @@ def parse_config(path, seed_override=None, out_override=None) -> ExperimentConfi
         estimator_options=sections.get("estimator", {}),
         harness=None if harness is None else HarnessSettings(**harness),
         shard_rows=sections.get("distributed", {}).get("shard_rows"),
-        out=sections.get("output", {}).get("path") if out_override is None else out_override,
     )

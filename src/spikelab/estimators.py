@@ -377,6 +377,11 @@ _NET_BLOCK = 1024
 # max(1, _CCA_MODEL // m**k) samples' m**k products, and a model block
 # max(1, _CCA_MODEL // m**k) candidates' m**k model moments.
 _CCA_MODEL = 1 << 16
+# The largest net ``sphere_net`` builds; one this size already costs
+# 4 * 10^10 ngca score entries.
+_MAX_NET = 200_000
+# Fresh sphere points per coverage check of a random net, by default.
+_PROBES = 10_000
 
 
 def _spans(total: int, width: int) -> list[tuple[int, int]]:
@@ -388,18 +393,18 @@ def _spans(total: int, width: int) -> list[tuple[int, int]]:
 class BruteForceConfig:
     """Net resolution and truncation level for the exhaustive searches.
 
-    ``probes`` (coverage probes per net draw) and ``max_net`` (net size
-    budget) are integers >= 1, so the coverage check always runs, and
-    ``seed`` is an integer >= 0.
+    ``probes`` (coverage probes per net draw, ``sphere_net``'s default
+    unless set) is an integer >= 1, so the coverage check always runs,
+    and ``seed`` is an integer >= 0.  The net size cap is
+    ``sphere_net``'s, which no config sets.
     """
 
-    OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float, "probes": int, "max_net": int}
+    OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float, "probes": int}
 
     delta: float
     trunc: float
     seed: int = 0
-    probes: int = 10_000
-    max_net: int = 200_000
+    probes: int = _PROBES
 
     def __post_init__(self):
         check_real("delta", self.delta)
@@ -410,7 +415,6 @@ class BruteForceConfig:
             raise ValueError(f"truncation level must be positive, got {self.trunc}")
         check_count("seed", self.seed, low=0)
         check_count("probes", self.probes)
-        check_count("max_net", self.max_net)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -425,13 +429,7 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sphere_net(
-    d: int,
-    delta: float,
-    seed: int = 0,
-    probes: int = 10_000,
-    max_points: int = 200_000,
-) -> np.ndarray:
+def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np.ndarray:
     """A delta-net of the unit sphere in R^d, d <= 4.
 
     d = 1 is the two-point sphere and d = 2 a uniform angular grid with
@@ -447,8 +445,8 @@ def sphere_net(
     and with it every net, is the one a full scan gives: a round passes
     exactly when each chunk does, because the distance
     ``sqrt(max(2 - 2 dot, 0))`` does not increase with the dot.
-    ``probes`` and ``max_points`` must be integers >= 1 and ``seed`` one
-    >= 0; for d >= 2 a net that would outgrow ``max_points`` raises
+    ``probes`` must be an integer >= 1 and ``seed`` one >= 0; for d >= 2
+    a net that would outgrow ``_MAX_NET`` (200,000) points raises
     ``MemoryError``, as ``check_entry_budget`` does.
     """
     check_count("d", d)
@@ -459,25 +457,20 @@ def sphere_net(
         raise ValueError(f"delta must be in (0, 2], got {delta}")
     check_count("seed", seed, low=0)
     check_count("probes", probes)
-    check_count("max_points", max_points)
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:
         step = 2.0 * math.asin(min(delta, 2.0) / 2.0)
         count = max(4, math.ceil(2.0 * math.pi / step))
-        if count > max_points:
-            raise MemoryError(
-                f"net for d=2, delta={delta} exceeds the {max_points}-point budget"
-            )
+        if count > _MAX_NET:
+            raise MemoryError(f"net for d=2, delta={delta} exceeds the {_MAX_NET}-point budget")
         angles = 2.0 * math.pi * np.arange(count) / count
         return np.column_stack([np.cos(angles), np.sin(angles)])
     rng = np.random.default_rng(seed)
     count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
     while True:
-        if count > max_points:
-            raise MemoryError(
-                f"net for d={d}, delta={delta} exceeds the {max_points}-point budget"
-            )
+        if count > _MAX_NET:
+            raise MemoryError(f"net for d={d}, delta={delta} exceeds the {_MAX_NET}-point budget")
         net = _normalize_rows(rng.standard_normal((count, d)))
         q = _normalize_rows(rng.standard_normal((probes, d)))
         # a chunk's farthest probe is the one with the lowest best dot
@@ -543,13 +536,11 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     """
     spec = batch.spec
     expect_problem(spec, "ngca")
-    if spec.d > 4:
-        raise ValueError(f"net search is capped at d <= 4, got d={spec.d}")
     # NaN scores never pass the strict ``<`` below: the search would
     # report the first candidate with an infinite objective.
     check_finite(batch.data, "batch")
     t0 = time.perf_counter()
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
     m = len(net)
     k = spec.k
     gauss_k = gaussian_moment(k)
@@ -661,7 +652,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         raise ValueError("net-product search is capped at d <= 3, k <= 3")
     check_finite(batch.data, "batch")
     t0 = time.perf_counter()
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
     m = len(net)
     k = spec.k
     if m**k > 1_000_000:

@@ -187,8 +187,8 @@ def run_memory_bounded(
 # between 160 (16 us each) and 192.
 _SNAP_ARRAY_MIN = 160
 
-# 2^0 .. 2^52, the weights ``QuantizerSpec.decode`` gives a code's bits.
-_BIT_WEIGHTS = 2.0 ** np.arange(53)
+# 2^0 .. 2^51, the weights ``QuantizerSpec.decode`` gives a code's bits.
+_BIT_WEIGHTS = 2.0 ** np.arange(52)
 _BIT_WEIGHTS.flags.writeable = False
 
 
@@ -202,10 +202,11 @@ class QuantizerSpec:
     ``2^bits`` points ``level * step - radius``; with ``radius`` at both
     ends it has no zero point, so zero decodes half a step from zero.
     A code is the ``bits`` low bits of each level, least significant
-    first, coordinates one after another.  ``bits`` stops at 53, where
-    every level is still an exact float, and ``radius`` must make
-    ``step`` a finite, normal, positive float; ``docs/formats.md``
-    states the whole contract.
+    first, coordinates one after another.  ``bits`` is 1..52: at 53,
+    ``level * step`` of a middle level lies within one ulp of ``radius``
+    and for about half of all radii rounds onto it, decoding to 0.0.
+    ``radius`` must make ``step`` a finite, normal, positive float;
+    ``docs/formats.md`` states the whole contract.
     """
 
     bits: int = 32
@@ -213,8 +214,8 @@ class QuantizerSpec:
 
     def __post_init__(self):
         check_count("bits per coordinate", self.bits)
-        if self.bits > 53:
-            raise ValueError(f"bits per coordinate must be in [1, 53], got {self.bits}")
+        if self.bits > 52:
+            raise ValueError(f"bits per coordinate must be in [1, 52], got {self.bits}")
         check_real("radius", self.radius)
         if not np.finfo(np.float64).tiny <= self.step < math.inf:  # NaN fails too
             raise ValueError(f"radius {self.radius} gives step {self.step}, not a normal float")
@@ -339,7 +340,7 @@ class QuantizerSpec:
 
         Each level is its 0/1 bits times ascending powers of two, summed
         in float64: every partial sum is a sum of distinct powers of two
-        below 2^53, so it is exact in any order.
+        below 2^52, so it is exact in any order.
         """
         levels = np.reshape(bits, (count, self.bits)) @ _BIT_WEIGHTS[: self.bits]
         return levels * self.step - self.radius
@@ -776,11 +777,14 @@ class _StateHandoffProtocol(BlackboardProtocol):
     and simulates pass q // m of the streaming run over that machine's
     shard, starting from the state written in turn q - 1 (all zeros for
     q = 0).  Every machine takes exactly T turns, so it writes exactly
-    s*T = b bits.  Nothing is memoized: ``next_bits`` hands the runner
-    the rest of a pass, each turn's state a function of its machine's
-    shard and the state written in the turn before, from one
-    ``update_chunks`` call, so ``run_distributed`` computes each pass
-    once.
+    s*T = b bits.  Nothing is memoized: asked at a pass head (machine
+    0, offset 0), ``next_bits`` answers the whole pass, each turn's
+    state a function of its machine's shard and the state written in
+    the turn before, from one ``update_chunks`` call, so
+    ``run_distributed``, which asks only there, computes each pass
+    once.  Asked at any other round, it answers the rest of that
+    round's turn from one chunk, so a ``Blackboard.recompute`` turn
+    costs one turn.
     """
 
     def __init__(self, algorithm: MemoryBoundedAlgorithm, profile: ResourceProfile, n: int):
@@ -795,8 +799,8 @@ class _StateHandoffProtocol(BlackboardProtocol):
         return turn % self.m, self.s - offset
 
     def next_bits(self, shards, round_index, transcript):
-        """Round ``round_index`` to the end of its pass: the turn's state
-        from its offset on, then the states of the pass's later turns."""
+        """Round ``round_index`` on: the turn's state from its offset on,
+        then, from a pass head, the states of the pass's later turns."""
         s = self.s
         turn, offset = divmod(round_index, s)
         if turn == 0:
@@ -804,8 +808,9 @@ class _StateHandoffProtocol(BlackboardProtocol):
         else:
             prev = np.asarray(transcript[(turn - 1) * s : turn * s], dtype=np.uint8)
         t, machine = divmod(turn, self.m)
-        states = self.algorithm.update_chunks(prev, t, machine * self.n, shards[machine:])
-        return _check_state(states, (self.m - machine, s)).reshape(-1)[offset:]
+        stop = self.m if machine == offset == 0 else machine + 1
+        states = self.algorithm.update_chunks(prev, t, machine * self.n, shards[machine:stop])
+        return _check_state(states, (stop - machine, s)).reshape(-1)[offset:]
 
     def estimate(self, transcript):
         final = np.asarray(transcript[-self.s :], dtype=np.uint8)

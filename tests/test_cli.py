@@ -1,6 +1,7 @@
 """Config parsing, sweep determinism, CLI verbs."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -15,6 +16,7 @@ from spikelab import cli
 from spikelab.batchio import load_batch
 from spikelab.cli import CSV_COLUMNS, main, run_sweep, sweep_csv
 from spikelab.config import (
+    _SECTIONS,
     ExperimentConfig,
     HarnessSettings,
     iteration_seed,
@@ -97,9 +99,8 @@ def test_parse_config_harness_sections(tmp_path):
 
 def test_flag_overrides(tmp_path):
     path = write(tmp_path, BASE)
-    cfg = parse_config(path, seed_override=[9], out_override="o.csv")
+    cfg = parse_config(path, seed_override=[9])
     assert cfg.seeds == (9,)
-    assert cfg.out == "o.csv"
 
 
 @pytest.mark.parametrize(
@@ -126,7 +127,7 @@ def test_flag_overrides(tmp_path):
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = inf"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = nan"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 1e308"),
-        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nbits = 53\nradius = 1e-320"),
+        ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nbits = 52\nradius = 1e-320"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\n[harness]\nradius = 0"),
         # an empty list entry used to be dropped
         ("samples = 24, 96", "samples = 24,,"),
@@ -146,7 +147,8 @@ def test_measure_is_an_ngca_key(tmp_path):
     ngca = BASE.replace("problem = tpca", "problem = ngca").replace(
         "estimator = tensor-power", "estimator = ngca-spectral"
     ).replace("k = 2", "k = 4")
-    assert parse_config(write(tmp_path, ngca)).measure_kind is None  # a mixture
+    assert parse_config(write(tmp_path, ngca)).measure_kind == "mog"
+    assert parse_config(write(tmp_path, BASE)).measure_kind is None
     for kind in KINDS:
         text = ngca + f"measure = {kind}\n"
         assert parse_config(write(tmp_path, text)).measure_kind == kind
@@ -217,6 +219,18 @@ def test_accepted_seed_lists_keep_every_stream_disjoint(base, offsets):
     assert len(set().union(*streams)) == 3 * len(seeds)
 
 
+def test_formats_doc_names_every_config_section_and_key():
+    # The "Experiment config (INI)" section of docs/formats.md documents
+    # the grammar of _SECTIONS: every section and key, and no other
+    # section header.
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    text = doc.split("\n## Experiment config (INI)\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"`\[([a-z_]+)\]`", text)) == set(_SECTIONS)
+    for name, keys in _SECTIONS.items():
+        for key in keys:
+            assert f"`{key}`" in text, f"[{name}] {key} is not documented"
+
+
 def test_parse_config_unknown_material(tmp_path):
     with pytest.raises(ValueError, match="sections"):
         parse_config(write(tmp_path, BASE + "\n[mystery]\nx = 1\n"))
@@ -231,7 +245,6 @@ SECTION_TEXTS = {
     "estimator": BASE + "\n[estimator]\n",
     "harness": HARNESS,
     "distributed": HARNESS,
-    "output": BASE + "\n[output]\npath = o.csv\n",
 }
 
 
@@ -305,6 +318,8 @@ def test_brute_force_requires_net_options(tmp_path):
         )
 
 
+# probes is a count >= 1; the net size cap is no option, so a config
+# that sets max_net is rejected whatever its value.
 @pytest.mark.parametrize("key", ["probes", "max_net"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_brute_force_net_counts_rejected_at_parse(tmp_path, key, value):
@@ -312,11 +327,12 @@ def test_brute_force_net_counts_rejected_at_parse(tmp_path, key, value):
         "estimator = tensor-power", "estimator = brute-force-ngca"
     ).replace("k = 2", "k = 4").replace("d = 5", "d = 3")
     options = "\n[estimator]\ndelta = 0.3\ntrunc = 6\n"
-    parse_config(write(tmp_path, text + options + f"{key} = 1\n"))
+    parse_config(write(tmp_path, text + options + "probes = 1\n"))
     with pytest.raises(ValueError, match=key):
         parse_config(write(tmp_path, text + options + f"{key} = {value}\n"))
 
 
+# As at parse: a max_net option is rejected whatever its value.
 @pytest.mark.parametrize("key", ["probes", "max_net"])
 @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
 def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
@@ -327,7 +343,7 @@ def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
             estimator_options={"delta": 0.3, "trunc": 6.0, **options},
         )
 
-    build({key: 3})
+    build({"probes": 3})
     with pytest.raises(ValueError, match=key):
         build({key: value})
 
@@ -339,7 +355,6 @@ OPTION_VALUES = {
     "delta": "0.3",
     "trunc": "6",
     "probes": "5",
-    "max_net": "900",
 }
 
 
@@ -660,6 +675,31 @@ def test_main_malformed_ini_exits_2_with_one_error_line(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (BASE + "\n[output]\npath = o.csv\n", "unknown config sections ['output']"),
+        (
+            _NET_SEARCH.format(problem="ngca", k=4, d=3, snr=0.5, delta=0.3, trunc=4.0)
+            + "max_net = 900\n",
+            "unknown estimator option 'max_net'",
+        ),
+        (HARNESS.replace("bits = 16", "bits = 53"), "bits per coordinate must be in [1, 52]"),
+    ],
+    ids=["output-section", "max-net", "53-bits"],
+)
+@pytest.mark.parametrize("verb", ["sweep", "sample", "reduce"])
+def test_main_unsettable_values_exit_2_with_one_error_line(tmp_path, capsys, verb, text, message):
+    # The output path comes from --out alone, the net size cap is no
+    # option, and a codec stops at 52 bits.
+    out = tmp_path / "out"
+    assert main([verb, str(write(tmp_path, text)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
 
 
 ONE_POINT_NGCA = """

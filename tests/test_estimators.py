@@ -521,14 +521,26 @@ def test_sphere_net_randomized_coverage(d):
     assert dist.max() <= 0.5 * 1.25
 
 
-def test_sphere_net_budget_guard():
-    # MemoryError, as check_entry_budget raises, so the CLI exits 2
-    with pytest.raises(MemoryError, match="budget"):
-        sphere_net(4, 0.05, max_points=100)
-    # the d = 2 grid (6284 points at delta = 0.001) is held to the budget too
-    with pytest.raises(MemoryError, match="budget"):
-        sphere_net(2, 0.001, max_points=100)
-    assert len(sphere_net(2, 0.001, max_points=6284)) == 6284
+def test_sphere_net_budget_guard(monkeypatch):
+    # MemoryError, as check_entry_budget raises, so the CLI exits 2; the
+    # first d = 4 draw at delta 0.01 and the d = 2 grid at delta 3e-5
+    # (209,440 points) are each past the 200,000-point cap.
+    with pytest.raises(MemoryError, match="d=4, delta=0.01 exceeds the 200000-point budget"):
+        sphere_net(4, 0.01)
+    with pytest.raises(MemoryError, match="d=2, delta=3e-05 exceeds the 200000-point budget"):
+        sphere_net(2, 3e-5)
+    # The cap is read at call time, so a small one holds a doubled d = 4
+    # draw and the d = 2 grid (6284 points at delta = 0.001) to it too.
+    monkeypatch.setattr(est, "_MAX_NET", 100)
+    with pytest.raises(MemoryError, match="d=4, delta=0.05 exceeds the 100-point budget"):
+        sphere_net(4, 0.05)
+    with pytest.raises(MemoryError, match="d=2, delta=0.001 exceeds the 100-point budget"):
+        sphere_net(2, 0.001)
+    batch = planted_ngca_batch(2, 4, 0.5, 16, 0)
+    with pytest.raises(MemoryError, match="100-point budget"):
+        brute_force_ngca(batch, BruteForceConfig(delta=0.001, trunc=4.0))
+    monkeypatch.setattr(est, "_MAX_NET", 6284)
+    assert len(sphere_net(2, 0.001)) == 6284
     with pytest.raises(ValueError):
         sphere_net(5, 0.5)
 
@@ -645,14 +657,14 @@ def test_power_method_config_rejects_non_numbers(key, value):
     assert PowerMethodConfig(max_iters=np.int64(3), tol=np.float32(1e-3)).max_iters == 3
 
 
-@pytest.mark.parametrize("key", ["probes", "max_net"])
+@pytest.mark.parametrize("key", ["probes"])
 @pytest.mark.parametrize("value", [0, -1, -5, 2.5, True])
 def test_brute_force_config_rejects_bad_counts(key, value):
     with pytest.raises(ValueError, match=key):
         BruteForceConfig(delta=0.5, trunc=1.0, **{key: value})
 
 
-@pytest.mark.parametrize("key", ["probes", "max_points"])
+@pytest.mark.parametrize("key", ["probes"])
 @pytest.mark.parametrize("value", [0, -1, 2.5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_sphere_net_rejects_bad_counts(d, key, value):
@@ -798,7 +810,7 @@ def unblocked_brute_force_ngca(batch, cfg):
     with libm ``pow`` for the k-th powers; returns (net, objective,
     net_index, sign)."""
     spec = batch.spec
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
     k = spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
     g = np.clip(batch.data @ net.T, -cfg.trunc, cfg.trunc)
@@ -870,7 +882,7 @@ def unblocked_brute_force_cca(batch, cfg):
     """The cca net-product search one head at a time with whole
     ``m^(k+1)`` model blocks; returns (net, objective, net_indices)."""
     spec = batch.spec
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes, cfg.max_net)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
     m, k = len(net), spec.k
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]

@@ -232,30 +232,32 @@ def test_quantizer_validation():
     with pytest.raises(ValueError, match="radius"):
         QuantizerSpec(radius=0.0)
     # At 54 bits the top level rounds to 2^54 and +radius came back as
-    # -radius; the codec stops at 53, and so does the config.
-    with pytest.raises(ValueError, match="bits"):
-        QuantizerSpec(bits=54, radius=1.0)
-    with pytest.raises(ValueError, match="bits"):
-        HarnessSettings(bits=54)
-    assert HarnessSettings(bits=53).bits == 53
+    # -radius, and at 53 a middle level decodes to 0.0; the codec stops
+    # at 52, and so does the config.
+    for bits in (53, 54):
+        with pytest.raises(ValueError, match=r"bits per coordinate must be in \[1, 52\]"):
+            QuantizerSpec(bits=bits, radius=1.0)
+        with pytest.raises(ValueError, match="bits"):
+            HarnessSettings(bits=bits)
+    assert HarnessSettings(bits=52).bits == 52
     # The step must be a finite, normal, positive float: at an infinite
-    # step every snap was NaN, and at 1e-320 and 53 bits the step is 0,
+    # step every snap was NaN, and at 1e-320 and 52 bits the step is 0,
     # which snapped -radius to NaN.  [harness] runs the same checks.
     bad = [
         (32, math.nan),
         (32, math.inf),
         (1, 1e308),
         (32, 1e308),
-        (53, 1e-320),
+        (52, 1e-320),
         (1, 1e-320),
-        (53, 1e-293),
+        (52, 1e-293),
     ]
     for bits, radius in bad:
         with pytest.raises(ValueError, match="radius"):
             QuantizerSpec(bits=bits, radius=radius)
         with pytest.raises(ValueError, match="radius"):
             HarnessSettings(bits=bits, radius=radius)
-    for bits, radius in [(1, 8e307), (53, 1e-291), (1, 1.2e-308)]:
+    for bits, radius in [(1, 8e307), (52, 1e-291), (1, 1.2e-308)]:
         q = QuantizerSpec(bits=bits, radius=radius)
         assert math.isfinite(q.step) and q.step >= 2.0**-1022
         assert HarnessSettings(bits=bits, radius=radius).radius == radius
@@ -283,7 +285,7 @@ def test_quantized_iteration_rejects_a_radius_the_iterate_norm_cannot_hold():
             iteration(bits, radius)
 
 
-@pytest.mark.parametrize("bits, radius", [(53, 1.0), (53, 0.7), (53, 95.0), (52, 0.7)])
+@pytest.mark.parametrize("bits, radius", [(52, 1.0), (52, 0.7), (52, 95.0)])
 def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     # (2 * radius) / step can round up to level 2^bits, which has no
     # code; at 52 bits that happened for radius 0.7 before the cap.
@@ -292,6 +294,55 @@ def test_quantizer_keeps_both_ends_at_high_bits(bits, radius):
     back = q.decode(q.encode(ends), 2)
     np.testing.assert_allclose(back, ends, rtol=0, atol=q.step)
     np.testing.assert_array_equal(snap(q, ends), back)
+
+
+# Random radius mantissas in [1, 2): a power of two scales the step and
+# every decoded value exactly, so these stand for every radius whose
+# step is normal.
+MANTISSAS = np.random.default_rng(53).uniform(1.0, 2.0, 1 << 16)
+
+
+def middle_decodes(bits: int, radius: np.ndarray) -> np.ndarray:
+    """``decode`` of levels 2^(bits-1) - 1 and 2^(bits-1) for each radius,
+    by the codec's own float operations, one row per radius."""
+    step = 2.0 * radius / (2.0**bits - 1.0)
+    levels = np.array([2.0 ** (bits - 1) - 1.0, 2.0 ** (bits - 1)])
+    return levels[None, :] * step[:, None] - radius[:, None]
+
+
+@pytest.mark.parametrize("bits", range(1, 53))
+def test_no_radius_puts_a_lattice_point_at_zero(bits):
+    for exponent in (0, -10, 10, 100):
+        radius = MANTISSAS * 2.0**exponent
+        middle = middle_decodes(bits, radius)
+        assert not (middle == 0.0).any()
+        assert (middle[:, 0] < 0).all() and (middle[:, 1] > 0).all()
+        np.testing.assert_array_equal(middle, middle_decodes(bits, MANTISSAS) * 2.0**exponent)
+    # The sweep computes what the codec decodes, bit for bit.
+    top = 2 ** (bits - 1)
+    code = [(level >> j) & 1 for level in (top - 1, top) for j in range(bits)]
+    for radius in (1.0, 0.7, 64.0, 95.0):
+        middle = QuantizerSpec(bits, radius).decode(np.array(code, dtype=np.uint8), 2)
+        assert middle.tobytes() == middle_decodes(bits, np.array([radius])).tobytes()
+        assert (middle != 0.0).all()
+
+
+def test_53_bits_would_put_a_lattice_point_at_zero():
+    # Why the codec stops at 52: at 53 about half of all radii decode a
+    # middle level to exactly 0.0.
+    assert (middle_decodes(53, MANTISSAS) == 0.0).any(axis=1).mean() > 0.45
+    with pytest.raises(ValueError, match="bits"):
+        QuantizerSpec(53, 1.0)
+
+
+def test_a_52_bit_run_on_zero_rows_keeps_a_unit_estimate():
+    # At 53 bits this run decoded the reset sum to 0.0 and raised
+    # "iterate collapsed to numerical zero".
+    q = QuantizerSpec(52, 1.0)
+    algorithm = QuantizedIteration(power_template(2), q, 3, 4, np.ones(3))
+    profile = ResourceProfile(4, 2, algorithm.state_bits)
+    report = run_memory_bounded(algorithm, np.zeros((4, 9)), profile)
+    assert np.linalg.norm(report.estimate) == pytest.approx(1.0)
 
 
 @contextlib.contextmanager
@@ -317,7 +368,7 @@ def snap_sum_cases(draw):
     a fourth kind like a streamed mean's: normal steps of radius / rows,
     on which the guess mostly holds.
     """
-    bits = draw(st.sampled_from([1, 52, 53]) | st.integers(min_value=1, max_value=53))
+    bits = draw(st.sampled_from([1, 52]) | st.integers(min_value=1, max_value=52))
     if draw(st.booleans()):
         # step = 2^e exactly, so zero and the lattice plus an odd number
         # of half steps are exact ties (up to 52 bits).
@@ -451,7 +502,7 @@ def test_snap_sum_overflowing_guess_is_silent():
     # the snap loop itself stays finite and warns of nothing.  The step
     # (about 2.2e-299) is normal, as the codec requires, and small
     # enough that a 1e10 step overflows.
-    q = QuantizerSpec(bits=53, radius=1e-283)
+    q = QuantizerSpec(bits=52, radius=1e-283)
     steps = np.resize([1e10, -1e10], (64, 4))
     assert 1e10 / q.step == math.inf
     with warnings.catch_warnings():
@@ -563,7 +614,7 @@ def shift_mask_decode(q, bits, count):
 @st.composite
 def codec_cases(draw):
     """A codec, values out to 3 radii, and codes of the same count."""
-    bits = draw(st.sampled_from([1, 52, 53]) | st.integers(min_value=1, max_value=53))
+    bits = draw(st.sampled_from([1, 52]) | st.integers(min_value=1, max_value=52))
     radius = draw(
         st.sampled_from([0.05, 0.7, 1.0, 8.0, 95.0, 1e6])
         | st.floats(min_value=1e-3, max_value=1e9)
@@ -584,7 +635,7 @@ def codec_cases(draw):
 
 
 @given(codec_cases())
-@example((QuantizerSpec(bits=53, radius=1.0), np.array([1.0, -1.0, 0.0]), np.ones(159, np.uint8)))
+@example((QuantizerSpec(bits=52, radius=1.0), np.array([1.0, -1.0, 0.0]), np.ones(156, np.uint8)))
 @example((QuantizerSpec(bits=1, radius=3.0), np.array([-9.0, 9.0]), np.zeros(2, np.uint8)))
 @settings(max_examples=300, deadline=None)
 def test_packed_codec_equals_shift_mask_reference(case):
@@ -670,7 +721,7 @@ def test_wrapped_state_budget_is_2dB():
 
 
 @given(
-    st.integers(min_value=1, max_value=53),
+    st.integers(min_value=1, max_value=52),
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
@@ -683,7 +734,7 @@ def test_one_state_decode_equals_two_half_decodes(bits, d, seed):
     assert whole.tobytes() == halves.tobytes()
 
 
-@pytest.mark.parametrize("bits, radius, d", [(1, 3.0, 2), (8, 8.0, 4), (53, 0.7, 3)])
+@pytest.mark.parametrize("bits, radius, d", [(1, 3.0, 2), (8, 8.0, 4), (52, 0.7, 3)])
 def test_reset_code_is_the_read_only_code_for_zero(bits, radius, d):
     q = QuantizerSpec(bits=bits, radius=radius)
     algo = QuantizedIteration(power_template(2), q, d, 4, np.ones(d))
@@ -1102,6 +1153,39 @@ def test_reduction_bit_identical_over_fixture_algorithms_and_splits():
             # Every bit of a run is compared, its last as well as its first.
             board.bits[-1] ^= 1
             assert not board.recompute(protocol, shard_stream(data, n))
+
+
+def test_recompute_pays_one_chunk_a_turn(monkeypatch):
+    # run_distributed asks the state-handoff protocol at pass heads alone
+    # and gets each pass from one update_chunks call over every shard; a
+    # recompute turn that starts no pass gets its own shard, one chunk,
+    # not the rest of the pass.
+    algo, data, passes = fixture_algorithms()[2]
+    profile = ResourceProfile(32, passes, algo.state_bits)
+    protocol, m, n, b = reduce_memory_to_distributed(algo, profile, 4)
+    shards = shard_stream(data, n)
+    calls = []
+    update_chunks = QuantizedIteration.update_chunks
+
+    def spy(self, state, t, i0, chunks):
+        calls.append((t, i0, len(chunks)))
+        return update_chunks(self, state, t, i0, chunks)
+
+    monkeypatch.setattr(QuantizedIteration, "update_chunks", spy)
+    _, board = run_distributed(protocol, shards, m, n, b)
+    assert calls == [(t, 0, m) for t in range(passes)]
+    calls.clear()
+    assert board.recompute(protocol, shards)
+    heads = [(t, 0, m) for t in range(passes)]
+    assert calls[::m] == heads
+    turns = [(t, machine * n, 1) for t in range(passes) for machine in range(1, m)]
+    assert [call for call in calls if call not in heads] == turns
+    # Inside a turn, next_bits answers the rest of that turn alone.
+    s = protocol.s
+    for start in (3, s + 3):
+        end = (start // s + 1) * s
+        bits = protocol.next_bits(shards, start, board.bits[:start])
+        np.testing.assert_array_equal(bits, board.bits[start:end])
 
 
 def test_reduction_transcript_ends_with_final_state():
@@ -1620,7 +1704,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
         n_samples = n * draw(st.integers(min_value=1, max_value=2))
     passes = draw(st.integers(min_value=1, max_value=3))
     q = QuantizerSpec(
-        bits=draw(st.integers(min_value=1, max_value=53)),
+        bits=draw(st.integers(min_value=1, max_value=52)),
         # Small radii clamp the partial sums of the larger data scales.
         radius=draw(st.sampled_from([0.05, 0.5]) | st.floats(min_value=0.05, max_value=100.0)),
     )
