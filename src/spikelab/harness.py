@@ -165,8 +165,7 @@ def run_memory_bounded(
         raise ValueError(
             f"stream shape {data.shape} does not provide {profile.samples} rows"
         )
-    # Non-finite rows make NaN sums, which the codec's uint64 cast turns
-    # into arbitrary codes.
+    # Non-finite rows make NaN contributions, which have no level.
     check_finite(data, "stream")
     data = _read_only(data)
     s = profile.state_bits
@@ -180,14 +179,7 @@ def run_memory_bounded(
 # ---------------------------------------------------------------------------
 # quantization
 
-# Row-coordinates from which ``QuantizerSpec._snap_block`` guesses a block
-# with array calls instead of running its scalar loop.  Measured on one
-# x86-64 core: the array path costs ~16 us up to a few hundred
-# row-coordinates, the loop ~0.1 us per row-coordinate; they cross
-# between 160 (16 us each) and 192.
-_SNAP_ARRAY_MIN = 160
-
-# 2^0 .. 2^51, the weights ``QuantizerSpec.decode`` gives a code's bits.
+# 2^0 .. 2^51, the weights ``QuantizerSpec._bit_levels`` gives a code's bits.
 _BIT_WEIGHTS = 2.0 ** np.arange(52)
 _BIT_WEIGHTS.flags.writeable = False
 
@@ -231,103 +223,47 @@ class QuantizerSpec:
         levels = np.rint((clamped + self.radius) / self.step)
         return np.minimum(levels, 2.0**self.bits - 1.0)
 
-    def _snap_block(self, start: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """The levels at every row of the ``snap`` loop ``start =
-        snap(start + row)`` over the rows of ``steps``, where ``snap(v) =
-        decode(encode(v)) = _levels(v) * step - radius``.
+    def _walk(self, start: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The levels of a partial sum after each row of ``w``: from the
+        integer levels ``start``, each row moves every level by ``rint(w /
+        step)`` (ties to even) and clamps it to ``[0, 2^bits - 1]``.
 
-        ``start`` and ``steps`` are float64 arrays.  Row j of the
-        ``steps.shape`` float64 result holds the levels that ``encode``
-        finds for the loop's value after row j, whose value is ``level *
-        step - radius``.
-
-        A block of fewer than ``_SNAP_ARRAY_MIN`` row-coordinates runs the
-        scalar loop ``_snap_loop``.  A longer one is guessed, checked and
-        mended:
-
-        - guess: rows 0 .. n - 2 only, the level of ``start`` plus the
-          running sum of ``rint(steps / step)``, mapped back to
-          ``level * step - radius``;
-        - check: one ``_levels(prev + steps)`` over all n rows, where
-          ``prev`` is ``start`` followed by the guessed rows, compared
-          with the guess bit for bit (an int64 view, so a NaN or a signed
-          zero must match exactly); its levels are the result;
-        - mend: each coordinate whose guess differs resumes ``_snap_loop``
-          from its checked value at its first difference, which lies
-          before the last row, and the loop's levels overwrite the
-          column's rows past that row.
-
-        The check is exact by induction: ``snap`` of the true row j - 1
-        plus ``steps[j]`` is the true row j, so along each coordinate
-        every guessed row before the first difference is true, and so is
-        every checked row up to it; a coordinate with no difference has
-        every checked row true.  A clamp or a rounding tie the guess
-        misses costs its coordinate one fallback, so the worst case is
-        one array pass on top of the scalar loop.
+        ``w`` is a ``(rows, d)`` float64 array of at least one row and no
+        NaN; an infinite entry sends its level to that end.  Returns
+        ``w.shape`` int64 levels.  ``w`` is clipped to ``+-2^bits`` steps
+        first, so ``w / step`` cannot overflow and a move saturates at
+        about ``2^bits`` levels (never fewer than ``2^bits - 1``), which
+        clamps as any larger move would.  So one running sum of the moves
+        cannot overflow before a column first leaves the lattice, and
+        each column that does restarts at that row in ``_clamp_walk``.
         """
-        if steps.size < _SNAP_ARRAY_MIN:
-            levels = self._snap_loop(start.tolist(), steps.T.tolist())
-            return np.array(levels, dtype=np.float64).reshape(steps.shape[::-1]).T
-        step, radius = self.step, self.radius
-        # A guess may overflow (a step of 2^-1000 or so) or meet inf - inf;
-        # the check catches that row, so the warning would say nothing.
-        with np.errstate(all="ignore"):
-            levels = np.rint(steps[:-1] / step)
-            levels[:1] += np.rint((start + radius) / step)
-            guess = np.cumsum(levels, axis=0) * step - radius
-            checked = self._levels(np.concatenate([start[None], guess]) + steps)
-        check = checked * step - radius
-        wrong = guess.view(np.int64) != check[:-1].view(np.int64)
-        # The per-column mask is built only when some guess missed.
-        if wrong.any():
-            columns = np.flatnonzero(wrong.any(axis=0))
-            first = wrong[:, columns].argmax(axis=0)
-            mended = self._snap_loop(
-                check[first, columns].tolist(),
-                [steps[j + 1 :, c].tolist() for j, c in zip(first.tolist(), columns.tolist())],
-            )
-            for c, j, column_levels in zip(columns.tolist(), first.tolist(), mended):
-                checked[j + 1 :, c] = column_levels
-        return checked
-
-    def _snap_loop(self, starts: list, columns: list) -> list:
-        """The ``snap`` loop of ``_snap_block`` on Python floats, each
-        start down its column.
-
-        Returns, for each column, the level its loop reaches after each
-        of its steps; the value there is ``level * step - radius``.  The
-        same IEEE operations in the same order as ``_levels``, one
-        coordinate at a time, so each level is what ``_levels`` gives.
-        Below 2^52, adding and subtracting 2^52 rounds half to even as
-        ``np.rint`` does; from 2^52 up every float is an integer.  NaN
-        passes through every step, as it does through ``_levels``.
-        """
-        radius, low, step = float(self.radius), -float(self.radius), self.step
-        top, big = 2.0**self.bits - 1.0, 2.0**52
-        out = []
-        for value, column in zip(starts, columns):
-            levels = []
-            for w in column:
-                value += w
-                if value > radius:
-                    value = radius
-                elif value < low:
-                    value = low
-                level = (value + radius) / step
-                if level < big:
-                    level = level + big - big
-                if level > top:
-                    level = top
-                value = level * step - radius
-                levels.append(level)
-            out.append(levels)
-        return out
+        step, top = self.step, (1 << self.bits) - 1
+        # At the largest radii the bound is inf, and no w / step exceeds 2.
+        bound = (top + 1) * step
+        moves = np.minimum(w, bound)
+        np.maximum(moves, -bound, out=moves)
+        moves /= step
+        np.rint(moves, out=moves)
+        # Row 0's move is never read again, so it takes the start.
+        moves[0] += start
+        moves = moves.astype(np.int64)
+        levels = np.add.accumulate(moves, axis=0)
+        # A negative level reads as a huge unsigned one, so one comparison
+        # finds the rows past either end.
+        unsigned = levels.view(np.uint64)
+        if unsigned.max() > top:
+            out = unsigned > top
+            columns = np.flatnonzero(out.any(axis=0))
+            first = out[:, columns].argmax(axis=0)
+            for c, j in zip(columns.tolist(), first.tolist()):
+                levels[j:, c] = _clamp_walk(int(levels[j, c]), moves[j + 1 :, c].tolist(), top)
+        return levels
 
     def encode(self, values: np.ndarray) -> np.ndarray:
         """Little-endian bit codes, ``bits`` per coordinate, flattened.
 
         ``_code(_levels(values))``; ``QuantizedIteration.update_chunks``
-        codes the levels of its partial sums with ``_code`` directly.
+        codes the int64 levels of its partial sums with ``_code`` directly.
         """
         return self._code(self._levels(np.asarray(values, dtype=np.float64).reshape(-1)))
 
@@ -335,15 +271,35 @@ class QuantizerSpec:
         octets = levels.astype("<u8", order="C").view(np.uint8).reshape(-1, 8)
         return np.unpackbits(octets, axis=1, count=self.bits, bitorder="little").reshape(-1)
 
-    def decode(self, bits: np.ndarray, count: int) -> np.ndarray:
-        """The ``count`` lattice values of little-endian ``encode`` codes.
+    def _bit_levels(self, bits: np.ndarray, count: int) -> np.ndarray:
+        """The float64 levels of ``count`` coordinates' little-endian codes.
 
         Each level is its 0/1 bits times ascending powers of two, summed
         in float64: every partial sum is a sum of distinct powers of two
         below 2^52, so it is exact in any order.
         """
-        levels = np.reshape(bits, (count, self.bits)) @ _BIT_WEIGHTS[: self.bits]
-        return levels * self.step - self.radius
+        return np.reshape(bits, (count, self.bits)) @ _BIT_WEIGHTS[: self.bits]
+
+    def decode(self, bits: np.ndarray, count: int) -> np.ndarray:
+        """The ``count`` lattice values ``level * step - radius`` of
+        little-endian ``encode`` codes."""
+        return self._bit_levels(bits, count) * self.step - self.radius
+
+
+def _clamp_walk(level: int, moves: list, top: int) -> list:
+    """``level`` clamped to ``[0, top]``, then the level after each of
+    ``moves``, clamped again: ``QuantizerSpec._walk`` for one column from
+    the row where it first leaves the lattice."""
+    level = 0 if level < 0 else top if level > top else level
+    out = [level]
+    for move in moves:
+        level += move
+        if level < 0:
+            level = 0
+        elif level > top:
+            level = top
+        out.append(level)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +352,17 @@ TEMPLATES = {
 class QuantizedIteration(MemoryBoundedAlgorithm):
     """State = [iterate code | partial-sum code], s = 2*d*B bits.
 
-    Each row contracts against ``psi(iterate)``, and the result divided
-    by N goes into the quantized partial sum; the last row of a pass
+    Each row contracts against ``psi(iterate)``; the result divided by N,
+    w, moves the partial sum's level by ``rint(w / step)``, clamped to
+    the lattice (``QuantizerSpec._walk``).  The last row of a pass
     promotes the partial sum to be the next iterate and resets the sum
-    to ``reset_code``, the code for zero.  Both are read from the state,
-    decoded: nothing but the state crosses passes.  The block that
+    to ``reset_code``, the code for zero.  Both are read from the state:
+    nothing but the state crosses passes.  The block that
     starts pass 0 (t = 0, i0 = 0) reads ``start_code``, the code of
     ``init`` beside ``reset_code``, in place of the runner's all-zeros
     state, so pass 0 runs as every later pass does: its rows contract
-    against ``decode(encode(init))`` and its sum starts at
-    ``decode(reset_code)``, about half a step from zero.  Pair it with
+    against ``decode(encode(init))`` and its sum starts at the level of
+    ``reset_code``, about half a step from zero.  Pair it with
     ``ResourceProfile(n_samples, T, 2*d*B)``.
     """
 
@@ -438,19 +395,20 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
 
     def update_chunks(self, state, t, i0, chunks):
         """The states after each chunk of rows, bit for bit the states
-        that re-encoding the partial sum after every row leaves
+        that stepping the partial sum's level row by row leaves
         (``tests/references.py`` keeps that row-by-row reference).
 
-        The iterate is fixed within a pass, so the whole state is decoded
-        once, ``psi`` is built once, and the chunks' rows, read as one
-        block through one reshape, are contracted by one stacked matmul,
-        whose row j equals the single-row ``contract_batch``.  Only the
-        partial sum is accumulated row by row, on lattice values, by one
-        ``QuantizerSpec._snap_block``; its levels at each chunk's last row
-        are the levels ``encode`` finds for that chunk's sum, and one
-        ``_code`` codes them all.  A chunk that ends the pass makes its
-        sum the iterate and resets the sum to ``reset_code``; chunks of
-        no rows leave ``state``.
+        The iterate is fixed within a pass, so the whole state's levels
+        are read from its bits once, ``psi`` is built once, and the
+        chunks' rows, read as one block through one reshape, are
+        contracted by one stacked matmul, whose row j equals the
+        single-row ``contract_batch``.  Only the partial sum moves row by
+        row, as integer levels, in one ``QuantizerSpec._walk``; one
+        ``_code`` codes its levels at each chunk's last row.  A chunk
+        that ends the pass makes its sum the iterate and resets the sum
+        to ``reset_code``; chunks of no rows leave ``state``.  A NaN
+        contribution, which has no level, raises ``ValueError`` naming
+        its pass and row; an infinite one sends its level to that end.
         """
         q, d, n, half = self.quantizer, self.d, self.n_samples, self.state_bits // 2
         rows = np.asarray(chunks, dtype=np.float64)
@@ -464,9 +422,13 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
             return states
         if t == 0 and i0 == 0:
             state = self.start_code
-        values = q.decode(state, 2 * d)
-        w = (self.psi(values[:d]) @ rows.reshape(total, -1, d)) / n
-        sums = q._code(q._snap_block(values[d:], w)[size - 1 :: size]).reshape(-1, half)
+        levels = q._bit_levels(state, 2 * d)
+        w = (self.psi(levels[:d] * q.step - q.radius) @ rows.reshape(total, -1, d)) / n
+        nan = np.isnan(w)
+        if nan.any():
+            row = i0 + int(nan.any(axis=1).argmax())
+            raise ValueError(f"pass {t}, row {row}: the partial sum's contribution is NaN")
+        sums = q._code(q._walk(levels[d:], w)[size - 1 :: size]).reshape(-1, half)
         # Every chunk holds rows, so only the last one can end the pass.
         boundary = count - 1 if i0 + total == n else count
         states[:boundary, :half] = state[:half]

@@ -5,6 +5,8 @@ the plainest form that states its contract; no verb, script or
 benchmark runs them.
 """
 
+import math
+
 import numpy as np
 
 from spikelab.harness import (
@@ -29,44 +31,62 @@ def snap(q, values):
     return levels(q, values) * q.step - q.radius
 
 
-def snap_loop(q, start, steps):
-    """``start = snap(q, start + row)`` for each row of ``steps``."""
-    for row in steps:
-        start = snap(q, start + row)
-    return start
-
-
 def snap_sum(q, start, steps):
-    """The value ``q._snap_block``'s levels at the last row stand for, as
-    an array; it must equal ``snap_loop`` bit for bit (``start`` itself
-    for no rows)."""
-    start = np.asarray(start, dtype=np.float64)
-    steps = np.asarray(steps, dtype=np.float64)
-    if len(steps) == 0:
-        return start
-    return q._snap_block(start, steps)[-1] * q.step - q.radius
+    """The partial sum's levels after each row of ``steps``, from the
+    integer levels ``start``: each row moves a level by ``w / step``
+    rounded half to even, an infinite ``w / step`` to the end it points
+    at, and clamps it to ``[0, 2^bits - 1]``.  Python integers, one
+    coordinate at a time; a ``(rows, d)`` int64 array."""
+    top = 2**q.bits - 1
+    levels = [int(level) for level in start]
+    out = []
+    for row in np.asarray(steps, dtype=np.float64).tolist():
+        for c, w in enumerate(row):
+            ratio = w / float(q.step)
+            move = round(ratio) if math.isfinite(ratio) else ratio
+            levels[c] = int(min(max(levels[c] + move, 0), top))
+        out.append(list(levels))
+    return np.array(out, dtype=np.int64).reshape(len(out), len(levels))
+
+
+def code_levels(q, code):
+    """The integer level of each coordinate's ``q.bits`` bits in
+    ``code``, least significant first."""
+    code = [int(bit) for bit in code]
+    return [
+        sum(bit << j for j, bit in enumerate(code[c : c + q.bits]))
+        for c in range(0, len(code), q.bits)
+    ]
+
+
+def level_code(q, levels):
+    """The ``uint8`` code of integer ``levels``: each one's ``q.bits``
+    low bits, least significant first."""
+    return np.array([(int(level) >> j) & 1 for level in levels for j in range(q.bits)], np.uint8)
 
 
 class RowByRowIteration(QuantizedIteration):
-    """``QuantizedIteration`` that re-encodes its partial sum after every
-    row: the base class's ``update_chunks`` runs one ``update`` per row,
-    the reference the chunked update must equal bit for bit."""
+    """``QuantizedIteration`` that steps its partial sum one row at a
+    time: the base class's ``update_chunks`` runs one ``update`` per row,
+    the reference the chunked update must equal bit for bit.  Each row's
+    ``w = psi(iterate) . x / N`` moves the partial sum's levels as
+    ``snap_sum`` does."""
 
     update_chunks = MemoryBoundedAlgorithm.update_chunks
 
     def update(self, state, t, i, x):
-        q, d = self.quantizer, self.d
+        q, d, half = self.quantizer, self.d, self.state_bits // 2
         if t == 0 and i == 0:
             state = self.start_code
-        values = q.decode(state, 2 * d)
-        w = contract_batch(x[None, :], d, self.psi(values[:d]))[0]
-        partial_bits = q.encode(values[d:] + w / self.n_samples)
+        iterate = q.decode(state[:half], d)
+        w = contract_batch(x[None, :], d, self.psi(iterate))[0] / self.n_samples
+        partial_bits = level_code(q, snap_sum(q, code_levels(q, state[half:]), w[None])[0])
         if i == self.n_samples - 1:
             # Pass boundary: the accumulated sum becomes the iterate and
             # the partial sum resets to the code for zero.
             head, tail = partial_bits, self.reset_code
         else:
-            head, tail = state[: self.state_bits // 2], partial_bits
+            head, tail = state[:half], partial_bits
         # Cast as assigning into a uint8 array would.
         return np.concatenate([head, tail], dtype=np.uint8, casting="unsafe")
 

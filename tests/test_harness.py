@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spikelab import harness
 from spikelab.config import HarnessSettings
 from spikelab.estimators import PowerMethodConfig, tensor_power_method
 from spikelab.harness import (
-    _SNAP_ARRAY_MIN,
     Blackboard,
     BlackboardProtocol,
     MemoryBoundedAlgorithm,
@@ -37,10 +37,10 @@ from spikelab.tensors import contract_batch
 
 from references import (
     charge_runs,
-    levels,
+    code_levels,
+    level_code,
     row_by_row,
     snap,
-    snap_loop,
     snap_sum,
     turn_by_turn,
 )
@@ -345,253 +345,273 @@ def test_a_52_bit_run_on_zero_rows_keeps_a_unit_estimate():
     assert np.linalg.norm(report.estimate) == pytest.approx(1.0)
 
 
+def test_a_nan_contribution_raises_naming_its_pass_and_row():
+    # inf - inf in the contraction has no level; the codec's cast used to
+    # code it as an arbitrary level, and the run returned an estimate.
+    q = QuantizerSpec(8, 1.0)
+    nan_rows = QuantizedIteration(lambda u: np.array([np.inf, -np.inf, 0.0]), q, 3, 4, np.ones(3))
+    profile = ResourceProfile(4, 1, nan_rows.state_bits)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^pass 0, row 0: .*NaN$"):
+        run_memory_bounded(nan_rows, np.ones((4, 9)), profile)
+    # A later pass, the second of two chunks: inf + inf is legal, and
+    # sends a level to the top; row 2 meets inf - inf in coordinate 0.
+    rows = np.zeros((2, 2, 3, 3))
+    rows[:, :, 0], rows[:, :, 1] = 1.0, -1.0
+    rows[1, 0, 1, 0] = 1.0
+    rows = rows.reshape(2, 2, 9)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^pass 1, row 2: "):
+            nan_rows.update_chunks(nan_rows.start_code, 1, 0, rows)
+    states = nan_rows.update_chunks(nan_rows.start_code, 1, 0, rows[:1])
+    assert code_levels(q, states[0, 3 * q.bits :]) == [255, 255, 255]
+
+
 @contextlib.contextmanager
-def snap_loop_calls():
-    """Record the (starts, columns) of every ``QuantizerSpec._snap_loop`` call."""
+def clamp_walk_calls():
+    """Record the (level, moves) of every ``harness._clamp_walk`` call, one
+    for each column of a walk that leaves the lattice."""
     calls = []
-    loop = QuantizerSpec._snap_loop
+    walk = harness._clamp_walk
 
-    def spy(self, starts, columns):
-        calls.append((list(starts), [list(column) for column in columns]))
-        return loop(self, starts, columns)
+    def spy(level, moves, top):
+        calls.append((level, list(moves)))
+        return walk(level, moves, top)
 
-    with mock.patch.object(QuantizerSpec, "_snap_loop", spy):
+    with mock.patch.object(harness, "_clamp_walk", spy):
         yield calls
 
 
 @st.composite
 def snap_sum_cases(draw):
-    """A codec, a start on its lattice (or exact zero) and rows of steps.
+    """A codec, integer start levels on its lattice and rows of steps.
 
-    Short blocks draw every entry.  Long ones, at or past the array
-    crossover, mix the same kinds of entry from a drawn numpy seed, with
-    a fourth kind like a streamed mean's: normal steps of radius / rows,
-    on which the guess mostly holds.
+    Short blocks draw every entry, infinite ones included.  Long ones
+    mix the same kinds of entry from a drawn numpy seed, with a fourth
+    kind like a streamed mean's: normal steps of radius / rows.  A mix
+    of the clamping kind alone makes every row of a column clamp.
     """
     bits = draw(st.sampled_from([1, 52]) | st.integers(min_value=1, max_value=52))
     if draw(st.booleans()):
-        # step = 2^e exactly, so zero and the lattice plus an odd number
-        # of half steps are exact ties (up to 52 bits).
+        # step = 2^e exactly, so an odd number of half steps is an exact
+        # tie (up to 52 bits).
         radius = (2.0**bits - 1.0) * 2.0 ** draw(st.integers(min_value=-7, max_value=5))
     else:
         radius = draw(st.sampled_from([0.05, 0.7, 1.0, 8.0, 95.0, 1e6]))
     q = QuantizerSpec(bits=bits, radius=radius)
+    top = 2**bits - 1
+    ends = [radius, -radius, 2 * radius, -2 * radius]
     entry = st.one_of(
         st.floats(min_value=-3 * radius, max_value=3 * radius),
         st.integers(min_value=-9, max_value=9).map(lambda h: h * (q.step / 2)),
-        st.sampled_from([radius, -radius, 2 * radius, -2 * radius]),
+        st.sampled_from([*ends, math.inf, -math.inf]),
     )
     if draw(st.booleans()):
         d = draw(st.integers(min_value=1, max_value=4))
-        n_rows = draw(st.integers(min_value=0, max_value=10))
+        n_rows = draw(st.integers(min_value=1, max_value=10))
         steps = np.array(draw(st.lists(entry, min_size=n_rows * d, max_size=n_rows * d)))
     else:
         d = draw(st.integers(min_value=1, max_value=8))
-        n_rows = draw(st.integers(min_value=-(-_SNAP_ARRAY_MIN // d), max_value=300))
+        n_rows = draw(st.integers(min_value=11, max_value=300))
         rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
         shape = (n_rows, d)
         kinds = np.stack([
             rng.uniform(-3 * radius, 3 * radius, shape),
             rng.integers(-9, 10, shape) * (q.step / 2),
-            rng.choice([radius, -radius, 2 * radius, -2 * radius], shape),
+            rng.choice(ends, shape),
             rng.standard_normal(shape) * (radius / n_rows),
         ])
         mix = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4))
         steps = np.take_along_axis(kinds, rng.choice(mix, shape)[None], axis=0)[0]
-    if draw(st.booleans()):
-        start = np.zeros(d)
-    else:
-        start = snap(q, np.array(draw(st.lists(entry, min_size=d, max_size=d))))
+    level = st.sampled_from([0, top, top // 2, (top + 1) // 2]) | st.integers(0, top)
+    start = np.array(draw(st.lists(level, min_size=d, max_size=d)), dtype=np.int64)
     return q, start, steps.astype(np.float64).reshape(n_rows, d)
 
 
 @given(snap_sum_cases())
-@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2), np.array([[5.0, 0.7]])))
-@example((QuantizerSpec(bits=4, radius=7.5), np.zeros(2), np.array([[-7.0, 0.5], [1.0, 2.0]])))
+@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2, np.int64), np.array([[5.0, -0.7]])))
+@example((QuantizerSpec(bits=1, radius=3.0), np.array([0, 1]), np.array([[-9.0, 9.0], [9.0, 1.0]])))
+@example((QuantizerSpec(bits=4, radius=7.5), np.array([15, 0]), np.array([[7.0, -0.5], [-1.0, 2.0]])))
 @settings(max_examples=300, deadline=None)
 def test_snap_sum_equals_the_snap_loop(case):
+    # The walk's levels at every row are the one-row-at-a-time integer
+    # loop's, at 1..52 bits, through clamps at both ends.
     q, start, steps = case
-    with snap_loop_calls() as calls:
-        got = snap_sum(q, start, steps)
-    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
-    if len(steps) == 0:
-        # No row to mark: the start itself, with no loop.
-        assert calls == []
-    elif steps.size < _SNAP_ARRAY_MIN:
-        # The scalar loop takes every coordinate.
-        assert len(calls) == 1 and len(calls[0][0]) == len(start)
-    else:
-        # At most one resumption per coordinate, each after its first
-        # wrong guess, which lies before the last row: never the whole
-        # column, and never an empty one.
-        assert len(calls) <= 1
-        for starts, columns in calls:
-            assert len(starts) == len(columns) <= len(start)
-            assert all(0 < len(column) < len(steps) for column in columns)
+    top = 2**q.bits - 1
+    with clamp_walk_calls() as calls:
+        got = q._walk(start, steps)
+    expected = snap_sum(q, start, steps)
+    assert got.dtype == np.int64 and got.tobytes() == expected.tobytes()
+    # At most one restart per column, each from a level past an end, with
+    # the moves of the rows after it.
+    assert len(calls) <= len(start)
+    for level, moves in calls:
+        assert not 0 <= level <= top
+        assert len(moves) < len(steps)
 
 
 def lattice_block(rows=64, d=4):
     """A codec whose step is 1/4, a start at an odd level, even steps.
 
-    Every step is an even number of lattice steps, so every partial sum
-    is exact, at an odd level and far from both ends: the guess holds on
-    every row unless a test plants a clamp, or a tie (half a step from
-    an odd level rounds up to even; the guess adds rint(0.5) = 0
-    levels).  rows * d is past the array crossover.
+    Every step is an even number of lattice steps (-2, 0 or 2 levels)
+    and the levels stay far from both ends, so no column restarts unless
+    a test plants a clamp.  A planted tie (half a step more) moves its
+    level by the even neighbour of its own move: 2.5 and 0.5 levels
+    round to 2 and 0, -1.5 to -2.
     """
     q = QuantizerSpec(bits=8, radius=255 / 8)
-    assert q.step == 0.25 and rows * d >= _SNAP_ARRAY_MIN
-    start = np.full(d, 129 * q.step - q.radius)
+    assert q.step == 0.25
+    start = np.full(d, 129, dtype=np.int64)
     steps = np.random.default_rng(5).integers(-1, 2, (rows, d)) * (2 * q.step)
     return q, start, steps
+
+
+def moves(q, column):
+    """The level moves of a column of finite steps, rounded half to even."""
+    return [round(w / q.step) for w in column.tolist()]
 
 
 @pytest.mark.parametrize("planted", ["tie", "clamp"])
 @pytest.mark.parametrize("j", [0, 17, 62, 63])
 def test_snap_sum_resumes_the_loop_after_a_planted_miss(planted, j):
     q, start, steps = lattice_block()
-    with snap_loop_calls() as calls:
-        snap_sum(q, start, steps)
+    with clamp_walk_calls() as calls:
+        q._walk(start, steps)
     assert calls == []
     c = 2
     steps[j, c] += q.step / 2 if planted == "tie" else 2 * q.radius
-    with snap_loop_calls() as calls:
-        got = snap_sum(q, start, steps)
-    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
-    if j == len(steps) - 1:
-        # The last row is not guessed: the check computes it, and no
-        # coordinate resumes the loop.
+    with clamp_walk_calls() as calls:
+        got = q._walk(start, steps)
+    assert got.tobytes() == snap_sum(q, start, steps).tobytes()
+    if planted == "tie":
+        # The tie rounds its own move, so no level leaves the lattice.
         assert calls == []
         return
-    # One resumption, of coordinate c, from its true row j.
-    (starts, columns), = calls
-    assert starts == [snap_loop(q, start, steps[: j + 1])[c]]
-    assert columns == [steps[j + 1 :, c].tolist()]
-    # The resumed loop gives every row of coordinate c past j.
-    assert_levels_at_marks(q, start, steps, q._snap_block(start, steps))
+    # One restart, of coordinate c, from its unclamped level at row j,
+    # with the moves after it (none after the last row).  A planted move
+    # of 2 + 255 levels saturates at 2^8.
+    (level, after), = calls
+    planted_move = min(moves(q, steps[j : j + 1, c])[0], 2**q.bits)
+    assert level == start[c] + sum(moves(q, steps[:j, c])) + planted_move
+    assert after == moves(q, steps[j + 1 :, c])
+    assert got[j, c] == 2**q.bits - 1
 
 
 def test_snap_sum_resumes_each_missed_coordinate_once():
     q, start, steps = lattice_block()
-    # Coordinates 0 and 3 miss at rows 5 and 40; 1 and 2 never do.
+    # Coordinates 0 and 3 leave the lattice at rows 5 and 40; 1 and 2
+    # never do.
     steps[5, 0] = -2 * q.radius
     steps[40, 3] = 2 * q.radius
     steps[41, 3] = -3 * q.step
-    with snap_loop_calls() as calls:
-        got = snap_sum(q, start, steps)
-    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
-    (starts, columns), = calls
-    assert starts == [-q.radius, q.radius]
-    assert columns == [steps[6:, 0].tolist(), steps[41:, 3].tolist()]
-
-
-def test_snap_sum_nan_start_passes_through_the_array_path():
-    q, start, steps = lattice_block()
-    start[1] = np.nan
-    with snap_loop_calls() as calls:
-        got = snap_sum(q, start, steps)
-    assert got.tobytes() == snap_loop(q, start, steps).tobytes()
-    assert np.isnan(got[1]) and not np.isnan(got[[0, 2, 3]]).any()
-    # The guessed NaN is the checked NaN bit for bit, so no coordinate
-    # falls back to the loop.
-    assert calls == []
+    with clamp_walk_calls() as calls:
+        got = q._walk(start, steps)
+    assert got.tobytes() == snap_sum(q, start, steps).tobytes()
+    assert [level for level, _ in calls] == [
+        start[0] + sum(moves(q, steps[:6, 0])),
+        start[3] + sum(moves(q, steps[:41, 3])),
+    ]
+    assert calls[0][0] < 0 < 2**q.bits - 1 < calls[1][0]
+    assert [after for _, after in calls] == [moves(q, steps[6:, 0]), moves(q, steps[41:, 3])]
+    assert (got[5, 0], got[40, 3], got[41, 3]) == (0, 255, 252)
 
 
 def test_snap_sum_overflowing_guess_is_silent():
-    # steps / step overflows to +-inf and the running sum meets inf - inf;
-    # the snap loop itself stays finite and warns of nothing.  The step
-    # (about 2.2e-299) is normal, as the codec requires, and small
-    # enough that a 1e10 step overflows.
+    # steps / step would overflow to +-inf; the walk clips each step to
+    # 2^bits lattice steps first, so each move saturates and nothing
+    # warns.  The step (about 2.2e-299) is normal, as the codec requires,
+    # and small enough that a 1e10 step overflows.
     q = QuantizerSpec(bits=52, radius=1e-283)
     steps = np.resize([1e10, -1e10], (64, 4))
     assert 1e10 / q.step == math.inf
+    start = np.zeros(4, dtype=np.int64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = snap_sum(q, np.zeros(4), steps)
-        assert got.tobytes() == snap_loop(q, np.zeros(4), steps).tobytes()
+        got = q._walk(start, steps)
+    assert got.tobytes() == snap_sum(q, start, steps).tobytes()
+    assert got[-1].tolist() == [2**52 - 1, 0, 2**52 - 1, 0]
 
 
-@st.composite
-def last_level_cases(draw):
-    """A ``snap_sum_cases`` block of at least one row, its start NaN in
-    one coordinate in about a quarter of the draws."""
-    q, start, steps = draw(snap_sum_cases().filter(lambda case: len(case[2]) > 0))
-    if draw(st.integers(min_value=0, max_value=3)) == 0:
-        start = start.copy()
-        start[draw(st.integers(min_value=0, max_value=len(start) - 1))] = np.nan
-    return q, start, steps
+def test_walk_saturates_a_1e_161_radius_without_a_warning():
+    # At 1 bit and radius 1e-161, w / step reaches 5e160 for w = 1: a
+    # finite float that no int64 holds.  Saturated at about 2 levels,
+    # every move sends its level to an end.
+    q = QuantizerSpec(bits=1, radius=1e-161)
+    steps = np.array([[1.0, -1.0, 1e300, -math.inf], [-1.0, 1.0, -1e-100, math.inf]])
+    assert abs(steps[0, 0] / q.step) > 2.0**63
+    start = np.array([0, 1, 0, 1], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = q._walk(start, steps)
+    assert got.tolist() == [[1, 0, 1, 0], [0, 1, 0, 1]]
+    assert got.tobytes() == snap_sum(q, start, steps).tobytes()
 
 
-def one_row(nan_start):
+def test_walk_of_4096_saturating_rows_at_52_bits():
+    # 4,096 moves of 2^52 levels sum to 2^64, past int64: unsaturated, a
+    # running sum would wrap.  The walk restarts each column at its first
+    # clamp and keeps every level on the lattice.
+    q = QuantizerSpec(bits=52, radius=1.0)
+    top = 2**52 - 1
+    up = np.full(4096, math.inf)
+    steps = np.stack([up, -up, np.resize([1e300, -1e300], 4096), np.r_[up[:2048], -up[:2048]]], 1)
+    assert 4096 * 2**52 > np.iinfo(np.int64).max
+    start = np.array([0, top, top // 2, 1], dtype=np.int64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = q._walk(start, steps)
+    assert got.tobytes() == snap_sum(q, start, steps).tobytes()
+    assert got[-1].tolist() == [top, 0, 0, 0]
+    assert got.min() >= 0 and got.max() == top
+
+
+def one_row():
     """One row on the ``lattice_block`` codec: an even step, a tie, a
-    clamp past each end, and the start NaN in coordinate 1 if asked."""
-    q = QuantizerSpec(bits=8, radius=255 / 8)
-    start = np.full(4, 129 * q.step - q.radius)
-    if nan_start:
-        start[1] = np.nan
+    clamp past each end."""
+    q, start, _ = lattice_block(rows=1)
     return q, start, np.array([[0.5, q.step / 2, 40.0, -80.0]])
 
 
-def nan_block():
-    q, start, steps = lattice_block()
-    start[1] = np.nan
+def recompute_chunk():
+    """A 64-entry block, the size of one recompute chunk on the bench's
+    protocol point (8 rows of d = 8), with a tie and clamps at both
+    ends."""
+    q, start, steps = lattice_block(rows=8, d=8)
+    steps[0, :3] = [q.step / 2, 40.0, -80.0]
+    steps[7, 3:5] = [40.0, -80.0]
     return q, start, steps
 
 
-def wide_row():
-    """One row of ``_SNAP_ARRAY_MIN`` coordinates: the array path with no
-    row to guess, and a tie, clamps and a NaN start among its columns."""
-    q, start, steps = lattice_block(rows=1, d=_SNAP_ARRAY_MIN)
-    steps[0, :4] = [0.5, q.step / 2, 40.0, -80.0]
-    start[4] = np.nan
-    return q, start, steps
-
-
-@given(last_level_cases())
-@example(lattice_block())  # array path, every guess right
-@example(nan_block())
-@example(one_row(nan_start=False))
-@example(one_row(nan_start=True))
-@example(wide_row())
-@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2), np.array([[5.0, 0.7]])))  # clamp
-@example((QuantizerSpec(bits=4, radius=7.5), np.zeros(2), np.array([[0.5, -0.5]])))  # ties
+@given(snap_sum_cases())
+@example(lattice_block())  # no column restarts
+@example(one_row())
+@example(recompute_chunk())
+@example((QuantizerSpec(bits=52, radius=0.7), np.zeros(2, np.int64), np.array([[5.0, 0.7]])))
+@example((QuantizerSpec(bits=4, radius=7.5), np.array([7, 8]), np.array([[0.5, -0.5]])))  # ties
 @settings(max_examples=300, deadline=None)
 def test_last_levels_equal_the_levels_of_the_snapped_sum(case):
-    # Both sides of _SNAP_ARRAY_MIN: the short path's levels come from
-    # the scalar loop, the long path's from the check's last row.
+    # The last row's levels, the ones a chunk's state holds, are the
+    # integer loop's, and ``_code`` codes them as their low bits.
     q, start, steps = case
-    got = q._snap_block(start, steps)
-    reference = levels(q, snap_loop(q, start, steps[:-1]) + steps[-1])
-    assert got[-1].view(np.int64).tobytes() == reference.view(np.int64).tobytes()
-    assert snap_sum(q, start, steps).tobytes() == snap_loop(q, start, steps).tobytes()
-    assert_levels_at_marks(q, start, steps, got)
+    last = q._walk(start, steps)[-1]
+    expected = snap_sum(q, start, steps)[-1]
+    assert last.tobytes() == expected.tobytes()
+    assert q._code(last).tobytes() == level_code(q, expected).tobytes()
+    assert code_levels(q, q._code(last)) == expected.tolist()
 
 
-def assert_levels_at_marks(q, start, steps, got):
-    """``got`` is a float64 array of ``steps``' shape whose row j holds,
-    bit for bit, the levels of the snap loop's value after row j,
-    computed by ``snap_loop`` from ``start``."""
-    assert got.dtype == np.float64 and got.shape == steps.shape
-    value = np.asarray(start, dtype=np.float64)
-    for j, row in enumerate(got):
-        expected = levels(q, value + steps[j])
-        assert row.view(np.int64).tobytes() == expected.view(np.int64).tobytes(), j
-        value = snap_loop(q, value, steps[j : j + 1])
-
-
-@given(last_level_cases(), st.data())
+@given(snap_sum_cases(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_marked_levels_equal_the_snap_loop_at_every_mark(case, data):
-    # Every row, on both sides of _SNAP_ARRAY_MIN.  A planted clamp or tie
-    # makes its coordinate resume the loop after it on the array path,
-    # and the loop's levels must fill every later row of that column.
+    # Every row, with a planted clamp past either end or a tie: a clamp
+    # restarts its column, and the restart's levels fill every later row
+    # of that column.
     q, start, steps = case
     n_rows, d = steps.shape
     j = data.draw(st.integers(min_value=0, max_value=n_rows - 1))
     c = data.draw(st.integers(min_value=0, max_value=d - 1))
     steps = steps.copy()
     steps[j, c] = data.draw(st.sampled_from([q.step / 2, 2 * q.radius, -2 * q.radius]))
-    assert_levels_at_marks(q, start, steps, q._snap_block(start, steps))
+    assert q._walk(start, steps).tobytes() == snap_sum(q, start, steps).tobytes()
 
 
 def shift_mask_encode(q, values):
@@ -1690,8 +1710,8 @@ def test_protocol_object_reused_on_a_second_stream():
 def quantized_runs(draw, max_d=(6, 5, 4)):
     """A QuantizedIteration with its stream, shard size and pass count.
 
-    About half the draws have shards long enough that a whole shard's
-    block (its rows times d) takes the array path of ``_snap_block``.
+    About half the draws have long shards, 24 to 88 rows, whose partial
+    sums often clamp and restart mid-shard at the small radii.
     """
     k = draw(st.sampled_from([2, 3, 4]))
     d = draw(st.integers(min_value=2, max_value=max_d[k - 2]))
@@ -1699,8 +1719,7 @@ def quantized_runs(draw, max_d=(6, 5, 4)):
         n = draw(st.integers(min_value=1, max_value=4))
         n_samples = n * draw(st.integers(min_value=1, max_value=4))
     else:
-        shortest = -(-_SNAP_ARRAY_MIN // d)
-        n = draw(st.integers(min_value=shortest, max_value=shortest + 8))
+        n = draw(st.integers(min_value=24, max_value=88))
         n_samples = n * draw(st.integers(min_value=1, max_value=2))
     passes = draw(st.integers(min_value=1, max_value=3))
     q = QuantizerSpec(
@@ -1728,7 +1747,7 @@ def test_update_chunks_equals_per_sample_loop_over_any_split(run, data):
     fast = reference = np.zeros(algo.state_bits, dtype=np.uint8)
     for t in range(passes):
         # Any cuts in a short pass; at most three in a long one, so that
-        # its blocks often stay past the array crossover.
+        # its blocks often stay long.
         cuts = data.draw(
             st.sets(
                 st.integers(min_value=1, max_value=max(1, n_samples - 1)),
