@@ -11,7 +11,6 @@ and a Rayleigh-quotient stabilization check.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -590,10 +589,9 @@ def _row_peaks(p: np.ndarray) -> np.ndarray:
 def _cca_table(proj: list[np.ndarray], trunc: float) -> np.ndarray:
     """Clipped empirical product moments of ``brute_force_cca``.
 
-    Entry ``(h, c)`` is ``mean_i clip(proj[0][i, h_1] * .. * proj[k-1][i,
-    c])`` over all tuples in ``itertools.product`` order, row h holding
-    head h's block of last factors.  ``brute_force_cca`` describes the
-    fill.
+    Entry ``w`` of the k-way ``(m, .., m)`` table is ``mean_i
+    clip(proj[0][i, w_1] * .. * proj[k-1][i, w_k])``.
+    ``brute_force_cca`` describes the fill.
     """
     n, m = proj[0].shape
     size = m ** len(proj)
@@ -614,7 +612,28 @@ def _cca_table(proj: list[np.ndarray], trunc: float) -> np.ndarray:
             np.minimum(np.maximum(prod[i], -trunc, out=prod[i]), trunc, out=prod[i])
         # row 0 carries the running sums
         np.add.reduce(work[: hi - lo + 1], axis=0, out=work[0])
-    return (work[0] / n).reshape(-1, m)
+    return (work[0] / n).reshape((m,) * len(proj))
+
+
+def _cca_scores(table, gram, snr, cands) -> np.ndarray:
+    """Full scores of ``brute_force_cca``'s candidates at flat indices
+    ``cands``: ``max_w |table[w] - model_u[w]|``, where ``model_u[w] =
+    g[u_1, w_1] * .. * g[u_k, w_k] * snr`` is multiplied left to right,
+    for a slice of ``max(1, _CCA_MODEL // m**k)`` candidates at a time."""
+    m = len(gram)
+    rows = max(1, _CCA_MODEL // table.size)
+    work = np.empty((min(rows, len(cands)), table.size))
+    scores = np.empty(len(cands))
+    for lo, hi in _spans(len(cands), rows):
+        pre, *rest = (gram[i] for i in np.unravel_index(cands[lo:hi], table.shape))
+        for g in rest[:-1]:
+            pre = (pre[:, :, None] * g[:, None, :]).reshape(hi - lo, -1)
+        block = work[: hi - lo]
+        np.multiply(pre[:, :, None], rest[-1][:, None, :], out=block.reshape(hi - lo, -1, m))
+        block *= snr
+        np.abs(np.subtract(table.reshape(-1), block, out=block), out=block)
+        scores[lo:hi] = block.max(axis=1)
+    return scores
 
 
 def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport:
@@ -628,12 +647,28 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     to an adversary table of at most 10^6 entries (``m**k``), or it raises
     ``MemoryError``.  A batch holding a NaN or inf raises ``ValueError``.
 
-    The search costs m^(2k) score entries for an m-point net.  It holds
-    the k ``(n, m)`` projections, a few length-n vectors, the m^k-entry
-    moment table with a workspace of ``b + 1`` table rows while it
-    fills, and one model block for a slice of candidates, at most
-    ``max(_CCA_MODEL, m**k)`` entries.  The budget keeps m at most 1,000,
-    below ``_NET_BLOCK``.
+    A candidate's score maxes ``|table[w] - model[w]|`` over all m^k
+    adversaries w.  Its gap, that one entry at the table's largest
+    ``|table[p]|`` (the first such p), is computed with the score's own
+    IEEE operations in the same order, so it is one of the entries the
+    score maxes over and bounds the score below, bit for bit.  The
+    smallest-gap candidate (the first) is scored in full, and its score
+    is the bound.  A candidate whose score equals the minimum has a gap
+    at most that minimum, hence at most the bound, so scoring in full
+    only the candidates with gap <= bound, in ``itertools.product``
+    order, finds the same minimum and the same lowest tuple as scoring
+    all of them.  ``info["scored"]`` counts the full scores, the bound's
+    included: the search costs m^k gap entries plus m^k entries per
+    full score, at worst m^(2k) + m^k at snr 0, where every gap is its
+    candidate's score.
+
+    For an m-point net the search holds the k ``(n, m)`` projections, a
+    few length-n vectors, the m^k-entry moment table with a workspace
+    of ``b + 1`` table rows while it fills, the m^k-entry gap vector,
+    the survivors' indices and scores (m^k each at worst), and one
+    model block for a slice of candidates, at most ``max(_CCA_MODEL,
+    m**k)`` entries.  The budget keeps m at most 1,000, below
+    ``_NET_BLOCK``.
 
     The table fills ``b = max(1, _CCA_MODEL // m**k)`` samples at a
     time.  Each sample's m^k products are formed by chained ``einsum``
@@ -661,34 +696,23 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
     proj = [views[:, l, :] @ net.T for l in range(k)]  # each (n, m)
     table = _cca_table(proj, cfg.trunc)
 
-    # Model moments snr * g[h_1, w_1] .. g[h_{k-1}, w_{k-1}] * g[c, y] of
-    # candidate (h, c), multiplied left to right, for a slice of c.
     gram = net @ net.T
-    rows = max(1, _CCA_MODEL // m**k)
-    model = np.empty(min(rows, m) * m**k)
-    best_score = math.inf
-    best_tuple = (0,) * k
-    for head in itertools.product(range(m), repeat=k - 1):
-        outer = gram[head[0]]
-        for i in head[1:]:
-            outer = np.multiply.outer(outer, gram[i]).reshape(-1)
-        for lo, hi in _spans(m, rows):
-            block = model[: (hi - lo) * m**k].reshape(hi - lo, -1, m)
-            np.multiply(outer[None, :, None], gram[lo:hi, None, :], out=block)
-            block *= spec.snr
-            np.abs(np.subtract(table, block, out=block), out=block)
-            scores = block.reshape(hi - lo, -1).max(axis=1)
-            local = int(np.argmin(scores))
-            if scores[local] < best_score:
-                best_score = float(scores[local])
-                best_tuple = (*head, lo + local)
+    top = np.unravel_index(int(np.argmax(np.abs(table))), table.shape)
+    gap = outer_product([gram[:, w] for w in top]) * spec.snr
+    np.abs(np.subtract(table[top], gap, out=gap), out=gap)
+    bound = _cca_scores(table, gram, spec.snr, np.argmin(gap, keepdims=True))[0]
+    survivors = np.flatnonzero(gap <= bound)
+    scores = _cca_scores(table, gram, spec.snr, survivors)
+    best = int(np.argmin(scores))
+    best_tuple = tuple(int(i) for i in np.unravel_index(survivors[best], table.shape))
 
     flat = outer_product([net[i] for i in best_tuple])
     truth = _tensor_truth(spec)
     info = {
-        "objective": best_score,
+        "objective": float(scores[best]),
         "net_size": m,
         "net_indices": best_tuple,
+        "scored": 1 + len(survivors),
     }
     return build_report(t0, flat, truth, m**k, True, info)
 

@@ -423,7 +423,10 @@ class QuantizedIteration(MemoryBoundedAlgorithm):
         if t == 0 and i0 == 0:
             state = self.start_code
         levels = q._bit_levels(state, 2 * d)
-        w = (self.psi(levels[:d] * q.step - q.radius) @ rows.reshape(total, -1, d)) / n
+        u = self.psi(levels[:d] * q.step - q.radius)
+        # the NaN that inf - inf leaves is named below, not warned about
+        with np.errstate(invalid="ignore"):
+            w = (u @ rows.reshape(total, -1, d)) / n
         nan = np.isnan(w)
         if nan.any():
             row = i0 + int(nan.any(axis=1).argmax())

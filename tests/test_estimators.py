@@ -2,16 +2,19 @@
 
 import itertools
 import math
+import pathlib
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spikelab import cli
 from spikelab import estimators as est
+from spikelab.config import iteration_seed, parse_config
 from spikelab.estimators import (
     BruteForceConfig,
     PowerMethodConfig,
@@ -620,6 +623,9 @@ def test_brute_force_cca_null_tie_breaks_to_first_tuple():
     # snr = 0 makes every candidate tuple score identically, so the
     # lowest-index tie break must pick the first tuple.
     assert report.info["net_indices"] == (0, 0)
+    # every gap equals every score, so no candidate is pruned, and the
+    # smallest-gap candidate is scored once more for the bound
+    assert report.info["scored"] == report.info["net_size"] ** 2 + 1
 
 
 def test_brute_force_cca_guards():
@@ -916,13 +922,29 @@ def _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch):
     assert report.info["objective"].hex() == objective.hex()
     assert report.info["net_indices"] == indices
     assert report.estimate.tobytes() == outer_product([net[i] for i in indices]).tobytes()
+    # at snr 0 every gap is every score, and no candidate is pruned
+    assert 2 <= report.info["scored"] <= m**k + 1
+    assert batch.spec.snr > 0 or report.info["scored"] == m**k + 1
+    return report
 
 
-def _cca_batch(k, d, n, seed):
-    # snr 0.37, not a power of two, so the model's rounding depends on the
-    # order of its factors
-    spec = ModelSpec.cca(k=k, d=d, snr=0.37, seed=seed)
+def _cca_batch(k, d, n, seed, snr=0.37):
+    # snr 0.37 by default, not a power of two, so the model's rounding
+    # depends on the order of its factors
+    spec = ModelSpec.cca(k=k, d=d, snr=snr, seed=seed)
     return sample_cca(spec, n=n, seed=seed + 1)
+
+
+def _smallest_gap_tuple(batch, cfg):
+    """The candidate ``brute_force_cca`` fully scores first: the smallest
+    ``|table[p] - model_u[p]|`` at the largest-magnitude table entry p."""
+    net = sphere_net(batch.spec.d, cfg.delta, cfg.seed, cfg.probes)
+    views = batch.views()
+    table = est._cca_table([views[:, l, :] @ net.T for l in range(batch.spec.k)], cfg.trunc)
+    top = np.unravel_index(np.argmax(np.abs(table)), table.shape)
+    gram = net @ net.T
+    gap = np.abs(table[top] - outer_product([gram[:, w] for w in top]) * batch.spec.snr)
+    return tuple(int(i) for i in np.unravel_index(np.argmin(gap), table.shape))
 
 
 def _sample_bounds(batch, net):
@@ -953,12 +975,16 @@ def _clip_level(clip, bound, pick):
     kind=st.sampled_from(["1", "3", "7", "m-1", "m+1"]),
     clip=st.sampled_from(["some", "none", "all", "exact"]),
     pick=st.integers(0, 199),
+    snr=st.sampled_from([0.37, 0.37, 0.37, 0.1, 0.0]),
 )
-def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind, clip, pick):
+# The winner is the smallest-gap candidate and scores its gap, so it
+# survives only if the gap is computed with the score's own roundings.
+@example(d=2, k=3, delta=0.7, n=3, seed=16194, kind="1", clip="none", pick=0, snr=0.37)
+def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind, clip, pick, snr):
     if d == 3:
         # a d = 3 net of up to 48 points: k = 3 would score m^6 entries
         k, delta = 2, max(delta, 1.0)
-    batch = _cca_batch(k, d, n, seed)
+    batch = _cca_batch(k, d, n, seed, snr)
     trunc = _clip_level(clip, _sample_bounds(batch, sphere_net(d, delta, seed, 100)), pick)
     cfg = BruteForceConfig(delta=delta, trunc=trunc, seed=seed, probes=100)
     with pytest.MonkeyPatch.context() as monkeypatch:
@@ -982,12 +1008,42 @@ def test_cca_table_clip_edges_are_bit_identical(k, kind, clip, monkeypatch):
 
 @pytest.mark.parametrize("kind", ["1", "7", "m+1"])
 def test_blocked_cca_search_is_bit_identical_on_a_90_point_net(kind, monkeypatch):
-    # d = 2, delta = 0.07 gives 90 points: 8,100 candidates, and the
-    # default _CCA_MODEL cuts each head's model into 12 slices
+    # d = 2, delta = 0.07 gives 90 points: 8,100 candidates, of which
+    # 1,155 are scored in full
     batch = _cca_batch(2, 2, 64, 11)
     cfg = BruteForceConfig(delta=0.07, trunc=4.0)
     assert len(sphere_net(2, 0.07)) == 90
     _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
+
+
+def test_cca_search_scores_few_candidates_at_the_verify_oracles_point():
+    # the brute-force cca point of the benchmark's verify-oracles workload,
+    # drawn as ``sweep`` draws each of its two seeds
+    ini = pathlib.Path(__file__).parent / "data/fingerprint/cca-k2-fine-brute-force.ini"
+    config = parse_config(ini)
+    for seed in config.seeds:
+        _, batch = cli.draw(config, config.samples_grid[0], seed)
+        cfg = BruteForceConfig(**config.estimator_options, seed=iteration_seed(seed))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            report = _assert_cca_slices_equal_whole_blocks(batch, cfg, "m+1", monkeypatch)
+        assert report.info["net_size"] == 32
+        assert report.info["scored"] <= 0.1 * 32**2
+
+
+@pytest.mark.parametrize(
+    "k, snr, seed, first, won",
+    [(2, 0.5, 1, (11, 15), (0, 5)), (3, 0.4, 2, (3, 6, 6), (3, 0, 0))],
+)
+def test_cca_search_winner_need_not_be_the_smallest_gap(k, snr, seed, first, won, monkeypatch):
+    # the smallest-gap candidate only sets the bound; a planted spike is
+    # still found by the survivors' full scores
+    batch = sample_cca(ModelSpec.cca(k=k, d=2, snr=snr, seed=seed), n=2000, seed=seed + 100)
+    cfg = BruteForceConfig(delta=0.3 if k == 2 else 0.6, trunc=4.0)
+    assert _smallest_gap_tuple(batch, cfg) == first
+    report = _assert_cca_slices_equal_whole_blocks(batch, cfg, "7", monkeypatch)
+    assert report.info["net_indices"] == won
+    assert report.info["scored"] < report.info["net_size"] ** k
+    assert report.overlap >= 0.9
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 (every estimator in plain mode, the bounded-llr ngca measure, whose
 sampler is the rejection loop, the k=3 cca net search, a 1,600-point
 ngca net in two ``_NET_BLOCK`` chunks, a d=4 ngca net sized by the
-doubling loop, a 96-point d=3 k=2 cca net in 14 model slices,
+doubling loop, a 96-point d=3 k=2 cca net (259 of its 9,216
+candidates scored in full, seven a model slice), the cca net search of
+the benchmark's ``verify-oracles`` workload on its own 32-point net,
 ``[harness]`` tpca k=2 and k=4 partial trace, ``[distributed]`` with
 shard_rows 8 and with 300 two-row machines, whose writer log is uint16),
 their two ``reduce --out`` transcripts and the five ``verify``

@@ -351,7 +351,7 @@ def test_a_nan_contribution_raises_naming_its_pass_and_row():
     q = QuantizerSpec(8, 1.0)
     nan_rows = QuantizedIteration(lambda u: np.array([np.inf, -np.inf, 0.0]), q, 3, 4, np.ones(3))
     profile = ResourceProfile(4, 1, nan_rows.state_bits)
-    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"^pass 0, row 0: .*NaN$"):
+    with pytest.raises(ValueError, match=r"^pass 0, row 0: .*NaN$"):
         run_memory_bounded(nan_rows, np.ones((4, 9)), profile)
     # A later pass, the second of two chunks: inf + inf is legal, and
     # sends a level to the top; row 2 meets inf - inf in coordinate 0.
@@ -359,9 +359,8 @@ def test_a_nan_contribution_raises_naming_its_pass_and_row():
     rows[:, :, 0], rows[:, :, 1] = 1.0, -1.0
     rows[1, 0, 1, 0] = 1.0
     rows = rows.reshape(2, 2, 9)
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(ValueError, match=r"^pass 1, row 2: "):
-            nan_rows.update_chunks(nan_rows.start_code, 1, 0, rows)
+    with pytest.raises(ValueError, match=r"^pass 1, row 2: "):
+        nan_rows.update_chunks(nan_rows.start_code, 1, 0, rows)
     states = nan_rows.update_chunks(nan_rows.start_code, 1, 0, rows[:1])
     assert code_levels(q, states[0, 3 * q.bits :]) == [255, 255, 255]
 
