@@ -65,14 +65,20 @@ def batch_to_bytes(batch: SampleBatch) -> bytes:
 def batch_from_bytes(buf: bytes) -> SampleBatch:
     if len(buf) < _HEADER.size:
         raise ValueError("container shorter than its header")
-    magic, version, code, k, d, n, snr, seed, flags, _ = _HEADER.unpack_from(buf)
+    magic, version, code, k, d, n, snr, seed, flags, reserved = _HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if version != LAYOUT_VERSION:
         raise ValueError(f"unsupported layout version {version}")
     if code not in _CODE_PROBLEMS:
         raise ValueError(f"unknown problem code {code}")
+    if flags & ~_FLAG_LABELS or reserved:
+        raise ValueError(f"unknown flags {flags:#x} or nonzero reserved field {reserved:#x}")
     spec = ModelSpec(problem=_CODE_PROBLEMS[code], k=k, d=d, snr=snr)
+    if spec.problem in ("tpca", "atpca") and d > 1 and k >= 64:  # refused before d**k is taken
+        raise ValueError(
+            f"container holds {len(buf)} bytes, layout implies rows of {d}^{k} entries"
+        )
     row_length = spec.row_length
     expect = _HEADER.size + 8 * n * row_length
     has_labels = bool(flags & _FLAG_LABELS)

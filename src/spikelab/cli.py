@@ -8,12 +8,12 @@ Verbs:
     sample <config>   draw one batch and dump the binary container
     reduce <config>   replay the streaming run as a one-bit protocol
 
-Every verb takes ``--budget-entries`` (dense-tensor entry guard for
-this call only).  The three config verbs take ``--seed`` (replace the
-configured seed list, may be repeated) and ``--out`` (output path), and
-``sweep`` alone takes ``--threads`` (worker pool size).  Counts must be
->= 1, and a verb rejects a flag it does not read.  The config grammar
-and all output formats are documented in docs/formats.md.
+The three config verbs take ``--seed`` (replace the configured seed
+list, may be repeated) and ``--out`` (output path), and ``sweep`` alone
+takes ``--threads`` (worker pool size).  Counts must be >= 1, and a verb
+rejects a flag it does not read.  No flag changes the dense-tensor entry
+guard, ``tensors.ENTRY_BUDGET``: a call that needs more exits 2.  The
+config grammar and all output formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import replay, run_memory_bounded, streaming_run
 from spikelab.measures import NonGaussMeasure
 from spikelab.models import SAMPLERS, ModelSpec
-from spikelab.tensors import check_count, overlap, set_entry_budget
+from spikelab.tensors import check_count, overlap
 from spikelab.verify import SUITES, CheckResult, replay_checks, run_verification
 
 CSV_VERSION = "spikelab-sweep-v1"
@@ -227,12 +227,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="spikelab",
         description="Planted tensor and projection models under resource bounds.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--budget-entries", type=int, help="dense tensor entry budget override"
-    )
     # The config verbs: a config path, a seed list and an output path.
-    configured = argparse.ArgumentParser(add_help=False, parents=[common])
+    configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("config")
     configured.add_argument(
         "--seed", type=int, action="append", help="replace the seed list (repeatable)"
@@ -241,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
     p_sweep = sub.add_parser("sweep", parents=[configured], help="run a config grid")
     p_sweep.add_argument("--threads", type=int, default=1, help="worker pool size")
-    p_verify = sub.add_parser("verify", parents=[common], help="run a check suite")
+    p_verify = sub.add_parser("verify", help="run a check suite")
     p_verify.add_argument("suite", choices=SUITES)
     sub.add_parser("sample", parents=[configured], help="dump one batch")
     sub.add_parser("reduce", parents=[configured], help="streaming vs distributed replay")
@@ -255,18 +251,12 @@ def main(argv=None) -> int:
         "sample": _cmd_sample,
         "reduce": _cmd_reduce,
     }
-    prev_budget = None
     try:
         args = _parser().parse_args(argv)
-        if args.budget_entries is not None:
-            prev_budget = set_entry_budget(args.budget_entries)
         return handlers[args.verb](args)
     except (ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    finally:
-        if prev_budget is not None:
-            set_entry_budget(prev_budget)
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import numpy as np
 from spikelab.measures import gaussian_moment
 from spikelab.models import SampleBatch, expect_problem
 from spikelab.tensors import (
-    DEFAULT_ENTRY_BUDGET,
+    ENTRY_BUDGET,
     check_count,
     check_entry_budget,
     check_even,
@@ -271,10 +271,9 @@ def cca_matricization_estimator(
     check_even("cca matricization", spec.k)
     t0 = time.perf_counter()
     d, k = spec.d, spec.k
-    check_entry_budget(d**k, "cross-moment tensor")
+    check_entry_budget("cross-moment tensor", d, k)
     views = batch.views()
-    # The block sets the summation order, so a budget override must not size it.
-    block = max(1, min(4096, DEFAULT_ENTRY_BUDGET // max(d**k, 1) // 4))
+    block = max(1, min(4096, ENTRY_BUDGET // max(d**k, 1) // 4))
     acc = np.zeros(d**k)
     for start in range(0, batch.n, block):
         part = views[start : start + block]
@@ -458,18 +457,21 @@ def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np
     check_count("probes", probes)
     if d == 1:
         return np.array([[1.0], [-1.0]])
-    if d == 2:
-        step = 2.0 * math.asin(min(delta, 2.0) / 2.0)
-        count = max(4, math.ceil(2.0 * math.pi / step))
-        if count > _MAX_NET:
-            raise MemoryError(f"net for d=2, delta={delta} exceeds the {_MAX_NET}-point budget")
-        angles = 2.0 * math.pi * np.arange(count) / count
-        return np.column_stack([np.cos(angles), np.sin(angles)])
+    try:
+        if d == 2:
+            step = 2.0 * math.asin(min(delta, 2.0) / 2.0)
+            count = max(4, math.ceil(2.0 * math.pi / step))
+        else:
+            count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
+    except (OverflowError, ZeroDivisionError):  # a count past the float range
+        count = math.inf
     rng = np.random.default_rng(seed)
-    count = max(2 * d, math.ceil(4.0 * delta ** (1 - d)))
     while True:
         if count > _MAX_NET:
             raise MemoryError(f"net for d={d}, delta={delta} exceeds the {_MAX_NET}-point budget")
+        if d == 2:  # the grid needs no coverage check
+            angles = 2.0 * math.pi * np.arange(count) / count
+            return np.column_stack([np.cos(angles), np.sin(angles)])
         net = _normalize_rows(rng.standard_normal((count, d)))
         q = _normalize_rows(rng.standard_normal((probes, d)))
         # a chunk's farthest probe is the one with the lowest best dot

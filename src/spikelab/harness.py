@@ -329,7 +329,7 @@ def partial_trace_template(k: int, d: int):
     check_count("k", k, low=2)
     check_count("d", d)
     check_even("partial-trace template", k)
-    check_entry_budget(d ** (k - 1), "partial-trace template")
+    check_entry_budget("partial-trace template", d, k - 1)
     eye_flat = np.eye(d).reshape(-1)
 
     def psi(u: np.ndarray) -> np.ndarray:

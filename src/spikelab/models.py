@@ -40,6 +40,7 @@ def cca_critical_snr(k: int) -> float:
 
 def _rademacher(rng: np.random.Generator, d: int) -> np.ndarray:
     check_count("d", d)  # before numpy reads it as a size
+    check_entry_budget("direction", d)
     return rng.choice([-1.0, 1.0], size=d)
 
 
@@ -49,6 +50,7 @@ def _planted_factors(k, d, indices, factors, seed) -> tuple:
     not given either, at indices drawn from ``seed``."""
     check_count("k", k)  # before numpy reads them as sizes
     check_count("d", d)
+    check_entry_budget(f"order-{k} factors", d, rows=k)
     if factors is None:
         if indices is None:
             rng = np.random.default_rng(check_count("seed", seed, low=0))
@@ -110,6 +112,7 @@ class ModelSpec:
             ):
                 raise ValueError("tpca factors must each equal its direction")
             if self.direction is not None:
+                check_entry_budget(f"order-{self.k} factors", self.d, rows=self.k)
                 factors = (self.direction,) * self.k
         object.__setattr__(self, "factors", factors)
         measure = self.measure
@@ -246,7 +249,7 @@ class SampleBatch:
 
 def _sample_spiked_tensor(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     check_count("n", n)
-    check_entry_budget(n * spec.row_length, f"{spec.problem} batch")
+    check_entry_budget(f"{spec.problem} batch", spec.d, spec.k, rows=n)
     rng = np.random.default_rng(check_count("seed", seed, low=0))
     data = rng.standard_normal((n, spec.row_length))
     data += rank1_densify(spec.factors, spec.snr)
@@ -277,7 +280,7 @@ def sample_ngca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     if spec.measure is None:
         raise ValueError("ngca spec has no measure to sample from")
     check_count("n", n)
-    check_entry_budget(n * spec.d, "ngca batch")
+    check_entry_budget("ngca batch", spec.d, rows=n)
     rng = np.random.default_rng(check_count("seed", seed, low=0))
     eta = spec.measure.sample(n, rng)
     z = rng.standard_normal((n, spec.d))
@@ -296,7 +299,7 @@ def sample_cca(spec: ModelSpec, n: int, seed: int) -> SampleBatch:
     """
     expect_problem(spec, "cca")
     check_count("n", n)
-    check_entry_budget(n * spec.row_length, "cca batch")
+    check_entry_budget("cca batch", spec.row_length, rows=n)
     rate = spec.snr / cca_critical_snr(spec.k)
     factors = np.stack(spec.factors)  # (k, d)
     rng = np.random.default_rng(check_count("seed", seed, low=0))

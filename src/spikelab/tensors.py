@@ -7,11 +7,11 @@ Tensors are stored as 1-d float64 arrays of length ``d**k`` in C order,
 so ``entries[i_1 * d^{k-1} + .. + i_k]`` is the ``(i_1, .., i_k)``
 entry and ``entries.reshape((d,) * k)`` is always a no-copy view.
 
-A module-level entry budget guards against accidentally materializing
-something enormous.  ``set_entry_budget`` adjusts it (the CLI exposes
-this as ``--budget-entries``).  ``is_count`` (and ``check_count`` on
-it), ``check_real``, ``check_snr``, ``check_even`` and ``unit`` are
-input rules that every layer shares.
+``check_entry_budget`` guards every dense allocation against
+materializing something enormous: ``ENTRY_BUDGET`` float64 entries at
+most, a fixed constant that no flag, key or call changes.  ``is_count``
+(and ``check_count`` on it), ``check_real``, ``check_snr``,
+``check_even`` and ``unit`` are input rules that every layer shares.
 """
 
 from __future__ import annotations
@@ -21,28 +21,23 @@ import numbers
 
 import numpy as np
 
-DEFAULT_ENTRY_BUDGET = 10**8
-
-_entry_budget = DEFAULT_ENTRY_BUDGET
+ENTRY_BUDGET = 10**8
 
 
-def entry_budget() -> int:
-    return _entry_budget
+def check_entry_budget(what: str, base: int, power: int = 1, rows: int = 1) -> None:
+    """``MemoryError`` when ``rows`` rows of ``base**power`` float64
+    entries would pass ``ENTRY_BUDGET``.
 
-
-def set_entry_budget(budget: int) -> int:
-    """Set the dense-entry allocation cap and return the previous one."""
-    global _entry_budget
-    prev = _entry_budget
-    _entry_budget = check_count("entry budget", budget)
-    return prev
-
-
-def check_entry_budget(n_entries: int, what: str = "allocation") -> None:
-    if n_entries > _entry_budget:
-        raise MemoryError(
-            f"{what} needs {n_entries} entries, over the budget of {_entry_budget}"
-        )
+    The bit lengths of ``rows`` and ``base`` bound the count below by
+    2^bits.  From 2^64 on the count is not built: it fails at once with
+    that bound, so a huge order neither stalls on the power nor prints a
+    number of unbounded length.
+    """
+    base, power, rows = int(base), int(power), int(rows)
+    bits = rows.bit_length() - 1 + power * (base.bit_length() - 1) if base > 1 and rows else 0
+    count = f"at least 2^{bits}" if bits >= 64 else rows * base**power
+    if bits >= 64 or count > ENTRY_BUDGET:
+        raise MemoryError(f"{what} needs {count} entries, over the budget of {ENTRY_BUDGET}")
 
 
 def check_finite(data, name: str) -> None:
@@ -115,7 +110,7 @@ def rank1_densify(factors, snr: float) -> np.ndarray:
     if not factors:
         raise ValueError("need at least one factor")
     k, d = len(factors), len(factors[0])
-    check_entry_budget(d**k, f"order-{k} rank-one tensor on R^{d}")
+    check_entry_budget(f"order-{k} rank-one tensor on R^{d}", d, k)
     scale = snr / math.sqrt(float(d) ** k)
     return scale * outer_product(factors)
 
@@ -124,7 +119,7 @@ def outer_power(u: np.ndarray, power: int) -> np.ndarray:
     """Flat entries of ``u^{(x) power}``, length ``len(u)**power``."""
     check_count("power", power)
     u = np.asarray(u, dtype=np.float64)
-    check_entry_budget(u.size**power, f"order-{power} outer power")
+    check_entry_budget(f"order-{power} outer power", u.size, power)
     return outer_product((u,) * power)
 
 

@@ -1,9 +1,12 @@
 """Binary batch container: round trips, layout stability, corruption."""
 
 import struct
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikelab.batchio import (
     batch_from_bytes,
@@ -110,3 +113,62 @@ def test_label_flag_drives_payload_length():
         len(batch_to_bytes(labeled))
         == 52 + 8 * labeled.n * (labeled.spec.row_length + 1)
     )
+
+
+def test_unknown_flags_and_a_nonzero_reserved_field_are_rejected():
+    # a loader that ignored them accepted a container it would not write
+    buf = batch_to_bytes(example_batches()["tpca"])
+    for offset, byte in [(44, 2), (47, 128), (48, 1), (51, 255)]:
+        bad = bytearray(buf)
+        bad[offset] ^= byte
+        with pytest.raises(ValueError, match="unknown flags .* or nonzero reserved field"):
+            batch_from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("problem", [1, 2])
+def test_a_huge_tensor_order_is_refused_before_its_power(problem):
+    # k = 2^25 at d = 3 spent about 19 s on d**k, then raised Python's
+    # int-to-string error instead of naming the length mismatch
+    header = struct.pack("<4sIIIIQdQII", b"SPKB", 1, problem, 2**25, 3, 1, 0.5, 9, 0, 0)
+    t0 = time.perf_counter()
+    message = r"container holds 52 bytes, layout implies rows of 3\^33554432 entries"
+    with pytest.raises(ValueError, match=message):
+        batch_from_bytes(header)
+    assert time.perf_counter() - t0 < 0.1
+    # below k = 64 the power is taken and the length compared
+    header = struct.pack("<4sIIIIQdQII", b"SPKB", 1, problem, 63, 2**32 - 1, 1, 0.5, 9, 0, 0)
+    with pytest.raises(ValueError, match=f"layout implies {52 + 8 * (2**32 - 1) ** 63}$"):
+        batch_from_bytes(header)
+
+
+_CONTAINERS = {name: batch_to_bytes(batch) for name, batch in example_batches().items()}
+
+
+@given(
+    name=st.sampled_from(sorted(_CONTAINERS)),
+    cut=st.integers(0, 10**6),
+    # half of the flips land in the 52-byte header
+    flips=st.lists(
+        st.tuples(st.one_of(st.integers(0, 51), st.integers(0, 10**6)), st.integers(1, 255)),
+        max_size=3,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_truncated_or_flipped_containers_raise_or_round_trip(name, cut, flips):
+    # A truncated container raises ValueError.  A flipped one raises it,
+    # or is a valid container that writes back to the same bytes, as a
+    # flip of a payload, seed or snr byte can be; no case takes long.
+    buf = _CONTAINERS[name]
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        batch_from_bytes(buf[: cut % len(buf)])
+    flipped = bytearray(buf)
+    for offset, byte in flips:
+        flipped[offset % len(buf)] ^= byte
+    try:
+        loaded = batch_from_bytes(bytes(flipped))
+    except ValueError:
+        pass
+    else:
+        assert batch_to_bytes(loaded) == flipped
+    assert time.perf_counter() - t0 < 0.5

@@ -1,9 +1,12 @@
 """Config parsing, sweep determinism, CLI verbs."""
 
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -26,7 +29,6 @@ from spikelab.config import (
 from spikelab.estimators import ESTIMATOR_SCOPES, ESTIMATORS
 from spikelab.harness import TEMPLATES, Blackboard, QuantizerSpec, ResourceProfile
 from spikelab.measures import KINDS, NonGaussMeasure
-from spikelab.tensors import entry_budget
 from spikelab.verify import SUITES
 
 BASE = """
@@ -560,33 +562,45 @@ def test_main_bad_config_exit_code(tmp_path, capsys):
     [
         ["--threads", "0"],
         ["--threads", "-4"],
-        ["--budget-entries", "0"],
-        ["--budget-entries", "-1"],
     ],
 )
 def test_main_rejects_flag_values_below_one(tmp_path, capsys, flags):
-    # A thread count below 1 used to run serially without a word, and a
-    # zero entry budget died with a traceback and exit 1.
+    # A thread count below 1 used to run serially without a word.
     assert main(["sweep", str(write(tmp_path, BASE)), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
 
 
-def test_main_budget_override_does_not_outlive_the_call(tmp_path, capsys):
-    prev = entry_budget()
-    assert main(["sweep", str(write(tmp_path, BASE)), "--budget-entries", "20000"]) == 0
-    capsys.readouterr()
-    assert entry_budget() == prev
-
-
 def test_main_over_the_entry_budget_exits_2(tmp_path, capsys):
-    # The 24-row batch needs 600 entries.  The guard's MemoryError used
-    # to end in a traceback and exit 1.
-    prev = entry_budget()
-    assert main(["sweep", str(write(tmp_path, BASE)), "--budget-entries", "100"]) == 2
+    # Two rows of 100^4 entries are past the 10^8 guard, which is checked
+    # before the batch is allocated.  The guard's MemoryError used to end
+    # in a traceback and exit 1.
+    text = BASE.replace("k = 2", "k = 4").replace("d = 5", "d = 100")
+    text = text.replace("samples = 24, 96", "samples = 2").replace("seeds = 0, 1, 2", "seeds = 0")
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "budget" in captured.err
-    assert entry_budget() == prev
+    assert captured.err == (
+        "error: tpca batch needs 200000000 entries, over the budget of 100000000\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (200_000, "tpca batch needs at least 2^200001 entries"),
+        (2**25, "order-33554432 factors needs 100663296 entries"),
+    ],
+)
+def test_main_over_the_entry_budget_on_a_huge_order_exits_2_at_once(tmp_path, capsys, k, message):
+    # k = 200,000 at d = 3 exited 2 with Python's int-to-string error
+    # (past 4,300 digits), and k = 2^25 spent about 19 s on 3^k first
+    text = BASE.replace("k = 2", f"k = {k}").replace("d = 5", "d = 3")
+    text = text.replace("samples = 24, 96", "samples = 2").replace("seeds = 0, 1, 2", "seeds = 0")
+    t0 = time.perf_counter()
+    assert main(["sweep", str(write(tmp_path, text))]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == f"error: {message}, over the budget of 100000000\n"
 
 
 _NET_SEARCH = """
@@ -786,6 +800,7 @@ def test_main_verify_rejects_flags_it_does_not_read(tmp_path, capsys):
     config = str(write(tmp_path, BASE))
     cases = [
         (["verify", "hermite", "--out", "x"], "unrecognized arguments: --out x"),
+        (["sweep", config, "--budget-entries", "5"], "unrecognized arguments: --budget-entries 5"),
         (["sweep", config, "--threads", "abc"], "invalid int value: 'abc'"),
         (["sweep"], "the following arguments are required: config"),
         (["verify", "bogus"], "invalid choice: 'bogus'"),
@@ -828,3 +843,161 @@ def test_every_module_imports_on_its_own():
     )
     assert result.returncode == 0, result.stderr
     assert "cli" in names and "config" in names
+
+
+# ---------------------------------------------------------------------------
+# grammar fuzz: INI text written from config._SECTIONS, and mutated argv
+
+# One-point grids, one per mode.  Every size the strategy writes is tiny
+# or far past the guards, because an in-budget config can allocate up to
+# 800 MB.
+_FUZZ_BASES = [
+    {"experiment": dict(problem="tpca", k="2", d="3", snr="1.0", estimator="tensor-power",
+                        samples="8", seeds="0")},
+    {"experiment": dict(problem="tpca", k="2", d="2", snr="1.0", estimator="tensor-power",
+                        samples="8", seeds="1"),
+     "harness": dict(bits="8", radius="4", passes="2"),
+     "distributed": dict(shard_rows="4")},
+    {"experiment": dict(problem="ngca", k="4", d="3", snr="0.3", estimator="ngca-spectral",
+                        samples="16", seeds="2", measure="mog"),
+     "estimator": dict(max_iters="5")},
+    {"experiment": dict(problem="cca", k="2", d="2", snr="0.3", estimator="brute-force-cca",
+                        samples="16", seeds="3"),
+     "estimator": dict(delta="1", trunc="4", probes="50")},
+]
+_FUZZ_KEYS = [(name, key) for name, keys in _SECTIONS.items() for key in keys]
+_BAD = ["", "%", "%%", "%(problem)s", "abc", "nan", "inf", "-inf", "1e999", "-1", "0"]
+_HUGE = [str(10**30), "1" + "0" * 5000]
+# (tiny valid values, bad ones, huge ones) by the type _SECTIONS reads.
+# The loop counts passes and max_iters take no huge value, since any
+# count is valid and costs time in proportion.  A finite snr past about
+# 1e154 is left out: it overflows every plain tpca estimator (see the
+# FOUND line in CHANGES.md).
+_VALUES = {
+    int: (["1", "2", "4"], ["2.5", *_BAD], _HUGE),
+    float: (["0.3", "1", "2"], _BAD, ["5e-324", "1e-300", "1e300"]),
+    str: (
+        ["tpca", "ngca", "cca", "atpca", "mog", "bounded-llr", "tensor-power",
+         "partial-trace", "matricization", "cca-matricization", "ngca-spectral",
+         "brute-force-cca", "brute-force-ngca"],
+        ["bogus", *_BAD],
+        [],
+    ),
+}
+_LISTS = (["1", "2", "8", "1, 2"], ["2, 2", "4,,", ",", " , 1", *_BAD], _HUGE)
+
+
+def _fuzz_values(section, key):
+    if key in ("passes", "max_iters"):
+        return (["1", "2"], ["2.5", *_BAD], [])
+    if key == "snr":
+        return (["0", "0.001", "0.3", "1"], _BAD, ["1e-300"])
+    kind = _SECTIONS[section][key]
+    return _VALUES[kind] if kind in _VALUES else _LISTS
+
+
+@st.composite
+def _fuzz_ini(draw):
+    """INI text: a base config with 0-3 mutations, each a new value for
+    a key of ``_SECTIONS``, an unknown, duplicate or deleted key, or a
+    lost section header."""
+    sections = {name: dict(keys) for name, keys in draw(st.sampled_from(_FUZZ_BASES)).items()}
+    extra, headless = [], set()
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["value"] * 4 + ["unknown", "duplicate", "delete", "header"]))
+        if kind == "value":
+            name, key = draw(st.sampled_from(_FUZZ_KEYS))
+            pool = draw(st.sampled_from([pool for pool in _fuzz_values(name, key) if pool]))
+            sections.setdefault(name, {})[key] = draw(st.sampled_from(pool))
+            continue
+        name = draw(st.sampled_from(sorted(sections)))
+        if kind == "header":
+            headless.add(name)
+        elif kind == "unknown":
+            extra.append((name, "warp = 1"))
+        elif sections[name]:
+            key = draw(st.sampled_from(sorted(sections[name])))
+            if kind == "delete":
+                del sections[name][key]
+            else:
+                extra.append((name, f"{key} = {sections[name][key]}"))
+    lines = []
+    for name, keys in sections.items():
+        if name not in headless:
+            lines.append(f"[{name}]")
+        lines += [f"{key} = {value}" for key, value in keys.items()]
+        lines += [line for owner, line in extra if owner == name]
+    return "\n".join(lines) + "\n"
+
+
+_FUZZ_FLAGS = [
+    ["--budget-entries", "5"],
+    ["--bogus"],
+    ["-x", "1"],
+    ["--threads", "abc"],
+    ["--threads", "0"],
+    ["--threads", "2"],
+    ["--threads", str(10**30)],
+    ["--seed", "x"],
+    ["--seed", "-1"],
+    ["--seed", "5"],
+    ["--seed", str(10**30)],
+    ["--seed", "1", "--seed", "1"],
+    ["--seed", "0", "--seed", "1000"],
+]
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def _fuzz_case(base, changes):
+    """Base config ``base`` with its ``(section, key)`` values replaced by
+    ``changes``, as INI text."""
+    sections = {name: dict(keys) for name, keys in _FUZZ_BASES[base].items()}
+    for (name, key), value in changes.items():
+        sections.setdefault(name, {})[key] = value
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+@given(
+    text=_fuzz_ini(),
+    flags=st.one_of(st.just([]), st.sampled_from(_FUZZ_FLAGS)),
+    config=st.sampled_from(["written"] * 8 + ["missing", "absent"]),
+)
+# Each of these ended in a traceback and exit 1, or an empty message: an
+# order or a dimension past 2^63 (OverflowError), a 2^40-factor tuple (a
+# MemoryError with no message) and a net count past the float range
+# (OverflowError, ZeroDivisionError at d = 2).
+@example(text=_fuzz_case(0, {("experiment", "k"): str(10**30)}), flags=[], config="written")
+@example(text=_fuzz_case(0, {("experiment", "k"): str(2**40)}), flags=[], config="written")
+@example(text=_fuzz_case(2, {("experiment", "d"): str(10**30)}), flags=[], config="written")
+@example(
+    text=_fuzz_case(3, {("experiment", "d"): "3", ("estimator", "delta"): "1e-300"}),
+    flags=[],
+    config="written",
+)
+@example(text=_fuzz_case(3, {("estimator", "delta"): "5e-324"}), flags=[], config="written")
+@settings(max_examples=150, deadline=None)
+def test_main_on_fuzzed_ini_and_argv_exits_0_with_a_csv_or_2_with_one_error_line(
+    tmp_path_factory, text, flags, config
+):
+    path = tmp_path_factory.mktemp("fuzz") / "config.ini"
+    if config == "written":
+        path.write_text(text)
+    argv = ["sweep", *([] if config == "absent" else [str(path)]), *flags]
+    status, out, err = _run_main(argv)
+    if status == 0:
+        lines = out.splitlines()
+        assert lines[:2] == [f"# {cli.CSV_VERSION}", ",".join(CSV_COLUMNS)] and err == ""
+        assert len(lines) > 2 and all(len(row.split(",")) == len(CSV_COLUMNS) for row in lines[2:])
+    else:
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        assert err[len("error: ") :].strip(), "an empty error message"

@@ -21,7 +21,7 @@ from spikelab.models import (
     sample_ngca,
     sample_tpca,
 )
-from spikelab.tensors import rank1_densify, set_entry_budget
+from spikelab.tensors import rank1_densify
 
 
 def mc_band(values, sigmas=5.0):
@@ -250,13 +250,29 @@ def test_tensor_sampler_rejects_wrong_problem():
 
 
 def test_batch_budget_guard():
-    prev = set_entry_budget(1000)
-    try:
-        spec = ModelSpec.tpca(k=4, d=4, snr=1.0)
-        with pytest.raises(MemoryError):
-            sample_tpca(spec, n=10, seed=0)
-    finally:
-        set_entry_budget(prev)
+    # two rows of 100^4 entries: past the 10^8 guard, checked before
+    # any allocation
+    spec = ModelSpec.tpca(k=4, d=100, snr=1.0)
+    with pytest.raises(MemoryError, match="tpca batch needs 200000000 entries"):
+        sample_tpca(spec, n=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ModelSpec.tpca(k=2**40, d=3, snr=1.0), "order-1099511627776 factors needs"),
+        (lambda: ModelSpec.atpca(k=10**30, d=3, snr=1.0), "order-10+ factors needs at least"),
+        (lambda: ModelSpec.cca(k=2**27, d=2, snr=0.0), "order-134217728 factors needs"),
+        (lambda: ModelSpec.tpca(k=2, d=10**30, snr=1.0), "direction needs at least 2\\^99"),
+    ],
+    ids=["tpca-order", "atpca-order", "cca-order", "tpca-dimension"],
+)
+def test_a_spec_checks_its_factors_against_the_entry_guard(make, message):
+    # k factors on R^d count as k * d entries, checked before they are
+    # built: the tpca tuple of 2^40 references raised a MemoryError with
+    # no message, and an order or a dimension past 2^63 an OverflowError
+    with pytest.raises(MemoryError, match=message):
+        make()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,13 +34,13 @@ from spikelab.hermite import build_weighted_basis, gauss_hermite_rule, hermite_a
 from spikelab.measures import NonGaussMeasure, gaussian_moment, rejection_sample
 from spikelab.models import ModelSpec, SampleBatch, sample_cca, sample_ngca, sample_tpca
 from spikelab.tensors import (
+    ENTRY_BUDGET,
+    check_entry_budget,
     contract_batch,
-    entry_budget,
     outer_power,
     outer_product,
     overlap,
     rank1_densify,
-    set_entry_budget,
     unit,
 )
 from spikelab.verify import (
@@ -64,16 +65,43 @@ def test_flat_layout_is_row_major():
 
 
 def test_entry_budget_guard():
-    prev = set_entry_budget(100)
-    try:
-        with pytest.raises(MemoryError):
-            rank1_densify((np.ones(5),) * 3, 1.0)
-        with pytest.raises(MemoryError):
-            outer_power(np.ones(5), 3)
-        rank1_densify((np.ones(10),) * 2, 1.0)
-    finally:
-        set_entry_budget(prev)
-    assert entry_budget() == prev
+    # 101^4 entries are past the fixed 10^8 guard, which raises before
+    # anything is allocated
+    with pytest.raises(MemoryError, match="order-4 rank-one tensor on R\\^101 needs 104060401"):
+        rank1_densify((np.ones(101),) * 4, 1.0)
+    with pytest.raises(MemoryError, match="order-4 outer power needs 104060401 entries"):
+        outer_power(np.ones(101), 4)
+    rank1_densify((np.ones(10),) * 2, 1.0)
+
+
+def test_entry_budget_holds_exactly_at_its_bound():
+    assert ENTRY_BUDGET == 10**8
+    check_entry_budget("x", 100, 4)
+    check_entry_budget("x", 10, 8)
+    check_entry_budget("x", 1, rows=10**8)
+    check_entry_budget("x", 1, 10**30)
+    check_entry_budget("x", 0, 5, rows=10**9)
+    with pytest.raises(MemoryError, match="needs 100000001 entries, over the budget of 100000000"):
+        check_entry_budget("x", 1, rows=10**8 + 1)
+    with pytest.raises(MemoryError, match="x needs 200000000 entries"):
+        check_entry_budget("x", 100, 4, rows=2)
+    # a count below 2^64 is built and printed in full
+    with pytest.raises(MemoryError, match=f"needs {3**40} entries"):
+        check_entry_budget("x", 3, 40)
+
+
+@pytest.mark.parametrize(
+    "base, power, rows, bits",
+    [(3, 2**25, 4, 2 + 2**25), (3, 5000, 1, 5000), (2, 64, 1, 64), (10**30, 1, 1, 99)],
+)
+def test_entry_budget_bounds_a_huge_count_without_building_it(base, power, rows, bits):
+    # 3^5000 used to be printed in full (2,386 digits), past 4,300 digits
+    # the message raised Python's int-to-string ValueError, and the
+    # callers took 3^(2^25) before the check (about 19 s)
+    t0 = time.perf_counter()
+    with pytest.raises(MemoryError, match=f"x needs at least 2\\^{bits} entries, over the budget"):
+        check_entry_budget("x", base, power, rows)
+    assert time.perf_counter() - t0 < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +284,6 @@ def test_overlap_rejects_zero_and_mismatch():
 # the count rule
 
 
-def _budget_call(value):
-    prev = set_entry_budget(value)
-    set_entry_budget(prev)
-
-
 def _quantized(d=3, n_samples=4):
     return QuantizedIteration(power_template(2), QuantizerSpec(), d, n_samples, np.ones(3))
 
@@ -304,7 +327,6 @@ COUNT_SLOTS = [
     ],
     ("sign_coefficient", sign_coefficient, 0, 2),
     ("sign_tail_mass", sign_tail_mass, 0, 2),
-    ("set_entry_budget", _budget_call, 1, 2),
     ("outer_power", lambda v: outer_power(np.ones(2), v), 1, 2),
     ("ModelSpec.cca k", lambda v: ModelSpec.cca(v, 3, 0.1), 2, 2),
     ("_power_inplace", lambda v: _power_inplace(np.ones(2), v), 1, 2),
@@ -456,14 +478,6 @@ def test_every_even_order_slot_follows_the_even_rule(call, good):
     call(good)
     with pytest.raises(ValueError, match="needs even k, got 3"):
         call(3)
-
-
-def test_rejected_entry_budget_leaves_the_budget():
-    before = entry_budget()
-    for bad in (2.5, True, 0):
-        with pytest.raises(ValueError):
-            set_entry_budget(bad)
-        assert entry_budget() == before
 
 
 def test_unit_divides_by_the_norm_and_rejects_a_collapse():
