@@ -13,6 +13,8 @@ output, ``<verb> <item> <exit status> <sha256>``:
   column, the one column that may differ between runs; the column is
   removed by ``bench.checks.strip_wall_ms``, the rule the benchmark's
   rerun check uses;
+* ``sample``: the binary container that ``sample --out`` writes for
+  the config (its first sample count and first seed);
 * ``reduce``: the ``reduce --out`` transcript, for configs that have
   both ``[harness]`` and ``[distributed]`` sections;
 * ``verify``: the report of ``spikelab verify <suite>``.
@@ -59,8 +61,8 @@ from bench.checks import strip_wall_ms  # noqa: E402
 GOLDEN = ROOT / "tests" / "data" / "fingerprints.txt"
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _run(cli, argv) -> tuple[str, int]:
@@ -70,27 +72,29 @@ def _run(cli, argv) -> tuple[str, int]:
     return buf.getvalue(), status
 
 
-def _run_to_file(cli, argv, out: pathlib.Path) -> tuple[str, int]:
-    """Exit status and the text written to ``--out`` ("" if nothing was)."""
+def _run_to_file(cli, argv, out: pathlib.Path) -> tuple[bytes, int]:
+    """The bytes written to ``--out`` (none if nothing was) and the exit status."""
     out.unlink(missing_ok=True)
     _, status = _run(cli, [*argv, "--out", str(out)])
-    return (out.read_text() if out.exists() else ""), status
+    return (out.read_bytes() if out.exists() else b""), status
 
 
 def fingerprints(cli, items, workdir: pathlib.Path):
     for item in items:
         if item in cli.SUITES:
             report, status = _run(cli, ["verify", item])
-            yield "verify", item, status, _digest(report)
+            yield "verify", item, status, _digest(report.encode())
             continue
         out = workdir / "out"
-        text, status = _run_to_file(cli, ["sweep", item], out)
-        yield "sweep", item, status, _digest(strip_wall_ms(text))
+        csv, status = _run_to_file(cli, ["sweep", item], out)
+        yield "sweep", item, status, _digest(strip_wall_ms(csv.decode()).encode())
+        container, status = _run_to_file(cli, ["sample", item], out)
+        yield "sample", item, status, _digest(container)
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.read(item)
         if parser.has_section("harness") and parser.has_section("distributed"):
-            text, status = _run_to_file(cli, ["reduce", item], out)
-            yield "reduce", item, status, _digest(text)
+            transcript, status = _run_to_file(cli, ["reduce", item], out)
+            yield "reduce", item, status, _digest(transcript)
 
 
 def fingerprint_lines(cli, items) -> list[str]:

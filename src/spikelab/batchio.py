@@ -6,11 +6,11 @@ little-endian header
     magic "SPKB" | u32 version | u32 problem | u32 k | u32 d
     | u64 n | f64 snr | u64 seed | u32 flags | u32 reserved
 
-followed by the ``n * row_length`` float64 data payload and, when flag
-bit 0 is set, one float64 label per row.  The header carries exactly
-the scalar instance description; planted spikes and measure payloads
-are not serialized, so a loaded batch scores no overlap but replays
-bit-identically through any estimator.
+followed by the ``n * row_length`` float64 data payload; the flags
+must be 0.  The header carries exactly the scalar instance description;
+planted spikes and measure payloads are not serialized, so a loaded
+batch scores no overlap but replays bit-identically through any
+estimator.
 """
 
 from __future__ import annotations
@@ -24,26 +24,22 @@ from spikelab.models import ModelSpec, SampleBatch
 MAGIC = b"SPKB"
 LAYOUT_VERSION = 1
 _HEADER = struct.Struct("<4sIIIIQdQII")
-_FLAG_LABELS = 1
 
+# One code per problem of ``models.SAMPLERS``.  Codes 5 and 6 marked
+# labelled containers (docs/formats.md): a new problem must not reuse them.
 _PROBLEM_CODES = {
     "tpca": 1,
     "atpca": 2,
     "ngca": 3,
     "cca": 4,
-    "glm": 5,
-    "parity": 6,
 }
 _CODE_PROBLEMS = {code: name for name, code in _PROBLEM_CODES.items()}
 
 
 def batch_to_bytes(batch: SampleBatch) -> bytes:
     spec = batch.spec
-    if spec.problem not in _PROBLEM_CODES:
-        raise ValueError(f"no container code for problem {spec.problem!r}")
     if not 0 <= batch.seed < 2**64:
         raise ValueError(f"seed {batch.seed} does not fit an unsigned 64-bit field")
-    flags = _FLAG_LABELS if batch.labels is not None else 0
     header = _HEADER.pack(
         MAGIC,
         LAYOUT_VERSION,
@@ -53,13 +49,10 @@ def batch_to_bytes(batch: SampleBatch) -> bytes:
         batch.n,
         spec.snr,
         batch.seed,
-        flags,
+        0,
         0,
     )
-    parts = [header, np.ascontiguousarray(batch.data, dtype="<f8").tobytes()]
-    if batch.labels is not None:
-        parts.append(np.ascontiguousarray(batch.labels, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return header + np.ascontiguousarray(batch.data, dtype="<f8").tobytes()
 
 
 def batch_from_bytes(buf: bytes) -> SampleBatch:
@@ -72,7 +65,7 @@ def batch_from_bytes(buf: bytes) -> SampleBatch:
         raise ValueError(f"unsupported layout version {version}")
     if code not in _CODE_PROBLEMS:
         raise ValueError(f"unknown problem code {code}")
-    if flags & ~_FLAG_LABELS or reserved:
+    if flags or reserved:
         raise ValueError(f"unknown flags {flags:#x} or nonzero reserved field {reserved:#x}")
     spec = ModelSpec(problem=_CODE_PROBLEMS[code], k=k, d=d, snr=snr)
     if spec.problem in ("tpca", "atpca") and d > 1 and k >= 64:  # refused before d**k is taken
@@ -81,26 +74,15 @@ def batch_from_bytes(buf: bytes) -> SampleBatch:
         )
     row_length = spec.row_length
     expect = _HEADER.size + 8 * n * row_length
-    has_labels = bool(flags & _FLAG_LABELS)
-    if has_labels:
-        expect += 8 * n
     if len(buf) != expect:
         raise ValueError(
             f"container holds {len(buf)} bytes, layout implies {expect}"
         )
-    offset = _HEADER.size
-    data = np.frombuffer(buf, dtype="<f8", count=n * row_length, offset=offset)
-    data = data.reshape(n, row_length)
-    labels = None
-    if has_labels:
-        labels = np.frombuffer(
-            buf, dtype="<f8", count=n, offset=offset + 8 * n * row_length
-        )
+    data = np.frombuffer(buf, dtype="<f8", count=n * row_length, offset=_HEADER.size)
     return SampleBatch(
         spec=spec,
-        data=data,
+        data=data.reshape(n, row_length),
         seed=seed,
-        labels=labels,
         meta={"layout_version": version},
     )
 

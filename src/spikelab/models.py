@@ -9,9 +9,12 @@ tpca        symmetric rank-one       flat order-k tensor, d**k
 atpca       asymmetric rank-one      flat order-k tensor, d**k
 ngca        planted projection law   point in R^d
 cca         correlated sign pattern  k views concatenated, k*d
-glm         direction + link         point in R^d, 0/1 labels
-parity      relevant subset          k*d features, 0/1 labels
 ==========  =======================  =========================
+
+The two reductions relabel an ngca or cca batch and return plain
+read-only arrays, ``(features, labels)`` and ``(features, labels,
+subset)``: a binary regression and a noisy parity are not problems of
+their own here.
 
 A ``ModelSpec`` holds each fact of its planted instance once: the snr,
 the direction and the spike's factors.  Planted directions and factors
@@ -29,8 +32,6 @@ import numpy as np
 
 from spikelab.measures import NonGaussMeasure, rejection_sample
 from spikelab.tensors import check_count, check_entry_budget, check_snr, rank1_densify
-
-PROBLEMS = ("tpca", "atpca", "ngca", "cca", "glm", "parity")
 
 
 def cca_critical_snr(k: int) -> float:
@@ -91,10 +92,9 @@ class ModelSpec:
     factors: tuple = ()
     direction: np.ndarray | None = None
     measure: NonGaussMeasure | None = None
-    subset: tuple = ()
 
     def __post_init__(self):
-        if self.problem not in PROBLEMS:
+        if self.problem not in SAMPLERS:
             raise ValueError(f"unknown problem {self.problem!r}")
         check_count("k", self.k)
         check_count("d", self.d)
@@ -180,9 +180,9 @@ class ModelSpec:
     def row_length(self) -> int:
         if self.problem in ("tpca", "atpca"):
             return self.d**self.k
-        if self.problem in ("ngca", "glm"):
+        if self.problem == "ngca":
             return self.d
-        return self.k * self.d  # cca, parity
+        return self.k * self.d  # cca
 
 
 def expect_problem(spec: ModelSpec, *problems: str) -> None:
@@ -213,7 +213,6 @@ class SampleBatch:
     spec: ModelSpec
     data: np.ndarray
     seed: int
-    labels: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -225,13 +224,6 @@ class SampleBatch:
                 f"{self.spec.row_length}"
             )
         object.__setattr__(self, "data", data)
-        if self.labels is not None:
-            labels = _sealed(self.labels)
-            if labels.shape != (data.shape[0],):
-                raise ValueError("labels must be one scalar per row")
-            if not np.all((labels == 0.0) | (labels == 1.0)):
-                raise ValueError("labels must be 0/1")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -239,7 +231,7 @@ class SampleBatch:
 
     def views(self) -> np.ndarray:
         """Per-view slices for multi-view rows, shaped (n, k, d)."""
-        expect_problem(self.spec, "cca", "parity")
+        expect_problem(self.spec, "cca")
         return self.data.reshape(self.n, self.spec.k, self.spec.d)
 
 
@@ -328,14 +320,27 @@ SAMPLERS = {
 # reductions
 
 
-def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
+def _relabel(batch: SampleBatch, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(features, labels)``: a label ``r ~ Bern(1/2)`` per row, drawn from
+    ``seed``, and the row times ``2r - 1``.  Both are read-only float64
+    arrays that own their memory; the labels are 0.0 or 1.0."""
+    rng = np.random.default_rng(check_count("seed", seed, low=0))
+    labels = rng.integers(0, 2, size=batch.n).astype(np.float64)
+    features = (2.0 * labels - 1.0)[:, None] * batch.data
+    labels.flags.writeable = False
+    features.flags.writeable = False
+    return features, labels
+
+
+def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Relabel planted-projection samples as a binary regression problem.
 
-    Draw ``r ~ Bern(1/2)`` per row and emit features ``(2r - 1) x`` with
-    label ``r``.  When the measure's density ratio has symmetrized part
-    identically one, the features are exactly Gaussian and all signal
-    moves into the label: ``P(r = 1 | f) = ratio(<f, v> / sqrt(d)) / 2``.
-    That symmetry is a precondition and is checked on a grid to 1e-6.
+    Returns ``(features, labels)``, shaped (n, d) and (n,): per row a
+    label ``r ~ Bern(1/2)`` and the features ``(2r - 1) x``.  When the
+    measure's density ratio has symmetrized part identically one, the
+    features are exactly Gaussian and all signal moves into the label:
+    ``P(r = 1 | f) = ratio(<f, v> / sqrt(d)) / 2``.  That symmetry is a
+    precondition and is checked on a grid to 1e-6.
     """
     spec = batch.spec
     expect_problem(spec, "ngca")
@@ -349,49 +354,30 @@ def reduce_ngca_to_glm(batch: SampleBatch, seed: int) -> SampleBatch:
             "measure density ratio is not odd around 1; the relabeling "
             "would distort the feature marginal"
         )
-    rng = np.random.default_rng(check_count("seed", seed, low=0))
-    r = rng.integers(0, 2, size=batch.n).astype(np.float64)
-    features = (2.0 * r - 1.0)[:, None] * batch.data
-    glm_spec = ModelSpec(
-        problem="glm",
-        k=spec.k,
-        d=spec.d,
-        snr=spec.snr,
-        direction=spec.direction,
-        measure=measure,
-    )
-    return SampleBatch(glm_spec, features, seed, labels=r)
+    return _relabel(batch, seed)
 
 
-def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> SampleBatch:
+def reduce_cca_to_parity(batch: SampleBatch, seed: int) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Relabel correlated views as a noisy-parity problem (odd k only).
 
-    Features are ``(2r - 1) x`` over the concatenated views with label
-    ``r ~ Bern(1/2)``; the label then agrees with the sign parity over
-    the planted coordinates at rate ``(1 + Lambda) / 2``, where
-    ``Lambda = snr / (2/pi)^{k/2}``.  Requires coordinate factors so the
-    relevant subset is well defined.
+    Returns ``(features, labels, subset)``: the features ``(2r - 1) x``
+    over the concatenated views, shaped (n, k*d), the labels ``r ~
+    Bern(1/2)``, shaped (n,), and the relevant subset, the view-major
+    column ``view * d + i`` of each view's planted coordinate i.  The
+    label agrees with the sign parity of the features over the subset at
+    rate ``(1 + Lambda) / 2``, where ``Lambda = snr / (2/pi)^{k/2}``.
+    Requires coordinate factors so the subset is well defined.
     """
     spec = batch.spec
     expect_problem(spec, "cca")
     if spec.k % 2 != 1:
         raise ValueError("parity relabeling needs an odd number of views")
+    if not spec.factors:
+        raise ValueError("cca batch has no factors to read the parity subset from")
     subset = []
     for view, v in enumerate(spec.factors):
         nonzero = np.flatnonzero(v)
         if len(nonzero) != 1:
             raise ValueError("parity relabeling needs coordinate factors")
         subset.append(view * spec.d + int(nonzero[0]))
-    rate = spec.snr / cca_critical_snr(spec.k)
-    rng = np.random.default_rng(check_count("seed", seed, low=0))
-    r = rng.integers(0, 2, size=batch.n).astype(np.float64)
-    features = (2.0 * r - 1.0)[:, None] * batch.data
-    parity_spec = ModelSpec(
-        problem="parity",
-        k=spec.k,
-        d=spec.d,
-        snr=rate,
-        factors=spec.factors,
-        subset=tuple(subset),
-    )
-    return SampleBatch(parity_spec, features, seed, labels=r)
+    return (*_relabel(batch, seed), tuple(subset))

@@ -250,10 +250,9 @@ def test_criterion_3_sampler_moments():
     checks.append(("cca-product-moment", abs(prod.mean() - snr) <= mc_band(prod)))
 
     # Parity relabeling: agreement rate recovers snr / lambda_k.
-    parity = reduce_cca_to_parity(batch, seed=31)
-    signed = 2.0 * parity.labels - 1.0
-    feats = parity.data[:, list(parity.spec.subset)]
-    agree = signed * np.sign(feats).prod(axis=1)
+    features, labels, subset = reduce_cca_to_parity(batch, seed=31)
+    signed = 2.0 * labels - 1.0
+    agree = signed * np.sign(features[:, list(subset)]).prod(axis=1)
     checks.append(("parity-correlation", abs(agree.mean() - 0.5) <= mc_band(agree)))
 
     emit(3, checks, f"n={n}")

@@ -1,7 +1,9 @@
 """Binary batch container: round trips, layout stability, corruption."""
 
+import re
 import struct
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikelab.batchio import (
+    _PROBLEM_CODES,
     batch_from_bytes,
     batch_to_bytes,
     dump_batch,
@@ -16,9 +19,9 @@ from spikelab.batchio import (
 )
 from spikelab.measures import NonGaussMeasure
 from spikelab.models import (
+    SAMPLERS,
     ModelSpec,
-    reduce_cca_to_parity,
-    reduce_ngca_to_glm,
+    sample_atpca,
     sample_cca,
     sample_ngca,
     sample_tpca,
@@ -26,24 +29,25 @@ from spikelab.models import (
 
 
 def example_batches():
-    # The relabeling reductions need odd-order instances: a bounded odd
-    # tilt for the regression one, three views for parity.
-    tpca = sample_tpca(ModelSpec.tpca(k=3, d=4, snr=0.7, seed=2), 5, 11)
-    ngca = sample_ngca(
-        ModelSpec.ngca(d=6, measure=NonGaussMeasure("mog", 2, 0.3), seed=3), 8, 12
-    )
-    odd = sample_ngca(
-        ModelSpec.ngca(d=4, measure=NonGaussMeasure("bounded-llr", 3, 0.02), seed=5), 6, 16
-    )
-    cca = sample_cca(ModelSpec.cca(k=2, d=3, snr=0.4, seed=4), 7, 13)
-    cca3 = sample_cca(ModelSpec.cca(k=3, d=3, snr=0.2, seed=8), 9, 17)
     return {
-        "tpca": tpca,
-        "ngca": ngca,
-        "cca": cca,
-        "glm": reduce_ngca_to_glm(odd, 14),
-        "parity": reduce_cca_to_parity(cca3, 15),
+        "tpca": sample_tpca(ModelSpec.tpca(k=3, d=4, snr=0.7, seed=2), 5, 11),
+        "atpca": sample_atpca(ModelSpec.atpca(k=2, d=3, snr=0.5, seed=1), 4, 10),
+        "ngca": sample_ngca(
+            ModelSpec.ngca(d=6, measure=NonGaussMeasure("mog", 2, 0.3), seed=3), 8, 12
+        ),
+        "cca": sample_cca(ModelSpec.cca(k=2, d=3, snr=0.4, seed=4), 7, 13),
     }
+
+
+def test_container_codes_are_the_sampled_problems():
+    # One vocabulary: a code for each problem of SAMPLERS and no other,
+    # and the "Problem codes" line of docs/formats.md names exactly these.
+    assert _PROBLEM_CODES.keys() == SAMPLERS.keys()
+    doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    line = doc.split("\nProblem codes: ", 1)[1].split("\n\n", 1)[0]
+    assert {name: int(code) for name, code in re.findall(r"`(\w+)` (\d+)", line)} == (
+        _PROBLEM_CODES
+    )
 
 
 def test_round_trip_every_problem(tmp_path):
@@ -58,10 +62,6 @@ def test_round_trip_every_problem(tmp_path):
         assert loaded.seed == batch.seed
         assert loaded.meta["layout_version"] == 1
         np.testing.assert_array_equal(loaded.data, batch.data)
-        if batch.labels is None:
-            assert loaded.labels is None
-        else:
-            np.testing.assert_array_equal(loaded.labels, batch.labels)
 
 
 def test_loaded_batch_replays_through_estimator():
@@ -94,31 +94,22 @@ def test_corruption_is_rejected():
     bad_version[4] = 9
     with pytest.raises(ValueError, match="version"):
         batch_from_bytes(bytes(bad_version))
-    bad_code = bytearray(buf)
-    bad_code[8] = 200
-    with pytest.raises(ValueError, match="problem code"):
-        batch_from_bytes(bytes(bad_code))
+    for code in (5, 6, 200):  # 5 and 6 were the retired glm and parity
+        bad_code = bytearray(buf)
+        bad_code[8] = code
+        with pytest.raises(ValueError, match="problem code"):
+            batch_from_bytes(bytes(bad_code))
     with pytest.raises(ValueError, match="bytes"):
         batch_from_bytes(bytes(buf[:-8]))
     with pytest.raises(ValueError, match="header"):
         batch_from_bytes(b"SP")
 
 
-def test_label_flag_drives_payload_length():
-    batches = example_batches()
-    plain = batches["ngca"]
-    labeled = batches["glm"]
-    assert len(batch_to_bytes(plain)) == 52 + 8 * plain.n * plain.spec.row_length
-    assert (
-        len(batch_to_bytes(labeled))
-        == 52 + 8 * labeled.n * (labeled.spec.row_length + 1)
-    )
-
-
 def test_unknown_flags_and_a_nonzero_reserved_field_are_rejected():
-    # a loader that ignored them accepted a container it would not write
+    # a loader that ignored them accepted a container it would not write;
+    # bit 0 was the retired label flag
     buf = batch_to_bytes(example_batches()["tpca"])
-    for offset, byte in [(44, 2), (47, 128), (48, 1), (51, 255)]:
+    for offset, byte in [(44, 1), (44, 2), (47, 128), (48, 1), (51, 255)]:
         bad = bytearray(buf)
         bad[offset] ^= byte
         with pytest.raises(ValueError, match="unknown flags .* or nonzero reserved field"):

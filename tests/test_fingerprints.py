@@ -10,10 +10,11 @@ candidates scored in full, seven a model slice), the cca net search of
 the benchmark's ``verify-oracles`` workload on its own 32-point net,
 ``[harness]`` tpca k=2 and k=4 partial trace, ``[distributed]`` with
 shard_rows 8 and with 300 two-row machines, whose writer log is uint16),
-their two ``reduce --out`` transcripts and the five ``verify``
-reports, under a stamp naming Python, numpy, the BLAS build and its
-OpenBLAS core.  A change that moves any of these bytes on purpose
-rewrites the file with ``--write`` and says which digests moved.
+the ``sample --out`` container of each config, their two ``reduce
+--out`` transcripts and the five ``verify`` reports, under a stamp
+naming Python, numpy, the BLAS build and its OpenBLAS core.  A change
+that moves any of these bytes on purpose rewrites the file with
+``--write`` and says which digests moved.
 
 A second test recomputes the lines under another OpenBLAS core
 (``OPENBLAS_CORETYPE``, one subprocess); only the lines the golden file
@@ -55,17 +56,23 @@ sys.exit(fingerprint.main(sys.argv[2:]))
 """
 
 
+def _key(line: str) -> str:
+    """The ``<verb> <item>`` of a digest line, as host-specific lines name it."""
+    return " ".join(line.split()[:2])
+
+
 @pytest.fixture(scope="module")
 def other_core():
-    """``(core, portable lines, child)``: a child process recomputing the
-    golden lines not named host-specific under another OpenBLAS core.
+    """``(core, portable lines, host-specific keys, child)``: a child
+    process recomputing, under another OpenBLAS core, the lines of every
+    item that has a golden line not named host-specific.
 
     Started by the first test that asks, so it runs beside that test.
     """
     fingerprint = _script()
     recorded_stamp, recorded = fingerprint.read_golden()
     host = fingerprint.host_specific()
-    keys = [" ".join(line.split()[:2]) for line in recorded]
+    keys = [_key(line) for line in recorded]
     assert set(host) <= set(keys), sorted(set(host) - set(keys))
     portable = [line for line, key in zip(recorded, keys) if key not in host]
     core = "Sandybridge" if "# blas-core Nehalem" in recorded_stamp else "Nehalem"
@@ -75,7 +82,7 @@ def other_core():
         cwd=ROOT, env={**os.environ, "OPENBLAS_CORETYPE": core},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )  # fmt: skip
-    yield core, portable, child
+    yield core, portable, host, child
     child.kill()
     child.communicate()
 
@@ -99,10 +106,12 @@ def test_outputs_match_the_golden_digests(monkeypatch, other_core):
 
 
 def test_another_blas_core_gives_every_portable_digest(other_core):
-    core, portable, child = other_core
+    core, portable, host, child = other_core
     out, err = child.communicate(timeout=300)
     assert child.returncode == 0, err
-    running_core, *got = out.splitlines()
+    running_core, *lines = out.splitlines()
+    # A config's host-specific sample line comes with its portable sweep line.
+    got = [line for line in lines if _key(line) not in host]
     assert running_core == core
     moved = [new for old, new in zip(portable, got) if old != new]
     assert got == portable, moved

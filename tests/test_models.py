@@ -60,9 +60,9 @@ def test_spec_k_and_snr_are_its_measures():
     # an order-4, snr-0.5 law.
     v = np.array([1.0, -1.0, 1.0, 1.0])
     m = NonGaussMeasure("mog", 4, 0.5)
-    for problem, k, snr in (("ngca", 2, 9.0), ("ngca", 2, 0.5), ("glm", 4, 0.25)):
+    for k, snr in ((2, 9.0), (2, 0.5), (4, 0.25)):
         with pytest.raises(ValueError, match="measure's order 4 and snr 0.5"):
-            ModelSpec(problem=problem, k=k, d=4, snr=snr, direction=v, measure=m)
+            ModelSpec(problem="ngca", k=k, d=4, snr=snr, direction=v, measure=m)
     spec = ModelSpec(problem="ngca", k=4, d=4, snr=0.5, direction=v, measure=m)
     assert spec.measure == NonGaussMeasure("mog", 4, 0.5)
 
@@ -86,8 +86,9 @@ def test_specs_compare_by_value():
 
 
 def test_measureless_ngca_specs_raise_value_errors():
-    # A loaded batch carries no measure; both calls used to end in
-    # AttributeError on None.
+    # A loaded batch carries no measure and no factors; the ngca calls
+    # used to end in AttributeError on None, and the parity reduction of
+    # a loaded k=3 cca batch returned the empty subset ().
     spec = ModelSpec.ngca(d=4, measure=NonGaussMeasure("mog", 2, 0.4), seed=1)
     loaded = batch_from_bytes(batch_to_bytes(sample_ngca(spec, 8, 2)))
     assert loaded.spec.problem == "ngca" and loaded.spec.measure is None
@@ -95,6 +96,11 @@ def test_measureless_ngca_specs_raise_value_errors():
         sample_ngca(loaded.spec, 8, 2)
     with pytest.raises(ValueError, match="no measure"):
         reduce_ngca_to_glm(loaded, seed=0)
+    spec = ModelSpec.cca(k=3, d=3, snr=0.2, seed=8)
+    loaded = batch_from_bytes(batch_to_bytes(sample_cca(spec, 9, 17)))
+    assert loaded.spec.problem == "cca" and loaded.spec.factors == ()
+    with pytest.raises(ValueError, match="no factors"):
+        reduce_cca_to_parity(loaded, seed=0)
 
 
 def test_cca_spec_snr_ceiling():
@@ -356,13 +362,11 @@ def test_ngca_to_glm_moves_signal_into_labels():
     m = NonGaussMeasure("bounded-llr", k, 0.6 * build_weighted_basis(k).lambda_max)
     spec = ModelSpec.ngca(d=5, measure=m, seed=6)
     batch = sample_ngca(spec, n=120_000, seed=7)
-    glm = reduce_ngca_to_glm(batch, seed=17)
-    assert glm.spec.problem == "glm"
-    assert glm.labels is not None
-    signed = 2.0 * glm.labels - 1.0
+    features, labels = reduce_ngca_to_glm(batch, seed=17)
+    signed = 2.0 * labels - 1.0
     # Labels are unbiased coin flips.
     assert abs(signed.mean()) < mc_band(signed)
-    xi = glm.data @ spec.direction / math.sqrt(spec.d)
+    xi = features @ spec.direction / math.sqrt(spec.d)
     vals = hermite_all(k, xi)
     # Features are marginally Gaussian along the planted direction.
     for t in (1, 2, 3):
@@ -386,14 +390,11 @@ def test_cca_to_parity_round_trip():
     snr = 0.5 * cca_critical_snr(k)
     spec = ModelSpec.cca(k=k, d=d, snr=snr, indices=(2, 0, 1))
     batch = sample_cca(spec, n=80_000, seed=23)
-    parity = reduce_cca_to_parity(batch, seed=29)
-    assert parity.spec.problem == "parity"
-    assert parity.spec.subset == (2, 3, 7)  # view-major coordinates
-    assert parity.spec.snr == pytest.approx(0.5)
-    signed = 2.0 * parity.labels - 1.0
-    feats = parity.data[:, list(parity.spec.subset)]
-    agreement = signed * np.sign(feats).prod(axis=1)
-    # P(label matches subset parity) = (1 + Lambda) / 2.
+    features, labels, subset = reduce_cca_to_parity(batch, seed=29)
+    assert subset == (2, 3, 7)  # view-major coordinates
+    signed = 2.0 * labels - 1.0
+    agreement = signed * np.sign(features[:, list(subset)]).prod(axis=1)
+    # P(label matches subset parity) = (1 + Lambda) / 2, with Lambda = 0.5.
     assert abs(agreement.mean() - 0.5) < mc_band(agreement)
 
 
@@ -417,12 +418,6 @@ def test_batch_validation():
     spec = ModelSpec.tpca(k=2, d=3, snr=0.0)
     with pytest.raises(ValueError):
         SampleBatch(spec=spec, data=np.zeros((4, 8)), seed=0)
-    with pytest.raises(ValueError):
-        SampleBatch(spec=spec, data=np.zeros((4, 9)), seed=0, labels=np.ones(3))
-    with pytest.raises(ValueError):
-        SampleBatch(
-            spec=spec, data=np.zeros((4, 9)), seed=0, labels=np.full(4, 0.5)
-        )
     batch = SampleBatch(spec=spec, data=np.zeros((4, 9)), seed=0)
     assert batch.n == 4
     with pytest.raises(ValueError):
@@ -432,17 +427,14 @@ def test_batch_validation():
 def test_batch_does_not_alias_the_callers_arrays():
     # A contiguous float64 view used to be frozen in place: the caller's
     # array became read-only, and writing to its base moved the batch's
-    # data and labels past their checks.
-    spec = ModelSpec(problem="glm", k=2, d=3, snr=0.0)
+    # data past its checks.
+    spec = ModelSpec(problem="ngca", k=2, d=3, snr=0.0)
     base = np.arange(12.0)
-    flags = np.array([0.0, 1.0, 1.0, 0.0])
-    data, labels = base[:6].reshape(2, 3), flags[:2]
-    batch = SampleBatch(spec, data, 0, labels=labels)
+    data = base[:6].reshape(2, 3)
+    batch = SampleBatch(spec, data, 0)
     base[0] = 7.0
-    flags[1] = 0.5
-    assert batch.data[0, 0] == 0.0 and batch.labels[1] == 1.0
-    assert data.flags.writeable and labels.flags.writeable
-    assert not batch.data.flags.writeable and not batch.labels.flags.writeable
+    assert batch.data[0, 0] == 0.0
+    assert data.flags.writeable and not batch.data.flags.writeable
     fortran = np.asfortranarray(np.arange(6.0).reshape(2, 3))
     assert SampleBatch(spec, fortran, 0).data.flags.c_contiguous
     # A read-only view still has a writable base, so it is copied too; a
@@ -471,6 +463,18 @@ def any_rows(seed, n, width):
     return np.random.default_rng(seed).standard_normal((n, width)) * 4.0
 
 
+def assert_relabels_exactly(batch, seed, features, labels):
+    """Bit for bit: the labels are the seed's Bern(1/2) draws, the signed
+    features give back the rows, and both arrays are read-only and own
+    their memory, so no write reaches or comes from the batch."""
+    expected = np.random.default_rng(seed).integers(0, 2, size=batch.n)
+    np.testing.assert_array_equal(labels, expected)
+    assert labels.shape == (batch.n,) and set(labels) <= {0.0, 1.0}
+    np.testing.assert_array_equal((2.0 * labels - 1.0)[:, None] * features, batch.data)
+    for out in (features, labels):
+        assert out.dtype == np.float64 and out.flags.owndata and not out.flags.writeable
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     measure=NGCA_MEASURES,
@@ -493,14 +497,9 @@ def test_ngca_to_glm_relabels_rows_exactly(measure, f, d, n, seeds):
         with pytest.raises(ValueError, match="not odd around 1"):
             reduce_ngca_to_glm(batch, seeds[1])
         return
-    glm = reduce_ngca_to_glm(batch, seeds[1])
-    assert glm.labels.shape == (n,) and set(glm.labels) <= {0.0, 1.0}
-    np.testing.assert_array_equal((2.0 * glm.labels - 1.0)[:, None] * glm.data, batch.data)
-    assert glm.seed == seeds[1]
-    assert (glm.spec.problem, glm.spec.k, glm.spec.d, glm.spec.snr) == ("glm", k, d, m.snr)
-    assert glm.spec.measure is m and (glm.spec.k, glm.spec.snr) == (m.order, m.snr)
-    np.testing.assert_array_equal(glm.spec.direction, spec.direction)
-    assert glm.spec.factors == () and glm.spec.subset == ()
+    features, labels = reduce_ngca_to_glm(batch, seeds[1])
+    assert features.shape == (n, d)
+    assert_relabels_exactly(batch, seeds[1], features, labels)
 
 
 @settings(max_examples=40, deadline=None)
@@ -532,17 +531,7 @@ def test_cca_to_parity_relabels_rows_exactly(k, d, f, dense, n, seeds):
         with pytest.raises(ValueError, match="coordinate factors"):
             reduce_cca_to_parity(batch, seeds[1])
         return
-    parity = reduce_cca_to_parity(batch, seeds[1])
-    assert parity.labels.shape == (n,) and set(parity.labels) <= {0.0, 1.0}
-    np.testing.assert_array_equal(
-        (2.0 * parity.labels - 1.0)[:, None] * parity.data, batch.data
-    )
-    assert parity.seed == seeds[1]
-    out = parity.spec
-    assert (out.problem, out.k, out.d) == ("parity", k, d)
-    assert out.snr == spec.snr / cca_critical_snr(k)
-    assert out.subset == tuple(view * d + int(i) for view, i in enumerate(indices))
-    assert len(out.factors) == k
-    for got, want in zip(out.factors, spec.factors):
-        np.testing.assert_array_equal(got, want)
-    assert out.direction is None and out.measure is None
+    features, labels, subset = reduce_cca_to_parity(batch, seeds[1])
+    assert features.shape == (n, k * d)
+    assert_relabels_exactly(batch, seeds[1], features, labels)
+    assert subset == tuple(view * d + int(i) for view, i in enumerate(indices))
