@@ -8,12 +8,12 @@ Verbs:
     sample <config>   draw one batch and dump the binary container
     reduce <config>   replay the streaming run as a one-bit protocol
 
-The three config verbs take ``--seed`` (replace the configured seed
-list, may be repeated) and ``--out`` (output path), and ``sweep`` alone
-takes ``--threads`` (worker pool size).  Counts must be >= 1, and a verb
-rejects a flag it does not read.  No flag changes the dense-tensor entry
-guard, ``tensors.ENTRY_BUDGET``: a call that needs more exits 2.  The
-config grammar and all output formats are documented in docs/formats.md.
+The three config verbs take ``--out`` (output path), and ``sweep``
+alone takes ``--threads`` (worker pool size, >= 1); a verb rejects a
+flag it does not read.  The seed list comes from the config alone.
+No flag changes the dense-tensor entry guard, ``tensors.ENTRY_BUDGET``:
+a call that needs more exits 2.  The config grammar and all output
+formats are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -73,12 +73,17 @@ def draw(cfg: ExperimentConfig, n_samples: int, seed: int):
 
 def run_plain(cfg: ExperimentConfig, batch, seed: int):
     """The configured estimator's report on ``batch``, started from the
-    solver seed ``iteration_seed(seed)``."""
+    solver seed ``iteration_seed(seed)``; a float64 overflow (a tpca snr
+    past about 1e154) raises ``ValueError`` naming the operation."""
     # config.py admits only the options class's own options; unset ones
     # keep its defaults.
     options = ESTIMATOR_SCOPES[cfg.estimator][1]
     opts = dict(cfg.estimator_options, seed=iteration_seed(seed))
-    return ESTIMATORS[cfg.estimator](batch, options(**opts))
+    try:
+        with np.errstate(over="raise"):
+            return ESTIMATORS[cfg.estimator](batch, options(**opts))
+    except FloatingPointError as err:
+        raise ValueError(f"{cfg.estimator} overflows float64 ({err})") from None
 
 
 def _fmt(value) -> str:
@@ -156,7 +161,7 @@ def sweep_csv(rows: list[dict]) -> str:
 
 def _cmd_sweep(args) -> int:
     check_count("--threads", args.threads)
-    cfg = parse_config(args.config, seed_override=args.seed)
+    cfg = parse_config(args.config)
     text = sweep_csv(run_sweep(cfg, threads=args.threads))
     if args.out:
         with open(args.out, "w") as fh:
@@ -180,7 +185,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    cfg = parse_config(args.config, seed_override=args.seed)
+    cfg = parse_config(args.config)
     seed = cfg.seeds[0]
     n_samples = cfg.samples_grid[0]
     _, batch = draw(cfg, n_samples, seed)
@@ -191,7 +196,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cfg = parse_config(args.config, seed_override=args.seed)
+    cfg = parse_config(args.config)
     if cfg.harness is None or cfg.shard_rows is None:
         raise ValueError("reduce needs [harness] and [distributed] sections")
     seed = cfg.seeds[0]
@@ -227,12 +232,9 @@ def _parser() -> argparse.ArgumentParser:
         prog="spikelab",
         description="Planted tensor and projection models under resource bounds.",
     )
-    # The config verbs: a config path, a seed list and an output path.
+    # The config verbs: a config path and an output path.
     configured = argparse.ArgumentParser(add_help=False)
     configured.add_argument("config")
-    configured.add_argument(
-        "--seed", type=int, action="append", help="replace the seed list (repeatable)"
-    )
     configured.add_argument("--out", help="output path")
     sub = parser.add_subparsers(dest="verb", required=True)
     p_sweep = sub.add_parser("sweep", parents=[configured], help="run a config grid")

@@ -1,4 +1,4 @@
-"""Experiment configuration: an INI file, plus the ``--seed`` override.
+"""Experiment configuration: an INI file, the one description of a run.
 
 The grammar is documented in docs/formats.md.  Parsing is strict:
 unknown sections, unknown keys, estimator options the chosen estimator
@@ -196,9 +196,8 @@ def _read_section(name: str, section) -> dict:
     return values
 
 
-def parse_config(path, seed_override=None) -> ExperimentConfig:
-    """Read an experiment INI file; ``seed_override`` (the ``--seed``
-    list), when given, replaces its seed list before the checks run."""
+def parse_config(path) -> ExperimentConfig:
+    """Read an experiment INI file."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path) as fh:
         try:
@@ -226,7 +225,7 @@ def parse_config(path, seed_override=None) -> ExperimentConfig:
         snr=exp["snr"],
         estimator=exp["estimator"],
         samples_grid=exp["samples"],
-        seeds=exp["seeds"] if seed_override is None else tuple(seed_override),
+        seeds=exp["seeds"],
         measure_kind=exp.get("measure"),
         estimator_options=sections.get("estimator", {}),
         harness=None if harness is None else HarnessSettings(**harness),

@@ -62,13 +62,12 @@ def detection_run(name: str, snr: float, n_samples: int, seed: int) -> float:
     return statistic(run_plain(cfg, batch, seed))
 
 
-def detection_median(
-    name: str, snr: float, n_samples: int | None = None, seeds=DETECTION_SEEDS
-) -> float:
+def detection_median(name: str, snr: float, n_samples: int | None = None) -> float:
+    """The median of the leg statistic over ``DETECTION_SEEDS``."""
     if n_samples is None:
         n_samples = default_samples(name)
     return statistics.median(
-        detection_run(name, snr, n_samples, seed) for seed in seeds
+        detection_run(name, snr, n_samples, seed) for seed in DETECTION_SEEDS
     )
 
 

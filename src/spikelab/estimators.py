@@ -378,7 +378,7 @@ _CCA_MODEL = 1 << 16
 # The largest net ``sphere_net`` builds; one this size already costs
 # 4 * 10^10 ngca score entries.
 _MAX_NET = 200_000
-# Fresh sphere points per coverage check of a random net, by default.
+# Fresh sphere points per coverage check of a random net.
 _PROBES = 10_000
 
 
@@ -391,18 +391,15 @@ def _spans(total: int, width: int) -> list[tuple[int, int]]:
 class BruteForceConfig:
     """Net resolution and truncation level for the exhaustive searches.
 
-    ``probes`` (coverage probes per net draw, ``sphere_net``'s default
-    unless set) is an integer >= 1, so the coverage check always runs,
-    and ``seed`` is an integer >= 0.  The net size cap is
-    ``sphere_net``'s, which no config sets.
+    ``seed`` is an integer >= 0.  The coverage probes and the net size
+    cap are ``sphere_net``'s constants, which no config sets.
     """
 
-    OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float, "probes": int}
+    OPTIONS: ClassVar[dict] = {"delta": float, "trunc": float}
 
     delta: float
     trunc: float
     seed: int = 0
-    probes: int = _PROBES
 
     def __post_init__(self):
         check_real("delta", self.delta)
@@ -412,7 +409,6 @@ class BruteForceConfig:
         if not self.trunc > 0:
             raise ValueError(f"truncation level must be positive, got {self.trunc}")
         check_count("seed", self.seed, low=0)
-        check_count("probes", self.probes)
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -427,25 +423,25 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np.ndarray:
+def sphere_net(d: int, delta: float, seed: int = 0) -> np.ndarray:
     """A delta-net of the unit sphere in R^d, d <= 4.
 
     d = 1 is the two-point sphere and d = 2 a uniform angular grid with
     chord spacing below delta.  For d in {3, 4} the net is random with
     verified coverage, and the check sizes it: the first draw has
     ``max(2 d, ceil(4 delta^(1 - d)))`` points, and the net is redrawn
-    at doubled size until none of ``probes`` fresh random sphere points
-    sits farther than delta from it.  Each round draws the net, then all
-    ``probes`` probes in one call, and takes their dots with the net
-    ``_NET_BLOCK`` probes at a time.  A round fails at the first chunk
+    at doubled size until none of ``_PROBES`` (10,000) fresh random
+    sphere points sits farther than delta from it.  Each round draws the
+    net, then all the probes in one call, and takes their dots with the
+    net ``_NET_BLOCK`` probes at a time.  A round fails at the first chunk
     that holds a probe farther than delta, and the chunks after it are
     not scanned.  Every probe is still drawn, so the generator stream,
     and with it every net, is the one a full scan gives: a round passes
     exactly when each chunk does, because the distance
     ``sqrt(max(2 - 2 dot, 0))`` does not increase with the dot.
-    ``probes`` must be an integer >= 1 and ``seed`` one >= 0; for d >= 2
-    a net that would outgrow ``_MAX_NET`` (200,000) points raises
-    ``MemoryError``, as ``check_entry_budget`` does.
+    ``seed`` must be an integer >= 0; for d >= 2 a net that would
+    outgrow ``_MAX_NET`` (200,000) points raises ``MemoryError``, as
+    ``check_entry_budget`` does.
     """
     check_count("d", d)
     if d > 4:
@@ -454,7 +450,6 @@ def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must be in (0, 2], got {delta}")
     check_count("seed", seed, low=0)
-    check_count("probes", probes)
     if d == 1:
         return np.array([[1.0], [-1.0]])
     try:
@@ -473,14 +468,14 @@ def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np
             angles = 2.0 * math.pi * np.arange(count) / count
             return np.column_stack([np.cos(angles), np.sin(angles)])
         net = _normalize_rows(rng.standard_normal((count, d)))
-        q = _normalize_rows(rng.standard_normal((probes, d)))
+        q = _normalize_rows(rng.standard_normal((_PROBES, d)))
         # a chunk's farthest probe is the one with the lowest best dot
-        # (a max down the columns of net @ probes.T, one array op per net
+        # (a max down the columns of net @ q.T, one array op per net
         # point); ``all`` stops at the first chunk that misses, so no
         # later chunk is multiplied
         lowest = (
             float(np.maximum.reduce(net @ q[lo:hi].T, axis=0).min())
-            for lo, hi in _spans(probes, _NET_BLOCK)
+            for lo, hi in _spans(_PROBES, _NET_BLOCK)
         )
         if all(math.sqrt(max(2.0 - 2.0 * dot, 0.0)) <= delta for dot in lowest):
             return net
@@ -489,7 +484,7 @@ def sphere_net(d: int, delta: float, seed: int = 0, probes: int = _PROBES) -> np
 
 def net_discrepancy(u1: np.ndarray, u2: np.ndarray, net: np.ndarray, k: int) -> float:
     """``max_w |<u1, w>^k - <u2, w>^k|`` over the net directions."""
-    return float(np.abs((net @ u1) ** k - (net @ u2) ** k).max())
+    return float(np.abs(_power_inplace(net @ u1, k) - _power_inplace(net @ u2, k)).max())
 
 
 def _power_inplace(x: np.ndarray, k: int) -> np.ndarray:
@@ -541,7 +536,7 @@ def brute_force_ngca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateRepor
     # report the first candidate with an infinite objective.
     check_finite(batch.data, "batch")
     t0 = time.perf_counter()
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed)
     m = len(net)
     k = spec.k
     gauss_k = gaussian_moment(k)
@@ -689,7 +684,7 @@ def brute_force_cca(batch: SampleBatch, cfg: BruteForceConfig) -> EstimateReport
         raise ValueError("net-product search is capped at d <= 3, k <= 3")
     check_finite(batch.data, "batch")
     t0 = time.perf_counter()
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed)
     m = len(net)
     k = spec.k
     if m**k > 1_000_000:

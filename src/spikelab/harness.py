@@ -689,15 +689,17 @@ def run_distributed(
     head of each run that starts in the block; a run may reach past it.
     Each run is checked (``_checked_run``), and its rounds are charged to
     its writer's budget of b rounds; a machine past its budget raises
-    ``RuntimeError``.  The writer log is built once from the runs, in
-    ``np.min_scalar_type(m - 1)``.  The shards are one ``(m, n,
-    columns)`` array of finite values, as ``shard_stream`` cuts them
-    (``_checked_shards``).  Writers and bits are validated before any
-    cast.  Protocols get the shards, in place for a float64 array, and
+    ``RuntimeError``.  As no run reaches past the board, the runs cover
+    its m*b rounds, so each machine holds exactly b.  The writer log is
+    built once from the runs, in ``np.min_scalar_type(m - 1)``.  The
+    shards are one ``(m, n, columns)`` array of finite values, as
+    ``shard_stream`` cuts them (``_checked_shards``).  The counts m, n
+    and b, writers and bits are validated before any use or cast.  Protocols get the shards, in place for a float64 array, and
     the transcript, both through read-only views.  That each bit came
     from its writer's own shard is what ``Blackboard.recompute`` checks.
     """
     t0 = time.perf_counter()
+    m, n, b = check_count("m", m), check_count("n", n), check_count("b", b)
     shards = _checked_shards(shards, m, n)
     rounds = m * b
     bits = np.zeros(rounds, dtype=np.uint8)
@@ -721,8 +723,6 @@ def run_distributed(
             lengths.append(length)
             head += length
         t = end
-    if any(count != b for count in written):
-        raise RuntimeError(f"per-machine round counts {written} != b = {b}")
     writers = np.repeat(
         np.array(owners, dtype=np.min_scalar_type(m - 1)), np.array(lengths, dtype=np.intp)
     )

@@ -99,10 +99,19 @@ def test_parse_config_harness_sections(tmp_path):
     assert cfg.shard_rows == 8
 
 
-def test_flag_overrides(tmp_path):
-    path = write(tmp_path, BASE)
-    cfg = parse_config(path, seed_override=[9])
-    assert cfg.seeds == (9,)
+def test_flag_overrides(tmp_path, capsys):
+    # No flag overrides the config: the seed list comes from its seeds
+    # key alone, and parse_config takes the path and nothing else.
+    path = write(tmp_path, HARNESS)
+    out = tmp_path / "out"
+    for verb in ("sweep", "sample", "reduce"):
+        assert main([verb, str(path), "--seed", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unrecognized arguments: --seed 5\n"
+        assert captured.out == "" and not out.exists()
+    with pytest.raises(TypeError, match="seed_override"):
+        parse_config(path, seed_override=[9])
+    assert parse_config(path).seeds == (4,)
 
 
 @pytest.mark.parametrize(
@@ -137,11 +146,19 @@ def test_flag_overrides(tmp_path):
         # measure is read for ngca only
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\nmeasure = bounded-llr"),
         ("seeds = 0, 1, 2", "seeds = 0, 1, 2\nmeasure = mog"),
+        # a known section in place of [experiment], and [distributed]
+        # without [harness]
+        ("[experiment]", "[estimator]", r"needs an \[experiment\] section"),
+        (
+            "seeds = 0, 1, 2",
+            "seeds = 0, 1, 2\n[distributed]\nshard_rows = 8",
+            r"requires a \[harness\] section",
+        ),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutation):
-    old, new = mutation
-    with pytest.raises(ValueError):
+    old, new, *match = mutation
+    with pytest.raises(ValueError, match=match[0] if match else None):
         parse_config(write(tmp_path, BASE.replace(old, new)))
 
 
@@ -189,6 +206,15 @@ def test_counts_must_be_integers_and_are_never_truncated(make, kwargs):
         make(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "key, match", [("samples_grid", "samples grid"), ("seeds", "seed list")]
+)
+def test_empty_grids_are_rejected_on_direct_construction(key, match):
+    # An INI list holds at least one entry, so only a direct call reaches these.
+    with pytest.raises(ValueError, match=f"^{match} must not be empty$"):
+        ExperimentConfig(**{**GOOD, key: ()})
+
+
 def test_numpy_integer_counts_are_accepted():
     counts = {"k": np.int64(2), "samples_grid": (np.int32(64),), "seeds": (np.uint8(0),)}
     cfg = ExperimentConfig(**{**GOOD, **counts})
@@ -231,6 +257,13 @@ def test_formats_doc_names_every_config_section_and_key():
     for name, keys in _SECTIONS.items():
         for key in keys:
             assert f"`{key}`" in text, f"[{name}] {key} is not documented"
+    # Its options table lists exactly each options class's OPTIONS, so a
+    # retired option left in the table fails here.
+    rows = dict(re.findall(r"^\|[^|\n]*\(`(\w+)`\) *\|([^|\n]*)\|$", text, re.M))
+    classes = {options.__name__: options for _, options in ESTIMATOR_SCOPES.values()}
+    assert set(rows) == set(classes)
+    for name, cell in rows.items():
+        assert sorted(re.findall(r"`(\w+)`", cell)) == sorted(classes[name].OPTIONS), name
 
 
 def test_parse_config_unknown_material(tmp_path):
@@ -320,8 +353,9 @@ def test_brute_force_requires_net_options(tmp_path):
         )
 
 
-# probes is a count >= 1; the net size cap is no option, so a config
-# that sets max_net is rejected whatever its value.
+# The coverage probes and the net size cap are constants of sphere_net,
+# not options, so a config that sets probes or max_net is rejected
+# whatever its value.
 @pytest.mark.parametrize("key", ["probes", "max_net"])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_brute_force_net_counts_rejected_at_parse(tmp_path, key, value):
@@ -329,12 +363,12 @@ def test_brute_force_net_counts_rejected_at_parse(tmp_path, key, value):
         "estimator = tensor-power", "estimator = brute-force-ngca"
     ).replace("k = 2", "k = 4").replace("d = 5", "d = 3")
     options = "\n[estimator]\ndelta = 0.3\ntrunc = 6\n"
-    parse_config(write(tmp_path, text + options + "probes = 1\n"))
-    with pytest.raises(ValueError, match=key):
+    parse_config(write(tmp_path, text + options))
+    with pytest.raises(ValueError, match=f"unknown estimator option '{key}'"):
         parse_config(write(tmp_path, text + options + f"{key} = {value}\n"))
 
 
-# As at parse: a max_net option is rejected whatever its value.
+# As at parse: a probes or max_net option is rejected whatever its value.
 @pytest.mark.parametrize("key", ["probes", "max_net"])
 @pytest.mark.parametrize("value", [0, -1, 2.5, True, "3"])
 def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
@@ -345,8 +379,8 @@ def test_brute_force_net_counts_rejected_on_direct_construction(key, value):
             estimator_options={"delta": 0.3, "trunc": 6.0, **options},
         )
 
-    build({"probes": 3})
-    with pytest.raises(ValueError, match=key):
+    build({})
+    with pytest.raises(ValueError, match=rf"does not read options \['{key}'\]"):
         build({key: value})
 
 
@@ -356,7 +390,6 @@ OPTION_VALUES = {
     "tol": "1e-3",
     "delta": "0.3",
     "trunc": "6",
-    "probes": "5",
 }
 
 
@@ -498,13 +531,14 @@ def test_main_sweep_writes_file(tmp_path, capsys):
 
 
 def test_main_calls_share_no_parsed_state(tmp_path, capsys):
-    # The parser is built once per process; the options of one call must
-    # not reach the next.
+    # The parser is built once per process; the options and the config
+    # of one call must not reach the next.
     path = write(tmp_path, BASE)
+    other = write(tmp_path, BASE.replace("seeds = 0, 1, 2", "seeds = 7, 9"), "other.ini")
     out = tmp_path / "rows.csv"
-    assert main(["sweep", str(path), "--seed", "7", "--seed", "9", "--out", str(out)]) == 0
+    assert main(["sweep", str(other), "--out", str(out), "--threads", "2"]) == 0
     assert main(["sweep", str(path)]) == 0
-    assert main(["sweep", str(path), "--seed", "5"]) == 0
+    assert main(["sweep", str(other)]) == 0
     captured = capsys.readouterr().out.split("# spikelab-sweep-v1\n")
     assert captured[0] == f"wrote {out}\n" and len(captured) == 3
     seed = CSV_COLUMNS.index("seed")
@@ -514,7 +548,7 @@ def test_main_calls_share_no_parsed_state(tmp_path, capsys):
 
     assert seeds(out.read_text().split("\n", 1)[1]) == ["7", "9"] * 2
     assert seeds(captured[1]) == ["0", "1", "2"] * 2
-    assert seeds(captured[2]) == ["5"] * 2
+    assert seeds(captured[2]) == ["7", "9"] * 2
 
 
 def test_main_sample_dumps_container(tmp_path, capsys):
@@ -700,14 +734,19 @@ def test_main_malformed_ini_exits_2_with_one_error_line(tmp_path, capsys, text):
             + "max_net = 900\n",
             "unknown estimator option 'max_net'",
         ),
+        (
+            _NET_SEARCH.format(problem="ngca", k=4, d=3, snr=0.5, delta=0.3, trunc=4.0)
+            + "probes = 5\n",
+            "unknown estimator option 'probes'",
+        ),
         (HARNESS.replace("bits = 16", "bits = 53"), "bits per coordinate must be in [1, 52]"),
     ],
-    ids=["output-section", "max-net", "53-bits"],
+    ids=["output-section", "max-net", "probes", "53-bits"],
 )
 @pytest.mark.parametrize("verb", ["sweep", "sample", "reduce"])
 def test_main_unsettable_values_exit_2_with_one_error_line(tmp_path, capsys, verb, text, message):
-    # The output path comes from --out alone, the net size cap is no
-    # option, and a codec stops at 52 bits.
+    # The output path comes from --out alone, the coverage probes and
+    # the net size cap are no options, and a codec stops at 52 bits.
     out = tmp_path / "out"
     assert main([verb, str(write(tmp_path, text)), "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -863,16 +902,15 @@ _FUZZ_BASES = [
      "estimator": dict(max_iters="5")},
     {"experiment": dict(problem="cca", k="2", d="2", snr="0.3", estimator="brute-force-cca",
                         samples="16", seeds="3"),
-     "estimator": dict(delta="1", trunc="4", probes="50")},
+     "estimator": dict(delta="1", trunc="4")},
 ]
 _FUZZ_KEYS = [(name, key) for name, keys in _SECTIONS.items() for key in keys]
 _BAD = ["", "%", "%%", "%(problem)s", "abc", "nan", "inf", "-inf", "1e999", "-1", "0"]
 _HUGE = [str(10**30), "1" + "0" * 5000]
 # (tiny valid values, bad ones, huge ones) by the type _SECTIONS reads.
 # The loop counts passes and max_iters take no huge value, since any
-# count is valid and costs time in proportion.  A finite snr past about
-# 1e154 is left out: it overflows every plain tpca estimator (see the
-# FOUND line in CHANGES.md).
+# count is valid and costs time in proportion.  A tpca snr past about
+# 1e154 overflows the plain estimators' arithmetic, which exits 2.
 _VALUES = {
     int: (["1", "2", "4"], ["2.5", *_BAD], _HUGE),
     float: (["0.3", "1", "2"], _BAD, ["5e-324", "1e-300", "1e300"]),
@@ -891,7 +929,7 @@ def _fuzz_values(section, key):
     if key in ("passes", "max_iters"):
         return (["1", "2"], ["2.5", *_BAD], [])
     if key == "snr":
-        return (["0", "0.001", "0.3", "1"], _BAD, ["1e-300"])
+        return (["0", "0.001", "0.3", "1"], _BAD, ["1e-300", "1e160", "1e300", "1e308"])
     kind = _SECTIONS[section][key]
     return _VALUES[kind] if kind in _VALUES else _LISTS
 
@@ -938,12 +976,7 @@ _FUZZ_FLAGS = [
     ["--threads", "0"],
     ["--threads", "2"],
     ["--threads", str(10**30)],
-    ["--seed", "x"],
-    ["--seed", "-1"],
     ["--seed", "5"],
-    ["--seed", str(10**30)],
-    ["--seed", "1", "--seed", "1"],
-    ["--seed", "0", "--seed", "1000"],
 ]
 
 
@@ -984,6 +1017,16 @@ def _fuzz_case(base, changes):
     config="written",
 )
 @example(text=_fuzz_case(3, {("estimator", "delta"): "5e-324"}), flags=[], config="written")
+# A tpca snr of 1e160 or 1e300 overflowed the iterate's squared norm in
+# ``unit``, and at d = 1 an snr of 1e308 the batch mean: a numpy warning,
+# then "iterate collapsed to numerical zero", a traceback and exit 1.
+@example(text=_fuzz_case(0, {("experiment", "snr"): "1e160"}), flags=[], config="written")
+@example(text=_fuzz_case(0, {("experiment", "snr"): "1e300"}), flags=[], config="written")
+@example(
+    text=_fuzz_case(0, {("experiment", "d"): "1", ("experiment", "snr"): "1e308"}),
+    flags=[],
+    config="written",
+)
 @settings(max_examples=150, deadline=None)
 def test_main_on_fuzzed_ini_and_argv_exits_0_with_a_csv_or_2_with_one_error_line(
     tmp_path_factory, text, flags, config

@@ -352,6 +352,10 @@ def test_matricization_rank1_rejects_bad_input():
         matricization_rank1(np.ones(8), 3, 2, PowerMethodConfig())
     with pytest.raises(ValueError, match="zero"):
         matricization_rank1(np.zeros(16), 2, 4, PowerMethodConfig())
+    with pytest.raises(ValueError, match="expected 16 entries, got 15"):
+        matricization_rank1(np.ones(15), 2, 4, PowerMethodConfig())
+    with pytest.raises(ValueError, match="need a matrix"):
+        rank1_svd(np.ones(4), PowerMethodConfig())
 
 
 def test_matricization_rank1_splits_first_and_last_halves():
@@ -500,8 +504,9 @@ def test_normalize_rows_is_the_row_norm_bit_for_bit(d):
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_sphere_net_randomized_coverage(d):
-    net = sphere_net(d, 0.5, seed=1, probes=2000)
+def test_sphere_net_randomized_coverage(d, monkeypatch):
+    monkeypatch.setattr(est, "_PROBES", 2000)
+    net = sphere_net(d, 0.5, seed=1)
     rng = np.random.default_rng(99)
     q = rng.standard_normal((2000, d))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
@@ -643,6 +648,8 @@ def test_brute_force_config_validation():
         BruteForceConfig(delta=0.5, trunc=0.0)
     with pytest.raises(ValueError, match="max_iters"):
         PowerMethodConfig(max_iters=0)
+    with pytest.raises(ValueError, match="tolerance must be positive, got 0"):
+        PowerMethodConfig(tol=0)
 
 
 @pytest.mark.parametrize(
@@ -657,10 +664,12 @@ def test_power_method_config_rejects_non_numbers(key, value):
     assert PowerMethodConfig(max_iters=np.int64(3), tol=np.float32(1e-3)).max_iters == 3
 
 
+# The coverage probes are the constant ``_PROBES``, not a setting: a
+# probes argument is refused whatever its value.
 @pytest.mark.parametrize("key", ["probes"])
 @pytest.mark.parametrize("value", [0, -1, -5, 2.5, True])
 def test_brute_force_config_rejects_bad_counts(key, value):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(TypeError, match=key):
         BruteForceConfig(delta=0.5, trunc=1.0, **{key: value})
 
 
@@ -668,8 +677,7 @@ def test_brute_force_config_rejects_bad_counts(key, value):
 @pytest.mark.parametrize("value", [0, -1, 2.5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_sphere_net_rejects_bad_counts(d, key, value):
-    # Raised before any sampling, including for d = 2, which needs no probe.
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(TypeError, match=key):
         sphere_net(d, 0.1, **{key: value})
 
 
@@ -785,8 +793,9 @@ def full_scan_sphere_net(d, delta, seed, probes):
 def test_sphere_net_stopping_at_a_failed_chunk_keeps_every_net(d, delta, seed, block, probes):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(est, "_NET_BLOCK", block)
+        monkeypatch.setattr(est, "_PROBES", probes)
         reference = full_scan_sphere_net(d, delta, seed, probes)
-        assert sphere_net(d, delta, seed, probes).tobytes() == reference.tobytes()
+        assert sphere_net(d, delta, seed).tobytes() == reference.tobytes()
 
 
 def test_sphere_net_failed_rounds_stop_at_their_first_far_chunk(monkeypatch):
@@ -810,7 +819,7 @@ def unblocked_brute_force_ngca(batch, cfg):
     with libm ``pow`` for the k-th powers; returns (net, objective,
     net_index, sign)."""
     spec = batch.spec
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed)
     k = spec.k
     gauss_k = float(math.prod(range(1, k, 2))) if k % 2 == 0 else 0.0
     g = np.clip(batch.data @ net.T, -cfg.trunc, cfg.trunc)
@@ -840,11 +849,12 @@ def planted_ngca_batch(d, k, snr, n, seed):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 @pytest.mark.parametrize("snr", [0.0, 0.3, 1.5])
-def test_brute_force_ngca_matches_pow_reference(d, k, snr):
+def test_brute_force_ngca_matches_pow_reference(d, k, snr, monkeypatch):
+    monkeypatch.setattr(est, "_PROBES", 500)
     batch = planted_ngca_batch(d, k, snr, n=300, seed=100 * d + 10 * k)
     # trunc 1.2 clips a large share of the projections
     delta = {2: 0.4, 3: 0.6, 4: 1.2}[d]
-    cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=d + k, probes=500)
+    cfg = BruteForceConfig(delta=delta, trunc=1.2, seed=d + k)
     report = brute_force_ngca(batch, cfg)
     _, objective, index, sign = unblocked_brute_force_ngca(batch, cfg)
     assert report.info["net_index"] == index
@@ -862,8 +872,9 @@ def _width(kind, m):
 @pytest.mark.parametrize("kind", ["1", "3", "7", "m+1"])
 @pytest.mark.parametrize("d, k, delta", [(2, 4, 0.4), (3, 3, 0.5), (3, 4, 0.5), (4, 4, 0.9)])
 def test_brute_force_ngca_net_block_width_moves_no_result(d, k, delta, kind, monkeypatch):
+    monkeypatch.setattr(est, "_PROBES", 2000)
     batch = planted_ngca_batch(d, k, 0.9, 300, 5 * d + k)
-    cfg = BruteForceConfig(delta=delta, trunc=3.0, seed=d, probes=2000)
+    cfg = BruteForceConfig(delta=delta, trunc=3.0, seed=d)
     whole = brute_force_ngca(batch, cfg)
     monkeypatch.setattr(est, "_NET_BLOCK", _width(kind, whole.info["net_size"]))
     chunked = brute_force_ngca(batch, cfg)
@@ -882,7 +893,7 @@ def unblocked_brute_force_cca(batch, cfg):
     """The cca net-product search one head at a time with whole
     ``m^(k+1)`` model blocks; returns (net, objective, net_indices)."""
     spec = batch.spec
-    net = sphere_net(spec.d, cfg.delta, cfg.seed, cfg.probes)
+    net = sphere_net(spec.d, cfg.delta, cfg.seed)
     m, k = len(net), spec.k
     views = batch.views()
     proj = [views[:, l, :] @ net.T for l in range(k)]
@@ -932,7 +943,7 @@ def _cca_batch(k, d, n, seed, snr=0.37):
 def _smallest_gap_tuple(batch, cfg):
     """The candidate ``brute_force_cca`` fully scores first: the smallest
     ``|table[p] - model_u[p]|`` at the largest-magnitude table entry p."""
-    net = sphere_net(batch.spec.d, cfg.delta, cfg.seed, cfg.probes)
+    net = sphere_net(batch.spec.d, cfg.delta, cfg.seed)
     views = batch.views()
     table = est._cca_table([views[:, l, :] @ net.T for l in range(batch.spec.k)], cfg.trunc)
     top = np.unravel_index(np.argmax(np.abs(table)), table.shape)
@@ -979,9 +990,10 @@ def test_blocked_cca_search_is_bit_identical(d, k, delta, n, seed, kind, clip, p
         # a d = 3 net of up to 48 points: k = 3 would score m^6 entries
         k, delta = 2, max(delta, 1.0)
     batch = _cca_batch(k, d, n, seed, snr)
-    trunc = _clip_level(clip, _sample_bounds(batch, sphere_net(d, delta, seed, 100)), pick)
-    cfg = BruteForceConfig(delta=delta, trunc=trunc, seed=seed, probes=100)
     with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(est, "_PROBES", 100)
+        trunc = _clip_level(clip, _sample_bounds(batch, sphere_net(d, delta, seed)), pick)
+        cfg = BruteForceConfig(delta=delta, trunc=trunc, seed=seed)
         _assert_cca_slices_equal_whole_blocks(batch, cfg, kind, monkeypatch)
 
 

@@ -870,6 +870,13 @@ def test_distributed_rejects_bad_bits_and_shards():
     with pytest.raises(ValueError, match="shards"):
         run_distributed(LocalMeanProtocol(m, q), shards[:1], m, n, q.bits)
 
+    class EmptyBlock(LocalMeanProtocol):
+        def next_bits(self, shards, round_index, transcript):
+            return []
+
+    with pytest.raises(ValueError, match=r"^protocol wrote a block of shape \(0,\) at round 0$"):
+        run_distributed(EmptyBlock(m, q), shards, m, n, q.bits)
+
 
 def _shards_rule(m, n):
     """The start of every ``_checked_shards`` shape error, as a pattern."""
@@ -1265,6 +1272,17 @@ def test_audit_and_recompute_reject_a_writer_log_that_does_not_cover_the_board()
     longer = Blackboard(board.bits, extra, board.m, board.n, board.b)
     assert not longer.audit(protocol)
     assert not longer.recompute(protocol, shards)
+    # A logged writer past the machines fails the recompute before any
+    # shard is read.
+    outside = board.writers.astype(np.int64)
+    outside[8:] = board.m
+    assert not Blackboard(board.bits, outside, board.m, board.n, board.b).recompute(
+        protocol, shards
+    )
+    # A board of no rounds has no run to check: both pass it, with no
+    # IndexError on the empty log.
+    empty = Blackboard(board.bits[:0], board.writers[:0], board.m, board.n, board.b)
+    assert empty.audit(protocol) and empty.recompute(protocol, shards)
 
 
 def test_recompute_shows_a_protocol_its_writers_shard_and_zeros():
@@ -1767,6 +1785,10 @@ def test_update_chunks_equals_per_sample_loop_over_any_split(run, data):
         stacked = algo.update_chunks(start, t, skip * size, equal[skip:])
         expected = row_by_row_algo.update_chunks(start, t, skip * size, equal[skip:])
         assert stacked.tobytes() == expected.tobytes()
+        # The same chunks one row later would reach past the pass.
+        past = rf"^rows {skip * size + 1}\.\.{n_samples} run past the pass of {n_samples}$"
+        with pytest.raises(ValueError, match=past):
+            algo.update_chunks(start, t, skip * size + 1, equal[skip:])
         empty = algo.update_chunks(start, t, skip * size, equal[skip:, :0])
         assert empty.tobytes() == np.tile(start, (len(equal) - skip, 1)).tobytes()
         for i0, i1 in zip(bounds, bounds[1:]):

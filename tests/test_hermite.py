@@ -215,6 +215,8 @@ def test_weighted_basis_orthonormal(k):
     w = basis.leg_weights * basis.gauss_weights
     gram = (vals * w) @ vals.T
     np.testing.assert_allclose(gram, np.eye(k + 1), atol=1e-8)
+    with pytest.raises(ValueError, match=rf"index {k + 1} outside basis range \[0, {k}\]"):
+        basis.eval(k + 1, basis.nodes)
 
 
 def test_weighted_basis_constant_term():

@@ -28,6 +28,7 @@ from spikelab.harness import (
     partial_trace_template,
     power_template,
     reduce_memory_to_distributed,
+    run_distributed,
     shard_stream,
 )
 from spikelab.hermite import build_weighted_basis, gauss_hermite_rule, hermite_all
@@ -292,6 +293,14 @@ _MOG = NonGaussMeasure("mog", 4, 0.5)
 _PROFILE = ResourceProfile(4, 1, _quantized().state_bits)
 _TPCA = ModelSpec.tpca(2, 2, 1.0)
 
+
+def _run_distributed(m=2, n=2, b=192):
+    """``run_distributed`` of ``_PROFILE``'s protocol on two zero shards of
+    two rows, with m, n and b as given: (2, 2, 192) is the run it takes."""
+    protocol = reduce_memory_to_distributed(_quantized(), _PROFILE, 2)[0]
+    return run_distributed(protocol, np.zeros((2, 2, 9)), m, n, b)
+
+
 # (entry point, call with the count in its slot, lowest accepted value, a
 # valid value).  Every count and degree goes through ``check_count``.
 COUNT_SLOTS = [
@@ -334,6 +343,11 @@ COUNT_SLOTS = [
     ("gaussian_reference_constant d", lambda v: gaussian_reference_constant(4, v), 1, 2),
     ("sphere_net d", lambda v: sphere_net(v, 0.5), 1, 2),
     ("shard_stream", lambda v: shard_stream(np.zeros((4, 2)), v), 1, 2),
+    # n = 8.0 ran and logged Blackboard.n = 8.0, m = 2.0 and b = 128.0
+    # raised numpy's TypeError, and b = True a past-the-last-round error.
+    ("run_distributed m", lambda v: _run_distributed(m=v), 1, 2),
+    ("run_distributed n", lambda v: _run_distributed(n=v), 1, 2),
+    ("run_distributed b", lambda v: _run_distributed(b=v), 1, 192),
     (
         "reduce_memory_to_distributed n",
         lambda v: reduce_memory_to_distributed(_quantized(), _PROFILE, v),
